@@ -1,4 +1,4 @@
-package spq
+package spq_test
 
 // Benchmarks regenerating the paper's evaluation (Section 7). Each
 // BenchmarkFig* runs the corresponding figure panel of the experiment
@@ -6,12 +6,13 @@ package spq
 // sweeps (with the paper's exact parameter grids) are produced by
 // `go run ./cmd/spqbench`.
 //
-// BenchmarkAblation* cover the design choices called out in DESIGN.md:
-// Map-side keyword pruning and the spill-to-disk external sort.
+// BenchmarkAblation* cover two design choices: Map-side keyword pruning
+// and the spill-to-disk external sort.
 
 import (
 	"testing"
 
+	"spq"
 	"spq/internal/bench"
 	"spq/internal/core"
 	"spq/internal/data"
@@ -128,7 +129,7 @@ func BenchmarkAblationGrid32(b *testing.B) { benchAlgorithm(b, core.ESPQSco, cor
 // End-to-end benchmark through the public API and the DFS storage path,
 // including input splits, locality scheduling and line parsing.
 func BenchmarkPublicAPIQueryDFS(b *testing.B) {
-	e := NewEngine(Config{Seed: 1})
+	e := spq.NewEngine(spq.Config{Seed: 1})
 	if err := e.LoadSynthetic("uniform", 20000); err != nil {
 		b.Fatal(err)
 	}
@@ -136,10 +137,10 @@ func BenchmarkPublicAPIQueryDFS(b *testing.B) {
 	if err := e.Seal(); err != nil {
 		b.Fatal(err)
 	}
-	q := Query{K: 10, Radius: 0.01, Keywords: kws}
+	q := spq.Query{K: 10, Radius: 0.01, Keywords: kws}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Query(q, WithGrid(8)); err != nil {
+		if _, err := e.Query(q, spq.WithGrid(8)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -34,7 +34,7 @@ const DefaultQueryCacheSize = 256
 // CacheStats is the cumulative outcome of the engine's query cache.
 type CacheStats struct {
 	// Hits and Misses count cache lookups since the engine was created.
-	// Queries run with WithoutCache never look up and count as neither.
+	// Queries run with WithCache(false) never look up and count as neither.
 	Hits, Misses int64
 	// Entries is the number of reports currently cached.
 	Entries int
@@ -138,7 +138,7 @@ func copyReport(r *Report) *Report {
 // the report given a fixed storage generation participates: the query
 // itself (keywords sorted and de-duplicated, radius by exact bit pattern),
 // the algorithm, and every execution option that alters the job or the
-// plan — including WithoutDelta, since base-only and base+delta reads of
+// plan — including WithDelta(false), since base-only and base+delta reads of
 // the same generation may differ. The generation prefixes the key, so
 // appends and compactions invalidate by construction.
 func cacheKey(gen uint64, q Query, cfg *queryConfig) string {

@@ -83,9 +83,7 @@ func TestChaosResultIdentityUnderFaults(t *testing.T) {
 		set  func(*Config)
 	}{
 		{"text", func(c *Config) { c.Storage = StorageDFS }},
-		{"spq1", func(c *Config) { c.Storage = StorageDFSBinary; c.Segment = SegmentRecord }},
-		{"spq2", func(c *Config) { c.Storage = StorageDFSBinary; c.Segment = SegmentColumnar }},
-		{"spq3", func(c *Config) { c.Storage = StorageDFSBinary; c.Segment = SegmentCompressed }},
+		{"spq3", func(c *Config) { c.Storage = StorageDFSBinary }},
 	}
 	seeds := chaosSeeds(t)
 	for _, f := range formats {

@@ -9,7 +9,7 @@
 //	spqbench -fig 5a                  # one panel
 //	spqbench -fig 8 -scale-unit 1000  # larger scalability sweep
 //	spqbench -quick                   # endpoints of each sweep only
-//	spqbench -json > BENCH_all.json   # machine-readable results
+//	spqbench -json > figures.json     # machine-readable results
 //	spqbench -concurrency 8           # serving throughput: N concurrent
 //	                                  # clients vs the serial baseline,
 //	                                  # plus the cached repeated workload
@@ -44,9 +44,7 @@ func main() {
 		mapSlots = flag.Int("map-slots", 0, "map worker slots (default NumCPU)")
 		redSlots = flag.Int("reduce-slots", 0, "reduce worker slots (default NumCPU)")
 		quick    = flag.Bool("quick", false, "run only the endpoints of each sweep")
-		repeat   = flag.Int("repeat", 1, "run each measured cell N times and keep the fastest (use 3+ when comparing BENCH_*.json trajectories)")
-		legacy   = flag.Bool("legacy", false, "measure the pre-SPQ2 path (unplanned full scan) instead of the planned columnar serving path")
-		segment  = flag.String("segment", "", "columnar segment format for the planned path: spq3 (compressed, default) or spq2")
+		repeat   = flag.Int("repeat", 1, "run each measured cell N times and keep the fastest (use 3+ when comparing two runs)")
 		verify   = flag.Bool("verify", false, "prove result identity of every measured cell against the full-scan reference (rows gain \"verified\": true)")
 		counters = flag.Bool("counters", false, "also print features-examined counters per figure")
 		jsonOut  = flag.Bool("json", false, "emit results as a JSON array of rows (figure, series, x, millis, counters) instead of tables")
@@ -115,8 +113,6 @@ func main() {
 		ReduceSlots:   *redSlots,
 		Quick:         *quick,
 		Repeat:        *repeat,
-		Legacy:        *legacy,
-		Segment:       *segment,
 		Verify:        *verify,
 	})
 

@@ -28,7 +28,7 @@ func main() {
 		nodes    = flag.Int("nodes", 16, "simulated DFS nodes")
 		slots    = flag.Int("slots", 8, "map/reduce worker slots")
 		autoplan = flag.Bool("autoplan", false, "prune sealed cell files against the query and pick the grid from the manifest statistics")
-		storage  = flag.String("storage", "text", "sealed storage format: text, spq3 (compressed columnar segments), spq2 (plain columnar segments), spq1 (record segments), memory")
+		storage  = flag.String("storage", "text", "sealed storage format: text, spq3 (compressed columnar segments), memory")
 		verbose  = flag.Bool("v", false, "print job counters")
 	)
 	flag.Parse()
@@ -60,12 +60,6 @@ func main() {
 		cfg.Storage = spq.StorageDFS
 	case "spq3":
 		cfg.Storage = spq.StorageDFSBinary
-	case "spq2":
-		cfg.Storage = spq.StorageDFSBinary
-		cfg.Segment = spq.SegmentColumnar
-	case "spq1":
-		cfg.Storage = spq.StorageDFSBinary
-		cfg.Segment = spq.SegmentRecord
 	case "memory":
 		cfg.Storage = spq.StorageMemory
 	default:

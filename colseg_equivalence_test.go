@@ -5,36 +5,30 @@ import (
 )
 
 // TestColumnarMatchesRecordStorageProperty is the storage-format
-// correctness property: the same corpus sealed as SPQ3 compressed
-// segments (the binary default), as SPQ2 plain columnar segments, and as
-// legacy SPQ1 record files returns byte-identical results for every
-// algorithm, planned and unplanned. The format changes how bytes reach
-// the map phase — compressed or plain column blocks fetched by zone-map
-// offset versus records streamed through sync markers — and nothing
-// else. For SPQ3 this also covers the posting-list pushdown: planned
-// queries skip irrelevant feature records via the block dictionary
-// instead of testing them one by one, and the results must not move.
+// correctness property: the same corpus sealed as SPQ3 compressed columnar
+// segments, as text record files and as the in-memory layout returns
+// byte-identical results for every algorithm, planned and unplanned. The
+// format changes how bytes reach the map phase — compressed column blocks
+// fetched by zone-map offset versus records parsed line by line or read
+// from memory — and nothing else. For SPQ3 this also covers the
+// posting-list pushdown: queries skip irrelevant feature records via the
+// block dictionary instead of testing them one by one, and the results
+// must not move.
 func TestColumnarMatchesRecordStorageProperty(t *testing.T) {
-	build := func(seg SegmentFormat) *Engine {
-		e := NewEngine(Config{Storage: StorageDFSBinary, Segment: seg, Nodes: 4, BlockSize: 4 << 10, Seed: 9})
+	build := func(st Storage, format string) *Engine {
+		e := NewEngine(Config{Storage: st, Nodes: 4, BlockSize: 4 << 10, Seed: 9})
 		loadClusteredCorpus(t, e, 4000, 8)
 		if err := e.Seal(); err != nil {
 			t.Fatal(err)
 		}
+		if f := e.Manifest().Format; f != format {
+			t.Fatalf("storage %d sealed as %q, want %q", st, f, format)
+		}
 		return e
 	}
-	spq3 := build(SegmentCompressed)
-	spq2 := build(SegmentColumnar)
-	spq1 := build(SegmentRecord)
-	if f := spq3.Manifest().Format; f != "spq3" {
-		t.Fatalf("compressed engine sealed as %q", f)
-	}
-	if f := spq2.Manifest().Format; f != "spq2" {
-		t.Fatalf("columnar engine sealed as %q", f)
-	}
-	if f := spq1.Manifest().Format; f != "seq" {
-		t.Fatalf("record engine sealed as %q", f)
-	}
+	spq3 := build(StorageDFSBinary, "spq3")
+	text := build(StorageDFS, "text")
+	mem := build(StorageMemory, "mem")
 
 	queries := []Query{
 		{K: 5, Radius: 0.03, Keywords: []string{"c2-kw9", "common3"}},
@@ -46,38 +40,32 @@ func TestColumnarMatchesRecordStorageProperty(t *testing.T) {
 	for qi, q := range queries {
 		for _, alg := range Algorithms() {
 			for _, planned := range []bool{false, true} {
-				opts := []QueryOption{WithAlgorithm(alg), WithGrid(9), WithoutCache()}
+				opts := []QueryOption{WithAlgorithm(alg), WithGrid(9), WithCache(false)}
 				if planned {
 					opts = append(opts, WithAutoPlan())
 				}
-				want, err := spq1.Query(q, opts...)
+				want, err := text.Query(q, opts...)
 				if err != nil {
-					t.Fatalf("q%d %v planned=%v spq1: %v", qi, alg, planned, err)
+					t.Fatalf("q%d %v planned=%v text: %v", qi, alg, planned, err)
 				}
-				got2, err := spq2.Query(q, opts...)
-				if err != nil {
-					t.Fatalf("q%d %v planned=%v spq2: %v", qi, alg, planned, err)
-				}
-				if !resultsEqual(want, got2) {
-					t.Errorf("q%d %v planned=%v: spq2 differs\nspq1: %+v\nspq2: %+v",
-						qi, alg, planned, want, got2)
-				}
-				got3, err := spq3.Query(q, opts...)
-				if err != nil {
-					t.Fatalf("q%d %v planned=%v spq3: %v", qi, alg, planned, err)
-				}
-				if !resultsEqual(want, got3) {
-					t.Errorf("q%d %v planned=%v: spq3 differs\nspq1: %+v\nspq3: %+v",
-						qi, alg, planned, want, got3)
+				for name, e := range map[string]*Engine{"spq3": spq3, "memory": mem} {
+					got, err := e.Query(q, opts...)
+					if err != nil {
+						t.Fatalf("q%d %v planned=%v %s: %v", qi, alg, planned, name, err)
+					}
+					if !resultsEqual(want, got) {
+						t.Errorf("q%d %v planned=%v: %s differs\ntext: %+v\n%s: %+v",
+							qi, alg, planned, name, want, name, got)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestColumnarBlockPruningAndCache checks the two things only SPQ2 can do:
-// prune inside cells (spq.plan.blocks.pruned > 0 on a selective query) and
-// serve repeats from the decoded-segment cache.
+// TestColumnarBlockPruningAndCache checks the two things only columnar
+// storage can do: prune inside cells (spq.plan.blocks.pruned > 0 on a
+// selective query) and serve repeats from the decoded-segment cache.
 func TestColumnarBlockPruningAndCache(t *testing.T) {
 	e := NewEngine(Config{Storage: StorageDFSBinary, Nodes: 4, Seed: 7})
 	loadClusteredCorpus(t, e, 30000, 8)
@@ -86,7 +74,7 @@ func TestColumnarBlockPruningAndCache(t *testing.T) {
 	}
 
 	q := Query{K: 5, Radius: 0.02, Keywords: []string{"c1-kw5"}}
-	rep, err := e.QueryReport(q, WithAutoPlan(), WithoutCache())
+	rep, err := e.QueryReport(q, WithAutoPlan(), WithCache(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +107,7 @@ func TestColumnarBlockPruningAndCache(t *testing.T) {
 	if before.Misses == 0 || before.Hits != 0 {
 		t.Fatalf("cold segment cache stats: %+v", before)
 	}
-	rep2, err := e.QueryReport(q, WithAutoPlan(), WithoutCache())
+	rep2, err := e.QueryReport(q, WithAutoPlan(), WithCache(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +129,7 @@ func TestColumnarBlockPruningAndCache(t *testing.T) {
 	if err := e.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.QueryReport(q, WithAutoPlan(), WithoutCache()); err != nil {
+	if _, err := e.QueryReport(q, WithAutoPlan(), WithCache(false)); err != nil {
 		t.Fatal(err)
 	}
 	final := e.SegmentCacheStats()

@@ -176,45 +176,35 @@ func TestInvalidQueryTaxonomy(t *testing.T) {
 	}
 }
 
-// TestWithCacheDeltaRedesign: the boolean options are equivalent to the
-// deprecated WithoutCache/WithoutDelta, and Report.Options reflects what
-// actually applied.
+// TestWithCacheDeltaRedesign: the boolean options compose — a later option
+// overrides an earlier one — and Report.Options reflects what actually
+// applied.
 func TestWithCacheDeltaRedesign(t *testing.T) {
 	e := contextTestEngine(t, Config{Storage: StorageMemory, Seed: 11})
 	defer e.Close()
 	q := contextTestQuery(t, e)
 
-	base, err := e.QueryReport(q, WithoutCache())
+	off, err := e.QueryReport(q, WithCache(false), WithDelta(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaBool, err := e.QueryReport(q, WithCache(false))
-	if err != nil {
-		t.Fatal(err)
+	if opt := off.Options(); opt.Cache || opt.Delta {
+		t.Fatalf("WithCache(false), WithDelta(false) options = %+v, want both off", opt)
 	}
-	if !reflect.DeepEqual(base.Results, viaBool.Results) {
-		t.Fatal("WithCache(false) results differ from WithoutCache()")
-	}
-	if opt := viaBool.Options(); opt.Cache {
-		t.Fatal("WithCache(false) report claims cache participation")
-	}
-	if opt := base.Options(); opt.Cache {
-		t.Fatal("WithoutCache() report claims cache participation")
+	if off.Counters[CounterCacheMiss] != 0 || off.Counters[CounterCacheHit] != 0 {
+		t.Fatalf("WithCache(false) touched the cache: %v", off.Counters)
 	}
 
-	delta1, err := e.QueryReport(q, WithoutDelta(), WithoutCache())
+	// A later option overrides an earlier one.
+	on, err := e.QueryReport(q, WithCache(false), WithDelta(false), WithCache(true), WithDelta(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta2, err := e.QueryReport(q, WithDelta(false), WithCache(false))
-	if err != nil {
-		t.Fatal(err)
+	if opt := on.Options(); !opt.Cache || !opt.Delta {
+		t.Fatalf("re-enabled options = %+v, want cache and delta on", opt)
 	}
-	if !reflect.DeepEqual(delta1.Results, delta2.Results) {
-		t.Fatal("WithDelta(false) results differ from WithoutDelta()")
-	}
-	if opt := delta2.Options(); opt.Delta {
-		t.Fatal("WithDelta(false) report claims delta visibility")
+	if !reflect.DeepEqual(off.Results, on.Results) {
+		t.Fatal("cache/delta participation changed results on a delta-free engine")
 	}
 
 	// Defaults: cache and delta participate.
@@ -224,6 +214,9 @@ func TestWithCacheDeltaRedesign(t *testing.T) {
 	}
 	if opt := rep.Options(); !opt.Cache || !opt.Delta {
 		t.Fatalf("default options = %+v, want cache and delta on", opt)
+	}
+	if rep.Counters[CounterCacheHit] != 1 {
+		t.Fatalf("default execution missed the entry the re-enabled one stored: %v", rep.Counters)
 	}
 }
 

@@ -45,7 +45,7 @@ type DeltaStats struct {
 	// increases on every seal, committed append batch and compaction.
 	Generation uint64
 	// Records is the number of delta records visible to the query (0 when
-	// the engine had no uncompacted appends, or under WithoutDelta).
+	// the engine had no uncompacted appends, or under WithDelta(false)).
 	Records int64
 	// Cells and CellsPruned count the delta's seal-grid cells and how many
 	// the planner skipped. Only planned queries (WithAutoPlan) partition

@@ -67,7 +67,6 @@ func TestDistributedConformance(t *testing.T) {
 		cfg  Config
 	}{
 		{"text", Config{Storage: StorageDFS}},
-		{"binary", Config{Storage: StorageDFSBinary, Segment: SegmentRecord}},
 		{"columnar", Config{Storage: StorageDFSBinary}},
 	}
 	algs := []struct {
@@ -116,7 +115,7 @@ func TestDistributedConformance(t *testing.T) {
 					i := 0
 					for _, a := range algs {
 						for qi, q := range queries {
-							rep, err := eng.QueryReport(q, WithAlgorithm(a.alg), WithoutCache())
+							rep, err := eng.QueryReport(q, WithAlgorithm(a.alg), WithCache(false))
 							if err != nil {
 								t.Fatalf("%s q%d: %v", a.name, qi, err)
 							}
@@ -157,7 +156,7 @@ func TestDistributedAutoPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := eng.QueryReport(q, WithAutoPlan(), WithoutCache())
+		rep, err := eng.QueryReport(q, WithAutoPlan(), WithCache(false))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +222,7 @@ func TestDistributedSegCounters(t *testing.T) {
 	eng := distEngine(t, cfg, 1200)
 
 	q := distQueries(kws, 1)[0]
-	rep, err := eng.QueryReport(q, WithoutCache())
+	rep, err := eng.QueryReport(q, WithCache(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +261,6 @@ func TestDistributedChurn(t *testing.T) {
 		cfg  Config
 	}{
 		{"text", Config{Storage: StorageDFS}},
-		{"binary", Config{Storage: StorageDFSBinary, Segment: SegmentRecord}},
 		{"columnar", Config{Storage: StorageDFSBinary}},
 	}
 	algs := []struct {
@@ -334,7 +332,7 @@ func TestDistributedChurn(t *testing.T) {
 					i := 0
 					for _, a := range algs {
 						for qi, q := range queries {
-							rep, err := eng.QueryReport(q, WithAlgorithm(a.alg), WithoutCache())
+							rep, err := eng.QueryReport(q, WithAlgorithm(a.alg), WithCache(false))
 							if err != nil {
 								t.Fatalf("%s q%d under churn: %v", a.name, qi, err)
 							}
@@ -377,7 +375,7 @@ func TestDistributedChurn(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					rep, err := eng.QueryReport(queries[0], WithAlgorithm(algs[0].alg), WithoutCache())
+					rep, err := eng.QueryReport(queries[0], WithAlgorithm(algs[0].alg), WithCache(false))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -424,11 +422,11 @@ func TestDistributedWorkerKill(t *testing.T) {
 
 			var reexec, lost int64
 			for qi, q := range queries {
-				want, err := ref.Query(q, WithoutCache())
+				want, err := ref.Query(q, WithCache(false))
 				if err != nil {
 					t.Fatal(err)
 				}
-				rep, err := eng.QueryReport(q, WithoutCache())
+				rep, err := eng.QueryReport(q, WithCache(false))
 				if err != nil {
 					t.Fatalf("q%d under worker kills: %v", qi, err)
 				}

@@ -33,42 +33,17 @@ const (
 	// through an in-memory source. Faster, and sufficient when only the
 	// algorithms (not the storage substrate) matter.
 	StorageMemory
-	// StorageDFSBinary stores objects in a binary format instead of text
-	// lines. By default this is the SPQ3 compressed columnar segment
-	// format: each sealed cell is written as density-sized column blocks
-	// with per-block zone maps (bounding box, record count, keyword bloom)
-	// in the manifest, so the query planner prunes inside cells and the
-	// reader decodes only surviving blocks — straight into dense,
-	// cache-shared column buffers. Config.Segment selects the uncompressed
-	// SPQ2 columnar format or the legacy SPQ1 record format
-	// (length-prefixed records with sync markers) instead; both stay fully
-	// readable and return identical query results.
+	// StorageDFSBinary stores objects as SPQ3 compressed columnar segments
+	// instead of text lines: each sealed cell is written as density-sized
+	// column blocks (delta-varint ids, xor-delta bit-packed coordinates,
+	// dictionary-coded keyword postings) with per-block zone maps (bounding
+	// box, record count, keyword bloom) in the manifest, so the query
+	// planner prunes inside cells and the reader decodes only surviving
+	// blocks — straight into dense, cache-shared column buffers.
 	StorageDFSBinary
 )
 
-// SegmentFormat selects the record layout of binary sealed storage
-// (StorageDFSBinary).
-type SegmentFormat int
-
-// The binary segment formats.
-const (
-	// SegmentCompressed is the SPQ3 compressed columnar format: per-cell
-	// segments of column blocks (delta-varint ids, xor-delta bit-packed
-	// coordinates, dictionary-coded keyword postings) sized adaptively
-	// from cell density, with block-level zone maps in the manifest. The
-	// default.
-	SegmentCompressed SegmentFormat = iota
-	// SegmentRecord is the legacy SPQ1 record format, modeled after
-	// Hadoop's SequenceFile. Kept for compatibility; reads decode record
-	// at a time and prune only at whole-cell granularity.
-	SegmentRecord
-	// SegmentColumnar is the SPQ2 uncompressed columnar format: raw
-	// struct-of-arrays column blocks of ~2K records each. Shares the
-	// zone-map pruning and segment-cache stack with SPQ3.
-	SegmentColumnar
-)
-
-// Per-query segment I/O counters, emitted by columnar storage modes
+// Per-query segment I/O counters, emitted on columnar storage
 // (see Report.Counters). Together they quantify the storage cost of a
 // query: selected is the plan's compressed footprint, read what actually
 // hit storage (cache hits read nothing), decoded the in-memory size
@@ -121,11 +96,6 @@ type Config struct {
 	// batch and compaction — and evicted LRU. Zero selects
 	// DefaultQueryCacheSize; a negative value disables caching entirely.
 	QueryCache int
-	// Segment selects the record layout of binary sealed storage
-	// (StorageDFSBinary): the SPQ3 compressed columnar format (default),
-	// the SPQ2 uncompressed columnar format, or the legacy SPQ1 record
-	// format. Ignored by the other storage modes.
-	Segment SegmentFormat
 	// SegmentCache bounds the engine's decoded-segment cache, in bytes of
 	// decoded columns. Columnar reads check it before touching storage: a
 	// hot block — clustered query traffic revisiting the same cells —
@@ -327,7 +297,7 @@ func NewEngine(cfg Config) *Engine {
 	if cfg.QueryCache > 0 {
 		e.cache = newQueryCache(cfg.QueryCache)
 	}
-	if cfg.Storage == StorageDFSBinary && cfg.Segment != SegmentRecord {
+	if cfg.Storage == StorageDFSBinary {
 		if cfg.SegmentCache >= 0 {
 			e.segCache = data.NewBlockCache(int64(cfg.SegmentCache))
 		}
@@ -692,14 +662,7 @@ func (e *Engine) writeGenerationLocked(objs []data.Object, sealGridN int) error 
 	case StorageDFS, StorageDFSBinary:
 		format := data.FormatText
 		if e.cfg.Storage == StorageDFSBinary {
-			switch e.cfg.Segment {
-			case SegmentRecord:
-				format = data.FormatBinary
-			case SegmentColumnar:
-				format = data.FormatColumnar
-			default:
-				format = data.FormatCompressed
-			}
+			format = data.FormatCompressed
 		}
 		man, err := parts.SealDFS(e.fs, prefix, e.dict, format)
 		if err != nil {
@@ -788,42 +751,6 @@ func (e *Engine) snapshotFor(sealGridN int) (*snapshot, error) {
 		return nil, err
 	}
 	return e.snap.Load(), nil
-}
-
-// source returns the MapReduce input source reading exactly the given
-// sealed cell files (a subset of the manifest's file set, possibly
-// pre-pruned by the planner). Columnar storage reads the cols selection
-// instead: per-cell surviving block lists, fetched by ranged read through
-// the decoded-segment cache. It reads only the immutable snapshot and
-// the engine's construction-time fields, so concurrent queries build
-// their sources without locking. DFS sources are coalesced: per-cell
-// files (and column blocks) are small, and one map task per unit would
-// drown the job in task overhead, so consecutive splits are grouped down
-// to a few per map slot.
-func (e *Engine) source(s *snapshot, files []string, cols []data.ColSel, io *data.SegIOStats, kws []uint32) mapreduce.Source[data.Object] {
-	target := e.cfg.MapSlots * 4
-	switch s.manifest.Format {
-	case data.FormatText:
-		return mapreduce.Coalesce[data.Object](mapreduce.NewTextInput(e.fs, func(line []byte) (data.Object, error) {
-			return data.ParseLine(line, e.dict)
-		}, files...), target)
-	case data.FormatBinary:
-		return mapreduce.Coalesce[data.Object](data.NewSeqInput(e.fs, files...), target)
-	case data.FormatColumnar, data.FormatCompressed:
-		in := data.NewColInput(e.fs, cols, e.segCache, s.manifest.Generation)
-		in.IO = io
-		in.Keywords = kws
-		return mapreduce.Coalesce[data.Object](in, target)
-	default:
-		return e.memorySource(s, files)
-	}
-}
-
-// memorySource builds an in-memory source over the selected partitions of
-// the snapshot's sealed layout, re-split into ~2 chunks per map slot (see
-// memoryChunks, which the delta view shares).
-func (e *Engine) memorySource(s *snapshot, files []string) mapreduce.Source[data.Object] {
-	return memoryChunks(s.sealedObjs, s.memLayout, files, e.cfg.MapSlots*2)
 }
 
 // Query runs a spatial preference query and returns the ranked results.
@@ -945,82 +872,108 @@ func (e *Engine) queryReport(ctx context.Context, q Query, opts []QueryOption) (
 		}
 		bounds = bounds.Expand(pad)
 	}
+	cq := core.Query{K: q.K, Radius: q.Radius, Keywords: e.dict.InternAll(q.Keywords), Mode: q.Mode}
+	p, err := e.planQuery(snap, q, cq.Keywords, &cfg)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := e.execute(ctx, snap, cq, &cfg, bounds, p)
+	if err != nil {
+		return nil, err
+	}
+	rep.Counters = addFaultCounters(rep.Counters, e.fs.FaultStats().Sub(fault0))
+	rep.effective = effective
+	return e.finishQuery(key, rep), nil
+}
+
+// physicalPlan is what one query execution does, decided in full by
+// planQuery before anything runs: execute reads this value and nothing
+// else about the options, the storage format or the executor.
+type physicalPlan struct {
+	// The sealed input: whole cell files (text and memory layouts) or
+	// per-cell block selections (columnar), the data and feature halves
+	// apart so a data view can stand in for the first.
+	files              []string
+	colsData, colsFeat []data.ColSel
+	// src scans that selection — minus the data half under useView —
+	// followed by the participating delta records.
+	src mapreduce.Source[data.Object]
+	// useView routes the data selection through the cached per-grid data
+	// view (core.DataView) instead of the shuffle.
+	useView bool
+	// segIO meters the columnar reads of src and of a view build; nil on
+	// storage without segments.
+	segIO *data.SegIOStats
+	// wire describes the snapshot to worker processes; nil in-process.
+	wire            *core.WireInfo
+	gridN, reducers int
+	// priority requests the admission priority lane.
+	priority bool
+	// empty marks a plan that proves the query returns nothing: no job runs.
+	empty      bool
+	planStats  *PlanStats // nil unless the planner pruned (WithAutoPlan)
+	deltaStats *DeltaStats
+	counters   map[string]int64 // spq.plan.* and spq.delta.*
+}
+
+// planQuery decides how one query executes against snapshot s. It is the
+// only place that looks at the auto-plan and delta options, the manifest's
+// storage format and whether the engine is distributed. An unplanned query
+// is the same plan with pruning off: every cell and block, the whole delta
+// in append order (never partitioned), no planner statistics. kws is the
+// interned query keyword set.
+func (e *Engine) planQuery(s *snapshot, q Query, kws text.KeywordSet, cfg *queryConfig) (*physicalPlan, error) {
 	// The delta participating in this query: records appended after the
 	// base generation sealed, unless the caller opted out.
-	delta := snap.delta
+	delta := s.delta
 	if cfg.noDelta {
 		delta = nil
 	}
-	deltaStats := &DeltaStats{Generation: snap.gen}
-	if delta != nil {
-		deltaStats.Records = int64(len(delta.objs))
-		deltaStats.RecordsSelected = deltaStats.Records
+	p := &physicalPlan{
+		gridN:      cfg.gridN,
+		reducers:   cfg.reducers,
+		deltaStats: &DeltaStats{Generation: s.gen},
 	}
-	gridN := cfg.gridN
-	reducers := cfg.reducers
-	files := snap.manifest.Files()
-	// Columnar storage reads a block selection rather than whole files:
-	// everything by default, narrowed by the planner below. Data and
-	// feature selections stay separate so delta-free queries can route the
-	// data half through the cached per-grid view instead of the shuffle.
-	columnar := data.IsColumnar(snap.manifest.Format) && e.viewCache != nil
-	var colsData, colsFeat []data.ColSel
-	if columnar {
-		colsData = selectCells(snap.manifest.Data, nil)
-		colsFeat = selectCells(snap.manifest.Features, nil)
+	if delta != nil {
+		p.deltaStats.Records = int64(len(delta.objs))
+		p.deltaStats.RecordsSelected = p.deltaStats.Records
 	}
 	var deltaSrc mapreduce.Source[data.Object]
-	if delta != nil && !cfg.autoPlan {
-		// Unplanned queries read the whole delta in append order; planned
-		// queries build their source from the surviving delta cells below.
-		deltaSrc = mapreduce.NewMemorySource(delta.objs, e.cfg.MapSlots*2)
-	}
-	var planStats *PlanStats
-	extraCounters := deltaCounters(nil, deltaStats)
-	priority := false
+	files := s.manifest.Files // evaluated only by whole-file storage
+	dataCells, featCells := s.manifest.Data, s.manifest.Features
+	var blocks map[string][]int // surviving blocks per cell file; nil = all
 	if cfg.autoPlan {
 		var view *deltaView
 		var deltaData, deltaFeatures []data.CellStats
 		if delta != nil {
 			// Partition the delta over the manifest's seal grid (lazily,
 			// once per snapshot) so its cells prune like sealed ones.
-			view = delta.buildView(snap.manifest, e.dict)
+			view = delta.buildView(s.manifest, e.dict)
 			deltaData, deltaFeatures = view.dataCells, view.featureCells
 		}
-		dec := plan.PlanGenerations(snap.manifest, deltaData, deltaFeatures, plan.Input{
+		dec := plan.PlanGenerations(s.manifest, deltaData, deltaFeatures, plan.Input{
 			Radius:      q.Radius,
 			Keywords:    q.Keywords,
 			ReduceSlots: e.cfg.ReduceSlots,
 			GridN:       cfg.gridN,
 			NumReducers: cfg.reducers,
 		})
-		files = dec.Files
-		if columnar {
-			colsData = selectCells(dec.Data, dec.Blocks)
-			colsFeat = selectCells(dec.Features, dec.Blocks)
-		}
-		gridN = dec.GridN
-		reducers = dec.NumReducers
-		deltaStats.Cells = dec.Stats.DeltaCells
-		deltaStats.CellsPruned = dec.Stats.DeltaCellsPruned
-		deltaStats.RecordsSelected = dec.Stats.DeltaRecordsSelected
-		extraCounters = deltaCounters(dec.Counters(), deltaStats)
-		planStats = newPlanStats(dec)
+		files = func() []string { return dec.Files }
+		dataCells, featCells, blocks = dec.Data, dec.Features, dec.Blocks
+		p.gridN = dec.GridN
+		p.reducers = dec.NumReducers
+		p.deltaStats.Cells = dec.Stats.DeltaCells
+		p.deltaStats.CellsPruned = dec.Stats.DeltaCellsPruned
+		p.deltaStats.RecordsSelected = dec.Stats.DeltaRecordsSelected
+		p.counters = dec.Counters()
+		p.planStats = newPlanStats(dec)
 		// A plan that proves the query cheap (it reads at most a quarter
 		// of the stored records) earns the admission priority lane, so
 		// selective queries are not stuck behind scan-heavy ones.
-		priority = dec.Stats.RecordsTotal > 0 &&
+		p.priority = dec.Stats.RecordsTotal > 0 &&
 			dec.Stats.RecordsSelected*4 <= dec.Stats.RecordsTotal
-		if dec.Empty() {
-			rep, err := e.emptyPlanReport(q, cfg, bounds, planStats, deltaStats, extraCounters)
-			if err != nil {
-				return nil, err
-			}
-			rep.Counters = addFaultCounters(rep.Counters, e.fs.FaultStats().Sub(fault0))
-			rep.effective = effective
-			return e.finishQuery(key, rep), nil
-		}
-		if view != nil && len(dec.DeltaData)+len(dec.DeltaFeatures) > 0 {
+		p.empty = dec.Empty()
+		if len(dec.DeltaData)+len(dec.DeltaFeatures) > 0 {
 			sel := make([]string, 0, len(dec.DeltaData)+len(dec.DeltaFeatures))
 			for _, cs := range dec.DeltaData {
 				sel = append(sel, cs.File)
@@ -1030,61 +983,106 @@ func (e *Engine) queryReport(ctx context.Context, q Query, opts []QueryOption) (
 			}
 			deltaSrc = memoryChunks(view.ordered, view.layout, sel, e.cfg.MapSlots*2)
 		}
+	} else if delta != nil {
+		deltaSrc = mapreduce.NewMemorySource(delta.objs, e.cfg.MapSlots*2)
 	}
-	if gridN <= 0 {
-		gridN = defaultGridN
+	p.counters = deltaCounters(p.counters, p.deltaStats)
+	if p.empty {
+		return p, nil
 	}
-	// Delta-free columnar queries take the data-view path: the sealed data
-	// blocks become (or reuse) the dense per-grid layout, and the job
-	// shuffles feature records only. With a delta visible the combined
-	// source carries both kinds in-stream, exactly as before — appended
-	// records cannot be in any sealed view. Distributed engines skip the
-	// view as well: it is an in-process structure a worker cannot receive,
-	// and shipping the job matters more than the shuffle savings.
+	if p.gridN <= 0 {
+		p.gridN = defaultGridN
+	}
+	if e.exec != nil {
+		p.wire = &core.WireInfo{DictLen: e.dict.Size(), Gen: s.manifest.Generation}
+	}
+
+	// DFS sources are coalesced: per-cell files (and column blocks) are
+	// small, and one map task per unit would drown the job in task
+	// overhead, so consecutive splits are grouped down to a few per map slot.
+	target := e.cfg.MapSlots * 4
+	switch s.manifest.Format {
+	case data.FormatCompressed:
+		// Columnar storage reads block selections, fetched by ranged read
+		// through the decoded-segment cache. Delta-free in-process queries
+		// take the data-view path: the data blocks become (or reuse) the
+		// dense per-grid layout and the job shuffles feature records only.
+		// With a delta visible the source carries both kinds in-stream —
+		// appended records cannot be in any sealed view — and distributed
+		// engines skip the view as well: it is an in-process structure a
+		// worker cannot receive.
+		p.colsData = selectCells(dataCells, blocks)
+		p.colsFeat = selectCells(featCells, blocks)
+		p.useView = delta == nil && e.exec == nil
+		p.segIO = &data.SegIOStats{}
+		cols := p.colsFeat
+		if !p.useView {
+			cols = append(append([]data.ColSel(nil), p.colsData...), p.colsFeat...)
+		}
+		in := data.NewColInput(e.fs, cols, e.segCache, s.manifest.Generation)
+		in.IO = p.segIO
+		// The interned query keywords let feature blocks resolve the
+		// Map-phase keyword prune through their posting dictionaries and
+		// skip irrelevant records wholesale.
+		in.Keywords = kws
+		p.src = mapreduce.Coalesce[data.Object](in, target)
+	case data.FormatText:
+		p.files = files()
+		p.src = mapreduce.Coalesce[data.Object](mapreduce.NewTextInput(e.fs, func(line []byte) (data.Object, error) {
+			return data.ParseLine(line, e.dict)
+		}, p.files...), target)
+	case data.FormatMemory:
+		p.files = files()
+		p.src = memoryChunks(s.sealedObjs, s.memLayout, p.files, e.cfg.MapSlots*2)
+	default:
+		return nil, fmt.Errorf("spq: sealed manifest has unknown format %q", s.manifest.Format)
+	}
+	if deltaSrc != nil {
+		p.src = mapreduce.Concat(p.src, deltaSrc)
+	}
+	return p, nil
+}
+
+// execute runs plan p: nothing for a provably empty plan, otherwise one
+// MapReduce job over p.src, with the data half served by the cached view
+// when the plan says so.
+func (e *Engine) execute(ctx context.Context, s *snapshot, cq core.Query, cfg *queryConfig, bounds geo.Rect, p *physicalPlan) (*Report, error) {
+	out := &Report{Algorithm: cfg.alg, Counters: p.counters, Plan: p.planStats, Delta: p.deltaStats}
+	if p.empty {
+		// The skipped execution is still validated through the same core
+		// precondition check the executed path runs, so a query core.Run
+		// would reject fails identically whether or not the planner
+		// short-circuits.
+		if err := core.Validate(cfg.alg, cq, core.Options{Bounds: bounds}); err != nil {
+			return nil, err
+		}
+		return out, nil
+	}
 	var view *core.DataView
-	var segIO *data.SegIOStats
-	cols := colsFeat
-	if columnar {
-		segIO = &data.SegIOStats{}
-	}
-	if columnar && delta == nil && e.exec == nil {
-		v, err := e.dataView(snap, colsData, gridN, bounds, segIO)
+	if p.useView {
+		v, err := e.dataView(s, p.colsData, p.gridN, bounds, p.segIO)
 		if err != nil {
 			return nil, err
 		}
 		view = v
-	} else {
-		cols = append(append([]data.ColSel(nil), colsData...), colsFeat...)
 	}
-	cq := core.Query{K: q.K, Radius: q.Radius, Keywords: e.dict.InternAll(q.Keywords), Mode: q.Mode}
-	// The columnar source gets the interned query keywords so SPQ3 blocks
-	// can resolve the Map-phase keyword prune through their posting
-	// dictionaries and skip irrelevant feature records wholesale.
-	src := e.source(snap, files, cols, segIO, cq.Keywords)
-	if deltaSrc != nil {
-		src = mapreduce.Concat(src, deltaSrc)
-	}
-	var wire *core.WireInfo
-	if e.exec != nil {
-		wire = &core.WireInfo{DictLen: e.dict.Size(), Gen: snap.manifest.Generation}
-	}
-	rep, err := core.RunContext(ctx, cfg.alg, src, cq, core.Options{
+	rep, err := core.RunContext(ctx, cfg.alg, p.src, cq, core.Options{
 		Cluster:       e.cluster,
 		Bounds:        bounds,
-		GridN:         gridN,
-		NumReducers:   reducers,
+		GridN:         p.gridN,
+		NumReducers:   p.reducers,
 		SpillEvery:    cfg.spillEvery,
-		ExtraCounters: extraCounters,
-		Priority:      priority,
+		ExtraCounters: p.counters,
+		Priority:      p.priority,
 		DataView:      view,
-		Wire:          wire,
+		Wire:          p.wire,
 		MaxAttempts:   e.cfg.MaxAttempts,
 		RetryBackoff:  e.cfg.RetryBackoff,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if segIO != nil {
+	if p.segIO != nil {
 		if rep.Counters == nil {
 			rep.Counters = make(map[string]int64, 3)
 		}
@@ -1092,22 +1090,16 @@ func (e *Engine) queryReport(ctx context.Context, q Query, opts []QueryOption) (
 		// own segment reads already rode the task counter deltas into
 		// rep.Counters, and the master-side stats cover only what this
 		// process read (split enumeration, delta scans).
-		rep.Counters[CounterSegBytesRead] += segIO.BytesRead.Load()
-		rep.Counters[CounterSegBytesDecoded] += segIO.BytesDecoded.Load()
-		rep.Counters[CounterSegBytesSelected] = selBytes(colsData) + selBytes(colsFeat)
+		rep.Counters[CounterSegBytesRead] += p.segIO.BytesRead.Load()
+		rep.Counters[CounterSegBytesDecoded] += p.segIO.BytesDecoded.Load()
+		rep.Counters[CounterSegBytesSelected] = selBytes(p.colsData) + selBytes(p.colsFeat)
 	}
-	rep.Counters = addFaultCounters(rep.Counters, e.fs.FaultStats().Sub(fault0))
-	return e.finishQuery(key, &Report{
-		Algorithm:    rep.Algorithm,
-		Results:      toResults(rep.Results),
-		Counters:     rep.Counters,
-		Plan:         planStats,
-		Delta:        deltaStats,
-		MapMillis:    float64(rep.Stats.MapDuration.Microseconds()) / 1000,
-		ReduceMillis: float64(rep.Stats.ReduceDuration.Microseconds()) / 1000,
-		TotalMillis:  float64(rep.Stats.Duration.Microseconds()) / 1000,
-		effective:    effective,
-	}), nil
+	out.Results = toResults(rep.Results)
+	out.Counters = rep.Counters
+	out.MapMillis = float64(rep.Stats.MapDuration.Microseconds()) / 1000
+	out.ReduceMillis = float64(rep.Stats.ReduceDuration.Microseconds()) / 1000
+	out.TotalMillis = float64(rep.Stats.Duration.Microseconds()) / 1000
+	return out, nil
 }
 
 // deltaCounters merges the spq.delta.* counters into base (the planner's
@@ -1149,24 +1141,6 @@ func (e *Engine) CacheStats() CacheStats {
 		return CacheStats{}
 	}
 	return e.cache.stats()
-}
-
-// emptyPlanReport handles a plan that proves the query returns nothing
-// (every data or feature cell pruned): the MapReduce job is skipped
-// entirely. The execution is still validated through the same core
-// precondition check the executed path runs, so a query core.Run would
-// reject fails identically whether or not the planner short-circuits.
-func (e *Engine) emptyPlanReport(q Query, cfg queryConfig, bounds geo.Rect, planStats *PlanStats, deltaStats *DeltaStats, counters map[string]int64) (*Report, error) {
-	cq := core.Query{K: q.K, Radius: q.Radius, Keywords: e.dict.InternAll(q.Keywords), Mode: q.Mode}
-	if err := core.Validate(cfg.alg, cq, core.Options{Bounds: bounds}); err != nil {
-		return nil, err
-	}
-	return &Report{
-		Algorithm: cfg.alg,
-		Counters:  counters,
-		Plan:      planStats,
-		Delta:     deltaStats,
-	}, nil
 }
 
 // newPlanStats converts a planner decision into the public report form.

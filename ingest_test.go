@@ -115,7 +115,7 @@ func TestIngestEquivalenceProperty(t *testing.T) {
 		for _, alg := range Algorithms() {
 			for _, planned := range []bool{false, true} {
 				for qi, q := range queries {
-					opts := []QueryOption{WithAlgorithm(alg), WithoutCache()}
+					opts := []QueryOption{WithAlgorithm(alg), WithCache(false)}
 					if planned {
 						opts = append(opts, WithAutoPlan())
 					}
@@ -363,9 +363,9 @@ func TestCompactSemantics(t *testing.T) {
 	}
 }
 
-// TestWithoutDelta: the option restricts a query to the sealed base and is
-// cached separately from the delta-inclusive execution.
-func TestWithoutDelta(t *testing.T) {
+// TestWithDeltaFalse: the option restricts a query to the sealed base and
+// is cached separately from the delta-inclusive execution.
+func TestWithDeltaFalse(t *testing.T) {
 	e := loadPaperExample(t, Config{Storage: StorageMemory})
 	if err := e.Seal(); err != nil {
 		t.Fatal(err)
@@ -378,16 +378,16 @@ func TestWithoutDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseOnly, err := e.QueryReport(q, WithoutDelta())
+	baseOnly, err := e.QueryReport(q, WithDelta(false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if baseOnly.Counters[CounterCacheHit] == 1 {
-		t.Error("WithoutDelta served the delta-inclusive cache entry")
+		t.Error("WithDelta(false) served the delta-inclusive cache entry")
 	}
 	for _, r := range baseOnly.Results {
 		if r.ID == 50 {
-			t.Error("WithoutDelta results contain a delta record")
+			t.Error("WithDelta(false) results contain a delta record")
 		}
 	}
 	found := false
@@ -400,7 +400,7 @@ func TestWithoutDelta(t *testing.T) {
 		t.Errorf("delta-inclusive results missing the appended record: %v", withDelta.Results)
 	}
 	if baseOnly.Delta == nil || baseOnly.Delta.Records != 0 {
-		t.Errorf("WithoutDelta Report.Delta = %+v, want 0 records", baseOnly.Delta)
+		t.Errorf("WithDelta(false) Report.Delta = %+v, want 0 records", baseOnly.Delta)
 	}
 	if got := withDelta.Counters[CounterDeltaRecords]; got != 1 {
 		t.Errorf("%s = %d, want 1", CounterDeltaRecords, got)
@@ -432,7 +432,7 @@ func TestDeltaPlannerCounters(t *testing.T) {
 	if err := e.AddFeature(Feature{ID: 9001, X: -50, Y: -50, Keywords: []string{"espresso"}}); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.QueryReport(Query{K: 5, Radius: 0.05, Keywords: []string{"espresso"}}, WithAutoPlan(), WithoutCache())
+	rep, err := e.QueryReport(Query{K: 5, Radius: 0.05, Keywords: []string{"espresso"}}, WithAutoPlan(), WithCache(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +459,7 @@ func TestDeltaPlannerCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := e.Query(Query{K: 200, Radius: 0.05, Keywords: []string{"espresso"}},
-		WithAutoPlan(), WithoutCache())
+		WithAutoPlan(), WithCache(false))
 	if err != nil {
 		t.Fatal(err)
 	}

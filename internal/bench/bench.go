@@ -9,7 +9,7 @@
 // parameter grids (grid sizes, radius as a fraction of the cell edge,
 // query keyword counts, k) are the paper's, so the relative behaviour of
 // the algorithms — who wins, how gaps grow with load — is preserved even
-// though absolute times are not comparable. See EXPERIMENTS.md.
+// though absolute times are not comparable.
 package bench
 
 import (
@@ -20,11 +20,11 @@ import (
 	"sort"
 	"strings"
 
+	"spq"
 	"spq/internal/core"
 	"spq/internal/data"
 	"spq/internal/grid"
 	"spq/internal/mapreduce"
-	"spq/internal/plan"
 	"spq/internal/text"
 )
 
@@ -33,7 +33,7 @@ type Config struct {
 	// SizeReal is the total object count for the FL and TW surrogates
 	// (default 150,000). Large enough that the paper's 50x50 default grid
 	// still gets tens of objects per cell — the regime where early
-	// termination matters; see EXPERIMENTS.md on scale.
+	// termination matters.
 	SizeReal int
 	// SizeSynthetic is the total object count for UN and CL (default
 	// 100,000).
@@ -50,27 +50,14 @@ type Config struct {
 	// tests.
 	Quick bool
 	// Repeat runs every measured cell this many times and keeps the
-	// fastest (default 1). Use 3+ when comparing against a committed
-	// BENCH_*.json trajectory file, to factor out scheduler and GC noise.
+	// fastest (default 1). Use 3+ when comparing two runs, to factor out
+	// scheduler and GC noise.
 	Repeat int
-	// Legacy routes the query figures through the pre-SPQ2 path: an
-	// unplanned full scan of the in-memory object slice, the measurement
-	// every BENCH_*.json up to PR 2 recorded. The default (false) measures
-	// the modern serving path instead: datasets sealed once as SPQ2
-	// columnar segments, each query planned against the block zone maps
-	// and executed over the surviving blocks through the decoded-segment
-	// cache.
-	Legacy bool
 	// Verify proves result identity for every measured figure cell: the
-	// planned columnar execution is re-run against the legacy full-scan
-	// reference and the ranked results must match exactly. Rows carry
-	// "verified": true in the JSON output. No-op under Legacy.
+	// engine's planned execution is compared against an unplanned full
+	// scan of the in-memory object slice and the ranked results must match
+	// exactly. Rows carry "verified": true in the JSON output.
 	Verify bool
-	// Segment selects the columnar segment format datasets are sealed in:
-	// data.FormatCompressed (SPQ3, the default) or data.FormatColumnar
-	// (SPQ2). Running the same sweep under both formats compares their
-	// latency and seg_bytes_* counters on identical workloads.
-	Segment string
 }
 
 func (c Config) withDefaults() Config {
@@ -88,9 +75,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReduceSlots <= 0 {
 		c.ReduceSlots = runtime.NumCPU()
-	}
-	if c.Segment == "" {
-		c.Segment = data.FormatCompressed
 	}
 	return c
 }
@@ -119,23 +103,23 @@ type Cell struct {
 	// lands.
 	MapMillis    float64
 	ReduceMillis float64
-	// Planner and decoded-segment-cache activity of the planned columnar
-	// path; all zero under Config.Legacy.
+	// Planner and decoded-segment-cache activity of the engine's planned
+	// path; all zero for the figures that run core jobs directly.
 	BlocksScanned      int64
 	BlocksPruned       int64
 	PlanRecordsSkipped int64
 	SegCacheHits       int64
 	SegCacheMisses     int64
-	// Segment I/O of the planned columnar path: SegBytesSelected is the
+	// Segment I/O of the engine's planned path: SegBytesSelected is the
 	// stored size of the blocks the plan selected (deterministic);
 	// SegBytesRead/SegBytesDecoded are the cold-pass storage reads and
 	// their decoded size (the maximum across repeats — warm repeats read
-	// nothing). All zero under Config.Legacy.
+	// nothing).
 	SegBytesRead     int64
 	SegBytesDecoded  int64
 	SegBytesSelected int64
 	// Verified records that this cell's results were proven identical to
-	// the legacy full-scan reference (Config.Verify).
+	// the full-scan reference (Config.Verify).
 	Verified bool
 }
 
@@ -239,7 +223,7 @@ func (f *Figure) WriteCounters(w io.Writer) {
 // merge+reduce — so a storage-format win is attributable: a format change
 // moves map_millis (and the seg_cache_* / blocks_* counters), a scoring
 // change moves reduce_millis. Verified marks rows whose results were
-// proven identical to the legacy full-scan reference.
+// proven identical to the full-scan reference.
 type Row struct {
 	Figure       string           `json:"figure"`
 	Series       string           `json:"series"`
@@ -289,8 +273,7 @@ func (f *Figure) Rows() []Row {
 }
 
 // WriteJSON emits the flattened rows of the figures as one indented JSON
-// array — the format the perf-trajectory tooling diffs across PRs
-// (BENCH_*.json).
+// array.
 func WriteJSON(w io.Writer, figures []*Figure) error {
 	rows := []Row{}
 	for _, f := range figures {
@@ -308,47 +291,36 @@ func pad(s string, w int) string {
 	return s + strings.Repeat(" ", w-len(s))
 }
 
-// Harness caches generated datasets across figures and owns the simulated
-// cluster the experiments run on.
+// Harness caches generated datasets across figures and owns the engines
+// and the simulated cluster the experiments run on.
 type Harness struct {
-	cfg     Config
+	cfg Config
+	// cluster runs the jobs the harness builds itself: the full-scan
+	// reference and the figures that sweep core options no engine exposes.
 	cluster *mapreduce.Cluster
 	cache   map[string]*data.Dataset
 	// objCache memoizes Dataset.Objects per dataset: the merged slice is
 	// read-only for jobs, and materializing 100k+ objects per measured run
 	// would charge allocation and GC time to every figure point.
 	objCache map[*data.Dataset][]data.Object
-	// segCache memoizes the columnar seal of each (dataset, segment
-	// format) — segment store, manifest with block zone maps, decoded-
-	// segment cache — built once, exactly as an engine seals once and
-	// serves many queries. It is a tiny LRU (most recent first): figures
-	// sweep one
+	// engines memoizes one sealed engine per dataset — loaded and sealed
+	// once, exactly as a serving engine seals once and answers many
+	// queries. It is a tiny LRU (most recent first): figures sweep one
 	// dataset at a time, and retaining every family's segments, decoded
 	// blocks and views for the whole 20-figure run would tax the later
 	// figures with GC scans over hundreds of megabytes they never touch.
-	segCache []*segStore
+	engines []datasetEngine
 }
 
-// maxSegStores bounds the harness's resident columnar seals. Three covers
-// every sweep's reuse pattern (consecutive figures share a dataset);
-// rebuilding an evicted store happens outside the measured window.
-const maxSegStores = 3
-
-// benchSealGridN is the seal grid the harness partitions datasets over,
-// matching the engine's default.
-const benchSealGridN = 32
-
-// segStore is one dataset sealed as columnar segments (SPQ2 or SPQ3),
-// with the two read-path caches an engine would hold: decoded column
-// blocks and per-grid data views.
-type segStore struct {
-	ds     *data.Dataset
-	format string
-	store  data.MemSegStore
-	man    *data.Manifest
-	cache  *data.BlockCache
-	views  *core.ViewCache
+type datasetEngine struct {
+	ds  *data.Dataset
+	eng *spq.Engine
 }
+
+// maxEngines bounds the harness's resident engines. Three covers every
+// sweep's reuse pattern (consecutive figures share a dataset); rebuilding
+// an evicted engine happens outside the measured window.
+const maxEngines = 3
 
 // New creates a harness.
 func New(cfg Config) *Harness {
@@ -361,34 +333,48 @@ func New(cfg Config) *Harness {
 	}
 }
 
-// segStore returns the dataset's cached columnar seal in the configured
-// segment format, sealing on first use. The block cache budget comfortably
-// holds every decoded block of a bench dataset — the steady serving state
-// of an engine whose working set fits its cache.
-func (h *Harness) segStore(ds *data.Dataset) (*segStore, error) {
-	format := h.cfg.Segment
-	for i, st := range h.segCache {
-		if st.ds == ds && st.format == format {
-			if i != 0 {
-				copy(h.segCache[1:i+1], h.segCache[:i])
-				h.segCache[0] = st
-			}
-			return st, nil
+// engine returns the dataset's cached engine, loading and sealing it on
+// first use: compressed columnar storage over the default seal grid, no
+// query cache (every measured query must execute), and a segment cache
+// that comfortably holds every decoded block of a bench dataset — the
+// steady serving state of an engine whose working set fits its cache.
+func (h *Harness) engine(ds *data.Dataset) (*spq.Engine, error) {
+	for i, de := range h.engines {
+		if de.ds == ds {
+			copy(h.engines[1:i+1], h.engines[:i])
+			h.engines[0] = de
+			return de.eng, nil
 		}
 	}
-	g := grid.New(ds.Bounds(), benchSealGridN, benchSealGridN)
-	store := data.MemSegStore{}
-	man, err := data.PartitionObjects(g, h.objects(ds)).SealSegments(store, "bench", ds.Dict, 0, format)
-	if err != nil {
+	eng := spq.NewEngine(spq.Config{
+		Storage:      spq.StorageDFSBinary,
+		QueryCache:   -1,
+		SegmentCache: 1 << 30,
+		MapSlots:     h.cfg.MapSlots,
+		ReduceSlots:  h.cfg.ReduceSlots,
+	})
+	dataObjs := make([]spq.DataObject, len(ds.Data))
+	for i, o := range ds.Data {
+		dataObjs[i] = spq.DataObject{ID: o.ID, X: o.Loc.X, Y: o.Loc.Y}
+	}
+	feats := make([]spq.Feature, len(ds.Features))
+	for i, o := range ds.Features {
+		feats[i] = spq.Feature{ID: o.ID, X: o.Loc.X, Y: o.Loc.Y, Keywords: ds.Dict.Words(o.Keywords)}
+	}
+	if err := eng.AddData(dataObjs...); err != nil {
+		return nil, fmt.Errorf("bench: load %s: %w", ds.Spec.Name, err)
+	}
+	if err := eng.AddFeature(feats...); err != nil {
+		return nil, fmt.Errorf("bench: load %s: %w", ds.Spec.Name, err)
+	}
+	if err := eng.Seal(); err != nil {
 		return nil, fmt.Errorf("bench: seal %s: %w", ds.Spec.Name, err)
 	}
-	st := &segStore{ds: ds, format: format, store: store, man: man,
-		cache: data.NewBlockCache(1 << 30), views: core.NewViewCache(0)}
-	h.segCache = append([]*segStore{st}, h.segCache...)
-	if len(h.segCache) > maxSegStores {
-		h.segCache = h.segCache[:maxSegStores]
+	h.engines = append([]datasetEngine{{ds, eng}}, h.engines...)
+	if len(h.engines) > maxEngines {
+		h.engines = h.engines[:maxEngines]
 	}
-	return st, nil
+	return eng, nil
 }
 
 // objects returns the cached merged object slice of ds.
@@ -404,7 +390,7 @@ func (h *Harness) objects(ds *data.Dataset) []data.Object {
 // dataset returns the (cached) scaled dataset of a family. Vocabulary
 // sizes are scaled with the object count so that query selectivity — the
 // fraction of features surviving the Map-side keyword prune — stays in the
-// paper's regime despite the ~1000x smaller corpora (see EXPERIMENTS.md).
+// paper's regime despite the ~1000x smaller corpora.
 func (h *Harness) dataset(family string, n int) *data.Dataset {
 	key := fmt.Sprintf("%s/%d", family, n)
 	if ds, ok := h.cache[key]; ok {
@@ -458,126 +444,52 @@ func queryKeywords(ds *data.Dataset, nk int, seed int64) text.KeywordSet {
 	return text.NewKeywordSet(ids...)
 }
 
-// Decoded-segment-cache deltas and segment I/O of one measured run,
-// surfaced next to the job counters in the JSON rows.
-const (
-	counterSegHits          = "bench.seg.cache.hits"
-	counterSegMisses        = "bench.seg.cache.misses"
-	counterSegBytesRead     = "bench.seg.bytes.read"
-	counterSegBytesDecoded  = "bench.seg.bytes.decoded"
-	counterSegBytesSelected = "bench.seg.bytes.selected"
-)
-
-// selBytes sums the stored frame bytes of a block selection — the
-// deterministic seg_bytes_selected row counter.
-func selBytes(sels []data.ColSel) int64 {
-	var n int64
-	for _, sel := range sels {
-		if sel.Blocks == nil {
-			for _, bs := range sel.Cell.Blocks {
-				n += int64(bs.Length)
-			}
-			continue
-		}
-		for _, i := range sel.Blocks {
-			n += int64(sel.Cell.Blocks[i].Length)
-		}
-	}
-	return n
-}
-
-// runOne executes one algorithm on one workload configuration and collects
-// the measured cell: the planned columnar serving path by default, the
-// pre-SPQ2 full scan under Config.Legacy.
+// runOne executes one algorithm on one workload configuration through the
+// dataset's engine and collects the measured cell: the query is planned
+// against the block zone maps, executed over the surviving blocks through
+// the decoded-segment cache, with the planner's reducer choice. The
+// figure's swept grid still overrides the query-time grid, so the x-axis
+// keeps its meaning.
 func (h *Harness) runOne(ds *data.Dataset, alg core.Algorithm, q core.Query, gridN int) (Cell, error) {
-	if h.cfg.Legacy {
-		return h.runLegacy(ds, alg, q, gridN)
-	}
-	return h.runPlanned(ds, alg, q, gridN)
-}
-
-// runLegacy measures the unplanned full scan over the in-memory object
-// slice — the measurement every BENCH_*.json up to PR 2 recorded, and the
-// reference results Verify compares against.
-func (h *Harness) runLegacy(ds *data.Dataset, alg core.Algorithm, q core.Query, gridN int) (Cell, error) {
-	cell, _, err := h.measure(func() (*core.Report, error) {
-		return h.runReference(ds, alg, q, gridN)
-	})
-	return cell, err
-}
-
-// runReference executes one unplanned full-scan job.
-func (h *Harness) runReference(ds *data.Dataset, alg core.Algorithm, q core.Query, gridN int) (*core.Report, error) {
-	src := mapreduce.NewMemorySource(h.objects(ds), h.cfg.MapSlots*2)
-	return core.Run(alg, src, q, core.Options{
-		Cluster: h.cluster,
-		Bounds:  ds.Bounds(),
-		GridN:   gridN,
-	})
-}
-
-// runPlanned measures the modern serving path: the query is planned
-// against the dataset's SPQ2 block zone maps, executed over the surviving
-// blocks through the decoded-segment cache, with the planner's reducer
-// choice. The figure's swept grid still overrides the query-time grid, so
-// the x-axis keeps its meaning.
-func (h *Harness) runPlanned(ds *data.Dataset, alg core.Algorithm, q core.Query, gridN int) (Cell, error) {
-	st, err := h.segStore(ds)
+	eng, err := h.engine(ds)
 	if err != nil {
 		return Cell{}, err
 	}
-	dec := plan.Plan(st.man, plan.Input{
-		Radius:      q.Radius,
-		Keywords:    ds.Dict.Words(q.Keywords),
-		ReduceSlots: h.cfg.ReduceSlots,
-		GridN:       gridN,
-	})
-	if dec.Empty() {
-		// Figure queries draw keywords from the corpus, so a provably
-		// empty plan means the harness itself is broken.
-		return Cell{}, fmt.Errorf("bench: plan proved figure query empty (k=%d r=%g)", q.K, q.Radius)
-	}
-	dataSel := make([]data.ColSel, 0, len(dec.Data))
-	for _, cs := range dec.Data {
-		dataSel = append(dataSel, data.ColSel{Cell: cs, Blocks: dec.Blocks[cs.File]})
-	}
-	featSel := make([]data.ColSel, 0, len(dec.Features))
-	for _, cs := range dec.Features {
-		featSel = append(featSel, data.ColSel{Cell: cs, Blocks: dec.Blocks[cs.File]})
-	}
-	bytesSelected := selBytes(dataSel) + selBytes(featSel)
-	cell, rep, err := h.measure(func() (*core.Report, error) {
-		before := st.cache.Stats()
-		io := &data.SegIOStats{}
-		// The surviving data blocks become (or reuse) the per-grid data
-		// view: the job shuffles feature records only, and reduce tasks
-		// score against the view's dense per-cell columns.
-		view, err := st.dataView(ds, dataSel, gridN, io)
+	b := ds.Bounds()
+	query := spq.Query{K: q.K, Radius: q.Radius, Keywords: ds.Dict.Words(q.Keywords)}
+	var results []spq.Result
+	cell, err := h.measure(func() (Cell, error) {
+		before := eng.SegmentCacheStats()
+		rep, err := eng.QueryReport(query, spq.WithAutoPlan(), spq.WithAlgorithm(alg),
+			spq.WithGrid(gridN), spq.WithBounds(b.MinX, b.MinY, b.MaxX, b.MaxY))
 		if err != nil {
-			return nil, err
+			return Cell{}, err
 		}
-		in := data.NewColInput(st.store, featSel, st.cache, st.man.Generation)
-		in.IO = io
-		in.Keywords = q.Keywords
-		src := mapreduce.Coalesce[data.Object](in, h.cfg.MapSlots*4)
-		r, err := core.Run(alg, src, q, core.Options{
-			Cluster:       h.cluster,
-			Bounds:        ds.Bounds(),
-			GridN:         gridN,
-			NumReducers:   dec.NumReducers,
-			ExtraCounters: dec.Counters(),
-			DataView:      view,
-		})
-		if err != nil {
-			return nil, err
+		p := rep.Plan
+		if p.DataCellsPruned == p.DataCells || p.FeatureCellsPruned == p.FeatureCells {
+			// Figure queries draw keywords from the corpus, so a provably
+			// empty plan means the harness itself is broken.
+			return Cell{}, fmt.Errorf("bench: plan proved figure query empty (k=%d r=%g)", q.K, q.Radius)
 		}
-		after := st.cache.Stats()
-		r.Counters[counterSegHits] = after.Hits - before.Hits
-		r.Counters[counterSegMisses] = after.Misses - before.Misses
-		r.Counters[counterSegBytesRead] = io.BytesRead.Load()
-		r.Counters[counterSegBytesDecoded] = io.BytesDecoded.Load()
-		r.Counters[counterSegBytesSelected] = bytesSelected
-		return r, nil
+		after := eng.SegmentCacheStats()
+		results = rep.Results
+		return Cell{
+			Millis:             rep.TotalMillis,
+			FeaturesExamined:   rep.Counters[core.CounterFeaturesExamined],
+			ScoreComputations:  rep.Counters[core.CounterScoreComputations],
+			Duplicates:         rep.Counters[core.CounterDuplicates],
+			ShuffledRecords:    rep.Counters[mapreduce.CounterMapRecordsOut],
+			MapMillis:          rep.MapMillis,
+			ReduceMillis:       rep.ReduceMillis,
+			BlocksScanned:      int64(p.Blocks - p.BlocksPruned),
+			BlocksPruned:       int64(p.BlocksPruned),
+			PlanRecordsSkipped: p.RecordsTotal - p.RecordsSelected,
+			SegCacheHits:       after.Hits - before.Hits,
+			SegCacheMisses:     after.Misses - before.Misses,
+			SegBytesRead:       rep.Counters[spq.CounterSegBytesRead],
+			SegBytesDecoded:    rep.Counters[spq.CounterSegBytesDecoded],
+			SegBytesSelected:   rep.Counters[spq.CounterSegBytesSelected],
+		}, nil
 	})
 	if err != nil {
 		return Cell{}, err
@@ -587,8 +499,8 @@ func (h *Harness) runPlanned(ds *data.Dataset, alg core.Algorithm, q core.Query,
 		if err != nil {
 			return Cell{}, fmt.Errorf("bench: verify reference: %w", err)
 		}
-		if !sameResults(rep.Results, ref.Results) {
-			return Cell{}, fmt.Errorf("bench: %v k=%d r=%g grid %d: planned columnar results differ from the full-scan reference",
+		if !sameResults(results, ref.Results) {
+			return Cell{}, fmt.Errorf("bench: %v k=%d r=%g grid %d: engine results differ from the full-scan reference",
 				alg, q.K, q.Radius, gridN)
 		}
 		cell.Verified = true
@@ -596,84 +508,77 @@ func (h *Harness) runPlanned(ds *data.Dataset, alg core.Algorithm, q core.Query,
 	return cell, nil
 }
 
-// dataView returns the cached data view for this grid and pruned data
-// selection, building it from the (cache-resident) data blocks on first
-// use. Keyed by core.ViewKey, the same canonical identity the engine
-// uses, so the harness measures the cache behaviour the engine ships.
-func (st *segStore) dataView(ds *data.Dataset, dataSel []data.ColSel, gridN int, io *data.SegIOStats) (*core.DataView, error) {
-	key := core.ViewKey(st.man.Generation, gridN, ds.Bounds(), dataSel)
-	return st.views.GetOrBuild(key, func() (*core.DataView, error) {
-		g := grid.New(ds.Bounds(), gridN, gridN)
-		in := data.NewColInput(st.store, dataSel, st.cache, st.man.Generation)
-		in.IO = io
-		return core.BuildDataView(g, in)
+// runReference executes one unplanned full-scan job over the in-memory
+// object slice, outside any engine: the oracle Verify compares against.
+func (h *Harness) runReference(ds *data.Dataset, alg core.Algorithm, q core.Query, gridN int) (*core.Report, error) {
+	src := mapreduce.NewMemorySource(h.objects(ds), h.cfg.MapSlots*2)
+	return core.Run(alg, src, q, core.Options{
+		Cluster: h.cluster,
+		Bounds:  ds.Bounds(),
+		GridN:   gridN,
 	})
 }
 
-// sameResults compares two ranked result lists exactly (ids, locations
-// and bitwise scores): pruning and storage format may never change them.
-func sameResults(a, b []core.ResultItem) bool {
+// sameResults compares an engine's ranked results with the reference's
+// exactly (ids, locations and bitwise scores): pruning and storage format
+// may never change them.
+func sameResults(a []spq.Result, b []core.ResultItem) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		if a[i] != (spq.Result{ID: b[i].ID, X: b[i].Loc.X, Y: b[i].Loc.Y, Score: b[i].Score}) {
 			return false
 		}
 	}
 	return true
 }
 
-// measure runs the job cfg.Repeat times and reports the cell (and report)
-// with the minimum wall time — the standard way to factor scheduler and
-// GC noise out of a single-machine measurement. Job counters are
-// deterministic across repeats; the segment-cache deltas are not (the
-// first repeat decodes cold, later ones hit), so the cell always carries
-// the LAST repeat's cache deltas — the steady serving state the minimum
-// wall time corresponds to — regardless of which repeat was fastest.
-func (h *Harness) measure(run func() (*core.Report, error)) (Cell, *core.Report, error) {
-	repeat := h.cfg.Repeat
-	if repeat < 1 {
-		repeat = 1
-	}
-	var best Cell
-	var bestRep *core.Report
-	for i := 0; i < repeat; i++ {
+// jobCell is the measured cell of a job the harness ran itself.
+func jobCell(run func() (*core.Report, error)) func() (Cell, error) {
+	return func() (Cell, error) {
 		rep, err := run()
 		if err != nil {
-			return Cell{}, nil, err
+			return Cell{}, err
 		}
-		cell := Cell{
-			Millis:             float64(rep.Stats.Duration.Microseconds()) / 1000,
-			FeaturesExamined:   rep.Counters[core.CounterFeaturesExamined],
-			ScoreComputations:  rep.Counters[core.CounterScoreComputations],
-			Duplicates:         rep.Counters[core.CounterDuplicates],
-			ShuffledRecords:    rep.Counters[mapreduce.CounterMapRecordsOut],
-			MapMillis:          float64(rep.Stats.MapDuration.Microseconds()) / 1000,
-			ReduceMillis:       float64(rep.Stats.ReduceDuration.Microseconds()) / 1000,
-			BlocksScanned:      rep.Counters[plan.CounterBlocksScanned],
-			BlocksPruned:       rep.Counters[plan.CounterBlocksPruned],
-			PlanRecordsSkipped: rep.Counters[plan.CounterRecordsSkipped],
-			SegCacheHits:       rep.Counters[counterSegHits],
-			SegCacheMisses:     rep.Counters[counterSegMisses],
-			SegBytesRead:       rep.Counters[counterSegBytesRead],
-			SegBytesDecoded:    rep.Counters[counterSegBytesDecoded],
-			SegBytesSelected:   rep.Counters[counterSegBytesSelected],
-		}
-		if i == 0 || cell.Millis < best.Millis {
-			bytesRead, bytesDecoded := best.SegBytesRead, best.SegBytesDecoded
-			best = cell
-			bestRep = rep
-			best.SegBytesRead, best.SegBytesDecoded = bytesRead, bytesDecoded
-		}
-		// Last repeat's cache deltas win regardless of which repeat was
-		// fastest (see doc comment), while bytes read/decoded keep their
-		// maximum across repeats — the cold pass, wherever it landed.
-		best.SegCacheHits, best.SegCacheMisses = cell.SegCacheHits, cell.SegCacheMisses
-		best.SegBytesRead = max(best.SegBytesRead, cell.SegBytesRead)
-		best.SegBytesDecoded = max(best.SegBytesDecoded, cell.SegBytesDecoded)
+		return Cell{
+			Millis:            float64(rep.Stats.Duration.Microseconds()) / 1000,
+			FeaturesExamined:  rep.Counters[core.CounterFeaturesExamined],
+			ScoreComputations: rep.Counters[core.CounterScoreComputations],
+			Duplicates:        rep.Counters[core.CounterDuplicates],
+			ShuffledRecords:   rep.Counters[mapreduce.CounterMapRecordsOut],
+			MapMillis:         float64(rep.Stats.MapDuration.Microseconds()) / 1000,
+			ReduceMillis:      float64(rep.Stats.ReduceDuration.Microseconds()) / 1000,
+		}, nil
 	}
-	return best, bestRep, nil
+}
+
+// measure runs the query cfg.Repeat times and reports the cell with the
+// minimum wall time — the standard way to factor scheduler and GC noise
+// out of a single-machine measurement. Job counters are deterministic
+// across repeats; the segment-cache deltas are not (the first repeat
+// decodes cold, later ones hit), so the cell always carries the LAST
+// repeat's cache deltas — the steady serving state the minimum wall time
+// corresponds to — regardless of which repeat was fastest, while bytes
+// read/decoded keep their maximum across repeats: the cold pass, wherever
+// it landed.
+func (h *Harness) measure(run func() (Cell, error)) (Cell, error) {
+	var best Cell
+	for i := 0; i < max(h.cfg.Repeat, 1); i++ {
+		cell, err := run()
+		if err != nil {
+			return Cell{}, err
+		}
+		cell.SegBytesRead = max(cell.SegBytesRead, best.SegBytesRead)
+		cell.SegBytesDecoded = max(cell.SegBytesDecoded, best.SegBytesDecoded)
+		if i == 0 || cell.Millis < best.Millis {
+			best = cell
+			continue
+		}
+		best.SegCacheHits, best.SegCacheMisses = cell.SegCacheHits, cell.SegCacheMisses
+		best.SegBytesRead, best.SegBytesDecoded = cell.SegBytesRead, cell.SegBytesDecoded
+	}
+	return best, nil
 }
 
 // trim reduces a sweep to its endpoints in Quick mode.
@@ -883,7 +788,9 @@ func (h *Harness) duplicationFactor(id string) (*Figure, error) {
 		q := h.defaultQuery(ds, g, defaultKeywords, pc, defaultK, 42)
 		// The duplication-factor model validates against the full unpruned
 		// map input; pruning would change the measured duplicates.
-		cell, err := h.runLegacy(ds, core.PSPQ, q, g)
+		cell, err := h.measure(jobCell(func() (*core.Report, error) {
+			return h.runReference(ds, core.PSPQ, q, g)
+		}))
 		if err != nil {
 			return nil, err
 		}
@@ -930,7 +837,7 @@ func (h *Harness) loadBalance(id string) (*Figure, error) {
 	for _, reducers := range h.trim([]int{2, 4, 8, 16}) {
 		ideal := total / float64(reducers)
 		for _, balance := range []bool{false, true} {
-			cell, _, err := h.measure(func() (*core.Report, error) {
+			cell, err := h.measure(jobCell(func() (*core.Report, error) {
 				src := mapreduce.NewMemorySource(h.objects(ds), h.cfg.MapSlots*2)
 				return core.Run(core.ESPQSco, src, q, core.Options{
 					Cluster:     h.cluster,
@@ -939,7 +846,7 @@ func (h *Harness) loadBalance(id string) (*Figure, error) {
 					NumReducers: reducers,
 					LoadBalance: balance,
 				})
-			})
+			}))
 			if err != nil {
 				return nil, err
 			}
@@ -977,7 +884,7 @@ func (h *Harness) shuffleScaling(id string) (*Figure, error) {
 	for _, slots := range h.trim([]int{1, 2, 4, 8}) {
 		cluster := mapreduce.NewCluster(nil, slots, slots)
 		for _, spill := range []int{0, 4096} {
-			cell, _, err := h.measure(func() (*core.Report, error) {
+			cell, err := h.measure(jobCell(func() (*core.Report, error) {
 				src := mapreduce.NewMemorySource(h.objects(ds), slots*2)
 				return core.Run(core.ESPQSco, src, q, core.Options{
 					Cluster:    cluster,
@@ -985,7 +892,7 @@ func (h *Harness) shuffleScaling(id string) (*Figure, error) {
 					GridN:      defaultGridSyn,
 					SpillEvery: spill,
 				})
-			})
+			}))
 			if err != nil {
 				return nil, err
 			}

@@ -9,10 +9,9 @@ import (
 
 // Concurrency harness: measures aggregate query throughput (QPS) when N
 // clients issue queries against one shared engine — the serving scenario
-// the admission controller and query cache exist for. The harness is
-// engine-agnostic (it drives any QueryFunc), so it lives here without
-// importing the public package; cmd/spqbench and the package benchmarks
-// supply the engine closure.
+// the admission controller and query cache exist for. The harness drives
+// any QueryFunc; cmd/spqbench and the package benchmarks supply the engine
+// closure.
 
 // QueryFunc executes one query of a workload, identified by its index in
 // [0, queries), and returns a deterministic fingerprint of its results.

@@ -1,6 +1,4 @@
-// Concurrent-serving benchmarks. They live in the external test package:
-// package bench itself must not import the public spq package (the root
-// package's own tests import bench), but its test binary may.
+// Concurrent-serving benchmarks.
 package bench_test
 
 import (

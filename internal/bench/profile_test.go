@@ -13,26 +13,26 @@ func BenchmarkPlannedClusteredQuery(b *testing.B) {
 	h := New(Config{MapSlots: 4, ReduceSlots: 4})
 	ds := h.dataset("CL", h.cfg.SizeSynthetic)
 	q := h.defaultQuery(ds, defaultGridSyn, defaultKeywords, defaultRadiusPc, defaultK, 42)
-	if _, err := h.runPlanned(ds, core.ESPQSco, q, defaultGridSyn); err != nil { // warm cache
+	if _, err := h.runOne(ds, core.ESPQSco, q, defaultGridSyn); err != nil { // warm cache
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := h.runPlanned(ds, core.ESPQSco, q, defaultGridSyn); err != nil {
+		if _, err := h.runOne(ds, core.ESPQSco, q, defaultGridSyn); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkLegacyClusteredQuery is the same point on the legacy full-scan
-// path, for comparison.
-func BenchmarkLegacyClusteredQuery(b *testing.B) {
-	h := New(Config{MapSlots: 4, ReduceSlots: 4, Legacy: true})
+// BenchmarkReferenceClusteredQuery is the same point on the unplanned
+// full-scan reference the -verify oracle runs, for comparison.
+func BenchmarkReferenceClusteredQuery(b *testing.B) {
+	h := New(Config{MapSlots: 4, ReduceSlots: 4})
 	ds := h.dataset("CL", h.cfg.SizeSynthetic)
 	q := h.defaultQuery(ds, defaultGridSyn, defaultKeywords, defaultRadiusPc, defaultK, 42)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := h.runLegacy(ds, core.ESPQSco, q, defaultGridSyn); err != nil {
+		if _, err := h.runReference(ds, core.ESPQSco, q, defaultGridSyn); err != nil {
 			b.Fatal(err)
 		}
 	}

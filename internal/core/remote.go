@@ -19,7 +19,7 @@ const WireKind = "spq.query"
 
 // WireInfo is what the engine must tell Run about the sealed storage for
 // the job to be reconstructible on a worker. Split references are
-// self-describing (their Kind discriminates text/seq/col), so only the
+// self-describing (their Kind discriminates text/col), so only the
 // facts a worker cannot read from the references themselves travel here.
 type WireInfo struct {
 	// DictLen is the size of the master's keyword dictionary at query
@@ -174,12 +174,6 @@ func buildWireJob(spec []byte, env *mapreduce.WorkerEnv) (mapreduce.RemoteJob, e
 			return mapreduce.OpenTextSplit(fs, ref, func(line []byte) (data.Object, error) {
 				return data.ParseLine(line, d)
 			}), nil
-		case "seq":
-			fs, ferr := io.File(ref.File)
-			if ferr != nil {
-				return nil, ferr
-			}
-			return data.OpenSeqRef(fs, ref)
 		case "col":
 			in := &data.ColInput{R: io, Cache: blocks, Gen: s.Gen, Keywords: colKeywords, IO: segStatsFor(io)}
 			return in.OpenRef(ref)

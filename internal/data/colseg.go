@@ -6,28 +6,23 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"spq/internal/geo"
 	"spq/internal/text"
 )
 
-// SPQ2 columnar cell segments. Where the SPQ1 SequenceFile layout
-// (seqfile.go) stores one length-prefixed record after another, an SPQ2
-// segment stores the objects of one seal-grid cell as column blocks of
-// ColBlockRecords records each, in struct-of-arrays layout: all ids, then
-// all x coordinates, then all y coordinates, then — for feature cells —
-// the per-record keyword counts followed by one flat keyword-id array.
-// Disk-based keyword search systems organize postings the same way
-// (block-organized lists with per-block metadata) precisely because it
+// Columnar cell segments. A segment stores the objects of one seal-grid
+// cell as column blocks in struct-of-arrays layout: all ids, then all x
+// coordinates, then all y coordinates, then — for feature cells — the
+// keyword postings. Disk-based keyword search systems organize postings
+// the same way (block-organized lists with per-block metadata) because it
 // buys two things record files cannot offer:
 //
 //  1. Block skipping. Every block carries a zone map — record count,
 //     tight bounding rectangle, keyword bloom — persisted in the seal
 //     manifest (CellStats.Blocks), so the query planner prunes at block
 //     granularity and the reader fetches only surviving blocks by
-//     (offset, length) random access. SPQ1 readers must decode a whole
-//     cell file to skip any of it.
+//     (offset, length) random access.
 //  2. Dense decode. A block decodes into parallel column slices
 //     (ColumnBlock) exactly once; the map phase then views records as
 //     stack-allocated Object values whose keyword sets alias the block's
@@ -35,40 +30,19 @@ import (
 //     is shared read-only by every concurrent query through the segment
 //     cache (BlockCache).
 //
-// File layout:
+// File layout (the block payload encoding, SPQ3, is in colseg3.go):
 //
-//	magic   [4]byte  "SPQ2"
+//	magic   [4]byte  "SPQ3"
 //	kind    byte     'D' (data cell) or 'F' (feature cell)
 //	repeat per block:
 //	    length  uvarint   payload byte count
-//	    payload []byte    one encoded column block (below)
+//	    payload []byte    one encoded column block
 //	    crc32   [4]byte   IEEE CRC of payload, little-endian
-//
-// Block payload layout (all varints unsigned LEB128 unless noted):
-//
-//	kind     byte      'D' or 'F' (blocks are self-describing)
-//	count    uvarint   records in the block (>= 1)
-//	ids      count zigzag varints, delta-coded from the previous id
-//	xs, ys   count * 8 bytes each, raw little-endian float64 columns
-//	if 'F':
-//	    kwCounts  count uvarints  keywords per record
-//	    kws       sum(kwCounts) uvarints  flat keyword-id column
 //
 // Readers never scan a segment: block offsets and lengths come from the
 // manifest's zone maps, and the per-block CRC turns any corruption —
 // truncation, bit rot, a wrong offset — into an error instead of garbage
-// objects or a panic (see DecodeColBlock and the package fuzz tests).
-
-// colMagic identifies an SPQ2 segment file.
-var colMagic = [4]byte{'S', 'P', 'Q', '2'}
-
-// ColBlockRecords is the number of records per column block. Blocks are
-// the unit of zone-map pruning, of decode, and of segment caching: small
-// enough that a block's bounding box and keyword bloom stay selective on
-// skewed cells (a clustered cell holding tens of thousands of records
-// splits into many prunable blocks), large enough that per-block framing
-// and decode dispatch are noise.
-const ColBlockRecords = 2048
+// objects or a panic (see DecodeColFrame and the package fuzz tests).
 
 // Block kind bytes.
 const (
@@ -102,14 +76,13 @@ type BlockStats struct {
 	Keywords KeywordBloom `json:"keywords,omitempty"`
 }
 
-// ColWriter writes one cell's objects as an SPQ2 columnar segment,
-// accumulating the per-block zone maps as it goes.
+// ColWriter writes one cell's objects as a columnar segment, accumulating
+// the per-block zone maps as it goes.
 type ColWriter struct {
 	w            io.Writer
 	kind         Kind
 	dict         *text.Dict
 	blockRecords int
-	spq3         bool
 	off          int64
 	headerDone   bool
 	closer       io.Closer
@@ -119,13 +92,13 @@ type ColWriter struct {
 	buf     bytes.Buffer // reused block-payload scratch
 }
 
-// NewColWriter creates a columnar writer over w for a single-kind cell
+// NewCol3Writer creates a segment writer over w for a single-kind cell
 // partition. dict resolves keyword ids to words for the per-block bloom
-// summaries (may be nil for data cells). blockRecords <= 0 selects
-// ColBlockRecords.
-func NewColWriter(w io.Writer, kind Kind, dict *text.Dict, blockRecords int) *ColWriter {
+// summaries (may be nil for data cells). blockRecords <= 0 selects the
+// largest block size (see AdaptiveBlockRecords).
+func NewCol3Writer(w io.Writer, kind Kind, dict *text.Dict, blockRecords int) *ColWriter {
 	if blockRecords <= 0 {
-		blockRecords = ColBlockRecords
+		blockRecords = colMaxBlockRecords
 	}
 	var c io.Closer
 	if wc, ok := w.(io.Closer); ok {
@@ -134,30 +107,17 @@ func NewColWriter(w io.Writer, kind Kind, dict *text.Dict, blockRecords int) *Co
 	return &ColWriter{w: w, kind: kind, dict: dict, blockRecords: blockRecords, closer: c}
 }
 
-// NewCol3Writer creates a writer emitting the compressed SPQ3 format
-// (colseg3.go) instead of SPQ2. Framing, zone maps and the reader stack
-// are shared; only the block payload encoding differs.
-func NewCol3Writer(w io.Writer, kind Kind, dict *text.Dict, blockRecords int) *ColWriter {
-	cw := NewColWriter(w, kind, dict, blockRecords)
-	cw.spq3 = true
-	return cw
-}
-
 func (c *ColWriter) writeHeader() error {
 	if c.headerDone {
 		return nil
 	}
-	magic := colMagic
-	if c.spq3 {
-		magic = col3Magic
-	}
-	if _, err := c.w.Write(magic[:]); err != nil {
+	if _, err := c.w.Write(col3Magic[:]); err != nil {
 		return err
 	}
 	if _, err := c.w.Write([]byte{colKindByte(c.kind)}); err != nil {
 		return err
 	}
-	c.off = int64(len(colMagic)) + 1
+	c.off = int64(len(col3Magic)) + 1
 	c.headerDone = true
 	return nil
 }
@@ -185,11 +145,7 @@ func (c *ColWriter) flushBlock() error {
 		return err
 	}
 	c.buf.Reset()
-	if c.spq3 {
-		encodeCol3Block(&c.buf, c.kind, c.pending)
-	} else {
-		encodeColBlock(&c.buf, c.kind, c.pending)
-	}
+	encodeCol3Block(&c.buf, c.kind, c.pending)
 	payload := c.buf.Bytes()
 
 	bs := BlockStats{Records: len(c.pending), Offset: c.off}
@@ -245,46 +201,6 @@ func (c *ColWriter) Close() error {
 // Call after Close for the complete set.
 func (c *ColWriter) Stats() []BlockStats { return c.stats }
 
-// encodeColBlock renders objs as one block payload. Writes to a
-// bytes.Buffer cannot fail, so encoding is infallible.
-func encodeColBlock(buf *bytes.Buffer, kind Kind, objs []Object) {
-	var tmp [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		buf.Write(tmp[:n])
-	}
-	putVarint := func(v int64) {
-		n := binary.PutVarint(tmp[:], v)
-		buf.Write(tmp[:n])
-	}
-	buf.WriteByte(colKindByte(kind))
-	putUvarint(uint64(len(objs)))
-	prev := uint64(0)
-	for _, o := range objs {
-		putVarint(int64(o.ID - prev)) // two's-complement delta, zigzag-coded
-		prev = o.ID
-	}
-	var fixed [8]byte
-	for _, o := range objs {
-		binary.LittleEndian.PutUint64(fixed[:], math.Float64bits(o.Loc.X))
-		buf.Write(fixed[:])
-	}
-	for _, o := range objs {
-		binary.LittleEndian.PutUint64(fixed[:], math.Float64bits(o.Loc.Y))
-		buf.Write(fixed[:])
-	}
-	if kind == FeatureObject {
-		for _, o := range objs {
-			putUvarint(uint64(len(o.Keywords)))
-		}
-		for _, o := range objs {
-			for _, kw := range o.Keywords {
-				putUvarint(uint64(kw))
-			}
-		}
-	}
-}
-
 // ColumnBlock is one decoded column block: parallel slices holding the
 // block's records in struct-of-arrays layout. A decoded block is immutable
 // and safe for concurrent readers; the segment cache shares one instance
@@ -298,13 +214,13 @@ type ColumnBlock struct {
 	// i's keywords are Kws[KwOff[i]:KwOff[i+1]]. Nil for data blocks.
 	KwOff []int32
 	Kws   []uint32
-	// Dict, PostOff and PostRecs are the inverted view the SPQ3 decoder
-	// gets for free from the on-disk posting lists: Dict is the block's
+	// Dict, PostOff and PostRecs are the inverted view the decoder gets
+	// for free from the on-disk posting lists: Dict is the block's
 	// sorted distinct keyword ids, and keyword Dict[e] occurs on records
 	// PostRecs[PostOff[e]:PostOff[e+1]] (ascending). The columnar source
 	// intersects a query's keyword set with Dict to skip records the
 	// Map-phase keyword prune would drop, without materializing them.
-	// Nil for data blocks and for SPQ2-decoded feature blocks.
+	// Nil for data blocks.
 	Dict     []uint32
 	PostOff  []int32
 	PostRecs []uint32
@@ -349,119 +265,6 @@ func (r *byteReaderSlice) ReadByte() (byte, error) {
 
 func (r *byteReaderSlice) remaining() int { return len(r.buf) - r.pos }
 
-// DecodeColBlock decodes one block payload (the bytes between the frame's
-// length prefix and its CRC). Blocks are self-describing: an SPQ2 payload
-// opens with its kind byte, an SPQ3 payload with the '3' version byte, so
-// one decoder serves both formats and mixed-generation storage needs no
-// out-of-band format plumbing. Every structural violation — truncation,
-// impossible counts, unsorted keyword sets, trailing garbage — returns an
-// error; malformed input can never panic or silently yield objects. This
-// is the fuzzing boundary of the format.
-func DecodeColBlock(payload []byte) (*ColumnBlock, error) {
-	r := &byteReaderSlice{buf: payload}
-	kindByte, err := r.ReadByte()
-	if err != nil {
-		return nil, errCorrupt("missing kind byte")
-	}
-	var kind Kind
-	switch kindByte {
-	case colKindData:
-		kind = DataObject
-	case colKindFeature:
-		kind = FeatureObject
-	case col3Version:
-		return decodeCol3Block(payload, r)
-	default:
-		return nil, errCorrupt("unknown kind byte %#x", kindByte)
-	}
-	count64, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, errCorrupt("record count: %v", err)
-	}
-	if count64 == 0 {
-		return nil, errCorrupt("empty block")
-	}
-	// Each record needs at least 1 id byte + 16 coordinate bytes, so the
-	// count is bounded by the payload size; checking before allocating
-	// keeps a hostile count varint from forcing a huge allocation.
-	if count64 > uint64(r.remaining())/17 {
-		return nil, errCorrupt("record count %d exceeds payload size %d", count64, len(payload))
-	}
-	count := int(count64)
-	b := &ColumnBlock{
-		Kind: kind,
-		IDs:  make([]uint64, count),
-		Xs:   make([]float64, count),
-		Ys:   make([]float64, count),
-	}
-	prev := uint64(0)
-	for i := 0; i < count; i++ {
-		d, err := binary.ReadVarint(r)
-		if err != nil {
-			return nil, errCorrupt("id delta %d: %v", i, err)
-		}
-		prev += uint64(d)
-		b.IDs[i] = prev
-	}
-	if r.remaining() < 16*count {
-		return nil, errCorrupt("truncated coordinate columns: %d bytes left, need %d", r.remaining(), 16*count)
-	}
-	for i := 0; i < count; i++ {
-		b.Xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.pos:]))
-		r.pos += 8
-	}
-	for i := 0; i < count; i++ {
-		b.Ys[i] = math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.pos:]))
-		r.pos += 8
-	}
-	if kind == FeatureObject {
-		b.KwOff = make([]int32, count+1)
-		total := uint64(0)
-		for i := 0; i < count; i++ {
-			n, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, errCorrupt("keyword count %d: %v", i, err)
-			}
-			total += n
-			// Every keyword id costs at least one byte, so the running
-			// total is bounded by what is left of the payload.
-			if total > uint64(len(payload)) {
-				return nil, errCorrupt("keyword total %d exceeds payload size %d", total, len(payload))
-			}
-			b.KwOff[i+1] = int32(total)
-		}
-		if total > uint64(r.remaining()) {
-			return nil, errCorrupt("truncated keyword column: %d bytes left, need at least %d", r.remaining(), total)
-		}
-		b.Kws = make([]uint32, total)
-		for i := range b.Kws {
-			v, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, errCorrupt("keyword %d: %v", i, err)
-			}
-			if v > math.MaxUint32 {
-				return nil, errCorrupt("keyword id %d overflows uint32", v)
-			}
-			b.Kws[i] = uint32(v)
-		}
-		// Keyword sets are stored sorted and de-duplicated (the KeywordSet
-		// invariant the scoring code relies on); enforce it at the trust
-		// boundary instead of propagating a corrupt set into queries.
-		for i := 0; i < count; i++ {
-			kws := b.Kws[b.KwOff[i]:b.KwOff[i+1]]
-			for j := 1; j < len(kws); j++ {
-				if kws[j] <= kws[j-1] {
-					return nil, errCorrupt("record %d keyword set not strictly ascending", i)
-				}
-			}
-		}
-	}
-	if r.remaining() != 0 {
-		return nil, errCorrupt("%d trailing bytes", r.remaining())
-	}
-	return b, nil
-}
-
 // DecodeColFrame validates and decodes one framed block as stored on disk:
 // varint payload length, payload, CRC32. frame must be exactly the bytes
 // BlockStats.{Offset,Length} describe.
@@ -479,5 +282,5 @@ func DecodeColFrame(frame []byte) (*ColumnBlock, error) {
 	if got := crc32.ChecksumIEEE(payload); got != want {
 		return nil, errCorrupt("CRC mismatch: computed %#x, stored %#x", got, want)
 	}
-	return DecodeColBlock(payload)
+	return decodeColBlock(payload)
 }

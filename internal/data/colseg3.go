@@ -8,13 +8,12 @@ import (
 	"sort"
 )
 
-// SPQ3 compressed columnar cell segments. The framing (varint length +
-// payload + CRC32) and the decoded in-memory form (ColumnBlock) are shared
-// with SPQ2; only the block payload changes. Where SPQ2 stores raw
-// little-endian columns, SPQ3 compresses each one:
+// SPQ3: the compressed block payload of columnar cell segments (framing
+// and the decoded in-memory form, ColumnBlock, are in colseg.go). Each
+// column is compressed:
 //
-//   - ids: zigzag-varint deltas from the previous id, exactly as SPQ2.
-//     Seal order sorts ids within a cell, so deltas are small.
+//   - ids: zigzag-varint deltas from the previous id. Seal order sorts
+//     ids within a cell, so deltas are small.
 //   - coordinates: lossless xor-delta bit-packing. Each float64's bits are
 //     XORed with the previous value's bits; the block-wide OR of the
 //     deltas determines a common (trailing-zero count, significant width)
@@ -31,7 +30,7 @@ import (
 //
 // Block payload layout (all varints unsigned LEB128 unless noted):
 //
-//	version  byte      '3' (distinguishes SPQ3 from SPQ2's 'D'/'F' kinds)
+//	version  byte      '3'
 //	kind     byte      'D' or 'F'
 //	count    uvarint   records in the block (>= 1)
 //	ids      count zigzag varints, delta-coded from the previous id
@@ -56,8 +55,9 @@ import (
 // segment files identifiable on disk.
 var col3Magic = [4]byte{'S', 'P', 'Q', '3'}
 
-// col3Version is the payload version byte. It must stay distinct from the
-// SPQ2 kind bytes 'D' and 'F' — DecodeColBlock dispatches on it.
+// col3Version is the payload version byte. Payloads of the retired
+// uncompressed format opened with their kind byte ('D' or 'F') instead and
+// are rejected as corrupt.
 const col3Version = '3'
 
 // Adaptive block sizing: the block is the pruning and decode granule, so
@@ -268,11 +268,21 @@ func unpackXorColumn(r *byteReaderSlice, count int, out []float64) error {
 	return nil
 }
 
-// decodeCol3Block decodes one SPQ3 payload; r is positioned just past the
-// version byte. Shares DecodeColBlock's contract: corrupt input returns an
-// error, never panics, and never allocates beyond a small multiple of the
-// payload size.
-func decodeCol3Block(payload []byte, r *byteReaderSlice) (*ColumnBlock, error) {
+// decodeColBlock decodes one block payload (the bytes between the frame's
+// length prefix and its CRC). Every structural violation — an unknown
+// version byte, truncation, impossible counts, unsorted keyword sets,
+// trailing garbage — returns an error; malformed input can never panic,
+// silently yield objects, or allocate beyond a small multiple of the
+// payload size. This is the fuzzing boundary of the format.
+func decodeColBlock(payload []byte) (*ColumnBlock, error) {
+	r := &byteReaderSlice{buf: payload}
+	version, err := r.ReadByte()
+	if err != nil {
+		return nil, errCorrupt("missing version byte")
+	}
+	if version != col3Version {
+		return nil, errCorrupt("unknown payload version byte %#x", version)
+	}
 	kindByte, err := r.ReadByte()
 	if err != nil {
 		return nil, errCorrupt("missing kind byte")

@@ -2,31 +2,32 @@ package data
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
+	"spq/internal/dfs"
 	"spq/internal/geo"
 	"spq/internal/grid"
 	"spq/internal/text"
 )
 
-// writeSegment seals objs (single kind) as one in-memory SPQ2 segment and
-// returns the raw bytes plus the block zone maps.
-func writeSegment(t *testing.T, objs []Object, blockRecords int, dict *text.Dict) ([]byte, []BlockStats) {
-	t.Helper()
-	var buf bytes.Buffer
-	cw := NewColWriter(&buf, objs[0].Kind, dict, blockRecords)
-	for _, o := range objs {
-		if err := cw.Append(o); err != nil {
-			t.Fatal(err)
+func randObjects(r *rand.Rand, n int) []Object {
+	objs := make([]Object, n)
+	for i := range objs {
+		o := Object{ID: uint64(i), Loc: geo.Point{X: r.Float64(), Y: r.Float64()}}
+		if r.Intn(2) == 1 {
+			o.Kind = FeatureObject
+			ids := make([]uint32, 1+r.Intn(10))
+			for j := range ids {
+				ids[j] = uint32(r.Intn(500))
+			}
+			o.Keywords = text.NewKeywordSet(ids...)
 		}
+		objs[i] = o
 	}
-	if err := cw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes(), cw.Stats()
+	return objs
 }
 
 func onlyKind(objs []Object, k Kind) []Object {
@@ -39,113 +40,9 @@ func onlyKind(objs []Object, k Kind) []Object {
 	return out
 }
 
-func TestColSegmentRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	dict := text.NewDict()
-	all := randObjects(r, 700)
-	for _, kind := range []Kind{DataObject, FeatureObject} {
-		for _, blockRecords := range []int{1, 7, 256, 100000} {
-			objs := onlyKind(all, kind)
-			raw, stats := writeSegment(t, objs, blockRecords, dict)
-
-			wantBlocks := (len(objs) + blockRecords - 1) / blockRecords
-			if len(stats) != wantBlocks {
-				t.Fatalf("%v/%d: %d blocks, want %d", kind, blockRecords, len(stats), wantBlocks)
-			}
-			var back []Object
-			total := 0
-			for i, bs := range stats {
-				if bs.Offset < 5 || int(bs.Offset)+bs.Length > len(raw) {
-					t.Fatalf("%v/%d: block %d frame (%d+%d) outside segment of %d bytes",
-						kind, blockRecords, i, bs.Offset, bs.Length, len(raw))
-				}
-				b, err := DecodeColFrame(raw[bs.Offset : bs.Offset+int64(bs.Length)])
-				if err != nil {
-					t.Fatalf("%v/%d: block %d: %v", kind, blockRecords, i, err)
-				}
-				if b.Len() != bs.Records {
-					t.Fatalf("%v/%d: block %d decoded %d records, zone map says %d",
-						kind, blockRecords, i, b.Len(), bs.Records)
-				}
-				for j := 0; j < b.Len(); j++ {
-					o := b.Object(j)
-					if !bs.Bounds.Contains(o.Loc) {
-						t.Fatalf("%v/%d: block %d object %d outside the zone-map bounds", kind, blockRecords, i, o.ID)
-					}
-					if kind == FeatureObject {
-						for _, w := range dict.Words(o.Keywords) {
-							if !bs.Keywords.MayContain(w) {
-								t.Fatalf("%v/%d: block %d bloom misses keyword %q", kind, blockRecords, i, w)
-							}
-						}
-					}
-					back = append(back, o)
-				}
-				total += bs.Records
-			}
-			if total != len(objs) {
-				t.Fatalf("%v/%d: blocks hold %d records, want %d", kind, blockRecords, total, len(objs))
-			}
-			// Record order inside a segment is preserved, so the round trip
-			// must be exact. Keyword sets alias the decoded columns; compare
-			// by value.
-			if len(back) != len(objs) {
-				t.Fatalf("%v/%d: %d objects back, want %d", kind, blockRecords, len(back), len(objs))
-			}
-			for i := range objs {
-				if back[i].Kind != objs[i].Kind || back[i].ID != objs[i].ID || back[i].Loc != objs[i].Loc ||
-					!reflect.DeepEqual(append(text.KeywordSet(nil), back[i].Keywords...), objs[i].Keywords) {
-					t.Fatalf("%v/%d: object %d differs: %v vs %v", kind, blockRecords, i, back[i], objs[i])
-				}
-			}
-		}
-	}
-}
-
-// TestColSegmentRejectsCorruption flips, truncates and extends frames; the
-// decoder must return an error every time — never a panic, never objects.
-func TestColSegmentRejectsCorruption(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	dict := text.NewDict()
-	objs := onlyKind(randObjects(r, 300), FeatureObject)
-	raw, stats := writeSegment(t, objs, 64, dict)
-	bs := stats[1]
-	frame := raw[bs.Offset : bs.Offset+int64(bs.Length)]
-
-	if _, err := DecodeColFrame(frame); err != nil {
-		t.Fatalf("pristine frame rejected: %v", err)
-	}
-	// Truncations at every prefix length.
-	for n := 0; n < len(frame); n++ {
-		if _, err := DecodeColFrame(frame[:n]); err == nil {
-			t.Fatalf("truncation to %d of %d bytes accepted", n, len(frame))
-		}
-	}
-	// Single-bit flips anywhere in the frame: the CRC catches payload
-	// damage, the frame checks catch length damage.
-	for i := 0; i < len(frame); i++ {
-		for bit := 0; bit < 8; bit++ {
-			mut := append([]byte(nil), frame...)
-			mut[i] ^= 1 << bit
-			if _, err := DecodeColFrame(mut); err == nil {
-				t.Fatalf("bit flip at byte %d bit %d accepted", i, bit)
-			}
-		}
-	}
-	// Trailing garbage.
-	if _, err := DecodeColFrame(append(append([]byte(nil), frame...), 0xAB)); err == nil {
-		t.Fatal("frame with trailing garbage accepted")
-	}
-	// Wrong offset (reading mid-frame), the failure mode of a corrupt
-	// manifest.
-	if _, err := DecodeColFrame(raw[bs.Offset+3 : bs.Offset+3+int64(bs.Length)]); err == nil {
-		t.Fatal("misaligned frame accepted")
-	}
-}
-
 func TestColWriterRejectsMixedKinds(t *testing.T) {
 	var buf bytes.Buffer
-	cw := NewColWriter(&buf, DataObject, nil, 0)
+	cw := NewCol3Writer(&buf, DataObject, nil, 0)
 	if err := cw.Append(Object{Kind: DataObject, ID: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -162,14 +59,14 @@ func TestColInputCacheSharing(t *testing.T) {
 	dict := text.NewDict()
 	objs := randObjects(r, 500)
 	g := grid.NewSquare(3)
-	store := MemSegStore{}
-	man, err := PartitionObjects(g, objs).SealSegments(store, "c", dict, 32, FormatColumnar)
+	fs := dfs.New(dfs.Config{NumNodes: 4})
+	man, err := PartitionObjects(g, objs).SealDFS(fs, "c", dict, FormatCompressed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache := NewBlockCache(1 << 20)
 	drain := func(gen uint64) int {
-		in := NewColInput(store, SelectAllBlocks(man), cache, gen)
+		in := NewColInput(fs, allBlocks(man), cache, gen)
 		n := 0
 		if err := eachSourceObject(in, func(Object) { n++ }); err != nil {
 			t.Fatal(err)
@@ -199,6 +96,16 @@ func TestColInputCacheSharing(t *testing.T) {
 	}
 }
 
+// allBlocks is the unpruned selection over a manifest: every cell, every
+// block.
+func allBlocks(m *Manifest) []ColSel {
+	var out []ColSel
+	for _, cs := range append(append([]CellStats(nil), m.Data...), m.Features...) {
+		out = append(out, ColSel{Cell: cs})
+	}
+	return out
+}
+
 // TestColInputLRUEviction bounds the cache by decoded bytes.
 func TestColInputLRUEviction(t *testing.T) {
 	blk := &ColumnBlock{Kind: DataObject, IDs: []uint64{1}, Xs: []float64{0}, Ys: []float64{0}}
@@ -218,31 +125,35 @@ func TestColInputLRUEviction(t *testing.T) {
 	}
 }
 
+// spq2SeedFrames are a data and a feature block frame written by the
+// retired uncompressed encoder (payloads opening with their kind byte, CRC
+// intact). They stay in the fuzz corpus as well-formed-looking inputs the
+// decoder must reject.
+var spq2SeedFrames = []string{
+	"354403140606000000000000e03f000000000000e43f000000000000e83f0000000000000040000000000000fc3f000000000000f83f127111f5",
+	"3e4603140606000000000000e03f000000000000e43f000000000000e83f0000000000000040000000000000fc3f000000000000f83f02020200010002000390a4d46b",
+}
+
 // FuzzDecodeColFrame is the corruption fuzz target: arbitrary bytes must
 // decode or fail with an error — never panic, never loop.
 func FuzzDecodeColFrame(f *testing.F) {
 	r := rand.New(rand.NewSource(2))
 	dict := text.NewDict()
 	for _, kind := range []Kind{DataObject, FeatureObject} {
-		for _, spq3 := range []bool{false, true} {
-			objs := onlyKind(randObjects(r, 120), kind)
-			var buf bytes.Buffer
-			cw := NewColWriter(&buf, kind, dict, 16)
-			if spq3 {
-				cw = NewCol3Writer(&buf, kind, dict, 16)
-			}
-			for _, o := range objs {
-				if err := cw.Append(o); err != nil {
-					f.Fatal(err)
-				}
-			}
-			if err := cw.Close(); err != nil {
-				f.Fatal(err)
-			}
-			for _, bs := range cw.Stats() {
-				f.Add(buf.Bytes()[bs.Offset : bs.Offset+int64(bs.Length)])
-			}
+		raw, stats := writeSegment3(f, onlyKind(randObjects(r, 120), kind), 6, dict)
+		for _, bs := range stats {
+			f.Add(raw[bs.Offset : bs.Offset+int64(bs.Length)])
 		}
+	}
+	for _, h := range spq2SeedFrames {
+		frame, err := hex.DecodeString(h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := DecodeColFrame(frame); err == nil || !strings.Contains(err.Error(), "version byte") {
+			f.Fatalf("retired-format frame: err = %v, want an unknown-version error", err)
+		}
+		f.Add(frame)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x05, 'F', 0x01})
@@ -258,61 +169,6 @@ func FuzzDecodeColFrame(f *testing.F) {
 		}
 		for i := 0; i < b.Len(); i++ {
 			_ = b.Object(i)
-		}
-	})
-}
-
-// FuzzColBlockRoundTrip drives the encoder with fuzzer-chosen objects and
-// checks encode -> frame -> decode is the identity.
-func FuzzColBlockRoundTrip(f *testing.F) {
-	f.Add(uint64(7), 0.25, -3.5, "alpha,beta", true)
-	f.Add(uint64(1<<63), -1e300, 1e-300, "", false)
-	f.Add(uint64(0), 0.0, 0.0, strings.Repeat("k,", 40), true)
-	f.Fuzz(func(t *testing.T, id uint64, x, y float64, kws string, feature bool) {
-		dict := text.NewDict()
-		kind := DataObject
-		var set text.KeywordSet
-		if feature {
-			kind = FeatureObject
-			if kws != "" {
-				set = dict.InternAll(strings.Split(kws, ","))
-			}
-		}
-		objs := []Object{
-			{Kind: kind, ID: id, Loc: geo.Point{X: x, Y: y}, Keywords: set},
-			{Kind: kind, ID: id / 2, Loc: geo.Point{X: y, Y: x}},
-		}
-		var buf bytes.Buffer
-		cw := NewColWriter(&buf, kind, dict, 0)
-		for _, o := range objs {
-			if err := cw.Append(o); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := cw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		stats := cw.Stats()
-		if len(stats) != 1 {
-			t.Fatalf("%d blocks, want 1", len(stats))
-		}
-		bs := stats[0]
-		b, err := DecodeColFrame(buf.Bytes()[bs.Offset : bs.Offset+int64(bs.Length)])
-		if err != nil {
-			t.Fatalf("round trip failed: %v", err)
-		}
-		if b.Len() != len(objs) {
-			t.Fatalf("decoded %d records, want %d", b.Len(), len(objs))
-		}
-		for i, want := range objs {
-			got := b.Object(i)
-			// NaN coordinates cannot compare equal; compare bit patterns
-			// through the zone map instead of value equality.
-			if got.Kind != want.Kind || got.ID != want.ID ||
-				!sameFloat(got.Loc.X, want.Loc.X) || !sameFloat(got.Loc.Y, want.Loc.Y) ||
-				!got.Keywords.Equal(want.Keywords) {
-				t.Fatalf("record %d: got %v, want %v", i, got, want)
-			}
 		}
 	})
 }

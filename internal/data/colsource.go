@@ -31,33 +31,11 @@ type SegIOStats struct {
 }
 
 // RangeReader is the storage access a columnar segment reader needs:
-// random-access ranged reads, nothing else. dfs.FileSystem satisfies it;
-// MemSegStore is the in-memory implementation used by the bench harness
-// and tests.
+// random-access ranged reads, nothing else. dfs.FileSystem satisfies it on
+// the master, mapreduce.TaskIO on a worker.
 type RangeReader interface {
 	// ReadRange returns up to n bytes of the named file starting at off.
 	ReadRange(file string, off int64, n int) ([]byte, error)
-}
-
-// MemSegStore holds segment files as in-memory byte slices. It is the
-// cheapest RangeReader: what a warmed OS page cache looks like to the
-// reader, without simulating one.
-type MemSegStore map[string][]byte
-
-// ReadRange implements RangeReader.
-func (m MemSegStore) ReadRange(file string, off int64, n int) ([]byte, error) {
-	buf, ok := m[file]
-	if !ok {
-		return nil, fmt.Errorf("data: segment store: no file %q", file)
-	}
-	if off < 0 || off > int64(len(buf)) {
-		return nil, fmt.Errorf("data: segment store: offset %d out of range for %q (%d bytes)", off, file, len(buf))
-	}
-	end := off + int64(n)
-	if end > int64(len(buf)) {
-		end = int64(len(buf))
-	}
-	return buf[off:end], nil
 }
 
 // ColSel selects what a query reads of one sealed columnar cell: the
@@ -69,20 +47,7 @@ type ColSel struct {
 	Blocks []int
 }
 
-// SelectAllBlocks builds the unpruned selection over a manifest's cells:
-// every cell, every block.
-func SelectAllBlocks(m *Manifest) []ColSel {
-	out := make([]ColSel, 0, len(m.Data)+len(m.Features))
-	for _, cs := range m.Data {
-		out = append(out, ColSel{Cell: cs})
-	}
-	for _, cs := range m.Features {
-		out = append(out, ColSel{Cell: cs})
-	}
-	return out
-}
-
-// ColInput is a MapReduce source over SPQ2 columnar segments: one split
+// ColInput is a MapReduce source over columnar segments: one split
 // per selected block, fetched by ranged read at the zone map's offset and
 // decoded into dense column buffers — or served straight from the decoded-
 // segment cache. Splits report their payload size and record count, so
@@ -99,8 +64,8 @@ type ColInput struct {
 	// input's splits.
 	IO *SegIOStats
 	// Keywords, when non-empty, is the query's sorted keyword-id set: a
-	// feature block decoded with its inverted posting view (SPQ3) then
-	// yields only the records carrying at least one of these ids. The
+	// feature block, decoded with its inverted posting view, then yields
+	// only the records carrying at least one of these ids. The
 	// skipped records are exactly the ones the Map-phase keyword prune
 	// (Algorithm 1 line 9) drops, so results are unchanged — the prune
 	// just happens before the records are materialized, via one
@@ -170,15 +135,25 @@ func (s *colSplit) SplitRef() (*mapreduce.SplitRef, error) {
 // OpenRef re-opens a "col" split reference against this input (typically
 // a worker-side ColInput whose RangeReader fetches through the task's I/O
 // context). The split decodes the exact frame range the master planned.
+// The descriptor arrives over RPC, so every field is checked: a malformed
+// one fails its task permanently instead of crashing the worker.
 func (c *ColInput) OpenRef(ref *mapreduce.SplitRef) (mapreduce.SourceSplit[Object], error) {
-	buf := ref.Extra
-	idx, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return nil, fmt.Errorf("data: col split ref %q: bad block index", ref.File)
+	bad := func(what string) error {
+		return mapreduce.Permanent(fmt.Errorf("data: col split ref %q: %s", ref.File, what))
 	}
-	records, n2 := binary.Uvarint(buf[n:])
-	if n2 <= 0 {
-		return nil, fmt.Errorf("data: col split ref %q: bad record count", ref.File)
+	if ref.Offset < 0 || ref.Length <= 0 {
+		return nil, bad(fmt.Sprintf("bad frame range %d+%d", ref.Offset, ref.Length))
+	}
+	idx, n := binary.Uvarint(ref.Extra)
+	if n <= 0 {
+		return nil, bad("bad block index")
+	}
+	records, n2 := binary.Uvarint(ref.Extra[n:])
+	if n2 <= 0 || records == 0 {
+		return nil, bad("bad record count")
+	}
+	if n+n2 != len(ref.Extra) {
+		return nil, bad("trailing bytes after the record count")
 	}
 	return &colSplit{
 		in:   c,

@@ -105,8 +105,7 @@ func sum(xs []float64) float64 {
 
 // HotspotDist models the spatial skew of geotagged social media (the
 // paper's Flickr and Twitter datasets, Figure 4): many hotspots of very
-// different intensity — Zipf-weighted — over a uniform background. It is
-// the synthetic surrogate documented in DESIGN.md.
+// different intensity — Zipf-weighted — over a uniform background.
 func HotspotDist(hotspots int, seed int64) ClusterDist {
 	r := rand.New(rand.NewSource(seed))
 	d := ClusterDist{

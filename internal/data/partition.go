@@ -1,7 +1,6 @@
 package data
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -29,19 +28,14 @@ const ManifestVersion = 1
 // Storage formats recorded in the manifest.
 const (
 	FormatText       = "text" // newline-delimited EncodeLine records
-	FormatBinary     = "seq"  // SPQ1: SequenceFile-like binary records
-	FormatColumnar   = "spq2" // SPQ2: columnar cell segments with block zone maps
 	FormatCompressed = "spq3" // SPQ3: compressed columnar segments, adaptive blocks
 	FormatMemory     = "mem"  // in-memory partitions, no DFS files
 )
 
 // IsColumnar reports whether the format stores cells as column blocks
-// with zone maps (SPQ2 or SPQ3). Both share the block reader stack —
-// manifest zone maps, ranged reads, the decoded-segment cache — and
-// differ only in the self-describing block payload encoding.
-func IsColumnar(format string) bool {
-	return format == FormatColumnar || format == FormatCompressed
-}
+// with zone maps, read through the block reader stack: ranged reads, the
+// decoded-segment cache, data views.
+func IsColumnar(format string) bool { return format == FormatCompressed }
 
 // Bloom filter geometry for per-cell keyword summaries. 2048 bits and 3
 // probes keep the false-positive rate under 1% for the few hundred
@@ -136,11 +130,11 @@ type CellStats struct {
 	// data cells.
 	Keywords KeywordBloom `json:"keywords,omitempty"`
 	// Blocks are the per-block zone maps of a columnar cell segment
-	// (FormatColumnar or FormatCompressed), in file order: each block's
-	// record count, frame offset/length, tight bounding rectangle and
-	// keyword summary. The planner prunes individual blocks against them,
-	// and readers fetch surviving blocks by ranged read. Empty for SPQ1
-	// and text cells, which are only addressable whole.
+	// (FormatCompressed), in file order: each block's record count, frame
+	// offset/length, tight bounding rectangle and keyword summary. The
+	// planner prunes individual blocks against them, and readers fetch
+	// surviving blocks by ranged read. Empty for text and memory cells,
+	// which are only addressable whole.
 	Blocks []BlockStats `json:"blocks,omitempty"`
 }
 
@@ -203,6 +197,13 @@ func DecodeManifest(r io.Reader) (*Manifest, error) {
 	}
 	if m.Grid.N <= 0 {
 		return nil, fmt.Errorf("data: manifest has invalid seal grid %dx%d", m.Grid.N, m.Grid.N)
+	}
+	switch m.Format {
+	case FormatText, FormatCompressed, FormatMemory:
+	case "seq", "spq2":
+		return nil, fmt.Errorf("data: manifest uses retired format %q; re-seal the dataset (binary storage is %q only)", m.Format, FormatCompressed)
+	default:
+		return nil, fmt.Errorf("data: manifest has unknown format %q", m.Format)
 	}
 	for _, cs := range m.Data {
 		if len(cs.Keywords) != 0 {
@@ -348,34 +349,22 @@ func cellFileName(prefix, kind string, cell grid.CellID, ext string) string {
 // a seal with the given prefix.
 func ManifestFileName(prefix string) string { return prefix + ".manifest.json" }
 
-// sealExt maps a storage format to its cell-file extension.
-func sealExt(format string) string {
-	switch format {
-	case FormatBinary:
-		return "seq"
-	case FormatColumnar:
-		return "spq2"
-	case FormatCompressed:
-		return "spq3"
-	default:
-		return "txt"
-	}
-}
-
 // SealDFS writes every cell partition as its own DFS file in the given
-// format (FormatText, FormatBinary, FormatColumnar or FormatCompressed)
-// and persists the manifest as <prefix>.manifest.json. The returned
-// manifest carries the per-cell statistics the planner prunes on;
-// columnar seals additionally carry every block's zone map
-// (CellStats.Blocks). SPQ3 seals size each cell's blocks adaptively from
-// its record density (AdaptiveBlockRecords).
+// format (FormatText or FormatCompressed) and persists the manifest as
+// <prefix>.manifest.json. The returned manifest carries the per-cell
+// statistics the planner prunes on; columnar seals additionally carry
+// every block's zone map (CellStats.Blocks), with each cell's blocks sized
+// adaptively from its record density (AdaptiveBlockRecords).
 func (p *Partitions) SealDFS(fs *dfs.FileSystem, prefix string, dict *text.Dict, format string) (*Manifest, error) {
+	var ext string
 	switch format {
-	case FormatText, FormatBinary, FormatColumnar, FormatCompressed:
+	case FormatText:
+		ext = "txt"
+	case FormatCompressed:
+		ext = "spq3"
 	default:
 		return nil, fmt.Errorf("data: seal format %q", format)
 	}
-	ext := sealExt(format)
 	m := &Manifest{
 		Version:    ManifestVersion,
 		Format:     format,
@@ -388,25 +377,9 @@ func (p *Partitions) SealDFS(fs *dfs.FileSystem, prefix string, dict *text.Dict,
 		if err != nil {
 			return CellStats{}, err
 		}
-		var blocks []BlockStats
-		switch format {
-		case FormatBinary:
-			sw := NewSeqWriter(w, name)
-			for _, o := range part.Objects {
-				if err := sw.Append(o); err != nil {
-					return CellStats{}, err
-				}
-			}
-			if err := sw.Close(); err != nil {
-				return CellStats{}, err
-			}
-		case FormatColumnar, FormatCompressed:
-			var cw *ColWriter
-			if format == FormatCompressed {
-				cw = NewCol3Writer(w, part.Objects[0].Kind, dict, AdaptiveBlockRecords(len(part.Objects)))
-			} else {
-				cw = NewColWriter(w, part.Objects[0].Kind, dict, 0)
-			}
+		cs := part.stats(name, dict, withKeywords)
+		if format == FormatCompressed {
+			cw := NewCol3Writer(w, part.Objects[0].Kind, dict, AdaptiveBlockRecords(len(part.Objects)))
 			for _, o := range part.Objects {
 				if err := cw.Append(o); err != nil {
 					return CellStats{}, err
@@ -415,20 +388,15 @@ func (p *Partitions) SealDFS(fs *dfs.FileSystem, prefix string, dict *text.Dict,
 			if err := cw.Close(); err != nil {
 				return CellStats{}, err
 			}
-			blocks = cw.Stats()
-		default:
-			for _, o := range part.Objects {
-				if err := EncodeLine(w, o, dict); err != nil {
-					return CellStats{}, err
-				}
-			}
-			if err := w.Close(); err != nil {
+			cs.Blocks = cw.Stats()
+			return cs, nil
+		}
+		for _, o := range part.Objects {
+			if err := EncodeLine(w, o, dict); err != nil {
 				return CellStats{}, err
 			}
 		}
-		cs := part.stats(name, dict, withKeywords)
-		cs.Blocks = blocks
-		return cs, nil
+		return cs, w.Close()
 	}
 	for _, part := range p.Data {
 		cs, err := write(part, "d", false)
@@ -472,65 +440,6 @@ func (p *Partitions) SealMemory(prefix string, dict *text.Dict) (*Manifest, []Ob
 	var ordered []Object
 	m.Data, m.Features, ordered = p.CellView(prefix, dict)
 	return m, ordered
-}
-
-// SealSegments writes every cell partition as a columnar segment (SPQ2
-// or SPQ3, per format) into an in-memory store and returns the manifest
-// describing it: the columnar analogue of SealMemory, used by harnesses
-// and tests that want the full block-pruned read path without a simulated
-// DFS underneath. blockRecords <= 0 selects the format's default:
-// ColBlockRecords for SPQ2, density-adaptive sizing for SPQ3.
-func (p *Partitions) SealSegments(store MemSegStore, prefix string, dict *text.Dict, blockRecords int, format string) (*Manifest, error) {
-	if !IsColumnar(format) {
-		return nil, fmt.Errorf("data: segment seal format %q", format)
-	}
-	m := &Manifest{
-		Version:    ManifestVersion,
-		Format:     format,
-		Generation: p.Generation,
-		Grid:       GridSpec{Bounds: p.Grid.Bounds(), N: dims(p.Grid)},
-	}
-	write := func(part CellPart, kind string, withKeywords bool) (CellStats, error) {
-		name := cellFileName(prefix, kind, part.Cell, sealExt(format))
-		var buf bytes.Buffer
-		var cw *ColWriter
-		if format == FormatCompressed {
-			br := blockRecords
-			if br <= 0 {
-				br = AdaptiveBlockRecords(len(part.Objects))
-			}
-			cw = NewCol3Writer(&buf, part.Objects[0].Kind, dict, br)
-		} else {
-			cw = NewColWriter(&buf, part.Objects[0].Kind, dict, blockRecords)
-		}
-		for _, o := range part.Objects {
-			if err := cw.Append(o); err != nil {
-				return CellStats{}, err
-			}
-		}
-		if err := cw.Close(); err != nil {
-			return CellStats{}, err
-		}
-		store[name] = append([]byte(nil), buf.Bytes()...)
-		cs := part.stats(name, dict, withKeywords)
-		cs.Blocks = cw.Stats()
-		return cs, nil
-	}
-	for _, part := range p.Data {
-		cs, err := write(part, "d", false)
-		if err != nil {
-			return nil, fmt.Errorf("data: seal cell %d: %w", part.Cell, err)
-		}
-		m.Data = append(m.Data, cs)
-	}
-	for _, part := range p.Features {
-		cs, err := write(part, "f", true)
-		if err != nil {
-			return nil, fmt.Errorf("data: seal cell %d: %w", part.Cell, err)
-		}
-		m.Features = append(m.Features, cs)
-	}
-	return m, nil
 }
 
 // CellView computes the per-cell statistics and the cell-ordered object

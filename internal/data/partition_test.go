@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"spq/internal/dfs"
@@ -100,7 +101,7 @@ func TestPartitionObjectsPreservesDataset(t *testing.T) {
 }
 
 func TestSealDFSRoundTrip(t *testing.T) {
-	for _, format := range []string{FormatText, FormatBinary, FormatColumnar} {
+	for _, format := range []string{FormatText, FormatCompressed} {
 		dict := text.NewDict()
 		objs := testObjects(300, dict)
 		g := grid.NewSquare(4)
@@ -129,19 +130,12 @@ func TestSealDFSRoundTrip(t *testing.T) {
 		// Reading every cell file back yields exactly the dataset.
 		var back []Object
 		collect := func(o Object) { back = append(back, o) }
-		switch format {
-		case FormatColumnar:
-			err = eachSourceObject(NewColInput(fs, SelectAllBlocks(man), nil, 0), collect)
+		if format == FormatCompressed {
+			err = eachSourceObject(NewColInput(fs, allBlocks(man), nil, 0), collect)
 			if err != nil {
 				t.Fatalf("%s: read: %v", format, err)
 			}
-		case FormatBinary:
-			for _, name := range man.Files() {
-				if err = NewSeqInput(fs, name).each(collect); err != nil {
-					t.Fatalf("%s: read %s: %v", format, name, err)
-				}
-			}
-		default:
+		} else {
 			for _, name := range man.Files() {
 				if err = eachTextObject(fs, name, dict, collect); err != nil {
 					t.Fatalf("%s: read %s: %v", format, name, err)
@@ -166,10 +160,10 @@ func TestSealDFSRoundTrip(t *testing.T) {
 		}
 		// Columnar seals carry block zone maps; other formats must not.
 		for _, cs := range append(append([]CellStats(nil), man.Data...), man.Features...) {
-			if format == FormatColumnar && len(cs.Blocks) == 0 {
+			if format == FormatCompressed && len(cs.Blocks) == 0 {
 				t.Fatalf("%s: cell %d has no block zone maps", format, cs.Cell)
 			}
-			if format != FormatColumnar && len(cs.Blocks) != 0 {
+			if format != FormatCompressed && len(cs.Blocks) != 0 {
 				t.Fatalf("%s: cell %d has block zone maps", format, cs.Cell)
 			}
 		}
@@ -181,20 +175,6 @@ func eachSourceObject(src interface {
 	Splits() ([]mapreduce.SourceSplit[Object], error)
 }, f func(Object)) error {
 	splits, err := src.Splits()
-	if err != nil {
-		return err
-	}
-	for _, s := range splits {
-		if err := s.Each(func(o Object) bool { f(o); return true }); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// each drains a SeqInput through its splits (test helper).
-func (si *SeqInput) each(f func(Object)) error {
-	splits, err := si.Splits()
 	if err != nil {
 		return err
 	}
@@ -321,11 +301,29 @@ func TestDecodeManifestRejectsBadInput(t *testing.T) {
 	// Keyword summaries must be full-size blooms (truncated ones would
 	// index out of range) and absent on data cells.
 	if _, err := DecodeManifest(bytes.NewReader([]byte(
-		`{"version":1,"grid":{"n":4},"features":[{"cell":0,"file":"f","records":1,"keywords":"AAAA"}]}`))); err == nil {
+		`{"version":1,"format":"text","grid":{"n":4},"features":[{"cell":0,"file":"f","records":1,"keywords":"AAAA"}]}`))); err == nil {
 		t.Error("truncated feature bloom accepted")
 	}
 	if _, err := DecodeManifest(bytes.NewReader([]byte(
-		`{"version":1,"grid":{"n":4},"data":[{"cell":0,"file":"d","records":1,"keywords":"AAAA"}]}`))); err == nil {
+		`{"version":1,"format":"text","grid":{"n":4},"data":[{"cell":0,"file":"d","records":1,"keywords":"AAAA"}]}`))); err == nil {
 		t.Error("data-cell bloom accepted")
+	}
+	// The format must be one the readers know; the retired binary formats
+	// are named as such.
+	for _, format := range []string{"text", "spq3", "mem"} {
+		if _, err := DecodeManifest(strings.NewReader(`{"version":1,"format":"` + format + `","grid":{"n":4}}`)); err != nil {
+			t.Errorf("format %q rejected: %v", format, err)
+		}
+	}
+	for _, format := range []string{"bogus", ""} {
+		if _, err := DecodeManifest(strings.NewReader(`{"version":1,"format":"` + format + `","grid":{"n":4}}`)); err == nil {
+			t.Errorf("unknown format %q accepted", format)
+		}
+	}
+	for _, format := range []string{"seq", "spq2"} {
+		_, err := DecodeManifest(strings.NewReader(`{"version":1,"format":"` + format + `","grid":{"n":4}}`))
+		if err == nil || !strings.Contains(err.Error(), "retired format") {
+			t.Errorf("retired format %q: err = %v, want a retired-format error", format, err)
+		}
 	}
 }

@@ -20,8 +20,7 @@ import (
 // which cells happen to be hot. Each entry is charged ColumnBlock.MemBytes.
 
 // DefaultBlockCacheBytes is the default budget of the decoded-segment
-// cache: 48 MiB of decoded columns, the same order of memory the previous
-// 1024-entry default held at the fixed SPQ2 block size.
+// cache: 48 MiB of decoded columns.
 const DefaultBlockCacheBytes = 48 << 20
 
 // BlockKey identifies one decoded block.

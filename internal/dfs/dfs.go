@@ -255,7 +255,10 @@ func (fs *FileSystem) placeReplicas() ([]int, error) {
 	if k > len(live) {
 		k = len(live)
 	}
+	// Concurrent writers (worker Store RPCs) share the placement rng.
+	fs.mu.Lock()
 	fs.rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+	fs.mu.Unlock()
 	picked := append([]int(nil), live[:k]...)
 	sort.Ints(picked)
 	return picked, nil

@@ -208,6 +208,11 @@ func TestReadRange(t *testing.T) {
 			t.Errorf("ReadRange(%d,%d) = %q, want %q", tt.off, tt.n, got, tt.want)
 		}
 	}
+	// A negative offset (a malformed split descriptor) is an error, not a
+	// slice-bounds panic.
+	if got, err := fs.ReadRange("f", -100, 10); err == nil {
+		t.Errorf("ReadRange(-100,10) = %q, want an error", got)
+	}
 }
 
 func TestListSorted(t *testing.T) {

@@ -43,9 +43,12 @@ func (fs *FileSystem) Splits(name string) ([]Split, error) {
 }
 
 // ReadRange reads up to n bytes of the named file starting at byte offset
-// off. Fewer bytes are returned at end of file. Each touched block is read
-// from any live replica.
+// off. Fewer bytes are returned at end of file; a negative offset is an
+// error. Each touched block is read from any live replica.
 func (fs *FileSystem) ReadRange(name string, off int64, n int) ([]byte, error) {
+	if off < 0 {
+		return nil, fmt.Errorf("dfs: read %q: negative offset %d", name, off)
+	}
 	fs.mu.RLock()
 	f, ok := fs.files[name]
 	fs.mu.RUnlock()

@@ -46,7 +46,7 @@ const (
 	// to pruning.
 	CounterRecordsSkipped = "spq.plan.records.skipped"
 	// CounterBlocksScanned and CounterBlocksPruned count column blocks of
-	// SPQ2 cells (cells carrying block-level zone maps) the job read and
+	// columnar cells (cells carrying block-level zone maps) the job read and
 	// skipped. Both are 0 on storage without block metadata, where pruning
 	// stops at cell granularity.
 	CounterBlocksScanned = "spq.plan.blocks.scanned"
@@ -116,7 +116,7 @@ type Decision struct {
 	Files []string
 	// Blocks maps each surviving sealed cell file that carries block-level
 	// zone maps to the ascending indices of its surviving blocks: the
-	// planner prunes individual column blocks of SPQ2 segments the same
+	// planner prunes individual column blocks of columnar segments the same
 	// three ways it prunes cells, so a surviving cell is often read only
 	// partially. Cells without block metadata have no entry and are read
 	// whole.
@@ -146,14 +146,8 @@ func (d *Decision) Counters() map[string]int64 {
 	}
 }
 
-// Plan prunes the manifest's cells against the query and picks the
-// execution parameters.
-func Plan(m *data.Manifest, in Input) *Decision {
-	return PlanGenerations(m, nil, nil, in)
-}
-
-// unit is the planner's granule: one column block of an SPQ2 cell, or one
-// whole cell where no block zone maps exist (SPQ1, text, memory and delta
+// unit is the planner's granule: one column block of a columnar cell, or
+// one whole cell where no block zone maps exist (text, memory and delta
 // cells). Every unit carries its own tight bounds, record count and — for
 // feature units — keyword summary, so the three pruning steps apply to a
 // mixed block/cell population uniformly: the correctness argument is the
@@ -225,8 +219,8 @@ func regroup(cells []data.CellStats, surv []unit, delta bool, blocks map[string]
 // unit survives if any feature unit of either generation is within reach,
 // and vice versa — so results over base+delta are identical to a
 // hypothetical re-seal of everything. Where the manifest carries block
-// zone maps (SPQ2 columnar storage), the granule is the column block, not
-// the cell: a surviving cell may be read only partially.
+// zone maps (columnar storage), the granule is the column block, not the
+// cell: a surviving cell may be read only partially.
 func PlanGenerations(m *data.Manifest, deltaData, deltaFeatures []data.CellStats, in Input) *Decision {
 	d := &Decision{Stats: Stats{
 		SealGridN:    m.Grid.N,

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -56,7 +57,7 @@ func TestPlanKeywordAndDistancePruning(t *testing.T) {
 	// A query for an "a"-cluster keyword with a small radius must drop
 	// every "b"-cluster cell: its feature cells by keyword disjointness,
 	// its data cells because no surviving feature cell is in range.
-	d := Plan(m, Input{Radius: 0.02, Keywords: []string{"a3"}, ReduceSlots: 4})
+	d := PlanGenerations(m, nil, nil, Input{Radius: 0.02, Keywords: []string{"a3"}, ReduceSlots: 4})
 	if d.Empty() {
 		t.Fatal("plan empty for a matching query")
 	}
@@ -88,7 +89,7 @@ func TestPlanKeywordAndDistancePruning(t *testing.T) {
 
 func TestPlanUnknownKeywordIsProvablyEmpty(t *testing.T) {
 	m := buildManifest(t, 16)
-	d := Plan(m, Input{Radius: 0.1, Keywords: []string{"no-such-word-xyzzy"}})
+	d := PlanGenerations(m, nil, nil, Input{Radius: 0.1, Keywords: []string{"no-such-word-xyzzy"}})
 	if !d.Empty() {
 		t.Errorf("plan for an out-of-vocabulary keyword kept %d data / %d feature cells",
 			len(d.Data), len(d.Features))
@@ -99,7 +100,7 @@ func TestPlanLargeRadiusKeepsEverythingRelevant(t *testing.T) {
 	m := buildManifest(t, 16)
 	// Radius spanning the whole space: distance pruning must keep every
 	// data cell; keyword pruning still drops cluster B's feature cells.
-	d := Plan(m, Input{Radius: 2, Keywords: []string{"a1"}})
+	d := PlanGenerations(m, nil, nil, Input{Radius: 2, Keywords: []string{"a1"}})
 	if len(d.Data) != len(m.Data) {
 		t.Errorf("kept %d of %d data cells under a space-covering radius", len(d.Data), len(m.Data))
 	}
@@ -210,7 +211,7 @@ func TestPlanGenerationsEmptyAcrossBothSets(t *testing.T) {
 
 func TestPlanRespectsOverrides(t *testing.T) {
 	m := buildManifest(t, 8)
-	d := Plan(m, Input{Radius: 0.05, Keywords: []string{"a1", "b1"}, GridN: 7, NumReducers: 3})
+	d := PlanGenerations(m, nil, nil, Input{Radius: 0.05, Keywords: []string{"a1", "b1"}, GridN: 7, NumReducers: 3})
 	if d.GridN != 7 || d.NumReducers != 3 {
 		t.Errorf("overrides ignored: gridN=%d reducers=%d", d.GridN, d.NumReducers)
 	}
@@ -246,7 +247,7 @@ func TestChooseReducers(t *testing.T) {
 	}
 }
 
-// buildColumnarManifest seals the same two-cluster corpus as SPQ2 columnar
+// buildColumnarManifest seals the same two-cluster corpus as columnar
 // segments with tiny blocks, so cells split into many prunable units.
 func buildColumnarManifest(t *testing.T, sealN, blockRecords int) *data.Manifest {
 	t.Helper()
@@ -273,9 +274,27 @@ func buildColumnarManifest(t *testing.T, sealN, blockRecords int) *data.Manifest
 	add(0.2, 0.2, "a")
 	add(0.8, 0.8, "b")
 	g := grid.New(geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, sealN, sealN)
-	m, err := data.PartitionObjects(g, objs).SealSegments(data.MemSegStore{}, "t", dict, blockRecords, data.FormatColumnar)
-	if err != nil {
-		t.Fatal(err)
+	// The seal path sizes blocks from cell density; to get blockRecords-
+	// sized ones, encode every cell of the memory layout through the
+	// segment writer and keep only its zone maps.
+	m, ordered := data.PartitionObjects(g, objs).SealMemory("t", dict)
+	m.Format = data.FormatCompressed
+	off := 0
+	for _, cells := range [][]data.CellStats{m.Data, m.Features} {
+		for i := range cells {
+			part := ordered[off : off+cells[i].Records]
+			off += len(part)
+			cw := data.NewCol3Writer(io.Discard, part[0].Kind, dict, blockRecords)
+			for _, o := range part {
+				if err := cw.Append(o); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := cw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			cells[i].Blocks = cw.Stats()
+		}
 	}
 	return m
 }
@@ -288,7 +307,7 @@ func TestPlanBlockGranularity(t *testing.T) {
 	// one cell of ~200 records split into ~25 blocks with tight bounds and
 	// per-block blooms.
 	m := buildColumnarManifest(t, 2, 8)
-	d := Plan(m, Input{Radius: 0.01, Keywords: []string{"a3"}, ReduceSlots: 4})
+	d := PlanGenerations(m, nil, nil, Input{Radius: 0.01, Keywords: []string{"a3"}, ReduceSlots: 4})
 	if d.Empty() {
 		t.Fatal("plan pruned everything for an in-vocabulary keyword")
 	}
@@ -325,7 +344,7 @@ func TestPlanBlockGranularity(t *testing.T) {
 	}
 	// Block pruning must be at least as sharp as cell pruning: re-plan the
 	// same corpus without block metadata and compare the records read.
-	coarse := Plan(buildManifest(t, 2), Input{Radius: 0.01, Keywords: []string{"a3"}, ReduceSlots: 4})
+	coarse := PlanGenerations(buildManifest(t, 2), nil, nil, Input{Radius: 0.01, Keywords: []string{"a3"}, ReduceSlots: 4})
 	if d.Stats.RecordsSelected > coarse.Stats.RecordsSelected {
 		t.Errorf("block-level selection (%d records) coarser than cell-level (%d)",
 			d.Stats.RecordsSelected, coarse.Stats.RecordsSelected)
@@ -342,7 +361,7 @@ func TestPlanBlockGranularity(t *testing.T) {
 // no block activity.
 func TestPlanBlockCountersZeroWithoutZoneMaps(t *testing.T) {
 	m := buildManifest(t, 8)
-	d := Plan(m, Input{Radius: 0.05, Keywords: []string{"a1"}})
+	d := PlanGenerations(m, nil, nil, Input{Radius: 0.05, Keywords: []string{"a1"}})
 	if d.Stats.Blocks != 0 || d.Stats.BlocksPruned != 0 {
 		t.Errorf("cell-granular manifest reported blocks: %+v", d.Stats)
 	}

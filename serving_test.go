@@ -159,7 +159,7 @@ func TestNoDuplicateResultsAcrossAlgorithmsAndStorages(t *testing.T) {
 		for _, alg := range Algorithms() {
 			// ...and the served top-k holds each id at most once.
 			res, err := e.Query(Query{K: 50, Radius: 0.15, Keywords: kws},
-				WithAlgorithm(alg), WithGrid(6), WithoutCache())
+				WithAlgorithm(alg), WithGrid(6), WithCache(false))
 			if err != nil {
 				t.Fatalf("storage %d %v: %v", storage, alg, err)
 			}
@@ -220,7 +220,7 @@ func TestConcurrentQueriesMatchSerial(t *testing.T) {
 
 			serial := make([][]Result, nq)
 			for i, q := range queries {
-				res, err := e.Query(q, WithAutoPlan(), WithoutCache())
+				res, err := e.Query(q, WithAutoPlan(), WithCache(false))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -308,17 +308,17 @@ func TestQueryCacheSemantics(t *testing.T) {
 	if other.Counters[CounterCacheHit] != 0 {
 		t.Error("different grid served from the same cache entry")
 	}
-	// WithoutCache bypasses both lookup and store.
+	// WithCache(false) bypasses both lookup and store.
 	before := e.CacheStats()
-	bypass, err := e.QueryReport(q, WithGrid(4), WithoutCache())
+	bypass, err := e.QueryReport(q, WithGrid(4), WithCache(false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bypass.Counters[CounterCacheHit] != 0 || bypass.Counters[CounterCacheMiss] != 0 {
-		t.Errorf("WithoutCache touched the cache: %v", bypass.Counters)
+		t.Errorf("WithCache(false) touched the cache: %v", bypass.Counters)
 	}
 	if after := e.CacheStats(); after.Hits != before.Hits || after.Misses != before.Misses {
-		t.Errorf("WithoutCache changed cache stats: %+v -> %+v", before, after)
+		t.Errorf("WithCache(false) changed cache stats: %+v -> %+v", before, after)
 	}
 }
 

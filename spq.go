@@ -183,7 +183,7 @@ type PlanStats struct {
 	DataCellsPruned    int
 	FeatureCellsPruned int
 	// Blocks counts the column-block zone maps the planner considered
-	// (SPQ2 columnar storage; 0 on storage without block metadata) and
+	// (columnar storage; 0 on storage without block metadata) and
 	// BlocksPruned how many it proved irrelevant — pruning inside
 	// surviving cells as well as across whole pruned cells. The
 	// "spq.plan.blocks.scanned" and "spq.plan.blocks.pruned" counters
@@ -271,18 +271,6 @@ func WithCache(enabled bool) QueryOption {
 func WithDelta(enabled bool) QueryOption {
 	return func(c *queryConfig) { c.noDelta = !enabled }
 }
-
-// WithoutCache bypasses the engine's query cache for this execution.
-//
-// Deprecated: use WithCache(false), which also composes with a later
-// WithCache(true).
-func WithoutCache() QueryOption { return WithCache(false) }
-
-// WithoutDelta restricts this query to the sealed base generation.
-//
-// Deprecated: use WithDelta(false), which also composes with a later
-// WithDelta(true).
-func WithoutDelta() QueryOption { return WithDelta(false) }
 
 // WithReducers overrides the number of reduce tasks (default: one per grid
 // cell, the paper's configuration).

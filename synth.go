@@ -20,7 +20,7 @@ import (
 //	              keywords, 88,706-word Zipfian vocabulary
 //
 // The real Flickr/Twitter dumps used by the paper are not redistributable;
-// see DESIGN.md for the substitution rationale.
+// the surrogates reproduce their published statistics (internal/data/gen.go).
 func (e *Engine) LoadSynthetic(dataset string, n int) error {
 	var spec data.Spec
 	switch dataset {
