@@ -7,7 +7,7 @@ package spq_test
 // `go run ./cmd/spqbench`.
 //
 // BenchmarkAblation* cover two design choices: Map-side keyword pruning
-// and the spill-to-disk external sort.
+// and the grid resolution.
 
 import (
 	"testing"
@@ -112,12 +112,6 @@ func BenchmarkAlgorithmESPQSco(b *testing.B) { benchAlgorithm(b, core.ESPQSco, c
 // line 9.
 func BenchmarkAblationNoPrune(b *testing.B) {
 	benchAlgorithm(b, core.PSPQ, core.Options{DisableKeywordPrune: true})
-}
-
-// Ablation: spill-to-disk external sort versus the default in-memory
-// shuffle, on eSPQsco.
-func BenchmarkAblationSpill(b *testing.B) {
-	benchAlgorithm(b, core.ESPQSco, core.Options{SpillEvery: 4096})
 }
 
 // Ablation: grid resolution — the Section 6.3 trade-off between

@@ -141,6 +141,59 @@ func TestDistributedConformance(t *testing.T) {
 	}
 }
 
+// TestExecutorTaskParity runs one and the same spq.query job — same plan,
+// same splits, same wire form — through both executors: on 2 loopback
+// workers, then in-process by taking the RPC executor off the engine's
+// cluster (the plan still sees a distributed engine, so the source keeps
+// data objects in-stream instead of switching to the data view). Both run
+// the shared task bodies, so what a task reads, emits, groups and merges
+// must agree exactly, not just the ranked results.
+func TestExecutorTaskParity(t *testing.T) {
+	parity := []string{
+		mapreduce.CounterMapRecordsIn,
+		mapreduce.CounterMapRecordsOut,
+		mapreduce.CounterReduceGroups,
+		mapreduce.CounterReduceValues,
+	}
+	for name, storage := range map[string]Storage{"text": StorageDFS, "spq3": StorageDFSBinary} {
+		t.Run(name, func(t *testing.T) {
+			eng := distEngine(t, Config{
+				Storage: storage, Nodes: 4, BlockSize: 8 << 10, MapSlots: 4, ReduceSlots: 2,
+				Workers: distWorkers(t, 2, 2),
+			}, 1200)
+			q := distQueries(eng.FrequentKeywords(16), 1)[0]
+			for _, alg := range Algorithms() {
+				remote, err := eng.QueryReport(q, WithAlgorithm(alg), WithCache(false))
+				if err != nil {
+					t.Fatalf("%v on workers: %v", alg, err)
+				}
+				if remote.Counters[CounterExecFallbackLocal] != 0 {
+					t.Fatalf("%v: job did not ship", alg)
+				}
+				exec := eng.cluster.Executor
+				eng.cluster.Executor = nil
+				local, err := eng.QueryReport(q, WithAlgorithm(alg), WithCache(false))
+				eng.cluster.Executor = exec
+				if err != nil {
+					t.Fatalf("%v in-process: %v", alg, err)
+				}
+				if local.Counters[mapreduce.CounterExecRPCBytes] != 0 {
+					t.Fatalf("%v: in-process run moved %d RPC bytes", alg, local.Counters[mapreduce.CounterExecRPCBytes])
+				}
+				if d := diffResults(remote.Results, local.Results); d != "" {
+					t.Errorf("%v: workers vs in-process: %s", alg, d)
+				}
+				for _, c := range parity {
+					if remote.Counters[c] != local.Counters[c] || local.Counters[c] == 0 {
+						t.Errorf("%v: %s = %d on workers, %d in-process (want equal and non-zero)",
+							alg, c, remote.Counters[c], local.Counters[c])
+					}
+				}
+			}
+		})
+	}
+}
+
 // A planned (WithAutoPlan) columnar query must ship its pruned block
 // selection and still match the in-process planner exactly.
 func TestDistributedAutoPlan(t *testing.T) {

@@ -67,7 +67,7 @@ const (
 
 // DefaultSealGridN is the default seal grid edge: Seal partitions the
 // datasets into DefaultSealGridN² per-cell files (plus a manifest) unless
-// Config.SealGridN or WithSealGrid overrides it.
+// Config.SealGridN overrides it.
 const DefaultSealGridN = 32
 
 // Config parameterizes an Engine.
@@ -260,7 +260,6 @@ type Engine struct {
 	sealed  bool
 	gen     uint64
 	fileSeq int
-	sealN   int // seal grid edge of the current base generation
 
 	// Sealed state: the manifest of the partitioned storage layout, plus
 	// — under StorageMemory — the cell-ordered object slice and the name
@@ -620,33 +619,30 @@ func (e *Engine) Manifest() *data.Manifest {
 func (e *Engine) Seal() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.sealLocked(0)
+	return e.sealLocked()
 }
 
-// sealLocked performs the first seal. sealGridN overrides the configured
-// seal grid when positive (WithSealGrid).
-func (e *Engine) sealLocked(sealGridN int) error {
+// sealLocked performs the first seal.
+func (e *Engine) sealLocked() error {
 	if e.sealed {
 		return nil
 	}
 	if len(e.objects) == 0 {
 		return fmt.Errorf("spq: no objects loaded")
 	}
-	return e.writeGenerationLocked(e.objects, sealGridN)
+	return e.writeGenerationLocked(e.objects)
 }
 
-// writeGenerationLocked partitions objs over the seal grid, writes them as
+// writeGenerationLocked partitions objs over the seal grid
+// (Config.SealGridN, the same for every generation), writes them as
 // a fresh storage generation (new file prefix; existing files are never
 // touched, so queries in flight on the previous snapshot keep reading it),
 // and atomically publishes the new snapshot with an empty delta. On error
 // the engine keeps serving its previous generation unchanged; any
 // partially written files of the failed generation are orphaned under a
 // prefix no snapshot references.
-func (e *Engine) writeGenerationLocked(objs []data.Object, sealGridN int) error {
-	n := sealGridN
-	if n <= 0 {
-		n = e.cfg.SealGridN
-	}
+func (e *Engine) writeGenerationLocked(objs []data.Object) error {
+	n := e.cfg.SealGridN
 	bounds := e.bounds
 	if bounds.Width() == 0 || bounds.Height() == 0 {
 		// A degenerate bounding box (single point or a line of objects)
@@ -679,7 +675,6 @@ func (e *Engine) writeGenerationLocked(objs []data.Object, sealGridN int) error 
 		e.memLayout = cellLayout(man.Data, man.Features)
 	}
 	e.sealed = true
-	e.sealN = n
 	e.delta = nil
 	// Publish the read-path snapshot: from here on queries run lock-free
 	// against this immutable view (see snapshotFor).
@@ -702,7 +697,7 @@ func (e *Engine) Compact() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if !e.sealed {
-		return e.sealLocked(0)
+		return e.sealLocked()
 	}
 	return e.compactLocked()
 }
@@ -715,7 +710,7 @@ func (e *Engine) compactLocked() error {
 	base := e.baseObjectsLocked()
 	merged := make([]data.Object, 0, len(base)+len(e.delta))
 	merged = append(append(merged, base...), e.delta...)
-	return e.writeGenerationLocked(merged, e.sealN)
+	return e.writeGenerationLocked(merged)
 }
 
 // Generation returns the storage generation queries are currently served
@@ -741,13 +736,13 @@ func (e *Engine) DeltaLen() int {
 // snapshotFor returns the published read-path snapshot, sealing first if
 // the engine has not sealed yet. The fast path is one atomic load and no
 // lock: concurrent queries on a sealed engine never serialize here.
-func (e *Engine) snapshotFor(sealGridN int) (*snapshot, error) {
+func (e *Engine) snapshotFor() (*snapshot, error) {
 	if s := e.snap.Load(); s != nil {
 		return s, nil
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.sealLocked(sealGridN); err != nil {
+	if err := e.sealLocked(); err != nil {
 		return nil, err
 	}
 	return e.snap.Load(), nil
@@ -836,9 +831,6 @@ func (e *Engine) queryReport(ctx context.Context, q Query, opts []QueryOption) (
 	if cfg.gridSet && cfg.gridN <= 0 {
 		return nil, fmt.Errorf("%w: grid size %d, must be positive", ErrInvalidQuery, cfg.gridN)
 	}
-	if cfg.sealGridSet && cfg.sealGridN <= 0 {
-		return nil, fmt.Errorf("%w: seal grid size %d, must be positive", ErrInvalidQuery, cfg.sealGridN)
-	}
 	effective := cfg.effectiveOptions(e.cache != nil)
 
 	// Baseline DFS fault/repair activity: the delta accumulated while this
@@ -846,7 +838,7 @@ func (e *Engine) queryReport(ctx context.Context, q Query, opts []QueryOption) (
 	// the report as spq.fault.* / spq.dfs.repair.* counters.
 	fault0 := e.fs.FaultStats()
 
-	snap, err := e.snapshotFor(cfg.sealGridN)
+	snap, err := e.snapshotFor()
 	if err != nil {
 		return nil, err
 	}
@@ -1071,7 +1063,6 @@ func (e *Engine) execute(ctx context.Context, s *snapshot, cq core.Query, cfg *q
 		Bounds:        bounds,
 		GridN:         p.gridN,
 		NumReducers:   p.reducers,
-		SpillEvery:    cfg.spillEvery,
 		ExtraCounters: p.counters,
 		Priority:      p.priority,
 		DataView:      view,

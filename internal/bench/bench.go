@@ -873,9 +873,9 @@ func (h *Harness) loadBalance(id string) (*Figure, error) {
 // shuffleScaling is the extension experiment behind the map-side sort
 // shuffle: on clustered data (the most shuffle- and reduce-heavy
 // workload), it sweeps the worker slot count with sorting done inside the
-// map tasks and merging inside the reduce tasks, in-memory and with
-// external spill runs. Added slots should translate into lower wall time
-// because no shuffle work is serialized between the phases.
+// map tasks and merging inside the reduce tasks. Added slots should
+// translate into lower wall time because no shuffle work is serialized
+// between the phases.
 func (h *Harness) shuffleScaling(id string) (*Figure, error) {
 	fig := newFigure(id, fmt.Sprintf("Shuffle scaling on clustered data: map-side sort + per-reduce merge (grid %d, eSPQsco)",
 		defaultGridSyn), "slots")
@@ -883,25 +883,18 @@ func (h *Harness) shuffleScaling(id string) (*Figure, error) {
 	q := h.defaultQuery(ds, defaultGridSyn, defaultKeywords, defaultRadiusPc, defaultK, 42)
 	for _, slots := range h.trim([]int{1, 2, 4, 8}) {
 		cluster := mapreduce.NewCluster(nil, slots, slots)
-		for _, spill := range []int{0, 4096} {
-			cell, err := h.measure(jobCell(func() (*core.Report, error) {
-				src := mapreduce.NewMemorySource(h.objects(ds), slots*2)
-				return core.Run(core.ESPQSco, src, q, core.Options{
-					Cluster:    cluster,
-					Bounds:     ds.Bounds(),
-					GridN:      defaultGridSyn,
-					SpillEvery: spill,
-				})
-			}))
-			if err != nil {
-				return nil, err
-			}
-			series := "in-memory"
-			if spill > 0 {
-				series = fmt.Sprintf("spill-%d", spill)
-			}
-			fig.add(series, fmt.Sprint(slots), cell)
+		cell, err := h.measure(jobCell(func() (*core.Report, error) {
+			src := mapreduce.NewMemorySource(h.objects(ds), slots*2)
+			return core.Run(core.ESPQSco, src, q, core.Options{
+				Cluster: cluster,
+				Bounds:  ds.Bounds(),
+				GridN:   defaultGridSyn,
+			})
+		}))
+		if err != nil {
+			return nil, err
 		}
+		fig.add("in-memory", fmt.Sprint(slots), cell)
 	}
 	return fig, nil
 }

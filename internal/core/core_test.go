@@ -185,8 +185,8 @@ func randomWorkload(seed int64, n int, vocab int, maxKw int) ([]data.Object, Que
 var unitBounds = geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
 
 // Property test: on random workloads, every MapReduce algorithm and the
-// grid-indexed baseline agree with the naive oracle, across grid sizes,
-// parallelism levels, and spill settings.
+// grid-indexed baseline agree with the naive oracle, across grid sizes and
+// parallelism levels.
 func TestAlgorithmsMatchOracleRandomized(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		objs, q := randomWorkload(int64(trial), 400, 40, 6)
@@ -199,9 +199,6 @@ func TestAlgorithmsMatchOracleRandomized(t *testing.T) {
 				Bounds:  unitBounds,
 				GridN:   gridN,
 				Cluster: mapreduce.NewCluster(nil, 1+trial%4, 1+trial%3),
-			}
-			if trial%5 == 0 {
-				opts.SpillEvery = 64
 			}
 			rep, err := Run(alg, mapreduce.NewMemorySource(objs, 1+trial%5), q, opts)
 			if err != nil {
@@ -422,7 +419,8 @@ func TestFewerReducersThanCells(t *testing.T) {
 	}
 }
 
-// Reduce-task failure with retry enabled must not change results.
+// Map- and reduce-task failures with retry enabled must not change results,
+// and the failed attempts must leave no trace in the counters.
 func TestFailureInjectionRecovers(t *testing.T) {
 	objs, q := randomWorkload(23, 400, 20, 5)
 	want := NaiveCentralized(objs, q)
@@ -441,6 +439,13 @@ func TestFailureInjectionRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameTopK(t, rep.Results, want, objs, q)
+	if rep.Counters[mapreduce.CounterRetryMap] == 0 || rep.Counters[mapreduce.CounterRetryReduce] == 0 {
+		t.Errorf("retries map=%d reduce=%d, want both > 0 despite injected failures",
+			rep.Counters[mapreduce.CounterRetryMap], rep.Counters[mapreduce.CounterRetryReduce])
+	}
+	if got := rep.Counters[mapreduce.CounterMapRecordsIn]; got != int64(len(objs)) {
+		t.Errorf("map.records.in = %d, want %d (failed attempts must not count)", got, len(objs))
+	}
 }
 
 var errTestInjected = errInjected{}

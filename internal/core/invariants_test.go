@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -118,40 +117,6 @@ func TestCellKeyComparators(t *testing.T) {
 				t.Errorf("DescCompare(%v, %v) = %d, want %d", x, y, got, want)
 			}
 		}
-	}
-}
-
-// Spilling plus task failures plus retry: the combination must still be
-// exact, and no spill files may survive the job.
-func TestSpillWithFailuresIsExact(t *testing.T) {
-	objs, q := randomWorkload(31, 800, 20, 5)
-	want := NaiveCentralized(objs, q)
-	var mu sync.Mutex
-	failed := map[int]bool{}
-	rep, err := Run(ESPQLen, mapreduce.NewMemorySource(objs, 5), q, Options{
-		Bounds:      unitBounds,
-		GridN:       4,
-		SpillEvery:  64,
-		MaxAttempts: 2,
-		FaultInjector: func(kind mapreduce.TaskKind, taskID, attempt int) error {
-			mu.Lock()
-			defer mu.Unlock()
-			if attempt == 1 && kind == mapreduce.MapTask && !failed[taskID] {
-				failed[taskID] = true
-				return errTestInjected
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameTopK(t, rep.Results, want, objs, q)
-	if rep.Counters[mapreduce.CounterTaskRetries] == 0 {
-		t.Error("no retries despite injected failures")
-	}
-	if rep.Counters[mapreduce.CounterSpillRuns] == 0 {
-		t.Error("no spill runs despite SpillEvery")
 	}
 }
 

@@ -71,9 +71,6 @@ type Options struct {
 	// SamplePerSplit bounds how many objects per input split the load
 	// balancer samples (default 512; <=0 means scan everything).
 	SamplePerSplit int
-	// SpillEvery, when positive, bounds per-map-task buffered records and
-	// activates external sorting (see mapreduce.Job.SpillEvery).
-	SpillEvery int
 	// MaxAttempts, RetryBackoff and FaultInjector are forwarded to the job
 	// (see the mapreduce.Job fields of the same names): the per-task retry
 	// budget, the base of the capped exponential backoff between attempts,
@@ -256,7 +253,6 @@ func buildJob(alg Algorithm, g *grid.Grid, q Query, opts Options, partition func
 		GroupEqual:    CellKeyGroup,
 		KeyCodec:      CellKeyCodec(),
 		ValueCodec:    data.ObjectCodec(),
-		SpillEvery:    opts.SpillEvery,
 		MaxAttempts:   opts.MaxAttempts,
 		RetryBackoff:  opts.RetryBackoff,
 		FaultInjector: opts.FaultInjector,

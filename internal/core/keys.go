@@ -88,7 +88,7 @@ func CellKeyPartition(k CellKey, numReducers int) int {
 	return int(k.Cell) % numReducers
 }
 
-// CellKeyCodec serializes CellKeys for spill files.
+// CellKeyCodec serializes CellKeys for shuffle runs.
 func CellKeyCodec() *mapreduce.Codec[CellKey] {
 	return &mapreduce.Codec[CellKey]{
 		Encode: func(w *bufio.Writer, k CellKey) error {

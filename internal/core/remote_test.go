@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"net/rpc"
 	"strings"
 	"testing"
@@ -12,6 +13,29 @@ import (
 	"spq/internal/text"
 )
 
+// loopbackWorker starts a worker node and a master over fs on loopback TCP
+// and returns the executor (the master's handle) and a raw RPC client to
+// the worker, for handing it task descriptors no orchestrator would build.
+func loopbackWorker(t *testing.T, fs *dfs.FileSystem, dictWords func(n int) []string) (*mapreduce.RPCExecutor, *rpc.Client) {
+	t.Helper()
+	w, err := mapreduce.StartWorker("127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Stop)
+	exec, err := mapreduce.NewRPCExecutor(fs, dictWords, []string{w.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { exec.Close() })
+	client, err := rpc.Dial("tcp", w.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close() })
+	return exec, client
+}
+
 // TestWorkerRejectsBadSplitRefs hands a live worker process map tasks whose
 // split descriptors are malformed or name the retired "seq" kind. Each must
 // come back as a permanent task failure in the RPC reply — the form the
@@ -19,25 +43,11 @@ import (
 // bad descriptor used to reach dfs.ReadRange unchecked and panic inside the
 // RPC handler, killing the process.
 func TestWorkerRejectsBadSplitRefs(t *testing.T) {
-	w, err := mapreduce.StartWorker("127.0.0.1:0", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Stop()
 	fs := dfs.New(dfs.Config{NumNodes: 1, Replication: 1})
 	if err := fs.Create("f", make([]byte, 1000)); err != nil {
 		t.Fatal(err)
 	}
-	exec, err := mapreduce.NewRPCExecutor(fs, nil, []string{w.Addr()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer exec.Close()
-	client, err := rpc.Dial("tcp", w.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
+	_, client := loopbackWorker(t, fs, nil)
 
 	spec, err := encodeQuerySpec(ESPQSco,
 		Query{K: 1, Radius: 0.1, Keywords: text.NewKeywordSet(1)},
@@ -75,6 +85,115 @@ func TestWorkerRejectsBadSplitRefs(t *testing.T) {
 		}
 		if !strings.Contains(reply.Err, c.want) || !reply.Permanent {
 			t.Errorf("%s: reply err=%q permanent=%v, want a permanent %q error", c.name, reply.Err, reply.Permanent, c.want)
+		}
+	}
+}
+
+// TestDictWordsRejectsBadPrefixes drives the keyword-dictionary pull wrong
+// in both directions over a loopback master and worker. Master side, a
+// negative prefix length used to reach the engine's make([]string, n)
+// inside the RPC handler; worker side, a reply shorter than the prefix the
+// job spec names (or a negative length in the spec) used to be sliced
+// [:n] unchecked. Each must come back as an error — permanent on the
+// worker — with both processes still serving.
+func TestDictWordsRejectsBadPrefixes(t *testing.T) {
+	dict := []string{"w0", "w1", "w2"}
+	dictWords := func(n int) []string { // the engine's closure: clamps high, trusts low
+		if n > len(dict) {
+			n = len(dict)
+		}
+		return append(make([]string, 0, n), dict[:n]...)
+	}
+	fs := dfs.New(dfs.Config{NumNodes: 1, Replication: 1})
+	if err := fs.Create("f", []byte("D\t1\t0.5\t0.5\n")); err != nil {
+		t.Fatal(err)
+	}
+	exec, worker := loopbackWorker(t, fs, dictWords)
+
+	master, err := rpc.Dial("tcp", exec.MasterAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer master.Close()
+	var reply mapreduce.DictReply
+	if err := master.Call("Master.DictWords", &mapreduce.DictArgs{N: -1}, &reply); err == nil || !strings.Contains(err.Error(), "-1 words") {
+		t.Errorf("negative prefix: err = %v, want a rejection naming -1 words", err)
+	}
+	if err := master.Call("Master.DictWords", &mapreduce.DictArgs{N: 2}, &reply); err != nil || len(reply.Words) != 2 {
+		t.Fatalf("master unusable after the bad request: %d words, err %v", len(reply.Words), err)
+	}
+
+	for i, c := range []struct {
+		dictLen int
+		want    string
+	}{
+		{5, "dictionary has 3 words, the job needs 5"},
+		{-1, "-1 words"},
+		{3, ""},
+	} {
+		spec, err := encodeQuerySpec(ESPQSco,
+			Query{K: 1, Radius: 0.1, Keywords: text.NewKeywordSet(1)},
+			Options{Bounds: geo.Rect{MaxX: 1, MaxY: 1}, GridN: 2, Wire: &WireInfo{DictLen: c.dictLen}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		args := &mapreduce.RunTaskArgs{Desc: mapreduce.TaskDesc{
+			Job: "dict", JobID: fmt.Sprintf("dict-%d", i), Kind: mapreduce.MapTask, Task: 0, Attempt: 1,
+			NumMaps: 1, NumReducers: 1, JobKind: WireKind, JobSpec: spec,
+			Split: &mapreduce.SplitRef{Kind: "text", File: "f", Length: 12},
+		}}
+		var reply mapreduce.RunTaskReply
+		if err := worker.Call("Worker.RunTask", args, &reply); err != nil {
+			t.Fatalf("DictLen %d: worker unusable: %v", c.dictLen, err)
+		}
+		if c.want == "" {
+			if reply.Err != "" {
+				t.Errorf("DictLen %d: reply err = %q, want success", c.dictLen, reply.Err)
+			}
+		} else if !strings.Contains(reply.Err, c.want) || !reply.Permanent {
+			t.Errorf("DictLen %d: reply err=%q permanent=%v, want a permanent %q error", c.dictLen, reply.Err, reply.Permanent, c.want)
+		}
+	}
+}
+
+// TestWorkerRejectsBadShuffleRuns hands a live worker reduce tasks whose
+// shuffle references lie about the run: a negative or absurd record count
+// used to size make([]Pair, 0, Records) inside the RPC handler (a makeslice
+// panic, or an allocation of terabytes), and bytes that do not decode must
+// fail the attempt, not the process. Each comes back as a permanent error
+// naming the run.
+func TestWorkerRejectsBadShuffleRuns(t *testing.T) {
+	fs := dfs.New(dfs.Config{NumNodes: 1, Replication: 1})
+	if err := fs.Create("shuffle/bad/run", make([]byte, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	_, client := loopbackWorker(t, fs, nil)
+	spec, err := encodeQuerySpec(ESPQSco,
+		Query{K: 1, Radius: 0.1, Keywords: text.NewKeywordSet(1)},
+		Options{Bounds: geo.Rect{MaxX: 1, MaxY: 1}, GridN: 2, Wire: &WireInfo{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range []struct {
+		records int
+		want    string
+	}{
+		{-1, "impossible record count -1"},
+		{1 << 40, "impossible record count"},
+		{7, "trailing bytes"}, // 1000 zero bytes are 32 whole 31-byte records and a tail
+		{40, "record 32 key"},
+	} {
+		args := &mapreduce.RunTaskArgs{Desc: mapreduce.TaskDesc{
+			Job: "bad-run", JobID: "bad-run-1", Kind: mapreduce.ReduceTask, Task: i, Attempt: 1,
+			NumMaps: 1, NumReducers: 4, JobKind: WireKind, JobSpec: spec,
+			Shuffle: []mapreduce.ShuffleRef{{File: "shuffle/bad/run", Part: i, Records: c.records, Bytes: 1000}},
+		}}
+		var reply mapreduce.RunTaskReply
+		if err := client.Call("Worker.RunTask", args, &reply); err != nil {
+			t.Fatalf("records %d: worker unusable: %v", c.records, err)
+		}
+		if !strings.Contains(reply.Err, "shuffle run shuffle/bad/run") || !strings.Contains(reply.Err, c.want) || !reply.Permanent {
+			t.Errorf("records %d: reply err=%q permanent=%v, want a permanent error naming the run and %q", c.records, reply.Err, reply.Permanent, c.want)
 		}
 	}
 }

@@ -41,11 +41,10 @@ func synthCorpus(n int, seed int64) ([]data.Object, *text.Dict) {
 }
 
 // TestReportResultsInvariantUnderShuffleConfig is the sorted-chunk publish
-// property test: Report.Results must be byte-identical across SpillEvery
-// in {0, 64} and MapSlots in {1, 4} for all three algorithms, because the
-// shuffle configuration only changes how the sorted stream is chunked and
-// merged, never which records a reduce group sees or the canonical top-k
-// it selects.
+// property test: Report.Results must be byte-identical across MapSlots in
+// {1, 4} for all three algorithms, because the shuffle configuration only
+// changes how the sorted stream is chunked and merged, never which records
+// a reduce group sees or the canonical top-k it selects.
 func TestReportResultsInvariantUnderShuffleConfig(t *testing.T) {
 	objs, dict := synthCorpus(4000, 5)
 	queries := []Query{
@@ -58,31 +57,28 @@ func TestReportResultsInvariantUnderShuffleConfig(t *testing.T) {
 			var want []ResultItem
 			var wantCfg string
 			for _, mapSlots := range []int{1, 4} {
-				for _, spillEvery := range []int{0, 64} {
-					cfg := fmt.Sprintf("maps=%d/spill=%d", mapSlots, spillEvery)
-					rep, err := Run(alg, mapreduce.NewMemorySource(objs, 5), q, Options{
-						Cluster:    mapreduce.NewCluster(nil, mapSlots, 3),
-						Bounds:     unitBounds,
-						GridN:      6,
-						SpillEvery: spillEvery,
-					})
-					if err != nil {
-						t.Fatalf("q%d %v %s: %v", qi, alg, cfg, err)
-					}
-					if want == nil {
-						want, wantCfg = rep.Results, cfg
-						continue
-					}
-					if len(rep.Results) != len(want) {
-						t.Fatalf("q%d %v: %s returned %d results, %s returned %d",
-							qi, alg, cfg, len(rep.Results), wantCfg, len(want))
-					}
-					for i := range want {
-						if rep.Results[i] != want[i] {
-							t.Errorf("q%d %v: results diverge at %d between %s and %s:\n %+v\n %+v",
-								qi, alg, i, wantCfg, cfg, want[i], rep.Results[i])
-							break
-						}
+				cfg := fmt.Sprintf("maps=%d", mapSlots)
+				rep, err := Run(alg, mapreduce.NewMemorySource(objs, 5), q, Options{
+					Cluster: mapreduce.NewCluster(nil, mapSlots, 3),
+					Bounds:  unitBounds,
+					GridN:   6,
+				})
+				if err != nil {
+					t.Fatalf("q%d %v %s: %v", qi, alg, cfg, err)
+				}
+				if want == nil {
+					want, wantCfg = rep.Results, cfg
+					continue
+				}
+				if len(rep.Results) != len(want) {
+					t.Fatalf("q%d %v: %s returned %d results, %s returned %d",
+						qi, alg, cfg, len(rep.Results), wantCfg, len(want))
+				}
+				for i := range want {
+					if rep.Results[i] != want[i] {
+						t.Errorf("q%d %v: results diverge at %d between %s and %s:\n %+v\n %+v",
+							qi, alg, i, wantCfg, cfg, want[i], rep.Results[i])
+						break
 					}
 				}
 			}

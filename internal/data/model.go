@@ -1,7 +1,7 @@
 // Package data provides the object model of the paper — spatial data
 // objects p ∈ O and spatio-textual feature objects f ∈ F — together with
 // the serialization formats used to store them in the simulated DFS and to
-// spill them inside MapReduce jobs, and synthetic dataset generators
+// shuffle them between MapReduce tasks, and synthetic dataset generators
 // reproducing the statistical properties of the paper's four experimental
 // datasets (Flickr, Twitter, Uniform, Clustered; Section 7.1).
 package data
@@ -112,7 +112,7 @@ func ParseLine(line []byte, dict *text.Dict) (Object, error) {
 }
 
 // ObjectCodec serializes objects compactly (varint-based) for MapReduce
-// spill files. Keyword ids round-trip as ids: within one job execution the
+// shuffle runs. Keyword ids round-trip as ids: within one job execution the
 // dictionary is shared, so ids are stable.
 func ObjectCodec() *mapreduce.Codec[Object] {
 	return &mapreduce.Codec[Object]{Encode: encodeObject, Decode: decodeObject}
@@ -171,13 +171,16 @@ func decodeObject(r *bufio.Reader) (Object, error) {
 		return o, err
 	}
 	if n > 0 {
-		kws := make(text.KeywordSet, n)
-		for i := range kws {
+		// n is unchecked wire input and every id takes at least one byte,
+		// so presize only by the bytes already buffered; a count the bytes
+		// do not back runs into EOF after allocating in proportion to them.
+		kws := make(text.KeywordSet, 0, min(n, uint64(r.Buffered())))
+		for i := uint64(0); i < n; i++ {
 			v, err := binary.ReadUvarint(r)
 			if err != nil {
-				return o, err
+				return o, fmt.Errorf("data: keyword %d of %d: %w", i, n, err)
 			}
-			kws[i] = uint32(v)
+			kws = append(kws, uint32(v))
 		}
 		o.Keywords = kws // already sorted: encoded from a sorted set
 	}

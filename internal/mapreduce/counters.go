@@ -17,8 +17,6 @@ const (
 	CounterOutputRecords  = "output.records"
 	CounterShuffleBytes   = "shuffle.bytes"
 	CounterShuffleChunks  = "shuffle.chunks"
-	CounterSpillRuns      = "spill.runs"
-	CounterSpilledRecords = "spill.records"
 	CounterDataLocalMaps  = "scheduler.maps.data_local"
 	CounterTaskRetries    = "tasks.retries"
 )

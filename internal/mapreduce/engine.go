@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -107,13 +106,12 @@ type Result[O any] struct {
 // task. As in Hadoop's map-side sort-and-merge shuffle, order is
 // established where the data is produced: every map task sorts its
 // per-partition buffers before publishing, so a partition holds sorted
-// chunks (one per publishing map task) plus spilled sorted runs, and the
-// owning reduce task k-way-merges them. Nothing is ever sorted serially
-// between the phases.
+// chunks (at least one per publishing map task), and the owning reduce
+// task k-way-merges them. Nothing is ever sorted serially between the
+// phases.
 type partitionData[K, V any] struct {
 	mu     sync.Mutex
 	chunks [][]Pair[K, V]
-	runs   []*spillRun
 }
 
 // jobSeq numbers job executions within this process; the id scopes the
@@ -207,20 +205,12 @@ func RunContext[I, K, V, O any](ctx context.Context, c *Cluster, job *Job[I, K, 
 		for i := range parts {
 			parts[i] = &partitionData[K, V]{}
 		}
-		// Every spill run is removed when the job finishes, success or not.
-		defer func() {
-			for _, p := range parts {
-				for _, run := range p.runs {
-					os.Remove(run.path)
-				}
-			}
-		}()
 		mapStates := make([]slotState, exec.Lanes(MapTask))
 		b.localMap = func(lane, task, attempt int, host string) error {
 			lc, tctx := mapStates[lane].get(MapTask, host)
 			lc.reset()
 			tctx.rebind(task, attempt)
-			return runMapAttempt(ctx, job, splits[task], parts, counters, lc, tctx, task, attempt, r)
+			return runMapAttempt(ctx, job, splits[task], parts, counters, lc, tctx, task, attempt)
 		}
 		reduceStates := make([]slotState, exec.Lanes(ReduceTask))
 		b.localReduce = func(lane, task, attempt int, host string) error {
@@ -489,10 +479,6 @@ func maxAttempts[I, K, V, O any](job *Job[I, K, V, O]) int {
 	return job.MaxAttempts
 }
 
-// defaultChunkCap is the map-side partition buffer capacity when the
-// split's record count is unknown.
-const defaultChunkCap = 4096
-
 // slotState is the reusable attempt-local state of one executor lane: its
 // tasks run sequentially, so one counter registry and one context serve
 // every attempt, reset between attempts instead of reallocated. Counter
@@ -528,290 +514,48 @@ func backoff(ctx context.Context, base time.Duration, failed int, counters *Coun
 	}
 }
 
-// cancelCheckEvery is the record granularity at which local task bodies
-// poll the job context: coarse enough that the atomic load never shows up
-// in profiles, fine enough that a canceled query stops within microseconds.
-const cancelCheckEvery = 4096
-
-// runMapAttempt runs one attempt of one map task. All side effects (counter
-// deltas, buffered records, spill runs) are kept attempt-local and
-// published only on success, so a failed attempt leaves no trace. jctx is
-// the job's cancellation context, polled every cancelCheckEvery records so
-// a canceled job stops mid-split instead of finishing the read.
-func runMapAttempt[I, K, V, O any](jctx context.Context, job *Job[I, K, V, O], split SourceSplit[I], parts []*partitionData[K, V], counters, local *Counters, ctx *TaskContext, task, attempt, r int) (err error) {
+// runMapAttempt runs one attempt of one local map task: the shared map
+// body, polling the job's cancellation context, then — only on success, so
+// a failed attempt leaves no trace — publishes the attempt's sorted chunks
+// to the shared partitions and its counter deltas to the job registry.
+func runMapAttempt[I, K, V, O any](jctx context.Context, job *Job[I, K, V, O], split SourceSplit[I], parts []*partitionData[K, V], counters, local *Counters, ctx *TaskContext, task, attempt int) error {
 	if job.FaultInjector != nil {
 		if ferr := job.FaultInjector(MapTask, task, attempt); ferr != nil {
 			return ferr
 		}
 	}
-	cmp := job.compare()
-	buffers := make([][]Pair[K, V], r)
-	// Partition buffers are fixed-capacity chunks sized from the split's
-	// record count when it is known. A full chunk is sorted on the spot and
-	// set aside, and a fresh buffer is allocated — growth never copies. On
-	// skewed key distributions (clustered data) a single partition can
-	// receive many times the per-partition estimate, and doubling one flat
-	// buffer would spend the map phase in growslice.
-	chunkCap := defaultChunkCap
-	if cs, ok := split.(CountedSplit); ok {
-		if n := cs.Records(); n > 0 {
-			chunkCap = n/r + 1
-		}
+	chunks, err := mapBody(job, split, len(parts), ctx, jctx.Err)
+	if err != nil {
+		return err
 	}
-	var sealed [][][]Pair[K, V] // per-partition full chunks, attempt-local
-	var runs [][]*spillRun      // per-partition runs created by this attempt
-	if job.SpillEvery > 0 {
-		runs = make([][]*spillRun, r)
-	} else {
-		sealed = make([][][]Pair[K, V], r)
-	}
-	// Attempt-local cleanup of spill files on failure.
-	defer func() {
-		if err != nil {
-			for _, rs := range runs {
-				for _, run := range rs {
-					os.Remove(run.path)
-				}
-			}
-		}
-	}()
-
-	buffered := 0
-	spill := func() error {
-		rs, parts, werr := writeSpill(buffers, cmp, job.KeyCodec, job.ValueCodec)
-		if werr != nil {
-			return werr
-		}
-		for i, run := range rs {
-			run := run
-			p := parts[i]
-			runs[p] = append(runs[p], &run)
-			local.Add(CounterSpillRuns, 1)
-			local.Add(CounterSpilledRecords, int64(run.records))
-			local.Add(CounterShuffleBytes, run.length)
-			buffers[p] = nil
-		}
-		buffered = 0
-		return nil
-	}
-
-	// recIn/recOut are batched per attempt: one atomic flush instead of
-	// one atomic add per record and per emission, which profiles as real
-	// time at ~100k records per query.
-	var recIn, recOut int64
-	var emitErr error
-	emit := func(k K, v V) {
-		p := job.Partition(k, r)
-		if p < 0 || p >= r {
-			if emitErr == nil {
-				// A broken partitioner fails identically on every attempt.
-				emitErr = Permanent(fmt.Errorf("mapreduce: job %q: Partition returned %d for %d reducers", job.Name, p, r))
-			}
-			return
-		}
-		buf := buffers[p]
-		if buf == nil {
-			buf = make([]Pair[K, V], 0, chunkCap)
-		}
-		buf = append(buf, Pair[K, V]{Key: k, Value: v})
-		buffers[p] = buf
-		recOut++
-		buffered++
-		if job.SpillEvery > 0 {
-			if buffered >= job.SpillEvery {
-				if serr := spill(); serr != nil && emitErr == nil {
-					emitErr = serr
-				}
-			}
-		} else if len(buf) == cap(buf) {
-			// Chunk full: sort it now (spreading the sort across the map
-			// phase) but publish only on attempt success, so a failed
-			// attempt still leaves no trace.
-			sortPairs(buf, cmp)
-			sealed[p] = append(sealed[p], buf)
-			buffers[p] = nil
-		}
-	}
-
-	var mapErr error
-	eachErr := split.Each(func(rec I) bool {
-		recIn++
-		if recIn%cancelCheckEvery == 0 && jctx.Err() != nil {
-			mapErr = jctx.Err()
-			return false
-		}
-		if merr := job.Map(ctx, rec, emit); merr != nil {
-			mapErr = merr
-			return false
-		}
-		return emitErr == nil
-	})
-	atomic.AddInt64(ctx.recIn, recIn)
-	atomic.AddInt64(ctx.recOut, recOut)
-	switch {
-	case eachErr != nil:
-		return eachErr
-	case mapErr != nil:
-		return mapErr
-	case emitErr != nil:
-		return emitErr
-	}
-
-	// Publish: remaining buffers are sorted here, inside the map task —
-	// this is the parallel half of the map-side sort-and-merge shuffle —
-	// and attached to the shared partitions as immutable sorted chunks
-	// (or written as final spill runs when spilling).
-	if job.SpillEvery > 0 {
-		if buffered > 0 {
-			if serr := spill(); serr != nil {
-				return serr
-			}
-		}
-	} else {
-		for p, buf := range buffers {
-			chunks := sealed[p]
-			if len(buf) > 0 {
-				sortPairs(buf, cmp)
-				chunks = append(chunks, buf)
-			}
-			if len(chunks) == 0 {
-				continue
-			}
-			parts[p].mu.Lock()
-			parts[p].chunks = append(parts[p].chunks, chunks...)
-			parts[p].mu.Unlock()
-			local.Add(CounterShuffleChunks, int64(len(chunks)))
-		}
-	}
-	for p, rs := range runs {
-		if len(rs) == 0 {
+	published := 0
+	for p, cs := range chunks {
+		if len(cs) == 0 {
 			continue
 		}
 		parts[p].mu.Lock()
-		parts[p].runs = append(parts[p].runs, rs...)
+		parts[p].chunks = append(parts[p].chunks, cs...)
 		parts[p].mu.Unlock()
+		published += len(cs)
 	}
+	local.Add(CounterShuffleChunks, int64(published))
 	counters.Merge(local)
 	return nil
 }
 
-// runReduceAttempt runs one attempt of one reduce task over its partition.
-// jctx is the job's cancellation context; the merged input stream polls it
-// at record granularity (see cancelStream), so a canceled job aborts the
-// reduce mid-merge.
+// runReduceAttempt runs one attempt of one local reduce task: the shared
+// reduce body over the partition's published chunks, polling the job's
+// cancellation context.
 func runReduceAttempt[I, K, V, O any](jctx context.Context, job *Job[I, K, V, O], part *partitionData[K, V], counters, local *Counters, ctx *TaskContext, task, attempt int) ([]O, error) {
 	if job.FaultInjector != nil {
 		if ferr := job.FaultInjector(ReduceTask, task, attempt); ferr != nil {
 			return nil, ferr
 		}
 	}
-	// Build the sorted stream: a k-way merge of the sorted chunks the map
-	// tasks published for this partition and every spilled run. The
-	// all-in-memory case takes the concrete chunkMerge, which skips the
-	// generic stream machinery's per-record dispatch.
-	var total int64
-	for _, ch := range part.chunks {
-		total += int64(len(ch))
-	}
-	var streams []stream[K, V]
-	if len(part.runs) > 0 {
-		streams = make([]stream[K, V], 0, len(part.chunks)+len(part.runs))
-		for _, ch := range part.chunks {
-			streams = append(streams, &memStream[K, V]{pairs: ch})
-		}
-	}
-	var opened []*runStream[K, V]
-	defer func() {
-		for _, rs := range opened {
-			rs.close()
-		}
-	}()
-	for _, run := range part.runs {
-		rs, err := openRun(run, job.KeyCodec, job.ValueCodec)
-		if err != nil {
-			return nil, err
-		}
-		opened = append(opened, rs)
-		streams = append(streams, rs)
-		total += int64(run.records)
-	}
-	var merged stream[K, V]
-	switch {
-	case len(part.runs) == 0 && len(part.chunks) == 1:
-		merged = &memStream[K, V]{pairs: part.chunks[0]} // already sorted, skip the heap
-	case len(part.runs) == 0:
-		merged = newChunkMerge(job.Less, part.chunks)
-	default:
-		m, err := newMergeStream(job.Less, streams...)
-		if err != nil {
-			return nil, err
-		}
-		merged = m
-	}
-	local.Add(CounterReduceValues, total)
-
-	out, err := reduceStream(job, &cancelStream[K, V]{ctx: jctx, inner: merged}, local, ctx)
+	out, err := reduceBody(job, part.chunks, local, ctx, jctx.Err)
 	if err != nil {
 		return nil, err
 	}
 	counters.Merge(local)
-	return out, nil
-}
-
-// cancelStream wraps a sorted record stream with a job-context poll every
-// cancelCheckEvery records, so local reduce tasks of a canceled job stop
-// at record granularity. The worker-side reduce path reads its streams
-// unwrapped — cancellation does not propagate into an in-flight RPC.
-type cancelStream[K, V any] struct {
-	ctx   context.Context
-	inner stream[K, V]
-	n     int
-}
-
-func (s *cancelStream[K, V]) next() (Pair[K, V], bool, error) {
-	s.n++
-	if s.n%cancelCheckEvery == 0 {
-		if err := s.ctx.Err(); err != nil {
-			var zero Pair[K, V]
-			return zero, false, err
-		}
-	}
-	return s.inner.next()
-}
-
-// reduceStream drives the job's Reduce function over a merged sorted
-// stream, one invocation per key group. It is shared by the local attempt
-// path and the remote worker path, so grouping and counter semantics are
-// identical wherever the task runs.
-func reduceStream[I, K, V, O any](job *Job[I, K, V, O], merged stream[K, V], local *Counters, ctx *TaskContext) ([]O, error) {
-	group := job.GroupEqual
-	if group == nil {
-		group = func(a, b K) bool { return false }
-	}
-	vals := &Values[K, V]{stream: merged, group: group, consumed: ctx.consumed}
-
-	var out []O
-	emit := func(o O) {
-		out = append(out, o)
-		local.Add(CounterOutputRecords, 1)
-	}
-
-	more, err := vals.prime()
-	if err != nil {
-		return nil, err
-	}
-	for more {
-		local.Add(CounterReduceGroups, 1)
-		if rerr := job.Reduce(ctx, vals, emit); rerr != nil {
-			return nil, rerr
-		}
-		if vals.err != nil {
-			return nil, vals.err
-		}
-		more, err = vals.drain()
-		if err != nil {
-			return nil, err
-		}
-	}
 	return out, nil
 }

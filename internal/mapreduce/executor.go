@@ -54,7 +54,7 @@ type TaskDesc struct {
 // references, so a worker can never re-derive a different shard layout
 // (shard-count invariance by construction).
 type SplitRef struct {
-	// Kind discriminates the split type ("text", "seq", "col", "group").
+	// Kind discriminates the split type ("text", "col", "group").
 	Kind   string
 	File   string
 	Offset int64

@@ -15,8 +15,9 @@
 // The engine executes map and reduce tasks on a simulated cluster (package
 // dfs provides the storage nodes) with a configurable number of worker
 // slots, locality-aware map scheduling, per-task retry with fault
-// injection, optional spill-to-disk external sorting, and Hadoop-style
-// counters.
+// injection, an in-memory map-side sort-and-merge shuffle, and Hadoop-style
+// counters. Tasks run in-process or, for jobs with a wire form, on worker
+// processes over net/rpc; both run the same map and reduce bodies.
 package mapreduce
 
 import (
@@ -32,8 +33,12 @@ type Pair[K, V any] struct {
 	Value V
 }
 
-// Codec serializes intermediate records for spill files and shuffle-byte
-// accounting. Encode and Decode must round-trip.
+// Codec serializes intermediate records into the shuffle runs remote map
+// tasks publish and remote reduce tasks read. Encode and Decode must
+// round-trip, and a key/value pair must encode to at least one byte. Decode
+// reads bytes off the wire on a worker: on corrupt input it must return an
+// error, never panic, and never size an allocation from a length it has
+// not checked against the bytes present.
 type Codec[T any] struct {
 	Encode func(w *bufio.Writer, t T) error
 	Decode func(r *bufio.Reader) (T, error)
@@ -100,15 +105,10 @@ type Job[I, K, V, O any] struct {
 	Reduce func(ctx *TaskContext, values *Values[K, V], emit func(O)) error
 
 	// KeyCodec and ValueCodec serialize intermediate records. They are
-	// required when SpillEvery > 0 and otherwise optional; when present
-	// they are also used to meter shuffle bytes.
+	// required for remote execution (a job with a Wire form) and unused by
+	// the local executor, whose shuffle never leaves memory.
 	KeyCodec   *Codec[K]
 	ValueCodec *Codec[V]
-
-	// SpillEvery bounds the number of intermediate records a map task may
-	// hold in memory; beyond it, sorted runs are spilled to temporary
-	// files and merged on the reduce side. Zero disables spilling.
-	SpillEvery int
 
 	// MaxAttempts is the per-task retry budget (default 1, i.e. no retry).
 	// Attempts whose error is marked Permanent fail fast without consuming
@@ -185,8 +185,6 @@ func (j *Job[I, K, V, O]) validate() error {
 		return fmt.Errorf("mapreduce: job %q: nil Partition", j.Name)
 	case j.Less == nil:
 		return fmt.Errorf("mapreduce: job %q: nil Less", j.Name)
-	case j.SpillEvery > 0 && (j.KeyCodec == nil || j.ValueCodec == nil):
-		return fmt.Errorf("mapreduce: job %q: SpillEvery requires KeyCodec and ValueCodec", j.Name)
 	}
 	return nil
 }

@@ -7,13 +7,10 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"spq/internal/dfs"
@@ -38,26 +35,6 @@ func intKeyLess(a, b intKey) bool {
 func intKeyGroup(a, b intKey) bool { return a.Part == b.Part }
 
 func intKeyPartition(k intKey, r int) int { return k.Part % r }
-
-var intKeyCodec = &Codec[intKey]{
-	Encode: func(w *bufio.Writer, k intKey) error {
-		var buf [16]byte
-		binary.LittleEndian.PutUint64(buf[:8], uint64(k.Part))
-		binary.LittleEndian.PutUint64(buf[8:], uint64(int64(k.Order*1e6)))
-		_, err := w.Write(buf[:])
-		return err
-	},
-	Decode: func(r *bufio.Reader) (intKey, error) {
-		var buf [16]byte
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return intKey{}, err
-		}
-		return intKey{
-			Part:  int(binary.LittleEndian.Uint64(buf[:8])),
-			Order: float64(int64(binary.LittleEndian.Uint64(buf[8:]))) / 1e6,
-		}, nil
-	},
-}
 
 var stringCodec = &Codec[string]{
 	Encode: func(w *bufio.Writer, s string) error {
@@ -371,141 +348,6 @@ func TestNilGroupEqual(t *testing.T) {
 	}
 }
 
-// Spilling to disk must not change results. Run the same aggregation with
-// and without spilling and compare.
-func TestSpillMatchesInMemory(t *testing.T) {
-	r := rand.New(rand.NewSource(21))
-	var recs []intKey
-	for i := 0; i < 2000; i++ {
-		recs = append(recs, intKey{Part: r.Intn(7), Order: r.Float64()})
-	}
-	build := func(spill int) *Job[intKey, intKey, float64, string] {
-		return &Job[intKey, intKey, float64, string]{
-			Name:        "spill-test",
-			Source:      NewMemorySource(recs, 5),
-			NumReducers: 7,
-			Map: func(ctx *TaskContext, rec intKey, emit func(intKey, float64)) error {
-				emit(rec, rec.Order)
-				return nil
-			},
-			Partition:  intKeyPartition,
-			Less:       intKeyLess,
-			GroupEqual: intKeyGroup,
-			KeyCodec:   intKeyCodec,
-			ValueCodec: &Codec[float64]{
-				Encode: func(w *bufio.Writer, v float64) error {
-					var buf [8]byte
-					binary.LittleEndian.PutUint64(buf[:], uint64(int64(v*1e6)))
-					_, err := w.Write(buf[:])
-					return err
-				},
-				Decode: func(r *bufio.Reader) (float64, error) {
-					var buf [8]byte
-					if _, err := io.ReadFull(r, buf[:]); err != nil {
-						return 0, err
-					}
-					return float64(int64(binary.LittleEndian.Uint64(buf[:]))) / 1e6, nil
-				},
-			},
-			SpillEvery: spill,
-			Reduce: func(ctx *TaskContext, values *Values[intKey, float64], emit func(string)) error {
-				sum := 0.0
-				n := 0
-				for {
-					v, ok := values.Next()
-					if !ok {
-						break
-					}
-					if n > 0 && v < 0 {
-						return errors.New("unexpected negative")
-					}
-					sum += v
-					n++
-				}
-				emit(fmt.Sprintf("%d:%d:%.3f", values.GroupKey().Part, n, sum))
-				return nil
-			},
-		}
-	}
-	resMem, err := Run(NewCluster(nil, 3, 3), build(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resSpill, err := Run(NewCluster(nil, 3, 3), build(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sortOut := func(o []string) []string { s := append([]string(nil), o...); sort.Strings(s); return s }
-	if !reflect.DeepEqual(sortOut(resMem.Output), sortOut(resSpill.Output)) {
-		t.Errorf("spill output differs:\nmem:   %v\nspill: %v", resMem.Output, resSpill.Output)
-	}
-	if resSpill.Counters[CounterSpillRuns] == 0 {
-		t.Error("no spill runs recorded despite SpillEvery")
-	}
-	if resSpill.Counters[CounterSpilledRecords] != int64(len(recs)) {
-		t.Errorf("spilled records = %d, want %d", resSpill.Counters[CounterSpilledRecords], len(recs))
-	}
-	if resSpill.Counters[CounterShuffleBytes] == 0 {
-		t.Error("shuffle bytes not metered")
-	}
-}
-
-// Secondary sort must hold across spilled runs too.
-func TestSpillPreservesSortOrder(t *testing.T) {
-	r := rand.New(rand.NewSource(33))
-	var recs []intKey
-	for i := 0; i < 1000; i++ {
-		recs = append(recs, intKey{Part: 0, Order: r.Float64()})
-	}
-	valCodec := &Codec[float64]{
-		Encode: func(w *bufio.Writer, v float64) error {
-			var buf [8]byte
-			binary.LittleEndian.PutUint64(buf[:], uint64(int64(v*1e9)))
-			_, err := w.Write(buf[:])
-			return err
-		},
-		Decode: func(r *bufio.Reader) (float64, error) {
-			var buf [8]byte
-			if _, err := io.ReadFull(r, buf[:]); err != nil {
-				return 0, err
-			}
-			return float64(int64(binary.LittleEndian.Uint64(buf[:]))) / 1e9, nil
-		},
-	}
-	job := &Job[intKey, intKey, float64, int]{
-		Name:        "spill-order",
-		Source:      NewMemorySource(recs, 6),
-		NumReducers: 1,
-		Map: func(ctx *TaskContext, rec intKey, emit func(intKey, float64)) error {
-			emit(rec, rec.Order)
-			return nil
-		},
-		Partition:  intKeyPartition,
-		Less:       intKeyLess,
-		GroupEqual: intKeyGroup,
-		KeyCodec:   intKeyCodec,
-		ValueCodec: valCodec,
-		SpillEvery: 50,
-		Reduce: func(ctx *TaskContext, values *Values[intKey, float64], emit func(int)) error {
-			prev := -1.0
-			for {
-				v, ok := values.Next()
-				if !ok {
-					break
-				}
-				if v < prev {
-					return fmt.Errorf("order violated: %v after %v", v, prev)
-				}
-				prev = v
-			}
-			return nil
-		},
-	}
-	if _, err := Run(NewCluster(nil, 4, 1), job); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Failure injection: tasks that fail once must be retried and succeed
 // without duplicating counters or output.
 func TestTaskRetrySucceeds(t *testing.T) {
@@ -592,7 +434,6 @@ func TestValidation(t *testing.T) {
 		{"zero reducers", func(j *Job[string, string, int, string]) { j.NumReducers = 0 }},
 		{"nil partition", func(j *Job[string, string, int, string]) { j.Partition = nil }},
 		{"nil less", func(j *Job[string, string, int, string]) { j.Less = nil }},
-		{"spill without codec", func(j *Job[string, string, int, string]) { j.SpillEvery = 10 }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -813,134 +654,5 @@ func TestCountersRegistry(t *testing.T) {
 	snap := c.Snapshot()
 	if snap["x"] != 7 || snap["y"] != 1 {
 		t.Errorf("Snapshot = %v", snap)
-	}
-}
-
-// A map attempt that fails after spilling must leave no temp files behind
-// once the job finishes.
-func TestSpillCleanupAfterFailure(t *testing.T) {
-	before := countSpillFiles(t)
-	var recs []intKey
-	for i := 0; i < 500; i++ {
-		recs = append(recs, intKey{Part: i % 3, Order: float64(i)})
-	}
-	valCodec := &Codec[float64]{
-		Encode: func(w *bufio.Writer, v float64) error {
-			var buf [8]byte
-			binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
-			_, err := w.Write(buf[:])
-			return err
-		},
-		Decode: func(r *bufio.Reader) (float64, error) {
-			var buf [8]byte
-			if _, err := io.ReadFull(r, buf[:]); err != nil {
-				return 0, err
-			}
-			return float64(int64(binary.LittleEndian.Uint64(buf[:]))), nil
-		},
-	}
-	var failedOnce atomic.Bool
-	job := &Job[intKey, intKey, float64, int]{
-		Name:        "spill-cleanup",
-		Source:      NewMemorySource(recs, 2),
-		NumReducers: 3,
-		Map: func(ctx *TaskContext, rec intKey, emit func(intKey, float64)) error {
-			emit(rec, rec.Order)
-			return nil
-		},
-		Partition:   intKeyPartition,
-		Less:        intKeyLess,
-		GroupEqual:  intKeyGroup,
-		KeyCodec:    intKeyCodec,
-		ValueCodec:  valCodec,
-		SpillEvery:  32,
-		MaxAttempts: 3,
-		FaultInjector: func(kind TaskKind, taskID, attempt int) error {
-			if kind == ReduceTask && failedOnce.CompareAndSwap(false, true) {
-				return errors.New("boom")
-			}
-			return nil
-		},
-		Reduce: func(ctx *TaskContext, values *Values[intKey, float64], emit func(int)) error {
-			n := 0
-			for {
-				if _, ok := values.Next(); !ok {
-					break
-				}
-				n++
-			}
-			emit(n)
-			return nil
-		},
-	}
-	res, err := Run(NewCluster(nil, 2, 2), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, n := range res.Output {
-		total += n
-	}
-	if total != len(recs) {
-		t.Errorf("reduced %d records, want %d", total, len(recs))
-	}
-	if after := countSpillFiles(t); after > before {
-		t.Errorf("spill files leaked: %d before, %d after", before, after)
-	}
-}
-
-func countSpillFiles(t *testing.T) int {
-	t.Helper()
-	matches, err := filepath.Glob(filepath.Join(os.TempDir(), "spq-spill-*.run"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return len(matches)
-}
-
-// A job that fails permanently must also clean up its spill files.
-func TestSpillCleanupAfterJobFailure(t *testing.T) {
-	before := countSpillFiles(t)
-	var recs []intKey
-	for i := 0; i < 200; i++ {
-		recs = append(recs, intKey{Part: 0, Order: float64(i)})
-	}
-	job := &Job[intKey, intKey, float64, int]{
-		Name:        "doomed",
-		Source:      NewMemorySource(recs, 2),
-		NumReducers: 1,
-		Map: func(ctx *TaskContext, rec intKey, emit func(intKey, float64)) error {
-			emit(rec, rec.Order)
-			return nil
-		},
-		Partition:  intKeyPartition,
-		Less:       intKeyLess,
-		GroupEqual: intKeyGroup,
-		KeyCodec:   intKeyCodec,
-		ValueCodec: &Codec[float64]{
-			Encode: func(w *bufio.Writer, v float64) error {
-				var buf [8]byte
-				binary.LittleEndian.PutUint64(buf[:], uint64(int64(v)))
-				_, err := w.Write(buf[:])
-				return err
-			},
-			Decode: func(r *bufio.Reader) (float64, error) {
-				var buf [8]byte
-				if _, err := io.ReadFull(r, buf[:]); err != nil {
-					return 0, err
-				}
-				return float64(int64(binary.LittleEndian.Uint64(buf[:]))), nil
-			},
-		},
-		SpillEvery: 16,
-		Reduce: func(ctx *TaskContext, values *Values[intKey, float64], emit func(int)) error {
-			return errors.New("permanent reduce failure")
-		},
-	}
-	if _, err := Run(NewCluster(nil, 2, 1), job); !errors.Is(err, ErrTooManyFailures) {
-		t.Fatalf("err = %v", err)
-	}
-	if after := countSpillFiles(t); after > before {
-		t.Errorf("spill files leaked after failed job: %d before, %d after", before, after)
 	}
 }

@@ -193,15 +193,21 @@ type TaskIO struct {
 // Bytes returns the RPC payload bytes this task moved so far.
 func (t *TaskIO) Bytes() int64 { return t.bytes.Load() }
 
-// Canceled reports whether the master abandoned this attempt. Task
-// bodies poll it at record granularity and bail out early; the result of
-// a canceled attempt is discarded master-side regardless.
-func (t *TaskIO) Canceled() bool { return t.cancel != nil && t.cancel.Load() }
-
 // errAttemptCanceled aborts a task body whose attempt lost a speculative
 // race. The master never surfaces it: the winning twin's result already
 // resolved the task.
 var errAttemptCanceled = errors.New("mapreduce: task attempt canceled by master")
+
+// stopErr is the stop poll of a worker-side task body: errAttemptCanceled
+// once the master abandoned this attempt (Worker.CancelTask). Task bodies
+// poll it at record granularity and bail out early; the result of a
+// canceled attempt is discarded master-side regardless.
+func (t *TaskIO) stopErr() error {
+	if t.cancel != nil && t.cancel.Load() {
+		return errAttemptCanceled
+	}
+	return nil
+}
 
 // OnFinish registers a hook run when the attempt completes successfully,
 // with the attempt's local counter registry. Split openers use it to
@@ -267,16 +273,19 @@ func (t *TaskIO) Store(name string, data []byte) error {
 // DictWords returns words [0, n) of the master's keyword dictionary, in
 // id order, serving from the worker's monotone cache when possible (the
 // master dictionary is append-only, so a cached prefix never goes stale).
+// n comes from the job spec and the words from the master, both off the
+// wire: a negative n or a reply shorter than n is a permanent task error.
 func (t *TaskIO) DictWords(n int) ([]string, error) {
+	if n < 0 {
+		return nil, Permanent(fmt.Errorf("mapreduce: dictionary prefix of %d words requested", n))
+	}
 	e := t.Env
 	e.mu.Lock()
-	have := len(e.words)
-	if have >= n {
-		out := e.words[:n]
-		e.mu.Unlock()
-		return out, nil
-	}
+	words := e.words
 	e.mu.Unlock()
+	if len(words) >= n {
+		return words[:n], nil
+	}
 	words, err := e.FS.DictWords(n)
 	if err != nil {
 		return nil, err
@@ -284,13 +293,15 @@ func (t *TaskIO) DictWords(n int) ([]string, error) {
 	for _, w := range words {
 		t.bytes.Add(int64(len(w)))
 	}
+	if len(words) < n {
+		return nil, Permanent(fmt.Errorf("mapreduce: master dictionary has %d words, the job needs %d", len(words), n))
+	}
 	e.mu.Lock()
 	if len(words) > len(e.words) {
 		e.words = words
 	}
-	out := e.words[:n]
 	e.mu.Unlock()
-	return out, nil
+	return words[:n], nil
 }
 
 // finish folds the task's RPC byte meter and registered finisher hooks
@@ -311,10 +322,10 @@ func (t *TaskIO) finish(local *Counters) {
 // BindRemote adapts a typed job to the RemoteJob interface. The open
 // callback re-opens one (non-group) split reference against the task's
 // I/O context; group references are unwrapped by the adapter. Worker-side
-// map attempts sort each partition fully and publish it as one run in the
-// master DFS — the same sorted-run multiset semantics as the local
-// executor's chunk shuffle, so the merged reduce input is equivalent and
-// results are identical.
+// attempts run the same map and reduce bodies as the local executor's
+// (task.go); a map attempt merges each partition's chunks into one sorted
+// run in the master DFS — the same sorted-run multiset the local chunk
+// shuffle hands a reduce task, so results are identical.
 func BindRemote[I, K, V, O any](job *Job[I, K, V, O], open func(io *TaskIO, ref *SplitRef) (SourceSplit[I], error)) RemoteJob {
 	return &remoteJob[I, K, V, O]{job: job, open: open}
 }
@@ -354,15 +365,17 @@ func sortShuffleRefs(refs []ShuffleRef) {
 	sort.Slice(refs, func(i, j int) bool { return refs[i].File < refs[j].File })
 }
 
-// RunMapTask implements RemoteJob: read the referenced split, partition
-// and sort the intermediate records, and publish one sorted run per
-// non-empty partition into the master DFS.
+// RunMapTask implements RemoteJob: run the shared map body over the
+// referenced split, then merge each non-empty partition's sorted chunks
+// into one sorted run published in the master DFS.
 func (r *remoteJob[I, K, V, O]) RunMapTask(io *TaskIO, d *TaskDesc) (*TaskResult, error) {
 	job := r.job
-	if d.Split == nil {
+	switch {
+	case d.Split == nil:
 		return nil, Permanent(fmt.Errorf("mapreduce: job %q: map task %d shipped without a split reference", job.Name, d.Task))
-	}
-	if job.KeyCodec == nil || job.ValueCodec == nil {
+	case d.NumReducers <= 0:
+		return nil, Permanent(fmt.Errorf("mapreduce: job %q: map task %d shipped with %d reducers", job.Name, d.Task, d.NumReducers))
+	case job.KeyCodec == nil || job.ValueCodec == nil:
 		return nil, Permanent(fmt.Errorf("mapreduce: job %q: remote execution requires Key/ValueCodec", job.Name))
 	}
 	local := NewCounters()
@@ -372,65 +385,22 @@ func (r *remoteJob[I, K, V, O]) RunMapTask(io *TaskIO, d *TaskDesc) (*TaskResult
 	if err != nil {
 		return nil, err
 	}
-
-	nred := d.NumReducers
-	buffers := make([][]Pair[K, V], nred)
-	var recIn, recOut int64
-	var emitErr error
-	emit := func(k K, v V) {
-		p := job.Partition(k, nred)
-		if p < 0 || p >= nred {
-			if emitErr == nil {
-				emitErr = Permanent(fmt.Errorf("mapreduce: job %q: Partition returned %d for %d reducers", job.Name, p, nred))
-			}
-			return
-		}
-		buffers[p] = append(buffers[p], Pair[K, V]{Key: k, Value: v})
-		recOut++
-	}
-	var mapErr error
-	eachErr := split.Each(func(rec I) bool {
-		recIn++
-		if recIn%cancelCheckEvery == 0 && io.Canceled() {
-			mapErr = errAttemptCanceled
-			return false
-		}
-		if merr := job.Map(ctx, rec, emit); merr != nil {
-			mapErr = merr
-			return false
-		}
-		return emitErr == nil
-	})
-	atomic.AddInt64(ctx.recIn, recIn)
-	atomic.AddInt64(ctx.recOut, recOut)
-	switch {
-	case eachErr != nil:
-		return nil, eachErr
-	case mapErr != nil:
-		return nil, mapErr
-	case emitErr != nil:
-		return nil, emitErr
+	chunks, err := mapBody(job, split, d.NumReducers, ctx, io.stopErr)
+	if err != nil {
+		return nil, err
 	}
 
-	cmp := job.compare()
 	var refs []ShuffleRef
 	var buf bytes.Buffer
-	for p, pairs := range buffers {
-		if len(pairs) == 0 {
+	w := bufio.NewWriter(&buf)
+	for p, cs := range chunks {
+		if len(cs) == 0 {
 			continue
 		}
-		sortPairs(pairs, cmp)
 		buf.Reset()
-		w := bufio.NewWriter(&buf)
-		for i := range pairs {
-			if err := job.KeyCodec.Encode(w, pairs[i].Key); err != nil {
-				return nil, err
-			}
-			if err := job.ValueCodec.Encode(w, pairs[i].Value); err != nil {
-				return nil, err
-			}
-		}
-		if err := w.Flush(); err != nil {
+		w.Reset(&buf)
+		records, err := encodePairs(w, mergeChunks(job.Less, cs), job.KeyCodec, job.ValueCodec)
+		if err != nil {
 			return nil, err
 		}
 		name := shuffleFile(d.JobID, d.Task, d.Attempt, d.Backup, p)
@@ -438,7 +408,7 @@ func (r *remoteJob[I, K, V, O]) RunMapTask(io *TaskIO, d *TaskDesc) (*TaskResult
 		if err := io.Store(name, data); err != nil {
 			return nil, err
 		}
-		refs = append(refs, ShuffleRef{File: name, Part: p, Records: len(pairs), Bytes: int64(len(data))})
+		refs = append(refs, ShuffleRef{File: name, Part: p, Records: records, Bytes: int64(len(data))})
 		local.Add(CounterShuffleChunks, 1)
 		local.Add(CounterShuffleBytes, int64(len(data)))
 	}
@@ -446,19 +416,18 @@ func (r *remoteJob[I, K, V, O]) RunMapTask(io *TaskIO, d *TaskDesc) (*TaskResult
 	return &TaskResult{Worker: io.Env.Worker, Counters: local.Snapshot(), Shuffle: refs}, nil
 }
 
-// RunReduceTask implements RemoteJob: fetch the partition's sorted runs,
-// k-way merge them with the job comparator, drive Reduce over the groups
-// and return the gob-encoded output.
+// RunReduceTask implements RemoteJob: fetch and decode the partition's
+// sorted runs, run the shared reduce body over them and return the
+// gob-encoded output.
 func (r *remoteJob[I, K, V, O]) RunReduceTask(io *TaskIO, d *TaskDesc) (*TaskResult, error) {
 	job := r.job
 	local := NewCounters()
 	ctx := newTaskContext(ReduceTask, d.Task, d.Attempt, io.Env.Worker, local)
 
 	chunks := make([][]Pair[K, V], 0, len(d.Shuffle))
-	var total int64
 	for _, ref := range d.Shuffle {
-		if io.Canceled() {
-			return nil, errAttemptCanceled
+		if err := io.stopErr(); err != nil {
+			return nil, err
 		}
 		data, err := io.Fetch(ref.File)
 		if err != nil {
@@ -466,23 +435,12 @@ func (r *remoteJob[I, K, V, O]) RunReduceTask(io *TaskIO, d *TaskDesc) (*TaskRes
 		}
 		pairs, err := decodePairs(data, ref.Records, job.KeyCodec, job.ValueCodec)
 		if err != nil {
+			// A corrupt run decodes identically on every attempt.
 			return nil, Permanent(fmt.Errorf("mapreduce: job %q: shuffle run %s: %w", job.Name, ref.File, err))
 		}
 		chunks = append(chunks, pairs)
-		total += int64(len(pairs))
 	}
-	var merged stream[K, V]
-	switch len(chunks) {
-	case 0:
-		merged = &memStream[K, V]{}
-	case 1:
-		merged = &memStream[K, V]{pairs: chunks[0]}
-	default:
-		merged = newChunkMerge(job.Less, chunks)
-	}
-	local.Add(CounterReduceValues, total)
-
-	out, err := reduceStream(job, &abandonStream[K, V]{io: io, inner: merged}, local, ctx)
+	out, err := reduceBody(job, chunks, local, ctx, io.stopErr)
 	if err != nil {
 		return nil, err
 	}
@@ -494,28 +452,40 @@ func (r *remoteJob[I, K, V, O]) RunReduceTask(io *TaskIO, d *TaskDesc) (*TaskRes
 	return &TaskResult{Worker: io.Env.Worker, Counters: local.Snapshot(), Output: buf.Bytes()}, nil
 }
 
-// abandonStream wraps a worker-side reduce input stream with a poll of
-// the attempt's cancel flag every cancelCheckEvery records, so a reduce
-// attempt that lost its speculative race stops mid-merge instead of
-// finishing work whose output is discarded.
-type abandonStream[K, V any] struct {
-	io    *TaskIO
-	inner stream[K, V]
-	n     int
-}
-
-func (s *abandonStream[K, V]) next() (Pair[K, V], bool, error) {
-	s.n++
-	if s.n%cancelCheckEvery == 0 && s.io.Canceled() {
-		var zero Pair[K, V]
-		return zero, false, errAttemptCanceled
+// encodePairs writes a sorted stream as one shuffle run and returns its
+// record count.
+func encodePairs[K, V any](w *bufio.Writer, s stream[K, V], kc *Codec[K], vc *Codec[V]) (int, error) {
+	records := 0
+	for {
+		p, ok, err := s.next()
+		if err != nil {
+			return 0, err
+		}
+		if !ok {
+			return records, w.Flush()
+		}
+		if err := kc.Encode(w, p.Key); err != nil {
+			return 0, err
+		}
+		if err := vc.Encode(w, p.Value); err != nil {
+			return 0, err
+		}
+		records++
 	}
-	return s.inner.next()
 }
 
-// decodePairs decodes a shuffle run back into its sorted pair slice.
+// decodePairs decodes a shuffle run back into its sorted pair slice. Both
+// arguments come off the wire — data from the DFS, records from the task
+// descriptor — and a worker must survive any value of either: a record
+// encodes to at least one byte, so a count that is negative or exceeds
+// len(data) is rejected before it sizes an allocation, and bytes left over
+// after the last record mean the count and the run disagree.
 func decodePairs[K, V any](data []byte, records int, kc *Codec[K], vc *Codec[V]) ([]Pair[K, V], error) {
-	r := bufio.NewReader(bytes.NewReader(data))
+	if records < 0 || records > len(data) {
+		return nil, fmt.Errorf("impossible record count %d for %d bytes", records, len(data))
+	}
+	src := bytes.NewReader(data)
+	r := bufio.NewReader(src)
 	pairs := make([]Pair[K, V], 0, records)
 	for i := 0; i < records; i++ {
 		k, err := kc.Decode(r)
@@ -527,6 +497,9 @@ func decodePairs[K, V any](data []byte, records int, kc *Codec[K], vc *Codec[V])
 			return nil, fmt.Errorf("record %d value: %w", i, err)
 		}
 		pairs = append(pairs, Pair[K, V]{Key: k, Value: v})
+	}
+	if rest := src.Len() + r.Buffered(); rest > 0 {
+		return nil, fmt.Errorf("%d trailing bytes after %d records", rest, records)
 	}
 	return pairs, nil
 }

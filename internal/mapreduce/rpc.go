@@ -130,6 +130,9 @@ func (s *MasterService) DictWords(args *DictArgs, reply *DictReply) error {
 	if s.dictWords == nil {
 		return fmt.Errorf("mapreduce: master has no keyword dictionary")
 	}
+	if args.N < 0 {
+		return fmt.Errorf("mapreduce: dictionary prefix of %d words requested", args.N)
+	}
 	reply.Words = s.dictWords(args.N)
 	return nil
 }

@@ -48,7 +48,7 @@ func TestPlannedQueriesMatchUnplannedProperty(t *testing.T) {
 	for _, family := range []string{"uniform", "clustered"} {
 		for sname, storage := range storages {
 			t.Run(family+"/"+sname, func(t *testing.T) {
-				e := NewEngine(Config{Storage: storage, Nodes: 4, BlockSize: 4 << 10, Seed: 9})
+				e := NewEngine(Config{Storage: storage, Nodes: 4, BlockSize: 4 << 10, Seed: 9, SealGridN: 8})
 				if err := e.LoadSynthetic(family, 600); err != nil {
 					t.Fatal(err)
 				}
@@ -67,11 +67,11 @@ func TestPlannedQueriesMatchUnplannedProperty(t *testing.T) {
 					for _, alg := range Algorithms() {
 						// At a fixed query grid, pruning must be invisible:
 						// byte-identical results.
-						plain, err := e.Query(q, WithAlgorithm(alg), WithSealGrid(8), WithGrid(9))
+						plain, err := e.Query(q, WithAlgorithm(alg), WithGrid(9))
 						if err != nil {
 							t.Fatalf("q%d %v unplanned: %v", qi, alg, err)
 						}
-						planned, err := e.Query(q, WithAlgorithm(alg), WithSealGrid(8), WithGrid(9), WithAutoPlan())
+						planned, err := e.Query(q, WithAlgorithm(alg), WithGrid(9), WithAutoPlan())
 						if err != nil {
 							t.Fatalf("q%d %v planned: %v", qi, alg, err)
 						}
@@ -85,7 +85,7 @@ func TestPlannedQueriesMatchUnplannedProperty(t *testing.T) {
 						// between two hand-picked grid sizes (the paper's
 						// per-cell top-k keeps the first k tied objects of
 						// each cell).
-						auto, err := e.Query(q, WithAlgorithm(alg), WithSealGrid(8), WithAutoPlan())
+						auto, err := e.Query(q, WithAlgorithm(alg), WithAutoPlan())
 						if err != nil {
 							t.Fatalf("q%d %v auto-grid: %v", qi, alg, err)
 						}
@@ -99,11 +99,11 @@ func TestPlannedQueriesMatchUnplannedProperty(t *testing.T) {
 					for _, mode := range []ScoringMode{ScoreInfluence, ScoreNearest} {
 						mq := q
 						mq.Mode = mode
-						plain, err := e.Query(mq, WithAlgorithm(PSPQ), WithSealGrid(8), WithGrid(9))
+						plain, err := e.Query(mq, WithAlgorithm(PSPQ), WithGrid(9))
 						if err != nil {
 							t.Fatalf("q%d %v unplanned: %v", qi, mode, err)
 						}
-						planned, err := e.Query(mq, WithAlgorithm(PSPQ), WithSealGrid(8), WithGrid(9), WithAutoPlan())
+						planned, err := e.Query(mq, WithAlgorithm(PSPQ), WithGrid(9), WithAutoPlan())
 						if err != nil {
 							t.Fatalf("q%d %v planned: %v", qi, mode, err)
 						}
@@ -228,14 +228,24 @@ func TestAutoPlanProvablyEmptyQuerySkipsJob(t *testing.T) {
 	}
 }
 
-// TestWithSealGridControlsManifest checks the seal-grid override and the
-// manifest the engine exposes.
-func TestWithSealGridControlsManifest(t *testing.T) {
-	e := loadPaperExample(t, Config{})
-	if e.Manifest() != nil {
+// TestConfigSealGridControlsManifest checks that Config.SealGridN is the one
+// place the seal grid is set: the default, an override, and a compaction
+// re-sealing over the same edge.
+func TestConfigSealGridControlsManifest(t *testing.T) {
+	q := Query{K: 1, Radius: 1.5, Keywords: []string{"italian"}}
+	def := loadPaperExample(t, Config{})
+	if def.Manifest() != nil {
 		t.Fatal("manifest exists before seal")
 	}
-	if _, err := e.Query(Query{K: 1, Radius: 1.5, Keywords: []string{"italian"}}, WithSealGrid(5)); err != nil {
+	if _, err := def.Query(q); err != nil {
+		t.Fatal(err)
+	}
+	if got := def.Manifest().Grid.N; got != DefaultSealGridN {
+		t.Errorf("default seal grid = %d, want %d", got, DefaultSealGridN)
+	}
+
+	e := loadPaperExample(t, Config{SealGridN: 5})
+	if _, err := e.Query(q); err != nil {
 		t.Fatal(err)
 	}
 	man := e.Manifest()
@@ -243,21 +253,18 @@ func TestWithSealGridControlsManifest(t *testing.T) {
 		t.Fatal("no manifest after seal")
 	}
 	if man.Grid.N != 5 {
-		t.Errorf("seal grid = %d, want 5 (WithSealGrid)", man.Grid.N)
+		t.Errorf("seal grid = %d, want 5 (Config.SealGridN)", man.Grid.N)
 	}
 	if man.TotalRecords() != 13 {
 		t.Errorf("manifest records = %d, want 13", man.TotalRecords())
 	}
-	// Write-once: a later query cannot re-partition.
-	if _, err := e.Query(Query{K: 1, Radius: 1.5, Keywords: []string{"italian"}}, WithSealGrid(9)); err != nil {
+	if err := e.AddFeature(Feature{ID: 109, X: 6.1, Y: 6.2, Keywords: []string{"italian"}}); err != nil {
 		t.Fatal(err)
 	}
-	if e.Manifest().Grid.N != 5 {
-		t.Error("WithSealGrid re-partitioned a sealed engine")
+	if err := e.Compact(); err != nil {
+		t.Fatal(err)
 	}
-	// Invalid seal grid values are rejected before sealing.
-	e2 := loadPaperExample(t, Config{})
-	if _, err := e2.Query(Query{K: 1, Radius: 1, Keywords: []string{"italian"}}, WithSealGrid(-2)); err == nil {
-		t.Error("negative seal grid accepted")
+	if man = e.Manifest(); man.Grid.N != 5 || man.TotalRecords() != 14 {
+		t.Errorf("after compaction: seal grid = %d, records = %d, want 5 and 14", man.Grid.N, man.TotalRecords())
 	}
 }

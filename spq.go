@@ -156,10 +156,6 @@ type EffectiveOptions struct {
 	GridN int `json:"grid_n,omitempty"`
 	// Reducers is the reduce-task override from WithReducers; 0 = default.
 	Reducers int `json:"reducers,omitempty"`
-	// SpillEvery is the map-side spill threshold from WithSpill; 0 = off.
-	SpillEvery int `json:"spill_every,omitempty"`
-	// SealGridN is the seal-grid override from WithSealGrid; 0 = default.
-	SealGridN int `json:"seal_grid_n,omitempty"`
 }
 
 // Options returns the effective execution settings the query ran with.
@@ -204,17 +200,14 @@ type PlanStats struct {
 type QueryOption func(*queryConfig)
 
 type queryConfig struct {
-	alg         core.Algorithm
-	gridN       int
-	gridSet     bool
-	reducers    int
-	spillEvery  int
-	bounds      *geo.Rect
-	autoPlan    bool
-	sealGridN   int
-	sealGridSet bool
-	noCache     bool
-	noDelta     bool
+	alg      core.Algorithm
+	gridN    int
+	gridSet  bool
+	reducers int
+	bounds   *geo.Rect
+	autoPlan bool
+	noCache  bool
+	noDelta  bool
 }
 
 // WithAlgorithm selects the processing algorithm (default ESPQSco).
@@ -243,14 +236,6 @@ func WithAutoPlan() QueryOption {
 	return func(c *queryConfig) { c.autoPlan = true }
 }
 
-// WithSealGrid sets the seal grid to n x n cells for the implicit Seal
-// performed by the first query (default Config.SealGridN). It is ignored
-// if the engine is already sealed; compactions re-use the grid edge the
-// base generation was sealed with.
-func WithSealGrid(n int) QueryOption {
-	return func(c *queryConfig) { c.sealGridN = n; c.sealGridSet = true }
-}
-
 // WithCache controls this execution's participation in the engine's query
 // cache. WithCache(false) bypasses it entirely: the query neither reads a
 // cached report nor stores its own — use it when the actual execution
@@ -276,13 +261,6 @@ func WithDelta(enabled bool) QueryOption {
 // cell, the paper's configuration).
 func WithReducers(r int) QueryOption {
 	return func(c *queryConfig) { c.reducers = r }
-}
-
-// WithSpill bounds the number of intermediate records a map task buffers
-// in memory before spilling sorted runs to disk. Zero (default) keeps the
-// shuffle fully in memory.
-func WithSpill(records int) QueryOption {
-	return func(c *queryConfig) { c.spillEvery = records }
 }
 
 // WithBounds overrides the data-space bounding rectangle used to lay out
@@ -340,13 +318,11 @@ func validateQuery(q Query) error {
 // engine's query cache exists at all.
 func (c *queryConfig) effectiveOptions(cacheEnabled bool) EffectiveOptions {
 	return EffectiveOptions{
-		Algorithm:  c.alg,
-		AutoPlan:   c.autoPlan,
-		Cache:      cacheEnabled && !c.noCache,
-		Delta:      !c.noDelta,
-		GridN:      c.gridN,
-		Reducers:   c.reducers,
-		SpillEvery: c.spillEvery,
-		SealGridN:  c.sealGridN,
+		Algorithm: c.alg,
+		AutoPlan:  c.autoPlan,
+		Cache:     cacheEnabled && !c.noCache,
+		Delta:     !c.noDelta,
+		GridN:     c.gridN,
+		Reducers:  c.reducers,
 	}
 }

@@ -258,29 +258,6 @@ func TestAlgorithmsAgreeViaPublicAPI(t *testing.T) {
 	}
 }
 
-func TestWithSpillSameResults(t *testing.T) {
-	e1 := NewEngine(Config{Storage: StorageMemory})
-	e2 := NewEngine(Config{Storage: StorageMemory})
-	for _, e := range []*Engine{e1, e2} {
-		if err := e.LoadSynthetic("uniform", 500); err != nil {
-			t.Fatal(err)
-		}
-	}
-	kws := e1.FrequentKeywords(2)
-	q := Query{K: 5, Radius: 0.1, Keywords: kws}
-	a, err := e1.Query(q, WithGrid(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := e2.Query(q, WithGrid(6), WithSpill(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(scoresOf(a), scoresOf(b)) {
-		t.Errorf("spill changed scores: %v vs %v", scoresOf(a), scoresOf(b))
-	}
-}
-
 func scoresOf(rs []Result) []float64 {
 	out := make([]float64, len(rs))
 	for i, r := range rs {
