@@ -10,10 +10,10 @@ import (
 // byte-identical results for every algorithm, planned and unplanned. The
 // format changes how bytes reach the map phase — compressed column blocks
 // fetched by zone-map offset versus records parsed line by line or read
-// from memory — and nothing else. For SPQ3 this also covers the
-// posting-list pushdown: queries skip irrelevant feature records via the
-// block dictionary instead of testing them one by one, and the results
-// must not move.
+// from memory — and nothing else. For SPQ3 this also covers the block-
+// at-a-time map: a feature's two counts come from the block dictionary and
+// the posting lists of the query's keywords instead of from a per-record
+// keyword set, and the results must not move.
 func TestColumnarMatchesRecordStorageProperty(t *testing.T) {
 	build := func(st Storage, format string) *Engine {
 		e := NewEngine(Config{Storage: st, Nodes: 4, BlockSize: 4 << 10, Seed: 9})

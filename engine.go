@@ -865,7 +865,7 @@ func (e *Engine) queryReport(ctx context.Context, q Query, opts []QueryOption) (
 		bounds = bounds.Expand(pad)
 	}
 	cq := core.Query{K: q.K, Radius: q.Radius, Keywords: e.dict.InternAll(q.Keywords), Mode: q.Mode}
-	p, err := e.planQuery(snap, q, cq.Keywords, &cfg)
+	p, err := e.planQuery(snap, q, &cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -912,9 +912,8 @@ type physicalPlan struct {
 // only place that looks at the auto-plan and delta options, the manifest's
 // storage format and whether the engine is distributed. An unplanned query
 // is the same plan with pruning off: every cell and block, the whole delta
-// in append order (never partitioned), no planner statistics. kws is the
-// interned query keyword set.
-func (e *Engine) planQuery(s *snapshot, q Query, kws text.KeywordSet, cfg *queryConfig) (*physicalPlan, error) {
+// in append order (never partitioned), no planner statistics.
+func (e *Engine) planQuery(s *snapshot, q Query, cfg *queryConfig) (*physicalPlan, error) {
 	// The delta participating in this query: records appended after the
 	// base generation sealed, unless the caller opted out.
 	delta := s.delta
@@ -985,6 +984,12 @@ func (e *Engine) planQuery(s *snapshot, q Query, kws text.KeywordSet, cfg *query
 	if p.gridN <= 0 {
 		p.gridN = defaultGridN
 	}
+	if p.reducers <= 0 {
+		// The paper's one reducer per cell is a statement about groups,
+		// not tasks: an unplanned query gets the slot-derived task count
+		// the planner picks, and its cells stay one group each.
+		p.reducers = plan.ChooseReducers(p.gridN, e.cfg.ReduceSlots)
+	}
 	if e.exec != nil {
 		p.wire = &core.WireInfo{DictLen: e.dict.Size(), Gen: s.manifest.Generation}
 	}
@@ -1013,10 +1018,6 @@ func (e *Engine) planQuery(s *snapshot, q Query, kws text.KeywordSet, cfg *query
 		}
 		in := data.NewColInput(e.fs, cols, e.segCache, s.manifest.Generation)
 		in.IO = p.segIO
-		// The interned query keywords let feature blocks resolve the
-		// Map-phase keyword prune through their posting dictionaries and
-		// skip irrelevant records wholesale.
-		in.Keywords = kws
 		p.src = mapreduce.Coalesce[data.Object](in, target)
 	case data.FormatText:
 		p.files = files()

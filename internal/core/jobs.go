@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -126,7 +127,7 @@ func (o Options) numReducers() int {
 // Aliases shared by the reduce implementations.
 type (
 	taskCtx    = mapreduce.TaskContext
-	valueIter  = mapreduce.Values[CellKey, data.Object]
+	valueIter  = mapreduce.Values[CellKey, Rec]
 	reduceFunc = func(*taskCtx, *valueIter, func(cellResult)) error
 )
 
@@ -245,14 +246,17 @@ func RunContext(ctx context.Context, alg Algorithm, src mapreduce.Source[data.Ob
 // semantics cannot drift between the two. The Source is set by the
 // caller; workers run tasks from split references and never enumerate
 // splits themselves.
-func buildJob(alg Algorithm, g *grid.Grid, q Query, opts Options, partition func(CellKey, int) int) (*mapreduce.Job[data.Object, CellKey, data.Object, cellResult], error) {
-	job := &mapreduce.Job[data.Object, CellKey, data.Object, cellResult]{
+func buildJob(alg Algorithm, g *grid.Grid, q Query, opts Options, partition func(CellKey, int) int) (*mapreduce.Job[data.Object, CellKey, Rec, cellResult], error) {
+	m := mapper{alg: alg, g: g, q: q, prune: !opts.DisableKeywordPrune}
+	job := &mapreduce.Job[data.Object, CellKey, Rec, cellResult]{
 		Name:          fmt.Sprintf("%s-k%d-r%g", alg, q.K, q.Radius),
+		Map:           m.mapObject,
+		MapBatch:      m.mapBlock,
 		NumReducers:   opts.numReducers(),
 		Partition:     partition,
 		GroupEqual:    CellKeyGroup,
 		KeyCodec:      CellKeyCodec(),
-		ValueCodec:    data.ObjectCodec(),
+		ValueCodec:    RecCodec(),
 		MaxAttempts:   opts.MaxAttempts,
 		RetryBackoff:  opts.RetryBackoff,
 		FaultInjector: opts.FaultInjector,
@@ -260,7 +264,6 @@ func buildJob(alg Algorithm, g *grid.Grid, q Query, opts Options, partition func
 	}
 	switch alg {
 	case PSPQ:
-		job.Map = mapPSPQ(g, q, opts)
 		job.Less = CellKeyAscLess
 		job.Compare = CellKeyAscCompare
 		if q.Mode == ScoreNearest {
@@ -269,13 +272,11 @@ func buildJob(alg Algorithm, g *grid.Grid, q Query, opts Options, partition func
 			job.Reduce = reduceScan(q, scanOpts{}, opts.DataView)
 		}
 	case ESPQLen:
-		job.Map = mapESPQLen(g, q, opts)
 		job.Less = CellKeyAscLess
 		job.Compare = CellKeyAscCompare
 		// Algorithm 4 = Algorithm 2 + the Equation-1 bound check.
 		job.Reduce = reduceScan(q, scanOpts{lenBound: true}, opts.DataView)
 	case ESPQSco:
-		job.Map = mapESPQSco(g, q, opts)
 		job.Less = CellKeyDescLess
 		job.Compare = CellKeyDescCompare
 		if q.Mode == ScoreRange {
@@ -313,81 +314,145 @@ const (
 	CounterEarlyTerminations = "spq.reduce.early_terminations"
 )
 
-// dupScratch pools the duplication-target slices of emitFeature. One Map
-// closure is shared by all concurrently running map tasks, so captured
-// scratch space would race; the pool gives each in-flight call its own
-// reusable backing array without a per-record allocation.
+// mapper is the Map phase of all three algorithms (Algorithms 1, 3 and 5).
+// They differ only in the Order half of the composite key; each routes a
+// data object to its cell, drops a feature sharing no keyword with the
+// query (Algorithm 1 line 9) and emits the rest to their cell and their
+// Lemma-1 duplication targets. One mapper is shared by all concurrently
+// running map tasks of a job.
+type mapper struct {
+	alg   Algorithm
+	g     *grid.Grid
+	q     Query
+	prune bool
+}
+
+// order returns the secondary-sort Order of a record (see CellKey):
+//
+//	pSPQ   : data objects 0, feature objects 1
+//	eSPQlen: data objects 0, feature objects |f.W|, so the reduce phase sees
+//	         short keyword lists (high Equation-1 bounds) first
+//	eSPQsco: feature objects w(f,q), computed here in the Map phase, and
+//	         data objects 2 — strictly above any Jaccard value, so under
+//	         the descending comparator they still arrive first
+func (m *mapper) order(r Rec) float64 {
+	switch {
+	case r.Kind == data.DataObject && m.alg == ESPQSco:
+		return 2
+	case r.Kind == data.DataObject:
+		return 0
+	case m.alg == ESPQLen:
+		return float64(r.Len)
+	case m.alg == ESPQSco:
+		return m.q.score(r)
+	}
+	return 1
+}
+
+// dupScratch pools the duplication-target slices of emitRec, giving each
+// in-flight call its own reusable backing array without a per-record
+// allocation.
 var dupScratch = sync.Pool{New: func() any { return new([]grid.CellID) }}
 
-// emitFeature handles the shared feature-object fan-out of all three Map
-// functions: primary cell plus Lemma-1 duplication targets, each with the
-// algorithm-specific Order.
-func emitFeature(ctx *mapreduce.TaskContext, g *grid.Grid, radius float64, o data.Object, order float64, emit func(CellKey, data.Object)) {
-	emit(CellKey{Cell: g.CellOf(o.Loc), Order: order}, o)
-	sp := dupScratch.Get().(*[]grid.CellID)
-	targets := g.DuplicationTargets(o.Loc, radius, (*sp)[:0])
-	for _, c := range targets {
-		emit(CellKey{Cell: c, Order: order}, o)
+// emitRec emits one record under its cell key: a data object once, a
+// relevant feature to its primary cell plus its duplication targets. It
+// returns the number of duplicates emitted, or -1 for a pruned feature.
+func (m *mapper) emitRec(r Rec, emit func(CellKey, Rec)) (dups int) {
+	if r.Kind == data.FeatureObject && r.Hits == 0 && m.prune {
+		return -1
 	}
-	if len(targets) > 0 {
-		ctx.Counter(CounterDuplicates, int64(len(targets)))
+	order := m.order(r)
+	emit(CellKey{Cell: m.g.CellOf(r.Loc), Order: order}, r)
+	if r.Kind == data.DataObject {
+		return 0
+	}
+	sp := dupScratch.Get().(*[]grid.CellID)
+	targets := m.g.DuplicationTargets(r.Loc, m.q.Radius, (*sp)[:0])
+	for _, c := range targets {
+		emit(CellKey{Cell: c, Order: order}, r)
 	}
 	*sp = targets
 	dupScratch.Put(sp)
+	return len(targets)
 }
 
-// mapPSPQ is Algorithm 1. Data objects get Order 0 and feature objects
-// Order 1, so data objects precede features in each cell.
-func mapPSPQ(g *grid.Grid, q Query, opts Options) func(*mapreduce.TaskContext, data.Object, func(CellKey, data.Object)) error {
-	return func(ctx *mapreduce.TaskContext, o data.Object, emit func(CellKey, data.Object)) error {
-		if o.Kind == data.DataObject {
-			emit(CellKey{Cell: g.CellOf(o.Loc), Order: 0}, o)
-			return nil
-		}
-		if !opts.DisableKeywordPrune && !q.Relevant(o) {
-			ctx.Counter(CounterFeaturesPruned, 1)
-			return nil
-		}
-		emitFeature(ctx, g, q.Radius, o, 1, emit)
-		return nil
+// mapObject is the per-record Map function: the path of text, memory and
+// delta splits. The two counts come from the record's keyword set.
+func (m *mapper) mapObject(ctx *mapreduce.TaskContext, o data.Object, emit func(CellKey, Rec)) error {
+	switch dups := m.emitRec(m.q.newRec(o), emit); {
+	case dups < 0:
+		ctx.Counter(CounterFeaturesPruned, 1)
+	case dups > 0:
+		ctx.Counter(CounterDuplicates, int64(dups))
 	}
+	return nil
 }
 
-// mapESPQLen is Algorithm 3: the feature Order is |f.W|, so the reduce
-// phase sees short keyword lists (high Equation-1 bounds) first.
-func mapESPQLen(g *grid.Grid, q Query, opts Options) func(*mapreduce.TaskContext, data.Object, func(CellKey, data.Object)) error {
-	return func(ctx *mapreduce.TaskContext, o data.Object, emit func(CellKey, data.Object)) error {
-		if o.Kind == data.DataObject {
-			emit(CellKey{Cell: g.CellOf(o.Loc), Order: 0}, o)
-			return nil
-		}
-		if !opts.DisableKeywordPrune && !q.Relevant(o) {
-			ctx.Counter(CounterFeaturesPruned, 1)
-			return nil
-		}
-		emitFeature(ctx, g, q.Radius, o, float64(o.Keywords.Len()), emit)
-		return nil
-	}
+// blockHits is the pooled per-block scratch of mapBlock: one hit counter
+// and one mark bit per record (see data.ColumnBlock.CountHits). mapBlock
+// zeroes every entry it reads, so a pooled scratch is all zero.
+type blockHits struct {
+	hits  []uint32
+	marks []uint64
 }
 
-// mapESPQSco is Algorithm 5: the Jaccard score is computed in the Map
-// phase and used as the feature Order; data objects get Order 2, strictly
-// above any Jaccard value, so under the descending comparator they still
-// arrive first.
-func mapESPQSco(g *grid.Grid, q Query, opts Options) func(*mapreduce.TaskContext, data.Object, func(CellKey, data.Object)) error {
-	return func(ctx *mapreduce.TaskContext, o data.Object, emit func(CellKey, data.Object)) error {
-		if o.Kind == data.DataObject {
-			emit(CellKey{Cell: g.CellOf(o.Loc), Order: 2}, o)
-			return nil
-		}
-		w := q.Score(o)
-		if !opts.DisableKeywordPrune && w == 0 {
-			ctx.Counter(CounterFeaturesPruned, 1)
-			return nil
-		}
-		emitFeature(ctx, g, q.Radius, o, w, emit)
-		return nil
+var hitScratch = sync.Pool{New: func() any { return new(blockHits) }}
+
+// mapBlock is the Map function over a decoded column block: the path of
+// columnar splits. The query keywords are resolved against the block's
+// dictionary once and only their posting lists are walked, which yields
+// |f.W ∩ q.W| of every record at once; |f.W| is a stored column. It emits
+// exactly what mapObject emits for the block's records, in record order.
+func (m *mapper) mapBlock(ctx *mapreduce.TaskContext, batch any, emit func(CellKey, Rec)) (int, error) {
+	b, ok := batch.(*data.ColumnBlock)
+	if !ok {
+		return 0, mapreduce.Permanent(fmt.Errorf("core: map batch is a %T, want a column block", batch))
 	}
+	n, words := b.Len(), (b.Len()+63)/64
+	sc := hitScratch.Get().(*blockHits)
+	if cap(sc.hits) < n {
+		sc.hits, sc.marks = make([]uint32, n), make([]uint64, words)
+	}
+	hits, marks := sc.hits[:n], sc.marks[:words]
+	feature := b.Kind == data.FeatureObject
+	if feature {
+		b.CountHits(m.q.Keywords, hits, marks)
+	}
+	var emitted, dups int
+	emitAt := func(i int) {
+		r := Rec{Kind: b.Kind, ID: b.IDs[i], Loc: geo.Point{X: b.Xs[i], Y: b.Ys[i]}, Hits: hits[i]}
+		hits[i] = 0
+		if feature {
+			r.Len = b.KwLen[i]
+		}
+		if d := m.emitRec(r, emit); d >= 0 {
+			emitted++
+			dups += d
+		}
+	}
+	if feature && m.prune {
+		// Only a record on a matched posting list survives the prune: visit
+		// the marked records and never touch the rest.
+		for wi, w := range marks {
+			marks[wi] = 0
+			for ; w != 0; w &= w - 1 {
+				emitAt(wi<<6 | bits.TrailingZeros64(w))
+			}
+		}
+	} else {
+		clear(marks)
+		for i := range b.IDs {
+			emitAt(i)
+		}
+	}
+	hitScratch.Put(sc)
+	if pruned := n - emitted; pruned > 0 {
+		ctx.Counter(CounterFeaturesPruned, int64(pruned))
+	}
+	if dups > 0 {
+		ctx.Counter(CounterDuplicates, int64(dups))
+	}
+	return n, nil
 }
 
 // scanOpts select the termination behaviour of reduceScan.
@@ -445,19 +510,19 @@ func reduceScan(q Query, opts scanOpts, view *DataView) reduceFunc {
 				break
 			}
 			if x.Kind == data.DataObject {
-				g.add(x)
+				g.add(x.object())
 				sc.scores = append(sc.scores, 0)
 				continue
 			}
 			if opts.lenBound {
 				// Strict: at τ = w̄ a later feature can still reach w = τ
 				// exactly and win a canonical tie, so only τ > w̄ stops.
-				if topk.Threshold() > q.UpperBound(x.Keywords.Len()) {
+				if topk.Threshold() > q.UpperBound(int(x.Len)) {
 					ctx.Counter(CounterEarlyTerminations, 1)
 					break
 				}
 			}
-			w := q.Score(x)
+			w := q.score(x)
 			examined++
 			if w < topk.Threshold() && topk.Len() >= q.K {
 				// Algorithm 2 line 9: w(x,q) >= τ required to affect Lk
@@ -534,11 +599,11 @@ func reduceESPQSco(q Query, view *DataView) reduceFunc {
 				break
 			}
 			if x.Kind == data.DataObject {
-				g.add(x)
+				g.add(x.object())
 				sc.covered = append(sc.covered, false)
 				continue
 			}
-			w := q.Score(x)
+			w := q.score(x)
 			if w == 0 {
 				// Only zero-score features can follow; the group is done.
 				ctx.Counter(CounterEarlyTerminations, 1)

@@ -72,33 +72,23 @@ func (q Query) Validate() error {
 }
 
 // Score returns w(f,q), the non-spatial score of a feature object for the
-// query (Definition 1). Data objects score 0. Short set pairs — the
-// overwhelming case, queries being a handful of keywords — take the
-// branch-free intersection kernel; both paths count the exact |∩| of two
-// duplicate-free sets, so the value is identical.
+// query (Definition 1). Data objects score 0.
 func (q Query) Score(f data.Object) float64 {
 	if f.Kind != data.FeatureObject {
 		return 0
 	}
-	if len(q.Keywords)*len(f.Keywords) <= denseIntersectCutoff {
-		inter := intersectDense(q.Keywords, f.Keywords)
-		union := len(q.Keywords) + len(f.Keywords) - inter
-		if union == 0 {
-			return 0
-		}
-		return float64(inter) / float64(union)
-	}
-	return text.Jaccard(q.Keywords, f.Keywords)
+	return text.JaccardOfCounts(q.hits(f.Keywords), len(q.Keywords), len(f.Keywords))
 }
 
-// Relevant reports whether a feature shares at least one keyword with the
-// query — the Map-phase pruning test of Algorithm 1 line 9. Same kernel
-// split as Score.
-func (q Query) Relevant(f data.Object) bool {
-	if len(q.Keywords)*len(f.Keywords) <= denseIntersectCutoff {
-		return intersectDense(q.Keywords, f.Keywords) > 0
+// hits returns |q.W ∩ kws|. Short set pairs — the overwhelming case,
+// queries being a handful of keywords — take the branch-free intersection
+// kernel; both paths count the exact |∩| of two duplicate-free sets, so
+// the value is identical.
+func (q Query) hits(kws text.KeywordSet) int {
+	if len(q.Keywords)*len(kws) <= denseIntersectCutoff {
+		return intersectDense(q.Keywords, kws)
 	}
-	return q.Keywords.Intersects(f.Keywords)
+	return q.Keywords.IntersectionSize(kws)
 }
 
 // UpperBound returns w̄(f,q), the Equation-1 best possible score for a

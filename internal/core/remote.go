@@ -102,13 +102,6 @@ func buildWireJob(spec []byte, env *mapreduce.WorkerEnv) (mapreduce.RemoteJob, e
 	// job's tasks (released with the job), and the master dictionary
 	// prefix is pulled once, before the first text parse.
 	blocks := data.NewBlockCache(0)
-	var colKeywords []uint32
-	if !s.DisableKeywordPrune {
-		// Mirror the engine: the sorted query keywords let SPQ3 feature
-		// blocks resolve the Map-phase prune through their posting
-		// dictionaries. Disabled-prune ablations must see every record.
-		colKeywords = s.Keywords
-	}
 	// Per-attempt segment I/O stats: one SegIOStats per TaskIO, folded
 	// into the attempt's counter deltas when it finishes — so a worker's
 	// columnar reads ride TaskResult.Counters back to the master instead
@@ -175,7 +168,7 @@ func buildWireJob(spec []byte, env *mapreduce.WorkerEnv) (mapreduce.RemoteJob, e
 				return data.ParseLine(line, d)
 			}), nil
 		case "col":
-			in := &data.ColInput{R: io, Cache: blocks, Gen: s.Gen, Keywords: colKeywords, IO: segStatsFor(io)}
+			in := &data.ColInput{R: io, Cache: blocks, Gen: s.Gen, IO: segStatsFor(io)}
 			return in.OpenRef(ref)
 		default:
 			return nil, mapreduce.Permanent(fmt.Errorf("core: unknown split kind %q", ref.Kind))

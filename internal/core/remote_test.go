@@ -1,12 +1,15 @@
 package core
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"net/rpc"
 	"strings"
 	"testing"
 
+	"spq/internal/data"
 	"spq/internal/dfs"
 	"spq/internal/geo"
 	"spq/internal/mapreduce"
@@ -159,12 +162,26 @@ func TestDictWordsRejectsBadPrefixes(t *testing.T) {
 // TestWorkerRejectsBadShuffleRuns hands a live worker reduce tasks whose
 // shuffle references lie about the run: a negative or absurd record count
 // used to size make([]Pair, 0, Records) inside the RPC handler (a makeslice
-// panic, or an allocation of terabytes), and bytes that do not decode must
-// fail the attempt, not the process. Each comes back as a permanent error
-// naming the run.
+// panic, or an allocation of terabytes), bytes that do not decode, and a
+// record whose counts no Map task can have produced must fail the attempt,
+// not the process. Each comes back as a permanent error naming the run.
 func TestWorkerRejectsBadShuffleRuns(t *testing.T) {
 	fs := dfs.New(dfs.Config{NumNodes: 1, Replication: 1})
 	if err := fs.Create("shuffle/bad/run", make([]byte, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	var hostile bytes.Buffer
+	w := bufio.NewWriter(&hostile)
+	if err := CellKeyCodec().Encode(w, CellKey{Cell: 1, Order: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := encodeRec(w, Rec{Kind: data.FeatureObject, ID: 4, Len: 2, Hits: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Create("shuffle/bad/hits", hostile.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	_, client := loopbackWorker(t, fs, nil)
@@ -175,25 +192,27 @@ func TestWorkerRejectsBadShuffleRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, c := range []struct {
+		file    string
 		records int
 		want    string
 	}{
-		{-1, "impossible record count -1"},
-		{1 << 40, "impossible record count"},
-		{7, "trailing bytes"}, // 1000 zero bytes are 32 whole 31-byte records and a tail
-		{40, "record 32 key"},
+		{"shuffle/bad/run", -1, "impossible record count -1"},
+		{"shuffle/bad/run", 1 << 40, "impossible record count"},
+		{"shuffle/bad/run", 7, "trailing bytes"}, // 1000 zero bytes are 25 whole 39-byte records and a tail
+		{"shuffle/bad/run", 40, "record 25 value"},
+		{"shuffle/bad/hits", 1, "3 hits among 2 keywords"},
 	} {
 		args := &mapreduce.RunTaskArgs{Desc: mapreduce.TaskDesc{
 			Job: "bad-run", JobID: "bad-run-1", Kind: mapreduce.ReduceTask, Task: i, Attempt: 1,
-			NumMaps: 1, NumReducers: 4, JobKind: WireKind, JobSpec: spec,
-			Shuffle: []mapreduce.ShuffleRef{{File: "shuffle/bad/run", Part: i, Records: c.records, Bytes: 1000}},
+			NumMaps: 1, NumReducers: 5, JobKind: WireKind, JobSpec: spec,
+			Shuffle: []mapreduce.ShuffleRef{{File: c.file, Part: i, Records: c.records, Bytes: 1000}},
 		}}
 		var reply mapreduce.RunTaskReply
 		if err := client.Call("Worker.RunTask", args, &reply); err != nil {
-			t.Fatalf("records %d: worker unusable: %v", c.records, err)
+			t.Fatalf("%s records %d: worker unusable: %v", c.file, c.records, err)
 		}
-		if !strings.Contains(reply.Err, "shuffle run shuffle/bad/run") || !strings.Contains(reply.Err, c.want) || !reply.Permanent {
-			t.Errorf("records %d: reply err=%q permanent=%v, want a permanent error naming the run and %q", c.records, reply.Err, reply.Permanent, c.want)
+		if !strings.Contains(reply.Err, "shuffle run "+c.file) || !strings.Contains(reply.Err, c.want) || !reply.Permanent {
+			t.Errorf("%s records %d: reply err=%q permanent=%v, want a permanent error naming the run and %q", c.file, c.records, reply.Err, reply.Permanent, c.want)
 		}
 	}
 }

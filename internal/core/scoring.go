@@ -108,11 +108,11 @@ func reduceNearest(q Query, view *DataView) reduceFunc {
 				break
 			}
 			if x.Kind == data.DataObject {
-				g.add(x)
+				g.add(x.object())
 				sc.best = append(sc.best, nnState{d2: math.Inf(1)})
 				continue
 			}
-			w := q.Score(x)
+			w := q.score(x)
 			ctx.Counter(CounterFeaturesExamined, 1)
 			if w == 0 {
 				continue

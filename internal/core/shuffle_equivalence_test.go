@@ -140,24 +140,25 @@ func TestObjGridMatchesLinearScan(t *testing.T) {
 }
 
 // buildScanGroup lays out one reduce group in pSPQ order: nData data
-// objects (Order 0) followed by nFeat features (Order 1), all in one cell.
-func buildScanGroup(nData, nFeat int, dict *text.Dict, seed int64) []mapreduce.Pair[CellKey, data.Object] {
+// objects (Order 0) followed by nFeat features (Order 1), all in one cell,
+// as the Map phase emits them for q.
+func buildScanGroup(nData, nFeat int, dict *text.Dict, q Query, seed int64) []mapreduce.Pair[CellKey, Rec] {
 	rng := rand.New(rand.NewSource(seed))
-	pairs := make([]mapreduce.Pair[CellKey, data.Object], 0, nData+nFeat)
+	pairs := make([]mapreduce.Pair[CellKey, Rec], 0, nData+nFeat)
 	for i := 0; i < nData; i++ {
-		pairs = append(pairs, mapreduce.Pair[CellKey, data.Object]{
+		pairs = append(pairs, mapreduce.Pair[CellKey, Rec]{
 			Key: CellKey{Cell: 0, Order: 0},
-			Value: data.Object{Kind: data.DataObject, ID: uint64(i + 1),
-				Loc: geo.Point{X: rng.Float64(), Y: rng.Float64()}},
+			Value: q.newRec(data.Object{Kind: data.DataObject, ID: uint64(i + 1),
+				Loc: geo.Point{X: rng.Float64(), Y: rng.Float64()}}),
 		})
 	}
 	for i := 0; i < nFeat; i++ {
-		pairs = append(pairs, mapreduce.Pair[CellKey, data.Object]{
+		pairs = append(pairs, mapreduce.Pair[CellKey, Rec]{
 			Key: CellKey{Cell: 0, Order: 1},
-			Value: data.Object{Kind: data.FeatureObject, ID: uint64(nData + i + 1),
+			Value: q.newRec(data.Object{Kind: data.FeatureObject, ID: uint64(nData + i + 1),
 				Loc:      geo.Point{X: rng.Float64(), Y: rng.Float64()},
 				Keywords: dict.InternAll([]string{fmt.Sprintf("kw%d", rng.Intn(8))}),
-			},
+			}),
 		})
 	}
 	return pairs
@@ -174,7 +175,7 @@ func BenchmarkReduceScan(b *testing.B) {
 		{1000, 200},
 		{8000, 400},
 	} {
-		pairs := buildScanGroup(size.nData, size.nFeat, dict, 3)
+		pairs := buildScanGroup(size.nData, size.nFeat, dict, q, 3)
 		b.Run(fmt.Sprintf("objs=%d/feats=%d", size.nData, size.nFeat), func(b *testing.B) {
 			reduce := reduceScan(q, scanOpts{}, nil)
 			b.ReportAllocs()

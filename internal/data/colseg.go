@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 
 	"spq/internal/geo"
 	"spq/internal/text"
@@ -24,11 +25,13 @@ import (
 //     granularity and the reader fetches only surviving blocks by
 //     (offset, length) random access.
 //  2. Dense decode. A block decodes into parallel column slices
-//     (ColumnBlock) exactly once; the map phase then views records as
-//     stack-allocated Object values whose keyword sets alias the block's
-//     flat keyword column — no per-record allocation, and a decoded block
-//     is shared read-only by every concurrent query through the segment
-//     cache (BlockCache).
+//     (ColumnBlock) exactly once: ids, coordinates, and — for features —
+//     the keyword postings as stored, inverted, plus each record's keyword
+//     count. A query maps the block from those columns (see
+//     ColumnBlock.CountHits); no per-record keyword set exists on the
+//     query path, no allocation is made per record, and a decoded block is
+//     shared read-only by every concurrent query through the segment cache
+//     (BlockCache).
 //
 // File layout (the block payload encoding, SPQ3, is in colseg3.go):
 //
@@ -210,36 +213,102 @@ type ColumnBlock struct {
 	IDs  []uint64
 	Xs   []float64
 	Ys   []float64
-	// KwOff and Kws hold the keyword postings of a feature block: record
-	// i's keywords are Kws[KwOff[i]:KwOff[i+1]]. Nil for data blocks.
-	KwOff []int32
-	Kws   []uint32
-	// Dict, PostOff and PostRecs are the inverted view the decoder gets
-	// for free from the on-disk posting lists: Dict is the block's
-	// sorted distinct keyword ids, and keyword Dict[e] occurs on records
-	// PostRecs[PostOff[e]:PostOff[e+1]] (ascending). The columnar source
-	// intersects a query's keyword set with Dict to skip records the
-	// Map-phase keyword prune would drop, without materializing them.
-	// Nil for data blocks.
+	// KwLen is the keyword count |f.W| of every record of a feature block.
+	// Dict, PostOff and PostRecs are its postings as the format stores
+	// them, inverted: Dict is the block's sorted distinct keyword ids, and
+	// keyword Dict[e] occurs on records PostRecs[PostOff[e]:PostOff[e+1]]
+	// (ascending). A query needs |f.W ∩ q.W| and |f.W| of a feature and
+	// nothing else of its keywords; CountHits reads the first off the
+	// lists of the query's own keywords and KwLen is the second. All nil
+	// for data blocks.
+	KwLen    []uint32
 	Dict     []uint32
 	PostOff  []int32
 	PostRecs []uint32
+
+	// The forward view — record i's keywords are kws[kwOff[i]:kwOff[i+1]]
+	// — is derived from the postings on the first Object call. Queries
+	// never ask for it; it serves readers that want whole records (tests,
+	// ablations that disable the keyword prune, load-balance sampling),
+	// and the segment cache does not charge for it.
+	fwdOnce sync.Once
+	kwOff   []int32
+	kws     []uint32
 }
 
 // Len returns the number of records in the block.
 func (b *ColumnBlock) Len() int { return len(b.IDs) }
 
-// Object views record i as an Object. The value is constructed on the
-// caller's stack; its keyword set aliases the block's flat keyword column,
-// so no per-record heap allocation happens on the read path.
+// Object views record i as an Object. The keyword set of a feature aliases
+// the block's forward view, which the first call builds; concurrent
+// callers are safe.
 func (b *ColumnBlock) Object(i int) Object {
 	o := Object{Kind: b.Kind, ID: b.IDs[i], Loc: geo.Point{X: b.Xs[i], Y: b.Ys[i]}}
-	if b.KwOff != nil {
-		if kws := b.Kws[b.KwOff[i]:b.KwOff[i+1]]; len(kws) > 0 {
-			o.Keywords = text.KeywordSet(kws)
-		}
+	if b.KwLen != nil {
+		o.Keywords = b.keywords(i)
 	}
 	return o
+}
+
+// keywords returns record i's keyword set from the forward view (nil when
+// empty, like a parsed record's).
+func (b *ColumnBlock) keywords(i int) text.KeywordSet {
+	b.fwdOnce.Do(b.buildForward)
+	if kws := b.kws[b.kwOff[i]:b.kwOff[i+1]]; len(kws) > 0 {
+		return kws
+	}
+	return nil
+}
+
+// buildForward scatters the posting lists back into per-record keyword
+// sets. Iterating the dictionary in ascending order fills each record's
+// set strictly ascending — the KeywordSet invariant — for free.
+func (b *ColumnBlock) buildForward() {
+	kwOff := make([]int32, len(b.KwLen)+1)
+	for i, n := range b.KwLen {
+		kwOff[i+1] = kwOff[i] + int32(n)
+	}
+	kws := make([]uint32, len(b.PostRecs))
+	fill := append([]int32(nil), kwOff[:len(b.KwLen)]...) // per-record write cursor
+	for e, kw := range b.Dict {
+		for _, rec := range b.PostRecs[b.PostOff[e]:b.PostOff[e+1]] {
+			kws[fill[rec]] = kw
+			fill[rec]++
+		}
+	}
+	b.kwOff, b.kws = kwOff, kws
+}
+
+// CountHits resolves a query's sorted keyword-id set kws against a feature
+// block: it adds to hits[i] the number of keywords of kws record i carries,
+// |f.W ∩ kws|, and sets bit i of marks for every record with at least one.
+// hits has one entry and marks one bit per record. The few query keywords
+// are binary-searched in the block's sorted dictionary — the same
+// asymmetric-intersection trade as text.KeywordSet — and only the matched
+// posting lists are walked, so a keyword the block does not hold, and
+// every record without a query keyword, costs nothing.
+func (b *ColumnBlock) CountHits(kws []uint32, hits []uint32, marks []uint64) {
+	dict := b.Dict
+	off := 0
+	for _, kw := range kws {
+		// kws and dict are both ascending: search only past the last hit.
+		lo, hi := off, len(dict)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if dict[mid] < kw {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo == len(dict) {
+			return
+		}
+		if dict[lo] == kw {
+			addHits(hits, marks, b.PostRecs[b.PostOff[lo]:b.PostOff[lo+1]])
+		}
+		off = lo
+	}
 }
 
 // errCorrupt builds the uniform corrupt-block error.
@@ -247,38 +316,19 @@ func errCorrupt(format string, args ...any) error {
 	return fmt.Errorf("data: corrupt column block: "+format, args...)
 }
 
-// byteReaderSlice adapts a byte slice for binary varint readers while
-// tracking the position.
-type byteReaderSlice struct {
-	buf []byte
-	pos int
-}
-
-func (r *byteReaderSlice) ReadByte() (byte, error) {
-	if r.pos >= len(r.buf) {
-		return 0, io.ErrUnexpectedEOF
-	}
-	b := r.buf[r.pos]
-	r.pos++
-	return b, nil
-}
-
-func (r *byteReaderSlice) remaining() int { return len(r.buf) - r.pos }
-
 // DecodeColFrame validates and decodes one framed block as stored on disk:
 // varint payload length, payload, CRC32. frame must be exactly the bytes
 // BlockStats.{Offset,Length} describe.
 func DecodeColFrame(frame []byte) (*ColumnBlock, error) {
-	r := &byteReaderSlice{buf: frame}
-	length, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, errCorrupt("frame length: %v", err)
+	length, rest, ok := uvarint(frame)
+	if !ok {
+		return nil, errCorrupt("frame length: truncated or overlong varint")
 	}
-	if length > uint64(r.remaining()) || r.remaining()-int(length) != 4 {
+	if length > uint64(len(rest)) || len(rest)-int(length) != 4 {
 		return nil, errCorrupt("frame of %d bytes does not hold a %d-byte payload plus CRC", len(frame), length)
 	}
-	payload := frame[r.pos : r.pos+int(length)]
-	want := binary.LittleEndian.Uint32(frame[len(frame)-4:])
+	payload := rest[:length]
+	want := binary.LittleEndian.Uint32(rest[length:])
 	if got := crc32.ChecksumIEEE(payload); got != want {
 		return nil, errCorrupt("CRC mismatch: computed %#x, stored %#x", got, want)
 	}

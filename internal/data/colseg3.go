@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"sync"
 )
 
 // SPQ3: the compressed block payload of columnar cell segments (framing
@@ -25,8 +26,9 @@ import (
 //     (delta-varint coded), then one inverted posting list per dictionary
 //     entry mapping it back to the records that carry it. Dense postings
 //     (≥ 1/8 of the records) store a record bitmap; sparse ones store
-//     delta-varint record indexes. The decoder inverts the postings back
-//     into the per-record KwOff/Kws layout the scoring code reads.
+//     delta-varint record indexes. The decoder keeps the postings inverted
+//     — a query walks only the lists of its own keywords — and records each
+//     record's keyword count, the one per-record fact scoring needs.
 //
 // Block payload layout (all varints unsigned LEB128 unless noted):
 //
@@ -87,18 +89,18 @@ func AdaptiveBlockRecords(cellRecords int) int {
 	return b
 }
 
-// columnBlockOverhead approximates a decoded block's fixed footprint
-// (struct header plus six slice headers) for cache accounting.
-const columnBlockOverhead = 112
+// columnBlockOverhead approximates a decoded block's fixed footprint (the
+// struct with its seven column slice headers) for cache accounting.
+const columnBlockOverhead = 240
 
-// MemBytes returns the decoded block's approximate memory footprint. The
+// MemBytes returns the memory footprint of the block as decoded. The
 // segment cache charges this against its byte budget, so adaptive block
 // sizes cannot blow the cache's memory bound the way an entry count
-// could.
+// could. The decoder retains every column at exactly its length, so the
+// lengths charged here are the capacities held.
 func (b *ColumnBlock) MemBytes() int {
 	return columnBlockOverhead +
-		8*len(b.IDs) + 8*len(b.Xs) + 8*len(b.Ys) +
-		4*len(b.KwOff) + 4*len(b.Kws) +
+		8*len(b.IDs) + 8*len(b.Xs) + 8*len(b.Ys) + 4*len(b.KwLen) +
 		4*len(b.Dict) + 4*len(b.PostOff) + 4*len(b.PostRecs)
 }
 
@@ -221,84 +223,85 @@ func packXorColumn(buf *bytes.Buffer, vals []uint64) {
 	}
 }
 
-// unpackXorColumn decodes one bit-packed column of count values into out.
-func unpackXorColumn(r *byteReaderSlice, count int, out []float64) error {
-	trail, err := r.ReadByte()
-	if err != nil {
-		return errCorrupt("coordinate column: missing trail byte")
+// unpackXorColumn decodes one bit-packed column of len(out) values from the
+// head of p, reading the packed bytes in place, and returns the rest of p.
+func unpackXorColumn(p []byte, out []float64) ([]byte, error) {
+	if len(p) < 2 {
+		return nil, errCorrupt("coordinate column: missing trail or width byte")
 	}
-	width, err := r.ReadByte()
-	if err != nil {
-		return errCorrupt("coordinate column: missing width byte")
-	}
+	trail, width := p[0], p[1]
+	p = p[2:]
 	if trail > 63 || width > 64 || int(trail)+int(width) > 64 {
-		return errCorrupt("coordinate window trail=%d width=%d exceeds 64 bits", trail, width)
+		return nil, errCorrupt("coordinate window trail=%d width=%d exceeds 64 bits", trail, width)
 	}
 	if width == 0 {
-		for i := range out[:count] {
-			out[i] = 0
-		}
-		return nil
+		clear(out)
+		return p, nil
 	}
-	need := (count*int(width) + 7) / 8
-	if r.remaining() < need {
-		return errCorrupt("truncated coordinate column: %d bytes left, need %d", r.remaining(), need)
+	need := (len(out)*int(width) + 7) / 8
+	if len(p) < need {
+		return nil, errCorrupt("truncated coordinate column: %d bytes left, need %d", len(p), need)
 	}
-	// Pad the packed bytes so every value can be assembled from one
-	// unconditional 8-byte load plus at most one spill byte.
-	padded := make([]byte, need+8)
-	copy(padded, r.buf[r.pos:r.pos+need])
-	r.pos += need
+	packed := p[:need]
 	mask := ^uint64(0)
 	if width < 64 {
 		mask = 1<<width - 1
 	}
+	// A value is assembled from one unconditional 8-byte load plus at most
+	// one spill byte. While that 9-byte window lies inside the column the
+	// load reads packed in place; the last values, whose window would run
+	// past the end, read a zero-padded copy of the final bytes.
+	var tail [24]byte
+	window, base := packed, 0 // window[0] is byte base of the column
 	prev := uint64(0)
-	for i := 0; i < count; i++ {
+	for i := range out {
 		bitPos := i * int(width)
 		off := bitPos >> 3
 		shift := uint(bitPos & 7)
-		v := binary.LittleEndian.Uint64(padded[off:]) >> shift
+		if off+9 > base+len(window) {
+			// At most 8 bytes remain from off, so this window and every
+			// later one fit the padded copy.
+			copy(tail[:], packed[off:])
+			window, base = tail[:], off
+		}
+		v := binary.LittleEndian.Uint64(window[off-base:]) >> shift
 		if rem := 64 - shift; uint(width) > rem {
-			v |= uint64(padded[off+8]) << rem
+			v |= uint64(window[off-base+8]) << rem
 		}
 		prev ^= (v & mask) << trail
 		out[i] = math.Float64frombits(prev)
 	}
-	return nil
+	return p[need:], nil
 }
 
 // decodeColBlock decodes one block payload (the bytes between the frame's
 // length prefix and its CRC). Every structural violation — an unknown
-// version byte, truncation, impossible counts, unsorted keyword sets,
-// trailing garbage — returns an error; malformed input can never panic,
-// silently yield objects, or allocate beyond a small multiple of the
-// payload size. This is the fuzzing boundary of the format.
+// version byte, truncation, impossible counts, unsorted dictionaries or
+// postings, trailing garbage — returns an error; malformed input can never
+// panic, silently yield objects, or allocate beyond a small multiple of
+// the payload size. This is the fuzzing boundary of the format.
 func decodeColBlock(payload []byte) (*ColumnBlock, error) {
-	r := &byteReaderSlice{buf: payload}
-	version, err := r.ReadByte()
-	if err != nil {
+	if len(payload) < 1 {
 		return nil, errCorrupt("missing version byte")
 	}
-	if version != col3Version {
-		return nil, errCorrupt("unknown payload version byte %#x", version)
+	if payload[0] != col3Version {
+		return nil, errCorrupt("unknown payload version byte %#x", payload[0])
 	}
-	kindByte, err := r.ReadByte()
-	if err != nil {
+	if len(payload) < 2 {
 		return nil, errCorrupt("missing kind byte")
 	}
 	var kind Kind
-	switch kindByte {
+	switch payload[1] {
 	case colKindData:
 		kind = DataObject
 	case colKindFeature:
 		kind = FeatureObject
 	default:
-		return nil, errCorrupt("unknown kind byte %#x", kindByte)
+		return nil, errCorrupt("unknown kind byte %#x", payload[1])
 	}
-	count64, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, errCorrupt("record count: %v", err)
+	count64, p, ok := uvarint(payload[2:])
+	if !ok {
+		return nil, errCorrupt("record count: truncated or overlong varint")
 	}
 	if count64 == 0 {
 		return nil, errCorrupt("empty block")
@@ -306,7 +309,7 @@ func decodeColBlock(payload []byte) (*ColumnBlock, error) {
 	// Each record needs at least one id byte, so the count is bounded by
 	// the payload size; checking before allocating keeps a hostile count
 	// varint from forcing a huge allocation.
-	if count64 > uint64(r.remaining()) {
+	if count64 > uint64(len(p)) {
 		return nil, errCorrupt("record count %d exceeds payload size %d", count64, len(payload))
 	}
 	count := int(count64)
@@ -317,168 +320,128 @@ func decodeColBlock(payload []byte) (*ColumnBlock, error) {
 		Ys:   make([]float64, count),
 	}
 	prev := uint64(0)
-	for i := 0; i < count; i++ {
-		d, err := binary.ReadVarint(r)
-		if err != nil {
-			return nil, errCorrupt("id delta %d: %v", i, err)
+	for i := range b.IDs {
+		var u uint64
+		if u, p, ok = uvarint(p); !ok {
+			return nil, errCorrupt("id delta %d: truncated or overlong varint", i)
 		}
-		prev += uint64(d)
+		prev += u>>1 ^ -(u & 1) // zigzag
 		b.IDs[i] = prev
 	}
-	if err := unpackXorColumn(r, count, b.Xs); err != nil {
+	var err error
+	if p, err = unpackXorColumn(p, b.Xs); err != nil {
 		return nil, err
 	}
-	if err := unpackXorColumn(r, count, b.Ys); err != nil {
+	if p, err = unpackXorColumn(p, b.Ys); err != nil {
 		return nil, err
 	}
 	if kind == FeatureObject {
-		if err := decodeCol3Keywords(payload, r, count, b); err != nil {
+		if p, err = decodeCol3Keywords(p, len(payload), b); err != nil {
 			return nil, err
 		}
 	}
-	if r.remaining() != 0 {
-		return nil, errCorrupt("%d trailing bytes", r.remaining())
+	if len(p) != 0 {
+		return nil, errCorrupt("%d trailing bytes", len(p))
 	}
 	return b, nil
 }
 
-// decodeCol3Keywords decodes the dictionary and posting lists of a
-// feature block and inverts them into the per-record KwOff/Kws columns.
-func decodeCol3Keywords(payload []byte, r *byteReaderSlice, count int, b *ColumnBlock) error {
-	dictLen64, err := binary.ReadUvarint(r)
-	if err != nil {
-		return errCorrupt("dictionary length: %v", err)
+// postingScratch pools the buffer posting lists are parsed into. The
+// entry total of a block is unknown until its last list is read, so the
+// lists accumulate in a reusable buffer and the block retains one exact-
+// size copy. A buffer grown per block would reallocate as it grows and be
+// retained at up to twice the size MemBytes charges.
+var postingScratch = sync.Pool{New: func() any { return new([]uint32) }}
+
+// decodeCol3Keywords decodes the dictionary and posting lists of a feature
+// block from the head of p into b's inverted columns (Dict, PostOff,
+// PostRecs) and per-record keyword counts (KwLen), and returns the rest of
+// p. payloadLen bounds the posting-entry total.
+func decodeCol3Keywords(p []byte, payloadLen int, b *ColumnBlock) ([]byte, error) {
+	count := len(b.IDs)
+	dictLen64, p, ok := uvarint(p)
+	if !ok {
+		return nil, errCorrupt("dictionary length: truncated or overlong varint")
 	}
 	// Each dictionary entry costs at least one id byte plus one posting
 	// method byte.
-	if dictLen64 > uint64(r.remaining())/2 {
-		return errCorrupt("dictionary length %d exceeds payload size %d", dictLen64, len(payload))
+	if dictLen64 > uint64(len(p))/2 {
+		return nil, errCorrupt("dictionary length %d exceeds payload size %d", dictLen64, payloadLen)
 	}
-	dictLen := int(dictLen64)
-	dict := make([]uint32, dictLen)
+	dict := make([]uint32, int(dictLen64))
 	kw := uint64(0)
-	for i := 0; i < dictLen; i++ {
-		v, err := binary.ReadUvarint(r)
-		if err != nil {
-			return errCorrupt("dictionary id %d: %v", i, err)
+	for i := range dict {
+		var v uint64
+		if v, p, ok = uvarint(p); !ok {
+			return nil, errCorrupt("dictionary id %d: truncated or overlong varint", i)
 		}
-		if i == 0 {
-			kw = v
-		} else {
-			if v == 0 {
-				return errCorrupt("dictionary not strictly ascending at entry %d", i)
-			}
-			kw += v
+		if i > 0 && v == 0 {
+			return nil, errCorrupt("dictionary not strictly ascending at entry %d", i)
 		}
-		if kw > math.MaxUint32 {
-			return errCorrupt("dictionary id %d overflows uint32", kw)
+		// Checking the delta too keeps kw+v from wrapping around.
+		if kw += v; v > math.MaxUint32 || kw > math.MaxUint32 {
+			return nil, errCorrupt("dictionary id %d overflows uint32", i)
 		}
 		dict[i] = uint32(kw)
 	}
 
-	// Pass 1: parse every posting list once, collecting the record indexes
-	// and per-record keyword counts. Every posting entry costs at least one
-	// stored bit, so the entry total is bounded by 8x the payload size.
-	maxTotal := 8 * len(payload)
+	// Every posting entry costs at least one stored bit, so the entry total
+	// is bounded by 8x the payload size.
+	maxTotal := 8 * payloadLen
 	bitmapBytes := (count + 7) / 8
-	recs := make([]uint32, 0, min(maxTotal, 4*count))
-	pOff := make([]int32, dictLen+1)
-	cnt := make([]int32, count)
-	total := 0
-	for e := 0; e < dictLen; e++ {
-		method, err := r.ReadByte()
-		if err != nil {
-			return errCorrupt("posting %d: missing method byte", e)
+	kwLen := make([]uint32, count)
+	pOff := make([]int32, len(dict)+1)
+	scratch := postingScratch.Get().(*[]uint32)
+	recs := (*scratch)[:0]
+	defer func() {
+		*scratch = recs
+		postingScratch.Put(scratch)
+	}()
+	for e := range dict {
+		if len(p) == 0 {
+			return nil, errCorrupt("posting %d: missing method byte", e)
 		}
+		method := p[0]
+		p = p[1:]
+		before := len(recs)
 		switch method {
 		case 0:
-			n64, err := binary.ReadUvarint(r)
-			if err != nil {
-				return errCorrupt("posting %d length: %v", e, err)
+			var n64 uint64
+			if n64, p, ok = uvarint(p); !ok {
+				return nil, errCorrupt("posting %d length: truncated or overlong varint", e)
 			}
 			if n64 == 0 {
-				return errCorrupt("posting %d is empty", e)
+				return nil, errCorrupt("posting %d is empty", e)
 			}
 			if n64 > uint64(count) {
-				return errCorrupt("posting %d holds %d of %d records", e, n64, count)
+				return nil, errCorrupt("posting %d holds %d of %d records", e, n64, count)
 			}
-			rec := uint64(0)
-			for j := 0; j < int(n64); j++ {
-				d, err := binary.ReadUvarint(r)
-				if err != nil {
-					return errCorrupt("posting %d index %d: %v", e, j, err)
-				}
-				if j == 0 {
-					rec = d
-				} else {
-					if d == 0 {
-						return errCorrupt("posting %d not strictly ascending at index %d", e, j)
-					}
-					rec += d
-				}
-				if rec >= uint64(count) {
-					return errCorrupt("posting %d index %d out of range", e, j)
-				}
-				recs = append(recs, uint32(rec))
-				cnt[rec]++
+			var bad string
+			if p, recs, bad = sparsePosting(p, int(n64), kwLen, recs); bad != "" {
+				return nil, errCorrupt("posting %d: %s", e, bad)
 			}
-			total += int(n64)
 		case 1:
-			if r.remaining() < bitmapBytes {
-				return errCorrupt("truncated posting %d bitmap: %d bytes left, need %d", e, r.remaining(), bitmapBytes)
+			if len(p) < bitmapBytes {
+				return nil, errCorrupt("truncated posting %d bitmap: %d bytes left, need %d", e, len(p), bitmapBytes)
 			}
-			bm := r.buf[r.pos : r.pos+bitmapBytes]
-			r.pos += bitmapBytes
-			n := 0
-			for bi, bv := range bm {
-				for bv != 0 {
-					j := bits.TrailingZeros8(bv)
-					bv &= bv - 1
-					rec := bi<<3 | j
-					if rec >= count {
-						return errCorrupt("posting %d bitmap sets bit %d beyond %d records", e, rec, count)
-					}
-					recs = append(recs, uint32(rec))
-					cnt[rec]++
-					n++
-				}
+			if recs, ok = bitmapPosting(p[:bitmapBytes], kwLen, recs); !ok {
+				return nil, errCorrupt("posting %d bitmap sets a bit beyond %d records", e, count)
 			}
-			if n == 0 {
-				return errCorrupt("posting %d is empty", e)
+			p = p[bitmapBytes:]
+			if len(recs) == before {
+				return nil, errCorrupt("posting %d is empty", e)
 			}
-			total += n
 		default:
-			return errCorrupt("posting %d: unknown method byte %#x", e, method)
+			return nil, errCorrupt("posting %d: unknown method byte %#x", e, method)
 		}
-		if total > maxTotal {
-			return errCorrupt("keyword total %d exceeds payload size %d", total, len(payload))
+		if len(recs) > maxTotal {
+			return nil, errCorrupt("keyword total %d exceeds payload size %d", len(recs), payloadLen)
 		}
-		pOff[e+1] = int32(total)
+		pOff[e+1] = int32(len(recs))
 	}
-
-	// Retain the inverted view: the posting lists were just parsed, and
-	// keeping them lets the columnar source skip irrelevant records by
-	// dictionary intersection instead of testing every record's set.
 	b.Dict = dict
 	b.PostOff = pOff
-	b.PostRecs = recs
-
-	// Pass 2: scatter the postings back into per-record keyword sets.
-	// Iterating the dictionary in ascending order fills each record's set
-	// strictly ascending — the KeywordSet invariant — for free.
-	b.KwOff = make([]int32, count+1)
-	for i := 0; i < count; i++ {
-		b.KwOff[i+1] = b.KwOff[i] + cnt[i]
-	}
-	b.Kws = make([]uint32, total)
-	fill := cnt // reuse: becomes the per-record write cursor
-	copy(fill, b.KwOff[:count])
-	for e := 0; e < dictLen; e++ {
-		kw := dict[e]
-		for _, rec := range recs[pOff[e]:pOff[e+1]] {
-			b.Kws[fill[rec]] = kw
-			fill[rec]++
-		}
-	}
-	return nil
+	b.PostRecs = append(make([]uint32, 0, len(recs)), recs...)
+	b.KwLen = kwLen
+	return p, nil
 }

@@ -2,10 +2,13 @@ package data
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"strings"
+	"sync"
 	"testing"
 
 	"spq/internal/geo"
@@ -175,6 +178,19 @@ func TestPackXorColumn(t *testing.T) {
 		"narrow":   {100.0, 100.25, 100.5, 100.125, 100.375},
 		"full":     wide,
 	}
+	// Every count x width around the point where the 9-byte load window
+	// reaches the end of the packed bytes.
+	for _, width := range []uint{1, 3, 7, 8, 9, 13, 31, 57, 63, 64} {
+		for count := 1; count <= 24; count++ {
+			vals := make([]float64, count)
+			acc := uint64(0)
+			for i := range vals {
+				acc ^= r.Uint64()>>(64-width) | 1<<(width-1)
+				vals[i] = math.Float64frombits(acc)
+			}
+			cases[fmt.Sprintf("w%d-n%d", width, count)] = vals
+		}
+	}
 	for name, vals := range cases {
 		var buf bytes.Buffer
 		bitsIn := make([]uint64, len(vals))
@@ -182,13 +198,16 @@ func TestPackXorColumn(t *testing.T) {
 			bitsIn[i] = math.Float64bits(v)
 		}
 		packXorColumn(&buf, bitsIn)
-		rd := &byteReaderSlice{buf: buf.Bytes()}
+		// The column is read in place, so the bytes that follow it in a
+		// payload must neither be consumed nor leak into the last values.
+		buf.Write([]byte{0xFF, 0xFF, 0xFF})
 		out := make([]float64, len(vals))
-		if err := unpackXorColumn(rd, len(vals), out); err != nil {
+		rest, err := unpackXorColumn(buf.Bytes(), out)
+		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if rd.remaining() != 0 {
-			t.Fatalf("%s: %d bytes left over", name, rd.remaining())
+		if len(rest) != 3 {
+			t.Fatalf("%s: %d bytes left over, want the 3 that follow the column", name, len(rest))
 		}
 		for i := range vals {
 			if math.Float64bits(out[i]) != math.Float64bits(vals[i]) {
@@ -288,12 +307,11 @@ func FuzzCol3BlockRoundTrip(f *testing.F) {
 	})
 }
 
-// TestEachRelevant: pushdown iteration over a decoded SPQ3 feature block
-// must yield exactly the records whose keyword sets intersect the query
-// set — the Map-phase prune, applied through the block dictionary — in
-// ascending record order, for both the single-posting and the
-// bitmap-union paths.
-func TestEachRelevant(t *testing.T) {
+// TestCountHits: resolving a query's keywords through a decoded feature
+// block's dictionary and posting lists must give every record exactly
+// |f.W ∩ q.W| — zero on the records the Map-phase prune drops — and KwLen
+// must be |f.W|, for single lists, unions, misses and mixed queries.
+func TestCountHits(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	dict := text.NewDict()
 	objs := onlyKind(randObjects(r, 400), FeatureObject)
@@ -303,44 +321,140 @@ func TestEachRelevant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b.Dict == nil {
-			t.Fatalf("block %d decoded without its posting view", bi)
+		if b.Dict == nil || len(b.KwLen) != b.Len() {
+			t.Fatalf("block %d decoded without its postings or keyword counts", bi)
 		}
 		queries := [][]uint32{
 			{b.Dict[0]},                           // single posting list
-			{b.Dict[0], b.Dict[len(b.Dict)/2]},    // bitmap union
+			{b.Dict[0], b.Dict[len(b.Dict)/2]},    // union of two
 			{1 << 30},                             // out of vocabulary
 			{0, b.Dict[len(b.Dict)-1], 1<<31 - 1}, // mixed hits and misses
+			b.Dict,                                // every keyword: hits = |f.W|
 		}
 		for qi, kws := range queries {
-			want := make([]Object, 0, b.Len())
-			for i := 0; i < b.Len(); i++ {
-				if o := b.Object(i); o.Keywords.Intersects(text.KeywordSet(kws)) {
-					want = append(want, o)
+			hits := make([]uint32, b.Len())
+			marks := make([]uint64, (b.Len()+63)/64)
+			b.CountHits(kws, hits, marks)
+			for i := range hits {
+				o := b.Object(i)
+				if want := o.Keywords.IntersectionSize(text.KeywordSet(kws)); int(hits[i]) != want {
+					t.Fatalf("block %d query %d record %d: %d hits, want %d", bi, qi, i, hits[i], want)
 				}
-			}
-			var got []Object
-			eachRelevant(b, kws, func(o Object) bool {
-				got = append(got, o)
-				return true
-			})
-			if len(got) != len(want) {
-				t.Fatalf("block %d query %d: %d records, want %d", bi, qi, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].ID != want[i].ID || got[i].Loc != want[i].Loc ||
-					!reflect.DeepEqual(got[i].Keywords, want[i].Keywords) {
-					t.Fatalf("block %d query %d: record %d differs: %v vs %v", bi, qi, i, got[i], want[i])
+				if marked := marks[i>>6]>>(i&63)&1 == 1; marked != (hits[i] > 0) {
+					t.Fatalf("block %d query %d record %d: marked=%v with %d hits", bi, qi, i, marked, hits[i])
 				}
-			}
-			// Early stop must be honored on every path.
-			if len(want) > 0 {
-				n := 0
-				eachRelevant(b, kws, func(Object) bool { n++; return false })
-				if n != 1 {
-					t.Fatalf("block %d query %d: early stop yielded %d records", bi, qi, n)
+				if int(b.KwLen[i]) != o.Keywords.Len() {
+					t.Fatalf("block %d record %d: KwLen %d, want %d", bi, i, b.KwLen[i], o.Keywords.Len())
 				}
 			}
 		}
 	}
+}
+
+// TestDecodedBlockColumnsExact: every column a decoded block retains has
+// cap == len, so MemBytes — which charges lengths — is what the segment
+// cache actually pins, and a cache filled with feature blocks stays within
+// its budget measured by capacity.
+func TestDecodedBlockColumnsExact(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	dict := text.NewDict()
+	held := func(b *ColumnBlock) int {
+		return columnBlockOverhead +
+			8*cap(b.IDs) + 8*cap(b.Xs) + 8*cap(b.Ys) + 4*cap(b.KwLen) +
+			4*cap(b.Dict) + 4*cap(b.PostOff) + 4*cap(b.PostRecs)
+	}
+	var blocks []*ColumnBlock
+	for _, kind := range []Kind{DataObject, FeatureObject} {
+		// Descending block sizes: the pooled parse buffer is larger than
+		// every block after the first, so a decoder retaining it (or an
+		// append-grown copy) would hold more than it reports.
+		for _, blockRecords := range []int{700, 300, 64, 5} {
+			raw, stats := writeSegment3(t, onlyKind(randObjects(r, 1400), kind), blockRecords, dict)
+			for _, bs := range stats {
+				b, err := DecodeColFrame(raw[bs.Offset : bs.Offset+int64(bs.Length)])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if held(b) != b.MemBytes() {
+					t.Fatalf("%v block of %d records holds %d bytes by capacity, MemBytes reports %d",
+						kind, b.Len(), held(b), b.MemBytes())
+				}
+				blocks = append(blocks, b)
+			}
+		}
+	}
+	const budget = 64 << 10
+	cache := NewBlockCache(budget)
+	for i, b := range blocks {
+		cache.Put(BlockKey{Gen: 1, File: "f", Index: i}, b)
+		pinned := 0
+		for j := 0; j <= i; j++ {
+			if cb, ok := cache.entries[BlockKey{Gen: 1, File: "f", Index: j}]; ok {
+				pinned += held(cb.Value.(*blockEntry).block)
+			}
+		}
+		if pinned > budget {
+			t.Fatalf("after %d puts the cache pins %d bytes by capacity, budget %d", i+1, pinned, budget)
+		}
+	}
+	if st := cache.Stats(); st.Entries < 2 || st.Entries == len(blocks) {
+		t.Fatalf("cache holds %d of %d blocks: the budget was never exercised", st.Entries, len(blocks))
+	}
+}
+
+// TestDecodeFeatureBlockAllocs pins the feature-block decode at a constant
+// allocation count: the block and its seven retained columns, whatever the
+// number of records and posting entries. Parse scratch is pooled.
+func TestDecodeFeatureBlockAllocs(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("under -race sync.Pool drops a quarter of its puts on purpose, so the parse scratch is reallocated at random")
+			}
+		}
+	}
+	r := rand.New(rand.NewSource(29))
+	dict := text.NewDict()
+	for _, n := range []int{50, 500, 4000} {
+		objs := onlyKind(randObjects(r, 3*n+100), FeatureObject)[:n:n]
+		raw, stats := writeSegment3(t, objs, n, dict)
+		frame := raw[stats[0].Offset : stats[0].Offset+int64(stats[0].Length)]
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := DecodeColFrame(frame); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 8 {
+			t.Errorf("decoding a %d-record feature block made %.0f allocations, want at most 8", n, allocs)
+		}
+	}
+}
+
+// TestForwardViewConcurrent: Object builds the forward keyword view on
+// first use; concurrent first callers on one shared (cached) block must
+// all see the same, correct keyword sets. Run under -race.
+func TestForwardViewConcurrent(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	dict := text.NewDict()
+	objs := onlyKind(randObjects(r, 600), FeatureObject)
+	raw, stats := writeSegment3(t, objs, 0, dict)
+	b, err := DecodeColFrame(raw[stats[0].Offset : stats[0].Offset+int64(stats[0].Length)])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; n < b.Len(); n++ {
+				i := (n + g*37) % b.Len()
+				if got := b.Object(i); !got.Keywords.Equal(objs[i].Keywords) {
+					t.Errorf("goroutine %d record %d: keywords %v, want %v", g, i, got.Keywords, objs[i].Keywords)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -3,7 +3,6 @@ package data
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"sync/atomic"
 
 	"spq/internal/mapreduce"
@@ -52,7 +51,9 @@ type ColSel struct {
 // decoded into dense column buffers — or served straight from the decoded-
 // segment cache. Splits report their payload size and record count, so
 // mapreduce.Coalesce packs them into balanced map tasks exactly like file
-// splits.
+// splits. A split hands its decoded block whole to a job that maps
+// batches (mapreduce.BatchSplit, one *ColumnBlock per split) and views it
+// record by record for every other reader.
 type ColInput struct {
 	R     RangeReader
 	Cells []ColSel
@@ -63,16 +64,6 @@ type ColInput struct {
 	// IO, when non-nil, accumulates the bytes read and decoded by this
 	// input's splits.
 	IO *SegIOStats
-	// Keywords, when non-empty, is the query's sorted keyword-id set: a
-	// feature block, decoded with its inverted posting view, then yields
-	// only the records carrying at least one of these ids. The
-	// skipped records are exactly the ones the Map-phase keyword prune
-	// (Algorithm 1 line 9) drops, so results are unchanged — the prune
-	// just happens before the records are materialized, via one
-	// dictionary intersection per block instead of one keyword-set
-	// intersection per record. Callers must set it only for queries that
-	// keep that prune enabled.
-	Keywords []uint32
 }
 
 // NewColInput constructs a columnar source.
@@ -164,21 +155,11 @@ func (c *ColInput) OpenRef(ref *mapreduce.SplitRef) (mapreduce.SourceSplit[Objec
 }
 
 // Each implements mapreduce.SourceSplit: fetch (or reuse) the decoded
-// block and view its records as Objects. The Object values live on the
-// stack and alias the block's keyword column — the hot path allocates
-// nothing per record.
+// block and view its records as Objects (see ColumnBlock.Object).
 func (s *colSplit) Each(yield func(Object) bool) error {
 	b, err := s.fetch()
 	if err != nil {
 		return err
-	}
-	if b.Len() != s.bs.Records {
-		return fmt.Errorf("data: segment %s block %d: decoded %d records, zone map says %d",
-			s.file, s.idx, b.Len(), s.bs.Records)
-	}
-	if len(s.in.Keywords) > 0 && b.Kind == FeatureObject && b.Dict != nil {
-		eachRelevant(b, s.in.Keywords, yield)
-		return nil
 	}
 	for i := 0; i < b.Len(); i++ {
 		if !yield(b.Object(i)) {
@@ -188,87 +169,42 @@ func (s *colSplit) Each(yield func(Object) bool) error {
 	return nil
 }
 
-// eachRelevant yields the block records whose keyword sets intersect kws,
-// in ascending record order. The query's few keywords are binary-searched
-// in the block's sorted dictionary — the same asymmetric-intersection
-// trade as text.KeywordSet — and the matching posting lists drive the
-// iteration, so records without a query keyword cost nothing.
-func eachRelevant(b *ColumnBlock, kws []uint32, yield func(Object) bool) {
-	var matchBuf [8]int
-	match := matchBuf[:0]
-	dict := b.Dict
-	off := 0
-	for _, kw := range kws {
-		// kws and dict are both ascending: search only past the last hit.
-		lo, hi := off, len(dict)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if dict[mid] < kw {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo == len(dict) {
-			break
-		}
-		if dict[lo] == kw {
-			match = append(match, lo)
-		}
-		off = lo
+// EachBatch implements mapreduce.BatchSplit: the split's one batch is its
+// decoded *ColumnBlock.
+func (s *colSplit) EachBatch(yield func(batch any) bool) error {
+	b, err := s.fetch()
+	if err != nil {
+		return err
 	}
-	switch len(match) {
-	case 0:
-		return
-	case 1:
-		e := match[0]
-		for _, rec := range b.PostRecs[b.PostOff[e]:b.PostOff[e+1]] {
-			if !yield(b.Object(int(rec))) {
-				return
-			}
-		}
-		return
-	}
-	// Union of several posting lists: mark the records in a small bitmap,
-	// then walk its set bits in order.
-	bm := make([]uint64, (b.Len()+63)/64)
-	for _, e := range match {
-		for _, rec := range b.PostRecs[b.PostOff[e]:b.PostOff[e+1]] {
-			bm[rec>>6] |= 1 << (rec & 63)
-		}
-	}
-	for wi, w := range bm {
-		for w != 0 {
-			j := bits.TrailingZeros64(w)
-			w &= w - 1
-			if !yield(b.Object(wi<<6 | j)) {
-				return
-			}
-		}
-	}
+	yield(b)
+	return nil
 }
 
-// fetch returns the decoded block, from the segment cache when possible.
+// fetch returns the decoded block, from the segment cache when possible,
+// checked against the record count the zone map promised.
 func (s *colSplit) fetch() (*ColumnBlock, error) {
 	key := BlockKey{Gen: s.in.Gen, File: s.file, Index: s.idx}
-	if b, ok := s.in.Cache.Get(key); ok {
-		return b, nil
+	b, ok := s.in.Cache.Get(key)
+	if !ok {
+		frame, err := s.in.R.ReadRange(s.file, s.bs.Offset, s.bs.Length)
+		if err != nil {
+			return nil, fmt.Errorf("data: segment %s block %d: %w", s.file, s.idx, err)
+		}
+		if len(frame) != s.bs.Length {
+			return nil, fmt.Errorf("data: segment %s block %d: read %d of %d bytes", s.file, s.idx, len(frame), s.bs.Length)
+		}
+		if b, err = DecodeColFrame(frame); err != nil {
+			return nil, fmt.Errorf("data: segment %s block %d: %w", s.file, s.idx, err)
+		}
+		if s.in.IO != nil {
+			s.in.IO.BytesRead.Add(int64(len(frame)))
+			s.in.IO.BytesDecoded.Add(int64(b.MemBytes()))
+		}
+		s.in.Cache.Put(key, b)
 	}
-	frame, err := s.in.R.ReadRange(s.file, s.bs.Offset, s.bs.Length)
-	if err != nil {
-		return nil, fmt.Errorf("data: segment %s block %d: %w", s.file, s.idx, err)
+	if b.Len() != s.bs.Records {
+		return nil, fmt.Errorf("data: segment %s block %d: decoded %d records, zone map says %d",
+			s.file, s.idx, b.Len(), s.bs.Records)
 	}
-	if len(frame) != s.bs.Length {
-		return nil, fmt.Errorf("data: segment %s block %d: read %d of %d bytes", s.file, s.idx, len(frame), s.bs.Length)
-	}
-	b, err := DecodeColFrame(frame)
-	if err != nil {
-		return nil, fmt.Errorf("data: segment %s block %d: %w", s.file, s.idx, err)
-	}
-	if s.in.IO != nil {
-		s.in.IO.BytesRead.Add(int64(len(frame)))
-		s.in.IO.BytesDecoded.Add(int64(b.MemBytes()))
-	}
-	s.in.Cache.Put(key, b)
 	return b, nil
 }

@@ -1,7 +1,6 @@
 package data
 
 import (
-	"bufio"
 	"bytes"
 	"math"
 	"math/rand"
@@ -72,40 +71,6 @@ func TestParseLineIntoFreshDict(t *testing.T) {
 	sortSlice(words, func(a, b string) bool { return a < b })
 	if !reflect.DeepEqual(words, []string{"sushi", "wine"}) {
 		t.Errorf("words through fresh dict = %v", words)
-	}
-}
-
-func TestObjectCodecRoundTrip(t *testing.T) {
-	codec := ObjectCodec()
-	r := rand.New(rand.NewSource(5))
-	for i := 0; i < 500; i++ {
-		var kws text.KeywordSet
-		if r.Intn(2) == 1 {
-			ids := make([]uint32, r.Intn(20))
-			for j := range ids {
-				ids[j] = uint32(r.Intn(1000))
-			}
-			kws = text.NewKeywordSet(ids...)
-		}
-		o := Object{
-			Kind:     Kind(r.Intn(2)),
-			ID:       r.Uint64(),
-			Loc:      geo.Point{X: r.NormFloat64() * 100, Y: r.NormFloat64() * 100},
-			Keywords: kws,
-		}
-		var buf bytes.Buffer
-		w := bufio.NewWriter(&buf)
-		if err := codec.Encode(w, o); err != nil {
-			t.Fatal(err)
-		}
-		w.Flush()
-		got, err := codec.Decode(bufio.NewReader(&buf))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Kind != o.Kind || got.ID != o.ID || got.Loc != o.Loc || !got.Keywords.Equal(o.Keywords) {
-			t.Fatalf("codec round trip: got %+v, want %+v", got, o)
-		}
 	}
 }
 

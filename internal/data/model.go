@@ -1,22 +1,18 @@
 // Package data provides the object model of the paper — spatial data
 // objects p ∈ O and spatio-textual feature objects f ∈ F — together with
-// the serialization formats used to store them in the simulated DFS and to
-// shuffle them between MapReduce tasks, and synthetic dataset generators
-// reproducing the statistical properties of the paper's four experimental
-// datasets (Flickr, Twitter, Uniform, Clustered; Section 7.1).
+// the serialization formats used to store them in the simulated DFS, and
+// synthetic dataset generators reproducing the statistical properties of
+// the paper's four experimental datasets (Flickr, Twitter, Uniform,
+// Clustered; Section 7.1).
 package data
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 
 	"spq/internal/geo"
-	"spq/internal/mapreduce"
 	"spq/internal/text"
 )
 
@@ -107,82 +103,6 @@ func ParseLine(line []byte, dict *text.Dict) (Object, error) {
 		}
 	default:
 		return Object{}, fmt.Errorf("data: unknown kind %q in %q", fields[0], line)
-	}
-	return o, nil
-}
-
-// ObjectCodec serializes objects compactly (varint-based) for MapReduce
-// shuffle runs. Keyword ids round-trip as ids: within one job execution the
-// dictionary is shared, so ids are stable.
-func ObjectCodec() *mapreduce.Codec[Object] {
-	return &mapreduce.Codec[Object]{Encode: encodeObject, Decode: decodeObject}
-}
-
-func encodeObject(w *bufio.Writer, o Object) error {
-	var buf [binary.MaxVarintLen64]byte
-	put := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := w.Write(buf[:n])
-		return err
-	}
-	if err := w.WriteByte(byte(o.Kind)); err != nil {
-		return err
-	}
-	if err := put(o.ID); err != nil {
-		return err
-	}
-	var fixed [16]byte
-	binary.LittleEndian.PutUint64(fixed[:8], math.Float64bits(o.Loc.X))
-	binary.LittleEndian.PutUint64(fixed[8:], math.Float64bits(o.Loc.Y))
-	if _, err := w.Write(fixed[:]); err != nil {
-		return err
-	}
-	if err := put(uint64(len(o.Keywords))); err != nil {
-		return err
-	}
-	for _, kw := range o.Keywords {
-		if err := put(uint64(kw)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func decodeObject(r *bufio.Reader) (Object, error) {
-	var o Object
-	kind, err := r.ReadByte()
-	if err != nil {
-		return o, err
-	}
-	o.Kind = Kind(kind)
-	id, err := binary.ReadUvarint(r)
-	if err != nil {
-		return o, err
-	}
-	o.ID = id
-	var fixed [16]byte
-	if _, err := io.ReadFull(r, fixed[:]); err != nil {
-		return o, err
-	}
-	o.Loc.X = math.Float64frombits(binary.LittleEndian.Uint64(fixed[:8]))
-	o.Loc.Y = math.Float64frombits(binary.LittleEndian.Uint64(fixed[8:]))
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return o, err
-	}
-	if n > 0 {
-		// n is unchecked wire input and every id takes at least one byte,
-		// so presize only by the bytes already buffered; a count the bytes
-		// do not back runs into EOF after allocating in proportion to them.
-		kws := make(text.KeywordSet, 0, min(n, uint64(r.Buffered())))
-		for i := uint64(0); i < n; i++ {
-			v, err := binary.ReadUvarint(r)
-			if err != nil {
-				return o, fmt.Errorf("data: keyword %d of %d: %w", i, n, err)
-			}
-			kws = append(kws, uint32(v))
-		}
-		o.Keywords = kws // already sorted: encoded from a sorted set
 	}
 	return o, nil
 }

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
 )
 
@@ -76,3 +77,85 @@ func TestCoalesceGroupsSplits(t *testing.T) {
 		t.Errorf("passthrough = %d splits, want %d", len(passthrough), len(src))
 	}
 }
+
+// batchedSplit is a hostedSplit that also offers its records as one batch.
+type batchedSplit struct{ hostedSplit }
+
+func (s batchedSplit) EachBatch(yield func(batch any) bool) error {
+	yield(s.recs)
+	return nil
+}
+
+// TestMapBatchThroughCoalesceAndConcat: a job that maps batches is fed the
+// batches of the splits that offer them — found inside Coalesce's groups
+// and beside Concat's other sources — and the records of the splits that
+// do not; a job without MapBatch reads every split record by record. Both
+// see every record once and count it in map.records.in.
+func TestMapBatchThroughCoalesceAndConcat(t *testing.T) {
+	var plain hostedSource
+	var batchedSplits []SourceSplit[int]
+	want := 0
+	for i := 0; i < 6; i++ {
+		batchedSplits = append(batchedSplits, batchedSplit{hostedSplit{recs: []int{4 * i, 4*i + 1}}})
+		plain = append(plain, hostedSplit{recs: []int{4*i + 2, 4*i + 3}})
+		want += 16*i + 6
+	}
+	src := Concat[int](Coalesce[int](splitList[int](batchedSplits), 2), plain)
+	for _, withBatch := range []bool{true, false} {
+		var viaBatch, viaRecord atomic.Int64
+		job := &Job[int, int, int, int]{
+			Name:   "batch",
+			Source: src,
+			Map: func(_ *TaskContext, r int, emit func(int, int)) error {
+				viaRecord.Add(1)
+				emit(0, r)
+				return nil
+			},
+			NumReducers: 1,
+			Partition:   func(int, int) int { return 0 },
+			Less:        func(a, b int) bool { return a < b },
+			GroupEqual:  func(a, b int) bool { return a == b },
+			Reduce: func(_ *TaskContext, vs *Values[int, int], emit func(int)) error {
+				sum := 0
+				for v, ok := vs.Next(); ok; v, ok = vs.Next() {
+					sum += v
+				}
+				emit(sum)
+				return nil
+			},
+		}
+		if withBatch {
+			job.MapBatch = func(_ *TaskContext, batch any, emit func(int, int)) (int, error) {
+				recs := batch.([]int)
+				viaBatch.Add(int64(len(recs)))
+				for _, r := range recs {
+					emit(0, r)
+				}
+				return len(recs), nil
+			}
+		}
+		res, err := Run(NewCluster(nil, 2, 1), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Output) != 1 || res.Output[0] != want {
+			t.Errorf("batch=%v: output %v, want [%d]", withBatch, res.Output, want)
+		}
+		if got := res.Counters[CounterMapRecordsIn]; got != 24 {
+			t.Errorf("batch=%v: map.records.in = %d, want 24", withBatch, got)
+		}
+		wantBatch, wantRecord := int64(0), int64(24)
+		if withBatch {
+			wantBatch, wantRecord = 12, 12
+		}
+		if viaBatch.Load() != wantBatch || viaRecord.Load() != wantRecord {
+			t.Errorf("batch=%v: %d records mapped as batches and %d one at a time, want %d and %d",
+				withBatch, viaBatch.Load(), viaRecord.Load(), wantBatch, wantRecord)
+		}
+	}
+}
+
+// splitList is a source over a fixed split list.
+type splitList[I any] []SourceSplit[I]
+
+func (s splitList[I]) Splits() ([]SourceSplit[I], error) { return s, nil }

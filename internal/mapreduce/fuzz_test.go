@@ -11,7 +11,6 @@ import (
 	"spq/internal/data"
 	"spq/internal/geo"
 	"spq/internal/mapreduce"
-	"spq/internal/text"
 )
 
 // FuzzDecodePairs feeds the worker's shuffle-run decoder arbitrary bytes
@@ -20,43 +19,64 @@ import (
 // decoder must return an error, never panic, and never allocate more than
 // a constant factor of the bytes it was actually handed.
 func FuzzDecodePairs(f *testing.F) {
-	kc, vc := core.CellKeyCodec(), data.ObjectCodec()
-	var run bytes.Buffer
-	w := bufio.NewWriter(&run)
-	objs := []data.Object{
+	kc, vc := core.CellKeyCodec(), core.RecCodec()
+	encode := func(recs ...core.Rec) []byte {
+		var run bytes.Buffer
+		w := bufio.NewWriter(&run)
+		for i, r := range recs {
+			if err := kc.Encode(w, core.CellKey{Cell: 5, Order: float64(i)}); err != nil {
+				f.Fatal(err)
+			}
+			if err := vc.Encode(w, r); err != nil {
+				f.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			f.Fatal(err)
+		}
+		return run.Bytes()
+	}
+	recs := []core.Rec{
 		{Kind: data.DataObject, ID: 7, Loc: geo.Point{X: 0.25, Y: 0.5}},
-		{Kind: data.FeatureObject, ID: 1 << 40, Loc: geo.Point{X: 0.3, Y: 0.4}, Keywords: text.NewKeywordSet(3, 17, 900)},
-		{Kind: data.FeatureObject, ID: 9, Loc: geo.Point{X: 0.9, Y: 0.1}, Keywords: text.NewKeywordSet(1)},
+		{Kind: data.FeatureObject, ID: 1 << 40, Loc: geo.Point{X: 0.3, Y: 0.4}, Len: 300, Hits: 3},
+		{Kind: data.FeatureObject, ID: 9, Loc: geo.Point{X: 0.9, Y: 0.1}, Len: 1},
 	}
-	for i, o := range objs {
-		if err := kc.Encode(w, core.CellKey{Cell: 5, Order: float64(i)}); err != nil {
-			f.Fatal(err)
-		}
-		if err := vc.Encode(w, o); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Fatal(err)
-	}
-	valid := run.Bytes()
-	if pairs, err := mapreduce.DecodePairs(valid, len(objs), kc, vc); err != nil || len(pairs) != len(objs) {
+	valid := encode(recs...)
+	pairs, err := mapreduce.DecodePairs(valid, len(recs), kc, vc)
+	if err != nil || len(pairs) != len(recs) {
 		f.Fatalf("valid run: %d pairs, err %v", len(pairs), err)
 	}
-	// One record claiming 2^32 keywords and carrying two: the first record's
-	// key (12 bytes), kind (1), id varint (1) and location (16), then the count.
-	oversized := append([]byte(nil), valid[:12+1+1+16]...)
-	oversized = binary.AppendUvarint(oversized, 1<<32)
-	oversized = append(oversized, 1, 2)
+	for i, p := range pairs {
+		if p.Value != recs[i] {
+			f.Fatalf("record %d round-tripped as %+v, want %+v", i, p.Value, recs[i])
+		}
+	}
+	// Values the encoder cannot produce. A record is its key (12 bytes),
+	// kind (1), id (8) and location (16), then the two count varints.
+	head := valid[:12+1+8+16]
+	hostile := []struct {
+		name string
+		run  []byte
+	}{
+		{"more hits than keywords", encode(core.Rec{Kind: data.FeatureObject, ID: 1, Len: 2, Hits: 3})},
+		{"2^40 keywords", append(binary.AppendUvarint(append([]byte(nil), head...), 1<<40), 1)},
+		{"data record with counts", encode(core.Rec{Kind: data.DataObject, ID: 1, Len: 4, Hits: 1})},
+		{"unknown kind byte", encode(core.Rec{Kind: 7, ID: 1})},
+	}
+	for _, h := range hostile {
+		if _, err := mapreduce.DecodePairs(h.run, 1, kc, vc); err == nil {
+			f.Fatalf("%s: decoded without an error", h.name)
+		}
+		f.Add(h.run, int64(1))
+	}
 
-	f.Add(valid, int64(len(objs)))
-	f.Add(valid, int64(len(objs)-1)) // trailing record
-	f.Add(valid, int64(len(objs)+1)) // one record short
-	f.Add(valid[:len(valid)-3], int64(len(objs)))
+	f.Add(valid, int64(len(recs)))
+	f.Add(valid, int64(len(recs)-1)) // trailing record
+	f.Add(valid, int64(len(recs)+1)) // one record short
+	f.Add(valid[:len(valid)-3], int64(len(recs)))
 	f.Add(valid[:13], int64(1))
 	f.Add(valid, int64(-1))
 	f.Add(valid, int64(1)<<40)
-	f.Add(oversized, int64(1))
 	f.Add([]byte{}, int64(0))
 
 	f.Fuzz(func(t *testing.T, run []byte, records int64) {
@@ -67,9 +87,13 @@ func FuzzDecodePairs(f *testing.F) {
 		if err == nil && int64(len(pairs)) != records {
 			t.Errorf("decoded %d pairs of %d without an error", len(pairs), records)
 		}
-		// Pair[CellKey, Object] is 72 bytes and a record at least one, a
-		// keyword id 4 bytes and at least one on the wire; the slack covers
-		// the reader's buffer and the error value.
+		for _, p := range pairs {
+			if r := p.Value; r.Hits > r.Len || (r.Kind == data.DataObject && r.Len != 0) || r.Kind > data.FeatureObject {
+				t.Errorf("decoded a record the encoder cannot produce: %+v", r)
+			}
+		}
+		// Pair[CellKey, Rec] is 56 bytes and a record at least one; the
+		// slack covers the reader's buffer and the error value.
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(128*len(run)+64<<10); got > limit {
 			t.Errorf("decoding %d bytes (records=%d) allocated %d bytes, limit %d", len(run), records, got, limit)
 		}

@@ -75,6 +75,12 @@ type Job[I, K, V, O any] struct {
 	// Map is invoked once per input record and emits intermediate pairs.
 	Map func(ctx *TaskContext, rec I, emit func(K, V)) error
 
+	// MapBatch, when non-nil, maps the batches of splits that offer them
+	// (see BatchSplit) in place of Map: it is invoked once per batch,
+	// emits the same pairs Map would emit for the batch's records, and
+	// returns how many input records the batch held.
+	MapBatch func(ctx *TaskContext, batch any, emit func(K, V)) (records int, err error)
+
 	// NumReducers is the number of reduce tasks R. The paper sets R to the
 	// number of grid cells. Must be positive.
 	NumReducers int

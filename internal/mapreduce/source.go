@@ -116,6 +116,18 @@ type CountedSplit interface {
 	Records() int
 }
 
+// BatchSplit is optionally implemented by splits that hold their records
+// in a batch form — a decoded column block — that a job can map whole,
+// without materializing the records one at a time. A job that sets
+// MapBatch is fed the batches of such a split instead of its records;
+// every other split, and every other job, takes the per-record path. The
+// batch type is a contract between the source and the job.
+type BatchSplit interface {
+	// EachBatch calls yield for every batch of the split, in record order,
+	// stopping early if yield returns false.
+	EachBatch(yield func(batch any) bool) error
+}
+
 // Coalesce wraps a source so that it yields at most target splits,
 // grouping consecutive small splits into one map-task unit. Partitioned
 // storage produces one file (hence at least one split) per seal-grid
@@ -245,6 +257,22 @@ func OpenGroupSplit[I any](ref *SplitRef, open func(ref *SplitRef) (SourceSplit[
 		g = append(g, s)
 	}
 	return g, nil
+}
+
+// eachLeaf calls fn for split, or — when split is a group — for every
+// member in order, so a map task sees through Coalesce to the splits that
+// may offer batches.
+func eachLeaf[I any](split SourceSplit[I], fn func(SourceSplit[I]) error) error {
+	g, ok := split.(groupedSplit[I])
+	if !ok {
+		return fn(split)
+	}
+	for _, s := range g {
+		if err := eachLeaf(s, fn); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (g groupedSplit[I]) Each(yield func(I) bool) error {

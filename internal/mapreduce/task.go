@@ -20,14 +20,16 @@ const defaultChunkCap = 4096
 const cancelCheckEvery = 4096
 
 // mapBody runs the body of one map-task attempt: it feeds every record of
-// the split through job.Map, routes the emitted pairs to r partitions and
-// returns each partition's records as sorted chunks. This is the parallel
-// half of the map-side sort-and-merge shuffle: order is established where
-// the data is produced, and the owning reduce task only merges.
+// the split through job.Map — or every batch through job.MapBatch, where
+// the split offers batches and the job maps them — routes the emitted
+// pairs to r partitions and returns each partition's records as sorted
+// chunks. This is the parallel half of the map-side sort-and-merge
+// shuffle: order is established where the data is produced, and the owning
+// reduce task only merges.
 //
 // Everything returned is attempt-local, so a failed attempt leaves no
-// trace. stop is polled every cancelCheckEvery records; a non-nil return
-// aborts the attempt with that error.
+// trace. stop is polled every cancelCheckEvery records and before every
+// batch; a non-nil return aborts the attempt with that error.
 func mapBody[I, K, V, O any](job *Job[I, K, V, O], split SourceSplit[I], r int, ctx *TaskContext, stop func() error) ([][][]Pair[K, V], error) {
 	cmp := job.compare()
 	// Partition buffers are fixed-capacity chunks sized from the split's
@@ -75,7 +77,7 @@ func mapBody[I, K, V, O any](job *Job[I, K, V, O], split SourceSplit[I], r int, 
 	}
 
 	var mapErr error
-	eachErr := split.Each(func(rec I) bool {
+	mapRecord := func(rec I) bool {
 		recIn++
 		if recIn%cancelCheckEvery == 0 {
 			if mapErr = stop(); mapErr != nil {
@@ -86,6 +88,26 @@ func mapBody[I, K, V, O any](job *Job[I, K, V, O], split SourceSplit[I], r int, 
 			return false
 		}
 		return emitErr == nil
+	}
+	// A batch is a few thousand records at most, so one poll per batch
+	// keeps the per-record path's stop latency.
+	mapBatch := func(batch any) bool {
+		if mapErr = stop(); mapErr != nil {
+			return false
+		}
+		var n int
+		n, mapErr = job.MapBatch(ctx, batch, emit)
+		recIn += int64(n)
+		return mapErr == nil && emitErr == nil
+	}
+	eachErr := eachLeaf(split, func(leaf SourceSplit[I]) error {
+		if mapErr != nil || emitErr != nil {
+			return nil
+		}
+		if bs, ok := leaf.(BatchSplit); ok && job.MapBatch != nil {
+			return bs.EachBatch(mapBatch)
+		}
+		return leaf.Each(mapRecord)
 	})
 	atomic.AddInt64(ctx.recIn, recIn)
 	atomic.AddInt64(ctx.recOut, recOut)

@@ -305,7 +305,7 @@ func PlanGenerations(m *data.Manifest, deltaData, deltaFeatures []data.CellStats
 	}
 	d.NumReducers = in.NumReducers
 	if d.NumReducers <= 0 {
-		d.NumReducers = chooseReducers(d.GridN, in.ReduceSlots)
+		d.NumReducers = ChooseReducers(d.GridN, in.ReduceSlots)
 	}
 	return d
 }
@@ -346,10 +346,10 @@ func chooseGridN(records int64) int {
 	return n
 }
 
-// chooseReducers caps the paper's one-reducer-per-cell default at a small
+// ChooseReducers caps the paper's one-reducer-per-cell default at a small
 // multiple of the available reduce slots: beyond that, extra reduce tasks
 // only add scheduling overhead (cells are then assigned round-robin).
-func chooseReducers(gridN, reduceSlots int) int {
+func ChooseReducers(gridN, reduceSlots int) int {
 	cells := gridN * gridN
 	if reduceSlots <= 0 {
 		return cells

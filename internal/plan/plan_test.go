@@ -236,13 +236,13 @@ func TestChooseGridN(t *testing.T) {
 }
 
 func TestChooseReducers(t *testing.T) {
-	if got := chooseReducers(4, 8); got != 16 {
+	if got := ChooseReducers(4, 8); got != 16 {
 		t.Errorf("small grid: reducers = %d, want 16 (one per cell)", got)
 	}
-	if got := chooseReducers(50, 8); got != 32 {
+	if got := ChooseReducers(50, 8); got != 32 {
 		t.Errorf("large grid: reducers = %d, want 32 (4x slots)", got)
 	}
-	if got := chooseReducers(50, 0); got != 2500 {
+	if got := ChooseReducers(50, 0); got != 2500 {
 		t.Errorf("no slot info: reducers = %d, want 2500", got)
 	}
 }

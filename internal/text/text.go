@@ -187,8 +187,15 @@ func (s KeywordSet) Union(t KeywordSet) KeywordSet {
 // The similarity of two empty sets is defined as 0, matching the paper's
 // convention that a feature object with no relevant keywords has score 0.
 func Jaccard(s, t KeywordSet) float64 {
-	inter := s.IntersectionSize(t)
-	union := len(s) + len(t) - inter
+	return JaccardOfCounts(s.IntersectionSize(t), len(s), len(t))
+}
+
+// JaccardOfCounts returns the Jaccard similarity of two sets of sLen and
+// tLen members sharing inter of them. It is the one place the three counts
+// become a score, so a score computed from stored counts is bit-identical
+// to one computed from the sets.
+func JaccardOfCounts(inter, sLen, tLen int) float64 {
+	union := sLen + tLen - inter
 	if union == 0 {
 		return 0
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"spq/internal/core"
+	"spq/internal/plan"
 )
 
 // TestPlanQuery pins the planning step over every storage format, with and
@@ -14,7 +15,9 @@ import (
 //   - pruning off (no WithAutoPlan) selects exactly the manifest's files —
 //     every cell and every block on columnar storage — reads the whole
 //     delta, never partitions it, and reports no planner statistics;
-//   - the data view is used by delta-free in-process columnar queries only.
+//   - the data view is used by delta-free in-process columnar queries only;
+//   - an unplanned query runs the planner's slot-derived reduce-task count,
+//     not one task per query-grid cell, unless WithReducers overrides it.
 func TestPlanQuery(t *testing.T) {
 	storages := []struct {
 		name     string
@@ -46,26 +49,32 @@ func TestPlanQuery(t *testing.T) {
 						}
 					}
 					snap := e.snap.Load()
-					kws := e.dict.InternAll(q.Keywords)
-					plan := func(opts ...QueryOption) *physicalPlan {
+					planQ := func(opts ...QueryOption) *physicalPlan {
 						t.Helper()
 						qc := queryConfig{alg: core.ESPQSco}
 						for _, opt := range opts {
 							opt(&qc)
 						}
-						p, err := e.planQuery(snap, q, kws, &qc)
+						p, err := e.planQuery(snap, q, &qc)
 						if err != nil {
 							t.Fatal(err)
 						}
 						return p
 					}
 
-					p := plan()
+					p := planQ()
 					if want := st.columnar && !withDelta && !distributed; p.useView != want {
 						t.Errorf("useView = %v, want %v", p.useView, want)
 					}
 					if p.empty || p.planStats != nil || p.priority {
 						t.Errorf("unplanned query carries planner output: empty=%v stats=%+v priority=%v", p.empty, p.planStats, p.priority)
+					}
+					if want := plan.ChooseReducers(defaultGridN, e.cfg.ReduceSlots); p.gridN != defaultGridN || p.reducers != want || want >= defaultGridN*defaultGridN {
+						t.Errorf("unplanned grid %d with %d reducers, want grid %d with the slot-derived %d (fewer than its cells)",
+							p.gridN, p.reducers, defaultGridN, want)
+					}
+					if pr := planQ(WithReducers(3)); pr.reducers != 3 {
+						t.Errorf("WithReducers(3): %d reducers", pr.reducers)
 					}
 					if (p.wire != nil) != distributed {
 						t.Errorf("wire info = %v on a distributed=%v engine", p.wire, distributed)
@@ -106,11 +115,11 @@ func TestPlanQuery(t *testing.T) {
 							t.Error("unplanned query partitioned the delta")
 						}
 						// Opting out of the delta restores the delta-free plan.
-						if pd := plan(WithDelta(false)); pd.useView != (st.columnar && !distributed) || pd.deltaStats.Records != 0 {
+						if pd := planQ(WithDelta(false)); pd.useView != (st.columnar && !distributed) || pd.deltaStats.Records != 0 {
 							t.Errorf("WithDelta(false): useView=%v delta=%+v", pd.useView, pd.deltaStats)
 						}
 						// A planned query partitions it, once.
-						if pp := plan(WithAutoPlan()); pp.planStats == nil || pp.deltaStats.Cells != 1 || snap.delta.view == nil {
+						if pp := planQ(WithAutoPlan()); pp.planStats == nil || pp.deltaStats.Cells != 1 || snap.delta.view == nil {
 							t.Errorf("planned query: stats=%+v delta=%+v view=%v", pp.planStats, pp.deltaStats, snap.delta.view)
 						}
 					} else if p.deltaStats.Records != 0 || p.counters != nil {

@@ -257,8 +257,10 @@ func WithDelta(enabled bool) QueryOption {
 	return func(c *queryConfig) { c.noDelta = !enabled }
 }
 
-// WithReducers overrides the number of reduce tasks (default: one per grid
-// cell, the paper's configuration).
+// WithReducers overrides the number of reduce tasks. The default is one
+// per grid cell — the paper's configuration — capped at four per reduce
+// slot: every cell stays its own reduce group, and tasks beyond that cap
+// only add scheduling overhead.
 func WithReducers(r int) QueryOption {
 	return func(c *queryConfig) { c.reducers = r }
 }
