@@ -1,7 +1,7 @@
 // Command spqd is the spatial-preference-query serving daemon: a
 // long-running process that loads (or generates) a dataset, seals it, and
 // serves queries over HTTP/JSON plus a length-prefixed binary endpoint
-// for bench clients (cmd/spqload).
+// for bench clients.
 //
 // Endpoints:
 //
@@ -19,7 +19,7 @@
 // ones get 503, then the engine closes.
 //
 // The first stdout line is "listening <http-addr> <bin-addr>", so a parent
-// process (spqload -spawn, the CI smoke job) can scrape the bound ports.
+// process spawning the daemon on ephemeral ports can scrape them.
 package main
 
 import (

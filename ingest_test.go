@@ -138,13 +138,21 @@ func TestIngestEquivalenceProperty(t *testing.T) {
 }
 
 // TestAppendWhileQueryRace hammers one sealed engine with concurrent
-// appenders and queriers (run under -race this proves the snapshot/delta
-// publication race-clean). Every query must succeed against a consistent
-// snapshot: errors and duplicate result ids are both failures.
+// appenders and queriers while automatic compactions swap generations
+// under them (run under -race this proves the snapshot/delta publication
+// race-clean). Every query must succeed against a consistent snapshot:
+// errors and duplicate result ids are both failures. Once the stream is
+// folded in, every query must answer exactly like an engine that loaded
+// the same records pre-seal in one batch.
 func TestAppendWhileQueryRace(t *testing.T) {
 	const base, batches, perBatch, queriers, rounds = 800, 16, 20, 4, 8
 	dataObjs, feats := ingestWorkload(base+batches*perBatch, 7)
-	e := NewEngine(Config{Storage: StorageMemory, CompactAfter: -1})
+	query := func(g int) Query {
+		return Query{K: 20, Radius: 0.05 + float64(g)*0.01, Keywords: []string{"ramen", "tapas"}}
+	}
+	// Every fifth append call of perBatch records crosses the threshold:
+	// six compactions during the stream, and a tail left in the delta.
+	e := NewEngine(Config{Storage: StorageMemory, CompactAfter: 5 * perBatch})
 	if err := e.AddData(dataObjs[:base]...); err != nil {
 		t.Fatal(err)
 	}
@@ -157,9 +165,14 @@ func TestAppendWhileQueryRace(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errs := make([]error, queriers+1)
+	compactions := 0
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		// Auto-compaction runs inside the append call that crosses the
+		// threshold, so a new manifest after a call is one compaction;
+		// queries in flight must finish on their old snapshot meanwhile.
+		man := e.Manifest()
 		for b := 0; b < batches; b++ {
 			lo, hi := base+b*perBatch, base+(b+1)*perBatch
 			if err := e.AddData(dataObjs[lo:hi]...); err != nil {
@@ -170,13 +183,9 @@ func TestAppendWhileQueryRace(t *testing.T) {
 				errs[queriers] = err
 				return
 			}
-			if b == batches/2 {
-				// One compaction mid-stream: queries in flight must finish
-				// on their old snapshot while the swap happens.
-				if err := e.Compact(); err != nil {
-					errs[queriers] = err
-					return
-				}
+			if m := e.Manifest(); m != man {
+				compactions++
+				man = m
 			}
 		}
 	}()
@@ -185,8 +194,7 @@ func TestAppendWhileQueryRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				q := Query{K: 20, Radius: 0.05 + float64(g)*0.01, Keywords: []string{"ramen", "tapas"}}
-				res, err := e.Query(q, WithAutoPlan())
+				res, err := e.Query(query(g), WithAutoPlan())
 				if err != nil {
 					errs[g] = err
 					return
@@ -208,9 +216,12 @@ func TestAppendWhileQueryRace(t *testing.T) {
 			t.Errorf("goroutine %d: %v", i, err)
 		}
 	}
+	if compactions < 3 {
+		t.Errorf("%d automatic compactions during the stream, want several", compactions)
+	}
 
 	// After the writer finishes, a final compaction folds the tail in and
-	// queries serve the complete dataset.
+	// queries serve the complete dataset, exactly as a pre-seal batch load.
 	if err := e.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -222,6 +233,26 @@ func TestAppendWhileQueryRace(t *testing.T) {
 	}
 	if total := e.Manifest().TotalRecords(); total != int64(len(dataObjs)+len(feats)) {
 		t.Errorf("manifest records = %d, want %d", total, len(dataObjs)+len(feats))
+	}
+	batch := NewEngine(Config{Storage: StorageMemory})
+	if err := batch.AddData(dataObjs...); err != nil {
+		t.Fatal(err)
+	}
+	if err := batch.AddFeature(feats...); err != nil {
+		t.Fatal(err)
+	}
+	for g := 0; g < queriers; g++ {
+		want, err := batch.Query(query(g), WithAutoPlan())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.Query(query(g), WithAutoPlan(), WithCache(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("query %d: appended+compacted results differ from the batch load\n got %v\nwant %v", g, got, want)
+		}
 	}
 }
 

@@ -3,8 +3,7 @@
 // binary endpoint for bench clients, bounded admission with deadline-based
 // queue eviction, per-tenant token-bucket quotas with 429 load shedding,
 // graceful drain across storage generations, and a /metrics endpoint
-// exposing the engine's spq.* counters. cmd/spqd is the daemon binary;
-// cmd/spqload is the matching open-loop load harness.
+// exposing the engine's spq.* counters. cmd/spqd is the daemon binary.
 package serve
 
 import (

@@ -81,8 +81,8 @@ type Feature struct {
 }
 
 // Query is a spatial preference query using keywords. The json tags are
-// its canonical wire form, shared by the serving daemon (cmd/spqd), its
-// clients and the load harness (cmd/spqload); see QueryRequest.
+// its canonical wire form, shared by the serving daemon (cmd/spqd) and
+// its clients; see QueryRequest.
 type Query struct {
 	// K is the number of data objects to return.
 	K int `json:"k"`

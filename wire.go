@@ -7,10 +7,9 @@ import (
 )
 
 // Canonical JSON wire forms of a query submission and its outcome, shared
-// by the serving daemon (cmd/spqd, package serve), its HTTP/JSON and
-// binary-protocol clients, and the load harness (cmd/spqload). Keeping
-// them in the root package means daemon and client cannot drift: both
-// marshal exactly these structs.
+// by the serving daemon (cmd/spqd, package serve) and its HTTP/JSON and
+// binary-protocol clients. Keeping them in the root package means daemon
+// and client cannot drift: both marshal exactly these structs.
 
 // QueryRequest is one query submission. The embedded Query supplies the
 // k/radius/keywords/mode fields; the rest select execution options
