@@ -36,7 +36,8 @@ func chaosSeeds(t *testing.T) []int64 {
 }
 
 // chaosEngine builds a sealed DFS-backed engine over the clustered
-// synthetic dataset.
+// synthetic dataset. The chaos tests pass SegmentCache: -1, so every
+// query reads the faulty DFS instead of cached blocks.
 func chaosEngine(t *testing.T, cfg Config) *Engine {
 	t.Helper()
 	e := NewEngine(cfg)
@@ -75,64 +76,53 @@ func sameResults(t *testing.T, ctx string, got, want []Result) {
 // The chaos identity property: under any seeded fault schedule that leaves
 // at least one healthy replica per block (transient read errors, one
 // corrupted replica of every Nth block, nodes crashing and reviving
-// mid-run), every algorithm on every DFS-backed storage format returns
+// mid-run), every algorithm on DFS-backed storage returns
 // byte-identical results to a fault-free engine over the same data.
 func TestChaosResultIdentityUnderFaults(t *testing.T) {
-	formats := []struct {
-		name string
-		set  func(*Config)
-	}{
-		{"text", func(c *Config) { c.Storage = StorageDFS }},
-		{"spq3", func(c *Config) { c.Storage = StorageDFSBinary }},
-	}
 	seeds := chaosSeeds(t)
-	for _, f := range formats {
-		f := f
-		t.Run(f.name, func(t *testing.T) {
-			base := Config{
-				Nodes: 6, BlockSize: 2 << 10, Seed: 5,
-				QueryCache: -1, MaxAttempts: 5, RetryBackoff: -1,
+	t.Run("spq3", func(t *testing.T) {
+		base := Config{
+			Nodes: 6, BlockSize: 2 << 10, Seed: 5,
+			QueryCache: -1, SegmentCache: -1, MaxAttempts: 5, RetryBackoff: -1,
+		}
+		clean := chaosEngine(t, base)
+		q := Query{K: 10, Radius: 0.08, Keywords: clean.FrequentKeywords(2)}
+		want := make(map[Algorithm][]Result)
+		for _, alg := range Algorithms() {
+			res, err := clean.Query(q, WithAlgorithm(alg), WithGrid(8))
+			if err != nil {
+				t.Fatalf("clean %v: %v", alg, err)
 			}
-			f.set(&base)
-			clean := chaosEngine(t, base)
-			q := Query{K: 10, Radius: 0.08, Keywords: clean.FrequentKeywords(2)}
-			want := make(map[Algorithm][]Result)
+			want[alg] = res
+		}
+		for _, seed := range seeds {
+			cfg := base
+			cfg.Faults = &FaultPlan{
+				Seed:              seed,
+				TransientReadProb: 0.1,
+				CorruptEveryN:     4,
+				// One node down at a time: with replication 3 every
+				// block keeps at least one healthy replica.
+				Crashes: []CrashEvent{
+					{AtRead: 5, Node: 1},
+					{AtRead: 40, Node: 1, Revive: true},
+					{AtRead: 80, Node: 2},
+					{AtRead: 160, Node: 2, Revive: true},
+				},
+			}
+			faulty := chaosEngine(t, cfg)
 			for _, alg := range Algorithms() {
-				res, err := clean.Query(q, WithAlgorithm(alg), WithGrid(8))
+				rep, err := faulty.QueryReport(q, WithAlgorithm(alg), WithGrid(8))
 				if err != nil {
-					t.Fatalf("clean %v: %v", alg, err)
+					t.Fatalf("seed %d %v: %v", seed, alg, err)
 				}
-				want[alg] = res
+				sameResults(t, "under faults", rep.Results, want[alg])
 			}
-			for _, seed := range seeds {
-				cfg := base
-				cfg.Faults = &FaultPlan{
-					Seed:              seed,
-					TransientReadProb: 0.1,
-					CorruptEveryN:     4,
-					// One node down at a time: with replication 3 every
-					// block keeps at least one healthy replica.
-					Crashes: []CrashEvent{
-						{AtRead: 5, Node: 1},
-						{AtRead: 40, Node: 1, Revive: true},
-						{AtRead: 80, Node: 2},
-						{AtRead: 160, Node: 2, Revive: true},
-					},
-				}
-				faulty := chaosEngine(t, cfg)
-				for _, alg := range Algorithms() {
-					rep, err := faulty.QueryReport(q, WithAlgorithm(alg), WithGrid(8))
-					if err != nil {
-						t.Fatalf("seed %d %v: %v", seed, alg, err)
-					}
-					sameResults(t, f.name+" under faults", rep.Results, want[alg])
-				}
-				if fs := faulty.FaultStats(); fs.CorruptionsInjected == 0 {
-					t.Errorf("seed %d: fault plan injected no corruption", seed)
-				}
+			if fs := faulty.FaultStats(); fs.CorruptionsInjected == 0 {
+				t.Errorf("seed %d: fault plan injected no corruption", seed)
 			}
-		})
-	}
+		}
+	})
 }
 
 // A task may fail transiently on every attempt but its last and the query
@@ -140,11 +130,20 @@ func TestChaosResultIdentityUnderFaults(t *testing.T) {
 // injected faults visible on the report.
 func TestChaosTaskRetriesThenCompletes(t *testing.T) {
 	base := Config{
-		Storage: StorageDFS, Nodes: 4, BlockSize: 4 << 10, Seed: 7,
-		QueryCache: -1, MapSlots: 1, ReduceSlots: 1,
+		Nodes: 4, BlockSize: 4 << 10, Seed: 7,
+		QueryCache: -1, SegmentCache: -1, MapSlots: 1, ReduceSlots: 1,
 		MaxAttempts: 3, RetryBackoff: -1,
 	}
-	clean := chaosEngine(t, base)
+	// One appended record keeps the query off the data view, whose build
+	// reads the data blocks outside the map tasks: every sealed block is
+	// then read by a map task.
+	withDelta := func(e *Engine) *Engine {
+		if err := e.AddData(DataObject{ID: 1 << 40, X: 0.5, Y: 0.5}); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	clean := withDelta(chaosEngine(t, base))
 	q := Query{K: 5, Radius: 0.1, Keywords: clean.FrequentKeywords(2)}
 	want, err := clean.Query(q, WithGrid(6))
 	if err != nil {
@@ -157,7 +156,7 @@ func TestChaosTaskRetriesThenCompletes(t *testing.T) {
 	// again (3 more), and the third attempt reads a healed cluster. The
 	// task burns MaxAttempts-1 failures and must still complete.
 	cfg.Faults = &FaultPlan{FailFirstReads: 6}
-	faulty := chaosEngine(t, cfg)
+	faulty := withDelta(chaosEngine(t, cfg))
 	rep, err := faulty.QueryReport(q, WithGrid(6))
 	if err != nil {
 		t.Fatalf("query with exhausted-minus-one retry budget failed: %v", err)
@@ -177,8 +176,8 @@ func TestChaosTaskRetriesThenCompletes(t *testing.T) {
 // fails with the typed sentinels — never a silently wrong top-k.
 func TestChaosRepairSurvivesNodeLoss(t *testing.T) {
 	e := chaosEngine(t, Config{
-		Storage: StorageDFS, Nodes: 4, BlockSize: 2 << 10, Seed: 3,
-		QueryCache: -1, RetryBackoff: -1,
+		Nodes: 4, BlockSize: 2 << 10, Seed: 3,
+		QueryCache: -1, SegmentCache: -1, RetryBackoff: -1,
 	})
 	q := Query{K: 5, Radius: 0.1, Keywords: e.FrequentKeywords(2)}
 	want, err := e.Query(q, WithGrid(6))
@@ -249,8 +248,8 @@ func TestChaosRepairSurvivesNodeLoss(t *testing.T) {
 // Run under -race in CI.
 func TestChaosKillReviveDuringConcurrentQueries(t *testing.T) {
 	e := chaosEngine(t, Config{
-		Storage: StorageDFS, Nodes: 6, BlockSize: 2 << 10, Seed: 11,
-		QueryCache: -1, MaxAttempts: 5, RetryBackoff: -1,
+		Nodes: 6, BlockSize: 2 << 10, Seed: 11,
+		QueryCache: -1, SegmentCache: -1, MaxAttempts: 5, RetryBackoff: -1,
 	})
 	q := Query{K: 5, Radius: 0.1, Keywords: e.FrequentKeywords(2)}
 	want, err := e.Query(q, WithGrid(6))

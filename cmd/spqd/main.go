@@ -61,7 +61,6 @@ func main() {
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
 
 	eng := spq.NewEngine(spq.Config{
-		Storage:  spq.StorageMemory,
 		Seed:     *seed,
 		MapSlots: *mapSlots, ReduceSlots: *redSlots,
 		QueryCache: *qcache,

@@ -98,9 +98,9 @@ func TestDaemonProcess(t *testing.T) {
 		}
 	})
 
-	// The reference loads while the daemon does: spqd's defaults are the
-	// uniform dataset, seed 42.
-	ref := spq.NewEngine(spq.Config{Storage: spq.StorageMemory, Seed: 42})
+	// The reference loads while the daemon does: spqd runs the default
+	// engine over the uniform dataset, seed 42.
+	ref := spq.NewEngine(spq.Config{Seed: 42})
 	if err := ref.LoadSynthetic("uniform", n); err != nil {
 		t.Fatal(err)
 	}

@@ -1,65 +1,173 @@
 package spq
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
+
+	"spq/internal/core"
+	"spq/internal/data"
+	"spq/internal/geo"
+	"spq/internal/text"
 )
 
-// TestColumnarMatchesRecordStorageProperty is the storage-format
-// correctness property: the same corpus sealed as SPQ3 compressed columnar
-// segments, as text record files and as the in-memory layout returns
-// byte-identical results for every algorithm, planned and unplanned. The
-// format changes how bytes reach the map phase — compressed column blocks
-// fetched by zone-map offset versus records parsed line by line or read
-// from memory — and nothing else. For SPQ3 this also covers the block-
-// at-a-time map: a feature's two counts come from the block dictionary and
-// the posting lists of the query's keywords instead of from a per-record
-// keyword set, and the results must not move.
-func TestColumnarMatchesRecordStorageProperty(t *testing.T) {
-	build := func(st Storage, format string) *Engine {
-		e := NewEngine(Config{Storage: st, Nodes: 4, BlockSize: 4 << 10, Seed: 9})
-		loadClusteredCorpus(t, e, 4000, 8)
-		if err := e.Seal(); err != nil {
+// oracleResults answers q with the centralized R-tree evaluator over the
+// given objects: an independent reference that shares neither storage,
+// planner nor MapReduce code with the engine.
+func oracleResults(dataObjs []DataObject, feats []Feature, q Query) []Result {
+	dict := text.NewDict()
+	objs := make([]data.Object, 0, len(dataObjs)+len(feats))
+	for _, o := range dataObjs {
+		objs = append(objs, data.Object{Kind: data.DataObject, ID: o.ID, Loc: geo.Point{X: o.X, Y: o.Y}})
+	}
+	for _, f := range feats {
+		objs = append(objs, data.Object{Kind: data.FeatureObject, ID: f.ID, Loc: geo.Point{X: f.X, Y: f.Y}, Keywords: dict.InternAll(f.Keywords)})
+	}
+	cq := core.Query{K: q.K, Radius: q.Radius, Keywords: dict.InternAll(q.Keywords), Mode: q.Mode}
+	return toResults(core.RTreeCentralized(objs, cq))
+}
+
+// oracleStorages are the storage modes the oracle properties cover.
+var oracleStorages = []struct {
+	name    string
+	storage Storage
+	format  string
+}{{"spq3", StorageDFSBinary, "spq3"}, {"memory", StorageMemory, "mem"}}
+
+// oracleEngine loads the objects into an engine over storage st and seals
+// it. With delta set, the last third of each dataset is appended after the
+// seal and left uncompacted, so queries read sealed storage and the delta
+// together.
+func oracleEngine(t *testing.T, st Storage, delta bool, dataObjs []DataObject, feats []Feature) *Engine {
+	t.Helper()
+	e := NewEngine(Config{Storage: st, Nodes: 4, BlockSize: 4 << 10, Seed: 9, CompactAfter: -1})
+	nd, nf := len(dataObjs), len(feats)
+	if delta {
+		nd, nf = nd*2/3, nf*2/3
+	}
+	load := func(d []DataObject, f []Feature) {
+		if err := e.AddData(d...); err != nil {
 			t.Fatal(err)
 		}
-		if f := e.Manifest().Format; f != format {
-			t.Fatalf("storage %d sealed as %q, want %q", st, f, format)
+		if err := e.AddFeature(f...); err != nil {
+			t.Fatal(err)
 		}
-		return e
 	}
-	spq3 := build(StorageDFSBinary, "spq3")
-	text := build(StorageDFS, "text")
-	mem := build(StorageMemory, "mem")
+	load(dataObjs[:nd], feats[:nf])
+	if err := e.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	load(dataObjs[nd:], feats[nf:])
+	if delta && e.DeltaLen() == 0 {
+		t.Fatal("delta engine has an empty delta")
+	}
+	return e
+}
 
-	queries := []Query{
+// checkOracle runs every query through every algorithm, unplanned and
+// planned, on every storage mode, sealed and with an uncompacted delta,
+// and requires results identical to the oracle's — ids, coordinates and
+// bitwise scores, ties broken canonically.
+func checkOracle(t *testing.T, dataObjs []DataObject, feats []Feature, queries []Query, opts ...QueryOption) {
+	t.Helper()
+	want := make([][]Result, len(queries))
+	for qi, q := range queries {
+		want[qi] = oracleResults(dataObjs, feats, q)
+	}
+	for _, st := range oracleStorages {
+		for _, delta := range []bool{false, true} {
+			e := oracleEngine(t, st.storage, delta, dataObjs, feats)
+			if f := e.Manifest().Format; f != st.format {
+				t.Fatalf("%s sealed as %q, want %q", st.name, f, st.format)
+			}
+			for qi, q := range queries {
+				for _, alg := range Algorithms() {
+					for _, planned := range []bool{false, true} {
+						o := append([]QueryOption{WithAlgorithm(alg), WithCache(false)}, opts...)
+						if planned {
+							o = append(o, WithAutoPlan())
+						}
+						got, err := e.Query(q, o...)
+						if err != nil {
+							t.Fatalf("q%d %v %s delta=%v planned=%v: %v", qi, alg, st.name, delta, planned, err)
+						}
+						if !resultsEqual(want[qi], got) {
+							t.Errorf("q%d %+v %v %s delta=%v planned=%v differs from the oracle\noracle: %+v\nengine: %+v",
+								qi, q, alg, st.name, delta, planned, want[qi], got)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestColumnarMatchesRecordStorageProperty is the storage-format
+// correctness property on a clustered corpus and five hand-picked queries,
+// among them an out-of-vocabulary keyword and a zero radius: SPQ3
+// compressed columnar segments and the in-memory record layout both
+// return exactly the centralized R-tree oracle's results, for every
+// algorithm, planned and unplanned, sealed and with a delta. For SPQ3 this
+// also covers the block-at-a-time map: a feature's two counts come from
+// the block dictionary and the posting lists of the query's keywords
+// instead of from a per-record keyword set, and the results must not move.
+func TestColumnarMatchesRecordStorageProperty(t *testing.T) {
+	dataObjs, feats := clusteredCorpus(4000, 8)
+	checkOracle(t, dataObjs, feats, []Query{
 		{K: 5, Radius: 0.03, Keywords: []string{"c2-kw9", "common3"}},
 		{K: 10, Radius: 0.1, Keywords: []string{"common1"}},
 		{K: 3, Radius: 0.01, Keywords: []string{"c5-kw1"}},
 		{K: 7, Radius: 0, Keywords: []string{"common7", "c0-kw3"}},
 		{K: 2, Radius: 0.05, Keywords: []string{"zzz-out-of-vocabulary"}},
-	}
-	for qi, q := range queries {
-		for _, alg := range Algorithms() {
-			for _, planned := range []bool{false, true} {
-				opts := []QueryOption{WithAlgorithm(alg), WithGrid(9), WithCache(false)}
-				if planned {
-					opts = append(opts, WithAutoPlan())
-				}
-				want, err := text.Query(q, opts...)
-				if err != nil {
-					t.Fatalf("q%d %v planned=%v text: %v", qi, alg, planned, err)
-				}
-				for name, e := range map[string]*Engine{"spq3": spq3, "memory": mem} {
-					got, err := e.Query(q, opts...)
-					if err != nil {
-						t.Fatalf("q%d %v planned=%v %s: %v", qi, alg, planned, name, err)
-					}
-					if !resultsEqual(want, got) {
-						t.Errorf("q%d %v planned=%v: %s differs\ntext: %+v\n%s: %+v",
-							qi, alg, planned, name, want, name, got)
-					}
-				}
+	}, WithGrid(9))
+}
+
+// TestStorageMatchesOracleRandomized is the same property over seeded
+// random small instances: random sizes, vocabularies, k, radii and
+// keywords (sometimes out of vocabulary), with every fifth object placed on
+// an earlier object's coordinates so that scores tie and the canonical
+// tie-break decides the top-k.
+func TestStorageMatchesOracleRandomized(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		vocab := 4 + rng.Intn(30)
+		word := func() string { return fmt.Sprintf("w%d", rng.Intn(vocab)) }
+		var pts [][2]float64
+		var dataObjs []DataObject
+		var feats []Feature
+		for i, n := 0, 40+rng.Intn(760); i < n; i++ {
+			p := [2]float64{rng.Float64(), rng.Float64()}
+			if len(pts) > 0 && rng.Intn(5) == 0 {
+				p = pts[rng.Intn(len(pts))]
 			}
+			pts = append(pts, p)
+			if i%2 == 0 {
+				dataObjs = append(dataObjs, DataObject{ID: uint64(i + 1), X: p[0], Y: p[1]})
+				continue
+			}
+			kws := make([]string, 1+rng.Intn(6))
+			for j := range kws {
+				kws[j] = word()
+			}
+			feats = append(feats, Feature{ID: uint64(i + 1), X: p[0], Y: p[1], Keywords: kws})
 		}
+		queries := make([]Query, 2)
+		for i := range queries {
+			q := Query{K: 1 + rng.Intn(20), Radius: 0.2 * rng.Float64(), Keywords: []string{word()}}
+			if rng.Intn(4) == 0 {
+				q.Radius = 0
+			}
+			for range rng.Intn(3) {
+				q.Keywords = append(q.Keywords, word())
+			}
+			if rng.Intn(4) == 0 {
+				q.Keywords = append(q.Keywords, "zzz-out-of-vocabulary")
+			}
+			queries[i] = q
+		}
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			checkOracle(t, dataObjs, feats, queries)
+		})
 	}
 }
 

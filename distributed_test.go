@@ -57,18 +57,11 @@ func distQueries(kws []string, n int) []Query {
 	return qs
 }
 
-// Conformance: for every storage format, every algorithm, and 1/2/4
-// workers, a distributed engine must return results byte-identical to the
-// in-process reference — and must actually ship the jobs rather than fall
-// back to local execution.
+// Conformance: for DFS storage, every algorithm, and 1/2/4 workers, a
+// distributed engine must return results byte-identical to the in-process
+// reference — and must actually ship the jobs rather than fall back to
+// local execution.
 func TestDistributedConformance(t *testing.T) {
-	storages := []struct {
-		name string
-		cfg  Config
-	}{
-		{"text", Config{Storage: StorageDFS}},
-		{"columnar", Config{Storage: StorageDFSBinary}},
-	}
 	algs := []struct {
 		name string
 		alg  Algorithm
@@ -79,66 +72,61 @@ func TestDistributedConformance(t *testing.T) {
 	}
 	const size = 1200
 
-	for _, st := range storages {
-		t.Run(st.name, func(t *testing.T) {
-			base := st.cfg
-			base.Nodes = 4
-			base.BlockSize = 8 << 10
-			base.MapSlots, base.ReduceSlots = 4, 2
-			ref := distEngine(t, base, size)
-			kws := ref.FrequentKeywords(16)
-			if len(kws) < 4 {
-				t.Fatalf("only %d frequent keywords", len(kws))
-			}
-			queries := distQueries(kws, 6)
+	t.Run("columnar", func(t *testing.T) {
+		base := Config{Nodes: 4, BlockSize: 8 << 10, MapSlots: 4, ReduceSlots: 2}
+		ref := distEngine(t, base, size)
+		kws := ref.FrequentKeywords(16)
+		if len(kws) < 4 {
+			t.Fatalf("only %d frequent keywords", len(kws))
+		}
+		queries := distQueries(kws, 6)
 
-			var want [][]Result
-			for _, a := range algs {
-				for qi, q := range queries {
-					res, err := ref.Query(q, WithAlgorithm(a.alg))
-					if err != nil {
-						t.Fatalf("reference %s q%d: %v", a.name, qi, err)
-					}
-					want = append(want, res)
+		var want [][]Result
+		for _, a := range algs {
+			for qi, q := range queries {
+				res, err := ref.Query(q, WithAlgorithm(a.alg))
+				if err != nil {
+					t.Fatalf("reference %s q%d: %v", a.name, qi, err)
 				}
+				want = append(want, res)
 			}
+		}
 
-			for _, wc := range workerCounts {
-				t.Run(fmt.Sprintf("workers-%d", wc), func(t *testing.T) {
-					cfg := base
-					cfg.Workers = distWorkers(t, wc, 2)
-					eng := distEngine(t, cfg, size)
-					if !eng.Distributed() || len(eng.Workers()) != wc {
-						t.Fatalf("Distributed()=%v Workers()=%v, want %d workers",
-							eng.Distributed(), eng.Workers(), wc)
-					}
-					i := 0
-					for _, a := range algs {
-						for qi, q := range queries {
-							rep, err := eng.QueryReport(q, WithAlgorithm(a.alg), WithCache(false))
-							if err != nil {
-								t.Fatalf("%s q%d: %v", a.name, qi, err)
-							}
-							if d := diffResults(rep.Results, want[i]); d != "" {
-								t.Errorf("%s q%d with %d workers: %s", a.name, qi, wc, d)
-							}
-							if rep.Counters[CounterExecFallbackLocal] != 0 {
-								t.Errorf("%s q%d fell back to local execution", a.name, qi)
-							}
-							tasks := int64(0)
-							for _, w := range eng.Workers() {
-								tasks += rep.Counters[CounterExecTasksPrefix+w]
-							}
-							if tasks == 0 {
-								t.Errorf("%s q%d: no per-worker task counters", a.name, qi)
-							}
-							i++
+		for _, wc := range workerCounts {
+			t.Run(fmt.Sprintf("workers-%d", wc), func(t *testing.T) {
+				cfg := base
+				cfg.Workers = distWorkers(t, wc, 2)
+				eng := distEngine(t, cfg, size)
+				if !eng.Distributed() || len(eng.Workers()) != wc {
+					t.Fatalf("Distributed()=%v Workers()=%v, want %d workers",
+						eng.Distributed(), eng.Workers(), wc)
+				}
+				i := 0
+				for _, a := range algs {
+					for qi, q := range queries {
+						rep, err := eng.QueryReport(q, WithAlgorithm(a.alg), WithCache(false))
+						if err != nil {
+							t.Fatalf("%s q%d: %v", a.name, qi, err)
 						}
+						if d := diffResults(rep.Results, want[i]); d != "" {
+							t.Errorf("%s q%d with %d workers: %s", a.name, qi, wc, d)
+						}
+						if rep.Counters[CounterExecFallbackLocal] != 0 {
+							t.Errorf("%s q%d fell back to local execution", a.name, qi)
+						}
+						tasks := int64(0)
+						for _, w := range eng.Workers() {
+							tasks += rep.Counters[CounterExecTasksPrefix+w]
+						}
+						if tasks == 0 {
+							t.Errorf("%s q%d: no per-worker task counters", a.name, qi)
+						}
+						i++
 					}
-				})
-			}
-		})
-	}
+				}
+			})
+		}
+	})
 }
 
 // TestExecutorTaskParity runs one and the same spq.query job — same plan,
@@ -155,43 +143,41 @@ func TestExecutorTaskParity(t *testing.T) {
 		mapreduce.CounterReduceGroups,
 		mapreduce.CounterReduceValues,
 	}
-	for name, storage := range map[string]Storage{"text": StorageDFS, "spq3": StorageDFSBinary} {
-		t.Run(name, func(t *testing.T) {
-			eng := distEngine(t, Config{
-				Storage: storage, Nodes: 4, BlockSize: 8 << 10, MapSlots: 4, ReduceSlots: 2,
-				Workers: distWorkers(t, 2, 2),
-			}, 1200)
-			q := distQueries(eng.FrequentKeywords(16), 1)[0]
-			for _, alg := range Algorithms() {
-				remote, err := eng.QueryReport(q, WithAlgorithm(alg), WithCache(false))
-				if err != nil {
-					t.Fatalf("%v on workers: %v", alg, err)
-				}
-				if remote.Counters[CounterExecFallbackLocal] != 0 {
-					t.Fatalf("%v: job did not ship", alg)
-				}
-				exec := eng.cluster.Executor
-				eng.cluster.Executor = nil
-				local, err := eng.QueryReport(q, WithAlgorithm(alg), WithCache(false))
-				eng.cluster.Executor = exec
-				if err != nil {
-					t.Fatalf("%v in-process: %v", alg, err)
-				}
-				if local.Counters[mapreduce.CounterExecRPCBytes] != 0 {
-					t.Fatalf("%v: in-process run moved %d RPC bytes", alg, local.Counters[mapreduce.CounterExecRPCBytes])
-				}
-				if d := diffResults(remote.Results, local.Results); d != "" {
-					t.Errorf("%v: workers vs in-process: %s", alg, d)
-				}
-				for _, c := range parity {
-					if remote.Counters[c] != local.Counters[c] || local.Counters[c] == 0 {
-						t.Errorf("%v: %s = %d on workers, %d in-process (want equal and non-zero)",
-							alg, c, remote.Counters[c], local.Counters[c])
-					}
+	t.Run("spq3", func(t *testing.T) {
+		eng := distEngine(t, Config{
+			Nodes: 4, BlockSize: 8 << 10, MapSlots: 4, ReduceSlots: 2,
+			Workers: distWorkers(t, 2, 2),
+		}, 1200)
+		q := distQueries(eng.FrequentKeywords(16), 1)[0]
+		for _, alg := range Algorithms() {
+			remote, err := eng.QueryReport(q, WithAlgorithm(alg), WithCache(false))
+			if err != nil {
+				t.Fatalf("%v on workers: %v", alg, err)
+			}
+			if remote.Counters[CounterExecFallbackLocal] != 0 {
+				t.Fatalf("%v: job did not ship", alg)
+			}
+			exec := eng.cluster.Executor
+			eng.cluster.Executor = nil
+			local, err := eng.QueryReport(q, WithAlgorithm(alg), WithCache(false))
+			eng.cluster.Executor = exec
+			if err != nil {
+				t.Fatalf("%v in-process: %v", alg, err)
+			}
+			if local.Counters[mapreduce.CounterExecRPCBytes] != 0 {
+				t.Fatalf("%v: in-process run moved %d RPC bytes", alg, local.Counters[mapreduce.CounterExecRPCBytes])
+			}
+			if d := diffResults(remote.Results, local.Results); d != "" {
+				t.Errorf("%v: workers vs in-process: %s", alg, d)
+			}
+			for _, c := range parity {
+				if remote.Counters[c] != local.Counters[c] || local.Counters[c] == 0 {
+					t.Errorf("%v: %s = %d on workers, %d in-process (want equal and non-zero)",
+						alg, c, remote.Counters[c], local.Counters[c])
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // A planned (WithAutoPlan) columnar query must ship its pruned block
@@ -253,7 +239,7 @@ func TestDistributedMemoryFallback(t *testing.T) {
 // Unreachable workers must surface as a query error, not a hang or a
 // silent local run.
 func TestDistributedAttachError(t *testing.T) {
-	eng := NewEngine(Config{Storage: StorageDFS, Workers: []string{"127.0.0.1:1"}})
+	eng := NewEngine(Config{Workers: []string{"127.0.0.1:1"}})
 	if err := eng.LoadSynthetic("uniform", 100); err != nil {
 		t.Fatal(err)
 	}
@@ -302,146 +288,135 @@ func TestDistributedSegCounters(t *testing.T) {
 
 // Full-churn chaos property: under a seeded schedule of kills, joins,
 // graceful drains and straggler slowdowns that always leaves at least one
-// live worker, every algorithm × storage format must return results
+// live worker, every algorithm on DFS storage must return results
 // byte-identical to the undisturbed in-process reference. The slowdown
 // must trip speculative execution (spec.won > 0), the scheduled join and
 // drain must be metered, and a worker added mid-engine through the public
 // API must be observed executing tasks via its per-worker attribution
 // counter.
 func TestDistributedChurn(t *testing.T) {
-	storages := []struct {
-		name string
-		cfg  Config
-	}{
-		{"text", Config{Storage: StorageDFS}},
-		{"columnar", Config{Storage: StorageDFSBinary}},
-	}
 	algs := []struct {
 		name string
 		alg  Algorithm
 	}{{"pspq", PSPQ}, {"espq-len", ESPQLen}, {"espq-sco", ESPQSco}}
 	const size = 1200
 
-	for _, st := range storages {
-		t.Run(st.name, func(t *testing.T) {
-			base := st.cfg
-			base.Nodes = 4
-			base.BlockSize = 8 << 10
-			base.MapSlots, base.ReduceSlots = 4, 2
-			base.QueryCache = -1
-			base.MaxAttempts = 5
-			ref := distEngine(t, base, size)
-			kws := ref.FrequentKeywords(16)
-			queries := distQueries(kws, 4)
+	t.Run("columnar", func(t *testing.T) {
+		base := Config{
+			Nodes: 4, BlockSize: 8 << 10, MapSlots: 4, ReduceSlots: 2,
+			QueryCache: -1, MaxAttempts: 5,
+		}
+		ref := distEngine(t, base, size)
+		kws := ref.FrequentKeywords(16)
+		queries := distQueries(kws, 4)
 
-			var want [][]Result
-			for _, a := range algs {
-				for _, q := range queries {
-					res, err := ref.Query(q, WithAlgorithm(a.alg))
-					if err != nil {
-						t.Fatal(err)
-					}
-					want = append(want, res)
+		var want [][]Result
+		for _, a := range algs {
+			for _, q := range queries {
+				res, err := ref.Query(q, WithAlgorithm(a.alg))
+				if err != nil {
+					t.Fatal(err)
 				}
+				want = append(want, res)
 			}
+		}
 
-			for _, seed := range chaosSeeds(t) {
-				t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-					// The joiner process is up before the engine exists; the
-					// churn schedule attaches it mid-run.
-					joiner, err := mapreduce.StartWorker("127.0.0.1:0", 2)
-					if err != nil {
-						t.Fatal(err)
-					}
-					t.Cleanup(joiner.Stop)
+		for _, seed := range chaosSeeds(t) {
+			t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+				// The joiner process is up before the engine exists; the
+				// churn schedule attaches it mid-run.
+				joiner, err := mapreduce.StartWorker("127.0.0.1:0", 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(joiner.Stop)
 
-					cfg := base
-					cfg.Workers = distWorkers(t, 3, 2)
-					cfg.Speculation = &SpeculationConfig{
-						Multiple: 2, MinTasks: 2, MinDelay: 5 * time.Millisecond,
-					}
-					// worker-3 straggles but stays alive (speculation must
-					// win, not rerouting); worker-1 dies; worker-2 drains
-					// gracefully; the joiner arrives in between. At least
-					// worker-3 and the joiner always survive.
-					cfg.Faults = &FaultPlan{
-						Seed: seed,
-						WorkerKills: []WorkerKillEvent{
-							{Worker: "worker-1", AfterTasks: 3 + int(seed%5)},
-						},
-						WorkerJoins: []WorkerJoinEvent{
-							{Addr: joiner.Addr(), Name: "joiner", AfterTasks: 2 + int(seed%3)},
-						},
-						WorkerDrains: []WorkerDrainEvent{
-							{Worker: "worker-2", AfterTasks: 8 + int(seed%6)},
-						},
-						WorkerSlowdowns: []WorkerSlowdownEvent{
-							{Worker: "worker-3", AfterTasks: 1, Delay: 100 * time.Millisecond},
-						},
-					}
-					eng := distEngine(t, cfg, size)
+				cfg := base
+				cfg.Workers = distWorkers(t, 3, 2)
+				cfg.Speculation = &SpeculationConfig{
+					Multiple: 2, MinTasks: 2, MinDelay: 5 * time.Millisecond,
+				}
+				// worker-3 straggles but stays alive (speculation must
+				// win, not rerouting); worker-1 dies; worker-2 drains
+				// gracefully; the joiner arrives in between. At least
+				// worker-3 and the joiner always survive.
+				cfg.Faults = &FaultPlan{
+					Seed: seed,
+					WorkerKills: []WorkerKillEvent{
+						{Worker: "worker-1", AfterTasks: 3 + int(seed%5)},
+					},
+					WorkerJoins: []WorkerJoinEvent{
+						{Addr: joiner.Addr(), Name: "joiner", AfterTasks: 2 + int(seed%3)},
+					},
+					WorkerDrains: []WorkerDrainEvent{
+						{Worker: "worker-2", AfterTasks: 8 + int(seed%6)},
+					},
+					WorkerSlowdowns: []WorkerSlowdownEvent{
+						{Worker: "worker-3", AfterTasks: 1, Delay: 100 * time.Millisecond},
+					},
+				}
+				eng := distEngine(t, cfg, size)
 
-					churn := make(map[string]int64)
-					i := 0
-					for _, a := range algs {
-						for qi, q := range queries {
-							rep, err := eng.QueryReport(q, WithAlgorithm(a.alg), WithCache(false))
-							if err != nil {
-								t.Fatalf("%s q%d under churn: %v", a.name, qi, err)
-							}
-							if d := diffResults(rep.Results, want[i]); d != "" {
-								t.Errorf("%s q%d under churn: %s", a.name, qi, d)
-							}
-							for k, v := range rep.Counters {
-								churn[k] += v
-							}
-							i++
+				churn := make(map[string]int64)
+				i := 0
+				for _, a := range algs {
+					for qi, q := range queries {
+						rep, err := eng.QueryReport(q, WithAlgorithm(a.alg), WithCache(false))
+						if err != nil {
+							t.Fatalf("%s q%d under churn: %v", a.name, qi, err)
 						}
+						if d := diffResults(rep.Results, want[i]); d != "" {
+							t.Errorf("%s q%d under churn: %s", a.name, qi, d)
+						}
+						for k, v := range rep.Counters {
+							churn[k] += v
+						}
+						i++
 					}
-					if churn[CounterExecWorkersJoined] == 0 {
-						t.Error("scheduled join not metered")
-					}
-					if churn[CounterExecWorkersDrained] == 0 {
-						t.Error("scheduled drain not metered")
-					}
-					if churn[CounterExecWorkersLost] == 0 {
-						t.Error("scheduled kill not metered as a loss")
-					}
-					if churn[CounterExecSpecLaunched] == 0 {
-						t.Error("straggling worker launched no speculative backups")
-					}
-					if churn[CounterExecSpecWon] == 0 {
-						t.Error("no speculative backup won against a 100ms straggler")
-					}
-					if churn[CounterExecTasksPrefix+"joiner"] == 0 {
-						t.Error("chaos-joined worker executed no tasks")
-					}
+				}
+				if churn[CounterExecWorkersJoined] == 0 {
+					t.Error("scheduled join not metered")
+				}
+				if churn[CounterExecWorkersDrained] == 0 {
+					t.Error("scheduled drain not metered")
+				}
+				if churn[CounterExecWorkersLost] == 0 {
+					t.Error("scheduled kill not metered as a loss")
+				}
+				if churn[CounterExecSpecLaunched] == 0 {
+					t.Error("straggling worker launched no speculative backups")
+				}
+				if churn[CounterExecSpecWon] == 0 {
+					t.Error("no speculative backup won against a 100ms straggler")
+				}
+				if churn[CounterExecTasksPrefix+"joiner"] == 0 {
+					t.Error("chaos-joined worker executed no tasks")
+				}
 
-					// Mid-engine membership through the public API: a fresh
-					// worker added now must serve the next query.
-					late, err := mapreduce.StartWorker("127.0.0.1:0", 2)
-					if err != nil {
-						t.Fatal(err)
-					}
-					t.Cleanup(late.Stop)
-					name, err := eng.AddWorker(late.Addr(), "late")
-					if err != nil {
-						t.Fatal(err)
-					}
-					rep, err := eng.QueryReport(queries[0], WithAlgorithm(algs[0].alg), WithCache(false))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if d := diffResults(rep.Results, want[0]); d != "" {
-						t.Errorf("post-AddWorker query: %s", d)
-					}
-					if rep.Counters[CounterExecTasksPrefix+name] == 0 {
-						t.Errorf("worker %q added mid-engine executed no tasks", name)
-					}
-				})
-			}
-		})
-	}
+				// Mid-engine membership through the public API: a fresh
+				// worker added now must serve the next query.
+				late, err := mapreduce.StartWorker("127.0.0.1:0", 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(late.Stop)
+				name, err := eng.AddWorker(late.Addr(), "late")
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := eng.QueryReport(queries[0], WithAlgorithm(algs[0].alg), WithCache(false))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := diffResults(rep.Results, want[0]); d != "" {
+					t.Errorf("post-AddWorker query: %s", d)
+				}
+				if rep.Counters[CounterExecTasksPrefix+name] == 0 {
+					t.Errorf("worker %q added mid-engine executed no tasks", name)
+				}
+			})
+		}
+	})
 }
 
 // Worker-kill chaos: losing workers mid-workload (seeded fault plan) must

@@ -24,23 +24,21 @@ type Storage int
 
 // Storage modes.
 const (
-	// StorageDFS stores objects as text files in the simulated distributed
-	// file system; queries read them through block-aligned input splits
-	// with locality-aware scheduling. This is the full reproduction of the
-	// paper's Hadoop/HDFS stack and the default.
-	StorageDFS Storage = iota
+	// StorageDFSBinary stores objects in the simulated distributed file
+	// system as SPQ3 compressed columnar segments: each sealed cell is
+	// written as density-sized column blocks (delta-varint ids, xor-delta
+	// bit-packed coordinates, dictionary-coded keyword postings) with
+	// per-block zone maps (bounding box, record count, keyword bloom) in
+	// the manifest, so the query planner prunes inside cells and the reader
+	// decodes only surviving blocks — straight into dense, cache-shared
+	// column buffers. This is the full reproduction of the paper's
+	// Hadoop/HDFS stack (replicated blocks, repair, worker processes) and
+	// the default.
+	StorageDFSBinary Storage = iota
 	// StorageMemory keeps objects in memory and feeds them to MapReduce
-	// through an in-memory source. Faster, and sufficient when only the
-	// algorithms (not the storage substrate) matter.
+	// through an in-memory source. Sufficient when only the algorithms (not
+	// the storage substrate) matter; its jobs never ship to workers.
 	StorageMemory
-	// StorageDFSBinary stores objects as SPQ3 compressed columnar segments
-	// instead of text lines: each sealed cell is written as density-sized
-	// column blocks (delta-varint ids, xor-delta bit-packed coordinates,
-	// dictionary-coded keyword postings) with per-block zone maps (bounding
-	// box, record count, keyword bloom) in the manifest, so the query
-	// planner prunes inside cells and the reader decodes only surviving
-	// blocks — straight into dense, cache-shared column buffers.
-	StorageDFSBinary
 )
 
 // Per-query segment I/O counters, emitted on columnar storage
@@ -82,7 +80,8 @@ type Config struct {
 	BlockSize int
 	// Replication is the DFS replication factor (default 3).
 	Replication int
-	// Storage selects DFS-backed (default) or in-memory datasets.
+	// Storage selects DFS-resident SPQ3 segments (the default) or
+	// in-memory datasets.
 	Storage Storage
 	// SealGridN is the edge size of the seal grid: Seal writes the
 	// datasets as per-cell files over a SealGridN x SealGridN grid with a
@@ -303,17 +302,7 @@ func NewEngine(cfg Config) *Engine {
 		e.viewCache = core.NewViewCache(0)
 	}
 	if len(cfg.Workers) > 0 {
-		dictWords := func(n int) []string {
-			if sz := e.dict.Size(); n > sz {
-				n = sz
-			}
-			out := make([]string, n)
-			for i := range out {
-				out[i] = e.dict.Word(uint32(i))
-			}
-			return out
-		}
-		exec, err := mapreduce.NewRPCExecutor(fs, dictWords, cfg.Workers)
+		exec, err := mapreduce.NewRPCExecutor(fs, cfg.Workers)
 		if err != nil {
 			e.execErr = fmt.Errorf("spq: attach workers: %w", err)
 		} else {
@@ -655,12 +644,8 @@ func (e *Engine) writeGenerationLocked(objs []data.Object) error {
 	parts := data.PartitionObjects(g, objs)
 	parts.Generation = e.gen + 1
 	switch e.cfg.Storage {
-	case StorageDFS, StorageDFSBinary:
-		format := data.FormatText
-		if e.cfg.Storage == StorageDFSBinary {
-			format = data.FormatCompressed
-		}
-		man, err := parts.SealDFS(e.fs, prefix, e.dict, format)
+	case StorageDFSBinary:
+		man, err := parts.SealDFS(e.fs, prefix, e.dict)
 		if err != nil {
 			return fmt.Errorf("spq: seal: %w", err)
 		}
@@ -882,9 +867,9 @@ func (e *Engine) queryReport(ctx context.Context, q Query, opts []QueryOption) (
 // planQuery before anything runs: execute reads this value and nothing
 // else about the options, the storage format or the executor.
 type physicalPlan struct {
-	// The sealed input: whole cell files (text and memory layouts) or
-	// per-cell block selections (columnar), the data and feature halves
-	// apart so a data view can stand in for the first.
+	// The sealed input: whole cell files (memory layout) or per-cell block
+	// selections (columnar), the data and feature halves apart so a data
+	// view can stand in for the first.
 	files              []string
 	colsData, colsFeat []data.ColSel
 	// src scans that selection — minus the data half under useView —
@@ -930,7 +915,7 @@ func (e *Engine) planQuery(s *snapshot, q Query, cfg *queryConfig) (*physicalPla
 		p.deltaStats.RecordsSelected = p.deltaStats.Records
 	}
 	var deltaSrc mapreduce.Source[data.Object]
-	files := s.manifest.Files // evaluated only by whole-file storage
+	files := s.manifest.Files // evaluated only by memory storage
 	dataCells, featCells := s.manifest.Data, s.manifest.Features
 	var blocks map[string][]int // surviving blocks per cell file; nil = all
 	if cfg.autoPlan {
@@ -991,13 +976,9 @@ func (e *Engine) planQuery(s *snapshot, q Query, cfg *queryConfig) (*physicalPla
 		p.reducers = plan.ChooseReducers(p.gridN, e.cfg.ReduceSlots)
 	}
 	if e.exec != nil {
-		p.wire = &core.WireInfo{DictLen: e.dict.Size(), Gen: s.manifest.Generation}
+		p.wire = &core.WireInfo{Gen: s.manifest.Generation}
 	}
 
-	// DFS sources are coalesced: per-cell files (and column blocks) are
-	// small, and one map task per unit would drown the job in task
-	// overhead, so consecutive splits are grouped down to a few per map slot.
-	target := e.cfg.MapSlots * 4
 	switch s.manifest.Format {
 	case data.FormatCompressed:
 		// Columnar storage reads block selections, fetched by ranged read
@@ -1018,12 +999,10 @@ func (e *Engine) planQuery(s *snapshot, q Query, cfg *queryConfig) (*physicalPla
 		}
 		in := data.NewColInput(e.fs, cols, e.segCache, s.manifest.Generation)
 		in.IO = p.segIO
-		p.src = mapreduce.Coalesce[data.Object](in, target)
-	case data.FormatText:
-		p.files = files()
-		p.src = mapreduce.Coalesce[data.Object](mapreduce.NewTextInput(e.fs, func(line []byte) (data.Object, error) {
-			return data.ParseLine(line, e.dict)
-		}, p.files...), target)
+		// Column blocks are small, and one map task per block would drown
+		// the job in task overhead, so consecutive blocks are grouped down
+		// to a few per map slot.
+		p.src = mapreduce.Coalesce[data.Object](in, e.cfg.MapSlots*4)
 	case data.FormatMemory:
 		p.files = files()
 		p.src = memoryChunks(s.sealedObjs, s.memLayout, p.files, e.cfg.MapSlots*2)

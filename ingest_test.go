@@ -56,7 +56,7 @@ func TestIngestEquivalenceProperty(t *testing.T) {
 		{K: 25, Radius: 0.15, Keywords: []string{"sushi"}},
 		{K: 5, Radius: 0.03, Keywords: []string{"vegan", "wine", "cheap"}},
 	}
-	for _, storage := range []Storage{StorageDFS, StorageMemory, StorageDFSBinary} {
+	for _, storage := range []Storage{StorageMemory, StorageDFSBinary} {
 		cfg := Config{Storage: storage, Nodes: 4, BlockSize: 8 << 10, Seed: 3}
 
 		// Engine A: everything loaded pre-seal, one batch, one generation.

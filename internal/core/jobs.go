@@ -48,7 +48,8 @@ func Algorithms() []Algorithm { return []Algorithm{PSPQ, ESPQLen, ESPQSco} }
 
 // Options configure one MapReduce execution.
 type Options struct {
-	// Cluster supplies the worker slots (and DFS for text sources).
+	// Cluster supplies the worker slots and, when it carries an executor,
+	// the worker processes remotable jobs ship to.
 	Cluster *mapreduce.Cluster
 	// Bounds is the spatial extent of the dataset; the query-time grid is
 	// laid over it (Section 4.1: "the grid is defined at query time").
@@ -376,8 +377,8 @@ func (m *mapper) emitRec(r Rec, emit func(CellKey, Rec)) (dups int) {
 	return len(targets)
 }
 
-// mapObject is the per-record Map function: the path of text, memory and
-// delta splits. The two counts come from the record's keyword set.
+// mapObject is the per-record Map function: the path of memory and delta
+// splits. The two counts come from the record's keyword set.
 func (m *mapper) mapObject(ctx *mapreduce.TaskContext, o data.Object, emit func(CellKey, Rec)) error {
 	switch dups := m.emitRec(m.q.newRec(o), emit); {
 	case dups < 0:

@@ -19,14 +19,9 @@ const WireKind = "spq.query"
 
 // WireInfo is what the engine must tell Run about the sealed storage for
 // the job to be reconstructible on a worker. Split references are
-// self-describing (their Kind discriminates text/col), so only the
-// facts a worker cannot read from the references themselves travel here.
+// self-describing column-block selections, so only the facts a worker
+// cannot read from the references themselves travel here.
 type WireInfo struct {
-	// DictLen is the size of the master's keyword dictionary at query
-	// time. Workers parsing text-format records pull exactly this prefix
-	// (in id order) before their first parse, so every interned id agrees
-	// with the ids in the query spec and in binary file bytes.
-	DictLen int
 	// Gen is the storage generation of the snapshot the query reads; it
 	// scopes worker-side decoded-block caching exactly like the engine's
 	// segment cache keys.
@@ -46,7 +41,6 @@ type querySpec struct {
 	GridN               int
 	NumReducers         int
 	DisableKeywordPrune bool
-	DictLen             int
 	Gen                 uint64
 }
 
@@ -62,7 +56,6 @@ func encodeQuerySpec(alg Algorithm, q Query, opts Options) ([]byte, error) {
 		GridN:               opts.GridN,
 		NumReducers:         opts.NumReducers,
 		DisableKeywordPrune: opts.DisableKeywordPrune,
-		DictLen:             opts.Wire.DictLen,
 		Gen:                 opts.Wire.Gen,
 	}
 	var buf bytes.Buffer
@@ -99,8 +92,8 @@ func buildWireJob(spec []byte, env *mapreduce.WorkerEnv) (mapreduce.RemoteJob, e
 	}
 
 	// Job-scoped worker state: decoded column blocks are cached across the
-	// job's tasks (released with the job), and the master dictionary
-	// prefix is pulled once, before the first text parse.
+	// job's tasks (released with the job). The blocks carry the master's
+	// interned keyword ids, so a worker needs no dictionary.
 	blocks := data.NewBlockCache(0)
 	// Per-attempt segment I/O stats: one SegIOStats per TaskIO, folded
 	// into the attempt's counter deltas when it finishes — so a worker's
@@ -133,46 +126,12 @@ func buildWireJob(spec []byte, env *mapreduce.WorkerEnv) (mapreduce.RemoteJob, e
 		return st
 	}
 
-	var dictMu sync.Mutex
-	var dict *text.Dict
-	ensureDict := func(io *mapreduce.TaskIO) (*text.Dict, error) {
-		dictMu.Lock()
-		defer dictMu.Unlock()
-		if dict != nil {
-			return dict, nil
-		}
-		words, err := io.DictWords(s.DictLen)
-		if err != nil {
-			return nil, err
-		}
-		d := text.NewDict()
-		for _, w := range words {
-			d.Intern(w)
-		}
-		dict = d
-		return dict, nil
-	}
-
 	open := func(io *mapreduce.TaskIO, ref *mapreduce.SplitRef) (mapreduce.SourceSplit[data.Object], error) {
-		switch ref.Kind {
-		case "text":
-			d, derr := ensureDict(io)
-			if derr != nil {
-				return nil, derr
-			}
-			fs, ferr := io.File(ref.File)
-			if ferr != nil {
-				return nil, ferr
-			}
-			return mapreduce.OpenTextSplit(fs, ref, func(line []byte) (data.Object, error) {
-				return data.ParseLine(line, d)
-			}), nil
-		case "col":
-			in := &data.ColInput{R: io, Cache: blocks, Gen: s.Gen, IO: segStatsFor(io)}
-			return in.OpenRef(ref)
-		default:
+		if ref.Kind != "col" {
 			return nil, mapreduce.Permanent(fmt.Errorf("core: unknown split kind %q", ref.Kind))
 		}
+		in := &data.ColInput{R: io, Cache: blocks, Gen: s.Gen, IO: segStatsFor(io)}
+		return in.OpenRef(ref)
 	}
 	return mapreduce.BindRemote(job, open), nil
 }

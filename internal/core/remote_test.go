@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"net/rpc"
 	"strings"
 	"testing"
@@ -19,14 +18,14 @@ import (
 // loopbackWorker starts a worker node and a master over fs on loopback TCP
 // and returns the executor (the master's handle) and a raw RPC client to
 // the worker, for handing it task descriptors no orchestrator would build.
-func loopbackWorker(t *testing.T, fs *dfs.FileSystem, dictWords func(n int) []string) (*mapreduce.RPCExecutor, *rpc.Client) {
+func loopbackWorker(t *testing.T, fs *dfs.FileSystem) (*mapreduce.RPCExecutor, *rpc.Client) {
 	t.Helper()
 	w, err := mapreduce.StartWorker("127.0.0.1:0", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(w.Stop)
-	exec, err := mapreduce.NewRPCExecutor(fs, dictWords, []string{w.Addr()})
+	exec, err := mapreduce.NewRPCExecutor(fs, []string{w.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,17 +39,17 @@ func loopbackWorker(t *testing.T, fs *dfs.FileSystem, dictWords func(n int) []st
 }
 
 // TestWorkerRejectsBadSplitRefs hands a live worker process map tasks whose
-// split descriptors are malformed or name the retired "seq" kind. Each must
-// come back as a permanent task failure in the RPC reply — the form the
-// master's retry loop classifies on — and the worker must keep serving: a
-// bad descriptor used to reach dfs.ReadRange unchecked and panic inside the
-// RPC handler, killing the process.
+// split descriptors are malformed or name a retired kind ("seq", "text").
+// Each must come back as a permanent task failure in the RPC reply — the
+// form the master's retry loop classifies on — and the worker must keep
+// serving: a bad descriptor used to reach dfs.ReadRange unchecked and panic
+// inside the RPC handler, killing the process.
 func TestWorkerRejectsBadSplitRefs(t *testing.T) {
 	fs := dfs.New(dfs.Config{NumNodes: 1, Replication: 1})
 	if err := fs.Create("f", make([]byte, 1000)); err != nil {
 		t.Fatal(err)
 	}
-	_, client := loopbackWorker(t, fs, nil)
+	_, client := loopbackWorker(t, fs)
 
 	spec, err := encodeQuerySpec(ESPQSco,
 		Query{K: 1, Radius: 0.1, Keywords: text.NewKeywordSet(1)},
@@ -71,6 +70,7 @@ func TestWorkerRejectsBadSplitRefs(t *testing.T) {
 		want string
 	}{
 		{"retired seq kind", mapreduce.SplitRef{Kind: "seq", File: "f", Length: 10}, "unknown split kind"},
+		{"retired text kind", mapreduce.SplitRef{Kind: "text", File: "f", Length: 12}, "unknown split kind"},
 		{"negative offset", mapreduce.SplitRef{Kind: "col", File: "f", Offset: -100, Length: 10, Extra: extra(0, 3)}, "bad frame range"},
 		{"zero length", mapreduce.SplitRef{Kind: "col", File: "f", Extra: extra(0, 3)}, "bad frame range"},
 		{"zero records", mapreduce.SplitRef{Kind: "col", File: "f", Length: 10, Extra: extra(0, 0)}, "bad record count"},
@@ -88,73 +88,6 @@ func TestWorkerRejectsBadSplitRefs(t *testing.T) {
 		}
 		if !strings.Contains(reply.Err, c.want) || !reply.Permanent {
 			t.Errorf("%s: reply err=%q permanent=%v, want a permanent %q error", c.name, reply.Err, reply.Permanent, c.want)
-		}
-	}
-}
-
-// TestDictWordsRejectsBadPrefixes drives the keyword-dictionary pull wrong
-// in both directions over a loopback master and worker. Master side, a
-// negative prefix length used to reach the engine's make([]string, n)
-// inside the RPC handler; worker side, a reply shorter than the prefix the
-// job spec names (or a negative length in the spec) used to be sliced
-// [:n] unchecked. Each must come back as an error — permanent on the
-// worker — with both processes still serving.
-func TestDictWordsRejectsBadPrefixes(t *testing.T) {
-	dict := []string{"w0", "w1", "w2"}
-	dictWords := func(n int) []string { // the engine's closure: clamps high, trusts low
-		if n > len(dict) {
-			n = len(dict)
-		}
-		return append(make([]string, 0, n), dict[:n]...)
-	}
-	fs := dfs.New(dfs.Config{NumNodes: 1, Replication: 1})
-	if err := fs.Create("f", []byte("D\t1\t0.5\t0.5\n")); err != nil {
-		t.Fatal(err)
-	}
-	exec, worker := loopbackWorker(t, fs, dictWords)
-
-	master, err := rpc.Dial("tcp", exec.MasterAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer master.Close()
-	var reply mapreduce.DictReply
-	if err := master.Call("Master.DictWords", &mapreduce.DictArgs{N: -1}, &reply); err == nil || !strings.Contains(err.Error(), "-1 words") {
-		t.Errorf("negative prefix: err = %v, want a rejection naming -1 words", err)
-	}
-	if err := master.Call("Master.DictWords", &mapreduce.DictArgs{N: 2}, &reply); err != nil || len(reply.Words) != 2 {
-		t.Fatalf("master unusable after the bad request: %d words, err %v", len(reply.Words), err)
-	}
-
-	for i, c := range []struct {
-		dictLen int
-		want    string
-	}{
-		{5, "dictionary has 3 words, the job needs 5"},
-		{-1, "-1 words"},
-		{3, ""},
-	} {
-		spec, err := encodeQuerySpec(ESPQSco,
-			Query{K: 1, Radius: 0.1, Keywords: text.NewKeywordSet(1)},
-			Options{Bounds: geo.Rect{MaxX: 1, MaxY: 1}, GridN: 2, Wire: &WireInfo{DictLen: c.dictLen}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		args := &mapreduce.RunTaskArgs{Desc: mapreduce.TaskDesc{
-			Job: "dict", JobID: fmt.Sprintf("dict-%d", i), Kind: mapreduce.MapTask, Task: 0, Attempt: 1,
-			NumMaps: 1, NumReducers: 1, JobKind: WireKind, JobSpec: spec,
-			Split: &mapreduce.SplitRef{Kind: "text", File: "f", Length: 12},
-		}}
-		var reply mapreduce.RunTaskReply
-		if err := worker.Call("Worker.RunTask", args, &reply); err != nil {
-			t.Fatalf("DictLen %d: worker unusable: %v", c.dictLen, err)
-		}
-		if c.want == "" {
-			if reply.Err != "" {
-				t.Errorf("DictLen %d: reply err = %q, want success", c.dictLen, reply.Err)
-			}
-		} else if !strings.Contains(reply.Err, c.want) || !reply.Permanent {
-			t.Errorf("DictLen %d: reply err=%q permanent=%v, want a permanent %q error", c.dictLen, reply.Err, reply.Permanent, c.want)
 		}
 	}
 }
@@ -184,7 +117,7 @@ func TestWorkerRejectsBadShuffleRuns(t *testing.T) {
 	if err := fs.Create("shuffle/bad/hits", hostile.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	_, client := loopbackWorker(t, fs, nil)
+	_, client := loopbackWorker(t, fs)
 	spec, err := encodeQuerySpec(ESPQSco,
 		Query{K: 1, Radius: 0.1, Keywords: text.NewKeywordSet(1)},
 		Options{Bounds: geo.Rect{MaxX: 1, MaxY: 1}, GridN: 2, Wire: &WireInfo{}})

@@ -60,7 +60,7 @@ func TestColInputCacheSharing(t *testing.T) {
 	objs := randObjects(r, 500)
 	g := grid.NewSquare(3)
 	fs := dfs.New(dfs.Config{NumNodes: 4})
-	man, err := PartitionObjects(g, objs).SealDFS(fs, "c", dict, FormatCompressed)
+	man, err := PartitionObjects(g, objs).SealDFS(fs, "c", dict)
 	if err != nil {
 		t.Fatal(err)
 	}

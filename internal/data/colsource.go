@@ -103,10 +103,6 @@ type colSplit struct {
 	bs   BlockStats
 }
 
-// Hosts implements mapreduce.SourceSplit. Ranged block reads fail over
-// across replicas inside the DFS, so no placement preference is reported.
-func (s *colSplit) Hosts() []string { return nil }
-
 // Size implements mapreduce.SizedSplit.
 func (s *colSplit) Size() int64 { return int64(s.bs.Length) }
 

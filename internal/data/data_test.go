@@ -5,10 +5,10 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
-	"spq/internal/dfs"
 	"spq/internal/geo"
 	"spq/internal/text"
 )
@@ -72,6 +72,66 @@ func TestParseLineIntoFreshDict(t *testing.T) {
 	if !reflect.DeepEqual(words, []string{"sushi", "wine"}) {
 		t.Errorf("words through fresh dict = %v", words)
 	}
+}
+
+// FuzzParseLine feeds the text record parser arbitrary lines. It is the
+// one parser of the ingest and interchange format (LoadLines, LoadFile):
+// it must return an error, never panic, and never allocate more than a
+// constant factor of the line. A line that parses must survive the codec:
+// EncodeLine then ParseLine gives back the same object.
+func FuzzParseLine(f *testing.F) {
+	dict := text.NewDict()
+	for _, o := range []Object{
+		{Kind: DataObject, ID: 7, Loc: geo.Point{X: 4.6, Y: 4.8}},
+		{Kind: FeatureObject, ID: 1 << 40, Loc: geo.Point{X: -2.8e-9, Y: 1.2}, Keywords: dict.InternAll([]string{"italian", "gourmet"})},
+		{Kind: FeatureObject, ID: 10}, // no keywords
+	} {
+		var buf bytes.Buffer
+		if err := EncodeLine(&buf, o, dict); err != nil {
+			f.Fatal(err)
+		}
+		line := buf.Bytes()
+		f.Add(line)
+		f.Add(line[:len(line)/2])                                // truncated
+		f.Add(bytes.ReplaceAll(line, []byte("\t"), []byte(" "))) // tabs mangled
+	}
+	f.Add([]byte("D\t1\tNaN\t+Inf"))
+	f.Add([]byte("F\t2\t0x1p-2\t-0\t,a,,b,"))
+	f.Add([]byte("F\t4\t1\t2\t,"))
+	f.Add([]byte("D\t18446744073709551616\t1\t2"))
+	f.Add([]byte("F\t3\t1\t2\t" + strings.Repeat("w,", 4096)))
+	f.Add([]byte("\t\t\t\t\t\t"))
+
+	f.Fuzz(func(t *testing.T, line []byte) {
+		dict := text.NewDict()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		o, err := ParseLine(line, dict)
+		runtime.ReadMemStats(&after)
+		// A line is copied, split into fields and keywords, and every new
+		// keyword interned; the slack covers the error value and the
+		// dictionary's first allocations.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(256*len(line)+64<<10); got > limit {
+			t.Errorf("parsing %d bytes allocated %d bytes, limit %d", len(line), got, limit)
+		}
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := EncodeLine(&buf, o, dict); err != nil {
+			t.Fatalf("parsed %q into %+v, which does not encode: %v", line, o, err)
+		}
+		back, err := ParseLine(bytes.TrimSuffix(buf.Bytes(), []byte("\n")), dict)
+		if err != nil {
+			t.Fatalf("%q re-encoded as %q, which does not parse: %v", line, buf.Bytes(), err)
+		}
+		if back.Kind != o.Kind || back.ID != o.ID ||
+			math.Float64bits(back.Loc.X) != math.Float64bits(o.Loc.X) ||
+			math.Float64bits(back.Loc.Y) != math.Float64bits(o.Loc.Y) ||
+			!back.Keywords.Equal(o.Keywords) {
+			t.Errorf("%q parsed as %+v, which round-trips through %q as %+v", line, o, buf.Bytes(), back)
+		}
+	})
 }
 
 func TestGenerateSplitsHalfAndHalf(t *testing.T) {
@@ -223,63 +283,6 @@ func TestFrequentQueryKeywords(t *testing.T) {
 	for _, kw := range q {
 		if !used[kw] {
 			t.Errorf("frequent keyword %d unused in dataset", kw)
-		}
-	}
-}
-
-func TestWriteToDFSAndReadBack(t *testing.T) {
-	ds := Generate(UniformSpec(300))
-	fs := dfs.New(dfs.Config{NumNodes: 4, BlockSize: 1 << 10, Seed: 6})
-	if err := ds.WriteToDFS(fs); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []string{DataFile("UN"), FeatureFile("UN")} {
-		if !fs.Exists(f) {
-			t.Fatalf("%s missing", f)
-		}
-	}
-	// Read back through the MapReduce source and verify every object
-	// arrives exactly once with intact location and keywords.
-	dict := text.NewDict()
-	src := Input(fs, dict, "UN")
-	splits, err := src.Splits()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(splits) < 2 {
-		t.Fatalf("expected multiple splits, got %d", len(splits))
-	}
-	byID := map[uint64]Object{}
-	for _, s := range splits {
-		err := s.Each(func(o Object) bool {
-			if _, dup := byID[o.ID]; dup {
-				t.Fatalf("object %d delivered twice", o.ID)
-			}
-			byID[o.ID] = o
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(byID) != 300 {
-		t.Fatalf("read back %d objects, want 300", len(byID))
-	}
-	for _, want := range ds.Objects() {
-		got, ok := byID[want.ID]
-		if !ok {
-			t.Fatalf("object %d missing", want.ID)
-		}
-		if got.Loc != want.Loc || got.Kind != want.Kind {
-			t.Fatalf("object %d mismatch: %+v vs %+v", want.ID, got, want)
-		}
-		// Keyword ids differ across dictionaries; compare words.
-		gotW := dict.Words(got.Keywords)
-		wantW := ds.Dict.Words(want.Keywords)
-		sortSlice(gotW, func(a, b string) bool { return a < b })
-		sortSlice(wantW, func(a, b string) bool { return a < b })
-		if strings.Join(gotW, ",") != strings.Join(wantW, ",") {
-			t.Fatalf("object %d keywords %v vs %v", want.ID, gotW, wantW)
 		}
 	}
 }

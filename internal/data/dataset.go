@@ -1,72 +1,13 @@
 package data
 
 import (
-	"bufio"
 	"fmt"
-	"math/rand"
 	"sort"
-
-	"spq/internal/dfs"
-	"spq/internal/mapreduce"
-	"spq/internal/text"
 )
 
 // sortSlice is a tiny generic wrapper over sort.Slice.
 func sortSlice[T any](s []T, less func(a, b T) bool) {
 	sort.Slice(s, func(i, j int) bool { return less(s[i], s[j]) })
-}
-
-// DataFile and FeatureFile name the two DFS files a dataset is stored in.
-func DataFile(name string) string    { return name + "-data.txt" }
-func FeatureFile(name string) string { return name + "-features.txt" }
-
-// WriteToDFS stores the dataset in the file system as two text files (the
-// paper's horizontal partitioning makes no assumption about how objects
-// are laid out; block placement scatters them across DataNodes). Object
-// order is shuffled with the spec's seed so that blocks do not correlate
-// with generation order.
-func (d *Dataset) WriteToDFS(fs *dfs.FileSystem) error {
-	write := func(file string, objs []Object) error {
-		w, err := fs.Writer(file)
-		if err != nil {
-			return err
-		}
-		bw := bufio.NewWriter(w)
-		shuffled := append([]Object(nil), objs...)
-		r := rand.New(rand.NewSource(d.Spec.Seed + int64(len(objs))))
-		r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		for _, o := range shuffled {
-			if err := EncodeLine(bw, o, d.Dict); err != nil {
-				return err
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		return w.Close()
-	}
-	if err := write(DataFile(d.Spec.Name), d.Data); err != nil {
-		return fmt.Errorf("data: write %s: %w", DataFile(d.Spec.Name), err)
-	}
-	if err := write(FeatureFile(d.Spec.Name), d.Features); err != nil {
-		return fmt.Errorf("data: write %s: %w", FeatureFile(d.Spec.Name), err)
-	}
-	return nil
-}
-
-// Input returns a MapReduce source reading the dataset's two DFS files,
-// interning keywords into dict (usually the dataset's own dictionary, but
-// a fresh one works too — ids just come out different).
-func Input(fs *dfs.FileSystem, dict *text.Dict, name string) mapreduce.Source[Object] {
-	return mapreduce.NewTextInput(fs,
-		func(line []byte) (Object, error) { return ParseLine(line, dict) },
-		DataFile(name), FeatureFile(name))
-}
-
-// MemoryInput returns an in-memory MapReduce source over the dataset with
-// the given number of splits, for callers that skip the DFS.
-func (d *Dataset) MemoryInput(splits int) mapreduce.Source[Object] {
-	return mapreduce.NewMemorySource(d.Objects(), splits)
 }
 
 // Stats summarizes a dataset for reports and sanity tests.

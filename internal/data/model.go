@@ -51,8 +51,8 @@ func (o Object) String() string {
 	return fmt.Sprintf("%s#%d@%v kw=%d", o.Kind, o.ID, o.Loc, len(o.Keywords))
 }
 
-// EncodeLine renders the object in the tab-separated text format stored in
-// the DFS:
+// EncodeLine renders the object in the tab-separated text format of the
+// ingest and interchange files (spqgen output, Engine.LoadLines):
 //
 //	D <id> <x> <y>
 //	F <id> <x> <y> <kw1,kw2,...>
@@ -74,7 +74,9 @@ func EncodeLine(w io.Writer, o Object, dict *text.Dict) error {
 }
 
 // ParseLine decodes one text line produced by EncodeLine, interning
-// keywords into dict.
+// keywords into dict. Empty keywords (",," or a trailing comma) are not
+// keywords and are skipped, so every parsed object encodes back to a line
+// that parses to it.
 func ParseLine(line []byte, dict *text.Dict) (Object, error) {
 	fields := strings.Split(string(line), "\t")
 	if len(fields) < 4 {
@@ -98,8 +100,8 @@ func ParseLine(line []byte, dict *text.Dict) (Object, error) {
 		o.Kind = DataObject
 	case "F":
 		o.Kind = FeatureObject
-		if len(fields) >= 5 && fields[4] != "" {
-			o.Keywords = dict.InternAll(strings.Split(fields[4], ","))
+		if len(fields) >= 5 {
+			o.Keywords = dict.InternAll(strings.FieldsFunc(fields[4], func(r rune) bool { return r == ',' }))
 		}
 	default:
 		return Object{}, fmt.Errorf("data: unknown kind %q in %q", fields[0], line)

@@ -27,7 +27,6 @@ const ManifestVersion = 1
 
 // Storage formats recorded in the manifest.
 const (
-	FormatText       = "text" // newline-delimited EncodeLine records
 	FormatCompressed = "spq3" // SPQ3: compressed columnar segments, adaptive blocks
 	FormatMemory     = "mem"  // in-memory partitions, no DFS files
 )
@@ -133,8 +132,8 @@ type CellStats struct {
 	// (FormatCompressed), in file order: each block's record count, frame
 	// offset/length, tight bounding rectangle and keyword summary. The
 	// planner prunes individual blocks against them, and readers fetch
-	// surviving blocks by ranged read. Empty for text and memory cells,
-	// which are only addressable whole.
+	// surviving blocks by ranged read. Empty for memory cells, which are
+	// only addressable whole.
 	Blocks []BlockStats `json:"blocks,omitempty"`
 }
 
@@ -199,9 +198,9 @@ func DecodeManifest(r io.Reader) (*Manifest, error) {
 		return nil, fmt.Errorf("data: manifest has invalid seal grid %dx%d", m.Grid.N, m.Grid.N)
 	}
 	switch m.Format {
-	case FormatText, FormatCompressed, FormatMemory:
-	case "seq", "spq2":
-		return nil, fmt.Errorf("data: manifest uses retired format %q; re-seal the dataset (binary storage is %q only)", m.Format, FormatCompressed)
+	case FormatCompressed, FormatMemory:
+	case "text", "seq", "spq2":
+		return nil, fmt.Errorf("data: manifest uses retired format %q; re-seal the dataset (DFS storage is %q only)", m.Format, FormatCompressed)
 	default:
 		return nil, fmt.Errorf("data: manifest has unknown format %q", m.Format)
 	}
@@ -349,54 +348,36 @@ func cellFileName(prefix, kind string, cell grid.CellID, ext string) string {
 // a seal with the given prefix.
 func ManifestFileName(prefix string) string { return prefix + ".manifest.json" }
 
-// SealDFS writes every cell partition as its own DFS file in the given
-// format (FormatText or FormatCompressed) and persists the manifest as
-// <prefix>.manifest.json. The returned manifest carries the per-cell
-// statistics the planner prunes on; columnar seals additionally carry
-// every block's zone map (CellStats.Blocks), with each cell's blocks sized
-// adaptively from its record density (AdaptiveBlockRecords).
-func (p *Partitions) SealDFS(fs *dfs.FileSystem, prefix string, dict *text.Dict, format string) (*Manifest, error) {
-	var ext string
-	switch format {
-	case FormatText:
-		ext = "txt"
-	case FormatCompressed:
-		ext = "spq3"
-	default:
-		return nil, fmt.Errorf("data: seal format %q", format)
-	}
+// SealDFS writes every cell partition as its own SPQ3 columnar segment
+// file in the DFS and persists the manifest as <prefix>.manifest.json. The
+// returned manifest carries the per-cell statistics the planner prunes on
+// and every block's zone map (CellStats.Blocks), with each cell's blocks
+// sized adaptively from its record density (AdaptiveBlockRecords).
+func (p *Partitions) SealDFS(fs *dfs.FileSystem, prefix string, dict *text.Dict) (*Manifest, error) {
 	m := &Manifest{
 		Version:    ManifestVersion,
-		Format:     format,
+		Format:     FormatCompressed,
 		Generation: p.Generation,
 		Grid:       GridSpec{Bounds: p.Grid.Bounds(), N: dims(p.Grid)},
 	}
 	write := func(part CellPart, kind string, withKeywords bool) (CellStats, error) {
-		name := cellFileName(prefix, kind, part.Cell, ext)
+		name := cellFileName(prefix, kind, part.Cell, "spq3")
 		w, err := fs.Writer(name)
 		if err != nil {
 			return CellStats{}, err
 		}
 		cs := part.stats(name, dict, withKeywords)
-		if format == FormatCompressed {
-			cw := NewCol3Writer(w, part.Objects[0].Kind, dict, AdaptiveBlockRecords(len(part.Objects)))
-			for _, o := range part.Objects {
-				if err := cw.Append(o); err != nil {
-					return CellStats{}, err
-				}
-			}
-			if err := cw.Close(); err != nil {
-				return CellStats{}, err
-			}
-			cs.Blocks = cw.Stats()
-			return cs, nil
-		}
+		cw := NewCol3Writer(w, part.Objects[0].Kind, dict, AdaptiveBlockRecords(len(part.Objects)))
 		for _, o := range part.Objects {
-			if err := EncodeLine(w, o, dict); err != nil {
+			if err := cw.Append(o); err != nil {
 				return CellStats{}, err
 			}
 		}
-		return cs, w.Close()
+		if err := cw.Close(); err != nil {
+			return CellStats{}, err
+		}
+		cs.Blocks = cw.Stats()
+		return cs, nil
 	}
 	for _, part := range p.Data {
 		cs, err := write(part, "d", false)

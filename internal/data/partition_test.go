@@ -101,71 +101,58 @@ func TestPartitionObjectsPreservesDataset(t *testing.T) {
 }
 
 func TestSealDFSRoundTrip(t *testing.T) {
-	for _, format := range []string{FormatText, FormatCompressed} {
-		dict := text.NewDict()
-		objs := testObjects(300, dict)
-		g := grid.NewSquare(4)
-		fs := dfs.New(dfs.Config{NumNodes: 4, BlockSize: 512})
-		man, err := PartitionObjects(g, objs).SealDFS(fs, "t", dict, format)
-		if err != nil {
-			t.Fatalf("%s: %v", format, err)
-		}
-		if man.TotalRecords() != int64(len(objs)) {
-			t.Errorf("%s: manifest records = %d, want %d", format, man.TotalRecords(), len(objs))
-		}
+	dict := text.NewDict()
+	objs := testObjects(300, dict)
+	g := grid.NewSquare(4)
+	fs := dfs.New(dfs.Config{NumNodes: 4, BlockSize: 512})
+	man, err := PartitionObjects(g, objs).SealDFS(fs, "t", dict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if man.Format != FormatCompressed {
+		t.Errorf("sealed format %q, want %q", man.Format, FormatCompressed)
+	}
+	if man.TotalRecords() != int64(len(objs)) {
+		t.Errorf("manifest records = %d, want %d", man.TotalRecords(), len(objs))
+	}
 
-		// The persisted manifest decodes back to the returned one.
-		raw, err := fs.ReadAll(ManifestFileName("t"))
-		if err != nil {
-			t.Fatalf("%s: manifest file: %v", format, err)
-		}
-		dec, err := DecodeManifest(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatalf("%s: %v", format, err)
-		}
-		if !reflect.DeepEqual(dec, man) {
-			t.Errorf("%s: decoded manifest differs from sealed one", format)
-		}
+	// The persisted manifest decodes back to the returned one.
+	raw, err := fs.ReadAll(ManifestFileName("t"))
+	if err != nil {
+		t.Fatalf("manifest file: %v", err)
+	}
+	dec, err := DecodeManifest(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dec, man) {
+		t.Error("decoded manifest differs from sealed one")
+	}
 
-		// Reading every cell file back yields exactly the dataset.
-		var back []Object
-		collect := func(o Object) { back = append(back, o) }
-		if format == FormatCompressed {
-			err = eachSourceObject(NewColInput(fs, allBlocks(man), nil, 0), collect)
-			if err != nil {
-				t.Fatalf("%s: read: %v", format, err)
-			}
-		} else {
-			for _, name := range man.Files() {
-				if err = eachTextObject(fs, name, dict, collect); err != nil {
-					t.Fatalf("%s: read %s: %v", format, name, err)
-				}
-			}
-		}
-		if !reflect.DeepEqual(sortedByID(back), sortedByID(objs)) {
-			t.Errorf("%s: cell files do not round-trip the dataset (%d vs %d objects)",
-				format, len(back), len(objs))
-		}
+	// Reading every cell file back yields exactly the dataset.
+	var back []Object
+	if err := eachSourceObject(NewColInput(fs, allBlocks(man), nil, 0), func(o Object) { back = append(back, o) }); err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	if !reflect.DeepEqual(sortedByID(back), sortedByID(objs)) {
+		t.Errorf("cell files do not round-trip the dataset (%d vs %d objects)", len(back), len(objs))
+	}
 
-		// Feature-cell keyword summaries cover the cell's keywords.
-		for _, cs := range man.Features {
-			if len(cs.Keywords) == 0 {
-				t.Fatalf("%s: feature cell %d has no keyword summary", format, cs.Cell)
-			}
+	// Feature-cell keyword summaries cover the cell's keywords, and every
+	// cell carries its block zone maps.
+	for _, cs := range man.Features {
+		if len(cs.Keywords) == 0 {
+			t.Fatalf("feature cell %d has no keyword summary", cs.Cell)
 		}
-		for _, cs := range man.Data {
-			if len(cs.Keywords) != 0 {
-				t.Fatalf("%s: data cell %d has a keyword summary", format, cs.Cell)
-			}
+	}
+	for _, cs := range man.Data {
+		if len(cs.Keywords) != 0 {
+			t.Fatalf("data cell %d has a keyword summary", cs.Cell)
 		}
-		// Columnar seals carry block zone maps; other formats must not.
-		for _, cs := range append(append([]CellStats(nil), man.Data...), man.Features...) {
-			if format == FormatCompressed && len(cs.Blocks) == 0 {
-				t.Fatalf("%s: cell %d has no block zone maps", format, cs.Cell)
-			}
-			if format != FormatCompressed && len(cs.Blocks) != 0 {
-				t.Fatalf("%s: cell %d has block zone maps", format, cs.Cell)
-			}
+	}
+	for _, cs := range append(append([]CellStats(nil), man.Data...), man.Features...) {
+		if len(cs.Blocks) == 0 {
+			t.Fatalf("cell %d has no block zone maps", cs.Cell)
 		}
 	}
 }
@@ -182,24 +169,6 @@ func eachSourceObject(src interface {
 		if err := s.Each(func(o Object) bool { f(o); return true }); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-func eachTextObject(fs *dfs.FileSystem, name string, dict *text.Dict, f func(Object)) error {
-	raw, err := fs.ReadAll(name)
-	if err != nil {
-		return err
-	}
-	for _, line := range bytes.Split(bytes.TrimRight(raw, "\n"), []byte("\n")) {
-		if len(line) == 0 {
-			continue
-		}
-		o, err := ParseLine(line, dict)
-		if err != nil {
-			return err
-		}
-		f(o)
 	}
 	return nil
 }
@@ -301,16 +270,16 @@ func TestDecodeManifestRejectsBadInput(t *testing.T) {
 	// Keyword summaries must be full-size blooms (truncated ones would
 	// index out of range) and absent on data cells.
 	if _, err := DecodeManifest(bytes.NewReader([]byte(
-		`{"version":1,"format":"text","grid":{"n":4},"features":[{"cell":0,"file":"f","records":1,"keywords":"AAAA"}]}`))); err == nil {
+		`{"version":1,"format":"mem","grid":{"n":4},"features":[{"cell":0,"file":"f","records":1,"keywords":"AAAA"}]}`))); err == nil {
 		t.Error("truncated feature bloom accepted")
 	}
 	if _, err := DecodeManifest(bytes.NewReader([]byte(
-		`{"version":1,"format":"text","grid":{"n":4},"data":[{"cell":0,"file":"d","records":1,"keywords":"AAAA"}]}`))); err == nil {
+		`{"version":1,"format":"mem","grid":{"n":4},"data":[{"cell":0,"file":"d","records":1,"keywords":"AAAA"}]}`))); err == nil {
 		t.Error("data-cell bloom accepted")
 	}
-	// The format must be one the readers know; the retired binary formats
-	// are named as such.
-	for _, format := range []string{"text", "spq3", "mem"} {
+	// The format must be one the readers know; the retired formats are
+	// named as such.
+	for _, format := range []string{"spq3", "mem"} {
 		if _, err := DecodeManifest(strings.NewReader(`{"version":1,"format":"` + format + `","grid":{"n":4}}`)); err != nil {
 			t.Errorf("format %q rejected: %v", format, err)
 		}
@@ -320,7 +289,7 @@ func TestDecodeManifestRejectsBadInput(t *testing.T) {
 			t.Errorf("unknown format %q accepted", format)
 		}
 	}
-	for _, format := range []string{"seq", "spq2"} {
+	for _, format := range []string{"text", "seq", "spq2"} {
 		_, err := DecodeManifest(strings.NewReader(`{"version":1,"format":"` + format + `","grid":{"n":4}}`))
 		if err == nil || !strings.Contains(err.Error(), "retired format") {
 			t.Errorf("retired format %q: err = %v, want a retired-format error", format, err)

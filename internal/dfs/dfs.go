@@ -4,15 +4,14 @@
 // configurable replication factor (default 3), and a NameNode tracks the
 // mapping from files to blocks to replica locations.
 //
-// The file system is the storage substrate for the MapReduce engine in
-// package mapreduce: input files are divided into splits (one per block),
-// each split carries the hosts holding a replica so the scheduler can
-// prefer local tasks, and reads transparently fail over to another replica
-// when a DataNode is marked dead.
+// The file system is the storage substrate of the sealed SPQ3 segments and
+// of the shuffle runs of remote map tasks: readers fetch byte ranges
+// (ReadRange), and reads transparently fail over to another replica when a
+// DataNode is marked dead or a replica fails its checksum.
 //
 // Blocks live in memory. This keeps the simulation fast and deterministic
 // while preserving the properties the algorithms above it can observe:
-// block-granular placement, replication, locality and failure behaviour.
+// block-granular placement, replication and failure behaviour.
 package dfs
 
 import (

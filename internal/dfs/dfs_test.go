@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -46,12 +44,12 @@ func TestCreateEmptyFile(t *testing.T) {
 	if len(got) != 0 {
 		t.Errorf("ReadAll = %q, want empty", got)
 	}
-	splits, err := fs.Splits("empty")
+	locs, err := fs.BlockLocations("empty")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(splits) != 0 {
-		t.Errorf("empty file has %d splits", len(splits))
+	if len(locs) != 0 {
+		t.Errorf("empty file has %d blocks", len(locs))
 	}
 }
 
@@ -70,8 +68,8 @@ func TestReadMissingFile(t *testing.T) {
 	if _, err := fs.ReadAll("nope"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("ReadAll missing = %v, want ErrNotFound", err)
 	}
-	if _, err := fs.Splits("nope"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Splits missing = %v, want ErrNotFound", err)
+	if _, err := fs.ReadRange("nope", 0, 1); !errors.Is(err, ErrNotFound) {
+		t.Errorf("ReadRange missing = %v, want ErrNotFound", err)
 	}
 	if err := fs.Delete("nope"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Delete missing = %v, want ErrNotFound", err)
@@ -230,135 +228,6 @@ func TestListSorted(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("List = %v, want %v", got, want)
-		}
-	}
-}
-
-// Every line of a file must be delivered by exactly one split, regardless
-// of how lines straddle block boundaries.
-func collectAllSplitLines(t *testing.T, fs *FileSystem, name string) []string {
-	t.Helper()
-	splits, err := fs.Splits(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lines []string
-	for _, s := range splits {
-		err := fs.SplitLines(s, func(line []byte) bool {
-			lines = append(lines, string(line))
-			return true
-		})
-		if err != nil {
-			t.Fatalf("split %v: %v", s, err)
-		}
-	}
-	return lines
-}
-
-func TestSplitLinesExactlyOnce(t *testing.T) {
-	tests := []struct {
-		name      string
-		blockSize int
-		content   string
-	}{
-		{"lines shorter than block", 16, "aa\nbb\ncc\ndd\nee\n"},
-		{"line exactly block size", 4, "abc\ndef\nghi\n"},
-		{"line spans blocks", 4, "abcdefghij\nklmnopqr\nst\n"},
-		{"single huge line", 4, "abcdefghijklmnopqrstuvwxyz\n"},
-		{"no trailing newline", 5, "one\ntwo\nthree"},
-		{"empty lines", 4, "\n\na\n\nb\n"},
-		{"newline at block edge", 4, "abc\nxyz\n"},
-		{"one line one block", 64, "only\n"},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			fs := newFS(t, Config{NumNodes: 3, BlockSize: tt.blockSize, Seed: 2})
-			if err := fs.Create("f", []byte(tt.content)); err != nil {
-				t.Fatal(err)
-			}
-			got := collectAllSplitLines(t, fs, "f")
-			want := strings.Split(strings.TrimSuffix(tt.content, "\n"), "\n")
-			if tt.content == "" {
-				want = nil
-			}
-			if len(got) != len(want) {
-				t.Fatalf("got %d lines %q, want %d %q", len(got), got, len(want), want)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("line %d = %q, want %q", i, got[i], want[i])
-				}
-			}
-		})
-	}
-}
-
-func TestSplitLinesRandomized(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 30; trial++ {
-		blockSize := 1 + r.Intn(40)
-		var sb strings.Builder
-		var want []string
-		numLines := r.Intn(60)
-		for i := 0; i < numLines; i++ {
-			line := strings.Repeat("x", r.Intn(25)) + fmt.Sprint(i)
-			want = append(want, line)
-			sb.WriteString(line)
-			sb.WriteByte('\n')
-		}
-		fs := New(Config{NumNodes: 4, BlockSize: blockSize, Seed: int64(trial)})
-		if err := fs.Create("f", []byte(sb.String())); err != nil {
-			t.Fatal(err)
-		}
-		got := collectAllSplitLines(t, fs, "f")
-		if len(got) != len(want) {
-			t.Fatalf("trial %d (bs=%d): got %d lines, want %d", trial, blockSize, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d line %d = %q, want %q", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestSplitLinesEarlyStop(t *testing.T) {
-	fs := newFS(t, Config{NumNodes: 2, BlockSize: 64, Seed: 1})
-	if err := fs.Create("f", []byte("a\nb\nc\nd\n")); err != nil {
-		t.Fatal(err)
-	}
-	splits, _ := fs.Splits("f")
-	var n int
-	err := fs.SplitLines(splits[0], func(line []byte) bool {
-		n++
-		return n < 2
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Errorf("yield called %d times, want 2", n)
-	}
-}
-
-func TestSplitHostsMatchBlockLocations(t *testing.T) {
-	fs := newFS(t, Config{NumNodes: 6, BlockSize: 4, Replication: 3, Seed: 9})
-	if err := fs.Create("f", make([]byte, 40)); err != nil {
-		t.Fatal(err)
-	}
-	splits, _ := fs.Splits("f")
-	locs, _ := fs.BlockLocations("f")
-	if len(splits) != len(locs) {
-		t.Fatalf("%d splits vs %d blocks", len(splits), len(locs))
-	}
-	var off int64
-	for i, s := range splits {
-		if s.Offset != off {
-			t.Errorf("split %d offset %d, want %d", i, s.Offset, off)
-		}
-		off += int64(s.Length)
-		if len(s.Hosts) != len(locs[i]) {
-			t.Errorf("split %d hosts %v vs locations %v", i, s.Hosts, locs[i])
 		}
 	}
 }

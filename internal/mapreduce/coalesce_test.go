@@ -6,14 +6,10 @@ import (
 	"testing"
 )
 
-// hostedSplit is a memory split with fixed hosts, for Coalesce tests.
-type hostedSplit struct {
-	recs  []int
-	hosts []string
-}
+// listSplit is a memory split, for Coalesce tests.
+type listSplit struct{ recs []int }
 
-func (s hostedSplit) Hosts() []string { return s.hosts }
-func (s hostedSplit) Each(yield func(int) bool) error {
+func (s listSplit) Each(yield func(int) bool) error {
 	for _, r := range s.recs {
 		if !yield(r) {
 			return nil
@@ -22,9 +18,9 @@ func (s hostedSplit) Each(yield func(int) bool) error {
 	return nil
 }
 
-type hostedSource []hostedSplit
+type listSource []listSplit
 
-func (h hostedSource) Splits() ([]SourceSplit[int], error) {
+func (h listSource) Splits() ([]SourceSplit[int], error) {
 	out := make([]SourceSplit[int], len(h))
 	for i, s := range h {
 		out[i] = s
@@ -33,10 +29,10 @@ func (h hostedSource) Splits() ([]SourceSplit[int], error) {
 }
 
 func TestCoalesceGroupsSplits(t *testing.T) {
-	var src hostedSource
+	var src listSource
 	var want []int
 	for i := 0; i < 10; i++ {
-		src = append(src, hostedSplit{recs: []int{2 * i, 2*i + 1}, hosts: []string{"d1", "d2"}})
+		src = append(src, listSplit{recs: []int{2 * i, 2*i + 1}})
 		want = append(want, 2*i, 2*i+1)
 	}
 	splits, err := Coalesce[int](src, 3).Splits()
@@ -48,9 +44,6 @@ func TestCoalesceGroupsSplits(t *testing.T) {
 	}
 	var got []int
 	for _, s := range splits {
-		if hs := s.Hosts(); len(hs) != 2 {
-			t.Errorf("grouped hosts = %v, want deduplicated union [d1 d2]", hs)
-		}
 		if err := s.Each(func(r int) bool { got = append(got, r); return true }); err != nil {
 			t.Fatal(err)
 		}
@@ -78,8 +71,8 @@ func TestCoalesceGroupsSplits(t *testing.T) {
 	}
 }
 
-// batchedSplit is a hostedSplit that also offers its records as one batch.
-type batchedSplit struct{ hostedSplit }
+// batchedSplit is a listSplit that also offers its records as one batch.
+type batchedSplit struct{ listSplit }
 
 func (s batchedSplit) EachBatch(yield func(batch any) bool) error {
 	yield(s.recs)
@@ -92,12 +85,12 @@ func (s batchedSplit) EachBatch(yield func(batch any) bool) error {
 // do not; a job without MapBatch reads every split record by record. Both
 // see every record once and count it in map.records.in.
 func TestMapBatchThroughCoalesceAndConcat(t *testing.T) {
-	var plain hostedSource
+	var plain listSource
 	var batchedSplits []SourceSplit[int]
 	want := 0
 	for i := 0; i < 6; i++ {
-		batchedSplits = append(batchedSplits, batchedSplit{hostedSplit{recs: []int{4 * i, 4*i + 1}}})
-		plain = append(plain, hostedSplit{recs: []int{4*i + 2, 4*i + 3}})
+		batchedSplits = append(batchedSplits, batchedSplit{listSplit{recs: []int{4 * i, 4*i + 1}}})
+		plain = append(plain, listSplit{recs: []int{4*i + 2, 4*i + 3}})
 		want += 16*i + 6
 	}
 	src := Concat[int](Coalesce[int](splitList[int](batchedSplits), 2), plain)

@@ -17,7 +17,6 @@ const (
 	CounterOutputRecords  = "output.records"
 	CounterShuffleBytes   = "shuffle.bytes"
 	CounterShuffleChunks  = "shuffle.chunks"
-	CounterDataLocalMaps  = "scheduler.maps.data_local"
 	CounterTaskRetries    = "tasks.retries"
 )
 
@@ -46,7 +45,10 @@ const (
 // task counts use the CounterExecTasksPrefix + worker name; re-executions
 // count attempts re-dispatched after a worker was lost mid-job; RPC bytes
 // meter the payloads a remote task moved across the master boundary
-// (input fetches, shuffle writes and reads, dictionary pulls).
+// (input fetches, shuffle writes and reads). Workers lost counts every
+// live→dead transition exactly once: in the job whose dispatch saw it, or
+// — when a heartbeat, a cancel or the end-of-job cleanup saw it first —
+// in the next job that dispatches a task.
 const (
 	CounterExecTasksPrefix   = "spq.exec.tasks."
 	CounterExecReexec        = "spq.exec.reexec"

@@ -17,8 +17,8 @@ import (
 // in waves, exactly like an overcommitted Hadoop cluster (see the footnote
 // in Section 6.3 of the paper).
 type Cluster struct {
-	// FS is the storage layer. It may be nil when all job sources are
-	// in-memory; locality scheduling then degrades gracefully.
+	// FS is the storage layer. Its DataNode names label the local
+	// executor's slots in task attribution; nil names them slot-N.
 	FS *dfs.FileSystem
 	// MapSlots and ReduceSlots bound task concurrency (default 1 each).
 	// The bound holds across ALL jobs running on this cluster: concurrent
@@ -245,9 +245,7 @@ func RunContext[I, K, V, O any](ctx context.Context, c *Cluster, job *Job[I, K, 
 	}
 
 	mapStart := time.Now()
-	perLane, local := assignMapTasks(exec, splits)
-	counters.Add(CounterDataLocalMaps, int64(local))
-	errs := runPhase(exec, b, MapTask, perLane, attempts, job.RetryBackoff, CounterRetryMap,
+	errs := runPhase(exec, b, MapTask, roundRobin(len(splits), exec.Lanes(MapTask)), attempts, job.RetryBackoff, CounterRetryMap,
 		func(task, attempt, lane int) *TaskDesc { return mkDesc(MapTask, task, attempt, lane) },
 		exec.RunMapTask,
 		func(task int, res *TaskResult) error {
@@ -267,8 +265,7 @@ func RunContext[I, K, V, O any](ctx context.Context, c *Cluster, job *Job[I, K, 
 	mapDur := time.Since(mapStart)
 
 	reduceStart := time.Now()
-	perLane = roundRobin(r, exec.Lanes(ReduceTask))
-	errs = runPhase(exec, b, ReduceTask, perLane, attempts, job.RetryBackoff, CounterRetryReduce,
+	errs = runPhase(exec, b, ReduceTask, roundRobin(r, exec.Lanes(ReduceTask)), attempts, job.RetryBackoff, CounterRetryReduce,
 		func(task, attempt, lane int) *TaskDesc { return mkDesc(ReduceTask, task, attempt, lane) },
 		exec.RunReduceTask,
 		func(task int, res *TaskResult) error {
@@ -325,50 +322,6 @@ func collectSplitRefs[I any](splits []SourceSplit[I]) ([]*SplitRef, bool) {
 		refs[i] = ref
 	}
 	return refs, true
-}
-
-// assignMapTasks distributes splits over the executor's lanes, preferring
-// lanes whose host holds a replica of the split (data-local scheduling).
-// It returns the per-lane task lists and the number of data-local
-// assignments.
-func assignMapTasks[I any](exec Executor, splits []SourceSplit[I]) (perLane [][]int, local int) {
-	lanes := exec.Lanes(MapTask)
-	perLane = make([][]int, lanes)
-	load := make([]int, lanes)
-
-	nodeLanes := make(map[string][]int)
-	for s := 0; s < lanes; s++ {
-		n := exec.LaneHost(MapTask, s)
-		nodeLanes[n] = append(nodeLanes[n], s)
-	}
-	pick := func(candidates []int) int {
-		best := -1
-		for _, s := range candidates {
-			if best == -1 || load[s] < load[best] {
-				best = s
-			}
-		}
-		return best
-	}
-	all := make([]int, lanes)
-	for i := range all {
-		all[i] = i
-	}
-	for i, sp := range splits {
-		var cands []int
-		for _, h := range sp.Hosts() {
-			cands = append(cands, nodeLanes[h]...)
-		}
-		lane := pick(cands)
-		if lane >= 0 {
-			local++
-		} else {
-			lane = pick(all)
-		}
-		perLane[lane] = append(perLane[lane], i)
-		load[lane]++
-	}
-	return perLane, local
 }
 
 // runPhase executes every task of one phase through the executor, one

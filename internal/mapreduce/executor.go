@@ -54,7 +54,9 @@ type TaskDesc struct {
 // references, so a worker can never re-derive a different shard layout
 // (shard-count invariance by construction).
 type SplitRef struct {
-	// Kind discriminates the split type ("text", "col", "group").
+	// Kind discriminates the split type: "group" for a coalesced split,
+	// otherwise a kind the job's worker-side opener knows ("col" for SPQ
+	// column blocks).
 	Kind   string
 	File   string
 	Offset int64
@@ -115,8 +117,8 @@ type Executor interface {
 	// Lanes is the number of concurrent dispatch lanes for the task kind;
 	// the orchestrator runs one dispatch goroutine per lane.
 	Lanes(kind TaskKind) int
-	// LaneHost names the node a lane's tasks execute on, for locality-aware
-	// assignment and failure attribution.
+	// LaneHost names the node a lane's tasks execute on, for failure
+	// attribution (TaskError.Worker) and TaskContext.NodeName.
 	LaneHost(kind TaskKind, lane int) string
 	// RunMapTask and RunReduceTask execute one attempt of one task and
 	// return its result. An attempt that fails returns a non-nil error;
@@ -246,7 +248,8 @@ func (x *LocalExecutor) Lanes(kind TaskKind) int {
 	return x.c.reduceSlots()
 }
 
-// LaneHost implements Executor: slots map round-robin onto DFS DataNodes.
+// LaneHost implements Executor: slots are named round-robin after the DFS
+// DataNodes.
 func (x *LocalExecutor) LaneHost(kind TaskKind, lane int) string {
 	return x.c.slotNode(lane)
 }

@@ -90,23 +90,16 @@ func TestPermanentErrorFailsFast(t *testing.T) {
 	}
 }
 
-// A malformed input line is a deterministic job bug: the task must fail
-// fast instead of re-parsing the same bad line MaxAttempts times.
+// A malformed input record is a deterministic job bug: a split that says
+// so (Permanent) must fail its task fast instead of re-reading the same bad
+// record MaxAttempts times.
 func TestParseErrorIsPermanent(t *testing.T) {
 	fsys := dfs.New(dfs.Config{NumNodes: 2, BlockSize: 64, Seed: 1})
-	if err := fsys.Create("in.txt", []byte("1\n2\nnot-a-number\n")); err != nil {
-		t.Fatal(err)
-	}
+	writeInts(t, fsys, "in", "1", "2", "bad-int")
 	var attempts atomic.Int64
 	job := &Job[int, string, int, string]{
-		Name: "parse",
-		Source: NewTextInput(fsys, func(line []byte) (int, error) {
-			var n int
-			if _, err := fmt.Sscan(string(line), &n); err != nil {
-				return 0, fmt.Errorf("bad line %q: %w", line, err)
-			}
-			return n, nil
-		}, "in.txt"),
+		Name:        "parse",
+		Source:      rangeInput{fs: fsys, file: "in", per: 8},
 		NumReducers: 1,
 		MaxAttempts: 4,
 		Map: func(ctx *TaskContext, rec int, emit func(string, int)) error {
@@ -130,8 +123,8 @@ func TestParseErrorIsPermanent(t *testing.T) {
 	if te.Attempts != 1 || te.Exhausted {
 		t.Errorf("parse failure retried: attempts=%d exhausted=%v", te.Attempts, te.Exhausted)
 	}
-	if !strings.Contains(err.Error(), "not-a-number") {
-		t.Errorf("error does not name the bad line: %q", err)
+	if !strings.Contains(err.Error(), "bad-int") {
+		t.Errorf("error does not name the bad record: %q", err)
 	}
 }
 

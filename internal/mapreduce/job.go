@@ -14,7 +14,7 @@
 //
 // The engine executes map and reduce tasks on a simulated cluster (package
 // dfs provides the storage nodes) with a configurable number of worker
-// slots, locality-aware map scheduling, per-task retry with fault
+// slots, round-robin task assignment, per-task retry with fault
 // injection, an in-memory map-side sort-and-merge shuffle, and Hadoop-style
 // counters. Tasks run in-process or, for jobs with a wire form, on worker
 // processes over net/rpc; both run the same map and reduce bodies.
@@ -68,8 +68,8 @@ type Job[I, K, V, O any] struct {
 	// Name labels the job in errors and stats.
 	Name string
 
-	// Source provides the input splits (package dfs text files, or an
-	// in-memory source for tests).
+	// Source provides the input splits (column blocks in package dfs, or
+	// an in-memory source).
 	Source Source[I]
 
 	// Map is invoked once per input record and emits intermediate pairs.

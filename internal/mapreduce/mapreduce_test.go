@@ -12,8 +12,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"spq/internal/dfs"
 )
 
 // ---- shared test fixtures ----
@@ -451,106 +449,6 @@ func TestPartitionOutOfRange(t *testing.T) {
 	job.Partition = func(k string, r int) int { return 99 }
 	if _, err := Run(NewCluster(nil, 1, 1), job); err == nil {
 		t.Error("expected partition range error")
-	}
-}
-
-// TextInput over the simulated DFS: records must arrive exactly once and
-// locality must be observed in the scheduler counter.
-func TestTextInputOverDFS(t *testing.T) {
-	fs := dfs.New(dfs.Config{NumNodes: 4, BlockSize: 32, Replication: 2, Seed: 3})
-	var sb strings.Builder
-	want := map[string]int{}
-	for i := 0; i < 200; i++ {
-		w := fmt.Sprintf("w%d", i%17)
-		sb.WriteString(w + "\n")
-		want[w]++
-	}
-	if err := fs.Create("input.txt", []byte(sb.String())); err != nil {
-		t.Fatal(err)
-	}
-	job := &Job[string, string, int, string]{
-		Name: "dfs-wordcount",
-		Source: NewTextInput(fs, func(line []byte) (string, error) {
-			return string(line), nil
-		}, "input.txt"),
-		NumReducers: 3,
-		Map: func(ctx *TaskContext, line string, emit func(string, int)) error {
-			emit(line, 1)
-			return nil
-		},
-		Partition: func(k string, r int) int {
-			h := 0
-			for _, c := range k {
-				h = h*131 + int(c)
-			}
-			if h < 0 {
-				h = -h
-			}
-			return h % r
-		},
-		Less:       func(a, b string) bool { return a < b },
-		GroupEqual: func(a, b string) bool { return a == b },
-		Reduce: func(ctx *TaskContext, values *Values[string, int], emit func(string)) error {
-			n := 0
-			for {
-				if _, ok := values.Next(); !ok {
-					break
-				}
-				n++
-			}
-			emit(fmt.Sprintf("%s=%d", values.GroupKey(), n))
-			return nil
-		},
-	}
-	res, err := Run(NewCluster(fs, 4, 3), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]int{}
-	for _, o := range res.Output {
-		parts := strings.SplitN(o, "=", 2)
-		var n int
-		fmt.Sscan(parts[1], &n)
-		got[parts[0]] = n
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("dfs wordcount = %v, want %v", got, want)
-	}
-	if res.Counters[CounterDataLocalMaps] == 0 {
-		t.Error("no data-local map tasks despite slots on every node")
-	}
-	if res.Stats.MapTasks == 0 || res.Stats.ReduceTasks != 3 {
-		t.Errorf("stats = %+v", res.Stats)
-	}
-}
-
-func TestTextInputParseError(t *testing.T) {
-	fs := dfs.New(dfs.Config{NumNodes: 2, BlockSize: 64, Seed: 1})
-	if err := fs.Create("bad.txt", []byte("ok\nbad\n")); err != nil {
-		t.Fatal(err)
-	}
-	job := &Job[int, intKey, int, int]{
-		Name: "parse-error",
-		Source: NewTextInput(fs, func(line []byte) (int, error) {
-			if string(line) == "bad" {
-				return 0, errors.New("malformed record")
-			}
-			return len(line), nil
-		}, "bad.txt"),
-		NumReducers: 1,
-		Map: func(ctx *TaskContext, rec int, emit func(intKey, int)) error {
-			emit(intKey{}, rec)
-			return nil
-		},
-		Partition:  intKeyPartition,
-		Less:       intKeyLess,
-		GroupEqual: intKeyGroup,
-		Reduce: func(ctx *TaskContext, values *Values[intKey, int], emit func(int)) error {
-			return nil
-		},
-	}
-	if _, err := Run(NewCluster(fs, 1, 1), job); err == nil {
-		t.Error("expected parse error to fail the job")
 	}
 }
 

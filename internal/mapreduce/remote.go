@@ -51,9 +51,6 @@ type RemoteFS interface {
 	Fetch(name string) ([]byte, error)
 	// Store publishes a file (a shuffle run) into the master DFS.
 	Store(name string, data []byte) error
-	// DictWords returns words [0, n) of the master's keyword dictionary,
-	// in id order.
-	DictWords(n int) ([]string, error)
 }
 
 // WorkerEnv is the per-worker-process execution environment: the
@@ -67,9 +64,6 @@ type WorkerEnv struct {
 	FS RemoteFS
 
 	mirror *dfs.FileSystem
-
-	mu    sync.Mutex
-	words []string // master dictionary prefix, cached monotonically
 
 	jobsMu sync.Mutex
 	jobs   map[string]RemoteJob
@@ -219,33 +213,23 @@ func (t *TaskIO) OnFinish(fn func(*Counters)) {
 	t.finMu.Unlock()
 }
 
-// File ensures name is present in the worker's local mirror (fetching it
-// from the master once; later tasks hit the mirror) and returns the
-// mirror file system to read it from.
-func (t *TaskIO) File(name string) (*dfs.FileSystem, error) {
-	m := t.Env.mirror
-	if m.Exists(name) {
-		return m, nil
-	}
-	data, err := t.Env.FS.Fetch(name)
-	if err != nil {
-		return nil, err
-	}
-	t.bytes.Add(int64(len(data)))
-	if err := m.Create(name, data); err != nil && !errors.Is(err, dfs.ErrExists) {
-		// ErrExists means a concurrent task of this worker fetched the
-		// same file first; the mirror copy is identical (files are
-		// write-once master-side).
-		return nil, err
-	}
-	return m, nil
-}
-
-// ReadRange reads [off, off+n) of a master file through the mirror.
+// ReadRange reads [off, off+n) of a master file through the worker's local
+// mirror, fetching the whole file from the master on first use; later
+// tasks hit the mirror.
 func (t *TaskIO) ReadRange(file string, off int64, n int) ([]byte, error) {
-	m, err := t.File(file)
-	if err != nil {
-		return nil, err
+	m := t.Env.mirror
+	if !m.Exists(file) {
+		data, err := t.Env.FS.Fetch(file)
+		if err != nil {
+			return nil, err
+		}
+		t.bytes.Add(int64(len(data)))
+		if err := m.Create(file, data); err != nil && !errors.Is(err, dfs.ErrExists) {
+			// ErrExists means a concurrent task of this worker fetched the
+			// same file first; the mirror copy is identical (files are
+			// write-once master-side).
+			return nil, err
+		}
 	}
 	return m.ReadRange(file, off, n)
 }
@@ -268,40 +252,6 @@ func (t *TaskIO) Store(name string, data []byte) error {
 	}
 	t.bytes.Add(int64(len(data)))
 	return nil
-}
-
-// DictWords returns words [0, n) of the master's keyword dictionary, in
-// id order, serving from the worker's monotone cache when possible (the
-// master dictionary is append-only, so a cached prefix never goes stale).
-// n comes from the job spec and the words from the master, both off the
-// wire: a negative n or a reply shorter than n is a permanent task error.
-func (t *TaskIO) DictWords(n int) ([]string, error) {
-	if n < 0 {
-		return nil, Permanent(fmt.Errorf("mapreduce: dictionary prefix of %d words requested", n))
-	}
-	e := t.Env
-	e.mu.Lock()
-	words := e.words
-	e.mu.Unlock()
-	if len(words) >= n {
-		return words[:n], nil
-	}
-	words, err := e.FS.DictWords(n)
-	if err != nil {
-		return nil, err
-	}
-	for _, w := range words {
-		t.bytes.Add(int64(len(w)))
-	}
-	if len(words) < n {
-		return nil, Permanent(fmt.Errorf("mapreduce: master dictionary has %d words, the job needs %d", len(words), n))
-	}
-	e.mu.Lock()
-	if len(words) > len(e.words) {
-		e.words = words
-	}
-	e.mu.Unlock()
-	return words[:n], nil
 }
 
 // finish folds the task's RPC byte meter and registered finisher hooks

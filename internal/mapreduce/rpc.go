@@ -1,9 +1,8 @@
 // Master/worker execution over net/rpc.
 //
-// The master lives in the engine process: it owns the DFS and the keyword
-// dictionary, listens for worker callbacks (file fetches, shuffle writes,
-// dictionary pulls), registers worker processes by dialing them and
-// heartbeats them for liveness. Workers are separate processes (or
+// The master lives in the engine process: it owns the DFS, listens for
+// worker callbacks (file fetches, shuffle writes), registers worker
+// processes by dialing them and heartbeats them for liveness. Workers are separate processes (or
 // loopback servers in tests) serving RunTask: they reconstruct jobs from
 // wire descriptors through the job-kind registry and execute whole task
 // attempts, reading inputs from and writing shuffle intermediates to the
@@ -35,10 +34,6 @@ type StoreArgs struct {
 	Data []byte
 }
 type StoreReply struct{}
-
-// DictArgs/DictReply pull a prefix of the master's keyword dictionary.
-type DictArgs struct{ N int }
-type DictReply struct{ Words []string }
 
 // AttachArgs introduce a master to a worker; the reply carries the
 // worker's task capacity.
@@ -103,9 +98,6 @@ type ForgetJobReply struct{}
 // MasterService is the RPC surface workers call back into.
 type MasterService struct {
 	fs *dfs.FileSystem
-	// dictWords snapshots words [0, n) of the engine's keyword dictionary
-	// in id order; nil when the cluster has no dictionary.
-	dictWords func(n int) []string
 	// m backs the Join RPC (worker-initiated membership).
 	m *Master
 }
@@ -123,18 +115,6 @@ func (s *MasterService) Fetch(args *FetchArgs, reply *FetchReply) error {
 // Store publishes a worker-written shuffle file into the master DFS.
 func (s *MasterService) Store(args *StoreArgs, reply *StoreReply) error {
 	return s.fs.Create(args.Name, args.Data)
-}
-
-// DictWords serves a prefix of the master's keyword dictionary.
-func (s *MasterService) DictWords(args *DictArgs, reply *DictReply) error {
-	if s.dictWords == nil {
-		return fmt.Errorf("mapreduce: master has no keyword dictionary")
-	}
-	if args.N < 0 {
-		return fmt.Errorf("mapreduce: dictionary prefix of %d words requested", args.N)
-	}
-	reply.Words = s.dictWords(args.N)
-	return nil
 }
 
 // Ping answers worker liveness probes.
@@ -178,7 +158,7 @@ const (
 	// attempts legitimately run for a while.
 	taskCallTimeout = 2 * time.Minute
 	// ctrlCallTimeout bounds small control-plane calls (Fetch/Store/
-	// DictWords/ForgetJob/Attach) in either direction.
+	// ForgetJob/Attach) in either direction.
 	ctrlCallTimeout = 15 * time.Second
 	// pingCallTimeout bounds heartbeat probes.
 	pingCallTimeout = 2 * time.Second
@@ -385,15 +365,14 @@ func (w *workerConn) rebind(addr string, client *rpc.Client, slots int) {
 func (w *workerConn) Kill() bool { return w.markDead() }
 
 // NewMaster starts the master's callback listener on a loopback address.
-// dictWords may be nil when jobs never need the keyword dictionary.
-func NewMaster(fs *dfs.FileSystem, dictWords func(n int) []string) (*Master, error) {
+func NewMaster(fs *dfs.FileSystem) (*Master, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: master listen: %w", err)
 	}
 	m := &Master{addr: ln.Addr().String(), ln: ln, done: make(chan struct{})}
 	srv := rpc.NewServer()
-	if err := srv.RegisterName("Master", &MasterService{fs: fs, dictWords: dictWords, m: m}); err != nil {
+	if err := srv.RegisterName("Master", &MasterService{fs: fs, m: m}); err != nil {
 		ln.Close()
 		return nil, err
 	}
@@ -468,9 +447,11 @@ func (m *Master) AttachWorker(addr, name string) (*workerConn, error) {
 	return w, nil
 }
 
-// Heartbeat starts a liveness loop pinging every attached worker each
-// interval; a failed ping marks the worker dead (its lanes reroute).
-func (m *Master) Heartbeat(interval time.Duration) {
+// heartbeat starts a liveness loop pinging every attached worker each
+// interval; a failed ping marks the worker dead (its lanes reroute), and
+// note hears the outcome of every ping, so the transitions pings perform
+// are metered.
+func (m *Master) heartbeat(interval time.Duration, note func(callOutcome)) {
 	go func() {
 		t := time.NewTicker(interval)
 		defer t.Stop()
@@ -486,7 +467,8 @@ func (m *Master) Heartbeat(interval time.Duration) {
 					if w.isDead() {
 						continue
 					}
-					w.call("Worker.Ping", &PingArgs{}, &PingReply{}, pingCallTimeout) //nolint:errcheck // a failed ping already marked the worker dead (timeouts count toward quarantine)
+					_, oc := w.call("Worker.Ping", &PingArgs{}, &PingReply{}, pingCallTimeout)
+					note(oc)
 				}
 			}
 		}
@@ -676,14 +658,6 @@ func (r *rpcRemoteFS) Fetch(name string) ([]byte, error) {
 
 func (r *rpcRemoteFS) Store(name string, data []byte) error {
 	return callWithTimeout(r.client, "Master.Store", &StoreArgs{Name: name, Data: data}, &StoreReply{}, ctrlCallTimeout)
-}
-
-func (r *rpcRemoteFS) DictWords(n int) ([]string, error) {
-	var reply DictReply
-	if err := callWithTimeout(r.client, "Master.DictWords", &DictArgs{N: n}, &reply, ctrlCallTimeout); err != nil {
-		return nil, err
-	}
-	return reply.Words, nil
 }
 
 // JoinMaster introduces the worker listening at workerAddr to the master

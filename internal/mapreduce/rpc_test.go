@@ -29,7 +29,76 @@ var rpcIntCodec = &Codec[int]{
 	},
 }
 
-func rpcParseInt(line []byte) (int, error) { return strconv.Atoi(string(line)) }
+// intWidth is the byte width of one record of the int files the RPC tests
+// ship: a space-padded decimal ending in a newline.
+const intWidth = 8
+
+// rangeInput is the test split kind ("ints"): fixed-width int records of
+// one DFS file, per records to a split. A split is a byte range, so it
+// ships to a worker as a SplitRef and re-opens there through
+// TaskIO.ReadRange — the smallest remotable source.
+type rangeInput struct {
+	fs   *dfs.FileSystem
+	file string
+	per  int
+}
+
+// Splits implements Source.
+func (in rangeInput) Splits() ([]SourceSplit[int], error) {
+	n, err := in.fs.Len(in.file)
+	if err != nil {
+		return nil, err
+	}
+	var out []SourceSplit[int]
+	step := int64(in.per * intWidth)
+	for off := int64(0); off < n; off += step {
+		out = append(out, rangeSplit{r: in.fs, ref: SplitRef{Kind: "ints", File: in.file, Offset: off, Length: min(step, n-off)}})
+	}
+	return out, nil
+}
+
+// rangeSplit reads the records of one byte range through r: the master's
+// DFS in-process, the task's I/O context on a worker.
+type rangeSplit struct {
+	r interface {
+		ReadRange(string, int64, int) ([]byte, error)
+	}
+	ref SplitRef
+}
+
+// SplitRef implements RefSplit.
+func (s rangeSplit) SplitRef() (*SplitRef, error) { ref := s.ref; return &ref, nil }
+
+// Each implements SourceSplit. A record that is not an int is malformed
+// input: it fails identically on every attempt, so it is Permanent.
+func (s rangeSplit) Each(yield func(int) bool) error {
+	buf, err := s.r.ReadRange(s.ref.File, s.ref.Offset, int(s.ref.Length))
+	if err != nil {
+		return err
+	}
+	for ; len(buf) >= intWidth; buf = buf[intWidth:] {
+		v, err := strconv.Atoi(strings.TrimSpace(string(buf[:intWidth])))
+		if err != nil {
+			return Permanent(fmt.Errorf("%s: bad record %q", s.ref.File, buf[:intWidth]))
+		}
+		if !yield(v) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// writeInts stores recs as a fixed-width int file.
+func writeInts(t *testing.T, fs *dfs.FileSystem, name string, recs ...string) {
+	t.Helper()
+	var sb strings.Builder
+	for _, r := range recs {
+		fmt.Fprintf(&sb, "%*s\n", intWidth-1, r)
+	}
+	if err := fs.Create(name, []byte(sb.String())); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // rpcSumJob is the job both ends of the wire share: ints keyed even/odd,
 // summed per group. The orchestrator attaches the source and wire kind;
@@ -76,33 +145,30 @@ func init() {
 	RegisterJobKind("rpc-test-sum", func(spec []byte, env *WorkerEnv) (RemoteJob, error) {
 		job := rpcSumJob()
 		return BindRemote(job, func(io *TaskIO, ref *SplitRef) (SourceSplit[int], error) {
-			fs, err := io.File(ref.File)
-			if err != nil {
-				return nil, err
+			if ref.Kind != "ints" {
+				return nil, Permanent(fmt.Errorf("unknown split kind %q", ref.Kind))
 			}
-			return OpenTextSplit(fs, ref, rpcParseInt), nil
+			return rangeSplit{r: io, ref: *ref}, nil
 		}), nil
 	})
 }
 
-// rpcHarness is a master-side DFS with an input file of n ints plus the
+// rpcHarness is a master-side DFS with an "ints" file of n records plus the
 // expected reduce output.
 func rpcHarness(t *testing.T, n int) (*dfs.FileSystem, map[string]bool) {
 	t.Helper()
 	fs := dfs.New(dfs.Config{NumNodes: 4, BlockSize: 128, Replication: 2, Seed: 7})
-	var sb strings.Builder
+	recs := make([]string, n)
 	even, odd := 0, 0
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&sb, "%d\n", i)
+	for i := range recs {
+		recs[i] = strconv.Itoa(i)
 		if i%2 == 0 {
 			even += i
 		} else {
 			odd += i
 		}
 	}
-	if err := fs.Create("nums.txt", []byte(sb.String())); err != nil {
-		t.Fatal(err)
-	}
+	writeInts(t, fs, "nums", recs...)
 	return fs, map[string]bool{
 		fmt.Sprintf("even=%d", even): true,
 		fmt.Sprintf("odd=%d", odd):   true,
@@ -128,7 +194,7 @@ func startWorkers(t *testing.T, n, slots int) []string {
 func runRPCSum(t *testing.T, fs *dfs.FileSystem, exec *RPCExecutor) *Result[string] {
 	t.Helper()
 	job := rpcSumJob()
-	job.Source = NewTextInput(fs, rpcParseInt, "nums.txt")
+	job.Source = rangeInput{fs: fs, file: "nums", per: 32}
 	job.Wire = &WireJob{Kind: "rpc-test-sum"}
 	cl := NewCluster(fs, 4, 2)
 	cl.Executor = exec
@@ -156,7 +222,7 @@ func checkRPCSum(t *testing.T, res *Result[string], want map[string]bool) {
 // behind.
 func TestRPCExecutorEndToEnd(t *testing.T) {
 	fs, want := rpcHarness(t, 500)
-	exec, err := NewRPCExecutor(fs, func(n int) []string { return nil }, startWorkers(t, 2, 2))
+	exec, err := NewRPCExecutor(fs, startWorkers(t, 2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +255,7 @@ func TestRPCExecutorEndToEnd(t *testing.T) {
 // re-executed on the surviving worker and the loss is metered.
 func TestRPCExecutorWorkerKill(t *testing.T) {
 	fs, want := rpcHarness(t, 500)
-	exec, err := NewRPCExecutor(fs, func(n int) []string { return nil }, startWorkers(t, 2, 2))
+	exec, err := NewRPCExecutor(fs, startWorkers(t, 2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +280,7 @@ func TestRPCExecutorWorkerKill(t *testing.T) {
 // or return partial results.
 func TestRPCExecutorAllWorkersLost(t *testing.T) {
 	fs, _ := rpcHarness(t, 100)
-	exec, err := NewRPCExecutor(fs, func(n int) []string { return nil }, startWorkers(t, 1, 2))
+	exec, err := NewRPCExecutor(fs, startWorkers(t, 1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +288,7 @@ func TestRPCExecutorAllWorkersLost(t *testing.T) {
 	exec.SetWorkerKills([]dfs.WorkerKillEvent{{Worker: "worker-1", AfterTasks: 1}})
 
 	job := rpcSumJob()
-	job.Source = NewTextInput(fs, rpcParseInt, "nums.txt")
+	job.Source = rangeInput{fs: fs, file: "nums", per: 32}
 	job.Wire = &WireJob{Kind: "rpc-test-sum"}
 	cl := NewCluster(fs, 4, 2)
 	cl.Executor = exec
@@ -235,7 +301,7 @@ func TestRPCExecutorAllWorkersLost(t *testing.T) {
 // an RPC executor is installed, and says so in the counters.
 func TestRPCExecutorFallbackLocal(t *testing.T) {
 	fs, want := rpcHarness(t, 100)
-	exec, err := NewRPCExecutor(fs, func(n int) []string { return nil }, startWorkers(t, 1, 2))
+	exec, err := NewRPCExecutor(fs, startWorkers(t, 1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +329,7 @@ func TestRPCExecutorFallbackLocal(t *testing.T) {
 // NewRPCExecutor with no workers must refuse, not build a dead executor.
 func TestRPCExecutorNoWorkers(t *testing.T) {
 	fs := dfs.New(dfs.Config{NumNodes: 2, BlockSize: 128, Seed: 1})
-	if _, err := NewRPCExecutor(fs, nil, nil); err == nil {
+	if _, err := NewRPCExecutor(fs, nil); err == nil {
 		t.Fatal("expected an error for zero workers")
 	}
 }

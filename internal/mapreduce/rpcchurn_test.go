@@ -24,7 +24,7 @@ func workerTasks(res *Result[string], name string) int64 {
 // list, grow the lane table, and execute tasks of the next job.
 func TestRPCExecutorAddWorkerMidEngine(t *testing.T) {
 	fs, want := rpcHarness(t, 500)
-	exec, err := NewRPCExecutor(fs, func(n int) []string { return nil }, startWorkers(t, 1, 2))
+	exec, err := NewRPCExecutor(fs, startWorkers(t, 1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestRPCExecutorAddWorkerMidEngine(t *testing.T) {
 // the running master (which dials it back), exactly like AddWorker.
 func TestRPCExecutorJoinMaster(t *testing.T) {
 	fs, want := rpcHarness(t, 300)
-	exec, err := NewRPCExecutor(fs, func(n int) []string { return nil }, startWorkers(t, 1, 2))
+	exec, err := NewRPCExecutor(fs, startWorkers(t, 1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestRPCExecutorJoinMaster(t *testing.T) {
 func TestRPCExecutorDrainAndRejoin(t *testing.T) {
 	fs, want := rpcHarness(t, 500)
 	addrs := startWorkers(t, 2, 2)
-	exec, err := NewRPCExecutor(fs, func(n int) []string { return nil }, addrs)
+	exec, err := NewRPCExecutor(fs, addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestRPCExecutorDrainAndRejoin(t *testing.T) {
 func TestRPCExecutorCrashRejoin(t *testing.T) {
 	fs, want := rpcHarness(t, 500)
 	addrs := startWorkers(t, 2, 2)
-	exec, err := NewRPCExecutor(fs, func(n int) []string { return nil }, addrs)
+	exec, err := NewRPCExecutor(fs, addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestRPCExecutorCrashRejoin(t *testing.T) {
 // result must be identical to an undisturbed run.
 func TestRPCExecutorSpeculation(t *testing.T) {
 	fs, want := rpcHarness(t, 500)
-	exec, err := NewRPCExecutor(fs, func(n int) []string { return nil }, startWorkers(t, 2, 2))
+	exec, err := NewRPCExecutor(fs, startWorkers(t, 2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestRPCExecutorSpeculation(t *testing.T) {
 // and leave the result untouched; the joined worker serves the next job.
 func TestRPCExecutorChurnPlan(t *testing.T) {
 	fs, want := rpcHarness(t, 500)
-	exec, err := NewRPCExecutor(fs, func(n int) []string { return nil }, startWorkers(t, 2, 2))
+	exec, err := NewRPCExecutor(fs, startWorkers(t, 2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,6 +251,39 @@ func TestRPCExecutorChurnPlan(t *testing.T) {
 	checkRPCSum(t, res, want)
 	if workerTasks(res, "joiner") == 0 {
 		t.Error("chaos-joined worker executed no tasks in the following job")
+	}
+}
+
+// A worker lost while no job runs is seen first by the heartbeat. The
+// loss must still be metered, once: in the next job, and not in the one
+// after it.
+func TestRPCExecutorHeartbeatLossMetered(t *testing.T) {
+	fs, want := rpcHarness(t, 300)
+	victim, err := StartWorker("127.0.0.1:0", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(victim.Stop)
+	exec, err := NewRPCExecutor(fs, append(startWorkers(t, 1, 2), victim.Addr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exec.Close()
+	checkRPCSum(t, runRPCSum(t, fs, exec), want)
+
+	victim.Stop()
+	w := exec.workerByName("worker-2")
+	for deadline := time.Now().Add(10 * time.Second); !w.isDead(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("heartbeat never marked the stopped worker dead")
+		}
+	}
+	for i, lost := range []int64{1, 0} {
+		res := runRPCSum(t, fs, exec)
+		checkRPCSum(t, res, want)
+		if got := res.Counters[CounterExecWorkersLost]; got != lost {
+			t.Errorf("job %d after the loss: %s = %d, want %d", i+1, CounterExecWorkersLost, got, lost)
+		}
 	}
 }
 

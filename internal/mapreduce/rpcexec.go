@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"spq/internal/dfs"
@@ -104,6 +105,11 @@ type RPCExecutor struct {
 	globalDisp int
 
 	durs map[durKey][]time.Duration
+
+	// lost and quarantined count the live→dead transitions seen outside a
+	// task dispatch — by the heartbeat, a cancel or the end-of-job cleanup
+	// — until a dispatch meters them into its job's counters.
+	lost, quarantined atomic.Int64
 }
 
 // heartbeatInterval paces the master's worker liveness probes.
@@ -119,14 +125,13 @@ const (
 
 // NewRPCExecutor starts a master over fs, attaches the worker processes
 // listening at addrs (naming them worker-1..worker-n) and begins
-// heartbeating them. dictWords may be nil when jobs never pull the
-// keyword dictionary. Further workers may join later (AddWorker, or the
+// heartbeating them. Further workers may join later (AddWorker, or the
 // Master.Join RPC from the worker side).
-func NewRPCExecutor(fs *dfs.FileSystem, dictWords func(n int) []string, addrs []string) (*RPCExecutor, error) {
+func NewRPCExecutor(fs *dfs.FileSystem, addrs []string) (*RPCExecutor, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("mapreduce: RPC executor needs at least one worker address")
 	}
-	m, err := NewMaster(fs, dictWords)
+	m, err := NewMaster(fs)
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +149,7 @@ func NewRPCExecutor(fs *dfs.FileSystem, dictWords func(n int) []string, addrs []
 	}
 	e.nameSeq = len(addrs)
 	m.SetJoinHandler(e.AddWorker)
-	m.Heartbeat(heartbeatInterval)
+	m.heartbeat(heartbeatInterval, e.noteLoss)
 	return e, nil
 }
 
@@ -322,9 +327,6 @@ func (e *RPCExecutor) Lanes(kind TaskKind) int {
 }
 
 // LaneHost implements Executor: a lane's host is its primary worker.
-// Worker processes are not DFS DataNodes, so data-locality preferences
-// never match — map assignment degrades to load balancing, which is the
-// honest model for workers reading through the master anyway.
 func (e *RPCExecutor) LaneHost(kind TaskKind, lane int) string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -488,8 +490,9 @@ func (e *RPCExecutor) dispatch(b *Binding, d *TaskDesc) (*TaskResult, error) {
 func (e *RPCExecutor) runOn(b *Binding, w *workerConn, d *TaskDesc) (*TaskResult, error) {
 	killed, delay := e.preDispatch(w)
 	if killed {
-		b.Counters().Add(CounterExecWorkersLost, 1)
+		e.noteLoss(callLost)
 	}
+	defer e.meterLosses(b.Counters())
 	if delay > 0 {
 		t := time.NewTimer(delay)
 		select {
@@ -504,13 +507,7 @@ func (e *RPCExecutor) runOn(b *Binding, w *workerConn, d *TaskDesc) (*TaskResult
 	args := &RunTaskArgs{Desc: *d}
 	var reply RunTaskReply
 	err, oc := w.call("Worker.RunTask", args, &reply, taskCallTimeout)
-	switch oc {
-	case callLost:
-		b.Counters().Add(CounterExecWorkersLost, 1)
-	case callQuarantined:
-		b.Counters().Add(CounterExecWorkersLost, 1)
-		b.Counters().Add(CounterExecWorkersQuarantined, 1)
-	}
+	e.noteLoss(oc)
 	if err != nil {
 		return nil, err
 	}
@@ -529,7 +526,33 @@ func (e *RPCExecutor) runOn(b *Binding, w *workerConn, d *TaskDesc) (*TaskResult
 // discarded master-side either way).
 func (e *RPCExecutor) cancelAttempt(w *workerConn, d *TaskDesc) {
 	args := &CancelTaskArgs{JobID: d.JobID, Kind: d.Kind, Task: d.Task, Backup: d.Backup}
-	go w.call("Worker.CancelTask", args, &CancelTaskReply{}, ctrlCallTimeout) //nolint:errcheck // best-effort cancel
+	go func() {
+		_, oc := w.call("Worker.CancelTask", args, &CancelTaskReply{}, ctrlCallTimeout)
+		e.noteLoss(oc)
+	}()
+}
+
+// noteLoss records the live→dead transition a worker call performed, if
+// any, for the next meterLosses.
+func (e *RPCExecutor) noteLoss(oc callOutcome) {
+	switch oc {
+	case callQuarantined:
+		e.quarantined.Add(1)
+		e.lost.Add(1)
+	case callLost:
+		e.lost.Add(1)
+	}
+}
+
+// meterLosses moves the recorded transitions into a job's counters, so
+// each one is counted exactly once, by whichever job dispatches next.
+func (e *RPCExecutor) meterLosses(c *Counters) {
+	if n := e.lost.Swap(0); n > 0 {
+		c.Add(CounterExecWorkersLost, n)
+	}
+	if n := e.quarantined.Swap(0); n > 0 {
+		c.Add(CounterExecWorkersQuarantined, n)
+	}
 }
 
 // preDispatch advances w's dispatch count and fires any scheduled worker
@@ -664,6 +687,7 @@ func (e *RPCExecutor) CleanupShuffle(b *Binding) {
 		if w.isDead() {
 			continue
 		}
-		w.call("Worker.ForgetJob", &ForgetJobArgs{JobID: b.JobID()}, &ForgetJobReply{}, ctrlCallTimeout) //nolint:errcheck // best-effort release
+		_, oc := w.call("Worker.ForgetJob", &ForgetJobArgs{JobID: b.JobID()}, &ForgetJobReply{}, ctrlCallTimeout)
+		e.noteLoss(oc)
 	}
 }

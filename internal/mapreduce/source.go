@@ -1,10 +1,6 @@
 package mapreduce
 
-import (
-	"fmt"
-
-	"spq/internal/dfs"
-)
+import "fmt"
 
 // Source provides input records, pre-divided into splits that map tasks
 // process independently.
@@ -15,89 +11,9 @@ type Source[I any] interface {
 
 // SourceSplit is one unit of map input.
 type SourceSplit[I any] interface {
-	// Hosts returns the nodes holding the split's data, for locality-aware
-	// scheduling. May be empty.
-	Hosts() []string
 	// Each calls yield for every record of the split, stopping early if
 	// yield returns false.
 	Each(yield func(rec I) bool) error
-}
-
-// TextInput reads newline-delimited records from files stored in the
-// simulated DFS, producing one split per file block with the block's
-// replica locations as preferred hosts. Lines are handed to the parser
-// to produce typed records; a nil Parse yields the raw line as a string
-// (only valid when I is string — enforced at construction by the typed
-// helpers below).
-type TextInput[I any] struct {
-	FS    *dfs.FileSystem
-	Files []string
-	// Parse converts one line into a record. Returning an error aborts the
-	// task as Permanent — malformed input is a job bug, not a transient
-	// fault, so the attempt is not retried.
-	Parse func(line []byte) (I, error)
-}
-
-// NewTextInput constructs a TextInput over the given files.
-func NewTextInput[I any](fs *dfs.FileSystem, parse func(line []byte) (I, error), files ...string) *TextInput[I] {
-	return &TextInput[I]{FS: fs, Files: files, Parse: parse}
-}
-
-// Splits implements Source.
-func (t *TextInput[I]) Splits() ([]SourceSplit[I], error) {
-	var out []SourceSplit[I]
-	for _, f := range t.Files {
-		splits, err := t.FS.Splits(f)
-		if err != nil {
-			return nil, fmt.Errorf("mapreduce: input %s: %w", f, err)
-		}
-		for _, s := range splits {
-			out = append(out, &textSplit[I]{fs: t.FS, split: s, parse: t.Parse})
-		}
-	}
-	return out, nil
-}
-
-type textSplit[I any] struct {
-	fs    *dfs.FileSystem
-	split dfs.Split
-	parse func(line []byte) (I, error)
-}
-
-func (s *textSplit[I]) Hosts() []string { return s.split.Hosts }
-
-// Size implements SizedSplit.
-func (s *textSplit[I]) Size() int64 { return int64(s.split.Length) }
-
-// SplitRef implements RefSplit: a text split is fully described by its
-// file byte range (the parser is reconstructed job-side from the wire
-// spec).
-func (s *textSplit[I]) SplitRef() (*SplitRef, error) {
-	return &SplitRef{Kind: "text", File: s.split.File, Offset: s.split.Offset, Length: int64(s.split.Length)}, nil
-}
-
-// OpenTextSplit re-opens a "text" split reference against fs (typically a
-// worker's local mirror of the master file). The line-boundary convention
-// is identical to the original split's, so the reference yields exactly
-// the same records.
-func OpenTextSplit[I any](fs *dfs.FileSystem, ref *SplitRef, parse func(line []byte) (I, error)) SourceSplit[I] {
-	return &textSplit[I]{fs: fs, split: dfs.Split{File: ref.File, Offset: ref.Offset, Length: int(ref.Length)}, parse: parse}
-}
-
-func (s *textSplit[I]) Each(yield func(I) bool) error {
-	var parseErr error
-	err := s.fs.SplitLines(s.split, func(line []byte) bool {
-		rec, err := s.parse(line)
-		if err != nil {
-			parseErr = Permanent(fmt.Errorf("mapreduce: %v: %w", s.split, err))
-			return false
-		}
-		return yield(rec)
-	})
-	if err != nil {
-		return err
-	}
-	return parseErr
 }
 
 // SizedSplit is optionally implemented by splits that know their payload
@@ -195,22 +111,6 @@ func (c *coalescedSource[I]) Splits() ([]SourceSplit[I], error) {
 
 // groupedSplit runs its member splits sequentially as one map input.
 type groupedSplit[I any] []SourceSplit[I]
-
-// Hosts returns the union of the members' replica hosts: a task is
-// (partially) local on any node holding any member.
-func (g groupedSplit[I]) Hosts() []string {
-	var out []string
-	seen := make(map[string]bool)
-	for _, s := range g {
-		for _, h := range s.Hosts() {
-			if !seen[h] {
-				seen[h] = true
-				out = append(out, h)
-			}
-		}
-	}
-	return out
-}
 
 // Records implements CountedSplit when every member knows its count;
 // otherwise it returns 0 (no estimate).
@@ -361,8 +261,6 @@ func (m *MemorySource[I]) Splits() ([]SourceSplit[I], error) {
 }
 
 type memorySplit[I any] []I
-
-func (s memorySplit[I]) Hosts() []string { return nil }
 
 // Records implements CountedSplit.
 func (s memorySplit[I]) Records() int { return len(s) }

@@ -24,7 +24,6 @@ func TestPlanQuery(t *testing.T) {
 		storage  Storage
 		columnar bool
 	}{
-		{"text", StorageDFS, false},
 		{"spq3", StorageDFSBinary, true},
 		{"memory", StorageMemory, false},
 	}

