@@ -28,7 +28,7 @@ func main() {
 		nodes    = flag.Int("nodes", 16, "simulated DFS nodes")
 		slots    = flag.Int("slots", 8, "map/reduce worker slots")
 		autoplan = flag.Bool("autoplan", false, "prune sealed cell files against the query and pick the grid from the manifest statistics")
-		storage  = flag.String("storage", "spq3", "sealed storage: spq3 (compressed columnar segments in the DFS), memory")
+		storage  = flag.String("storage", "spq3", "sealed storage: spq3 (compressed columnar segments in the DFS), memory (the same blocks, resident)")
 		verbose  = flag.Bool("v", false, "print job counters")
 	)
 	flag.Parse()

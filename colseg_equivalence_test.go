@@ -1,6 +1,7 @@
 package spq
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -105,7 +106,7 @@ func checkOracle(t *testing.T, dataObjs []DataObject, feats []Feature, queries [
 // TestColumnarMatchesRecordStorageProperty is the storage-format
 // correctness property on a clustered corpus and five hand-picked queries,
 // among them an out-of-vocabulary keyword and a zero radius: SPQ3
-// compressed columnar segments and the in-memory record layout both
+// compressed columnar segments and resident memory blocks both
 // return exactly the centralized R-tree oracle's results, for every
 // algorithm, planned and unplanned, sealed and with a delta. For SPQ3 this
 // also covers the block-at-a-time map: a feature's two counts come from
@@ -171,9 +172,9 @@ func TestStorageMatchesOracleRandomized(t *testing.T) {
 	}
 }
 
-// TestColumnarBlockPruningAndCache checks the two things only columnar
-// storage can do: prune inside cells (spq.plan.blocks.pruned > 0 on a
-// selective query) and serve repeats from the decoded-segment cache.
+// TestColumnarBlockPruningAndCache checks block pruning inside cells
+// (spq.plan.blocks.pruned > 0 on a selective query) and the one thing only
+// SPQ3 storage does: serve repeats from the decoded-segment cache.
 func TestColumnarBlockPruningAndCache(t *testing.T) {
 	e := NewEngine(Config{Storage: StorageDFSBinary, Nodes: 4, Seed: 7})
 	loadClusteredCorpus(t, e, 30000, 8)
@@ -267,5 +268,66 @@ func TestSegmentCacheDisabled(t *testing.T) {
 	}
 	if !resultsEqual(res, want) {
 		t.Fatal("cache-disabled engine returned different results")
+	}
+}
+
+// TestStoragesBuildSameBlocks: memory storage is SPQ3 minus the encoding.
+// Two engines loaded identically seal the same cells into the same blocks
+// with equal zone maps — records, bounds, blooms — and the memory engine
+// holds its base once, as those blocks: no object copy survives the seal,
+// nor a compaction, which reads the base back from the blocks.
+func TestStoragesBuildSameBlocks(t *testing.T) {
+	engines := make([]*Engine, 2)
+	for i, st := range []Storage{StorageDFSBinary, StorageMemory} {
+		engines[i] = NewEngine(Config{Storage: st, Nodes: 4, SealGridN: 4, CompactAfter: -1})
+		loadClusteredCorpus(t, engines[i], 20000, 8)
+		if err := engines[i].Seal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stored, mem := engines[0].Manifest(), engines[1].Manifest()
+	multiBlock := false
+	for _, pair := range [][2][]data.CellStats{{stored.Data, mem.Data}, {stored.Features, mem.Features}} {
+		if len(pair[0]) != len(pair[1]) {
+			t.Fatalf("%d SPQ3 cells, %d memory cells", len(pair[0]), len(pair[1]))
+		}
+		for i, s := range pair[0] {
+			m := pair[1][i]
+			if s.Cell != m.Cell || s.Records != m.Records || s.Bounds != m.Bounds ||
+				!bytes.Equal(s.Keywords, m.Keywords) || len(s.Blocks) != len(m.Blocks) {
+				t.Fatalf("cell %d: SPQ3 %+v, memory %+v", s.Cell, s, m)
+			}
+			multiBlock = multiBlock || len(s.Blocks) > 1
+			for bi, sb := range s.Blocks {
+				mb := m.Blocks[bi]
+				if sb.Records != mb.Records || sb.Bounds != mb.Bounds || !bytes.Equal(sb.Keywords, mb.Keywords) {
+					t.Fatalf("cell %d block %d: SPQ3 zone map %+v, memory %+v", s.Cell, bi, sb, mb)
+				}
+			}
+		}
+	}
+	if !multiBlock {
+		t.Fatal("no cell spans several blocks: the block cut is untested")
+	}
+
+	e := engines[1]
+	heldOnce := func(when string) {
+		t.Helper()
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if e.objects != nil || e.resident == nil || e.snap.Load().resident == nil {
+			t.Errorf("%s: %d objects held beside the blocks (resident blocks: %v)", when, len(e.objects), e.resident != nil)
+		}
+	}
+	heldOnce("after Seal")
+	if err := e.AddData(DataObject{ID: 1 << 40, X: 0.5, Y: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	heldOnce("after Compact")
+	if nd, nf := e.Len(); int64(nd+nf) != e.Manifest().TotalRecords() {
+		t.Errorf("compacted manifest holds %d records, engine %d", e.Manifest().TotalRecords(), nd+nf)
 	}
 }

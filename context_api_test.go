@@ -159,6 +159,7 @@ func TestInvalidQueryTaxonomy(t *testing.T) {
 		{"negative k", Query{K: -2, Radius: 0.1, Keywords: []string{"x"}}, "K"},
 		{"negative radius", Query{K: 1, Radius: -1, Keywords: []string{"x"}}, "Radius"},
 		{"no keywords", Query{K: 1, Radius: 0.1}, "Keywords"},
+		{"only empty keywords", Query{K: 1, Radius: 0.1, Keywords: []string{"", ""}}, "Keywords"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

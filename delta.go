@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"spq/internal/data"
-	"spq/internal/mapreduce"
 	"spq/internal/text"
 )
 
@@ -27,7 +26,7 @@ const (
 	CounterDeltaRecords = "spq.delta.records"
 	// CounterDeltaRecordsSelected is the number of delta records the job
 	// actually read (equal to CounterDeltaRecords unless the planner
-	// pruned delta cells).
+	// pruned delta blocks).
 	CounterDeltaRecordsSelected = "spq.delta.records.selected"
 	// CounterDeltaCellsPruned is the number of delta cells the planner
 	// proved irrelevant (planned queries only).
@@ -47,9 +46,9 @@ type DeltaStats struct {
 	// Records is the number of delta records visible to the query (0 when
 	// the engine had no uncompacted appends, or under WithDelta(false)).
 	Records int64
-	// Cells and CellsPruned count the delta's seal-grid cells and how many
-	// the planner skipped. Only planned queries (WithAutoPlan) partition
-	// the delta; both are 0 otherwise.
+	// Cells counts the delta's seal-grid cells — every query reads the
+	// delta cut into column blocks over the seal grid — and CellsPruned
+	// how many of them the planner skipped (0 unless WithAutoPlan).
 	Cells       int
 	CellsPruned int
 	// RecordsSelected is the number of delta records the job read after
@@ -66,94 +65,21 @@ type DeltaStats struct {
 type deltaState struct {
 	objs []data.Object
 
-	// view is the planner-facing partitioned form, built lazily — at most
-	// once per snapshot — the first time a planned query needs per-cell
-	// pruning. Unplanned queries never pay for it.
-	once sync.Once
-	view *deltaView
+	// The delta cut into column blocks over the base manifest's seal grid:
+	// cells with their zone maps, and each cell's blocks by name. Built
+	// lazily, at most once per snapshot, by the first query that reads the
+	// delta, planned or not.
+	once     sync.Once
+	cells    *data.Manifest
+	resident map[string][]*data.ColumnBlock
 }
 
-// deltaView is the delta partitioned over the base manifest's seal grid,
-// with per-cell statistics mirroring the manifest's: the on-the-fly
-// equivalent of a seal, minus the storage writes. Cell names are synthetic
-// ("delta-d0012") and resolve through layout into sub-slices of ordered.
-type deltaView struct {
-	ordered      []data.Object
-	layout       map[string]memRange
-	dataCells    []data.CellStats
-	featureCells []data.CellStats
-}
-
-// buildView partitions the delta over the manifest's seal grid, once.
-func (d *deltaState) buildView(m *data.Manifest, dict *text.Dict) *deltaView {
+// blocks cuts the delta into column blocks over the manifest's seal grid,
+// once: a memory seal of the delta, whose synthetic cell names
+// ("delta-d0012.mem") cannot collide with the sealed ones.
+func (d *deltaState) blocks(m *data.Manifest, dict *text.Dict) (*data.Manifest, map[string][]*data.ColumnBlock) {
 	d.once.Do(func() {
-		parts := data.PartitionObjects(m.Grid.Grid(), d.objs)
-		dataCells, featureCells, ordered := parts.CellView("delta", dict)
-		d.view = &deltaView{
-			ordered:      ordered,
-			layout:       cellLayout(dataCells, featureCells),
-			dataCells:    dataCells,
-			featureCells: featureCells,
-		}
+		d.cells, d.resident = data.PartitionObjects(m.Grid.Grid(), d.objs).SealBlocks("delta", dict)
 	})
-	return d.view
-}
-
-// cellLayout maps each cell name to its index range in the cell-ordered
-// object layout (data cells first, then feature cells — the order CellView
-// and SealMemory lay objects out in). Shared by the sealed memory layout
-// and the delta view, whose ranges memoryChunks consumes interchangeably.
-func cellLayout(dataCells, featureCells []data.CellStats) map[string]memRange {
-	layout := make(map[string]memRange, len(dataCells)+len(featureCells))
-	off := 0
-	for _, cs := range dataCells {
-		layout[cs.File] = memRange{lo: off, hi: off + cs.Records}
-		off += cs.Records
-	}
-	for _, cs := range featureCells {
-		layout[cs.File] = memRange{lo: off, hi: off + cs.Records}
-		off += cs.Records
-	}
-	return layout
-}
-
-// memoryChunks builds an in-memory source over the selected partitions of
-// a cell-ordered object layout. Partitions are contiguous sub-slices;
-// adjacent selections are merged and then re-split into roughly target
-// chunks, so no object is ever copied and an unpruned selection still gets
-// a handful of big splits rather than one per cell. Shared by the sealed
-// memory-mode layout and the delta view.
-func memoryChunks(objs []data.Object, layout map[string]memRange, files []string, target int) *mapreduce.MemorySource[data.Object] {
-	var runs []memRange
-	total := 0
-	for _, f := range files {
-		r, ok := layout[f]
-		if !ok {
-			continue
-		}
-		total += r.hi - r.lo
-		if n := len(runs); n > 0 && runs[n-1].hi == r.lo {
-			runs[n-1].hi = r.hi
-		} else {
-			runs = append(runs, r)
-		}
-	}
-	src := &mapreduce.MemorySource[data.Object]{}
-	if total == 0 {
-		return src
-	}
-	if target < 1 {
-		target = 1
-	}
-	chunkSize := (total + target - 1) / target
-	for _, r := range runs {
-		for lo := r.lo; lo < r.hi; lo += chunkSize {
-			hi := lo + chunkSize
-			if hi > r.hi {
-				hi = r.hi
-			}
-			src.Chunks = append(src.Chunks, objs[lo:hi])
-		}
-	}
-	return src
+	return d.cells, d.resident
 }

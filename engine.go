@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,13 +36,15 @@ const (
 	// Hadoop/HDFS stack (replicated blocks, repair, worker processes) and
 	// the default.
 	StorageDFSBinary Storage = iota
-	// StorageMemory keeps objects in memory and feeds them to MapReduce
-	// through an in-memory source. Sufficient when only the algorithms (not
-	// the storage substrate) matter; its jobs never ship to workers.
+	// StorageMemory keeps every sealed cell in memory as the column blocks
+	// StorageDFSBinary stores, never encoded: the same zone maps, planner
+	// pruning, block-at-a-time map and data views, minus the DFS, the
+	// decode and the segment cache. Sufficient when only the algorithms
+	// (not the storage substrate) matter; its jobs never ship to workers.
 	StorageMemory
 )
 
-// Per-query segment I/O counters, emitted on columnar storage
+// Per-query segment I/O counters, emitted on SPQ3 storage
 // (see Report.Counters). Together they quantify the storage cost of a
 // query: selected is the plan's compressed footprint, read what actually
 // hit storage (cache hits read nothing), decoded the in-memory size
@@ -80,8 +83,8 @@ type Config struct {
 	BlockSize int
 	// Replication is the DFS replication factor (default 3).
 	Replication int
-	// Storage selects DFS-resident SPQ3 segments (the default) or
-	// in-memory datasets.
+	// Storage selects DFS-resident SPQ3 segments (the default) or the same
+	// column blocks kept in memory.
 	Storage Storage
 	// SealGridN is the edge size of the seal grid: Seal writes the
 	// datasets as per-cell files over a SealGridN x SealGridN grid with a
@@ -102,7 +105,7 @@ type Config struct {
 	// (generation, cell file, block), so compactions invalidate by
 	// construction, mirroring the query cache. Zero selects
 	// data.DefaultBlockCacheBytes; a negative value disables the cache.
-	// Only columnar storage uses it.
+	// Only SPQ3 storage uses it.
 	SegmentCache int
 	// CompactAfter bounds the in-memory delta of a sealed engine, in
 	// records: once an append batch leaves at least CompactAfter records
@@ -132,10 +135,11 @@ type Config struct {
 	// remotable query job on them: the master ships self-describing task
 	// descriptors, workers read inputs and write shuffle intermediates
 	// through the master's DFS, and lost workers have their tasks
-	// re-executed on surviving ones. Jobs that cannot ship — in-memory
-	// storage, delta-merged sources — transparently fall back to local
-	// execution (spq.exec.fallback.local). Empty (the default) runs
-	// everything in-process. Engines with workers should be Closed.
+	// re-executed on surviving ones. Jobs that cannot ship — those reading
+	// resident blocks: memory storage, the uncompacted delta —
+	// transparently fall back to local execution (spq.exec.fallback.local).
+	// Empty (the default) runs everything in-process. Engines with workers
+	// should be Closed.
 	//
 	// The worker set is elastic: AddWorker attaches more (or rejoins
 	// crashed ones) while the engine serves, and DrainWorker detaches one
@@ -181,10 +185,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// memRange is the half-open index range of one sealed partition inside
-// the memory-mode object layout.
-type memRange struct{ lo, hi int }
-
 // snapshot is the immutable read-path view of the engine's storage: the
 // sealed base generation plus — under generational ingestion — the
 // in-memory delta of records appended since. A new snapshot is published
@@ -199,10 +199,9 @@ type snapshot struct {
 	gen      uint64
 	manifest *data.Manifest
 	bounds   geo.Rect
-	// Memory-mode layout: the cell-ordered object slice and the name to
-	// index-range mapping of its partitions. Nil under DFS storage.
-	sealedObjs []data.Object
-	memLayout  map[string]memRange
+	// resident holds the sealed cells' blocks by cell name under memory
+	// storage; nil under DFS storage.
+	resident map[string][]*data.ColumnBlock
 	// delta is the view of records appended after the base sealed; nil
 	// when the delta is empty.
 	delta *deltaState
@@ -219,13 +218,12 @@ type Engine struct {
 	cluster *mapreduce.Cluster
 	dict    *text.Dict
 	cache   *queryCache // nil when Config.QueryCache < 0
-	// segCache is the decoded-segment cache of columnar storage; nil when
+	// segCache is the decoded-segment cache of SPQ3 storage; nil when
 	// disabled or unused by the storage mode.
 	segCache *data.BlockCache
-	// viewCache caches per-query-grid data views of columnar storage (see
-	// core.DataView): delta-free queries shuffle only feature records and
-	// reduce against the view's dense per-cell columns. Nil unless the
-	// storage mode is columnar.
+	// viewCache caches per-query-grid data views (see core.DataView):
+	// delta-free in-process queries shuffle only feature records and
+	// reduce against the view's dense per-cell columns.
 	viewCache *core.ViewCache
 
 	// exec is the RPC executor when Config.Workers is set; execErr holds a
@@ -261,11 +259,10 @@ type Engine struct {
 	fileSeq int
 
 	// Sealed state: the manifest of the partitioned storage layout, plus
-	// — under StorageMemory — the cell-ordered object slice and the name
-	// to index-range layout of its partitions.
-	manifest   *data.Manifest
-	sealedObjs []data.Object
-	memLayout  map[string]memRange
+	// — under StorageMemory — the cells' resident blocks, the only copy of
+	// the sealed base.
+	manifest *data.Manifest
+	resident map[string][]*data.ColumnBlock
 
 	// delta holds the records appended after the last seal or compaction,
 	// in append order. It is append-only between compactions: published
@@ -284,22 +281,20 @@ func NewEngine(cfg Config) *Engine {
 		Faults:      cfg.Faults,
 	})
 	e := &Engine{
-		cfg:     cfg,
-		fs:      fs,
-		cluster: mapreduce.NewCluster(fs, cfg.MapSlots, cfg.ReduceSlots),
-		dict:    text.NewDict(),
-		dataIDs: make(map[uint64]struct{}),
-		featIDs: make(map[uint64]struct{}),
-		bounds:  geo.Rect{MinX: 1, MaxX: -1}, // empty
+		cfg:       cfg,
+		fs:        fs,
+		cluster:   mapreduce.NewCluster(fs, cfg.MapSlots, cfg.ReduceSlots),
+		dict:      text.NewDict(),
+		viewCache: core.NewViewCache(0),
+		dataIDs:   make(map[uint64]struct{}),
+		featIDs:   make(map[uint64]struct{}),
+		bounds:    geo.Rect{MinX: 1, MaxX: -1}, // empty
 	}
 	if cfg.QueryCache > 0 {
 		e.cache = newQueryCache(cfg.QueryCache)
 	}
-	if cfg.Storage == StorageDFSBinary {
-		if cfg.SegmentCache >= 0 {
-			e.segCache = data.NewBlockCache(int64(cfg.SegmentCache))
-		}
-		e.viewCache = core.NewViewCache(0)
+	if cfg.Storage == StorageDFSBinary && cfg.SegmentCache >= 0 {
+		e.segCache = data.NewBlockCache(int64(cfg.SegmentCache))
 	}
 	if len(cfg.Workers) > 0 {
 		exec, err := mapreduce.NewRPCExecutor(fs, cfg.Workers)
@@ -489,11 +484,10 @@ func (e *Engine) commitLocked() error {
 func (e *Engine) publishLocked() {
 	e.gen++
 	s := &snapshot{
-		gen:        e.gen,
-		manifest:   e.manifest,
-		bounds:     e.bounds,
-		sealedObjs: e.sealedObjs,
-		memLayout:  e.memLayout,
+		gen:      e.gen,
+		manifest: e.manifest,
+		bounds:   e.bounds,
+		resident: e.resident,
 	}
 	if len(e.delta) > 0 {
 		s.delta = &deltaState{objs: e.delta[:len(e.delta)]}
@@ -567,18 +561,26 @@ func (e *Engine) Bounds() (minX, minY, maxX, maxY float64) {
 
 // baseObjectsLocked returns the objects of the sealed base generation (or
 // the load buffer before the first seal): the load-order slice under DFS
-// storage, the cell-ordered sealed layout under memory storage (which
-// releases the load-time slice at seal).
+// storage; under memory storage, which keeps the base only as blocks, the
+// blocks read back cell by cell.
 func (e *Engine) baseObjectsLocked() []data.Object {
-	if e.sealedObjs != nil {
-		return e.sealedObjs
+	if e.resident == nil {
+		return e.objects
 	}
-	return e.objects
+	objs := make([]data.Object, 0, e.manifest.TotalRecords())
+	for _, cells := range [][]data.CellStats{e.manifest.Data, e.manifest.Features} {
+		for _, cs := range cells {
+			for _, b := range e.resident[cs.File] {
+				objs = b.AppendObjects(objs)
+			}
+		}
+	}
+	return objs
 }
 
 // allObjectsLocked returns every loaded object — base plus delta. The
-// returned slice aliases engine state when the delta is empty and must
-// not be mutated or retained past the lock.
+// returned slice may alias engine state and must not be mutated or
+// retained past the lock.
 func (e *Engine) allObjectsLocked() []data.Object {
 	base := e.baseObjectsLocked()
 	if len(e.delta) == 0 {
@@ -651,13 +653,11 @@ func (e *Engine) writeGenerationLocked(objs []data.Object) error {
 		}
 		e.manifest = man
 		e.objects = objs // retained: future compactions re-seal base+delta
-		e.sealedObjs, e.memLayout = nil, nil
 	default:
-		man, ordered := parts.SealMemory(prefix, e.dict)
-		e.manifest = man
-		e.sealedObjs = ordered
+		// The blocks are the only copy of the base; compactions read it
+		// back from them.
+		e.manifest, e.resident = parts.SealBlocks(prefix, e.dict)
 		e.objects = nil
-		e.memLayout = cellLayout(man.Data, man.Features)
 	}
 	e.sealed = true
 	e.delta = nil
@@ -806,6 +806,7 @@ func (e *Engine) queryReport(ctx context.Context, q Query, opts []QueryOption) (
 	if err := validateQuery(q); err != nil {
 		return nil, err
 	}
+	q.Keywords = keywordsOf(q.Keywords)
 	if e.execErr != nil {
 		return nil, e.execErr
 	}
@@ -849,12 +850,12 @@ func (e *Engine) queryReport(ctx context.Context, q Query, opts []QueryOption) (
 		}
 		bounds = bounds.Expand(pad)
 	}
-	cq := core.Query{K: q.K, Radius: q.Radius, Keywords: e.dict.InternAll(q.Keywords), Mode: q.Mode}
-	p, err := e.planQuery(snap, q, &cfg)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := e.execute(ctx, snap, cq, &cfg, bounds, p)
+	// Query words are looked up, never interned, so queries cannot grow the
+	// dictionary: a word no feature carries matches nothing and needs no
+	// id, but it still counts in |q.W|.
+	words := slices.Compact(slices.Sorted(slices.Values(q.Keywords)))
+	cq := core.Query{K: q.K, Radius: q.Radius, Keywords: e.dict.LookupAll(words), Size: len(words), Mode: q.Mode}
+	rep, err := e.execute(ctx, snap, cq, &cfg, bounds, e.planQuery(snap, q, &cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -867,19 +868,18 @@ func (e *Engine) queryReport(ctx context.Context, q Query, opts []QueryOption) (
 // planQuery before anything runs: execute reads this value and nothing
 // else about the options, the storage format or the executor.
 type physicalPlan struct {
-	// The sealed input: whole cell files (memory layout) or per-cell block
-	// selections (columnar), the data and feature halves apart so a data
-	// view can stand in for the first.
-	files              []string
+	// The input: per-cell block selections of the sealed base and the
+	// delta, the data and feature halves apart so a data view can stand in
+	// for the first.
 	colsData, colsFeat []data.ColSel
-	// src scans that selection — minus the data half under useView —
-	// followed by the participating delta records.
+	// src maps that selection block by block — minus the data half under
+	// useView.
 	src mapreduce.Source[data.Object]
 	// useView routes the data selection through the cached per-grid data
 	// view (core.DataView) instead of the shuffle.
 	useView bool
-	// segIO meters the columnar reads of src and of a view build; nil on
-	// storage without segments.
+	// segIO meters the segment reads of src and of a view build; nil on
+	// memory storage, which reads no segments.
 	segIO *data.SegIOStats
 	// wire describes the snapshot to worker processes; nil in-process.
 	wire            *core.WireInfo
@@ -894,11 +894,11 @@ type physicalPlan struct {
 }
 
 // planQuery decides how one query executes against snapshot s. It is the
-// only place that looks at the auto-plan and delta options, the manifest's
-// storage format and whether the engine is distributed. An unplanned query
-// is the same plan with pruning off: every cell and block, the whole delta
-// in append order (never partitioned), no planner statistics.
-func (e *Engine) planQuery(s *snapshot, q Query, cfg *queryConfig) (*physicalPlan, error) {
+// only place that looks at the auto-plan and delta options, the storage
+// mode and whether the engine is distributed. An unplanned query is the
+// same plan with pruning off: every block of every cell, base and delta,
+// no planner statistics.
+func (e *Engine) planQuery(s *snapshot, q Query, cfg *queryConfig) *physicalPlan {
 	// The delta participating in this query: records appended after the
 	// base generation sealed, unless the caller opted out.
 	delta := s.delta
@@ -910,35 +910,31 @@ func (e *Engine) planQuery(s *snapshot, q Query, cfg *queryConfig) (*physicalPla
 		reducers:   cfg.reducers,
 		deltaStats: &DeltaStats{Generation: s.gen},
 	}
+	dataCells, featCells := s.manifest.Data, s.manifest.Features
+	var deltaData, deltaFeat []data.CellStats
+	var deltaResident map[string][]*data.ColumnBlock
 	if delta != nil {
+		// The delta cut into blocks over the manifest's seal grid (lazily,
+		// once per snapshot), so its cells read and prune like sealed ones.
+		cells, resident := delta.blocks(s.manifest, e.dict)
+		deltaData, deltaFeat, deltaResident = cells.Data, cells.Features, resident
 		p.deltaStats.Records = int64(len(delta.objs))
 		p.deltaStats.RecordsSelected = p.deltaStats.Records
+		p.deltaStats.Cells = len(deltaData) + len(deltaFeat)
 	}
-	var deltaSrc mapreduce.Source[data.Object]
-	files := s.manifest.Files // evaluated only by memory storage
-	dataCells, featCells := s.manifest.Data, s.manifest.Features
-	var blocks map[string][]int // surviving blocks per cell file; nil = all
+	var blocks map[string][]int // surviving blocks per cell; nil = all
 	if cfg.autoPlan {
-		var view *deltaView
-		var deltaData, deltaFeatures []data.CellStats
-		if delta != nil {
-			// Partition the delta over the manifest's seal grid (lazily,
-			// once per snapshot) so its cells prune like sealed ones.
-			view = delta.buildView(s.manifest, e.dict)
-			deltaData, deltaFeatures = view.dataCells, view.featureCells
-		}
-		dec := plan.PlanGenerations(s.manifest, deltaData, deltaFeatures, plan.Input{
+		dec := plan.PlanGenerations(s.manifest, deltaData, deltaFeat, plan.Input{
 			Radius:      q.Radius,
 			Keywords:    q.Keywords,
 			ReduceSlots: e.cfg.ReduceSlots,
 			GridN:       cfg.gridN,
 			NumReducers: cfg.reducers,
 		})
-		files = func() []string { return dec.Files }
 		dataCells, featCells, blocks = dec.Data, dec.Features, dec.Blocks
+		deltaData, deltaFeat = dec.DeltaData, dec.DeltaFeatures
 		p.gridN = dec.GridN
 		p.reducers = dec.NumReducers
-		p.deltaStats.Cells = dec.Stats.DeltaCells
 		p.deltaStats.CellsPruned = dec.Stats.DeltaCellsPruned
 		p.deltaStats.RecordsSelected = dec.Stats.DeltaRecordsSelected
 		p.counters = dec.Counters()
@@ -949,22 +945,10 @@ func (e *Engine) planQuery(s *snapshot, q Query, cfg *queryConfig) (*physicalPla
 		p.priority = dec.Stats.RecordsTotal > 0 &&
 			dec.Stats.RecordsSelected*4 <= dec.Stats.RecordsTotal
 		p.empty = dec.Empty()
-		if len(dec.DeltaData)+len(dec.DeltaFeatures) > 0 {
-			sel := make([]string, 0, len(dec.DeltaData)+len(dec.DeltaFeatures))
-			for _, cs := range dec.DeltaData {
-				sel = append(sel, cs.File)
-			}
-			for _, cs := range dec.DeltaFeatures {
-				sel = append(sel, cs.File)
-			}
-			deltaSrc = memoryChunks(view.ordered, view.layout, sel, e.cfg.MapSlots*2)
-		}
-	} else if delta != nil {
-		deltaSrc = mapreduce.NewMemorySource(delta.objs, e.cfg.MapSlots*2)
 	}
 	p.counters = deltaCounters(p.counters, p.deltaStats)
 	if p.empty {
-		return p, nil
+		return p
 	}
 	if p.gridN <= 0 {
 		p.gridN = defaultGridN
@@ -979,40 +963,38 @@ func (e *Engine) planQuery(s *snapshot, q Query, cfg *queryConfig) (*physicalPla
 		p.wire = &core.WireInfo{Gen: s.manifest.Generation}
 	}
 
-	switch s.manifest.Format {
-	case data.FormatCompressed:
-		// Columnar storage reads block selections, fetched by ranged read
-		// through the decoded-segment cache. Delta-free in-process queries
-		// take the data-view path: the data blocks become (or reuse) the
-		// dense per-grid layout and the job shuffles feature records only.
-		// With a delta visible the source carries both kinds in-stream —
-		// appended records cannot be in any sealed view — and distributed
-		// engines skip the view as well: it is an in-process structure a
-		// worker cannot receive.
-		p.colsData = selectCells(dataCells, blocks)
-		p.colsFeat = selectCells(featCells, blocks)
-		p.useView = delta == nil && e.exec == nil
+	// One block source serves the sealed and the delta selections: SPQ3
+	// blocks are fetched by ranged read through the decoded-segment cache,
+	// resident ones (memory storage, the delta) are served as they are.
+	// Delta-free in-process queries take the data-view path: the data
+	// blocks become (or reuse) the dense per-grid layout and the job
+	// shuffles feature records only. With a delta visible the source
+	// carries both kinds in-stream — appended records cannot be in any
+	// sealed view — and distributed engines skip the view as well: it is an
+	// in-process structure a worker cannot receive.
+	// The selection is one slice, data cells first, which the in-stream
+	// source reads whole.
+	cols := make([]data.ColSel, 0, len(dataCells)+len(deltaData)+len(featCells)+len(deltaFeat))
+	cols = selectCells(cols, dataCells, blocks, s.resident)
+	cols = selectCells(cols, deltaData, blocks, deltaResident)
+	n := len(cols)
+	cols = selectCells(cols, featCells, blocks, s.resident)
+	cols = selectCells(cols, deltaFeat, blocks, deltaResident)
+	p.colsData, p.colsFeat = cols[:n:n], cols[n:]
+	p.useView = delta == nil && e.exec == nil
+	if p.useView {
+		cols = p.colsFeat
+	}
+	if s.manifest.Format == data.FormatCompressed {
 		p.segIO = &data.SegIOStats{}
-		cols := p.colsFeat
-		if !p.useView {
-			cols = append(append([]data.ColSel(nil), p.colsData...), p.colsFeat...)
-		}
-		in := data.NewColInput(e.fs, cols, e.segCache, s.manifest.Generation)
-		in.IO = p.segIO
-		// Column blocks are small, and one map task per block would drown
-		// the job in task overhead, so consecutive blocks are grouped down
-		// to a few per map slot.
-		p.src = mapreduce.Coalesce[data.Object](in, e.cfg.MapSlots*4)
-	case data.FormatMemory:
-		p.files = files()
-		p.src = memoryChunks(s.sealedObjs, s.memLayout, p.files, e.cfg.MapSlots*2)
-	default:
-		return nil, fmt.Errorf("spq: sealed manifest has unknown format %q", s.manifest.Format)
 	}
-	if deltaSrc != nil {
-		p.src = mapreduce.Concat(p.src, deltaSrc)
-	}
-	return p, nil
+	in := data.NewColInput(e.fs, cols, e.segCache, s.manifest.Generation)
+	in.IO = p.segIO
+	// Column blocks are small, and one map task per block would drown the
+	// job in task overhead, so consecutive blocks are grouped down to a few
+	// per map slot.
+	p.src = mapreduce.Coalesce[data.Object](in, e.cfg.MapSlots*4)
+	return p
 }
 
 // execute runs plan p: nothing for a provably empty plan, otherwise one
@@ -1131,19 +1113,19 @@ func newPlanStats(d *plan.Decision) *PlanStats {
 	}
 }
 
-// selectCells builds the columnar read selection over one dataset's cells:
-// every block when blocks is nil (the unplanned path), otherwise each
-// cell's surviving block indices from the planner decision.
-func selectCells(cells []data.CellStats, blocks map[string][]int) []data.ColSel {
-	out := make([]data.ColSel, 0, len(cells))
+// selectCells appends the read selection over cells to dst: every block
+// when blocks is nil (the unplanned path), otherwise each cell's surviving
+// block indices from the planner decision; resident holds the blocks of
+// cells kept in memory (nil for SPQ3 cells).
+func selectCells(dst []data.ColSel, cells []data.CellStats, blocks map[string][]int, resident map[string][]*data.ColumnBlock) []data.ColSel {
 	for _, cs := range cells {
-		sel := data.ColSel{Cell: cs}
+		sel := data.ColSel{Cell: cs, Resident: resident[cs.File]}
 		if blocks != nil {
 			sel.Blocks = blocks[cs.File]
 		}
-		out = append(out, sel)
+		dst = append(dst, sel)
 	}
-	return out
+	return dst
 }
 
 // dataView returns the cached per-grid data view for this generation,

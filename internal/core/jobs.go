@@ -377,8 +377,10 @@ func (m *mapper) emitRec(r Rec, emit func(CellKey, Rec)) (dups int) {
 	return len(targets)
 }
 
-// mapObject is the per-record Map function: the path of memory and delta
-// splits. The two counts come from the record's keyword set.
+// mapObject is the per-record Map function: the path of record sources
+// (mapreduce.MemorySource) that callers of Run hand in directly. The two
+// counts come from the record's keyword set. The engine's splits are all
+// column blocks and take mapBlock.
 func (m *mapper) mapObject(ctx *mapreduce.TaskContext, o data.Object, emit func(CellKey, Rec)) error {
 	switch dups := m.emitRec(m.q.newRec(o), emit); {
 	case dups < 0:

@@ -43,12 +43,26 @@ type Query struct {
 	// Radius is the neighborhood distance threshold r.
 	Radius float64
 	// Keywords is the query keyword set q.W, interned in the same
-	// dictionary as the feature dataset.
+	// dictionary as the feature dataset — or, when Size says so, the part
+	// of q.W that dictionary holds.
 	Keywords text.KeywordSet
+	// Size is |q.W| when q.W holds words the dictionary does not: such a
+	// word matches no feature, so it is left out of Keywords instead of
+	// being interned, but it still counts in the union of every Jaccard
+	// score. Zero means len(Keywords).
+	Size int
 	// Mode selects how in-range features contribute to scores. The zero
 	// value is the paper's range mode (Definition 2); see ScoringMode for
 	// the influence and nearest-neighbor extensions.
 	Mode ScoringMode
+}
+
+// size returns |q.W|.
+func (q Query) size() int {
+	if q.Size > 0 {
+		return q.Size
+	}
+	return len(q.Keywords)
 }
 
 // Validate reports structural problems with the query.
@@ -63,8 +77,10 @@ func (q Query) Validate() error {
 		return fmt.Errorf("core: query radius = %g, must be finite", q.Radius)
 	case q.Radius < 0:
 		return fmt.Errorf("core: query radius = %g, must be non-negative", q.Radius)
-	case q.Keywords.Len() == 0:
+	case q.size() == 0:
 		return fmt.Errorf("core: query has no keywords")
+	case q.Size < 0 || q.size() < len(q.Keywords):
+		return fmt.Errorf("core: query size %d is below its %d known keywords", q.Size, len(q.Keywords))
 	case q.Mode != ScoreRange && q.Mode != ScoreInfluence && q.Mode != ScoreNearest:
 		return fmt.Errorf("core: unknown scoring mode %d", int(q.Mode))
 	}
@@ -77,7 +93,7 @@ func (q Query) Score(f data.Object) float64 {
 	if f.Kind != data.FeatureObject {
 		return 0
 	}
-	return text.JaccardOfCounts(q.hits(f.Keywords), len(q.Keywords), len(f.Keywords))
+	return text.JaccardOfCounts(q.hits(f.Keywords), q.size(), len(f.Keywords))
 }
 
 // hits returns |q.W ∩ kws|. Short set pairs — the overwhelming case,
@@ -94,7 +110,7 @@ func (q Query) hits(kws text.KeywordSet) int {
 // UpperBound returns w̄(f,q), the Equation-1 best possible score for a
 // feature with the given keyword-list length.
 func (q Query) UpperBound(featureLen int) float64 {
-	return text.UpperBound(featureLen, q.Keywords.Len())
+	return text.UpperBound(featureLen, q.size())
 }
 
 // ResultItem is one ranked data object.

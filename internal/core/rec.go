@@ -46,7 +46,7 @@ func (r Rec) object() data.Object {
 // score returns w(f,q) of a feature record (Definition 1), 0 for a data
 // record: the same expression as Query.Score, from the counts.
 func (q Query) score(r Rec) float64 {
-	return text.JaccardOfCounts(int(r.Hits), len(q.Keywords), int(r.Len))
+	return text.JaccardOfCounts(int(r.Hits), q.size(), int(r.Len))
 }
 
 // RecCodec serializes Recs for the shuffle runs of distributed execution:

@@ -37,6 +37,7 @@ type querySpec struct {
 	Radius              float64
 	Mode                int
 	Keywords            []uint32
+	Size                int
 	Bounds              geo.Rect
 	GridN               int
 	NumReducers         int
@@ -52,6 +53,7 @@ func encodeQuerySpec(alg Algorithm, q Query, opts Options) ([]byte, error) {
 		Radius:              q.Radius,
 		Mode:                int(q.Mode),
 		Keywords:            q.Keywords,
+		Size:                q.Size,
 		Bounds:              opts.Bounds,
 		GridN:               opts.GridN,
 		NumReducers:         opts.NumReducers,
@@ -78,7 +80,10 @@ func buildWireJob(spec []byte, env *mapreduce.WorkerEnv) (mapreduce.RemoteJob, e
 	if err := gob.NewDecoder(bytes.NewReader(spec)).Decode(&s); err != nil {
 		return nil, mapreduce.Permanent(fmt.Errorf("core: decode query spec: %w", err))
 	}
-	q := Query{K: s.K, Radius: s.Radius, Keywords: text.KeywordSet(s.Keywords), Mode: ScoringMode(s.Mode)}
+	q := Query{K: s.K, Radius: s.Radius, Keywords: text.KeywordSet(s.Keywords), Size: s.Size, Mode: ScoringMode(s.Mode)}
+	if err := q.Validate(); err != nil {
+		return nil, mapreduce.Permanent(err)
+	}
 	opts := Options{
 		Bounds:              s.Bounds,
 		GridN:               s.GridN,

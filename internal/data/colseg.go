@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sync"
 
 	"spq/internal/geo"
@@ -138,32 +139,26 @@ func (c *ColWriter) Append(o Object) error {
 	return nil
 }
 
-// flushBlock encodes the pending objects as one framed block and records
-// its zone map.
+// flushBlock builds the pending objects into one block and writes it.
 func (c *ColWriter) flushBlock() error {
 	if len(c.pending) == 0 {
 		return nil
 	}
+	b, bs := BuildBlock(c.pending, c.dict)
+	c.pending = c.pending[:0]
+	return c.writeBlock(b, bs)
+}
+
+// writeBlock encodes one built block as a frame and records its zone map,
+// completed with the frame's position in the segment.
+func (c *ColWriter) writeBlock(b *ColumnBlock, bs BlockStats) error {
 	if err := c.writeHeader(); err != nil {
 		return err
 	}
 	c.buf.Reset()
-	encodeCol3Block(&c.buf, c.kind, c.pending)
+	encodeCol3Block(&c.buf, b)
 	payload := c.buf.Bytes()
-
-	bs := BlockStats{Records: len(c.pending), Offset: c.off}
-	bs.Bounds = geo.Rect{MinX: 1, MaxX: -1} // empty
-	if c.kind == FeatureObject {
-		bs.Keywords = NewKeywordBloom()
-	}
-	for _, o := range c.pending {
-		bs.Bounds = bs.Bounds.Union(geo.Rect{MinX: o.Loc.X, MinY: o.Loc.Y, MaxX: o.Loc.X, MaxY: o.Loc.Y})
-		if c.kind == FeatureObject && c.dict != nil {
-			for _, w := range c.dict.Words(o.Keywords) {
-				bs.Keywords.Add(w)
-			}
-		}
-	}
+	bs.Offset = c.off
 
 	var lenBuf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(lenBuf[:], uint64(len(payload)))
@@ -181,7 +176,6 @@ func (c *ColWriter) flushBlock() error {
 	bs.Length = n + len(payload) + len(crcBuf)
 	c.off += int64(bs.Length)
 	c.stats = append(c.stats, bs)
-	c.pending = c.pending[:0]
 	return nil
 }
 
@@ -204,10 +198,12 @@ func (c *ColWriter) Close() error {
 // Call after Close for the complete set.
 func (c *ColWriter) Stats() []BlockStats { return c.stats }
 
-// ColumnBlock is one decoded column block: parallel slices holding the
-// block's records in struct-of-arrays layout. A decoded block is immutable
-// and safe for concurrent readers; the segment cache shares one instance
-// across queries.
+// ColumnBlock is one column block: parallel slices holding the block's
+// records in struct-of-arrays layout. It is the only in-memory form of a
+// run of records on the query path: BuildBlock lays objects out as one and
+// DecodeColFrame decodes a stored frame into one, with equal columns. A
+// block is immutable and safe for concurrent readers; the segment cache
+// shares one decoded instance across queries.
 type ColumnBlock struct {
 	Kind Kind
 	IDs  []uint64
@@ -250,25 +246,30 @@ func (b *ColumnBlock) Object(i int) Object {
 	return o
 }
 
-// keywords returns record i's keyword set from the forward view (nil when
-// empty, like a parsed record's).
+// keywords returns record i's keyword set from the forward view.
 func (b *ColumnBlock) keywords(i int) text.KeywordSet {
-	b.fwdOnce.Do(b.buildForward)
-	if kws := b.kws[b.kwOff[i]:b.kwOff[i+1]]; len(kws) > 0 {
-		return kws
+	b.fwdOnce.Do(func() { b.kwOff, b.kws = b.forward() })
+	return keywordsAt(b.kwOff, b.kws, i)
+}
+
+// keywordsAt returns record i's keyword set from a forward view (nil when
+// empty, like a parsed record's).
+func keywordsAt(kwOff []int32, kws []uint32, i int) text.KeywordSet {
+	if s := kws[kwOff[i]:kwOff[i+1]:kwOff[i+1]]; len(s) > 0 {
+		return s
 	}
 	return nil
 }
 
-// buildForward scatters the posting lists back into per-record keyword
-// sets. Iterating the dictionary in ascending order fills each record's
-// set strictly ascending — the KeywordSet invariant — for free.
-func (b *ColumnBlock) buildForward() {
-	kwOff := make([]int32, len(b.KwLen)+1)
+// forward scatters the posting lists back into per-record keyword sets.
+// Iterating the dictionary in ascending order fills each record's set
+// strictly ascending — the KeywordSet invariant — for free.
+func (b *ColumnBlock) forward() (kwOff []int32, kws []uint32) {
+	kwOff = make([]int32, len(b.KwLen)+1)
 	for i, n := range b.KwLen {
 		kwOff[i+1] = kwOff[i] + int32(n)
 	}
-	kws := make([]uint32, len(b.PostRecs))
+	kws = make([]uint32, len(b.PostRecs))
 	fill := append([]int32(nil), kwOff[:len(b.KwLen)]...) // per-record write cursor
 	for e, kw := range b.Dict {
 		for _, rec := range b.PostRecs[b.PostOff[e]:b.PostOff[e+1]] {
@@ -276,7 +277,96 @@ func (b *ColumnBlock) buildForward() {
 			fill[rec]++
 		}
 	}
-	b.kwOff, b.kws = kwOff, kws
+	return kwOff, kws
+}
+
+// AppendObjects appends the block's records to dst as Objects. Unlike
+// Object it leaves no forward view behind, so reading a resident block
+// back — a compaction re-sealing it — does not grow the block.
+func (b *ColumnBlock) AppendObjects(dst []Object) []Object {
+	var kwOff []int32
+	var kws []uint32
+	if b.KwLen != nil {
+		kwOff, kws = b.forward()
+	}
+	for i := range b.IDs {
+		o := Object{Kind: b.Kind, ID: b.IDs[i], Loc: geo.Point{X: b.Xs[i], Y: b.Ys[i]}}
+		if kwOff != nil {
+			o.Keywords = keywordsAt(kwOff, kws, i)
+		}
+		dst = append(dst, o)
+	}
+	return dst
+}
+
+// BuildBlock lays objs — a non-empty run of records of one kind — out as
+// one column block, with no encoding step, and returns it with its zone
+// map: record count, tight bounds and, for features, the bloom of the
+// block's keywords (resolved through dict; an empty bloom when dict is
+// nil). The columns equal what DecodeColFrame produces from the block's
+// SPQ3 frame, and the zone map equals the one the segment writer records,
+// minus the frame's position.
+func BuildBlock(objs []Object, dict *text.Dict) (*ColumnBlock, BlockStats) {
+	n := len(objs)
+	b := &ColumnBlock{Kind: objs[0].Kind, IDs: make([]uint64, n), Xs: make([]float64, n), Ys: make([]float64, n)}
+	bs := BlockStats{Records: n, Bounds: geo.Rect{MinX: 1, MaxX: -1}}
+	for i, o := range objs {
+		b.IDs[i], b.Xs[i], b.Ys[i] = o.ID, o.Loc.X, o.Loc.Y
+		bs.Bounds = bs.Bounds.Union(geo.Rect{MinX: o.Loc.X, MinY: o.Loc.Y, MaxX: o.Loc.X, MaxY: o.Loc.Y})
+	}
+	if b.Kind != FeatureObject {
+		return b, bs
+	}
+
+	// Invert the keyword sets: count each keyword's records, lay the lists
+	// out in ascending keyword order, then scatter the record indexes in
+	// record order, so every list comes out ascending.
+	b.KwLen = make([]uint32, n)
+	cursor := make(map[uint32]int32)
+	for i, o := range objs {
+		b.KwLen[i] = uint32(len(o.Keywords))
+		for _, kw := range o.Keywords {
+			cursor[kw]++
+		}
+	}
+	b.Dict = make([]uint32, 0, len(cursor))
+	for kw := range cursor {
+		b.Dict = append(b.Dict, kw)
+	}
+	slices.Sort(b.Dict)
+	b.PostOff = make([]int32, len(b.Dict)+1)
+	for e, kw := range b.Dict {
+		b.PostOff[e+1] = b.PostOff[e] + cursor[kw]
+		cursor[kw] = b.PostOff[e]
+	}
+	b.PostRecs = make([]uint32, b.PostOff[len(b.Dict)])
+	for i, o := range objs {
+		for _, kw := range o.Keywords {
+			b.PostRecs[cursor[kw]] = uint32(i)
+			cursor[kw]++
+		}
+	}
+	bs.Keywords = NewKeywordBloom()
+	if dict != nil {
+		for _, kw := range b.Dict {
+			bs.Keywords.Add(dict.Word(kw))
+		}
+	}
+	return b, bs
+}
+
+// BuildBlocks cuts objs — the records of one seal-grid cell of one
+// dataset — into blocks of AdaptiveBlockRecords(len(objs)) records with
+// BuildBlock: the blocks and zone maps sealing the cell writes.
+func BuildBlocks(objs []Object, dict *text.Dict) ([]*ColumnBlock, []BlockStats) {
+	size := AdaptiveBlockRecords(len(objs))
+	count := (len(objs) + size - 1) / size
+	blocks, stats := make([]*ColumnBlock, 0, count), make([]BlockStats, 0, count)
+	for lo := 0; lo < len(objs); lo += size {
+		b, bs := BuildBlock(objs[lo:min(lo+size, len(objs))], dict)
+		blocks, stats = append(blocks, b), append(stats, bs)
+	}
+	return blocks, stats
 }
 
 // CountHits resolves a query's sorted keyword-id set kws against a feature

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 )
 
@@ -89,23 +88,24 @@ func AdaptiveBlockRecords(cellRecords int) int {
 	return b
 }
 
-// columnBlockOverhead approximates a decoded block's fixed footprint (the
+// columnBlockOverhead approximates a block's fixed footprint (the
 // struct with its seven column slice headers) for cache accounting.
 const columnBlockOverhead = 240
 
-// MemBytes returns the memory footprint of the block as decoded. The
+// MemBytes returns the memory footprint of the block's columns. The
 // segment cache charges this against its byte budget, so adaptive block
 // sizes cannot blow the cache's memory bound the way an entry count
-// could. The decoder retains every column at exactly its length, so the
-// lengths charged here are the capacities held.
+// could. The decoder and the builder retain every column at exactly its
+// length, so the lengths charged here are the capacities held.
 func (b *ColumnBlock) MemBytes() int {
 	return columnBlockOverhead +
 		8*len(b.IDs) + 8*len(b.Xs) + 8*len(b.Ys) + 4*len(b.KwLen) +
 		4*len(b.Dict) + 4*len(b.PostOff) + 4*len(b.PostRecs)
 }
 
-// encodeCol3Block renders objs as one SPQ3 block payload.
-func encodeCol3Block(buf *bytes.Buffer, kind Kind, objs []Object) {
+// encodeCol3Block renders a built block (see BuildBlock) as one SPQ3 block
+// payload.
+func encodeCol3Block(buf *bytes.Buffer, b *ColumnBlock) {
 	var tmp [binary.MaxVarintLen64]byte
 	putUvarint := func(v uint64) {
 		n := binary.PutUvarint(tmp[:], v)
@@ -116,50 +116,37 @@ func encodeCol3Block(buf *bytes.Buffer, kind Kind, objs []Object) {
 		buf.Write(tmp[:n])
 	}
 	buf.WriteByte(col3Version)
-	buf.WriteByte(colKindByte(kind))
-	putUvarint(uint64(len(objs)))
+	buf.WriteByte(colKindByte(b.Kind))
+	putUvarint(uint64(b.Len()))
 	prev := uint64(0)
-	for _, o := range objs {
-		putVarint(int64(o.ID - prev)) // two's-complement delta, zigzag-coded
-		prev = o.ID
+	for _, id := range b.IDs {
+		putVarint(int64(id - prev)) // two's-complement delta, zigzag-coded
+		prev = id
 	}
-	deltas := make([]uint64, len(objs))
-	for i, o := range objs {
-		deltas[i] = math.Float64bits(o.Loc.X)
-	}
-	packXorColumn(buf, deltas)
-	for i, o := range objs {
-		deltas[i] = math.Float64bits(o.Loc.Y)
+	deltas := make([]uint64, b.Len())
+	for i, x := range b.Xs {
+		deltas[i] = math.Float64bits(x)
 	}
 	packXorColumn(buf, deltas)
-	if kind != FeatureObject {
+	for i, y := range b.Ys {
+		deltas[i] = math.Float64bits(y)
+	}
+	packXorColumn(buf, deltas)
+	if b.Kind != FeatureObject {
 		return
 	}
 
-	// Invert the per-record keyword sets into per-keyword posting lists.
-	// Records are scanned in block order, so each list is built ascending.
-	postings := make(map[uint32][]uint32)
-	for i, o := range objs {
-		for _, kw := range o.Keywords {
-			postings[kw] = append(postings[kw], uint32(i))
-		}
-	}
-	dict := make([]uint32, 0, len(postings))
-	for kw := range postings {
-		dict = append(dict, kw)
-	}
-	sort.Slice(dict, func(i, j int) bool { return dict[i] < dict[j] })
-	putUvarint(uint64(len(dict)))
-	for i, kw := range dict {
+	putUvarint(uint64(len(b.Dict)))
+	for i, kw := range b.Dict {
 		if i == 0 {
 			putUvarint(uint64(kw))
 		} else {
-			putUvarint(uint64(kw - dict[i-1]))
+			putUvarint(uint64(kw - b.Dict[i-1]))
 		}
 	}
-	bitmapBytes := (len(objs) + 7) / 8
-	for _, kw := range dict {
-		recs := postings[kw]
+	bitmapBytes := (b.Len() + 7) / 8
+	for e := range b.Dict {
+		recs := b.PostRecs[b.PostOff[e]:b.PostOff[e+1]]
 		if len(recs) >= bitmapBytes {
 			// Dense: a bitmap is no larger than one byte per entry.
 			buf.WriteByte(1)

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -252,8 +253,91 @@ func TestCol3PostingMethods(t *testing.T) {
 	}
 }
 
+// requireSameBlock fails unless two blocks hold equal columns: kind, ids,
+// coordinates by bit pattern, and the keyword columns KwLen, Dict, PostOff
+// and PostRecs.
+func requireSameBlock(t *testing.T, got, want *ColumnBlock) {
+	t.Helper()
+	sameBits := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	for _, c := range []struct {
+		name  string
+		equal bool
+	}{
+		{"Kind", got.Kind == want.Kind},
+		{"IDs", slices.Equal(got.IDs, want.IDs)},
+		{"Xs", sameBits(got.Xs, want.Xs)},
+		{"Ys", sameBits(got.Ys, want.Ys)},
+		{"KwLen", slices.Equal(got.KwLen, want.KwLen)},
+		{"Dict", slices.Equal(got.Dict, want.Dict)},
+		{"PostOff", slices.Equal(got.PostOff, want.PostOff)},
+		{"PostRecs", slices.Equal(got.PostRecs, want.PostRecs)},
+	} {
+		if !c.equal {
+			t.Fatalf("column %s differs", c.name)
+		}
+	}
+}
+
+// requireSameZoneMap fails unless two zone maps agree on what the planner
+// reads: record count, bounds by bit pattern, keyword bloom.
+func requireSameZoneMap(t *testing.T, got, want BlockStats) {
+	t.Helper()
+	bits := func(r geo.Rect) [4]uint64 {
+		return [4]uint64{math.Float64bits(r.MinX), math.Float64bits(r.MinY), math.Float64bits(r.MaxX), math.Float64bits(r.MaxY)}
+	}
+	if got.Records != want.Records || bits(got.Bounds) != bits(want.Bounds) || !bytes.Equal(got.Keywords, want.Keywords) {
+		t.Fatalf("zone map %d records %v differs from %d records %v (or its bloom does)",
+			got.Records, got.Bounds, want.Records, want.Bounds)
+	}
+}
+
+// checkBuiltMatchesDecoded builds objs as one block and requires it equal
+// to the block DecodeColFrame reads back from the segment writer's frame,
+// column by column, with the writer's zone map.
+func checkBuiltMatchesDecoded(t *testing.T, objs []Object, dict *text.Dict) {
+	t.Helper()
+	raw, stats := writeSegment3(t, objs, len(objs), dict)
+	if len(stats) != 1 {
+		t.Fatalf("%d blocks, want 1", len(stats))
+	}
+	dec, err := DecodeColFrame(raw[stats[0].Offset : stats[0].Offset+int64(stats[0].Length)])
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, zone := BuildBlock(objs, dict)
+	requireSameBlock(t, built, dec)
+	requireSameZoneMap(t, zone, stats[0])
+}
+
+// TestBuiltBlockMatchesDecodedDense is the builder == decoder case at the
+// largest block size: 4,096 feature records mixing bitmap-dense postings
+// (a keyword on every other record), sparse ones, and empty keyword sets.
+func TestBuiltBlockMatchesDecodedDense(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	dict := text.NewDict()
+	for i := 0; i < 64; i++ {
+		dict.Intern(fmt.Sprintf("w%d", i))
+	}
+	objs := make([]Object, colMaxBlockRecords)
+	for i := range objs {
+		var kws []uint32
+		switch {
+		case i%5 == 0: // no keywords at all
+		case i%2 == 0:
+			kws = []uint32{3, uint32(8 + r.Intn(56))}
+		default:
+			kws = []uint32{uint32(8 + r.Intn(56))}
+		}
+		objs[i] = Object{Kind: FeatureObject, ID: uint64(i * 7), Loc: geo.Point{X: r.Float64(), Y: r.Float64()}, Keywords: text.NewKeywordSet(kws...)}
+	}
+	checkBuiltMatchesDecoded(t, objs, dict)
+}
+
 // FuzzCol3BlockRoundTrip drives the SPQ3 encoder with fuzzer-chosen
-// objects and checks encode -> frame -> decode is the identity.
+// objects and checks encode -> frame -> decode is the identity, and that
+// the block built from the same objects equals the decoded one.
 func FuzzCol3BlockRoundTrip(f *testing.F) {
 	f.Add(uint64(7), 0.25, -3.5, "alpha,beta", true)
 	f.Add(uint64(1<<63), -1e300, 1e-300, "", false)
@@ -304,6 +388,7 @@ func FuzzCol3BlockRoundTrip(f *testing.F) {
 				t.Fatalf("record %d: got %v, want %v", i, got, want)
 			}
 		}
+		checkBuiltMatchesDecoded(t, objs, dict)
 	})
 }
 

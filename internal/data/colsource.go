@@ -37,23 +37,27 @@ type RangeReader interface {
 	ReadRange(file string, off int64, n int) ([]byte, error)
 }
 
-// ColSel selects what a query reads of one sealed columnar cell: the
-// cell's manifest entry plus the indices of its surviving blocks. A nil
-// Blocks slice selects every block (the unplanned path); the query planner
-// narrows it using the per-block zone maps.
+// ColSel selects what a query reads of one cell: the cell's manifest entry
+// plus the indices of its surviving blocks. A nil Blocks slice selects
+// every block (the unplanned path); the query planner narrows it using the
+// per-block zone maps. Resident holds the cell's blocks when they live in
+// memory, never encoded (memory storage, the delta), one per zone map; nil
+// for a cell stored as an SPQ3 segment.
 type ColSel struct {
-	Cell   CellStats
-	Blocks []int
+	Cell     CellStats
+	Blocks   []int
+	Resident []*ColumnBlock
 }
 
-// ColInput is a MapReduce source over columnar segments: one split
-// per selected block, fetched by ranged read at the zone map's offset and
-// decoded into dense column buffers — or served straight from the decoded-
-// segment cache. Splits report their payload size and record count, so
+// ColInput is a MapReduce source over column blocks: one split per
+// selected block. A stored block is fetched by ranged read at the zone
+// map's offset and decoded into dense column buffers — or served straight
+// from the decoded-segment cache; a resident block is served as it is.
+// Splits report their payload size and record count, so
 // mapreduce.Coalesce packs them into balanced map tasks exactly like file
-// splits. A split hands its decoded block whole to a job that maps
-// batches (mapreduce.BatchSplit, one *ColumnBlock per split) and views it
-// record by record for every other reader.
+// splits. A split hands its block whole to a job that maps batches
+// (mapreduce.BatchSplit, one *ColumnBlock per split) and views it record
+// by record for every other reader.
 type ColInput struct {
 	R     RangeReader
 	Cells []ColSel
@@ -78,10 +82,20 @@ func (c *ColInput) Splits() ([]mapreduce.SourceSplit[Object], error) {
 		if len(sel.Cell.Blocks) == 0 {
 			return nil, fmt.Errorf("data: columnar read of cell %q: manifest carries no block zone maps", sel.Cell.File)
 		}
+		if sel.Resident != nil && len(sel.Resident) != len(sel.Cell.Blocks) {
+			return nil, fmt.Errorf("data: columnar read of cell %q: %d resident blocks for %d zone maps", sel.Cell.File, len(sel.Resident), len(sel.Cell.Blocks))
+		}
+		split := func(i int) *colSplit {
+			s := &colSplit{in: c, file: sel.Cell.File, idx: i, bs: sel.Cell.Blocks[i]}
+			if sel.Resident != nil {
+				s.block = sel.Resident[i]
+			}
+			return s
+		}
 		idxs := sel.Blocks
 		if idxs == nil {
 			for i := range sel.Cell.Blocks {
-				out = append(out, &colSplit{in: c, file: sel.Cell.File, idx: i, bs: sel.Cell.Blocks[i]})
+				out = append(out, split(i))
 			}
 			continue
 		}
@@ -89,7 +103,7 @@ func (c *ColInput) Splits() ([]mapreduce.SourceSplit[Object], error) {
 			if i < 0 || i >= len(sel.Cell.Blocks) {
 				return nil, fmt.Errorf("data: columnar read of cell %q: block %d of %d selected", sel.Cell.File, i, len(sel.Cell.Blocks))
 			}
-			out = append(out, &colSplit{in: c, file: sel.Cell.File, idx: i, bs: sel.Cell.Blocks[i]})
+			out = append(out, split(i))
 		}
 	}
 	return out, nil
@@ -101,10 +115,18 @@ type colSplit struct {
 	file string
 	idx  int
 	bs   BlockStats
+	// block is the resident block; nil for a block read from storage.
+	block *ColumnBlock
 }
 
-// Size implements mapreduce.SizedSplit.
-func (s *colSplit) Size() int64 { return int64(s.bs.Length) }
+// Size implements mapreduce.SizedSplit: a stored block weighs its frame
+// bytes, a resident one — which has no frame — its columns' bytes.
+func (s *colSplit) Size() int64 {
+	if s.block != nil {
+		return int64(s.block.MemBytes())
+	}
+	return int64(s.bs.Length)
+}
 
 // Records implements mapreduce.CountedSplit.
 func (s *colSplit) Records() int { return s.bs.Records }
@@ -112,8 +134,12 @@ func (s *colSplit) Records() int { return s.bs.Records }
 // SplitRef implements mapreduce.RefSplit: a columnar split is one block
 // frame, described by its byte range plus the block index and record
 // count (Extra). The zone map stays master-side — the worker only decodes
-// the frame, it never re-plans.
+// the frame, it never re-plans. A resident block has no frame a worker
+// could read, so a job with one stays in-process.
 func (s *colSplit) SplitRef() (*mapreduce.SplitRef, error) {
+	if s.block != nil {
+		return nil, fmt.Errorf("data: block %d of %q is resident in memory, not stored", s.idx, s.file)
+	}
 	extra := binary.AppendUvarint(nil, uint64(s.idx))
 	extra = binary.AppendUvarint(extra, uint64(s.bs.Records))
 	return &mapreduce.SplitRef{Kind: "col", File: s.file, Offset: s.bs.Offset, Length: int64(s.bs.Length), Extra: extra}, nil
@@ -176,9 +202,13 @@ func (s *colSplit) EachBatch(yield func(batch any) bool) error {
 	return nil
 }
 
-// fetch returns the decoded block, from the segment cache when possible,
-// checked against the record count the zone map promised.
+// fetch returns the resident block, or else the decoded block, from the
+// segment cache when possible, checked against the record count the zone
+// map promised.
 func (s *colSplit) fetch() (*ColumnBlock, error) {
+	if s.block != nil {
+		return s.block, nil
+	}
 	key := BlockKey{Gen: s.in.Gen, File: s.file, Index: s.idx}
 	b, ok := s.in.Cache.Get(key)
 	if !ok {

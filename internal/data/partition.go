@@ -25,16 +25,13 @@ import (
 // ManifestVersion is the on-disk manifest format version.
 const ManifestVersion = 1
 
-// Storage formats recorded in the manifest.
+// Storage formats recorded in the manifest. Both lay every cell out as
+// the same column blocks with the same zone maps; they differ only in
+// where the blocks live.
 const (
-	FormatCompressed = "spq3" // SPQ3: compressed columnar segments, adaptive blocks
-	FormatMemory     = "mem"  // in-memory partitions, no DFS files
+	FormatCompressed = "spq3" // SPQ3: compressed columnar segments in the DFS
+	FormatMemory     = "mem"  // resident column blocks, never encoded
 )
-
-// IsColumnar reports whether the format stores cells as column blocks
-// with zone maps, read through the block reader stack: ranged reads, the
-// decoded-segment cache, data views.
-func IsColumnar(format string) bool { return format == FormatCompressed }
 
 // Bloom filter geometry for per-cell keyword summaries. 2048 bits and 3
 // probes keep the false-positive rate under 1% for the few hundred
@@ -116,8 +113,8 @@ func (s GridSpec) Grid() *grid.Grid { return grid.New(s.Bounds, s.N, s.N) }
 type CellStats struct {
 	// Cell is the seal-grid cell id.
 	Cell int32 `json:"cell"`
-	// File names the cell's object file (a DFS file, or a synthetic
-	// partition name under StorageMemory).
+	// File names the cell: its SPQ3 segment file in the DFS, or the key
+	// of its resident blocks (memory storage and the delta).
 	File string `json:"file"`
 	// Records is the number of objects in the cell.
 	Records int `json:"records"`
@@ -128,12 +125,12 @@ type CellStats struct {
 	// Keywords summarizes the keywords of the cell's features. Empty for
 	// data cells.
 	Keywords KeywordBloom `json:"keywords,omitempty"`
-	// Blocks are the per-block zone maps of a columnar cell segment
-	// (FormatCompressed), in file order: each block's record count, frame
-	// offset/length, tight bounding rectangle and keyword summary. The
-	// planner prunes individual blocks against them, and readers fetch
-	// surviving blocks by ranged read. Empty for memory cells, which are
-	// only addressable whole.
+	// Blocks are the zone maps of the cell's column blocks, in block
+	// order: each block's record count, tight bounding rectangle and
+	// keyword summary, plus — for an SPQ3 segment — its frame's offset and
+	// length. Every cell has them, whatever its format: the planner prunes
+	// individual blocks against them, and readers fetch surviving blocks by
+	// ranged read or take them resident.
 	Blocks []BlockStats `json:"blocks,omitempty"`
 }
 
@@ -152,18 +149,6 @@ type Manifest struct {
 	Grid       GridSpec    `json:"grid"`
 	Data       []CellStats `json:"data"`
 	Features   []CellStats `json:"features"`
-}
-
-// Files returns every cell file of the manifest, data cells first.
-func (m *Manifest) Files() []string {
-	out := make([]string, 0, len(m.Data)+len(m.Features))
-	for _, c := range m.Data {
-		out = append(out, c.File)
-	}
-	for _, c := range m.Features {
-		out = append(out, c.File)
-	}
-	return out
 }
 
 // TotalRecords returns the total object count across both datasets.
@@ -224,25 +209,23 @@ func DecodeManifest(r io.Reader) (*Manifest, error) {
 	return &m, nil
 }
 
-// checkBlocks validates one cell's block zone maps: columnar cells must
-// carry maps whose record counts sum to the cell's, with non-overlapping
-// frames in file order; non-columnar cells must carry none. A manifest
-// failing these checks could make a reader fetch garbage offsets, so it is
-// rejected whole.
+// checkBlocks validates one cell's block zone maps: every cell must carry
+// maps whose record counts sum to the cell's; an SPQ3 cell's frames must
+// be non-overlapping and in file order, and resident (memory) blocks have
+// no frame. A manifest failing these checks could make a reader fetch
+// garbage offsets, so it is rejected whole.
 func checkBlocks(cs CellStats, format string, feature bool) error {
-	if !IsColumnar(format) {
-		if len(cs.Blocks) != 0 {
-			return fmt.Errorf("data: manifest %s cell %d has block zone maps but format %q", kindName(feature), cs.Cell, format)
-		}
-		return nil
-	}
 	if len(cs.Blocks) == 0 {
-		return fmt.Errorf("data: manifest columnar %s cell %d has no block zone maps", kindName(feature), cs.Cell)
+		return fmt.Errorf("data: manifest %s cell %d has no block zone maps", kindName(feature), cs.Cell)
 	}
 	total := 0
 	next := int64(0)
 	for i, bs := range cs.Blocks {
-		if bs.Records <= 0 || bs.Length <= 0 || bs.Offset < next {
+		badFrame := bs.Length <= 0 || bs.Offset < next
+		if format == FormatMemory {
+			badFrame = bs.Length != 0 || bs.Offset != 0
+		}
+		if bs.Records <= 0 || badFrame {
 			return fmt.Errorf("data: manifest %s cell %d block %d has invalid frame (%d records at %d+%d)",
 				kindName(feature), cs.Cell, i, bs.Records, bs.Offset, bs.Length)
 		}
@@ -321,27 +304,50 @@ func PartitionObjects(g *grid.Grid, objs []Object) *Partitions {
 	return p
 }
 
-// stats computes the manifest entry of one cell partition.
-func (c CellPart) stats(file string, dict *text.Dict, withKeywords bool) CellStats {
-	cs := CellStats{Cell: int32(c.Cell), File: file, Records: len(c.Objects)}
+// build cuts the cell partition into column blocks (BuildBlocks) and
+// returns them with the cell's manifest entry: the blocks' zone maps, and
+// the union of their bounds and keyword summaries.
+func (c CellPart) build(file string, dict *text.Dict) (CellStats, []*ColumnBlock) {
+	blocks, zones := BuildBlocks(c.Objects, dict)
+	cs := CellStats{Cell: int32(c.Cell), File: file, Records: len(c.Objects), Blocks: zones}
 	cs.Bounds = geo.Rect{MinX: 1, MaxX: -1} // empty
-	if withKeywords {
+	if c.Objects[0].Kind == FeatureObject {
 		cs.Keywords = NewKeywordBloom()
 	}
-	for _, o := range c.Objects {
-		cs.Bounds = cs.Bounds.Union(geo.Rect{MinX: o.Loc.X, MinY: o.Loc.Y, MaxX: o.Loc.X, MaxY: o.Loc.Y})
-		if withKeywords {
-			for _, w := range dict.Words(o.Keywords) {
-				cs.Keywords.Add(w)
-			}
+	for _, bs := range zones {
+		cs.Bounds = cs.Bounds.Union(bs.Bounds)
+		for i, bits := range bs.Keywords {
+			cs.Keywords[i] |= bits
 		}
 	}
-	return cs
+	return cs, blocks
 }
 
-// cellFileName names one cell file: <prefix>-<d|f><cell>.<ext>.
-func cellFileName(prefix, kind string, cell grid.CellID, ext string) string {
-	return fmt.Sprintf("%s-%s%04d.%s", prefix, kind, cell, ext)
+// seal builds every cell partition into blocks, data cells first, naming
+// each <prefix>-<d|f><cell>.<ext>; hands each cell to store, which keeps
+// its blocks and may complete its manifest entry; and returns the
+// manifest of the cells.
+func (p *Partitions) seal(format, prefix, ext string, dict *text.Dict, store func(cs *CellStats, blocks []*ColumnBlock) error) (*Manifest, error) {
+	m := &Manifest{
+		Version:    ManifestVersion,
+		Format:     format,
+		Generation: p.Generation,
+		Grid:       GridSpec{Bounds: p.Grid.Bounds(), N: dims(p.Grid)},
+	}
+	for _, kind := range []struct {
+		parts []CellPart
+		tag   string
+		cells *[]CellStats
+	}{{p.Data, "d", &m.Data}, {p.Features, "f", &m.Features}} {
+		for _, part := range kind.parts {
+			cs, blocks := part.build(fmt.Sprintf("%s-%s%04d.%s", prefix, kind.tag, part.Cell, ext), dict)
+			if err := store(&cs, blocks); err != nil {
+				return nil, fmt.Errorf("data: seal cell %d: %w", part.Cell, err)
+			}
+			*kind.cells = append(*kind.cells, cs)
+		}
+	}
+	return m, nil
 }
 
 // ManifestFileName names the manifest persisted next to the cell files of
@@ -354,44 +360,25 @@ func ManifestFileName(prefix string) string { return prefix + ".manifest.json" }
 // and every block's zone map (CellStats.Blocks), with each cell's blocks
 // sized adaptively from its record density (AdaptiveBlockRecords).
 func (p *Partitions) SealDFS(fs *dfs.FileSystem, prefix string, dict *text.Dict) (*Manifest, error) {
-	m := &Manifest{
-		Version:    ManifestVersion,
-		Format:     FormatCompressed,
-		Generation: p.Generation,
-		Grid:       GridSpec{Bounds: p.Grid.Bounds(), N: dims(p.Grid)},
-	}
-	write := func(part CellPart, kind string, withKeywords bool) (CellStats, error) {
-		name := cellFileName(prefix, kind, part.Cell, "spq3")
-		w, err := fs.Writer(name)
+	m, err := p.seal(FormatCompressed, prefix, "spq3", dict, func(cs *CellStats, blocks []*ColumnBlock) error {
+		w, err := fs.Writer(cs.File)
 		if err != nil {
-			return CellStats{}, err
+			return err
 		}
-		cs := part.stats(name, dict, withKeywords)
-		cw := NewCol3Writer(w, part.Objects[0].Kind, dict, AdaptiveBlockRecords(len(part.Objects)))
-		for _, o := range part.Objects {
-			if err := cw.Append(o); err != nil {
-				return CellStats{}, err
+		cw := NewCol3Writer(w, blocks[0].Kind, dict, 0)
+		for i, b := range blocks {
+			if err := cw.writeBlock(b, cs.Blocks[i]); err != nil {
+				return err
 			}
 		}
 		if err := cw.Close(); err != nil {
-			return CellStats{}, err
+			return err
 		}
 		cs.Blocks = cw.Stats()
-		return cs, nil
-	}
-	for _, part := range p.Data {
-		cs, err := write(part, "d", false)
-		if err != nil {
-			return nil, fmt.Errorf("data: seal cell %d: %w", part.Cell, err)
-		}
-		m.Data = append(m.Data, cs)
-	}
-	for _, part := range p.Features {
-		cs, err := write(part, "f", true)
-		if err != nil {
-			return nil, fmt.Errorf("data: seal cell %d: %w", part.Cell, err)
-		}
-		m.Features = append(m.Features, cs)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	mw, err := fs.Writer(ManifestFileName(prefix))
 	if err != nil {
@@ -406,47 +393,20 @@ func (p *Partitions) SealDFS(fs *dfs.FileSystem, prefix string, dict *text.Dict)
 	return m, nil
 }
 
-// SealMemory lays the partitions out as one contiguous object slice in
-// manifest order (data cells, then feature cells) and returns the manifest
-// with synthetic partition names. The caller recovers each partition's
-// sub-slice by walking the manifest's Records counts in the same order —
-// no per-query copying is ever needed.
-func (p *Partitions) SealMemory(prefix string, dict *text.Dict) (*Manifest, []Object) {
-	m := &Manifest{
-		Version:    ManifestVersion,
-		Format:     FormatMemory,
-		Generation: p.Generation,
-		Grid:       GridSpec{Bounds: p.Grid.Bounds(), N: dims(p.Grid)},
-	}
-	var ordered []Object
-	m.Data, m.Features, ordered = p.CellView(prefix, dict)
-	return m, ordered
-}
-
-// CellView computes the per-cell statistics and the cell-ordered object
-// layout of the partitions without writing any storage: the in-memory
-// analogue of a seal. It is what generational ingestion uses to describe
-// the unsealed delta to the query planner — the returned CellStats mirror
-// a manifest's (record counts, tight bounds, keyword summaries, synthetic
-// per-cell names), so delta cells prune exactly like sealed ones.
-func (p *Partitions) CellView(prefix string, dict *text.Dict) (dataCells, featureCells []CellStats, ordered []Object) {
-	total := 0
-	for _, part := range p.Data {
-		total += len(part.Objects)
-	}
-	for _, part := range p.Features {
-		total += len(part.Objects)
-	}
-	ordered = make([]Object, 0, total)
-	for _, part := range p.Data {
-		dataCells = append(dataCells, part.stats(cellFileName(prefix, "d", part.Cell, "mem"), dict, false))
-		ordered = append(ordered, part.Objects...)
-	}
-	for _, part := range p.Features {
-		featureCells = append(featureCells, part.stats(cellFileName(prefix, "f", part.Cell, "mem"), dict, true))
-		ordered = append(ordered, part.Objects...)
-	}
-	return dataCells, featureCells, ordered
+// SealBlocks builds every cell partition as resident column blocks — the
+// blocks SealDFS writes, never encoded — and returns the manifest of the
+// layout (FormatMemory: every block's zone map, no frames) with each
+// cell's blocks by cell name. It is the memory storage's seal, and what
+// generational ingestion cuts the uncompacted delta into, so memory, delta
+// and SPQ3 cells plan and map alike.
+func (p *Partitions) SealBlocks(prefix string, dict *text.Dict) (*Manifest, map[string][]*ColumnBlock) {
+	resident := make(map[string][]*ColumnBlock, len(p.Data)+len(p.Features))
+	// Keeping the blocks cannot fail, so neither can seal.
+	m, _ := p.seal(FormatMemory, prefix, "mem", dict, func(cs *CellStats, blocks []*ColumnBlock) error {
+		resident[cs.File] = blocks
+		return nil
+	})
+	return m, resident
 }
 
 // dims returns the edge cell count of a square grid.

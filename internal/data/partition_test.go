@@ -173,57 +173,107 @@ func eachSourceObject(src interface {
 	return nil
 }
 
-func TestSealMemoryLayoutMatchesManifest(t *testing.T) {
+// TestSealBlocksLayoutMatchesManifest: the memory seal's manifest describes
+// its resident blocks. Every cell lists one frameless zone map per block,
+// the zone maps' records sum to the cell's, each block holds as many
+// objects as its zone map says, every object sits in its manifest cell,
+// and the resident blocks hold exactly the dataset.
+func TestSealBlocksLayoutMatchesManifest(t *testing.T) {
 	dict := text.NewDict()
-	objs := testObjects(150, dict)
-	g := grid.NewSquare(5)
-	man, ordered := PartitionObjects(g, objs).SealMemory("m", dict)
-	if len(ordered) != len(objs) {
-		t.Fatalf("ordered = %d objects, want %d", len(ordered), len(objs))
+	objs := testObjects(2500, dict)
+	g := grid.NewSquare(2) // ~310 objects per cell and kind: two blocks each
+	p := PartitionObjects(g, objs)
+	p.Generation = 7
+	man, resident := p.SealBlocks("m", dict)
+	if man.Format != FormatMemory || man.Generation != 7 {
+		t.Fatalf("memory manifest header: format %q, generation %d", man.Format, man.Generation)
 	}
-	// Walking the manifest's Records counts in order recovers each cell's
-	// sub-slice: every object must be in its manifest cell, data first.
-	off := 0
+	if len(resident) != len(man.Data)+len(man.Features) {
+		t.Fatalf("%d resident cells, manifest lists %d", len(resident), len(man.Data)+len(man.Features))
+	}
+	var back []Object
+	multiBlock := false
 	for _, cs := range append(append([]CellStats(nil), man.Data...), man.Features...) {
-		for _, o := range ordered[off : off+cs.Records] {
-			if int32(g.CellOf(o.Loc)) != cs.Cell {
-				t.Fatalf("object %d at offset range of cell %d is in cell %d",
-					o.ID, cs.Cell, g.CellOf(o.Loc))
+		blocks := resident[cs.File]
+		if len(blocks) == 0 || len(blocks) != len(cs.Blocks) {
+			t.Fatalf("cell %d: %d resident blocks, %d zone maps", cs.Cell, len(blocks), len(cs.Blocks))
+		}
+		multiBlock = multiBlock || len(blocks) > 1
+		records := 0
+		for bi, bs := range cs.Blocks {
+			if bs.Offset != 0 || bs.Length != 0 {
+				t.Fatalf("cell %d block %d: resident block has a frame", cs.Cell, bi)
+			}
+			if blocks[bi].Len() != bs.Records {
+				t.Fatalf("cell %d block %d: %d objects, zone map says %d", cs.Cell, bi, blocks[bi].Len(), bs.Records)
+			}
+			records += bs.Records
+			for _, o := range blocks[bi].AppendObjects(nil) {
+				if int32(g.CellOf(o.Loc)) != cs.Cell {
+					t.Fatalf("object %d of cell %d is in cell %d", o.ID, cs.Cell, g.CellOf(o.Loc))
+				}
+				back = append(back, o)
 			}
 		}
-		off += cs.Records
+		if records != cs.Records {
+			t.Fatalf("cell %d: zone maps cover %d records, cell has %d", cs.Cell, records, cs.Records)
+		}
 	}
-	if off != len(ordered) {
-		t.Fatalf("manifest records cover %d objects, ordered slice has %d", off, len(ordered))
+	if !multiBlock {
+		t.Error("no cell spans several blocks: the block cut is untested")
 	}
-	if man.Format != FormatMemory {
-		t.Errorf("format = %q", man.Format)
+	if !reflect.DeepEqual(sortedByID(back), sortedByID(objs)) {
+		t.Errorf("resident blocks do not hold the dataset (%d vs %d objects)", len(back), len(objs))
 	}
 }
 
-// TestCellViewMatchesSealMemory pins the delta view to the sealed layout:
-// CellView must produce exactly the cell statistics and object order of a
-// memory seal over the same partitions, since planner pruning treats the
-// two interchangeably.
-func TestCellViewMatchesSealMemory(t *testing.T) {
+// TestSealBlocksMatchesSealDFS: the memory seal is the SPQ3 seal minus the
+// encoding. Over the same partitions both manifests list the same cells
+// with the same zone maps — records, bounds, blooms; frames only in SPQ3 —
+// and every resident block equals, column by column, the block decoded
+// from its stored frame. Planner pruning and the map phase treat memory,
+// delta and SPQ3 cells alike on the strength of this.
+func TestSealBlocksMatchesSealDFS(t *testing.T) {
 	dict := text.NewDict()
-	objs := testObjects(250, dict)
-	g := grid.NewSquare(6)
+	objs := testObjects(2500, dict)
+	g := grid.NewSquare(2)
+
 	p := PartitionObjects(g, objs)
 	p.Generation = 7
-	man, sealed := p.SealMemory("t", dict)
-	dataCells, featureCells, ordered := p.CellView("t", dict)
-	if !reflect.DeepEqual(man.Data, dataCells) {
-		t.Error("CellView data cells differ from SealMemory manifest")
+	fs := dfs.New(dfs.Config{NumNodes: 4, BlockSize: 4096})
+	stored, err := p.SealDFS(fs, "t", dict)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(man.Features, featureCells) {
-		t.Error("CellView feature cells differ from SealMemory manifest")
+	mem, resident := p.SealBlocks("t", dict)
+	if mem.Generation != stored.Generation || mem.Grid != stored.Grid {
+		t.Fatalf("memory manifest header: generation %d, grid %+v; SPQ3: %d, %+v",
+			mem.Generation, mem.Grid, stored.Generation, stored.Grid)
 	}
-	if !reflect.DeepEqual(sealed, ordered) {
-		t.Error("CellView object order differs from the sealed layout")
-	}
-	if man.Generation != 7 {
-		t.Errorf("manifest generation = %d, want 7", man.Generation)
+	for _, pair := range [][2][]CellStats{{mem.Data, stored.Data}, {mem.Features, stored.Features}} {
+		if len(pair[0]) != len(pair[1]) {
+			t.Fatalf("%d memory cells, %d SPQ3 cells", len(pair[0]), len(pair[1]))
+		}
+		for i, m := range pair[0] {
+			s := pair[1][i]
+			if m.Cell != s.Cell || m.Records != s.Records || m.Bounds != s.Bounds ||
+				!bytes.Equal(m.Keywords, s.Keywords) || len(m.Blocks) != len(s.Blocks) || len(resident[m.File]) != len(m.Blocks) {
+				t.Fatalf("cell %d: memory entry %+v differs from SPQ3 entry %+v", m.Cell, m, s)
+			}
+			for bi, mb := range m.Blocks {
+				sb := s.Blocks[bi]
+				requireSameZoneMap(t, mb, sb)
+				frame, err := fs.ReadRange(s.File, sb.Offset, sb.Length)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dec, err := DecodeColFrame(frame)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameBlock(t, resident[m.File][bi], dec)
+			}
+		}
 	}
 }
 
@@ -235,7 +285,7 @@ func TestManifestGenerationRoundTrips(t *testing.T) {
 	g := grid.NewSquare(2)
 	p := PartitionObjects(g, testObjects(20, dict))
 	p.Generation = 42
-	man, _ := p.SealMemory("t", dict)
+	man, _ := p.SealBlocks("t", dict)
 	var buf bytes.Buffer
 	if err := EncodeManifest(&buf, man); err != nil {
 		t.Fatal(err)
@@ -276,6 +326,13 @@ func TestDecodeManifestRejectsBadInput(t *testing.T) {
 	if _, err := DecodeManifest(bytes.NewReader([]byte(
 		`{"version":1,"format":"mem","grid":{"n":4},"data":[{"cell":0,"file":"d","records":1,"keywords":"AAAA"}]}`))); err == nil {
 		t.Error("data-cell bloom accepted")
+	}
+	// Every cell carries zone maps, and resident blocks have no frame.
+	for _, blocks := range []string{``, `,"blocks":[{"records":1,"offset":5,"length":9}]`} {
+		if _, err := DecodeManifest(bytes.NewReader([]byte(
+			`{"version":1,"format":"mem","grid":{"n":4},"data":[{"cell":0,"file":"d","records":1` + blocks + `}]}`))); err == nil {
+			t.Errorf("memory cell with blocks %q accepted", blocks)
+		}
 	}
 	// The format must be one the readers know; the retired formats are
 	// named as such.

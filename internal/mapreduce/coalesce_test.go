@@ -79,21 +79,26 @@ func (s batchedSplit) EachBatch(yield func(batch any) bool) error {
 	return nil
 }
 
-// TestMapBatchThroughCoalesceAndConcat: a job that maps batches is fed the
-// batches of the splits that offer them — found inside Coalesce's groups
-// and beside Concat's other sources — and the records of the splits that
-// do not; a job without MapBatch reads every split record by record. Both
-// see every record once and count it in map.records.in.
-func TestMapBatchThroughCoalesceAndConcat(t *testing.T) {
-	var plain listSource
-	var batchedSplits []SourceSplit[int]
+// TestMapBatchThroughCoalesce: a job that maps batches is fed the batches
+// of the splits that offer them — found inside Coalesce's groups and
+// beside plain splits — and the records of the splits that do not; a job
+// without MapBatch reads every split record by record. Both see every
+// record once and count it in map.records.in.
+func TestMapBatchThroughCoalesce(t *testing.T) {
+	var splits splitList[int]
 	want := 0
 	for i := 0; i < 6; i++ {
-		batchedSplits = append(batchedSplits, batchedSplit{listSplit{recs: []int{4 * i, 4*i + 1}}})
-		plain = append(plain, listSplit{recs: []int{4*i + 2, 4*i + 3}})
+		splits = append(splits,
+			batchedSplit{listSplit{recs: []int{4 * i, 4*i + 1}}},
+			listSplit{recs: []int{4*i + 2, 4*i + 3}})
 		want += 16*i + 6
 	}
-	src := Concat[int](Coalesce[int](splitList[int](batchedSplits), 2), plain)
+	// Two groups of mixed members, then plain and batched splits alone.
+	grouped, err := Coalesce[int](splits[:8], 2).Splits()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := append(splitList[int](grouped), splits[8:]...)
 	for _, withBatch := range []bool{true, false} {
 		var viaBatch, viaRecord atomic.Int64
 		job := &Job[int, int, int, int]{

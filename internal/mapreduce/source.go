@@ -195,32 +195,6 @@ func (g groupedSplit[I]) Each(yield func(I) bool) error {
 	return nil
 }
 
-// Concat returns a source yielding the splits of every given source in
-// order. It lets one job read heterogeneous storage generations — e.g.
-// sealed DFS cell files plus an in-memory delta of freshly appended
-// records — as a single input. Nil sources are skipped.
-func Concat[I any](sources ...Source[I]) Source[I] {
-	return concatSource[I](sources)
-}
-
-type concatSource[I any] []Source[I]
-
-// Splits implements Source.
-func (c concatSource[I]) Splits() ([]SourceSplit[I], error) {
-	var out []SourceSplit[I]
-	for _, src := range c {
-		if src == nil {
-			continue
-		}
-		splits, err := src.Splits()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, splits...)
-	}
-	return out, nil
-}
-
 // MemorySource serves records from in-memory slices, one split per slice.
 // It is the lightweight source used by unit tests and by callers that
 // already hold their data in memory.

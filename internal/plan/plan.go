@@ -1,28 +1,29 @@
 // Package plan is the cost- and pruning-based query planner over
 // partition-aware sealed storage. The paper builds its grid at query time
 // and therefore streams the entire dataset through every MapReduce job;
-// this package consumes the seal-time manifest (package data) and the
-// query q(k, r, W) to discard whole cell files before the job starts:
+// this package consumes the zone maps of the seal-time manifest (package
+// data) and of the delta, and the query q(k, r, W), to discard column
+// blocks — and with all their blocks, whole cells — before the job starts:
 //
-//  1. Keyword pruning: a feature cell whose keyword summary is disjoint
+//  1. Keyword pruning: a feature block whose keyword summary is disjoint
 //     from W contains only features with w(f,q) = 0, which the Map phase
-//     would drop anyway (Algorithm 1 line 9) — skip the file instead of
+//     would drop anyway (Algorithm 1 line 9) — skip the block instead of
 //     reading it.
-//  2. Distance pruning of data cells: a data cell with no surviving
-//     feature cell within MINDIST r holds only objects with τ(p) = 0,
+//  2. Distance pruning of data blocks: a data block with no surviving
+//     feature block within MINDIST r holds only objects with τ(p) = 0,
 //     which are never reported — skip it.
-//  3. Distance pruning of feature cells: a surviving feature cell with no
-//     surviving data cell within MINDIST r cannot influence any reported
-//     object — skip it. (This cannot re-orphan a data cell: if the
-//     feature cell were within r of a data cell, that data cell would
-//     have survived step 2.)
+//  3. Distance pruning of feature blocks: a surviving feature block with
+//     no surviving data block within MINDIST r cannot influence any
+//     reported object — skip it. (This cannot re-orphan a data block: if
+//     the feature block were within r of a data block, that data block
+//     would have survived step 2.)
 //
-// Both distance tests use the tight per-cell bounding rectangles from the
-// manifest, not the full cell rectangles. The planner then picks the
-// query-time grid size and reducer count from the surviving statistics
-// instead of a hardcoded default. Pruning never changes results: survivor
-// files feed the unmodified query-time grid algorithms, so the top-k is
-// identical to the unpruned path.
+// Both distance tests use the tight per-block bounding rectangles, not the
+// cell rectangles. The planner then picks the query-time grid size and
+// reducer count from the surviving statistics instead of a hardcoded
+// default. Pruning never changes results: surviving blocks feed the
+// unmodified query-time grid algorithms, so the top-k is identical to the
+// unpruned path.
 package plan
 
 import (
@@ -45,10 +46,8 @@ const (
 	// CounterRecordsSkipped counts input records the job never read thanks
 	// to pruning.
 	CounterRecordsSkipped = "spq.plan.records.skipped"
-	// CounterBlocksScanned and CounterBlocksPruned count column blocks of
-	// columnar cells (cells carrying block-level zone maps) the job read and
-	// skipped. Both are 0 on storage without block metadata, where pruning
-	// stops at cell granularity.
+	// CounterBlocksScanned and CounterBlocksPruned count the column blocks
+	// — sealed and delta — the job read and skipped.
 	CounterBlocksScanned = "spq.plan.blocks.scanned"
 	CounterBlocksPruned  = "spq.plan.blocks.pruned"
 )
@@ -81,14 +80,14 @@ type Stats struct {
 	DataCellsPruned    int
 	FeatureCellsPruned int
 	// RecordsTotal and RecordsSelected count input records — base plus
-	// delta — before and after pruning. With block zone maps available,
-	// RecordsSelected counts only the records of surviving blocks.
+	// delta — before and after pruning: RecordsSelected counts the records
+	// of surviving blocks.
 	RecordsTotal    int64
 	RecordsSelected int64
-	// Blocks counts the column-block zone maps the planner considered
-	// (cells without block metadata contribute none); BlocksPruned says
-	// how many it discarded — inside surviving cells and as whole pruned
-	// cells alike. Blocks - BlocksPruned blocks are actually read.
+	// Blocks counts the column-block zone maps the planner considered,
+	// base and delta; BlocksPruned says how many it discarded — inside
+	// surviving cells and as whole pruned cells alike. Blocks -
+	// BlocksPruned blocks are actually read.
 	Blocks       int
 	BlocksPruned int
 	// DeltaCells, DeltaCellsPruned, DeltaRecords and DeltaRecordsSelected
@@ -100,26 +99,21 @@ type Stats struct {
 	DeltaRecordsSelected int64
 }
 
-// Decision is the planner's output: the surviving cell files and the
+// Decision is the planner's output: the surviving cells and blocks and the
 // execution parameters for the MapReduce job.
 type Decision struct {
 	// Data and Features are the surviving sealed-base manifest entries.
 	Data     []data.CellStats
 	Features []data.CellStats
 	// DeltaData and DeltaFeatures are the surviving delta cells (see
-	// PlanGenerations). Their File names are the synthetic per-cell names
-	// the caller handed in, resolvable against its in-memory delta layout.
+	// PlanGenerations), as the caller handed them in.
 	DeltaData     []data.CellStats
 	DeltaFeatures []data.CellStats
-	// Files is the surviving sealed cell file set, data cells first. Delta
-	// cells are not files; they are returned separately above.
-	Files []string
-	// Blocks maps each surviving sealed cell file that carries block-level
-	// zone maps to the ascending indices of its surviving blocks: the
-	// planner prunes individual column blocks of columnar segments the same
-	// three ways it prunes cells, so a surviving cell is often read only
-	// partially. Cells without block metadata have no entry and are read
-	// whole.
+	// Blocks maps every surviving cell, base and delta, to the ascending
+	// indices of its surviving blocks: the planner prunes individual
+	// column blocks the same three ways it prunes cells, so a surviving
+	// cell is often read only partially. Base and delta cell names must
+	// not collide.
 	Blocks map[string][]int
 	// GridN and NumReducers are the chosen execution parameters.
 	GridN       int
@@ -146,31 +140,24 @@ func (d *Decision) Counters() map[string]int64 {
 	}
 }
 
-// unit is the planner's granule: one column block of a columnar cell, or
-// one whole cell where no block zone maps exist (text, memory and delta
-// cells). Every unit carries its own tight bounds, record count and — for
-// feature units — keyword summary, so the three pruning steps apply to a
-// mixed block/cell population uniformly: the correctness argument is the
-// cell-level one verbatim, with "cell" read as "unit".
+// unit is the planner's granule: one column block, of a sealed or a delta
+// cell. Every unit carries its zone map's tight bounds, record count and —
+// for feature units — keyword summary, so the three pruning steps are the
+// cell-level ones verbatim, with "cell" read as "block".
 type unit struct {
 	cellIdx  int // index into its category's CellStats slice
-	blockIdx int // block index within the cell, or -1 for a whole cell
+	blockIdx int // block index within the cell
 	records  int
 	bounds   geo.Rect
 	bloom    data.KeywordBloom
 	delta    bool
 }
 
-// explode turns one category's cells into pruning units: one per block
-// where zone maps exist, one per cell otherwise.
+// explode turns one category's cells into pruning units, one per block.
+// A cell without zone maps has no units, so it is never selected.
 func explode(cells []data.CellStats, delta bool) []unit {
 	out := make([]unit, 0, len(cells))
 	for i, cs := range cells {
-		if len(cs.Blocks) == 0 {
-			out = append(out, unit{cellIdx: i, blockIdx: -1, records: cs.Records,
-				bounds: cs.Bounds, bloom: cs.Keywords, delta: delta})
-			continue
-		}
 		for bi, bs := range cs.Blocks {
 			out = append(out, unit{cellIdx: i, blockIdx: bi, records: bs.Records,
 				bounds: bs.Bounds, bloom: bs.Keywords, delta: delta})
@@ -180,21 +167,15 @@ func explode(cells []data.CellStats, delta bool) []unit {
 }
 
 // regroup folds one category's surviving units back into per-cell
-// selections: the surviving CellStats in manifest order and, for cells
-// pruned at block granularity, the ascending surviving block indices.
-// blocks may be nil when the caller does not track block selections
-// (delta cells, which never have blocks).
+// selections: the surviving CellStats in manifest order, and each one's
+// ascending surviving block indices in blocks.
 func regroup(cells []data.CellStats, surv []unit, delta bool, blocks map[string][]int) (kept []data.CellStats, records int64) {
 	sel := make(map[int][]int, len(cells))
 	for _, u := range surv {
 		if u.delta != delta {
 			continue
 		}
-		if u.blockIdx < 0 {
-			sel[u.cellIdx] = nil
-		} else {
-			sel[u.cellIdx] = append(sel[u.cellIdx], u.blockIdx)
-		}
+		sel[u.cellIdx] = append(sel[u.cellIdx], u.blockIdx)
 		records += int64(u.records)
 	}
 	for i, cs := range cells {
@@ -203,24 +184,21 @@ func regroup(cells []data.CellStats, surv []unit, delta bool, blocks map[string]
 			continue
 		}
 		kept = append(kept, cs)
-		if bi != nil && blocks != nil {
-			sort.Ints(bi)
-			blocks[cs.File] = bi
-		}
+		sort.Ints(bi)
+		blocks[cs.File] = bi
 	}
 	return kept, records
 }
 
 // PlanGenerations prunes the union of the sealed base manifest and the
 // in-memory delta cell sets against the query. The delta cells describe
-// records appended after the base generation sealed, partitioned over the
-// same seal grid with statistics mirroring the manifest's (the engine
-// computes them on the fly). Pruning is performed jointly — a base data
-// unit survives if any feature unit of either generation is within reach,
-// and vice versa — so results over base+delta are identical to a
-// hypothetical re-seal of everything. Where the manifest carries block
-// zone maps (columnar storage), the granule is the column block, not the
-// cell: a surviving cell may be read only partially.
+// records appended after the base generation sealed, cut into column
+// blocks over the same seal grid with zone maps like the manifest's (the
+// engine builds them on the fly). Pruning is performed jointly — a base
+// data block survives if any feature block of either generation is within
+// reach, and vice versa — so results over base+delta are identical to a
+// hypothetical re-seal of everything. The granule is the column block,
+// not the cell: a surviving cell may be read only partially.
 func PlanGenerations(m *data.Manifest, deltaData, deltaFeatures []data.CellStats, in Input) *Decision {
 	d := &Decision{Stats: Stats{
 		SealGridN:    m.Grid.N,
@@ -239,15 +217,7 @@ func PlanGenerations(m *data.Manifest, deltaData, deltaFeatures []data.CellStats
 
 	allD := append(explode(m.Data, false), explode(deltaData, true)...)
 	allF := append(explode(m.Features, false), explode(deltaFeatures, true)...)
-	countBlocks := func(us []unit) (n int) {
-		for _, u := range us {
-			if u.blockIdx >= 0 {
-				n++
-			}
-		}
-		return n
-	}
-	d.Stats.Blocks = countBlocks(allD) + countBlocks(allF)
+	d.Stats.Blocks = len(allD) + len(allF)
 
 	// 1. Keyword pruning of feature units.
 	survF := make([]unit, 0, len(allF))
@@ -282,19 +252,13 @@ func PlanGenerations(m *data.Manifest, deltaData, deltaFeatures []data.CellStats
 	d.Stats.RecordsSelected += selected
 	d.Features, selected = regroup(m.Features, finalF, false, d.Blocks)
 	d.Stats.RecordsSelected += selected
-	d.DeltaData, selected = regroup(deltaData, survD, true, nil)
+	d.DeltaData, selected = regroup(deltaData, survD, true, d.Blocks)
 	d.Stats.RecordsSelected += selected
 	d.Stats.DeltaRecordsSelected += selected
-	d.DeltaFeatures, selected = regroup(deltaFeatures, finalF, true, nil)
+	d.DeltaFeatures, selected = regroup(deltaFeatures, finalF, true, d.Blocks)
 	d.Stats.RecordsSelected += selected
 	d.Stats.DeltaRecordsSelected += selected
-	for _, cs := range d.Data {
-		d.Files = append(d.Files, cs.File)
-	}
-	for _, cs := range d.Features {
-		d.Files = append(d.Files, cs.File)
-	}
-	d.Stats.BlocksPruned = d.Stats.Blocks - countBlocks(survD) - countBlocks(finalF)
+	d.Stats.BlocksPruned = d.Stats.Blocks - len(survD) - len(finalF)
 	d.Stats.DataCellsPruned = d.Stats.DataCells - len(d.Data) - len(d.DeltaData)
 	d.Stats.FeatureCellsPruned = d.Stats.FeatureCells - len(d.Features) - len(d.DeltaFeatures)
 	d.Stats.DeltaCellsPruned = d.Stats.DeltaCells - len(d.DeltaData) - len(d.DeltaFeatures)

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"testing"
 
@@ -12,12 +11,10 @@ import (
 	"spq/internal/text"
 )
 
-// buildManifest seals a synthetic two-cluster dataset in memory: cluster A
-// around (0.2, 0.2) with keyword vocabulary "a*", cluster B around
-// (0.8, 0.8) with vocabulary "b*".
-func buildManifest(t *testing.T, sealN int) *data.Manifest {
-	t.Helper()
-	dict := text.NewDict()
+// twoClusters partitions a synthetic two-cluster dataset over a sealN x
+// sealN grid of the unit square: cluster A around (0.2, 0.2) with keyword
+// vocabulary "a*", cluster B around (0.8, 0.8) with vocabulary "b*".
+func twoClusters(sealN int, dict *text.Dict) *data.Partitions {
 	r := rand.New(rand.NewSource(3))
 	var objs []data.Object
 	id := uint64(0)
@@ -39,8 +36,15 @@ func buildManifest(t *testing.T, sealN int) *data.Manifest {
 	}
 	add(0.2, 0.2, "a")
 	add(0.8, 0.8, "b")
-	g := grid.New(geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, sealN, sealN)
-	m, _ := data.PartitionObjects(g, objs).SealMemory("t", dict)
+	return data.PartitionObjects(grid.New(geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, sealN, sealN), objs)
+}
+
+// buildManifest seals the two-cluster dataset as resident blocks. Its
+// cells hold at most 200 records, so each is one block.
+func buildManifest(t *testing.T, sealN int) *data.Manifest {
+	t.Helper()
+	dict := text.NewDict()
+	m, _ := twoClusters(sealN, dict).SealBlocks("t", dict)
 	return m
 }
 
@@ -78,8 +82,8 @@ func TestPlanKeywordAndDistancePruning(t *testing.T) {
 	if got := records(d.Data) + records(d.Features); got != d.Stats.RecordsSelected {
 		t.Errorf("RecordsSelected = %d, cells sum to %d", d.Stats.RecordsSelected, got)
 	}
-	if len(d.Files) != len(d.Data)+len(d.Features) {
-		t.Errorf("Files = %d entries, want %d", len(d.Files), len(d.Data)+len(d.Features))
+	if len(d.Blocks) != len(d.Data)+len(d.Features) {
+		t.Errorf("Blocks = %d entries, want %d", len(d.Blocks), len(d.Data)+len(d.Features))
 	}
 	c := d.Counters()
 	if c[CounterRecordsSkipped] != d.Stats.RecordsTotal-d.Stats.RecordsSelected {
@@ -110,8 +114,8 @@ func TestPlanLargeRadiusKeepsEverythingRelevant(t *testing.T) {
 }
 
 // buildDelta computes delta cell sets for a cluster around (cx, cy) with
-// the given keyword vocabulary, partitioned over the manifest's seal grid
-// exactly as the engine's delta view does.
+// the given keyword vocabulary, cut into blocks over the manifest's seal
+// grid exactly as the engine's delta is.
 func buildDelta(m *data.Manifest, cx, cy float64, vocab string, n int) (dataCells, featureCells []data.CellStats) {
 	dict := text.NewDict()
 	r := rand.New(rand.NewSource(9))
@@ -129,8 +133,8 @@ func buildDelta(m *data.Manifest, cx, cy float64, vocab string, n int) (dataCell
 			})
 		}
 	}
-	dataCells, featureCells, _ = data.PartitionObjects(m.Grid.Grid(), objs).CellView("delta", dict)
-	return dataCells, featureCells
+	delta, _ := data.PartitionObjects(m.Grid.Grid(), objs).SealBlocks("delta", dict)
+	return delta.Data, delta.Features
 }
 
 func TestPlanGenerationsJointPruning(t *testing.T) {
@@ -163,12 +167,10 @@ func TestPlanGenerationsJointPruning(t *testing.T) {
 	if got := records(d.Data) + records(d.Features) + d.Stats.DeltaRecordsSelected; got != d.Stats.RecordsSelected {
 		t.Errorf("RecordsSelected = %d, survivors sum to %d", d.Stats.RecordsSelected, got)
 	}
-	// Delta cells never appear in the sealed file list.
-	for _, f := range d.Files {
-		for _, cs := range append(dd, df...) {
-			if f == cs.File {
-				t.Errorf("delta cell %s leaked into Files", f)
-			}
+	// Surviving delta cells carry their block selections like sealed ones.
+	for _, cs := range append(append([]data.CellStats(nil), d.DeltaData...), d.DeltaFeatures...) {
+		if len(d.Blocks[cs.File]) == 0 {
+			t.Errorf("surviving delta cell %s has no block selection", cs.File)
 		}
 	}
 
@@ -247,53 +249,25 @@ func TestChooseReducers(t *testing.T) {
 	}
 }
 
-// buildColumnarManifest seals the same two-cluster corpus as columnar
-// segments with tiny blocks, so cells split into many prunable units.
+// buildColumnarManifest seals the same two-cluster corpus with tiny
+// blocks, so cells split into many prunable units.
 func buildColumnarManifest(t *testing.T, sealN, blockRecords int) *data.Manifest {
 	t.Helper()
 	dict := text.NewDict()
-	r := rand.New(rand.NewSource(3))
-	var objs []data.Object
-	id := uint64(0)
-	add := func(cx, cy float64, vocab string) {
-		for i := 0; i < 200; i++ {
-			id++
-			loc := geo.Point{X: cx + r.Float64()*0.1 - 0.05, Y: cy + r.Float64()*0.1 - 0.05}
-			if i%2 == 0 {
-				objs = append(objs, data.Object{Kind: data.DataObject, ID: id, Loc: loc})
-			} else {
-				objs = append(objs, data.Object{
-					Kind:     data.FeatureObject,
-					ID:       id,
-					Loc:      loc,
-					Keywords: dict.InternAll([]string{fmt.Sprintf("%s%d", vocab, r.Intn(10))}),
-				})
+	p := twoClusters(sealN, dict)
+	m, _ := p.SealBlocks("t", dict)
+	// The seal sizes blocks from cell density; to get blockRecords-sized
+	// ones, re-cut every cell and keep only the zone maps.
+	for _, kind := range []struct {
+		cells []data.CellStats
+		parts []data.CellPart
+	}{{m.Data, p.Data}, {m.Features, p.Features}} {
+		for i, part := range kind.parts {
+			kind.cells[i].Blocks = nil
+			for lo := 0; lo < len(part.Objects); lo += blockRecords {
+				_, bs := data.BuildBlock(part.Objects[lo:min(lo+blockRecords, len(part.Objects))], dict)
+				kind.cells[i].Blocks = append(kind.cells[i].Blocks, bs)
 			}
-		}
-	}
-	add(0.2, 0.2, "a")
-	add(0.8, 0.8, "b")
-	g := grid.New(geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}, sealN, sealN)
-	// The seal path sizes blocks from cell density; to get blockRecords-
-	// sized ones, encode every cell of the memory layout through the
-	// segment writer and keep only its zone maps.
-	m, ordered := data.PartitionObjects(g, objs).SealMemory("t", dict)
-	m.Format = data.FormatCompressed
-	off := 0
-	for _, cells := range [][]data.CellStats{m.Data, m.Features} {
-		for i := range cells {
-			part := ordered[off : off+cells[i].Records]
-			off += len(part)
-			cw := data.NewCol3Writer(io.Discard, part[0].Kind, dict, blockRecords)
-			for _, o := range part {
-				if err := cw.Append(o); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := cw.Close(); err != nil {
-				t.Fatal(err)
-			}
-			cells[i].Blocks = cw.Stats()
 		}
 	}
 	return m
@@ -343,7 +317,7 @@ func TestPlanBlockGranularity(t *testing.T) {
 		t.Errorf("surviving blocks hold %d records, Stats.RecordsSelected = %d", got, d.Stats.RecordsSelected)
 	}
 	// Block pruning must be at least as sharp as cell pruning: re-plan the
-	// same corpus without block metadata and compare the records read.
+	// same corpus with one block per cell and compare the records read.
 	coarse := PlanGenerations(buildManifest(t, 2), nil, nil, Input{Radius: 0.01, Keywords: []string{"a3"}, ReduceSlots: 4})
 	if d.Stats.RecordsSelected > coarse.Stats.RecordsSelected {
 		t.Errorf("block-level selection (%d records) coarser than cell-level (%d)",
@@ -357,15 +331,75 @@ func TestPlanBlockGranularity(t *testing.T) {
 	}
 }
 
-// TestPlanBlockCountersZeroWithoutZoneMaps: cell-granular storage reports
-// no block activity.
+// TestPlanBlockCountersZeroWithoutZoneMaps: the block is the planner's
+// only granule, so cells without zone maps (which DecodeManifest rejects)
+// offer nothing to select: no blocks, no selections, an empty plan.
 func TestPlanBlockCountersZeroWithoutZoneMaps(t *testing.T) {
 	m := buildManifest(t, 8)
+	for _, cells := range [][]data.CellStats{m.Data, m.Features} {
+		for i := range cells {
+			cells[i].Blocks = nil
+		}
+	}
 	d := PlanGenerations(m, nil, nil, Input{Radius: 0.05, Keywords: []string{"a1"}})
 	if d.Stats.Blocks != 0 || d.Stats.BlocksPruned != 0 {
-		t.Errorf("cell-granular manifest reported blocks: %+v", d.Stats)
+		t.Errorf("manifest without zone maps reported blocks: %+v", d.Stats)
 	}
-	if len(d.Blocks) != 0 {
-		t.Errorf("cell-granular manifest produced block selections: %v", d.Blocks)
+	if len(d.Blocks) != 0 || !d.Empty() {
+		t.Errorf("manifest without zone maps produced block selections %v (empty plan: %v)", d.Blocks, d.Empty())
+	}
+}
+
+// TestPlanEveryUnitIsABlock: base and delta cells alike are pruned block
+// by block. Every unit carries a block index inside its cell's zone maps,
+// there is one unit per zone map, and every surviving cell — base or
+// delta — comes back with its surviving block indices.
+func TestPlanEveryUnitIsABlock(t *testing.T) {
+	m := buildColumnarManifest(t, 2, 8)
+	dd, df := buildDelta(m, 0.25, 0.25, "a", 600)
+	zoneMaps := 0
+	for _, c := range []struct {
+		cells []data.CellStats
+		delta bool
+	}{{m.Data, false}, {m.Features, false}, {dd, true}, {df, true}} {
+		units := explode(c.cells, c.delta)
+		n := 0
+		for _, cs := range c.cells {
+			n += len(cs.Blocks)
+		}
+		if len(units) != n {
+			t.Fatalf("delta=%v: %d units for %d zone maps", c.delta, len(units), n)
+		}
+		for _, u := range units {
+			if u.delta != c.delta || u.blockIdx < 0 || u.blockIdx >= len(c.cells[u.cellIdx].Blocks) {
+				t.Fatalf("delta=%v: unit %+v carries no block of its cell", c.delta, u)
+			}
+		}
+		zoneMaps += n
+	}
+	if len(dd) == 0 || len(df) == 0 || len(dd[0].Blocks) < 2 {
+		t.Fatal("delta cells not cut into several blocks")
+	}
+	d := PlanGenerations(m, dd, df, Input{Radius: 0.01, Keywords: []string{"a3"}, ReduceSlots: 4})
+	if d.Stats.Blocks != zoneMaps {
+		t.Errorf("planner considered %d blocks, want all %d zone maps", d.Stats.Blocks, zoneMaps)
+	}
+	if len(d.DeltaData) == 0 || len(d.DeltaFeatures) == 0 {
+		t.Fatal("no delta cell survived a query on its own cluster")
+	}
+	var selected int64
+	for _, cells := range [][]data.CellStats{d.Data, d.Features, d.DeltaData, d.DeltaFeatures} {
+		for _, cs := range cells {
+			sel := d.Blocks[cs.File]
+			if len(sel) == 0 {
+				t.Fatalf("surviving cell %s has no block selection", cs.File)
+			}
+			for _, bi := range sel {
+				selected += int64(cs.Blocks[bi].Records)
+			}
+		}
+	}
+	if selected != d.Stats.RecordsSelected {
+		t.Errorf("surviving blocks hold %d records, Stats.RecordsSelected = %d", selected, d.Stats.RecordsSelected)
 	}
 }

@@ -6,26 +6,33 @@ import (
 	"testing"
 
 	"spq/internal/core"
+	"spq/internal/data"
+	"spq/internal/mapreduce"
 	"spq/internal/plan"
 )
 
-// TestPlanQuery pins the planning step over every storage format, with and
+// TestPlanQuery pins the planning step over both storage modes, with and
 // without a visible delta, in-process and distributed:
 //
-//   - pruning off (no WithAutoPlan) selects exactly the manifest's files —
-//     every cell and every block on columnar storage — reads the whole
-//     delta, never partitions it, and reports no planner statistics;
-//   - the data view is used by delta-free in-process columnar queries only;
+//   - pruning off (no WithAutoPlan) selects every block of every sealed and
+//     delta cell, and reports no planner statistics;
+//   - both storages plan alike: the data view is used by delta-free
+//     in-process queries, resident blocks (memory storage, the delta)
+//     travel with the selection, and only SPQ3 meters segment reads;
+//   - the delta is cut into blocks at most once per snapshot, by the first
+//     query that reads it, planned or not;
 //   - an unplanned query runs the planner's slot-derived reduce-task count,
-//     not one task per query-grid cell, unless WithReducers overrides it.
+//     not one task per query-grid cell, unless WithReducers overrides it;
+//   - a distributed engine ships a job only when every block is stored:
+//     memory storage and delta blocks run in-process, metered as
+//     spq.exec.fallback.local.
 func TestPlanQuery(t *testing.T) {
 	storages := []struct {
-		name     string
-		storage  Storage
-		columnar bool
+		name    string
+		storage Storage
 	}{
-		{"spq3", StorageDFSBinary, true},
-		{"memory", StorageMemory, false},
+		{"spq3", StorageDFSBinary},
+		{"memory", StorageMemory},
 	}
 	q := Query{K: 3, Radius: 0.05, Keywords: []string{"common1"}}
 	for _, st := range storages {
@@ -48,21 +55,20 @@ func TestPlanQuery(t *testing.T) {
 						}
 					}
 					snap := e.snap.Load()
+					if withDelta && snap.delta.cells != nil {
+						t.Fatal("delta cut into blocks before any query read it")
+					}
 					planQ := func(opts ...QueryOption) *physicalPlan {
 						t.Helper()
 						qc := queryConfig{alg: core.ESPQSco}
 						for _, opt := range opts {
 							opt(&qc)
 						}
-						p, err := e.planQuery(snap, q, &qc)
-						if err != nil {
-							t.Fatal(err)
-						}
-						return p
+						return e.planQuery(snap, q, &qc)
 					}
 
 					p := planQ()
-					if want := st.columnar && !withDelta && !distributed; p.useView != want {
+					if want := !withDelta && !distributed; p.useView != want {
 						t.Errorf("useView = %v, want %v", p.useView, want)
 					}
 					if p.empty || p.planStats != nil || p.priority {
@@ -78,54 +84,75 @@ func TestPlanQuery(t *testing.T) {
 					if (p.wire != nil) != distributed {
 						t.Errorf("wire info = %v on a distributed=%v engine", p.wire, distributed)
 					}
-					if st.columnar {
-						if p.files != nil || p.segIO == nil {
-							t.Errorf("columnar plan: files=%v segIO=%v", p.files, p.segIO)
-						}
-						var cells []string
-						for _, sel := range p.colsData {
-							if sel.Blocks != nil {
-								t.Errorf("data cell %s narrowed to blocks %v without pruning", sel.Cell.File, sel.Blocks)
-							}
-							cells = append(cells, sel.Cell.File)
-						}
-						for _, sel := range p.colsFeat {
-							if sel.Blocks != nil {
-								t.Errorf("feature cell %s narrowed to blocks %v without pruning", sel.Cell.File, sel.Blocks)
-							}
-							cells = append(cells, sel.Cell.File)
-						}
-						if !reflect.DeepEqual(cells, snap.manifest.Files()) {
-							t.Errorf("block selection covers %v, want every manifest cell %v", cells, snap.manifest.Files())
-						}
-					} else {
-						if !reflect.DeepEqual(p.files, snap.manifest.Files()) {
-							t.Errorf("files = %v, want the manifest's %v", p.files, snap.manifest.Files())
-						}
-						if p.colsData != nil || p.colsFeat != nil || p.segIO != nil {
-							t.Errorf("whole-file plan carries a block selection or segment meter")
+					if (p.segIO != nil) != (st.storage == StorageDFSBinary) {
+						t.Errorf("segment meter = %v on %s storage", p.segIO, st.name)
+					}
+
+					// Every block of every cell: base data, delta data, base
+					// features, delta features.
+					var want, got []string
+					nDelta := len(deltaCellsOf(snap, false)) + len(deltaCellsOf(snap, true))
+					for _, cells := range [][]data.CellStats{snap.manifest.Data, deltaCellsOf(snap, false), snap.manifest.Features, deltaCellsOf(snap, true)} {
+						for _, cs := range cells {
+							want = append(want, cs.File)
 						}
 					}
-					if withDelta {
-						if p.deltaStats.Records != 1 || p.deltaStats.RecordsSelected != 1 || p.deltaStats.Cells != 0 {
-							t.Errorf("delta stats = %+v, want the whole 1-record delta, unpartitioned", p.deltaStats)
+					for _, sel := range append(append([]data.ColSel(nil), p.colsData...), p.colsFeat...) {
+						if sel.Blocks != nil {
+							t.Errorf("cell %s narrowed to blocks %v without pruning", sel.Cell.File, sel.Blocks)
 						}
-						if snap.delta.view != nil {
-							t.Error("unplanned query partitioned the delta")
+						inDelta := snap.delta != nil && snap.delta.resident[sel.Cell.File] != nil
+						if resident := sel.Resident != nil; resident != (st.storage == StorageMemory || inDelta) {
+							t.Errorf("cell %s: resident blocks = %v on %s storage (delta cell: %v)", sel.Cell.File, resident, st.name, inDelta)
+						}
+						got = append(got, sel.Cell.File)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("block selection covers %v, want every cell %v", got, want)
+					}
+
+					if withDelta {
+						cells := snap.delta.cells
+						if p.deltaStats.Records != 1 || p.deltaStats.RecordsSelected != 1 || p.deltaStats.Cells != nDelta || nDelta != 1 {
+							t.Errorf("delta stats = %+v, want the whole 1-record delta in its one cell", p.deltaStats)
 						}
 						// Opting out of the delta restores the delta-free plan.
-						if pd := planQ(WithDelta(false)); pd.useView != (st.columnar && !distributed) || pd.deltaStats.Records != 0 {
+						if pd := planQ(WithDelta(false)); pd.useView != !distributed || pd.deltaStats.Records != 0 {
 							t.Errorf("WithDelta(false): useView=%v delta=%+v", pd.useView, pd.deltaStats)
 						}
-						// A planned query partitions it, once.
-						if pp := planQ(WithAutoPlan()); pp.planStats == nil || pp.deltaStats.Cells != 1 || snap.delta.view == nil {
-							t.Errorf("planned query: stats=%+v delta=%+v view=%v", pp.planStats, pp.deltaStats, snap.delta.view)
+						// A planned query reads the same blocks: they are not
+						// cut again.
+						if pp := planQ(WithAutoPlan()); pp.planStats == nil || pp.deltaStats.Cells != 1 || snap.delta.cells != cells {
+							t.Errorf("planned query: stats=%+v delta=%+v, blocks rebuilt: %v", pp.planStats, pp.deltaStats, snap.delta.cells != cells)
 						}
 					} else if p.deltaStats.Records != 0 || p.counters != nil {
 						t.Errorf("delta-free unplanned plan: delta=%+v counters=%v", p.deltaStats, p.counters)
+					}
+
+					if distributed {
+						rep, err := e.QueryReport(q, WithCache(false))
+						if err != nil {
+							t.Fatal(err)
+						}
+						local := rep.Counters[mapreduce.CounterExecFallbackLocal] > 0
+						if want := st.storage == StorageMemory || withDelta; local != want {
+							t.Errorf("job ran locally = %v, want %v", local, want)
+						}
 					}
 				})
 			}
 		}
 	}
+}
+
+// deltaCellsOf returns the snapshot's delta cells of one kind, or none
+// when the delta is empty or not yet cut into blocks.
+func deltaCellsOf(s *snapshot, features bool) []data.CellStats {
+	if s.delta == nil || s.delta.cells == nil {
+		return nil
+	}
+	if features {
+		return s.delta.cells.Features
+	}
+	return s.delta.cells.Data
 }

@@ -27,6 +27,7 @@ package spq
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"spq/internal/core"
 	"spq/internal/data"
@@ -75,8 +76,10 @@ type DataObject struct {
 
 // Feature is a spatio-textual object that scores nearby data objects.
 type Feature struct {
-	ID       uint64
-	X, Y     float64
+	ID   uint64
+	X, Y float64
+	// Keywords are the feature's keywords; an empty word is not one and is
+	// dropped, as LoadLines drops it.
 	Keywords []string
 }
 
@@ -89,7 +92,8 @@ type Query struct {
 	// Radius is the neighborhood distance threshold r: only feature
 	// objects within this distance of a data object influence its score.
 	Radius float64 `json:"radius"`
-	// Keywords is the query keyword set W.
+	// Keywords is the query keyword set W. Empty words are ignored, and at
+	// least one non-empty word is required.
 	Keywords []string `json:"keywords"`
 	// Mode selects the scoring variant; the zero value is the paper's
 	// range mode (best Jaccard score within the radius).
@@ -178,11 +182,10 @@ type PlanStats struct {
 	FeatureCells       int
 	DataCellsPruned    int
 	FeatureCellsPruned int
-	// Blocks counts the column-block zone maps the planner considered
-	// (columnar storage; 0 on storage without block metadata) and
-	// BlocksPruned how many it proved irrelevant — pruning inside
-	// surviving cells as well as across whole pruned cells. The
-	// "spq.plan.blocks.scanned" and "spq.plan.blocks.pruned" counters
+	// Blocks counts the column-block zone maps the planner considered,
+	// sealed and delta, and BlocksPruned how many it proved irrelevant —
+	// pruning inside surviving cells as well as across whole pruned cells.
+	// The "spq.plan.blocks.scanned" and "spq.plan.blocks.pruned" counters
 	// carry the same numbers.
 	Blocks       int
 	BlocksPruned int
@@ -287,8 +290,19 @@ func toFeatureObject(f Feature, dict *text.Dict) data.Object {
 		Kind:     data.FeatureObject,
 		ID:       f.ID,
 		Loc:      geo.Point{X: f.X, Y: f.Y},
-		Keywords: dict.InternAll(f.Keywords),
+		Keywords: dict.InternAll(keywordsOf(f.Keywords)),
 	}
+}
+
+// keywordsOf drops the empty words of a feature's or query's keyword
+// list: an empty word is not a keyword — the rule ParseLine applies to the
+// text format — so a feature scores the same whether AddFeature or
+// LoadLines loaded it.
+func keywordsOf(words []string) []string {
+	if slices.Contains(words, "") {
+		words = slices.DeleteFunc(slices.Clone(words), func(w string) bool { return w == "" })
+	}
+	return words
 }
 
 // validateQuery rejects malformed queries at the API boundary, before any
@@ -309,8 +323,8 @@ func validateQuery(q Query) error {
 	if q.Radius < 0 {
 		return fmt.Errorf("%w: field Radius = %g, must be non-negative", ErrInvalidQuery, q.Radius)
 	}
-	if len(q.Keywords) == 0 {
-		return fmt.Errorf("%w: field Keywords is empty", ErrInvalidQuery)
+	if len(keywordsOf(q.Keywords)) == 0 {
+		return fmt.Errorf("%w: field Keywords has no non-empty word", ErrInvalidQuery)
 	}
 	return nil
 }

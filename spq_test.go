@@ -1,6 +1,7 @@
 package spq
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -375,3 +376,75 @@ var errConcurrent = errWrongResult{}
 type errWrongResult struct{}
 
 func (errWrongResult) Error() string { return "wrong concurrent result" }
+
+// TestEmptyKeywordsThroughAPI: an empty word is not a keyword on any load
+// path. A feature added with an empty keyword scores like the same feature
+// loaded from a text line with a trailing comma — 1, not 1/2, for a query
+// on its one real keyword — and an empty query word changes nothing.
+func TestEmptyKeywordsThroughAPI(t *testing.T) {
+	viaAPI := NewEngine(Config{Storage: StorageMemory})
+	viaLines := NewEngine(Config{Storage: StorageMemory})
+	for _, e := range []*Engine{viaAPI, viaLines} {
+		if err := e.AddData(DataObject{ID: 1, X: 0.1, Y: 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := viaAPI.AddFeature(Feature{ID: 7, X: 0.1, Y: 0, Keywords: []string{"pizza", ""}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := viaLines.LoadLines(strings.NewReader("F\t7\t0.1\t0\tpizza,\n")); err != nil {
+		t.Fatal(err)
+	}
+	for _, kws := range [][]string{{"pizza"}, {"pizza", ""}} {
+		for name, e := range map[string]*Engine{"AddFeature": viaAPI, "LoadLines": viaLines} {
+			res, err := e.Query(Query{K: 1, Radius: 0.5, Keywords: kws})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res) != 1 || res[0].Score != 1 {
+				t.Errorf("%s feature, query %q: results %+v, want object 1 with score 1", name, kws, res)
+			}
+		}
+	}
+}
+
+// TestUnknownQueryWordsNotInterned: query words are looked up, never
+// interned, so a stream of queries with ever new unknown words leaves the
+// dictionary as it was — yet an unknown word still counts in |q.W|: a
+// feature carrying only "pizza" scores 1/2 against {pizza, unknown}, on
+// both storages, planned and unplanned.
+func TestUnknownQueryWordsNotInterned(t *testing.T) {
+	for _, storage := range []Storage{StorageDFSBinary, StorageMemory} {
+		e := NewEngine(Config{Storage: storage})
+		if err := e.AddData(DataObject{ID: 1, X: 0.1, Y: 0}, DataObject{ID: 2, X: 0.9, Y: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.AddFeature(Feature{ID: 7, X: 0.1, Y: 0, Keywords: []string{"pizza"}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		size := e.dict.Size()
+		for i := 0; i < 200; i++ {
+			opts := []QueryOption{WithCache(false)}
+			if i%2 == 1 {
+				opts = append(opts, WithAutoPlan())
+			}
+			unknown := fmt.Sprintf("unknown-%d", i)
+			res, err := e.Query(Query{K: 1, Radius: 0.2, Keywords: []string{"pizza", unknown}}, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res) != 1 || res[0].ID != 1 || res[0].Score != 0.5 {
+				t.Fatalf("storage %d query %d: results %+v, want object 1 with score 1/2", storage, i, res)
+			}
+			if res, err := e.Query(Query{K: 1, Radius: 0.2, Keywords: []string{unknown}}, opts...); err != nil || len(res) != 0 {
+				t.Fatalf("storage %d query %d on an unknown word alone: results %+v, err %v", storage, i, res, err)
+			}
+		}
+		if got := e.dict.Size(); got != size {
+			t.Errorf("storage %d: queries grew the dictionary from %d to %d words", storage, size, got)
+		}
+	}
+}
