@@ -127,46 +127,80 @@ func TestChaosResultIdentityUnderFaults(t *testing.T) {
 
 // A task may fail transiently on every attempt but its last and the query
 // must still complete with exact results, with the retries and the
-// injected faults visible on the report.
+// injected faults visible on the report. Two legs, because the first reads
+// of an in-process query are its data-view build's, which runs outside the
+// MapReduce task retry loop with an attempt budget of its own:
+//
+//   - "map task": the features are sealed and the data objects appended,
+//     so the view holds no sealed data block, its build reads nothing,
+//     and the first failing reads are the first map task's;
+//   - "view build": everything is sealed, so the failing reads are the
+//     view build's, and the map tasks then read a healed cluster.
+//
+// In both, a budget of 6 failed replica reads with replication 3 fails
+// two whole block reads: the reader burns MaxAttempts-1 failures and must
+// still complete on its last attempt.
 func TestChaosTaskRetriesThenCompletes(t *testing.T) {
 	base := Config{
 		Nodes: 4, BlockSize: 4 << 10, Seed: 7,
 		QueryCache: -1, SegmentCache: -1, MapSlots: 1, ReduceSlots: 1,
 		MaxAttempts: 3, RetryBackoff: -1,
 	}
-	// One appended record keeps the query off the data view, whose build
-	// reads the data blocks outside the map tasks: every sealed block is
-	// then read by a map task.
-	withDelta := func(e *Engine) *Engine {
-		if err := e.AddData(DataObject{ID: 1 << 40, X: 0.5, Y: 0.5}); err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	clean := withDelta(chaosEngine(t, base))
-	q := Query{K: 5, Radius: 0.1, Keywords: clean.FrequentKeywords(2)}
-	want, err := clean.Query(q, WithGrid(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := base
-	// Budget of 6 failed replica reads: with replication 3 the first map
-	// task's first block read fails whole (3 replicas), its retry fails
-	// again (3 more), and the third attempt reads a healed cluster. The
-	// task burns MaxAttempts-1 failures and must still complete.
-	cfg.Faults = &FaultPlan{FailFirstReads: 6}
-	faulty := withDelta(chaosEngine(t, cfg))
-	rep, err := faulty.QueryReport(q, WithGrid(6))
-	if err != nil {
-		t.Fatalf("query with exhausted-minus-one retry budget failed: %v", err)
-	}
-	sameResults(t, "after retries", rep.Results, want)
-	if got := rep.Counters[CounterRetryMap]; got != 2 {
-		t.Errorf("%s = %d, want 2", CounterRetryMap, got)
-	}
-	if got := rep.Counters[CounterFaultTransient]; got != 6 {
-		t.Errorf("%s = %d, want 6", CounterFaultTransient, got)
+	dataObjs, feats := clusteredCorpus(500, 4)
+	q := Query{K: 5, Radius: 0.1, Keywords: []string{"common1", "common2"}}
+	for _, leg := range []struct {
+		name                 string
+		sealData             bool
+		retryMap, viewMisses int64
+	}{
+		{"map task", false, 2, 1},
+		{"view build", true, 0, 1},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			load := func(cfg Config) *Engine {
+				e := NewEngine(cfg)
+				if err := e.AddFeature(feats...); err != nil {
+					t.Fatal(err)
+				}
+				if leg.sealData {
+					if err := e.AddData(dataObjs...); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := e.Seal(); err != nil {
+					t.Fatal(err)
+				}
+				if !leg.sealData {
+					if err := e.AddData(dataObjs...); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return e
+			}
+			want, err := load(base).Query(q, WithGrid(6))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 {
+				t.Fatal("query returns nothing; the corpus is off")
+			}
+			cfg := base
+			cfg.Faults = &FaultPlan{FailFirstReads: 6}
+			rep, err := load(cfg).QueryReport(q, WithGrid(6))
+			if err != nil {
+				t.Fatalf("query with exhausted-minus-one retry budget failed: %v", err)
+			}
+			sameResults(t, "after retries", rep.Results, want)
+			if got := rep.Counters[CounterRetryMap]; got != leg.retryMap {
+				t.Errorf("%s = %d, want %d", CounterRetryMap, got, leg.retryMap)
+			}
+			if got := rep.Counters[CounterFaultTransient]; got != 6 {
+				t.Errorf("%s = %d, want 6", CounterFaultTransient, got)
+			}
+			if got := rep.Counters[CounterViewMiss]; got != leg.viewMisses {
+				t.Errorf("%s = %d, want %d", CounterViewMiss, got, leg.viewMisses)
+			}
+		})
 	}
 }
 

@@ -221,9 +221,10 @@ type Engine struct {
 	// segCache is the decoded-segment cache of SPQ3 storage; nil when
 	// disabled or unused by the storage mode.
 	segCache *data.BlockCache
-	// viewCache caches per-query-grid data views (see core.DataView):
-	// delta-free in-process queries shuffle only feature records and
-	// reduce against the view's dense per-cell columns.
+	// viewCache caches one data view per (base generation, query grid) over
+	// every sealed data block (see core.DataView): in-process queries shuffle
+	// only feature records and the delta's data records, and reduce against
+	// the view's dense per-cell columns.
 	viewCache *core.ViewCache
 
 	// exec is the RPC executor when Config.Workers is set; execErr holds a
@@ -664,6 +665,9 @@ func (e *Engine) writeGenerationLocked(objs []data.Object) error {
 	// Publish the read-path snapshot: from here on queries run lock-free
 	// against this immutable view (see snapshotFor).
 	e.publishLocked()
+	// Queries starting from here on read this generation, so the views of
+	// older ones go now rather than when the LRU budget gets to them.
+	e.viewCache.Retire(e.manifest.Generation)
 	return nil
 }
 
@@ -869,14 +873,14 @@ func (e *Engine) queryReport(ctx context.Context, q Query, opts []QueryOption) (
 // else about the options, the storage format or the executor.
 type physicalPlan struct {
 	// The input: per-cell block selections of the sealed base and the
-	// delta, the data and feature halves apart so a data view can stand in
-	// for the first.
+	// delta, the data and feature halves apart.
 	colsData, colsFeat []data.ColSel
-	// src maps that selection block by block — minus the data half under
-	// useView.
+	// src maps that selection block by block — minus the sealed data
+	// blocks under useView.
 	src mapreduce.Source[data.Object]
-	// useView routes the data selection through the cached per-grid data
-	// view (core.DataView) instead of the shuffle.
+	// useView serves the sealed data objects from the cached data view of
+	// the base generation and query grid (core.DataView) instead of the
+	// shuffle.
 	useView bool
 	// segIO meters the segment reads of src and of a view build; nil on
 	// memory storage, which reads no segments.
@@ -966,24 +970,25 @@ func (e *Engine) planQuery(s *snapshot, q Query, cfg *queryConfig) *physicalPlan
 	// One block source serves the sealed and the delta selections: SPQ3
 	// blocks are fetched by ranged read through the decoded-segment cache,
 	// resident ones (memory storage, the delta) are served as they are.
-	// Delta-free in-process queries take the data-view path: the data
-	// blocks become (or reuse) the dense per-grid layout and the job
-	// shuffles feature records only. With a delta visible the source
-	// carries both kinds in-stream — appended records cannot be in any
-	// sealed view — and distributed engines skip the view as well: it is an
-	// in-process structure a worker cannot receive.
-	// The selection is one slice, data cells first, which the in-stream
-	// source reads whole.
+	// In-process queries take the data-view path: the sealed data objects
+	// come from the view of the base generation and query grid, and the
+	// job shuffles the delta's data records and the features only. The
+	// delta overlays the view rather than disabling it — its data records
+	// join their groups in-stream, beside the view cell. Distributed
+	// engines skip the view: it is an in-process structure a worker cannot
+	// receive. The selection is one slice, sealed data cells first, so the
+	// in-stream source is the whole slice or, beside a view, its tail.
 	cols := make([]data.ColSel, 0, len(dataCells)+len(deltaData)+len(featCells)+len(deltaFeat))
 	cols = selectCells(cols, dataCells, blocks, s.resident)
+	nSealed := len(cols)
 	cols = selectCells(cols, deltaData, blocks, deltaResident)
 	n := len(cols)
 	cols = selectCells(cols, featCells, blocks, s.resident)
 	cols = selectCells(cols, deltaFeat, blocks, deltaResident)
 	p.colsData, p.colsFeat = cols[:n:n], cols[n:]
-	p.useView = delta == nil && e.exec == nil
+	p.useView = e.exec == nil
 	if p.useView {
-		cols = p.colsFeat
+		cols = cols[nSealed:]
 	}
 	if s.manifest.Format == data.FormatCompressed {
 		p.segIO = &data.SegIOStats{}
@@ -1013,12 +1018,16 @@ func (e *Engine) execute(ctx context.Context, s *snapshot, cq core.Query, cfg *q
 		return out, nil
 	}
 	var view *core.DataView
+	var viewCounter string
 	if p.useView {
-		v, err := e.dataView(s, p.colsData, p.gridN, bounds, p.segIO)
+		v, built, err := e.dataView(s, p.gridN, bounds, p.segIO)
 		if err != nil {
 			return nil, err
 		}
-		view = v
+		view, viewCounter = v, CounterViewHit
+		if built {
+			viewCounter = CounterViewMiss
+		}
 	}
 	rep, err := core.RunContext(ctx, cfg.alg, p.src, cq, core.Options{
 		Cluster:       e.cluster,
@@ -1035,10 +1044,13 @@ func (e *Engine) execute(ctx context.Context, s *snapshot, cq core.Query, cfg *q
 	if err != nil {
 		return nil, err
 	}
+	if rep.Counters == nil {
+		rep.Counters = make(map[string]int64, 4)
+	}
+	if viewCounter != "" {
+		rep.Counters[viewCounter] = 1
+	}
 	if p.segIO != nil {
-		if rep.Counters == nil {
-			rep.Counters = make(map[string]int64, 3)
-		}
 		// Accumulate (not overwrite): on distributed engines the workers'
 		// own segment reads already rode the task counter deltas into
 		// rep.Counters, and the master-side stats cover only what this
@@ -1128,32 +1140,41 @@ func selectCells(dst []data.ColSel, cells []data.CellStats, blocks map[string][]
 	return dst
 }
 
-// dataView returns the cached per-grid data view for this generation,
-// grid and pruned data-block selection, building it from the (segment-
-// cache-resident) data blocks on first use. Concurrent cold queries for
-// the same view — every in-flight client right after a compaction —
+// Data-view counters, on every report that executed in-process: exactly
+// one of them is 1. A miss means this query built the view of its base
+// generation and query grid (the build failed and was retried, if need
+// be); a hit means it found the view cached, or shared a concurrent
+// query's build.
+const (
+	CounterViewHit  = "spq.view.hit"
+	CounterViewMiss = "spq.view.miss"
+)
+
+// dataView returns the cached data view of the snapshot's base generation
+// over the query grid, building it from every sealed data block on first
+// use; built reports whether this call built it. Concurrent cold queries
+// for the same view — every in-flight client right after a compaction —
 // share one build.
-func (e *Engine) dataView(s *snapshot, dataSel []data.ColSel, gridN int, bounds geo.Rect, io *data.SegIOStats) (*core.DataView, error) {
-	key := core.ViewKey(s.manifest.Generation, gridN, bounds, dataSel)
+func (e *Engine) dataView(s *snapshot, gridN int, bounds geo.Rect, io *data.SegIOStats) (v *core.DataView, built bool, err error) {
+	key := core.ViewKey{Gen: s.manifest.Generation, GridN: gridN, Bounds: bounds}
 	build := func() (*core.DataView, error) {
+		built = true
 		g := grid.New(bounds, gridN, gridN)
-		in := data.NewColInput(e.fs, dataSel, e.segCache, s.manifest.Generation)
+		in := data.NewColInput(e.fs, selectCells(nil, s.manifest.Data, nil, s.resident), e.segCache, s.manifest.Generation)
 		in.IO = io
 		return core.BuildDataView(g, in)
 	}
 	// View builds run outside the MapReduce task retry loop, so they get
 	// their own attempt budget against transient injected read errors.
 	// Failed builds are never cached, so each attempt re-reads the blocks.
-	var v *core.DataView
-	var err error
 	for attempt := 1; ; attempt++ {
 		v, err = e.viewCache.GetOrBuild(key, build)
 		if err == nil || attempt >= e.cfg.MaxAttempts {
-			return v, err
+			return v, built, err
 		}
 		var re *dfs.ReplicaError
 		if !errors.As(err, &re) || !re.IsTransient() {
-			return v, err
+			return v, built, err
 		}
 	}
 }

@@ -153,52 +153,35 @@ func (b *objGrid) each(p geo.Point, r float64, fn func(i int32)) int64 {
 	})
 }
 
-// groupObjs accumulates the data objects of one reduce group, lazily
-// (re)building the bucket index over them. Data objects normally all
-// precede the first feature in comparator order, so the index is built
-// exactly once per group; the rebuild-on-growth check keeps the exotic
-// interleaved case (identical sort keys for data and features) correct.
+// groupObjs holds the data objects of one reduce group in two parts that
+// share one index space, view objects first: object i is view.objs[i] for
+// i < base(), objs[i-base()] after.
 //
-// Under a DataView the group is seeded with the view cell's shared slice
-// and prebuilt index instead (setView); shared backing arrays are never
-// written — add copies out first — and never survive into the scratch
-// pool.
+//   - view is the group's DataView cell, nil without a view: shared,
+//     immutable, scored with the scanSpan kernel over its dense columns
+//     (viewCell.kernelHits). A group never writes it.
+//   - objs are the data objects that arrived in-stream — all of them
+//     without a view, an uncompacted delta's beside one — private to the
+//     group, scored through candidates and a bucket index lazily
+//     (re)built over them. Data objects normally all precede the first
+//     feature in comparator order, so the index is built exactly once per
+//     group; the rebuild-on-growth check keeps the exotic interleaved case
+//     (identical sort keys for data and features) correct.
 type groupObjs struct {
-	objs []data.Object
-	// xs/ys are the view cell's dense coordinate columns, permuted into
-	// bucket order with the index (see BuildDataView); non-nil only on a
-	// view-seeded group, where they enable the scanSpan kernel. Growing
-	// the group leaves them stale, so add clears them and the scoring
-	// paths fall back to the per-object closures.
-	xs, ys  []float64
+	view    *viewCell
+	objs    []data.Object
 	index   *objGrid
 	indexed int // len(objs) the index was last built over
-	// shared marks objs as aliasing an immutable DataView cell: growing
-	// the group (delta records arriving in-stream) must copy out first,
-	// and the scratch pool must drop the alias rather than truncate it —
-	// appending through a truncated alias would scribble over view memory
-	// other queries are concurrently reading.
-	shared bool
 }
 
-func (g *groupObjs) add(o data.Object) {
-	g.xs, g.ys = nil, nil
-	if g.shared {
-		g.objs = append(append(make([]data.Object, 0, len(g.objs)+8), g.objs...), o)
-		g.shared = false
-		return
+func (g *groupObjs) add(o data.Object) { g.objs = append(g.objs, o) }
+
+// base is the index of the first in-stream object: the view cell's size.
+func (g *groupObjs) base() int32 {
+	if g.view == nil {
+		return 0
 	}
-	g.objs = append(g.objs, o)
-}
-
-// setView seeds the group with a view cell's objects, coordinate columns
-// and prebuilt index.
-func (g *groupObjs) setView(vc *viewCell) {
-	g.objs = vc.objs
-	g.xs, g.ys = vc.xs, vc.ys
-	g.index = vc.index
-	g.indexed = len(vc.objs)
-	g.shared = true
+	return int32(len(g.view.objs))
 }
 
 // reduceScratch is the pooled per-group state of the reduce functions:
@@ -226,15 +209,7 @@ var scratchPool = sync.Pool{New: func() any { return new(reduceScratch) }}
 // Return it with putScratch when the group is done.
 func getScratch(k int) *reduceScratch {
 	s := scratchPool.Get().(*reduceScratch)
-	if s.g.shared {
-		// The previous group aliased a DataView cell; drop the alias
-		// instead of truncating it, so appends can never write into the
-		// shared view arrays.
-		s.g.objs = nil
-		s.g.shared = false
-	}
 	s.g.objs = s.g.objs[:0]
-	s.g.xs, s.g.ys = nil, nil
 	s.g.index = nil
 	s.g.indexed = 0
 	s.scores = s.scores[:0]
@@ -249,15 +224,15 @@ func getScratch(k int) *reduceScratch {
 }
 
 // seedView points the scratch at the group's DataView cell, as if the
-// cell's data objects had just arrived in-stream: shared objects and
-// prebuilt index in, per-object bookkeeping slices zero-filled to match.
-// Safe no-op when the view has no objects in the cell.
+// cell's data objects had just arrived in-stream: the view part of the
+// group set, per-object bookkeeping slices zero-filled to match. Safe
+// no-op when the view has no objects in the cell.
 func (s *reduceScratch) seedView(view *DataView, cell grid.CellID) {
 	vc := view.cell(cell)
 	if vc == nil {
 		return
 	}
-	s.g.setView(vc)
+	s.g.view = vc
 	n := len(vc.objs)
 	s.scores = growZeroed(s.scores, n)
 	s.covered = growZeroed(s.covered, n)
@@ -281,12 +256,18 @@ func growZeroed[T any](s []T, n int) []T {
 	return s
 }
 
-func putScratch(s *reduceScratch) { scratchPool.Put(s) }
+// putScratch returns a scratch to the pool, dropping its view cell so a
+// pooled scratch never pins a view the cache has let go.
+func putScratch(s *reduceScratch) {
+	s.g.view = nil
+	scratchPool.Put(s)
+}
 
-// candidates invokes fn(i) for every object that may lie within distance r
-// of p — via the bucket index when it pays off, linearly otherwise — and
-// returns the number of candidates visited. Candidates may still be
-// farther than r; the caller checks exact distances.
+// candidates invokes fn(i) for every in-stream object that may lie within
+// distance r of p — via the bucket index when it pays off, linearly
+// otherwise — and returns the number of candidates visited. i indexes objs,
+// so the group-wide index is base()+i. Candidates may still be farther
+// than r; the caller checks exact distances.
 func (g *groupObjs) candidates(p geo.Point, r float64, fn func(i int32)) int64 {
 	if g.indexed != len(g.objs) {
 		g.index = buildObjGrid(g.objs)
@@ -301,24 +282,24 @@ func (g *groupObjs) candidates(p geo.Point, r float64, fn func(i int32)) int64 {
 	return g.index.each(p, r, fn)
 }
 
-// kernelHits is the vectorized counterpart of candidates for view-seeded
-// groups (g.xs/g.ys set): it resolves the candidate spans and filters
-// them by exact distance in one pass with the batch-8 kernel, appending
-// each in-range object's index and squared distance to hits/d2s. The
-// visited count it returns matches candidates exactly — both count
-// bucket-square candidates, before the distance test — so the score-
-// computation counters stay comparable across paths.
-func (g *groupObjs) kernelHits(p geo.Point, r, r2 float64, hits *[]int32, d2s *[]float64) int64 {
+// kernelHits is the vectorized counterpart of candidates for a view cell:
+// it resolves the candidate spans and filters them by exact distance in
+// one pass with the batch-8 kernel, appending each in-range object's index
+// and squared distance to hits/d2s. The visited count it returns matches
+// candidates exactly — both count bucket-square candidates, before the
+// distance test — so the score-computation counters stay comparable
+// across paths.
+func (vc *viewCell) kernelHits(p geo.Point, r, r2 float64, hits *[]int32, d2s *[]float64) int64 {
 	h, d := (*hits)[:0], (*d2s)[:0]
 	var n int64
-	if g.index == nil {
-		h, d = scanSpan(g.xs, g.ys, p.X, p.Y, r2, 0, h, d)
-		n = int64(len(g.objs))
+	if vc.index == nil {
+		h, d = scanSpan(vc.xs, vc.ys, p.X, p.Y, r2, 0, h, d)
+		n = int64(len(vc.objs))
 	} else {
 		// View indexes are identity-permuted (BuildDataView), so a span
 		// [lo, hi) is a contiguous run of the coordinate columns.
-		n = g.index.spans(p, r, func(lo, hi int32) {
-			h, d = scanSpan(g.xs[lo:hi], g.ys[lo:hi], p.X, p.Y, r2, lo, h, d)
+		n = vc.index.spans(p, r, func(lo, hi int32) {
+			h, d = scanSpan(vc.xs[lo:hi], vc.ys[lo:hi], p.X, p.Y, r2, lo, h, d)
 		})
 	}
 	*hits, *d2s = h, d

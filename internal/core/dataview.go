@@ -3,8 +3,6 @@ package core
 import (
 	"container/list"
 	"fmt"
-	"math"
-	"strings"
 	"sync"
 
 	"spq/internal/data"
@@ -20,13 +18,15 @@ import (
 // data objects carry no keywords, never duplicate (only features fan out
 // under Lemma 1), and land in exactly one cell — so shuffling them
 // per-query sorts, copies and merges the same 50% of the input into the
-// same buckets every time. A view computes that bucketing once; queries
-// sharing (generation, grid, pruned data selection) reuse it through
-// ViewCache, and their MapReduce jobs read only feature records. Reduce
-// tasks resolve their cell's objects directly from the view, exactly as if
-// the records had arrived in-stream first (the comparator guarantees data
-// before features, so preloading is order-equivalent), making results
-// bit-identical to the shuffled path.
+// same buckets every time. A view computes that bucketing once over every
+// sealed data block of a generation; queries sharing (generation, grid)
+// reuse it through ViewCache, and their MapReduce jobs read only feature
+// records plus the data records the view lacks (an uncompacted delta's).
+// Reduce tasks resolve their cell's sealed objects directly from the view,
+// exactly as if the records had arrived in-stream first (the comparator
+// guarantees data before features, so preloading is order-equivalent), and
+// the in-stream data objects join the group beside them (see groupObjs),
+// making results bit-identical to the shuffled path.
 type DataView struct {
 	gridN  int
 	bounds geo.Rect
@@ -41,7 +41,7 @@ type DataView struct {
 // so that every index bucket is a contiguous run; xs/ys are the matching
 // dense coordinate columns the scanSpan kernel reads. Everything is
 // immutable after construction and shared read-only by concurrent reduce
-// tasks.
+// tasks: a group never copies or writes it, it only indexes past it.
 type viewCell struct {
 	objs   []data.Object
 	xs, ys []float64
@@ -130,53 +130,47 @@ func dimsOf(g *grid.Grid) int {
 	return nx
 }
 
-// ViewKey canonicalizes one data-view identity: storage generation, query
-// grid (size and bounds), and the exact pruned data-block selection. The
-// full string is the cache key — a digest would let two distinct
-// selections collide and silently serve a view built for the wrong blocks.
-// A nil block list and an explicit every-block list render identically, so
-// planned-but-unpruned and unplanned reads of the same generation share
-// one cached view.
-func ViewKey(gen uint64, gridN int, bounds geo.Rect, sel []data.ColSel) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d|%d|%x,%x,%x,%x|", gen, gridN,
-		math.Float64bits(bounds.MinX), math.Float64bits(bounds.MinY),
-		math.Float64bits(bounds.MaxX), math.Float64bits(bounds.MaxY))
-	for _, cs := range sel {
-		fmt.Fprintf(&b, "%s:", cs.Cell.File)
-		if cs.Blocks == nil || len(cs.Blocks) == len(cs.Cell.Blocks) {
-			b.WriteByte('*')
-		} else {
-			fmt.Fprintf(&b, "%v", cs.Blocks)
-		}
-		b.WriteByte(';')
-	}
-	return b.String()
+// ViewKey identifies one data view: the storage generation whose sealed
+// data blocks it holds and the query grid (size and bounds) it lays them
+// out over. It names no block selection, because a view holds every sealed
+// data block of its generation: any superset of a query's pruned data
+// selection is safe, since a data block the planner pruned has no surviving
+// feature within r, so its objects score 0 and a reducer never reports
+// them. Queries that differ in keywords and radius therefore share a view;
+// only the grid splits them.
+type ViewKey struct {
+	Gen    uint64
+	GridN  int
+	Bounds geo.Rect
 }
 
 // DefaultViewCacheRecords is the default ViewCache budget, in cached data
-// objects (~48 bytes each, so the default is on the order of 100 MiB).
+// objects. A cached object costs about 84 bytes of live heap — the 56-byte
+// data.Object, its two coordinate columns, its bucket-index slot and the
+// growth slack of small cells (BenchmarkDataViewBytesPerRecord measures
+// it) — so the default is on the order of 170 MiB.
 const DefaultViewCacheRecords = 1 << 21
 
 // ViewCache is an LRU over data views, budgeted by total cached records
 // rather than entry count: one view of a 10M-object generation should not
-// cost the same as one view of a 10k-object test corpus. Keys are caller-
-// defined; the engine keys on (generation, grid, pruned data selection),
-// so — like the query and segment caches — a generation bump makes stale
-// views unreachable by construction.
+// cost the same as one view of a 10k-object test corpus. A view is only
+// ever useful to queries of its own generation, so Retire drops every view
+// of the generations a compaction superseded instead of leaving them to
+// the LRU.
 type ViewCache struct {
 	mu      sync.Mutex
 	budget  int
 	records int
 	ll      *list.List
-	entries map[string]*list.Element
-	hits    int64
-	misses  int64
+	entries map[ViewKey]*list.Element
+	// floor is the oldest generation still cached: views of older ones are
+	// neither kept nor stored (see Retire).
+	floor uint64
 	// inflight deduplicates concurrent builds of the same view (see
 	// GetOrBuild): after a generation bump every in-flight query misses at
 	// once, and N redundant full-dataset builds would multiply both the
 	// build CPU and the transient allocation by the client count.
-	inflight map[string]*viewBuild
+	inflight map[ViewKey]*viewBuild
 }
 
 // viewBuild is one in-progress GetOrBuild computation.
@@ -187,7 +181,7 @@ type viewBuild struct {
 }
 
 type viewEntry struct {
-	key  string
+	key  ViewKey
 	view *DataView
 }
 
@@ -200,8 +194,8 @@ func NewViewCache(budget int) *ViewCache {
 	return &ViewCache{
 		budget:   budget,
 		ll:       list.New(),
-		entries:  make(map[string]*list.Element),
-		inflight: make(map[string]*viewBuild),
+		entries:  make(map[ViewKey]*list.Element),
+		inflight: make(map[ViewKey]*viewBuild),
 	}
 }
 
@@ -209,15 +203,17 @@ func NewViewCache(budget int) *ViewCache {
 // to create it — concurrent callers for the same key wait for the single
 // build instead of each building their own. A failed build is not cached;
 // the next caller retries.
-func (c *ViewCache) GetOrBuild(key string, build func() (*DataView, error)) (*DataView, error) {
+func (c *ViewCache) GetOrBuild(key ViewKey, build func() (*DataView, error)) (*DataView, error) {
 	if c == nil {
 		return build()
 	}
 	for {
-		if v, ok := c.Get(key); ok {
-			return v, nil
-		}
 		c.mu.Lock()
+		if el, ok := c.entries[key]; ok {
+			c.ll.MoveToFront(el)
+			c.mu.Unlock()
+			return el.Value.(*viewEntry).view, nil
+		}
 		if b, ok := c.inflight[key]; ok {
 			c.mu.Unlock()
 			<-b.done
@@ -235,65 +231,54 @@ func (c *ViewCache) GetOrBuild(key string, build func() (*DataView, error)) (*Da
 		b.view, b.err = build()
 		c.mu.Lock()
 		delete(c.inflight, key)
+		if b.err == nil {
+			c.putLocked(key, b.view)
+		}
 		c.mu.Unlock()
 		close(b.done)
-		if b.err != nil {
-			return nil, b.err
-		}
-		c.Put(key, b.view)
-		return b.view, nil
+		return b.view, b.err
 	}
 }
 
-// Get returns the cached view for key, if present.
-func (c *ViewCache) Get(key string) (*DataView, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*viewEntry).view, true
-}
-
-// Put stores a view, evicting least-recently-used entries until the record
-// budget holds. A view larger than the whole budget is cached alone (the
-// working set IS that one view).
-func (c *ViewCache) Put(key string, v *DataView) {
+// Retire drops every view of a generation older than gen, and from then on
+// refuses to cache one: a query still running on an older snapshot may
+// build such a view late, and uses it, but nothing else ever will.
+func (c *ViewCache) Retire(gen uint64) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.records += v.records - el.Value.(*viewEntry).view.records
-		el.Value.(*viewEntry).view = v
-		c.ll.MoveToFront(el)
-	} else {
-		c.entries[key] = c.ll.PushFront(&viewEntry{key: key, view: v})
-		c.records += v.records
+	if gen <= c.floor {
+		return
 	}
-	for c.records > c.budget && c.ll.Len() > 1 {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		e := oldest.Value.(*viewEntry)
-		delete(c.entries, e.key)
-		c.records -= e.view.records
+	c.floor = gen
+	for el := c.ll.Front(); el != nil; {
+		next := el.Next()
+		if e := el.Value.(*viewEntry); e.key.Gen < gen {
+			c.removeLocked(el)
+		}
+		el = next
 	}
 }
 
-// Stats returns the cumulative hit/miss counts and current size.
-func (c *ViewCache) Stats() (hits, misses int64, entries, records int) {
-	if c == nil {
-		return 0, 0, 0, 0
+// putLocked stores a view, evicting least-recently-used entries until the
+// record budget holds. A view larger than the whole budget is cached alone
+// (the working set IS that one view). Views of retired generations are not
+// stored.
+func (c *ViewCache) putLocked(key ViewKey, v *DataView) {
+	if key.Gen < c.floor {
+		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.ll.Len(), c.records
+	c.entries[key] = c.ll.PushFront(&viewEntry{key: key, view: v})
+	c.records += v.records
+	for c.records > c.budget && c.ll.Len() > 1 {
+		c.removeLocked(c.ll.Back())
+	}
+}
+
+func (c *ViewCache) removeLocked(el *list.Element) {
+	e := c.ll.Remove(el).(*viewEntry)
+	delete(c.entries, e.key)
+	c.records -= e.view.records
 }

@@ -98,15 +98,17 @@ type Options struct {
 	// mapreduce layer's decision (it also requires every split to
 	// serialize a reference).
 	Wire *WireInfo
-	// DataView, when set, supplies the data objects out of band: the
-	// source must then yield feature objects only, and each reduce group
-	// is seeded with its cell's data objects from the view — shared dense
-	// slices with prebuilt bucket indexes — instead of receiving them
-	// through the shuffle. Results are identical to the in-stream path
-	// (the comparator already guarantees data before features within a
-	// group; preloading is the limit of that order), but the job sorts,
-	// copies and merges only feature records. The view must have been
-	// built for exactly this grid (Bounds, GridN). See BuildDataView.
+	// DataView, when set, supplies data objects out of band: each reduce
+	// group is seeded with its cell's data objects from the view — shared
+	// dense slices with prebuilt bucket indexes — instead of receiving
+	// them through the shuffle. The source then yields the features plus
+	// any data objects the view lacks (the engine's uncompacted delta),
+	// which join their group beside the view cell. Results are identical
+	// to the in-stream path (the comparator already guarantees data before
+	// features within a group; preloading is the limit of that order), but
+	// the job sorts, copies and merges only the records the view lacks.
+	// The view must have been built for exactly this grid (Bounds, GridN).
+	// See BuildDataView.
 	DataView *DataView
 }
 
@@ -485,6 +487,7 @@ func reduceScan(q Query, opts scanOpts, view *DataView) reduceFunc {
 		}
 		var (
 			g    = &sc.g
+			base = g.base()
 			topk = sc.topk
 			fLoc geo.Point
 			fw   float64
@@ -494,16 +497,16 @@ func reduceScan(q Query, opts scanOpts, view *DataView) reduceFunc {
 		)
 		// One scoring closure per group, not per feature: fLoc/fw are
 		// rebound between features so the hot path allocates nothing.
-		// It is the fallback for groups without dense coordinate columns;
-		// view-seeded groups take the scanSpan kernel below instead.
+		// It scores the in-stream objects; the view part takes the
+		// scanSpan kernel below instead.
 		scoreObj := func(i int32) {
 			p := &g.objs[i]
 			d2 := geo.Dist2(p.Loc, fLoc)
 			if d2 > r2 {
 				return
 			}
-			if c := q.contribution(fw, d2); c > sc.scores[i] {
-				sc.scores[i] = c
+			if c := q.contribution(fw, d2); c > sc.scores[base+i] {
+				sc.scores[base+i] = c
 				topk.Update(ResultItem{ID: p.ID, Loc: p.Loc, Score: c})
 			}
 		}
@@ -543,17 +546,16 @@ func reduceScan(q Query, opts scanOpts, view *DataView) reduceFunc {
 				continue
 			}
 			fLoc, fw = x.Loc, w
-			if g.xs != nil {
-				computed += g.kernelHits(fLoc, q.Radius, r2, &sc.hits, &sc.hitD2)
+			if vc := g.view; vc != nil {
+				computed += vc.kernelHits(fLoc, q.Radius, r2, &sc.hits, &sc.hitD2)
 				for n, i := range sc.hits {
 					if c := q.contribution(fw, sc.hitD2[n]); c > sc.scores[i] {
 						sc.scores[i] = c
-						topk.Update(ResultItem{ID: g.objs[i].ID, Loc: g.objs[i].Loc, Score: c})
+						topk.Update(ResultItem{ID: vc.objs[i].ID, Loc: vc.objs[i].Loc, Score: c})
 					}
 				}
-			} else {
-				computed += g.candidates(fLoc, q.Radius, scoreObj)
 			}
+			computed += g.candidates(fLoc, q.Radius, scoreObj)
 		}
 		ctx.Counter(CounterFeaturesExamined, examined)
 		ctx.Counter(CounterScoreComputations, computed)
@@ -581,6 +583,7 @@ func reduceESPQSco(q Query, view *DataView) reduceFunc {
 		}
 		var (
 			g    = &sc.g
+			base = g.base()
 			topk = sc.topk
 			fLoc geo.Point
 			fw   float64
@@ -589,11 +592,11 @@ func reduceESPQSco(q Query, view *DataView) reduceFunc {
 		)
 		coverObj := func(i int32) {
 			p := &g.objs[i]
-			if sc.covered[i] || geo.Dist2(p.Loc, fLoc) > r2 {
+			if sc.covered[base+i] || geo.Dist2(p.Loc, fLoc) > r2 {
 				return
 			}
 			// Here w(x,q) = τ(p): no later feature scores higher.
-			sc.covered[i] = true
+			sc.covered[base+i] = true
 			topk.Update(ResultItem{ID: p.ID, Loc: p.Loc, Score: fw})
 		}
 		for {
@@ -619,18 +622,17 @@ func reduceESPQSco(q Query, view *DataView) reduceFunc {
 			}
 			examined++
 			fLoc, fw = x.Loc, w
-			if g.xs != nil {
-				computed += g.kernelHits(fLoc, q.Radius, r2, &sc.hits, &sc.hitD2)
+			if vc := g.view; vc != nil {
+				computed += vc.kernelHits(fLoc, q.Radius, r2, &sc.hits, &sc.hitD2)
 				for _, i := range sc.hits {
 					if !sc.covered[i] {
 						// Here w(x,q) = τ(p): no later feature scores higher.
 						sc.covered[i] = true
-						topk.Update(ResultItem{ID: g.objs[i].ID, Loc: g.objs[i].Loc, Score: fw})
+						topk.Update(ResultItem{ID: vc.objs[i].ID, Loc: vc.objs[i].Loc, Score: fw})
 					}
 				}
-			} else {
-				computed += g.candidates(fLoc, q.Radius, coverObj)
 			}
+			computed += g.candidates(fLoc, q.Radius, coverObj)
 		}
 		ctx.Counter(CounterFeaturesExamined, examined)
 		ctx.Counter(CounterScoreComputations, computed)

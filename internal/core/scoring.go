@@ -88,6 +88,7 @@ func reduceNearest(q Query, view *DataView) reduceFunc {
 		}
 		var (
 			g    = &sc.g
+			base = g.base()
 			fLoc geo.Point
 			fw   float64
 			// Flushed once per group; per-feature Counter calls hash the name.
@@ -98,7 +99,7 @@ func reduceNearest(q Query, view *DataView) reduceFunc {
 			if d2 > r2 {
 				return
 			}
-			if cur := &sc.best[i]; d2 < cur.d2 || (d2 == cur.d2 && fw > cur.w) {
+			if cur := &sc.best[base+i]; d2 < cur.d2 || (d2 == cur.d2 && fw > cur.w) {
 				*cur = nnState{d2: d2, w: fw}
 			}
 		}
@@ -118,28 +119,34 @@ func reduceNearest(q Query, view *DataView) reduceFunc {
 				continue
 			}
 			fLoc, fw = x.Loc, w
-			if g.xs != nil {
-				computed += g.kernelHits(fLoc, q.Radius, r2, &sc.hits, &sc.hitD2)
+			if vc := g.view; vc != nil {
+				computed += vc.kernelHits(fLoc, q.Radius, r2, &sc.hits, &sc.hitD2)
 				for n, i := range sc.hits {
 					d2 := sc.hitD2[n]
 					if cur := &sc.best[i]; d2 < cur.d2 || (d2 == cur.d2 && fw > cur.w) {
 						*cur = nnState{d2: d2, w: fw}
 					}
 				}
-			} else {
-				computed += g.candidates(fLoc, q.Radius, nearObj)
 			}
+			computed += g.candidates(fLoc, q.Radius, nearObj)
 		}
 		ctx.Counter(CounterScoreComputations, computed)
 		topk := sc.topk
 		// TopK's canonical tie-breaking makes the outcome independent of
-		// offer order, so iterating in objs order is for clarity, not
-		// correctness.
-		for i := range g.objs {
-			if sc.best[i].w == 0 {
-				continue // no relevant feature within r
+		// offer order, so iterating view objects first, then in-stream
+		// ones, is for clarity, not correctness.
+		offer := func(p *data.Object, best nnState) {
+			if best.w != 0 { // else no relevant feature within r
+				topk.Update(ResultItem{ID: p.ID, Loc: p.Loc, Score: best.w})
 			}
-			topk.Update(ResultItem{ID: g.objs[i].ID, Loc: g.objs[i].Loc, Score: sc.best[i].w})
+		}
+		if vc := g.view; vc != nil {
+			for i := range vc.objs {
+				offer(&vc.objs[i], sc.best[i])
+			}
+		}
+		for i := range g.objs {
+			offer(&g.objs[i], sc.best[int(base)+i])
 		}
 		for _, item := range topk.Items() {
 			emit(cellResult{Item: item})

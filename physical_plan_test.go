@@ -3,6 +3,7 @@ package spq
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"spq/internal/core"
@@ -16,9 +17,11 @@ import (
 //
 //   - pruning off (no WithAutoPlan) selects every block of every sealed and
 //     delta cell, and reports no planner statistics;
-//   - both storages plan alike: the data view is used by delta-free
-//     in-process queries, resident blocks (memory storage, the delta)
+//   - both storages plan alike: the data view is used by every in-process
+//     query, delta or not, resident blocks (memory storage, the delta)
 //     travel with the selection, and only SPQ3 meters segment reads;
+//   - two planned queries with disjoint keywords at one grid share one
+//     view;
 //   - the delta is cut into blocks at most once per snapshot, by the first
 //     query that reads it, planned or not;
 //   - an unplanned query runs the planner's slot-derived reduce-task count,
@@ -68,8 +71,8 @@ func TestPlanQuery(t *testing.T) {
 					}
 
 					p := planQ()
-					if want := !withDelta && !distributed; p.useView != want {
-						t.Errorf("useView = %v, want %v", p.useView, want)
+					if p.useView != !distributed {
+						t.Errorf("useView = %v on a distributed=%v engine", p.useView, distributed)
 					}
 					if p.empty || p.planStats != nil || p.priority {
 						t.Errorf("unplanned query carries planner output: empty=%v stats=%+v priority=%v", p.empty, p.planStats, p.priority)
@@ -116,7 +119,7 @@ func TestPlanQuery(t *testing.T) {
 						if p.deltaStats.Records != 1 || p.deltaStats.RecordsSelected != 1 || p.deltaStats.Cells != nDelta || nDelta != 1 {
 							t.Errorf("delta stats = %+v, want the whole 1-record delta in its one cell", p.deltaStats)
 						}
-						// Opting out of the delta restores the delta-free plan.
+						// Opting out of the delta drops only the delta.
 						if pd := planQ(WithDelta(false)); pd.useView != !distributed || pd.deltaStats.Records != 0 {
 							t.Errorf("WithDelta(false): useView=%v delta=%+v", pd.useView, pd.deltaStats)
 						}
@@ -129,6 +132,19 @@ func TestPlanQuery(t *testing.T) {
 						t.Errorf("delta-free unplanned plan: delta=%+v counters=%v", p.deltaStats, p.counters)
 					}
 
+					if !distributed {
+						var views []int64
+						for _, kw := range []string{"common1", "c0-kw7"} {
+							rep, err := e.QueryReport(Query{K: 3, Radius: 0.05, Keywords: []string{kw}}, WithAutoPlan(), WithGrid(8), WithCache(false))
+							if err != nil {
+								t.Fatal(err)
+							}
+							views = append(views, rep.Counters[CounterViewMiss], rep.Counters[CounterViewHit])
+						}
+						if want := []int64{1, 0, 0, 1}; !reflect.DeepEqual(views, want) {
+							t.Errorf("view miss/hit of two planned queries at one grid = %v, want %v", views, want)
+						}
+					}
 					if distributed {
 						rep, err := e.QueryReport(q, WithCache(false))
 						if err != nil {
@@ -155,4 +171,144 @@ func deltaCellsOf(s *snapshot, features bool) []data.CellStats {
 		return s.delta.cells.Features
 	}
 	return s.delta.cells.Data
+}
+
+// TestDataViewSharedAcrossQueries pins the view cache key and its
+// counters: 60 planned queries with pairwise disjoint keywords and
+// different radii, on one base generation at one grid, build its data
+// view once — exactly one spq.view.miss, 59 spq.view.hit — while another
+// grid size builds its own. An append keeps the base generation, so the
+// view stays shared with the delta overlaid; a compaction retires it.
+func TestDataViewSharedAcrossQueries(t *testing.T) {
+	dataObjs, feats := clusteredCorpus(2000, 4)
+	e := NewEngine(Config{Nodes: 4, QueryCache: -1, CompactAfter: -1})
+	t.Cleanup(func() { e.Close() })
+	if err := e.AddData(dataObjs...); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddFeature(feats...); err != nil {
+		t.Fatal(err)
+	}
+	view := func(kw string, r float64, gridN int) (miss, hit int64) {
+		t.Helper()
+		rep, err := e.QueryReport(Query{K: 3, Radius: r, Keywords: []string{kw}}, WithAutoPlan(), WithGrid(gridN))
+		if err != nil {
+			t.Fatal(err)
+		}
+		miss, hit = rep.Counters[CounterViewMiss], rep.Counters[CounterViewHit]
+		if miss+hit != 1 {
+			t.Fatalf("%s at grid %d: spq.view.miss=%d spq.view.hit=%d, want exactly one of them", kw, gridN, miss, hit)
+		}
+		return miss, hit
+	}
+	var misses, hits int64
+	for i := 0; i < 60; i++ {
+		miss, hit := view(fmt.Sprintf("c%d-kw%d", i%4, i/4), 0.02+0.001*float64(i), 8)
+		misses, hits = misses+miss, hits+hit
+	}
+	if misses != 1 || hits != 59 {
+		t.Errorf("60 planned queries at one grid: %d view misses and %d hits, want 1 and 59", misses, hits)
+	}
+	if miss, _ := view("c0-kw0", 0.05, 9); miss != 1 {
+		t.Error("a query at another grid size shared a view")
+	}
+
+	// The appended record sits on an existing data object, so neither the
+	// bounds nor the grid move.
+	at := dataObjs[0]
+	if err := e.AddData(DataObject{ID: 1 << 40, X: at.X, Y: at.Y}); err != nil {
+		t.Fatal(err)
+	}
+	if _, hit := view("c1-kw3", 0.05, 8); hit != 1 {
+		t.Error("an append made the next query rebuild the base generation's view")
+	}
+	if err := e.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if miss, _ := view("c1-kw3", 0.05, 8); miss != 1 {
+		t.Error("a compacted generation reused the previous generation's view")
+	}
+}
+
+// TestConcurrentPlannedQueriesOverlayDelta runs planned queries
+// concurrently over one shared data view while a delta is visible whose
+// data records land in view-seeded groups, for every algorithm × scoring
+// mode pair. Run it under -race: a group writing view memory that another
+// reads is a reported race (internal/core's TestDataViewMemoryNeverWritten
+// also checksums the view). Every result must equal the same engine's
+// after compaction, where the delta is sealed into the view.
+func TestConcurrentPlannedQueriesOverlayDelta(t *testing.T) {
+	dataObjs, feats := clusteredCorpus(3000, 4)
+	load := func() *Engine {
+		e := NewEngine(Config{Nodes: 4, QueryCache: -1, CompactAfter: -1})
+		t.Cleanup(func() { e.Close() })
+		var sealed, appended []DataObject
+		for i, o := range dataObjs {
+			if i%4 == 0 {
+				appended = append(appended, o)
+			} else {
+				sealed = append(sealed, o)
+			}
+		}
+		if err := e.AddData(sealed...); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.AddFeature(feats...); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.AddData(appended...); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	e, compacted := load(), load()
+	if err := compacted.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	type run struct {
+		q    Query
+		alg  Algorithm
+		want []Result
+	}
+	var runs []run
+	for _, alg := range Algorithms() {
+		for _, mode := range []ScoringMode{ScoreRange, ScoreInfluence, ScoreNearest} {
+			if !alg.SupportsMode(mode) {
+				continue
+			}
+			q := Query{K: 8, Radius: 0.03, Keywords: []string{"common1", "c0-kw3", "c2-kw9"}, Mode: mode}
+			want, err := compacted.Query(q, WithAlgorithm(alg), WithAutoPlan(), WithGrid(10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 {
+				t.Fatalf("%v %v: no results; the corpus is off", alg, mode)
+			}
+			runs = append(runs, run{q, alg, want})
+		}
+	}
+	var wg sync.WaitGroup
+	for round := 0; round < 3; round++ {
+		for _, r := range runs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rep, err := e.QueryReport(r.q, WithAlgorithm(r.alg), WithAutoPlan(), WithGrid(10))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if rep.Counters[CounterDeltaRecordsSelected] == 0 || rep.Counters[CounterViewHit]+rep.Counters[CounterViewMiss] != 1 {
+					t.Errorf("%v %v: the delta did not overlay the view: counters %v", r.alg, r.q.Mode, rep.Counters)
+				}
+				if d := diffResults(rep.Results, r.want); d != "" {
+					t.Errorf("%v %v over the view with a delta: %s", r.alg, r.q.Mode, d)
+				}
+			}()
+		}
+	}
+	wg.Wait()
 }
