@@ -145,13 +145,6 @@ type Config struct {
 	// crashed ones) while the engine serves, and DrainWorker detaches one
 	// gracefully.
 	Workers []string
-	// Speculation enables speculative straggler execution on distributed
-	// engines: a task attempt running longer than a multiple of its
-	// phase's median completion time gets a backup attempt on a different
-	// worker, first result wins, loser is canceled (metered as
-	// spq.exec.spec.{launched,won,wasted}). Nil (the default) disables
-	// speculation. Ignored by in-process engines.
-	Speculation *SpeculationConfig
 }
 
 // DefaultMaxAttempts is the per-task execution budget used when
@@ -306,9 +299,6 @@ func NewEngine(cfg Config) *Engine {
 			e.cluster.Executor = exec
 			if cfg.Faults != nil {
 				exec.SetChurn(cfg.Faults)
-			}
-			if cfg.Speculation != nil {
-				exec.SetSpeculation(cfg.Speculation)
 			}
 		}
 	}

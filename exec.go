@@ -31,20 +31,10 @@ const (
 	CounterExecFallbackLocal = mapreduce.CounterExecFallbackLocal
 )
 
-// Speculative-execution and membership counters. Like the rest of the
-// spq.exec.* family they only appear on reports produced by a distributed
-// engine, and only when non-zero.
+// Membership counters. Like the rest of the spq.exec.* family they only
+// appear on reports produced by a distributed engine, and only when
+// non-zero.
 const (
-	// CounterExecSpecLaunched counts speculative backup attempts launched
-	// against suspected straggler tasks (runtime exceeded the configured
-	// multiple of the phase's median task duration).
-	CounterExecSpecLaunched = mapreduce.CounterExecSpecLaunched
-	// CounterExecSpecWon counts backups that finished before their primary;
-	// the backup's result was used and the primary was canceled.
-	CounterExecSpecWon = mapreduce.CounterExecSpecWon
-	// CounterExecSpecWasted counts backups overtaken by their primary; the
-	// backup was canceled and its work discarded.
-	CounterExecSpecWasted = mapreduce.CounterExecSpecWasted
 	// CounterExecWorkersQuarantined counts workers removed from dispatch
 	// after consecutive per-call timeouts — slow-loss, a subset of
 	// CounterExecWorkersLost distinct from heartbeat/transport death.
@@ -57,11 +47,6 @@ const (
 	// query's job was dispatching.
 	CounterExecWorkersDrained = mapreduce.CounterExecWorkersDrained
 )
-
-// SpeculationConfig tunes straggler detection for distributed engines; see
-// Config.Speculation. The zero value of each field selects a default
-// (multiple 3, minimum 3 completed samples, 25ms delay floor).
-type SpeculationConfig = mapreduce.SpeculationConfig
 
 // WorkerKillEvent schedules the loss of one named worker inside a
 // FaultPlan: the master severs the worker's connection right before its
@@ -81,9 +66,3 @@ type WorkerJoinEvent = dfs.WorkerJoinEvent
 // worker stops receiving new tasks immediately, finishes its in-flight
 // attempts, and detaches. Interpreted by the execution layer.
 type WorkerDrainEvent = dfs.WorkerDrainEvent
-
-// WorkerSlowdownEvent makes one named worker a straggler: every task
-// dispatch to it after the AfterTasks-th stalls for Delay before the call
-// is issued, tripping speculative execution without killing the worker.
-// Interpreted by the execution layer.
-type WorkerSlowdownEvent = dfs.WorkerSlowdownEvent

@@ -103,8 +103,8 @@ func buildWireJob(spec []byte, env *mapreduce.WorkerEnv) (mapreduce.RemoteJob, e
 	// Per-attempt segment I/O stats: one SegIOStats per TaskIO, folded
 	// into the attempt's counter deltas when it finishes — so a worker's
 	// columnar reads ride TaskResult.Counters back to the master instead
-	// of vanishing (only the winning attempt of a speculative race is
-	// absorbed, so counts never double). The per-worker breakdown rides
+	// of vanishing (only a successful attempt is absorbed, so counts never
+	// double). The per-worker breakdown rides
 	// under the same names with a "."+worker suffix.
 	var segMu sync.Mutex
 	segStats := make(map[*mapreduce.TaskIO]*data.SegIOStats)

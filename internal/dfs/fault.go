@@ -3,7 +3,6 @@ package dfs
 import (
 	"sort"
 	"sync/atomic"
-	"time"
 )
 
 // FaultPlan is a seeded, deterministic fault-injection schedule. All
@@ -48,15 +47,13 @@ type FaultPlan struct {
 	// one seeded schedule.
 	WorkerKills []WorkerKillEvent
 
-	// WorkerJoins, WorkerDrains and WorkerSlowdowns schedule membership
-	// and straggler churn for the distributed execution layer, keyed on
-	// the cluster-global task dispatch count (joins/drains) or the named
-	// worker's own dispatch count (slowdowns). Like WorkerKills, the DFS
-	// ignores them; mapreduce.RPCExecutor interprets them so one seeded
-	// plan replays a whole churn schedule.
-	WorkerJoins     []WorkerJoinEvent
-	WorkerDrains    []WorkerDrainEvent
-	WorkerSlowdowns []WorkerSlowdownEvent
+	// WorkerJoins and WorkerDrains schedule membership churn for the
+	// distributed execution layer, keyed on the cluster-global task
+	// dispatch count. Like WorkerKills, the DFS ignores them;
+	// mapreduce.RPCExecutor interprets them so one seeded plan replays a
+	// whole churn schedule.
+	WorkerJoins  []WorkerJoinEvent
+	WorkerDrains []WorkerDrainEvent
 }
 
 // WorkerKillEvent is one scheduled execution-worker crash.
@@ -83,17 +80,6 @@ type WorkerJoinEvent struct {
 type WorkerDrainEvent struct {
 	Worker     string
 	AfterTasks int
-}
-
-// WorkerSlowdownEvent makes a worker a straggler: from its AfterTasks-th
-// dispatch on, every task dispatched to it is delayed by Delay before the
-// call is issued (the loopback equivalent of a slow machine). The delay
-// is injected master-side, so it trips speculative execution rather than
-// the per-call RPC deadline.
-type WorkerSlowdownEvent struct {
-	Worker     string
-	AfterTasks int
-	Delay      time.Duration
 }
 
 // CrashEvent is one scheduled node crash or revival.

@@ -47,8 +47,8 @@ const (
 // meter the payloads a remote task moved across the master boundary
 // (input fetches, shuffle writes and reads). Workers lost counts every
 // live→dead transition exactly once: in the job whose dispatch saw it, or
-// — when a heartbeat, a cancel or the end-of-job cleanup saw it first —
-// in the next job that dispatches a task.
+// — when a heartbeat or the end-of-job cleanup saw it first — in the next
+// job that dispatches a task.
 const (
 	CounterExecTasksPrefix   = "spq.exec.tasks."
 	CounterExecReexec        = "spq.exec.reexec"
@@ -57,16 +57,11 @@ const (
 	CounterExecFallbackLocal = "spq.exec.fallback.local"
 )
 
-// Speculative-execution and membership counters (spq.exec.*): backups
-// launched against suspected stragglers, how many beat their primary
-// (won) versus were overtaken by it (wasted), workers quarantined after
+// Membership counters (spq.exec.*): workers quarantined after
 // consecutive call timeouts (a subset of workers.lost — slow-loss, as
 // opposed to transport death), and workers that joined or gracefully
 // drained while a job was dispatching.
 const (
-	CounterExecSpecLaunched       = "spq.exec.spec.launched"
-	CounterExecSpecWon            = "spq.exec.spec.won"
-	CounterExecSpecWasted         = "spq.exec.spec.wasted"
 	CounterExecWorkersQuarantined = "spq.exec.workers.quarantined"
 	CounterExecWorkersJoined      = "spq.exec.workers.joined"
 	CounterExecWorkersDrained     = "spq.exec.workers.drained"

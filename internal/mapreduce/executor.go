@@ -22,11 +22,6 @@ type TaskDesc struct {
 	// of this task starting at 1.
 	Task    int
 	Attempt int
-	// Backup distinguishes a speculative backup (1) from the primary (0)
-	// of the same attempt: the two race on different workers, and the
-	// discriminator keeps their shuffle outputs and cancel registrations
-	// apart.
-	Backup int
 	// Lane is the executor lane the orchestrator assigned the task to (a
 	// slot for the local executor, a worker slot for the RPC executor).
 	Lane int

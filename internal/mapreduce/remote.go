@@ -67,22 +67,6 @@ type WorkerEnv struct {
 
 	jobsMu sync.Mutex
 	jobs   map[string]RemoteJob
-
-	// running tracks the cancel flags of in-flight task attempts, so the
-	// master can abandon the losing side of a speculative race.
-	runMu   sync.Mutex
-	running map[attemptKey]*atomic.Bool
-}
-
-// attemptKey identifies one runnable attempt on this worker. Backup
-// distinguishes a speculative backup from the primary it races — the two
-// run on different workers, but the key keeps a late cancel for one from
-// ever hitting the other after a rejoin.
-type attemptKey struct {
-	jobID  string
-	kind   TaskKind
-	task   int
-	backup int
 }
 
 // NewWorkerEnv builds a worker environment over the given transport.
@@ -93,34 +77,8 @@ func NewWorkerEnv(worker string, fs RemoteFS) *WorkerEnv {
 		// One-node, unreplicated mirror: block size only shapes the
 		// mirror's internal chunking, never split boundaries (references
 		// carry explicit byte ranges).
-		mirror:  dfs.New(dfs.Config{NumNodes: 1, Replication: 1}),
-		jobs:    make(map[string]RemoteJob),
-		running: make(map[attemptKey]*atomic.Bool),
-	}
-}
-
-// registerAttempt publishes a fresh cancel flag for a starting attempt;
-// the returned release removes it when the attempt finishes.
-func (e *WorkerEnv) registerAttempt(k attemptKey) (flag *atomic.Bool, release func()) {
-	flag = new(atomic.Bool)
-	e.runMu.Lock()
-	e.running[k] = flag
-	e.runMu.Unlock()
-	return flag, func() {
-		e.runMu.Lock()
-		delete(e.running, k)
-		e.runMu.Unlock()
-	}
-}
-
-// cancelTask flips the cancel flag of a running attempt (no-op when the
-// attempt already finished or never ran here).
-func (e *WorkerEnv) cancelTask(jobID string, kind TaskKind, task, backup int) {
-	e.runMu.Lock()
-	flag := e.running[attemptKey{jobID: jobID, kind: kind, task: task, backup: backup}]
-	e.runMu.Unlock()
-	if flag != nil {
-		flag.Store(true)
+		mirror: dfs.New(dfs.Config{NumNodes: 1, Replication: 1}),
+		jobs:   make(map[string]RemoteJob),
 	}
 }
 
@@ -155,9 +113,6 @@ func (e *WorkerEnv) RunTask(d *TaskDesc) (*TaskResult, error) {
 		return nil, err
 	}
 	io := &TaskIO{Env: e}
-	flag, release := e.registerAttempt(attemptKey{jobID: d.JobID, kind: d.Kind, task: d.Task, backup: d.Backup})
-	io.cancel = flag
-	defer release()
 	if d.Kind == MapTask {
 		return job.RunMapTask(io, d)
 	}
@@ -173,10 +128,6 @@ type TaskIO struct {
 	Env   *WorkerEnv
 	bytes atomic.Int64
 
-	// cancel is the attempt's abandon flag (set via Worker.CancelTask when
-	// this attempt lost a speculative race); nil when untracked.
-	cancel *atomic.Bool
-
 	// finishers run when the attempt completes successfully, folding
 	// late-bound instrumentation (for example columnar segment I/O stats)
 	// into the attempt's counter deltas.
@@ -186,22 +137,6 @@ type TaskIO struct {
 
 // Bytes returns the RPC payload bytes this task moved so far.
 func (t *TaskIO) Bytes() int64 { return t.bytes.Load() }
-
-// errAttemptCanceled aborts a task body whose attempt lost a speculative
-// race. The master never surfaces it: the winning twin's result already
-// resolved the task.
-var errAttemptCanceled = errors.New("mapreduce: task attempt canceled by master")
-
-// stopErr is the stop poll of a worker-side task body: errAttemptCanceled
-// once the master abandoned this attempt (Worker.CancelTask). Task bodies
-// poll it at record granularity and bail out early; the result of a
-// canceled attempt is discarded master-side regardless.
-func (t *TaskIO) stopErr() error {
-	if t.cancel != nil && t.cancel.Load() {
-		return errAttemptCanceled
-	}
-	return nil
-}
 
 // OnFinish registers a hook run when the attempt completes successfully,
 // with the attempt's local counter registry. Split openers use it to
@@ -296,12 +231,11 @@ func (r *remoteJob[I, K, V, O]) openRef(io *TaskIO, ref *SplitRef) (SourceSplit[
 }
 
 // shuffleFile names the run one map attempt writes for one partition.
-// Attempt- and backup-qualified names keep retried attempts and
-// speculative twins clear of the write-once semantics of the DFS (a
-// primary and its backup share task and attempt numbers); zero-padded
-// indices make name order deterministic.
-func shuffleFile(jobID string, task, attempt, backup, part int) string {
-	return fmt.Sprintf("shuffle/%s/m%05d.a%02d.b%d.p%05d", jobID, task, attempt, backup, part)
+// Attempt-qualified names keep retried attempts clear of the write-once
+// semantics of the DFS; zero-padded indices make name order
+// deterministic.
+func shuffleFile(jobID string, task, attempt, part int) string {
+	return fmt.Sprintf("shuffle/%s/m%05d.a%02d.p%05d", jobID, task, attempt, part)
 }
 
 // ShufflePrefix returns the DFS name prefix of a job's shuffle files, for
@@ -335,7 +269,7 @@ func (r *remoteJob[I, K, V, O]) RunMapTask(io *TaskIO, d *TaskDesc) (*TaskResult
 	if err != nil {
 		return nil, err
 	}
-	chunks, err := mapBody(job, split, d.NumReducers, ctx, io.stopErr)
+	chunks, err := mapBody(job, split, d.NumReducers, ctx, neverStop)
 	if err != nil {
 		return nil, err
 	}
@@ -353,7 +287,7 @@ func (r *remoteJob[I, K, V, O]) RunMapTask(io *TaskIO, d *TaskDesc) (*TaskResult
 		if err != nil {
 			return nil, err
 		}
-		name := shuffleFile(d.JobID, d.Task, d.Attempt, d.Backup, p)
+		name := shuffleFile(d.JobID, d.Task, d.Attempt, p)
 		data := append([]byte(nil), buf.Bytes()...)
 		if err := io.Store(name, data); err != nil {
 			return nil, err
@@ -376,9 +310,6 @@ func (r *remoteJob[I, K, V, O]) RunReduceTask(io *TaskIO, d *TaskDesc) (*TaskRes
 
 	chunks := make([][]Pair[K, V], 0, len(d.Shuffle))
 	for _, ref := range d.Shuffle {
-		if err := io.stopErr(); err != nil {
-			return nil, err
-		}
 		data, err := io.Fetch(ref.File)
 		if err != nil {
 			return nil, err
@@ -390,7 +321,7 @@ func (r *remoteJob[I, K, V, O]) RunReduceTask(io *TaskIO, d *TaskDesc) (*TaskRes
 		}
 		chunks = append(chunks, pairs)
 	}
-	out, err := reduceBody(job, chunks, local, ctx, io.stopErr)
+	out, err := reduceBody(job, chunks, local, ctx, neverStop)
 	if err != nil {
 		return nil, err
 	}

@@ -77,19 +77,6 @@ type JoinArgs struct {
 }
 type JoinReply struct{ Name string }
 
-// CancelTaskArgs asks a worker to abandon a running task attempt: the
-// speculative-execution race sends it to the losing side once a winner's
-// result is in. Cancellation is best-effort and advisory — the attempt
-// stops at record granularity and its result is discarded master-side
-// either way.
-type CancelTaskArgs struct {
-	JobID  string
-	Kind   TaskKind
-	Task   int
-	Backup int
-}
-type CancelTaskReply struct{}
-
 // ForgetJobArgs tells a worker a job finished, releasing its cached
 // reconstruction.
 type ForgetJobArgs struct{ JobID string }
@@ -222,7 +209,7 @@ type workerConn struct {
 	draining bool
 	drained  bool
 	// dispatched counts task dispatches to this worker (drives the
-	// seeded worker-kill and slowdown plans of the chaos harness).
+	// seeded worker-kill plan of the chaos harness).
 	dispatched int
 	// slowCalls counts consecutive timed-out calls; reaching
 	// quarantineAfter treats the worker as lost.
@@ -531,16 +518,6 @@ func (s *WorkerService) RunTask(args *RunTaskArgs, reply *RunTaskReply) error {
 func (s *WorkerService) ForgetJob(args *ForgetJobArgs, reply *ForgetJobReply) error {
 	if env := s.w.env(); env != nil {
 		env.forgetJob(args.JobID)
-	}
-	return nil
-}
-
-// CancelTask flags a running task attempt for abandonment (the losing
-// side of a speculative race). Unknown attempts — already finished, or
-// never started here — are a no-op.
-func (s *WorkerService) CancelTask(args *CancelTaskArgs, reply *CancelTaskReply) error {
-	if env := s.w.env(); env != nil {
-		env.cancelTask(args.JobID, args.Kind, args.Task, args.Backup)
 	}
 	return nil
 }

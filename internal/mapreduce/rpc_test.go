@@ -234,15 +234,23 @@ func TestRPCExecutorEndToEnd(t *testing.T) {
 	if res.Counters[CounterExecFallbackLocal] != 0 {
 		t.Error("remotable job fell back to the local executor")
 	}
+	checkAbsorbedOnce(t, fs, exec, res)
+	if res.Counters[CounterExecRPCBytes] == 0 {
+		t.Error("no RPC bytes metered for a remote job")
+	}
+}
+
+// checkAbsorbedOnce asserts that exactly one result per task was
+// absorbed — the per-worker task counters sum to the job's task count —
+// and that no shuffle intermediate outlived the job.
+func checkAbsorbedOnce(t *testing.T, fs *dfs.FileSystem, exec *RPCExecutor, res *Result[string]) {
+	t.Helper()
 	tasks := int64(0)
 	for _, w := range exec.Workers() {
 		tasks += res.Counters[CounterExecTasksPrefix+w]
 	}
 	if wantTasks := int64(res.Stats.MapTasks + res.Stats.ReduceTasks); tasks != wantTasks {
 		t.Errorf("per-worker task counters sum to %d, want %d", tasks, wantTasks)
-	}
-	if res.Counters[CounterExecRPCBytes] == 0 {
-		t.Error("no RPC bytes metered for a remote job")
 	}
 	for _, name := range fs.List() {
 		if strings.HasPrefix(name, "shuffle/") {
@@ -252,7 +260,8 @@ func TestRPCExecutorEndToEnd(t *testing.T) {
 }
 
 // Killing a worker mid-job must not change the result: its tasks are
-// re-executed on the surviving worker and the loss is metered.
+// re-executed on the surviving worker, the loss is metered, and each task
+// is still absorbed exactly once.
 func TestRPCExecutorWorkerKill(t *testing.T) {
 	fs, want := rpcHarness(t, 500)
 	exec, err := NewRPCExecutor(fs, startWorkers(t, 2, 2))
@@ -260,10 +269,11 @@ func TestRPCExecutorWorkerKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer exec.Close()
-	exec.SetWorkerKills([]dfs.WorkerKillEvent{{Worker: "worker-1", AfterTasks: 2}})
+	exec.SetChurn(&dfs.FaultPlan{WorkerKills: []dfs.WorkerKillEvent{{Worker: "worker-1", AfterTasks: 2}}})
 
 	res := runRPCSum(t, fs, exec)
 	checkRPCSum(t, res, want)
+	checkAbsorbedOnce(t, fs, exec, res)
 
 	if res.Counters[CounterExecWorkersLost] == 0 {
 		t.Error("worker kill not metered as a loss")
@@ -285,7 +295,7 @@ func TestRPCExecutorAllWorkersLost(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer exec.Close()
-	exec.SetWorkerKills([]dfs.WorkerKillEvent{{Worker: "worker-1", AfterTasks: 1}})
+	exec.SetChurn(&dfs.FaultPlan{WorkerKills: []dfs.WorkerKillEvent{{Worker: "worker-1", AfterTasks: 1}}})
 
 	job := rpcSumJob()
 	job.Source = rangeInput{fs: fs, file: "nums", per: 32}

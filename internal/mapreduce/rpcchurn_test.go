@@ -3,17 +3,15 @@ package mapreduce
 import (
 	"net"
 	"net/rpc"
-	"strings"
 	"testing"
 	"time"
 
 	"spq/internal/dfs"
 )
 
-// Elastic-membership and straggler-tolerance tests: workers joining a
-// running executor, graceful drains, crash-rejoin under the same name,
-// speculative backups racing injected stragglers, and slow-call
-// quarantine. Everything runs over real loopback TCP.
+// Elastic-membership tests: workers joining a running executor, graceful
+// drains, crash-rejoin under the same name, and slow-call quarantine.
+// Everything runs over real loopback TCP.
 
 // workerTasks sums the per-worker task counters of name across results.
 func workerTasks(res *Result[string], name string) int64 {
@@ -146,7 +144,7 @@ func TestRPCExecutorCrashRejoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer exec.Close()
-	exec.SetWorkerKills([]dfs.WorkerKillEvent{{Worker: "worker-2", AfterTasks: 1}})
+	exec.SetChurn(&dfs.FaultPlan{WorkerKills: []dfs.WorkerKillEvent{{Worker: "worker-2", AfterTasks: 1}}})
 
 	res := runRPCSum(t, fs, exec)
 	checkRPCSum(t, res, want)
@@ -167,50 +165,6 @@ func TestRPCExecutorCrashRejoin(t *testing.T) {
 	checkRPCSum(t, res, want)
 	if workerTasks(res, "worker-2") == 0 {
 		t.Error("rejoined worker executed no tasks")
-	}
-}
-
-// Speculative execution: with one worker straggling (injected latency), a
-// backup must launch on the other worker, win the race, and the job's
-// result must be identical to an undisturbed run.
-func TestRPCExecutorSpeculation(t *testing.T) {
-	fs, want := rpcHarness(t, 500)
-	exec, err := NewRPCExecutor(fs, startWorkers(t, 2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer exec.Close()
-	exec.SetSpeculation(&SpeculationConfig{Multiple: 2, MinTasks: 2, MinDelay: 5 * time.Millisecond})
-	exec.SetChurn(&dfs.FaultPlan{
-		WorkerSlowdowns: []dfs.WorkerSlowdownEvent{
-			{Worker: "worker-1", AfterTasks: 1, Delay: 250 * time.Millisecond},
-		},
-	})
-
-	res := runRPCSum(t, fs, exec)
-	checkRPCSum(t, res, want)
-	if res.Counters[CounterExecSpecLaunched] == 0 {
-		t.Fatal("no speculative backups launched against a straggling worker")
-	}
-	if res.Counters[CounterExecSpecWon] == 0 {
-		t.Error("no speculative backup won against a 250ms straggler")
-	}
-	if res.Counters[CounterExecWorkersLost] != 0 {
-		t.Error("slowdown metered as a worker loss")
-	}
-	// Exactly one result per task was absorbed: per-worker task counts sum
-	// to the task count despite the races.
-	tasks := int64(0)
-	for _, w := range exec.Workers() {
-		tasks += workerTasks(res, w)
-	}
-	if wantTasks := int64(res.Stats.MapTasks + res.Stats.ReduceTasks); tasks != wantTasks {
-		t.Errorf("per-worker task counters sum to %d, want %d (speculative twin double-counted?)", tasks, wantTasks)
-	}
-	for _, name := range fs.List() {
-		if strings.HasPrefix(name, "shuffle/") {
-			t.Errorf("shuffle intermediate %q not cleaned up", name)
-		}
 	}
 }
 
@@ -251,6 +205,29 @@ func TestRPCExecutorChurnPlan(t *testing.T) {
 	checkRPCSum(t, res, want)
 	if workerTasks(res, "joiner") == 0 {
 		t.Error("chaos-joined worker executed no tasks in the following job")
+	}
+}
+
+// A scripted drain of the only live worker must be refused like the API
+// drain is: the worker keeps serving, both jobs succeed, and nothing is
+// metered as drained.
+func TestRPCExecutorScriptedDrainOfLastWorker(t *testing.T) {
+	fs, want := rpcHarness(t, 500)
+	exec, err := NewRPCExecutor(fs, startWorkers(t, 1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exec.Close()
+	exec.SetChurn(&dfs.FaultPlan{
+		WorkerDrains: []dfs.WorkerDrainEvent{{Worker: "worker-1", AfterTasks: 2}},
+	})
+
+	for i := 1; i <= 2; i++ {
+		res := runRPCSum(t, fs, exec)
+		checkRPCSum(t, res, want)
+		if n := res.Counters[CounterExecWorkersDrained]; n != 0 {
+			t.Errorf("job %d: %s = %d for a refused drain, want 0", i, CounterExecWorkersDrained, n)
+		}
 	}
 }
 

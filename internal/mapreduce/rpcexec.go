@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,52 +24,6 @@ type laneRef struct {
 	slot   int
 }
 
-// SpeculationConfig tunes speculative straggler execution: when a task
-// attempt has run longer than Multiple times the median completed-task
-// duration of its phase, a backup attempt launches on a different live
-// worker and the first result wins (the loser is canceled best-effort).
-// The zero value of each field selects its default.
-type SpeculationConfig struct {
-	// Multiple of the phase's median task duration after which an attempt
-	// is suspected of straggling (default 3).
-	Multiple float64
-	// MinTasks is how many completed tasks the phase needs before a
-	// median is trusted (default 3); earlier attempts never speculate.
-	MinTasks int
-	// MinDelay floors the speculation trigger so microsecond tasks do not
-	// spawn backups over scheduling noise (default 25ms).
-	MinDelay time.Duration
-}
-
-func (c *SpeculationConfig) multiple() float64 {
-	if c.Multiple <= 1 {
-		return 3
-	}
-	return c.Multiple
-}
-
-func (c *SpeculationConfig) minTasks() int {
-	if c.MinTasks <= 0 {
-		return 3
-	}
-	return c.MinTasks
-}
-
-func (c *SpeculationConfig) minDelay() time.Duration {
-	if c.MinDelay <= 0 {
-		return 25 * time.Millisecond
-	}
-	return c.MinDelay
-}
-
-// durKey scopes completed-task duration samples to one phase of one job
-// execution: medians must not leak across jobs (or from maps into
-// reduces, whose durations differ wildly).
-type durKey struct {
-	jobID string
-	kind  TaskKind
-}
-
 // RPCExecutor runs task attempts on remote worker processes over net/rpc.
 // Lanes are the flattened (worker, slot) pairs of every attached worker;
 // when a worker is lost (a call fails at the transport level, a heartbeat
@@ -82,33 +35,28 @@ type durKey struct {
 // the executor runs — new lanes are picked up by the next phase —
 // and DrainWorker detaches one gracefully after its in-flight tasks
 // finish. Both compose with the seeded churn schedule of a fault plan
-// (SetChurn) and with speculative straggler execution (SetSpeculation).
+// (SetChurn). Every dispatch runs exactly one attempt on one worker.
 type RPCExecutor struct {
 	master *Master
 	fs     *dfs.FileSystem
 
 	// mu guards the membership tables (grow-only: lanes and worker
 	// indices stay valid for the lifetime of the executor — a departed
-	// worker's lanes reroute rather than disappear), the churn schedule
-	// and the per-phase duration samples.
+	// worker's lanes reroute rather than disappear) and the churn
+	// schedule.
 	mu      sync.Mutex
 	workers []*workerConn
 	lanes   []laneRef
 	nameSeq int
 
-	spec *SpeculationConfig
-
 	kills      []dfs.WorkerKillEvent
 	joins      []dfs.WorkerJoinEvent
 	drains     []dfs.WorkerDrainEvent
-	slowdowns  []dfs.WorkerSlowdownEvent
 	globalDisp int
 
-	durs map[durKey][]time.Duration
-
 	// lost and quarantined count the live→dead transitions seen outside a
-	// task dispatch — by the heartbeat, a cancel or the end-of-job cleanup
-	// — until a dispatch meters them into its job's counters.
+	// task dispatch — by the heartbeat or the end-of-job cleanup — until a
+	// dispatch meters them into its job's counters.
 	lost, quarantined atomic.Int64
 }
 
@@ -135,7 +83,7 @@ func NewRPCExecutor(fs *dfs.FileSystem, addrs []string) (*RPCExecutor, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &RPCExecutor{master: m, fs: fs, durs: make(map[durKey][]time.Duration)}
+	e := &RPCExecutor{master: m, fs: fs}
 	for i, addr := range addrs {
 		w, err := m.AttachWorker(addr, fmt.Sprintf("worker-%d", i+1))
 		if err != nil {
@@ -153,43 +101,19 @@ func NewRPCExecutor(fs *dfs.FileSystem, addrs []string) (*RPCExecutor, error) {
 	return e, nil
 }
 
-// SetWorkerKills installs the worker-crash schedule of a fault plan. The
-// schedule is consumed as workers' dispatch counts reach the thresholds.
-func (e *RPCExecutor) SetWorkerKills(kills []dfs.WorkerKillEvent) {
-	e.mu.Lock()
-	e.kills = append([]dfs.WorkerKillEvent(nil), kills...)
-	e.mu.Unlock()
-}
-
 // SetChurn installs the full worker-churn schedule of a fault plan:
-// kills and slowdowns keyed on per-worker dispatch counts, joins and
-// drains keyed on the cluster-global dispatch count. A nil plan clears
-// the schedule.
+// kills keyed on per-worker dispatch counts, joins and drains keyed on
+// the cluster-global dispatch count. A nil plan clears the schedule.
 func (e *RPCExecutor) SetChurn(p *dfs.FaultPlan) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if p == nil {
-		e.kills, e.joins, e.drains, e.slowdowns = nil, nil, nil, nil
+		e.kills, e.joins, e.drains = nil, nil, nil
 		return
 	}
 	e.kills = append([]dfs.WorkerKillEvent(nil), p.WorkerKills...)
 	e.joins = append([]dfs.WorkerJoinEvent(nil), p.WorkerJoins...)
 	e.drains = append([]dfs.WorkerDrainEvent(nil), p.WorkerDrains...)
-	e.slowdowns = append([]dfs.WorkerSlowdownEvent(nil), p.WorkerSlowdowns...)
-}
-
-// SetSpeculation enables (non-nil) or disables (nil) speculative
-// straggler execution.
-func (e *RPCExecutor) SetSpeculation(cfg *SpeculationConfig) {
-	e.mu.Lock()
-	e.spec = cfg
-	e.mu.Unlock()
-}
-
-func (e *RPCExecutor) specConfig() *SpeculationConfig {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.spec
 }
 
 // Workers returns the names of every worker ever attached, in attachment
@@ -285,25 +209,37 @@ func (e *RPCExecutor) DrainWorker(name string) error {
 	if w.isDead() {
 		return fmt.Errorf("mapreduce: worker %q is not attached", name)
 	}
+	if err := e.startDrain(w); err != nil {
+		return err
+	}
+	finishDrain(w)
+	return nil
+}
+
+// startDrain flips w into draining mode unless no other worker is
+// available to take its dispatches. The check and the flip are one step
+// under e.mu, so neither a scripted drain nor two concurrent DrainWorker
+// calls can drain the last available worker.
+func (e *RPCExecutor) startDrain(w *workerConn) error {
 	e.mu.Lock()
-	others := false
+	defer e.mu.Unlock()
 	for _, o := range e.workers {
 		if o != w && o.available() {
-			others = true
-			break
+			w.setDraining(true)
+			return nil
 		}
 	}
-	e.mu.Unlock()
-	if !others {
-		return fmt.Errorf("mapreduce: refusing to drain %q: it is the last live worker", name)
-	}
-	w.setDraining(true)
+	return fmt.Errorf("mapreduce: refusing to drain %q: it is the last live worker", w.name)
+}
+
+// finishDrain gives a draining worker's in-flight tasks drainTimeout to
+// finish, then closes its connection.
+func finishDrain(w *workerConn) {
 	deadline := time.Now().Add(drainTimeout)
 	for w.inflight.Load() > 0 && time.Now().Before(deadline) {
 		time.Sleep(drainPollInterval)
 	}
 	w.detach()
-	return nil
 }
 
 // MasterAddr returns the listen address of the executor's master, which
@@ -362,29 +298,7 @@ func (e *RPCExecutor) route(lane int) (w *workerConn, primary bool) {
 	return nil, false
 }
 
-// pickBackup chooses the worker for a speculative backup attempt: the
-// next available worker after the lane's primary that is not the one
-// already running the attempt. Nil when the cluster has no second
-// worker to race on.
-func (e *RPCExecutor) pickBackup(avoid *workerConn, lane int) *workerConn {
-	e.mu.Lock()
-	workers := e.workers
-	p := e.lanes[lane].worker
-	e.mu.Unlock()
-	n := len(workers)
-	for i := 0; i < n; i++ {
-		cand := workers[(p+1+i)%n]
-		if cand != avoid && cand.available() {
-			return cand
-		}
-	}
-	return nil
-}
-
-// dispatch executes one attempt, racing a speculative backup against it
-// when the attempt overstays the phase's median completion time. Exactly
-// one result is returned (and absorbed by the orchestrator); the losing
-// twin is canceled best-effort and its side effects are never referenced.
+// dispatch executes one attempt of d on the worker its lane routes to.
 func (e *RPCExecutor) dispatch(b *Binding, d *TaskDesc) (*TaskResult, error) {
 	if b.Failed() {
 		return nil, errTaskAborted
@@ -405,103 +319,22 @@ func (e *RPCExecutor) dispatch(b *Binding, d *TaskDesc) (*TaskResult, error) {
 		// task is re-dispatched elsewhere.
 		b.Counters().Add(CounterExecReexec, 1)
 	}
-
-	type outcome struct {
-		res *TaskResult
-		err error
-		w   *workerConn
-		d   *TaskDesc
-		dur time.Duration
+	res, err := e.runOn(b, w, d)
+	if err != nil {
+		return nil, err
 	}
-	// Buffered for both racers: the loser's outcome parks here after
-	// dispatch returns, leaking nothing.
-	ch := make(chan outcome, 2)
-	launch := func(w *workerConn, d *TaskDesc) {
-		go func() {
-			start := time.Now()
-			res, err := e.runOn(b, w, d)
-			ch <- outcome{res: res, err: err, w: w, d: d, dur: time.Since(start)}
-		}()
-	}
-	launch(w, d)
-	inflight := 1
-
-	var timerC <-chan time.Time
-	if delay := e.specDelay(d); delay > 0 {
-		timer := time.NewTimer(delay)
-		defer timer.Stop()
-		timerC = timer.C
-	}
-
-	var backupW *workerConn
-	var primaryErr, backupErr error
-	for inflight > 0 {
-		select {
-		case o := <-ch:
-			inflight--
-			if o.err == nil {
-				e.recordDuration(d, o.dur)
-				if backupW != nil {
-					// A race was on: meter how it ended and cancel the
-					// losing twin so the worker stops burning its slot.
-					if o.d.Backup != 0 {
-						b.Counters().Add(CounterExecSpecWon, 1)
-						e.cancelAttempt(w, d)
-					} else {
-						b.Counters().Add(CounterExecSpecWasted, 1)
-						bd := *d
-						bd.Backup = 1
-						e.cancelAttempt(backupW, &bd)
-					}
-				}
-				b.Counters().Add(CounterExecTasksPrefix+o.w.name, 1)
-				return o.res, nil
-			}
-			if o.d.Backup == 0 {
-				primaryErr = o.err
-			} else {
-				backupErr = o.err
-			}
-		case <-timerC:
-			timerC = nil
-			bw := e.pickBackup(w, d.Lane)
-			if bw == nil {
-				continue
-			}
-			backupW = bw
-			bd := *d
-			bd.Backup = 1
-			b.Counters().Add(CounterExecSpecLaunched, 1)
-			launch(bw, &bd)
-			inflight++
-		}
-	}
-	// Both (or the only) attempts failed: surface the primary's error for
-	// retry classification when it has one.
-	if primaryErr != nil {
-		return nil, primaryErr
-	}
-	return nil, backupErr
+	b.Counters().Add(CounterExecTasksPrefix+w.name, 1)
+	return res, nil
 }
 
 // runOn executes one attempt on one specific worker: fire any scheduled
-// chaos for this dispatch (kill, injected straggler latency), then issue
-// the RunTask call under its deadline, metering liveness transitions.
+// kill for this dispatch, then issue the RunTask call under its deadline,
+// metering liveness transitions.
 func (e *RPCExecutor) runOn(b *Binding, w *workerConn, d *TaskDesc) (*TaskResult, error) {
-	killed, delay := e.preDispatch(w)
-	if killed {
+	if e.preDispatch(w) {
 		e.noteLoss(callLost)
 	}
 	defer e.meterLosses(b.Counters())
-	if delay > 0 {
-		t := time.NewTimer(delay)
-		select {
-		case <-t.C:
-		case <-b.Context().Done():
-			t.Stop()
-			return nil, b.Context().Err()
-		}
-	}
 	w.inflight.Add(1)
 	defer w.inflight.Add(-1)
 	args := &RunTaskArgs{Desc: *d}
@@ -519,17 +352,6 @@ func (e *RPCExecutor) runOn(b *Binding, w *workerConn, d *TaskDesc) (*TaskResult
 		return &reply.Result, terr
 	}
 	return &reply.Result, nil
-}
-
-// cancelAttempt tells a worker to abandon the losing side of a
-// speculative race, off the dispatch path and best-effort (the result is
-// discarded master-side either way).
-func (e *RPCExecutor) cancelAttempt(w *workerConn, d *TaskDesc) {
-	args := &CancelTaskArgs{JobID: d.JobID, Kind: d.Kind, Task: d.Task, Backup: d.Backup}
-	go func() {
-		_, oc := w.call("Worker.CancelTask", args, &CancelTaskReply{}, ctrlCallTimeout)
-		e.noteLoss(oc)
-	}()
 }
 
 // noteLoss records the live→dead transition a worker call performed, if
@@ -557,10 +379,9 @@ func (e *RPCExecutor) meterLosses(c *Counters) {
 
 // preDispatch advances w's dispatch count and fires any scheduled worker
 // kill that count reaches — before the dispatch, so the killed worker's
-// in-flight and current calls fail like a real machine loss — and
-// returns the straggler latency the slowdown schedule injects for this
-// dispatch.
-func (e *RPCExecutor) preDispatch(w *workerConn) (killed bool, delay time.Duration) {
+// in-flight and current calls fail like a real machine loss. It reports
+// whether this call killed the worker.
+func (e *RPCExecutor) preDispatch(w *workerConn) bool {
 	w.mu.Lock()
 	w.dispatched++
 	n := w.dispatched
@@ -577,20 +398,16 @@ func (e *RPCExecutor) preDispatch(w *workerConn) (killed bool, delay time.Durati
 		}
 		i++
 	}
-	for _, ev := range e.slowdowns {
-		if ev.Worker == w.name && n >= ev.AfterTasks && ev.Delay > delay {
-			delay = ev.Delay
-		}
-	}
 	e.mu.Unlock()
-	return fire && w.Kill(), delay
+	return fire && w.Kill()
 }
 
 // applyChurn advances the cluster-global dispatch count and fires every
 // scheduled join and drain it reaches. Joins dial out and drains wait for
 // in-flight tasks, so both run off the dispatch path; the draining flag
 // flips synchronously so routing changes at a deterministic dispatch
-// index.
+// index. A drain that would leave no available worker is refused, as
+// DrainWorker refuses it, and not metered.
 func (e *RPCExecutor) applyChurn(b *Binding) {
 	e.mu.Lock()
 	e.globalDisp++
@@ -621,56 +438,17 @@ func (e *RPCExecutor) applyChurn(b *Binding) {
 	}
 	for _, ev := range drains {
 		w := e.workerByName(ev.Worker)
-		if w == nil || !w.available() {
+		if w == nil || !w.available() || e.startDrain(w) != nil {
 			continue
 		}
 		b.Counters().Add(CounterExecWorkersDrained, 1)
-		w.setDraining(true)
-		go e.DrainWorker(ev.Worker) //nolint:errcheck // the drain either completes or the detach deadline forces it
+		go finishDrain(w)
 	}
-}
-
-// recordDuration adds one completed-attempt duration to its phase's
-// sample set (only while speculation is enabled — the samples exist to
-// estimate the median).
-func (e *RPCExecutor) recordDuration(d *TaskDesc, dur time.Duration) {
-	e.mu.Lock()
-	if e.spec != nil {
-		k := durKey{jobID: d.JobID, kind: d.Kind}
-		e.durs[k] = append(e.durs[k], dur)
-	}
-	e.mu.Unlock()
-}
-
-// specDelay returns how long an attempt of d may run before a backup
-// launches, or 0 when speculation is off or the phase has not completed
-// enough tasks to trust a median.
-func (e *RPCExecutor) specDelay(d *TaskDesc) time.Duration {
-	e.mu.Lock()
-	cfg := e.spec
-	var samples []time.Duration
-	if cfg != nil {
-		ds := e.durs[durKey{jobID: d.JobID, kind: d.Kind}]
-		if len(ds) >= cfg.minTasks() {
-			samples = append([]time.Duration(nil), ds...)
-		}
-	}
-	e.mu.Unlock()
-	if samples == nil {
-		return 0
-	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	median := samples[len(samples)/2]
-	delay := time.Duration(float64(median) * cfg.multiple())
-	if min := cfg.minDelay(); delay < min {
-		delay = min
-	}
-	return delay
 }
 
 // CleanupShuffle implements shuffleCleaner: it removes the job's shuffle
-// intermediates from the DFS, releases the workers' cached job
-// reconstructions and drops the job's duration samples.
+// intermediates from the DFS and releases the workers' cached job
+// reconstructions.
 func (e *RPCExecutor) CleanupShuffle(b *Binding) {
 	prefix := ShufflePrefix(b.JobID())
 	for _, name := range e.fs.List() {
@@ -680,8 +458,6 @@ func (e *RPCExecutor) CleanupShuffle(b *Binding) {
 	}
 	e.mu.Lock()
 	workers := e.workers
-	delete(e.durs, durKey{jobID: b.JobID(), kind: MapTask})
-	delete(e.durs, durKey{jobID: b.JobID(), kind: ReduceTask})
 	e.mu.Unlock()
 	for _, w := range workers {
 		if w.isDead() {

@@ -208,7 +208,6 @@ func TestMapBodyAllocsBoundedByChunks(t *testing.T) {
 	const reducers = 16
 	job := shuffleJob(nil, 64, reducers)
 	ctx := newTaskContext(MapTask, 0, 1, "test", NewCounters())
-	never := func() error { return nil }
 	allocs := func(n int) float64 {
 		rng := rand.New(rand.NewSource(5))
 		split := make(memorySplit[int32], n)
@@ -216,7 +215,7 @@ func TestMapBodyAllocsBoundedByChunks(t *testing.T) {
 			split[i] = int32(rng.Intn(1 << 28))
 		}
 		return testing.AllocsPerRun(5, func() {
-			chunks, err := mapBody(job, split, reducers, ctx, never)
+			chunks, err := mapBody(job, split, reducers, ctx, neverStop)
 			if err != nil || len(chunks) != reducers {
 				t.Fatalf("mapBody: %d partitions, err %v", len(chunks), err)
 			}

@@ -19,6 +19,11 @@ const defaultChunkCap = 4096
 // profiles, fine enough that a canceled attempt stops within microseconds.
 const cancelCheckEvery = 4096
 
+// neverStop is the stop poll of a worker-side attempt: a worker runs every
+// attempt it is sent to completion, and only the local executor polls the
+// job's context.
+func neverStop() error { return nil }
+
 // mapBody runs the body of one map-task attempt: it feeds every record of
 // the split through job.Map — or every batch through job.MapBatch, where
 // the split offers batches and the job maps them — routes the emitted
@@ -142,9 +147,8 @@ func reduceBody[I, K, V, O any](job *Job[I, K, V, O], chunks [][]Pair[K, V], loc
 }
 
 // pollStream wraps a sorted record stream with a stop poll every
-// cancelCheckEvery records, so a reduce attempt whose job was canceled (or
-// that lost its speculative race, on a worker) stops mid-merge instead of
-// finishing work whose output is discarded.
+// cancelCheckEvery records, so a reduce attempt whose job was canceled
+// stops mid-merge instead of finishing work whose output is discarded.
 type pollStream[K, V any] struct {
 	stop  func() error
 	inner stream[K, V]
