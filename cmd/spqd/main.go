@@ -1,7 +1,6 @@
 // Command spqd is the spatial-preference-query serving daemon: a
 // long-running process that loads (or generates) a dataset, seals it, and
-// serves queries over HTTP/JSON plus a length-prefixed binary endpoint
-// for bench clients.
+// serves queries over HTTP/JSON.
 //
 // Endpoints:
 //
@@ -18,8 +17,14 @@
 // SIGINT/SIGTERM starts a graceful drain: in-flight queries finish, new
 // ones get 503, then the engine closes.
 //
-// The first stdout line is "listening <http-addr> <bin-addr>", so a parent
-// process spawning the daemon on ephemeral ports can scrape them.
+// The HTTP server bounds its connections: a request's header must arrive
+// within readHeaderTimeout and its body within readTimeout, and a
+// keep-alive connection idle for idleTimeout is closed. There is no write
+// timeout: the request deadline (timeout_ms, else -deadline) bounds the
+// query, and a write timeout would cut off replies that were served.
+//
+// The first stdout line is "listening <http-addr>", so a parent process
+// spawning the daemon on an ephemeral port can scrape it.
 package main
 
 import (
@@ -38,10 +43,16 @@ import (
 	"spq/serve"
 )
 
+// Connection bounds of the HTTP server; see the package comment.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8642", "HTTP listen address")
-		binAddr    = flag.String("bin-addr", "", "binary-protocol listen address (default: HTTP port + 1; 'off' disables)")
 		dataset    = flag.String("dataset", "uniform", "synthetic dataset family (uniform, cluster)")
 		n          = flag.Int("n", 20000, "synthetic dataset size in objects")
 		seed       = flag.Int64("seed", 42, "dataset generation seed")
@@ -50,7 +61,6 @@ func main() {
 		qcache     = flag.Int("query-cache", 0, "query cache size in reports (0 default, negative disables)")
 		inflight   = flag.Int("max-inflight", 0, "max concurrently executing queries (default 2x GOMAXPROCS)")
 		queue      = flag.Int("queue", 0, "max queries waiting for admission (default 4x max-inflight)")
-		maxConns   = flag.Int("max-conns", 0, "max concurrent binary-protocol connections; beyond it new conns are shed with a typed overloaded frame (default 8x max-inflight, negative disables)")
 		deadline   = flag.Duration("deadline", 10*time.Second, "default per-query deadline, queueing included")
 		quotaRPS   = flag.Float64("quota-rps", 0, "per-tenant sustained queries/sec (0 disables quotas)")
 		quotaBurst = flag.Float64("quota-burst", 0, "per-tenant burst size (default max(quota-rps, 1))")
@@ -76,7 +86,6 @@ func main() {
 	srv := serve.New(eng, serve.Config{
 		MaxInflight:    *inflight,
 		MaxQueue:       *queue,
-		MaxBinaryConns: *maxConns,
 		DefaultTimeout: *deadline,
 		Quota:          serve.QuotaConfig{RatePerSec: *quotaRPS, Burst: *quotaBurst},
 	})
@@ -85,36 +94,18 @@ func main() {
 	if err != nil {
 		log.Fatalf("listen: %v", err)
 	}
-	var bl net.Listener
-	binShown := "off"
-	if *binAddr != "off" {
-		ba := *binAddr
-		if ba == "" {
-			host, port, err := net.SplitHostPort(hl.Addr().String())
-			if err != nil {
-				log.Fatalf("split %q: %v", hl.Addr(), err)
-			}
-			var p int
-			fmt.Sscan(port, &p) //nolint:errcheck // port from the listener is numeric
-			ba = net.JoinHostPort(host, fmt.Sprint(p+1))
-		}
-		if bl, err = net.Listen("tcp", ba); err != nil {
-			log.Fatalf("listen binary: %v", err)
-		}
-		binShown = bl.Addr().String()
-	}
 
 	// The parent-scrapeable banner; keep it the first stdout line.
-	fmt.Printf("listening %s %s\n", hl.Addr(), binShown)
+	fmt.Printf("listening %s\n", hl.Addr())
 	os.Stdout.Sync() //nolint:errcheck // best effort
 
-	hs := &http.Server{Handler: srv.Handler()}
-	httpDone := make(chan error, 1)
-	go func() { httpDone <- hs.Serve(hl) }()
-	binDone := make(chan error, 1)
-	if bl != nil {
-		go func() { binDone <- srv.ServeBinary(bl) }()
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
 	}
+	go hs.Serve(hl) //nolint:errcheck // returns ErrServerClosed on Shutdown
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

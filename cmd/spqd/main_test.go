@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -32,52 +31,47 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// query sends one request frame on a fresh binary-protocol connection and
-// returns the response's code and its raw results JSON.
+// client bounds every test request, so a wedged daemon fails the test
+// instead of hanging it.
+var client = &http.Client{Timeout: 10 * time.Second}
+
+// query POSTs one request to the daemon and returns the response's code
+// and its raw results JSON. A status that disagrees with the code (a 200
+// carrying one, or a failure without one) is an error.
 func query(addr string, req spq.QueryRequest) (code string, results []byte, err error) {
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	body, err := json.Marshal(&req)
 	if err != nil {
 		return "", nil, err
 	}
-	defer conn.Close()
-	payload, err := json.Marshal(&req)
+	resp, err := client.Post("http://"+addr+"/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return "", nil, err
 	}
-	frame := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
-	if _, err := conn.Write(append(frame, payload...)); err != nil {
-		return "", nil, err
-	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return "", nil, err
-	}
-	reply := make([]byte, binary.BigEndian.Uint32(hdr[:]))
-	if _, err := io.ReadFull(conn, reply); err != nil {
-		return "", nil, err
-	}
-	var resp struct {
+	defer resp.Body.Close()
+	var out struct {
 		Results json.RawMessage `json:"results"`
 		Code    string          `json:"code"`
 	}
-	err = json.Unmarshal(reply, &resp)
-	return resp.Code, resp.Results, err
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		return "", nil, err
+	}
+	if (resp.StatusCode == http.StatusOK) != (out.Code == "") {
+		return "", nil, fmt.Errorf("status %s with code %q", resp.Status, out.Code)
+	}
+	return out.Code, out.Results, nil
 }
 
 // TestDaemonProcess runs spqd as a real process at a capacity of one
 // running and two queued queries, with the query cache off. Its banner
-// must name live addresses, its binary-protocol replies must be
-// byte-identical to a seed-identical in-process engine, an open-loop
-// burst must be partly shed as overloaded with every served reply still
-// correct and none failing, and SIGTERM must drain it to exit status 0.
-// (The connection cap is off here; TestServerBinaryConnBackpressure in
-// package serve covers it.)
+// must name a live address, its replies must be byte-identical to a
+// seed-identical in-process engine, an open-loop burst must be partly
+// shed as overloaded with every served reply still correct and none
+// failing, a client that sends half a request header must be
+// disconnected, and SIGTERM must drain it to exit status 0.
 func TestDaemonProcess(t *testing.T) {
 	const n, burst = 8000, 64
-	// Both ports ephemeral: the default binary port, HTTP port + 1, may be
-	// taken.
-	cmd := exec.Command(os.Args[0], "-addr", "127.0.0.1:0", "-bin-addr", "127.0.0.1:0", "-n", fmt.Sprint(n),
-		"-max-inflight", "1", "-queue", "2", "-query-cache", "-1", "-max-conns", "-1")
+	cmd := exec.Command(os.Args[0], "-addr", "127.0.0.1:0", "-n", fmt.Sprint(n),
+		"-max-inflight", "1", "-queue", "2", "-query-cache", "-1")
 	cmd.Env = append(os.Environ(), runMainEnv+"=1")
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -126,11 +120,25 @@ func TestDaemonProcess(t *testing.T) {
 
 	line, err := bufio.NewReader(stdout).ReadString('\n')
 	fields := strings.Fields(line)
-	if err != nil || len(fields) != 3 || fields[0] != "listening" {
+	if err != nil || len(fields) != 2 || fields[0] != "listening" {
 		t.Fatalf("banner %q: %v", line, err)
 	}
-	httpAddr, binAddr := fields[1], fields[2]
-	resp, err := http.Get("http://" + httpAddr + "/healthz")
+	addr := fields[1]
+
+	// A slow client: half a request header, then silence. The daemon must
+	// close the connection at readHeaderTimeout; the phases below run
+	// meanwhile, and the check comes after them.
+	slow, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	slowSince := time.Now()
+	if _, err := io.WriteString(slow, "POST /query HTTP/1.1\r\nHost: spqd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := client.Get("http://" + addr + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +151,7 @@ func TestDaemonProcess(t *testing.T) {
 	// reference.
 	for i, q := range queries {
 		start := time.Now()
-		code, got, err := query(binAddr, spq.QueryRequest{Query: q})
+		code, got, err := query(addr, spq.QueryRequest{Query: q})
 		if err != nil || code != "" {
 			t.Fatalf("query %d: code %q, %v", i, code, err)
 		}
@@ -169,7 +177,7 @@ func TestDaemonProcess(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			qi := i % len(queries)
-			code, got, err := query(binAddr, spq.QueryRequest{Query: queries[qi], TimeoutMillis: 2000})
+			code, got, err := query(addr, spq.QueryRequest{Query: queries[qi], TimeoutMillis: 2000})
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
@@ -193,6 +201,14 @@ func TestDaemonProcess(t *testing.T) {
 	if failed > 0 || mismatched > 0 || ok == 0 || shed*20 < burst {
 		t.Errorf("burst of %d: %d ok, %d shed, %d failed, %d mismatched; want some served, >= 5%% shed, none failed or mismatched",
 			burst, ok, shed, failed, mismatched)
+	}
+
+	// The daemon has closed the connection by now, or does so within the
+	// read-header timeout, so the read ends in EOF, not at its deadline.
+	slow.SetReadDeadline(slowSince.Add(readHeaderTimeout + 5*time.Second)) //nolint:errcheck // a fresh conn
+	if _, err := io.Copy(io.Discard, slow); err != nil {
+		t.Errorf("half-header connection: %v after %v, want closed by the daemon at %v",
+			err, time.Since(slowSince).Round(time.Millisecond), readHeaderTimeout)
 	}
 
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {

@@ -150,20 +150,34 @@ func TestInvalidQueryTaxonomy(t *testing.T) {
 	e := contextTestEngine(t, Config{Storage: StorageMemory, Seed: 9})
 	defer e.Close()
 
+	valid := Query{K: 1, Radius: 0.1, Keywords: []string{"x"}}
 	cases := []struct {
 		name  string
 		q     Query
+		opts  []QueryOption
 		field string
 	}{
-		{"zero k", Query{K: 0, Radius: 0.1, Keywords: []string{"x"}}, "K"},
-		{"negative k", Query{K: -2, Radius: 0.1, Keywords: []string{"x"}}, "K"},
-		{"negative radius", Query{K: 1, Radius: -1, Keywords: []string{"x"}}, "Radius"},
-		{"no keywords", Query{K: 1, Radius: 0.1}, "Keywords"},
-		{"only empty keywords", Query{K: 1, Radius: 0.1, Keywords: []string{"", ""}}, "Keywords"},
+		{"zero k", Query{K: 0, Radius: 0.1, Keywords: []string{"x"}}, nil, "K"},
+		{"negative k", Query{K: -2, Radius: 0.1, Keywords: []string{"x"}}, nil, "K"},
+		{"negative radius", Query{K: 1, Radius: -1, Keywords: []string{"x"}}, nil, "Radius"},
+		{"no keywords", Query{K: 1, Radius: 0.1}, nil, "Keywords"},
+		{"only empty keywords", Query{K: 1, Radius: 0.1, Keywords: []string{"", ""}}, nil, "Keywords"},
+		{"unknown mode", Query{K: 1, Radius: 0.1, Keywords: []string{"x"}, Mode: 7}, nil, "Mode"},
+		{"nearest mode with early termination", Query{K: 1, Radius: 0.1, Keywords: []string{"x"}, Mode: ScoreNearest},
+			[]QueryOption{WithAlgorithm(ESPQSco)}, "Mode"},
+		{"zero grid", valid, []QueryOption{WithGrid(0)}, "grid size"},
+		// A job on 10,000 cells a side runs for tens of seconds; the grid
+		// is capped before any work starts.
+		{"huge grid", valid, []QueryOption{WithGrid(10000)}, "grid size"},
+		{"huge grid, planned", valid, []QueryOption{WithAutoPlan(), WithGrid(maxGridN + 1)}, "grid size"},
+		// A billion reducers would run the process out of memory in the
+		// map tasks' partition slices.
+		{"huge reducers", valid, []QueryOption{WithReducers(1_000_000_000)}, "reducers"},
+		{"reducers past the cap", valid, []QueryOption{WithReducers(maxReducers + 1)}, "reducers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := e.Query(tc.q)
+			_, err := e.Query(tc.q, tc.opts...)
 			if !errors.Is(err, ErrInvalidQuery) {
 				t.Fatalf("got %v, want ErrInvalidQuery", err)
 			}

@@ -752,6 +752,16 @@ func (e *Engine) QueryContext(ctx context.Context, q Query, opts ...QueryOption)
 // planner chooses one (the paper's configuration for small datasets).
 const defaultGridN = 16
 
+// maxGridN and maxReducers bound the grid size and reduce-task count a
+// query may ask for; both arrive off the wire, and a job's work and
+// memory grow with them (gridN² cells, per-map-task partition slices of
+// length reducers). maxGridN is 8x the planner's ceiling of 128;
+// maxReducers is far above the planner's 4 per reduce slot.
+const (
+	maxGridN    = 1024
+	maxReducers = 4096
+)
+
 // QueryReport runs a query and additionally returns the execution metrics
 // of the underlying MapReduce job. It is QueryReportContext with a
 // background context.
@@ -808,8 +818,14 @@ func (e *Engine) queryReport(ctx context.Context, q Query, opts []QueryOption) (
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if cfg.gridSet && cfg.gridN <= 0 {
-		return nil, fmt.Errorf("%w: grid size %d, must be positive", ErrInvalidQuery, cfg.gridN)
+	if cfg.gridSet && (cfg.gridN <= 0 || cfg.gridN > maxGridN) {
+		return nil, fmt.Errorf("%w: grid size %d, must be in [1, %d]", ErrInvalidQuery, cfg.gridN, maxGridN)
+	}
+	if cfg.reducers > maxReducers {
+		return nil, fmt.Errorf("%w: reducers %d, must be at most %d", ErrInvalidQuery, cfg.reducers, maxReducers)
+	}
+	if !cfg.alg.SupportsMode(q.Mode) {
+		return nil, fmt.Errorf("%w: field Mode = %v needs PSPQ, not %v (early termination is unsound for it)", ErrInvalidQuery, q.Mode, cfg.alg)
 	}
 	effective := cfg.effectiveOptions(e.cache != nil)
 

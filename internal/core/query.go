@@ -171,15 +171,20 @@ type TopK struct {
 	tau   float64
 }
 
-// NewTopK returns an empty list Lk with capacity k.
+// topKPrealloc caps the items NewTopK preallocates. k comes off the wire,
+// so a huge k must grow the list as objects arrive, not reserve k slots up
+// front; no data set yields more results than it holds objects.
+const topKPrealloc = 64
+
+// NewTopK returns an empty list Lk that keeps up to k items.
 func NewTopK(k int) *TopK {
 	if k <= 0 {
 		panic(fmt.Sprintf("core: TopK with k = %d", k))
 	}
-	return &TopK{k: k, items: make([]ResultItem, 0, k)}
+	return &TopK{k: k, items: make([]ResultItem, 0, min(k, topKPrealloc))}
 }
 
-// Reset empties the list for reuse with capacity k, keeping the backing
+// Reset empties the list for reuse with limit k, keeping the backing
 // array. Reduce tasks process thousands of groups; pooling the list
 // avoids an allocation per group.
 func (t *TopK) Reset(k int) {

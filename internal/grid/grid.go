@@ -137,6 +137,19 @@ func (g *Grid) CellRect(c CellID) geo.Rect {
 	return r
 }
 
+// ringSpan returns the indexes lo..hi, along one axis of n cells of the
+// given edge, within ceil(radius/edge) rings of index i, clamped to the
+// grid. The ring count is capped at n while still a float64, so a radius
+// far beyond the grid neither overflows int nor walks rows and columns
+// outside it.
+func ringSpan(i int, radius, edge float64, n int) (lo, hi int) {
+	rings := n // n rings reach every cell
+	if r := math.Ceil(radius / edge); r < float64(n) {
+		rings = int(r)
+	}
+	return max(i-rings, 0), min(i+rings, n-1)
+}
+
 // DuplicationTargets appends to dst the ids of every cell other than f's
 // enclosing cell whose MINDIST to f is at most radius — the exact set of
 // cells Lemma 1 requires the feature object f to be duplicated to. The
@@ -144,23 +157,18 @@ func (g *Grid) CellRect(c CellID) geo.Rect {
 // the backing array across calls on hot paths.
 //
 // Only the cells within ceil(radius/cellEdge) rings of the enclosing cell
-// are inspected, so the cost is O((radius/α)²) rather than O(R).
+// that lie inside the grid are inspected, so the cost is O((radius/α)²),
+// and never more than O(R).
 func (g *Grid) DuplicationTargets(f geo.Point, radius float64, dst []CellID) []CellID {
 	if radius < 0 {
 		return dst
 	}
 	col, row := g.colRow(f)
-	dx := int(math.Ceil(radius / g.cw))
-	dy := int(math.Ceil(radius / g.ch))
+	c0, c1 := ringSpan(col, radius, g.cw, g.nx)
+	r0, r1 := ringSpan(row, radius, g.ch, g.ny)
 	r2 := radius * radius
-	for cr := row - dy; cr <= row+dy; cr++ {
-		if cr < 0 || cr >= g.ny {
-			continue
-		}
-		for cc := col - dx; cc <= col+dx; cc++ {
-			if cc < 0 || cc >= g.nx {
-				continue
-			}
+	for cr := r0; cr <= r1; cr++ {
+		for cc := c0; cc <= c1; cc++ {
 			if cc == col && cr == row {
 				continue
 			}
@@ -182,17 +190,11 @@ func (g *Grid) CellsWithinDist(p geo.Point, radius float64, dst []CellID) []Cell
 		return dst
 	}
 	col, row := g.colRow(p)
-	dx := int(math.Ceil(radius / g.cw))
-	dy := int(math.Ceil(radius / g.ch))
+	c0, c1 := ringSpan(col, radius, g.cw, g.nx)
+	r0, r1 := ringSpan(row, radius, g.ch, g.ny)
 	r2 := radius * radius
-	for cr := row - dy; cr <= row+dy; cr++ {
-		if cr < 0 || cr >= g.ny {
-			continue
-		}
-		for cc := col - dx; cc <= col+dx; cc++ {
-			if cc < 0 || cc >= g.nx {
-				continue
-			}
+	for cr := r0; cr <= r1; cr++ {
+		for cc := c0; cc <= c1; cc++ {
 			c := g.id(cc, cr)
 			if geo.MinDist2(p, g.CellRect(c)) <= r2 {
 				dst = append(dst, c)

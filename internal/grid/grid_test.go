@@ -3,6 +3,7 @@ package grid
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -273,6 +274,35 @@ func TestDuplicationTargetsNegativeRadius(t *testing.T) {
 	g := NewSquare(4)
 	if got := g.DuplicationTargets(geo.Point{X: 0.5, Y: 0.5}, -1, nil); len(got) != 0 {
 		t.Errorf("negative radius should yield no targets, got %v", got)
+	}
+}
+
+// TestHugeRadiusCoversGrid: a radius far beyond the grid selects the same
+// cells, in the same order, as one that just covers it — it neither
+// overflows the ring count into selecting nothing nor walks the rings
+// outside the grid one by one.
+func TestHugeRadiusCoversGrid(t *testing.T) {
+	g := New(geo.Rect{MinX: -3, MinY: 1, MaxX: 5, MaxY: 2}, 8, 5)
+	cover := math.Hypot(8, 1) // the bounds' diagonal
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 20; trial++ {
+		p := geo.Point{X: -3 + 8*r.Float64(), Y: 1 + r.Float64()}
+		wantDup := g.DuplicationTargets(p, cover, nil)
+		wantNear := g.CellsWithinDist(p, cover, nil)
+		if len(wantDup) != g.NumCells()-1 || len(wantNear) != g.NumCells() {
+			t.Fatalf("radius %g at %v: %d and %d cells, want %d and %d",
+				cover, p, len(wantDup), len(wantNear), g.NumCells()-1, g.NumCells())
+		}
+		// The overflowing radii come first, so a regression fails fast
+		// rather than hanging on 1e9.
+		for _, radius := range []float64{1e20, math.MaxFloat64, 1e9} {
+			if got := g.DuplicationTargets(p, radius, nil); !slices.Equal(got, wantDup) {
+				t.Fatalf("DuplicationTargets(%v, %g) = %v, want %v", p, radius, got, wantDup)
+			}
+			if got := g.CellsWithinDist(p, radius, nil); !slices.Equal(got, wantNear) {
+				t.Fatalf("CellsWithinDist(%v, %g) = %v, want %v", p, radius, got, wantNear)
+			}
+		}
 	}
 }
 

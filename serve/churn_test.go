@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -14,98 +13,6 @@ import (
 	"spq"
 	"spq/internal/mapreduce"
 )
-
-// exchangeFrame runs one binary-protocol round trip on conn.
-func exchangeFrame(t *testing.T, conn net.Conn, req spq.QueryRequest) *spq.QueryResponse {
-	t.Helper()
-	payload, err := json.Marshal(&req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeFrame(conn, payload); err != nil {
-		t.Fatal(err)
-	}
-	frame, err := readFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var resp spq.QueryResponse
-	if err := json.Unmarshal(frame, &resp); err != nil {
-		t.Fatal(err)
-	}
-	return &resp
-}
-
-// Connections beyond MaxBinaryConns are shed at accept time with a typed
-// overloaded frame, metered in /stats; closing a connection frees the
-// slot.
-func TestServerBinaryConnBackpressure(t *testing.T) {
-	eng := &fakeEngine{}
-	s := New(eng, Config{MaxBinaryConns: 2})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go s.ServeBinary(l)                 //nolint:errcheck // exits on Drain
-	defer s.Drain(context.Background()) //nolint:errcheck // teardown
-
-	dial := func() net.Conn {
-		t.Helper()
-		conn, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return conn
-	}
-
-	// Two conns fill the cap; a round trip each proves they are admitted.
-	c1, c2 := dial(), dial()
-	defer c1.Close()
-	defer c2.Close()
-	for _, c := range []net.Conn{c1, c2} {
-		if resp := exchangeFrame(t, c, validReq()); resp.Code != "" {
-			t.Fatalf("admitted conn refused: %s (%s)", resp.Error, resp.Code)
-		}
-	}
-
-	// The third is shed with a typed close: one overloaded frame, then EOF.
-	c3 := dial()
-	defer c3.Close()
-	frame, err := readFrame(c3)
-	if err != nil {
-		t.Fatalf("shed conn got no shed frame: %v", err)
-	}
-	var resp spq.QueryResponse
-	if err := json.Unmarshal(frame, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Code != spq.CodeOverloaded {
-		t.Fatalf("shed frame code %q, want %q", resp.Code, spq.CodeOverloaded)
-	}
-	if _, err := readFrame(c3); err == nil {
-		t.Fatal("shed conn stayed open after the shed frame")
-	}
-
-	st := s.Stats()
-	if st.ConnsShed != 1 {
-		t.Errorf("ConnsShed = %d, want 1", st.ConnsShed)
-	}
-	if st.BinaryConns != 2 {
-		t.Errorf("BinaryConns = %d, want 2", st.BinaryConns)
-	}
-
-	// Releasing a slot re-admits new connections.
-	c1.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for s.binaryConns() >= 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	c4 := dial()
-	defer c4.Close()
-	if resp := exchangeFrame(t, c4, validReq()); resp.Code != "" {
-		t.Fatalf("conn after slot release refused: %s (%s)", resp.Error, resp.Code)
-	}
-}
 
 // TestServerChurnUnderServing is the membership race test of the serving
 // layer: HTTP queries hammer a distributed engine while one of its

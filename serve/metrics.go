@@ -42,9 +42,6 @@ type metrics struct {
 	count   int64
 	// counters aggregates the spq.* job counters across served queries.
 	counters map[string]int64
-	// connsShed counts binary connections refused at accept time by the
-	// MaxBinaryConns cap.
-	connsShed int64
 }
 
 func newMetrics() *metrics {
@@ -71,13 +68,6 @@ func (m *metrics) observe(outcome string, d time.Duration, counters map[string]i
 	for k, v := range counters {
 		m.counters[k] += v
 	}
-}
-
-// connShed records one binary connection refused by the connection cap.
-func (m *metrics) connShed() {
-	m.mu.Lock()
-	m.connsShed++
-	m.mu.Unlock()
 }
 
 // quantile returns the q-quantile (0 < q < 1) of the served-latency
@@ -124,11 +114,6 @@ type Stats struct {
 	// Inflight and Queued snapshot the admission gate.
 	Inflight int `json:"inflight"`
 	Queued   int `json:"queued"`
-	// BinaryConns is the number of currently open binary-protocol
-	// connections; ConnsShed counts connections refused at accept time by
-	// the MaxBinaryConns cap.
-	BinaryConns int   `json:"binary_conns"`
-	ConnsShed   int64 `json:"conns_shed"`
 	// Generation is the engine's current storage generation.
 	Generation uint64 `json:"generation"`
 	// Counters are the aggregated spq.* job counters of served queries.
@@ -148,7 +133,6 @@ func (m *metrics) snapshot(withCounters bool) Stats {
 		P50Millis: m.quantileLocked(0.50) * 1e3,
 		P95Millis: m.quantileLocked(0.95) * 1e3,
 		P99Millis: m.quantileLocked(0.99) * 1e3,
-		ConnsShed: m.connsShed,
 	}
 	if m.count > 0 {
 		s.MeanMillis = m.sum / float64(m.count) * 1e3
@@ -165,7 +149,7 @@ func (m *metrics) snapshot(withCounters bool) Stats {
 // render writes the Prometheus-style text exposition: request outcomes,
 // the latency histogram, gate gauges, and every aggregated spq.* counter
 // as spq_counter{name="..."}.
-func (m *metrics) render(b *strings.Builder, inflight, queued, conns int, generation uint64) {
+func (m *metrics) render(b *strings.Builder, inflight, queued int, generation uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	outcomes := make([]string, 0, len(m.outcomes))
@@ -189,8 +173,6 @@ func (m *metrics) render(b *strings.Builder, inflight, queued, conns int, genera
 	fmt.Fprintf(b, "spqd_request_seconds_count %d\n", m.count)
 	fmt.Fprintf(b, "# TYPE spqd_inflight gauge\nspqd_inflight %d\n", inflight)
 	fmt.Fprintf(b, "# TYPE spqd_queue_depth gauge\nspqd_queue_depth %d\n", queued)
-	fmt.Fprintf(b, "# TYPE spqd_binary_conns gauge\nspqd_binary_conns %d\n", conns)
-	fmt.Fprintf(b, "# TYPE spqd_conns_shed_total counter\nspqd_conns_shed_total %d\n", m.connsShed)
 	fmt.Fprintf(b, "# TYPE spqd_generation gauge\nspqd_generation %d\n", generation)
 	names := make([]string, 0, len(m.counters))
 	for k := range m.counters {

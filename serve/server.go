@@ -1,19 +1,17 @@
 // Package serve wraps an spq engine in a network serving layer with
-// tail-latency discipline: an HTTP/JSON front end plus a length-prefixed
-// binary endpoint for bench clients, bounded admission with deadline-based
-// queue eviction, per-tenant token-bucket quotas with 429 load shedding,
-// graceful drain across storage generations, and a /metrics endpoint
-// exposing the engine's spq.* counters. cmd/spqd is the daemon binary.
+// tail-latency discipline: an HTTP/JSON front end (the one wire), bounded
+// admission with deadline-based queue eviction, per-tenant token-bucket
+// quotas with 429 load shedding, graceful drain across storage
+// generations, and a /metrics endpoint exposing the engine's spq.*
+// counters. cmd/spqd is the daemon binary.
 package serve
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"runtime"
 	"strings"
@@ -52,13 +50,6 @@ type Config struct {
 	// Quota configures per-tenant token buckets; the zero value disables
 	// quota enforcement.
 	Quota QuotaConfig
-	// MaxBinaryConns bounds concurrently open binary-protocol connections
-	// (default 8×MaxInflight; negative disables the cap). A connection
-	// beyond the cap is shed at accept time with a typed overloaded frame
-	// and closed — connection-level backpressure, so a client herd cannot
-	// pin unbounded goroutines and sockets while the request gate is the
-	// actual bottleneck. Shed connections are metered in /stats.
-	MaxBinaryConns int
 }
 
 func (c Config) withDefaults() Config {
@@ -74,18 +65,12 @@ func (c Config) withDefaults() Config {
 	if c.DefaultTimeout == 0 {
 		c.DefaultTimeout = 10 * time.Second
 	}
-	if c.MaxBinaryConns == 0 {
-		c.MaxBinaryConns = 8 * c.MaxInflight
-	}
-	if c.MaxBinaryConns < 0 {
-		c.MaxBinaryConns = 0 // unlimited
-	}
 	return c
 }
 
-// maxFrame bounds one binary-protocol frame (a JSON query request or
-// response); larger frames indicate a broken or hostile client.
-const maxFrame = 4 << 20
+// maxRequestBytes bounds one POST /query body; a larger body indicates a
+// broken or hostile client. It also bounds the keyword count.
+const maxRequestBytes = 4 << 20
 
 // Server is the serving layer over one engine.
 type Server struct {
@@ -105,10 +90,6 @@ type Server struct {
 	lifeMu sync.Mutex
 	nreq   int
 	idle   chan struct{}
-
-	mu        sync.Mutex
-	listeners []net.Listener
-	conns     map[net.Conn]struct{}
 }
 
 // New builds a server over eng.
@@ -117,7 +98,6 @@ func New(eng Engine, cfg Config) *Server {
 		eng:     eng,
 		cfg:     cfg.withDefaults(),
 		metrics: newMetrics(),
-		conns:   make(map[net.Conn]struct{}),
 		idle:    make(chan struct{}),
 	}
 	s.gate = newGate(s.cfg.MaxInflight, s.cfg.MaxQueue)
@@ -139,16 +119,8 @@ func (s *Server) Stats() Stats {
 	st := s.metrics.snapshot(true)
 	st.Inflight = s.gate.inflight()
 	st.Queued = s.gate.queueDepth()
-	st.BinaryConns = s.binaryConns()
 	st.Generation = s.eng.Generation()
 	return st
-}
-
-// binaryConns returns the number of currently open binary connections.
-func (s *Server) binaryConns() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.conns)
 }
 
 // do runs one query request through quota, admission and the engine,
@@ -286,7 +258,7 @@ func outcomeFor(err error) string {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req spq.QueryRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxFrame)).Decode(&req); err != nil {
+	if err := json.NewDecoder(io.LimitReader(r.Body, maxRequestBytes)).Decode(&req); err != nil {
 		resp := &spq.QueryResponse{
 			Error: fmt.Sprintf("spq: invalid query: malformed request body: %v", err),
 			Code:  spq.CodeInvalidQuery,
@@ -302,7 +274,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
-	s.metrics.render(&b, s.gate.inflight(), s.gate.queueDepth(), s.binaryConns(), s.eng.Generation())
+	s.metrics.render(&b, s.gate.inflight(), s.gate.queueDepth(), s.eng.Generation())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	io.WriteString(w, b.String()) //nolint:errcheck // best-effort response
 }
@@ -325,128 +297,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v) //nolint:errcheck // best-effort response
 }
 
-// ServeBinary serves the length-prefixed binary protocol on l until the
-// listener closes (Drain closes it): each frame is a 4-byte big-endian
-// length followed by a JSON spq.QueryRequest, answered by a frame of the
-// same shape carrying the spq.QueryResponse. One connection processes
-// requests sequentially; bench clients open several. The JSON payloads are
-// byte-identical to the HTTP endpoint's, so a client can switch transports
-// without re-encoding.
-func (s *Server) ServeBinary(l net.Listener) error {
-	s.mu.Lock()
-	s.listeners = append(s.listeners, l)
-	s.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if s.draining.Load() {
-				return nil
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.cfg.MaxBinaryConns > 0 && len(s.conns) >= s.cfg.MaxBinaryConns {
-			s.mu.Unlock()
-			go s.shedConn(conn)
-			continue
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		go s.serveConn(conn)
-	}
-}
-
-// shedConn refuses a binary connection over the MaxBinaryConns cap: the
-// client gets one typed overloaded frame (so it can distinguish
-// backpressure from a crash and back off) and the socket closes. Off the
-// accept loop so a stalled client write can't block further accepts.
-func (s *Server) shedConn(conn net.Conn) {
-	defer conn.Close()
-	s.metrics.connShed()
-	resp := &spq.QueryResponse{
-		Error: fmt.Sprintf("%v: binary connection limit (%d) reached", spq.ErrOverloaded, s.cfg.MaxBinaryConns),
-		Code:  spq.CodeOverloaded,
-	}
-	out, err := json.Marshal(resp)
-	if err != nil {
-		return
-	}
-	conn.SetWriteDeadline(time.Now().Add(2 * time.Second)) //nolint:errcheck // best-effort shed notice
-	writeFrame(conn, out)                                  //nolint:errcheck // best-effort shed notice
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	for {
-		payload, err := readFrame(conn)
-		if err != nil {
-			return // EOF, torn connection, or oversized frame
-		}
-		var req spq.QueryRequest
-		var resp *spq.QueryResponse
-		var status int
-		if err := json.Unmarshal(payload, &req); err != nil {
-			resp = &spq.QueryResponse{
-				Error: fmt.Sprintf("spq: invalid query: malformed frame: %v", err),
-				Code:  spq.CodeInvalidQuery,
-			}
-			s.metrics.observe(outcomeInvalid, 0, nil)
-		} else {
-			resp, status = s.do(context.Background(), &req, "", false)
-			_ = status // the binary protocol carries the code in-band
-		}
-		out, err := json.Marshal(resp)
-		if err != nil {
-			return
-		}
-		if err := writeFrame(conn, out); err != nil {
-			return
-		}
-		if s.draining.Load() {
-			return
-		}
-	}
-}
-
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > maxFrame {
-		return nil, fmt.Errorf("serve: frame length %d out of range", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
 // Drain gracefully shuts the serving layer down: new requests are refused
-// with 503 (and /healthz flips, so load balancers stop routing here),
-// binary listeners stop accepting, in-flight requests — including any
-// running across an Engine.Compact generation change — run to completion,
-// and idle binary connections are closed. It returns nil once everything
+// with 503 (and /healthz flips, so load balancers stop routing here) and
+// in-flight requests — including any running across an Engine.Compact
+// generation change — run to completion. It returns nil once everything
 // in flight has finished, or ctx.Err() if the drain deadline expires
 // first (in-flight queries then keep running; the caller decides whether
-// to Close the engine under them). Drain does not close the engine.
+// to Close the engine under them). Drain closes neither the engine nor
+// the listener: the caller shuts its http.Server down afterwards.
 func (s *Server) Drain(ctx context.Context) error {
 	s.lifeMu.Lock()
 	s.draining.Store(true)
@@ -454,22 +312,10 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.closeIdleLocked()
 	}
 	s.lifeMu.Unlock()
-	s.mu.Lock()
-	for _, l := range s.listeners {
-		l.Close() //nolint:errcheck // already-closed listeners are fine
-	}
-	s.listeners = nil
-	s.mu.Unlock()
 	select {
 	case <-s.idle:
+		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	// In-flight work is done; disconnect idle binary clients.
-	s.mu.Lock()
-	for conn := range s.conns {
-		conn.Close() //nolint:errcheck // teardown
-	}
-	s.mu.Unlock()
-	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -414,43 +413,19 @@ func engineQueries(t *testing.T, e *spq.Engine, n int) []spq.Query {
 	return qs
 }
 
-// TestServerBinaryRoundTrip: the binary protocol returns byte-identical
-// result payloads to an in-process query.
-func TestServerBinaryRoundTrip(t *testing.T) {
+// TestServerRoundTrip: POST /query returns result payloads byte-identical
+// to an in-process query.
+func TestServerRoundTrip(t *testing.T) {
 	e := testEngine(t)
 	defer e.Close()
 	s := New(e, Config{})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go s.ServeBinary(l) //nolint:errcheck // exits on Drain
-
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 
 	for _, q := range engineQueries(t, e, 6) {
-		req := spq.QueryRequest{Query: q}
-		payload, err := json.Marshal(&req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := writeFrame(conn, payload); err != nil {
-			t.Fatal(err)
-		}
-		frame, err := readFrame(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var resp spq.QueryResponse
-		if err := json.Unmarshal(frame, &resp); err != nil {
-			t.Fatal(err)
-		}
-		if resp.Code != "" {
-			t.Fatalf("binary query failed: %s (%s)", resp.Error, resp.Code)
+		resp, code := postQuery(t, ts.URL, spq.QueryRequest{Query: q})
+		if code != http.StatusOK {
+			t.Fatalf("query got %d: %s (%s)", code, resp.Error, resp.Code)
 		}
 		want, err := e.QueryContext(context.Background(), q)
 		if err != nil {
@@ -459,7 +434,7 @@ func TestServerBinaryRoundTrip(t *testing.T) {
 		wantJSON, _ := json.Marshal(want)
 		gotJSON, _ := json.Marshal(resp.Results)
 		if !bytes.Equal(wantJSON, gotJSON) {
-			t.Fatalf("binary results diverge from in-process:\n got %s\nwant %s", gotJSON, wantJSON)
+			t.Fatalf("served results diverge from in-process:\n got %s\nwant %s", gotJSON, wantJSON)
 		}
 	}
 	if err := s.Drain(context.Background()); err != nil {

@@ -221,7 +221,8 @@ func WithAlgorithm(a Algorithm) QueryOption {
 // WithGrid sets the query-time grid to n x n cells (default 16x16, or
 // planner-chosen under WithAutoPlan). More cells mean more parallelism and
 // cheaper reduce tasks at the cost of more feature duplication (Section
-// 6.3 of the paper).
+// 6.3 of the paper). n must be in [1, 1024]; a query outside it fails with
+// ErrInvalidQuery.
 func WithGrid(n int) QueryOption {
 	return func(c *queryConfig) { c.gridN = n; c.gridSet = true }
 }
@@ -263,7 +264,8 @@ func WithDelta(enabled bool) QueryOption {
 // WithReducers overrides the number of reduce tasks. The default is one
 // per grid cell — the paper's configuration — capped at four per reduce
 // slot: every cell stays its own reduce group, and tasks beyond that cap
-// only add scheduling overhead.
+// only add scheduling overhead. r above 4096 fails the query with
+// ErrInvalidQuery; r <= 0 keeps the default.
 func WithReducers(r int) QueryOption {
 	return func(c *queryConfig) { c.reducers = r }
 }
@@ -325,6 +327,11 @@ func validateQuery(q Query) error {
 	}
 	if len(keywordsOf(q.Keywords)) == 0 {
 		return fmt.Errorf("%w: field Keywords has no non-empty word", ErrInvalidQuery)
+	}
+	switch q.Mode {
+	case ScoreRange, ScoreInfluence, ScoreNearest:
+	default:
+		return fmt.Errorf("%w: field Mode = %d, not a scoring mode", ErrInvalidQuery, int(q.Mode))
 	}
 	return nil
 }

@@ -7,9 +7,9 @@ import (
 )
 
 // Canonical JSON wire forms of a query submission and its outcome, shared
-// by the serving daemon (cmd/spqd, package serve) and its HTTP/JSON and
-// binary-protocol clients. Keeping them in the root package means daemon
-// and client cannot drift: both marshal exactly these structs.
+// by the serving daemon (cmd/spqd, package serve) and its HTTP/JSON
+// clients. Keeping them in the root package means daemon and client
+// cannot drift: both marshal exactly these structs.
 
 // QueryRequest is one query submission. The embedded Query supplies the
 // k/radius/keywords/mode fields; the rest select execution options
@@ -26,15 +26,16 @@ type QueryRequest struct {
 	Cache *bool `json:"cache,omitempty"`
 	Delta *bool `json:"delta,omitempty"`
 	// GridN and Reducers override the query-time grid and reduce-task
-	// count (WithGrid / WithReducers) when positive.
+	// count (WithGrid / WithReducers); zero keeps the default. A grid
+	// beyond 1024 cells a side or more than 4096 reducers is rejected as
+	// invalid.
 	GridN    int `json:"grid_n,omitempty"`
 	Reducers int `json:"reducers,omitempty"`
 	// Tenant names the requesting tenant for per-tenant quotas; empty
 	// falls under the daemon's default quota (or the X-SPQ-Tenant header).
 	Tenant string `json:"tenant,omitempty"`
 	// TimeoutMillis bounds this query's total time (queueing included)
-	// when positive; the daemon's default deadline applies otherwise. On
-	// the binary protocol this is the only way to carry a deadline.
+	// when positive; the daemon's default deadline applies otherwise.
 	TimeoutMillis int64 `json:"timeout_ms,omitempty"`
 }
 
