@@ -185,9 +185,9 @@ func (g *groupObjs) base() int32 {
 }
 
 // reduceScratch is the pooled per-group state of the reduce functions:
-// the collected data objects with their bucket index, the dense
+// the collected data objects with their bucket index and the dense
 // per-object bookkeeping slices (each reduce function uses the one
-// matching its algorithm), and the top-k list. A reduce task visits one
+// matching its algorithm). A reduce task visits one
 // group per grid cell — thousands on fine grids — and reusing the backing
 // arrays across groups keeps the per-group constant cost out of the
 // allocator.
@@ -200,14 +200,13 @@ type reduceScratch struct {
 	// of the objects within range and their squared distances.
 	hits  []int32
 	hitD2 []float64
-	topk  *TopK
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(reduceScratch) }}
 
-// getScratch returns a reset scratch with an empty top-k of capacity k.
-// Return it with putScratch when the group is done.
-func getScratch(k int) *reduceScratch {
+// getScratch returns a reset scratch. Return it with putScratch when the
+// group is done.
+func getScratch() *reduceScratch {
 	s := scratchPool.Get().(*reduceScratch)
 	s.g.objs = s.g.objs[:0]
 	s.g.index = nil
@@ -215,11 +214,6 @@ func getScratch(k int) *reduceScratch {
 	s.scores = s.scores[:0]
 	s.covered = s.covered[:0]
 	s.best = s.best[:0]
-	if s.topk == nil {
-		s.topk = NewTopK(k)
-	} else {
-		s.topk.Reset(k)
-	}
 	return s
 }
 

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"spq/internal/data"
@@ -303,43 +305,112 @@ func TestTopK(t *testing.T) {
 	}
 }
 
+// TestTopKMatchesSortOracle holds TopK to its definition: any offer
+// sequence — repeated ids, scores tied at τ, k below, near and above the
+// number of distinct ids, short lists and long ones — yields exactly the canonical top-k of the
+// per-id maxima, ids included.
 func TestTopKMatchesSortOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 200; trial++ {
-		k := 1 + r.Intn(6)
+	for trial := 0; trial < 400; trial++ {
+		ids := 1 + r.Intn(20)
+		if trial%2 == 1 {
+			ids = 1 + r.Intn(128)
+		}
+		k := 1 + r.Intn(ids+ids/2)
+		levels := 2 + r.Intn(10) // few distinct scores: many ties at τ
 		tk := NewTopK(k)
 		best := map[uint64]float64{}
-		for i := 0; i < 100; i++ {
-			id := uint64(r.Intn(20))
-			score := float64(r.Intn(10)) / 10
+		for i := 0; i < 5*ids; i++ {
+			id := uint64(r.Intn(ids))
+			score := float64(r.Intn(levels)) / float64(levels)
 			tk.Update(ResultItem{ID: id, Score: score})
 			if score > best[id] {
 				best[id] = score
 			}
-		}
-		var want []ResultItem
-		for id, s := range best {
-			if s > 0 {
-				want = append(want, ResultItem{ID: id, Score: s})
+			if i%7 == 0 {
+				checkTopK(t, tk, best, k, trial)
 			}
 		}
-		SortResults(want)
-		if len(want) > k {
-			want = want[:k]
+		checkTopK(t, tk, best, k, trial)
+	}
+}
+
+// checkTopK compares tk with the canonical top-k of the per-id maxima.
+func checkTopK(t *testing.T, tk *TopK, best map[uint64]float64, k, trial int) {
+	t.Helper()
+	var want []ResultItem
+	for id, s := range best {
+		if s > 0 {
+			want = append(want, ResultItem{ID: id, Score: s})
 		}
-		got := tk.Items()
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d items, want %d", trial, len(got), len(want))
+	}
+	SortResults(want)
+	if len(want) > k {
+		want = want[:k]
+	}
+	got := tk.Items()
+	if !reflect.DeepEqual(got, want) && (len(got) > 0 || len(want) > 0) {
+		t.Fatalf("trial %d, k=%d: got %+v\nwant %+v", trial, k, got, want)
+	}
+	tau := 0.0
+	if len(want) == k {
+		tau = want[k-1].Score
+	}
+	if tk.Threshold() != tau || tk.Len() != len(want) {
+		t.Fatalf("trial %d, k=%d: τ=%v len=%d, want τ=%v len=%d", trial, k, tk.Threshold(), tk.Len(), tau, len(want))
+	}
+}
+
+// BenchmarkTopKUpdate offers scores to one list: at k = 10 with every
+// offer tied at τ (the offer the canonical tie-break must look at), and at
+// k above the number of objects, where no offer is rejected and every one
+// looks its id up.
+func BenchmarkTopKUpdate(b *testing.B) {
+	const n = 4096
+	b.Run("k=10/tied", func(b *testing.B) {
+		tk := NewTopK(10)
+		for i := 0; i < b.N; i++ {
+			tk.Update(ResultItem{ID: uint64(i % n), Score: 0.5})
 		}
-		for i := range want {
-			// Scores must agree; ids may differ only on τ ties.
-			if got[i].Score != want[i].Score {
-				t.Fatalf("trial %d item %d: got %+v want %+v", trial, i, got, want)
+	})
+	b.Run("k>=n", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		scores := make([]float64, n)
+		for i := range scores {
+			scores[i] = rng.Float64()
+		}
+		var tk *TopK
+		for i := 0; i < b.N; i++ {
+			if i%n == 0 {
+				tk = NewTopK(1 << 40)
 			}
-			if got[i].Score > tk.Threshold() && got[i].ID != want[i].ID {
-				t.Fatalf("trial %d: non-tied item differs: got %+v want %+v", trial, got, want)
-			}
+			tk.Update(ResultItem{ID: uint64(i % n), Score: scores[i%n]})
 		}
+	})
+}
+
+// BenchmarkMergeTopK merges R sorted lists of k = 10: R = 8 is the task
+// count of a 2-slot cluster, R = 2,300 the cell count of a fine grid.
+func BenchmarkMergeTopK(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	for _, r := range []int{8, 2300} {
+		lists := make([][]ResultItem, r)
+		for i := range lists {
+			l := make([]ResultItem, 10)
+			for j := range l {
+				l[j] = ResultItem{ID: uint64(i*10 + j), Score: rng.Float64()}
+			}
+			SortResults(l)
+			lists[i] = l
+		}
+		b.Run(fmt.Sprintf("R=%d/k=10", r), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if got := MergeTopK(10, lists...); len(got) != 10 {
+					b.Fatalf("merged %d items", len(got))
+				}
+			}
+		})
 	}
 }
 
@@ -357,34 +428,96 @@ func TestMergeTopK(t *testing.T) {
 	if len(MergeTopK(5)) != 0 {
 		t.Error("empty merge should be empty")
 	}
+	// Any number of sorted lists, empty ones and ties included, merge to
+	// the canonical top-k of their concatenation.
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		lists := make([][]ResultItem, r.Intn(12))
+		var all []ResultItem
+		for i := range lists {
+			for j := r.Intn(6); j > 0; j-- {
+				lists[i] = append(lists[i], ResultItem{ID: uint64(len(all)), Score: float64(1+r.Intn(4)) / 4})
+				all = append(all, lists[i][len(lists[i])-1])
+			}
+			SortResults(lists[i])
+		}
+		k := 1 + r.Intn(len(all)+2)
+		SortResults(all)
+		if len(all) > k {
+			all = all[:k]
+		}
+		if got := MergeTopK(k, lists...); !reflect.DeepEqual(got, all) && len(all) > 0 {
+			t.Fatalf("trial %d, k=%d: got %+v, want %+v", trial, k, got, all)
+		}
+	}
 }
 
 // Early termination must actually reduce the number of features examined:
 // on a workload with many relevant features, eSPQsco must examine far
 // fewer than pSPQ, and eSPQlen must never examine more than pSPQ.
+//
+// The reduce tasks' counts move one way only. With one cell per task
+// (R = gridN²) each task's Lk is its cell's, and the counts equal those of
+// per-cell lists, recorded below. With fewer tasks a later cell starts
+// from the τ its task's earlier cells reached, so eSPQlen and eSPQsco
+// examine no more features and terminate no fewer groups — exact
+// comparisons, because their counts do not depend on arrival order — and
+// each task emits one list.
 func TestEarlyTerminationExaminesFewerFeatures(t *testing.T) {
 	objs, q := randomWorkload(7, 2000, 10, 4)
-	q.K = 3
 	q.Radius = 0.1
-	counts := map[Algorithm]int64{}
-	for _, alg := range Algorithms() {
-		rep, err := Run(alg, mapreduce.NewMemorySource(objs, 4), q, Options{
-			Bounds: unitBounds, GridN: 3,
-		})
-		if err != nil {
-			t.Fatal(err)
+	const gridN = 3
+	type counts struct{ examined, terminated int64 }
+	perCell := map[int]map[Algorithm]counts{
+		3:  {ESPQLen: {517, 9}, ESPQSco: {29, 9}},
+		40: {ESPQLen: {646, 6}, ESPQSco: {84, 9}},
+	}
+	for _, k := range []int{3, 40} {
+		q.K = k
+		run := func(alg Algorithm, r int) (counts, int64) {
+			t.Helper()
+			rep, err := Run(alg, mapreduce.NewMemorySource(objs, 4), q, Options{
+				Bounds: unitBounds, GridN: gridN, NumReducers: r,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := rep.Counters
+			return counts{c[CounterFeaturesExamined], c[CounterEarlyTerminations]}, c[mapreduce.CounterOutputRecords]
 		}
-		counts[alg] = rep.Counters[CounterFeaturesExamined]
-	}
-	if counts[PSPQ] == 0 {
-		t.Fatal("pSPQ examined no features; workload too sparse")
-	}
-	if counts[ESPQSco] >= counts[PSPQ] {
-		t.Errorf("eSPQsco examined %d features, pSPQ %d — no early termination benefit",
-			counts[ESPQSco], counts[PSPQ])
-	}
-	if counts[ESPQLen] > counts[PSPQ] {
-		t.Errorf("eSPQlen examined %d > pSPQ %d", counts[ESPQLen], counts[PSPQ])
+		examined := map[Algorithm]int64{}
+		for _, alg := range Algorithms() {
+			c, _ := run(alg, gridN*gridN)
+			examined[alg] = c.examined
+		}
+		if examined[PSPQ] == 0 {
+			t.Fatal("pSPQ examined no features; workload too sparse")
+		}
+		if examined[ESPQSco] >= examined[PSPQ] {
+			t.Errorf("k=%d: eSPQsco examined %d features, pSPQ %d — no early termination benefit",
+				k, examined[ESPQSco], examined[PSPQ])
+		}
+		if examined[ESPQLen] > examined[PSPQ] {
+			t.Errorf("k=%d: eSPQlen examined %d > pSPQ %d", k, examined[ESPQLen], examined[PSPQ])
+		}
+		for _, alg := range []Algorithm{ESPQLen, ESPQSco} {
+			cell, _ := run(alg, gridN*gridN)
+			if cell != perCell[k][alg] {
+				t.Errorf("k=%d %v, one cell per task: (examined, terminated) = %v, want the per-cell lists' %v", k, alg, cell, perCell[k][alg])
+			}
+			for _, r := range []int{1, 2, 4} {
+				c, out := run(alg, r)
+				if c.examined > cell.examined || c.terminated < cell.terminated {
+					t.Errorf("k=%d %v, R=%d: (examined, terminated) = %v, one cell per task %v", k, alg, r, c, cell)
+				}
+				if r == 1 && c.examined >= cell.examined {
+					t.Errorf("k=%d %v: one task examined %d features, one per cell %d: τ not carried across cells", k, alg, c.examined, cell.examined)
+				}
+				if out > int64(r) {
+					t.Errorf("k=%d %v, R=%d: %d output records, want one list per task", k, alg, r, out)
+				}
+			}
+		}
 	}
 }
 

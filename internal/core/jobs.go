@@ -58,7 +58,9 @@ type Options struct {
 	GridN int
 	// NumReducers defaults to the number of grid cells, the paper's
 	// configuration. Smaller values make reduce tasks process several
-	// cells each.
+	// cells each, as separate groups sharing the task's one list Lk:
+	// later cells start from the τ earlier ones reached. Results are
+	// unaffected.
 	NumReducers int
 	// DisableKeywordPrune turns off the Map-side pruning of features with
 	// no query keyword (Algorithm 1, line 9). Only used by the ablation
@@ -131,21 +133,16 @@ func (o Options) numReducers() int {
 type (
 	taskCtx    = mapreduce.TaskContext
 	valueIter  = mapreduce.Values[CellKey, Rec]
-	reduceFunc = func(*taskCtx, *valueIter, func(cellResult)) error
+	reduceFunc = func(*taskCtx, *valueIter, func([]ResultItem)) error
 )
 
 // Report is the outcome of one SPQ job: the global top-k after merging the
-// per-cell lists, plus the job's counters and timing.
+// reduce tasks' lists, plus the job's counters and timing.
 type Report struct {
 	Algorithm Algorithm
 	Results   []ResultItem
 	Counters  map[string]int64
 	Stats     mapreduce.Stats
-}
-
-// cellResult is the reduce output: one per-cell ranked data object.
-type cellResult struct {
-	Item ResultItem
 }
 
 // Validate checks the preconditions Run enforces before launching a job:
@@ -227,16 +224,12 @@ func RunContext(ctx context.Context, alg Algorithm, src mapreduce.Source[data.Ob
 	if err != nil {
 		return nil, err
 	}
-	perCell := make([]ResultItem, len(res.Output))
-	for i, o := range res.Output {
-		perCell[i] = o.Item
-	}
 	for name, v := range opts.ExtraCounters {
 		res.Counters[name] += v
 	}
 	return &Report{
 		Algorithm: alg,
-		Results:   MergeTopK(q.K, perCell),
+		Results:   MergeTopK(q.K, res.Output...),
 		Counters:  res.Counters,
 		Stats:     res.Stats,
 	}, nil
@@ -249,12 +242,13 @@ func RunContext(ctx context.Context, alg Algorithm, src mapreduce.Source[data.Ob
 // semantics cannot drift between the two. The Source is set by the
 // caller; workers run tasks from split references and never enumerate
 // splits themselves.
-func buildJob(alg Algorithm, g *grid.Grid, q Query, opts Options, partition func(CellKey, int) int) (*mapreduce.Job[data.Object, CellKey, Rec, cellResult], error) {
+func buildJob(alg Algorithm, g *grid.Grid, q Query, opts Options, partition func(CellKey, int) int) (*mapreduce.Job[data.Object, CellKey, Rec, []ResultItem], error) {
 	m := mapper{alg: alg, g: g, q: q, prune: !opts.DisableKeywordPrune}
-	job := &mapreduce.Job[data.Object, CellKey, Rec, cellResult]{
+	job := &mapreduce.Job[data.Object, CellKey, Rec, []ResultItem]{
 		Name:          fmt.Sprintf("%s-k%d-r%g", alg, q.K, q.Radius),
 		Map:           m.mapObject,
 		MapBatch:      m.mapBlock,
+		Cleanup:       emitTaskTopK,
 		NumReducers:   opts.numReducers(),
 		Partition:     partition,
 		GroupEqual:    CellKeyGroup,
@@ -316,6 +310,30 @@ const (
 	// exhausting their feature list.
 	CounterEarlyTerminations = "spq.reduce.early_terminations"
 )
+
+// taskTopK returns the reduce task's list Lk, created at the attempt's
+// first group: every group of the task reads and raises one τ. Groups
+// hold disjoint data objects (each lives in one cell) and every score is
+// a max-aggregate, so a feature below the task's τ cannot lift any object
+// of a later group into the task's top-k either.
+func taskTopK(ctx *taskCtx, k int) *TopK {
+	t, ok := ctx.State.(*TopK)
+	if !ok {
+		t = NewTopK(k)
+		ctx.State = t
+	}
+	return t
+}
+
+// emitTaskTopK is the reduce task's Cleanup: it emits the task's Lk, in
+// canonical result order, as the task's one output record. A task without
+// groups has no list.
+func emitTaskTopK(ctx *taskCtx, emit func([]ResultItem)) error {
+	if t, ok := ctx.State.(*TopK); ok {
+		emit(t.Items())
+	}
+	return nil
+}
 
 // mapper is the Map phase of all three algorithms (Algorithms 1, 3 and 5).
 // They differ only in the Order half of the composite key; each routes a
@@ -472,15 +490,15 @@ type scanOpts struct {
 
 // reduceScan is Algorithm 2 (and, with opts.lenBound, Algorithm 4): load
 // the cell's data objects into memory, then stream feature objects,
-// improving data-object scores and maintaining the top-k list Lk with
-// threshold τ. It generalizes the paper's max-within-range scoring to any
-// monotone contribution (range and influence modes). Under eSPQlen
+// improving data-object scores and maintaining the task's top-k list Lk
+// with threshold τ. It generalizes the paper's max-within-range scoring to
+// any monotone contribution (range and influence modes). Under eSPQlen
 // ordering, the Equation-1 bound of the current feature bounds every later
 // feature, so τ ≥ w̄(f,q) stops the group (Lemma 2).
 func reduceScan(q Query, opts scanOpts, view *DataView) reduceFunc {
 	r2 := q.Radius * q.Radius
-	return func(ctx *taskCtx, values *valueIter, emit func(cellResult)) error {
-		sc := getScratch(q.K)
+	return func(ctx *taskCtx, values *valueIter, _ func([]ResultItem)) error {
+		sc := getScratch()
 		defer putScratch(sc)
 		if view != nil {
 			sc.seedView(view, values.GroupKey().Cell)
@@ -488,7 +506,7 @@ func reduceScan(q Query, opts scanOpts, view *DataView) reduceFunc {
 		var (
 			g    = &sc.g
 			base = g.base()
-			topk = sc.topk
+			topk = taskTopK(ctx, q.K)
 			fLoc geo.Point
 			fw   float64
 			// Counter deltas are accumulated per group and flushed once:
@@ -559,9 +577,6 @@ func reduceScan(q Query, opts scanOpts, view *DataView) reduceFunc {
 		}
 		ctx.Counter(CounterFeaturesExamined, examined)
 		ctx.Counter(CounterScoreComputations, computed)
-		for _, item := range topk.Items() {
-			emit(cellResult{Item: item})
-		}
 		return nil
 	}
 }
@@ -569,14 +584,14 @@ func reduceScan(q Query, opts scanOpts, view *DataView) reduceFunc {
 // reduceESPQSco is Algorithm 6: data objects are loaded first; features
 // then arrive in decreasing score order, so the first feature within
 // distance r of a data object fixes that object's final score. With k
-// data objects covered, the group terminates as soon as the feature score
-// drops below τ (Lemma 3; the strict comparison keeps scanning through
-// features tied with τ so that ties resolve canonically by id, not by
-// arrival order).
+// data objects in the task's list, the group terminates as soon as the
+// feature score drops below τ (Lemma 3; the strict comparison keeps
+// scanning through features tied with τ so that ties resolve canonically
+// by id, not by arrival order).
 func reduceESPQSco(q Query, view *DataView) reduceFunc {
 	r2 := q.Radius * q.Radius
-	return func(ctx *taskCtx, values *valueIter, emit func(cellResult)) error {
-		sc := getScratch(q.K)
+	return func(ctx *taskCtx, values *valueIter, _ func([]ResultItem)) error {
+		sc := getScratch()
 		defer putScratch(sc)
 		if view != nil {
 			sc.seedView(view, values.GroupKey().Cell)
@@ -584,7 +599,7 @@ func reduceESPQSco(q Query, view *DataView) reduceFunc {
 		var (
 			g    = &sc.g
 			base = g.base()
-			topk = sc.topk
+			topk = taskTopK(ctx, q.K)
 			fLoc geo.Point
 			fw   float64
 			// Flushed once per group; see reduceScan.
@@ -636,9 +651,6 @@ func reduceESPQSco(q Query, view *DataView) reduceFunc {
 		}
 		ctx.Counter(CounterFeaturesExamined, examined)
 		ctx.Counter(CounterScoreComputations, computed)
-		for _, item := range topk.Items() {
-			emit(cellResult{Item: item})
-		}
 		return nil
 	}
 }

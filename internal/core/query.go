@@ -135,39 +135,75 @@ func SortResults(items []ResultItem) {
 	sort.Slice(items, func(i, j int) bool { return resultLess(items[i], items[j]) })
 }
 
-// MergeTopK merges any number of partial top-k lists into the global
-// top-k, the final centralized step of Section 4.2 ("the final result is
-// produced by merging the k results of each of the R cells").
+// MergeTopK merges partial top-k lists, each in canonical result order,
+// into the global top-k: the final centralized step of Section 4.2, over
+// the one list each reduce task emits. It is a k-way merge on a heap of
+// the lists' heads, so it reads k items plus one head per list, however
+// long the lists are: with a large k they hold every scored object, and a
+// sort of their concatenation costs more than the merge. An unsorted list
+// yields a wrong result.
 func MergeTopK(k int, lists ...[]ResultItem) []ResultItem {
-	var all []ResultItem
+	heads := make([][]ResultItem, 0, len(lists))
 	for _, l := range lists {
-		all = append(all, l...)
+		if len(l) > 0 {
+			heads = append(heads, l)
+		}
 	}
-	SortResults(all)
-	if len(all) > k {
-		all = all[:k]
+	// heads is a heap with the best remaining head at the root.
+	down := func(i int) {
+		for {
+			best, l, r := i, 2*i+1, 2*i+2
+			if l < len(heads) && resultLess(heads[l][0], heads[best][0]) {
+				best = l
+			}
+			if r < len(heads) && resultLess(heads[r][0], heads[best][0]) {
+				best = r
+			}
+			if best == i {
+				return
+			}
+			heads[i], heads[best] = heads[best], heads[i]
+			i = best
+		}
 	}
-	return all
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	var out []ResultItem
+	for len(out) < k && len(heads) > 0 {
+		out = append(out, heads[0][0])
+		if rest := heads[0][1:]; len(rest) > 0 {
+			heads[0] = rest
+		} else {
+			heads[0] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
+		}
+		down(0)
+	}
+	return out
 }
 
 // TopK maintains the paper's list Lk: the k data objects with the highest
 // scores seen so far, with τ (Threshold) the k-th best score. Scores only
-// improve, mirroring score(p) ← max{score(p), w(x,q)} of Algorithm 2.
+// improve, mirroring score(p) ← max{score(p), w(x,q)} of Algorithm 2. A
+// reduce task keeps one list across all its groups (cells), so every group
+// starts from the τ the task's earlier groups reached.
 //
 // Selection is canonical under ties: among objects tied at τ, the lowest
 // ids win, so the final list depends only on the offered (id, score)
 // pairs — never on their order. Order-independence is what lets a query
-// over planner-pruned storage (different files, splits and shuffle order)
-// return results identical to the unpruned run.
+// over planner-pruned storage (different files, splits and shuffle order),
+// or over another cell→task assignment, return identical results.
 //
-// The tracked items live in a small unordered slice: k is tens at most,
-// and the reduce hot loop calls Update per candidate, where a linear scan
-// over contiguous items beats a map's hashing and iteration.
+// No offer costs O(len): an id map finds a tracked object, and once the
+// list is full its items form a binary heap whose root is the eviction
+// victim (lowest score, highest id on ties).
 //
 // The zero value is not usable; call NewTopK.
 type TopK struct {
 	k     int
-	items []ResultItem // unordered; ids unique; len <= k
+	items []ResultItem   // ids unique; len <= k; a heap, victim first, once full
+	pos   map[uint64]int // id → index in items
 	tau   float64
 }
 
@@ -181,19 +217,8 @@ func NewTopK(k int) *TopK {
 	if k <= 0 {
 		panic(fmt.Sprintf("core: TopK with k = %d", k))
 	}
-	return &TopK{k: k, items: make([]ResultItem, 0, min(k, topKPrealloc))}
-}
-
-// Reset empties the list for reuse with limit k, keeping the backing
-// array. Reduce tasks process thousands of groups; pooling the list
-// avoids an allocation per group.
-func (t *TopK) Reset(k int) {
-	if k <= 0 {
-		panic(fmt.Sprintf("core: TopK reset with k = %d", k))
-	}
-	t.k = k
-	t.tau = 0
-	t.items = t.items[:0]
+	n := min(k, topKPrealloc)
+	return &TopK{k: k, items: make([]ResultItem, 0, n), pos: make(map[uint64]int, n)}
 }
 
 // Threshold returns τ, the score of the k-th best data object so far, or 0
@@ -210,70 +235,69 @@ func (t *TopK) Update(item ResultItem) bool {
 	if item.Score <= 0 {
 		return false
 	}
-	if len(t.items) == t.k && item.Score < t.tau {
+	full := len(t.items) == t.k
+	if full && item.Score < t.tau {
 		// Fast reject, O(1): every tracked score is >= τ, so a below-τ
 		// offer can neither displace an item nor improve a tracked one.
 		return false
 	}
-	for i := range t.items {
-		if t.items[i].ID == item.ID {
-			if item.Score <= t.items[i].Score {
-				return false
-			}
-			t.items[i] = item
-			t.recomputeTau()
-			return true
+	if i, ok := t.pos[item.ID]; ok {
+		if item.Score <= t.items[i].Score {
+			return false
 		}
-	}
-	if len(t.items) < t.k {
-		t.items = append(t.items, item)
-		t.recomputeTau()
+		t.items[i] = item
+		if full {
+			t.down(i)
+			t.tau = t.items[0].Score
+		}
 		return true
 	}
-	// Full: a score above τ displaces the current minimum; a score equal
-	// to τ displaces it only when the canonical tie-break (lowest id wins)
-	// says so, i.e. when the eviction victim is a tie with a higher id.
-	if item.Score < t.tau {
+	if !full {
+		t.pos[item.ID] = len(t.items)
+		t.items = append(t.items, item)
+		if len(t.items) == t.k {
+			for i := t.k/2 - 1; i >= 0; i-- {
+				t.down(i)
+			}
+			t.tau = t.items[0].Score
+		}
+		return true
+	}
+	// Full: a score above τ displaces the victim; a score equal to τ
+	// displaces it only when the canonical tie-break (lowest id wins) says
+	// so, i.e. when the victim is a tie with a higher id.
+	if item.Score == t.tau && t.items[0].ID < item.ID {
 		return false
 	}
-	vi := t.minIndex() // when full the victim's score is exactly τ
-	if item.Score == t.tau && t.items[vi].ID < item.ID {
-		return false
-	}
-	t.items[vi] = item
-	t.recomputeTau()
+	delete(t.pos, t.items[0].ID)
+	t.items[0] = item
+	t.down(0)
+	t.tau = t.items[0].Score
 	return true
 }
 
-// recomputeTau rescans the tracked items; k is small, so O(k) per update
-// is the same trade the paper's sorted list makes.
-func (t *TopK) recomputeTau() {
-	if len(t.items) < t.k {
-		t.tau = 0
-		return
-	}
-	min := t.items[0].Score
-	for _, it := range t.items[1:] {
-		if it.Score < min {
-			min = it.Score
+// down restores the heap order below item i, whose score just rose: the
+// worst item (lowest score, highest id on ties) sits at the root. It also
+// records the new slot of every item it moves.
+func (t *TopK) down(i int) {
+	items, x := t.items, t.items[i]
+	for {
+		c := 2*i + 1
+		if c >= len(items) {
+			break
 		}
-	}
-	t.tau = min
-}
-
-// minIndex returns the index of the worst item (lowest score; ties broken
-// by highest id, the complement of result order) — the eviction victim.
-func (t *TopK) minIndex() int {
-	vi := 0
-	for i := 1; i < len(t.items); i++ {
-		switch {
-		case t.items[i].Score < t.items[vi].Score:
-			vi = i
-		case t.items[i].Score == t.items[vi].Score && t.items[i].ID > t.items[vi].ID:
-			vi = i
+		if r := c + 1; r < len(items) && resultLess(items[c], items[r]) {
+			c = r
 		}
+		if !resultLess(x, items[c]) {
+			break
+		}
+		items[i] = items[c]
+		t.pos[items[i].ID] = i
+		i = c
 	}
-	return vi
+	items[i] = x
+	t.pos[x.ID] = i
 }
 
 // Items returns the tracked objects in canonical result order.

@@ -185,7 +185,7 @@ func TestBlockMapMatchesRecordMap(t *testing.T) {
 					job.Source = newInput()
 					var mu sync.Mutex
 					var out []emitted
-					job.Reduce = func(_ *taskCtx, values *valueIter, _ func(cellResult)) error {
+					job.Reduce = func(_ *taskCtx, values *valueIter, _ func([]ResultItem)) error {
 						mu.Lock()
 						defer mu.Unlock()
 						for {

@@ -80,8 +80,8 @@ type nnState struct {
 // of arrival order).
 func reduceNearest(q Query, view *DataView) reduceFunc {
 	r2 := q.Radius * q.Radius
-	return func(ctx *taskCtx, values *valueIter, emit func(cellResult)) error {
-		sc := getScratch(q.K)
+	return func(ctx *taskCtx, values *valueIter, _ func([]ResultItem)) error {
+		sc := getScratch()
 		defer putScratch(sc)
 		if view != nil {
 			sc.seedView(view, values.GroupKey().Cell)
@@ -131,7 +131,7 @@ func reduceNearest(q Query, view *DataView) reduceFunc {
 			computed += g.candidates(fLoc, q.Radius, nearObj)
 		}
 		ctx.Counter(CounterScoreComputations, computed)
-		topk := sc.topk
+		topk := taskTopK(ctx, q.K)
 		// TopK's canonical tie-breaking makes the outcome independent of
 		// offer order, so iterating view objects first, then in-stream
 		// ones, is for clarity, not correctness.
@@ -147,9 +147,6 @@ func reduceNearest(q Query, view *DataView) reduceFunc {
 		}
 		for i := range g.objs {
 			offer(&g.objs[i], sc.best[int(base)+i])
-		}
-		for _, item := range topk.Items() {
-			emit(cellResult{Item: item})
 		}
 		return nil
 	}

@@ -8,6 +8,7 @@ import (
 
 	"spq/internal/data"
 	"spq/internal/geo"
+	"spq/internal/grid"
 	"spq/internal/mapreduce"
 	"spq/internal/text"
 )
@@ -139,35 +140,42 @@ func TestObjGridMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// buildScanGroup lays out one reduce group in pSPQ order: nData data
-// objects (Order 0) followed by nFeat features (Order 1), all in one cell,
-// as the Map phase emits them for q.
-func buildScanGroup(nData, nFeat int, dict *text.Dict, q Query, seed int64) []mapreduce.Pair[CellKey, Rec] {
+// buildScanTask lays out one reduce task's sorted input in pSPQ order:
+// cells groups, each nData data objects (Order 0) followed by nFeat
+// features (Order 1), as the Map phase emits them for q.
+func buildScanTask(cells, nData, nFeat int, dict *text.Dict, q Query, seed int64) []mapreduce.Pair[CellKey, Rec] {
 	rng := rand.New(rand.NewSource(seed))
-	pairs := make([]mapreduce.Pair[CellKey, Rec], 0, nData+nFeat)
-	for i := 0; i < nData; i++ {
-		pairs = append(pairs, mapreduce.Pair[CellKey, Rec]{
-			Key: CellKey{Cell: 0, Order: 0},
-			Value: q.newRec(data.Object{Kind: data.DataObject, ID: uint64(i + 1),
-				Loc: geo.Point{X: rng.Float64(), Y: rng.Float64()}}),
-		})
-	}
-	for i := 0; i < nFeat; i++ {
-		pairs = append(pairs, mapreduce.Pair[CellKey, Rec]{
-			Key: CellKey{Cell: 0, Order: 1},
-			Value: q.newRec(data.Object{Kind: data.FeatureObject, ID: uint64(nData + i + 1),
-				Loc:      geo.Point{X: rng.Float64(), Y: rng.Float64()},
-				Keywords: dict.InternAll([]string{fmt.Sprintf("kw%d", rng.Intn(8))}),
-			}),
-		})
+	pairs := make([]mapreduce.Pair[CellKey, Rec], 0, cells*(nData+nFeat))
+	id := uint64(0)
+	for c := 0; c < cells; c++ {
+		cell := grid.CellID(c)
+		for i := 0; i < nData; i++ {
+			id++
+			pairs = append(pairs, mapreduce.Pair[CellKey, Rec]{
+				Key: CellKey{Cell: cell, Order: 0},
+				Value: q.newRec(data.Object{Kind: data.DataObject, ID: id,
+					Loc: geo.Point{X: rng.Float64(), Y: rng.Float64()}}),
+			})
+		}
+		for i := 0; i < nFeat; i++ {
+			id++
+			pairs = append(pairs, mapreduce.Pair[CellKey, Rec]{
+				Key: CellKey{Cell: cell, Order: 1},
+				Value: q.newRec(data.Object{Kind: data.FeatureObject, ID: id,
+					Loc:      geo.Point{X: rng.Float64(), Y: rng.Float64()},
+					Keywords: dict.InternAll([]string{fmt.Sprintf("kw%d", rng.Intn(8))}),
+				}),
+			})
+		}
 	}
 	return pairs
 }
 
-// BenchmarkReduceScan measures the Algorithm-2 reduce over one populous
-// cell — the loop the bucket index accelerates. The radius keeps each
-// feature's neighborhood at a few percent of the cell, the regime of the
-// paper's default queries.
+// BenchmarkReduceScan measures one Algorithm-2 reduce task over four
+// populous cells — the loop the bucket index accelerates — through to the
+// one list its Cleanup emits. The radius keeps each feature's
+// neighborhood at a few percent of the cell, the regime of the paper's
+// default queries.
 func BenchmarkReduceScan(b *testing.B) {
 	dict := text.NewDict()
 	q := Query{K: 10, Radius: 0.05, Keywords: dict.InternAll([]string{"kw1", "kw3", "kw5"})}
@@ -175,19 +183,19 @@ func BenchmarkReduceScan(b *testing.B) {
 		{1000, 200},
 		{8000, 400},
 	} {
-		pairs := buildScanGroup(size.nData, size.nFeat, dict, q, 3)
-		b.Run(fmt.Sprintf("objs=%d/feats=%d", size.nData, size.nFeat), func(b *testing.B) {
-			reduce := reduceScan(q, scanOpts{}, nil)
+		const cells = 4
+		pairs := buildScanTask(cells, size.nData, size.nFeat, dict, q, 3)
+		b.Run(fmt.Sprintf("cells=%d/objs=%d/feats=%d", cells, size.nData, size.nFeat), func(b *testing.B) {
+			job := &mapreduce.Job[data.Object, CellKey, Rec, []ResultItem]{
+				GroupEqual: CellKeyGroup,
+				Reduce:     reduceScan(q, scanOpts{}, nil),
+				Cleanup:    emitTaskTopK,
+			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				values, more, err := mapreduce.ValuesFromPairs(pairs, CellKeyGroup)
-				if err != nil || !more {
-					b.Fatalf("values: more=%v err=%v", more, err)
-				}
-				ctx := mapreduce.NewTaskContextForTest(mapreduce.ReduceTask)
-				var out int
-				if err := reduce(ctx, values, func(cellResult) { out++ }); err != nil {
-					b.Fatal(err)
+				out, err := mapreduce.ReduceSorted(job, pairs)
+				if err != nil || len(out) != 1 || len(out[0]) != q.K {
+					b.Fatalf("reduce task emitted %d lists, err %v", len(out), err)
 				}
 			}
 		})

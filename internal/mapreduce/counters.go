@@ -199,6 +199,13 @@ type TaskContext struct {
 	Attempt  int
 	NodeName string
 
+	// State is the reduce task's own state across its groups: nil when
+	// the attempt's first group starts, set and read by the job's Reduce
+	// and Cleanup, and dropped when the attempt ends, whatever its
+	// outcome. A lane reuses one context for all its attempts; State never
+	// carries from one to the next.
+	State any
+
 	counters *Counters
 
 	// Engine counter cells resolved once per attempt, so the per-record
@@ -231,13 +238,6 @@ func newTaskContext(kind TaskKind, task, attempt int, node string, counters *Cou
 func (t *TaskContext) rebind(task, attempt int) {
 	t.TaskID = task
 	t.Attempt = attempt
-}
-
-// NewTaskContextForTest returns a context backed by a fresh counter
-// registry, so map and reduce functions can be unit-tested and benchmarked
-// outside the engine.
-func NewTaskContextForTest(kind TaskKind) *TaskContext {
-	return newTaskContext(kind, 0, 1, "test", NewCounters())
 }
 
 // Counter adds delta to the named job counter. Map and Reduce call this

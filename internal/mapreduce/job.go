@@ -12,6 +12,13 @@
 // records are never materialized beyond the sort, mirroring how a Hadoop
 // reducer can return early.
 //
+// A reduce task follows Hadoop's reducer lifecycle: Reduce runs once per
+// group, in key order, and an optional Cleanup runs once after the last
+// group. State the groups of one task share (the SPQ jobs keep one top-k
+// list per task) lives in TaskContext.State, which every attempt starts
+// without and which dies with the attempt, so a retried or failed attempt
+// never leaks into another.
+//
 // The engine executes map and reduce tasks on a simulated cluster (package
 // dfs provides the storage nodes) with a configurable number of worker
 // slots, round-robin task assignment, per-task retry with fault
@@ -109,6 +116,12 @@ type Job[I, K, V, O any] struct {
 	// pairs in Less order. It may stop consuming values at any point
 	// (early termination). Output records are passed to emit.
 	Reduce func(ctx *TaskContext, values *Values[K, V], emit func(O)) error
+
+	// Cleanup, when non-nil, is invoked once per reduce-task attempt after
+	// its last group — also for a task that received no records — and may
+	// emit the output the task's groups accumulated in ctx.State (Hadoop's
+	// Reducer.cleanup).
+	Cleanup func(ctx *TaskContext, emit func(O)) error
 
 	// KeyCodec and ValueCodec serialize intermediate records. They are
 	// required for remote execution (a job with a Wire form) and unused by

@@ -554,3 +554,82 @@ func TestCountersRegistry(t *testing.T) {
 		t.Errorf("Snapshot = %v", snap)
 	}
 }
+
+// TestReduceCleanupPerAttempt is the reduce-task lifecycle: Cleanup runs
+// once per attempt after the last group, also for a task without records,
+// and TaskContext.State is per attempt — never per lane. One reduce slot
+// runs all five tasks on one reused context, and task 2's first attempt
+// fails after its first group set State; a state left over from that
+// attempt or from the lane's previous task would show in the sums.
+func TestReduceCleanupPerAttempt(t *testing.T) {
+	type acc struct{ groups, sum int }
+	var recs []intKey
+	for part := 0; part < 10; part++ {
+		for order := 0; order <= part; order++ {
+			recs = append(recs, intKey{Part: part, Order: float64(order)})
+		}
+	}
+	job := &Job[intKey, intKey, int, string]{
+		Name:        "lifecycle",
+		Source:      NewMemorySource(recs, 3),
+		NumReducers: 5,
+		MaxAttempts: 2,
+		Map: func(ctx *TaskContext, rec intKey, emit func(intKey, int)) error {
+			emit(rec, 1)
+			return nil
+		},
+		// Task 4 receives nothing.
+		Partition:  func(k intKey, r int) int { return k.Part % (r - 1) },
+		Less:       intKeyLess,
+		GroupEqual: intKeyGroup,
+		Reduce: func(ctx *TaskContext, values *Values[intKey, int], emit func(string)) error {
+			st, _ := ctx.State.(*acc)
+			if st == nil {
+				st = &acc{}
+				ctx.State = st
+			}
+			st.groups++
+			for {
+				v, ok := values.Next()
+				if !ok {
+					break
+				}
+				st.sum += v
+			}
+			if ctx.TaskID == 2 && ctx.Attempt == 1 {
+				return errors.New("transient failure after the first group")
+			}
+			return nil
+		},
+		Cleanup: func(ctx *TaskContext, emit func(string)) error {
+			st, _ := ctx.State.(*acc)
+			if st == nil {
+				emit(fmt.Sprintf("task %d: no groups", ctx.TaskID))
+				return nil
+			}
+			emit(fmt.Sprintf("task %d: %d groups, %d records", ctx.TaskID, st.groups, st.sum))
+			return nil
+		},
+	}
+	res, err := Run(NewCluster(nil, 2, 1), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Task t holds parts t, t+4, t+8 < 10; part p has p+1 records.
+	want := []string{
+		"task 0: 3 groups, 15 records",
+		"task 1: 3 groups, 18 records",
+		"task 2: 2 groups, 10 records",
+		"task 3: 2 groups, 12 records",
+		"task 4: no groups",
+	}
+	if !reflect.DeepEqual(res.Output, want) {
+		t.Errorf("output = %q\nwant %q", res.Output, want)
+	}
+	if got := res.Counters[CounterOutputRecords]; got != int64(len(want)) {
+		t.Errorf("%s = %d, want %d: one Cleanup emission per task", CounterOutputRecords, got, len(want))
+	}
+	if got := res.Counters[CounterRetryReduce]; got != 1 {
+		t.Errorf("%s = %d, want 1", CounterRetryReduce, got)
+	}
+}

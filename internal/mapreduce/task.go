@@ -166,9 +166,12 @@ func (s *pollStream[K, V]) next() (Pair[K, V], bool, error) {
 	return s.inner.next()
 }
 
-// reduceStream drives the job's Reduce function over a merged sorted
-// stream, one invocation per key group.
+// reduceStream drives one reduce-task attempt over a merged sorted
+// stream: the job's Reduce once per key group, then its Cleanup. The
+// attempt's State starts and ends nil.
 func reduceStream[I, K, V, O any](job *Job[I, K, V, O], merged stream[K, V], local *Counters, ctx *TaskContext) ([]O, error) {
+	ctx.State = nil
+	defer func() { ctx.State = nil }()
 	group := job.GroupEqual
 	if group == nil {
 		group = func(a, b K) bool { return false }
@@ -195,6 +198,11 @@ func reduceStream[I, K, V, O any](job *Job[I, K, V, O], merged stream[K, V], loc
 		}
 		more, err = vals.drain()
 		if err != nil {
+			return nil, err
+		}
+	}
+	if job.Cleanup != nil {
+		if err := job.Cleanup(ctx, emit); err != nil {
 			return nil, err
 		}
 	}

@@ -119,22 +119,14 @@ func (v *Values[K, V]) drain() (more bool, err error) {
 	}
 }
 
-// ValuesFromPairs returns a Values iterator over an already-sorted pair
-// slice, positioned on its first group (more reports whether one exists).
-// It exists so reduce implementations can be unit-tested and benchmarked
-// against in-memory data without running a full job; the engine builds its
-// iterators internally.
-func ValuesFromPairs[K, V any](pairs []Pair[K, V], group func(a, b K) bool) (v *Values[K, V], more bool, err error) {
-	if group == nil {
-		group = func(a, b K) bool { return false }
-	}
-	v = &Values[K, V]{
-		stream:   &memStream[K, V]{pairs: pairs},
-		group:    group,
-		consumed: NewCounters().cell(CounterValuesConsumed),
-	}
-	more, err = v.prime()
-	return v, more, err
+// ReduceSorted runs one reduce-task attempt of job over an already-sorted
+// pair slice — every group through Reduce, then Cleanup — and returns its
+// output. It exists so reduce implementations can be unit-tested and
+// benchmarked against in-memory data without running a full job; the
+// engine drives its attempts internally.
+func ReduceSorted[I, K, V, O any](job *Job[I, K, V, O], pairs []Pair[K, V]) ([]O, error) {
+	local := NewCounters()
+	return reduceStream(job, &memStream[K, V]{pairs: pairs}, local, newTaskContext(ReduceTask, 0, 1, "test", local))
 }
 
 // prime loads the first record of the partition. It returns whether any
