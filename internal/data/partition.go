@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"io"
 	"sort"
+	"sync"
 
 	"spq/internal/dfs"
 	"spq/internal/geo"
@@ -51,20 +52,22 @@ type KeywordBloom []byte
 // NewKeywordBloom returns an empty summary.
 func NewKeywordBloom() KeywordBloom { return make(KeywordBloom, bloomBits/8) }
 
-// bloomHash computes the word's 64-bit FNV-1a digest once; the probe bit
-// positions are derived from its two halves by double hashing.
-func bloomHash(word string) (h1, h2 uint32) {
+// bloomBitsOf computes the word's probe bit positions: the two halves of
+// its 64-bit FNV-1a digest, combined by double hashing.
+func bloomBitsOf(word string) (bits [bloomProbes]uint32) {
 	h := fnv.New64a()
 	h.Write([]byte(word))
 	s := h.Sum64()
-	return uint32(s), uint32(s>>32) | 1
+	h1, h2 := uint32(s), uint32(s>>32)|1
+	for i := range bits {
+		bits[i] = (h1 + uint32(i)*h2) % bloomBits
+	}
+	return bits
 }
 
 // Add inserts a keyword into the summary.
 func (b KeywordBloom) Add(word string) {
-	h1, h2 := bloomHash(word)
-	for i := uint32(0); i < bloomProbes; i++ {
-		idx := (h1 + i*h2) % bloomBits
+	for _, idx := range bloomBitsOf(word) {
 		b[idx/8] |= 1 << (idx % 8)
 	}
 }
@@ -74,26 +77,37 @@ func (b KeywordBloom) Add(word string) {
 // unexpected length (possible only through a hand-crafted manifest, which
 // DecodeManifest rejects) are treated as empty.
 func (b KeywordBloom) MayContain(word string) bool {
+	return b.MayContainAny(KeywordProbe{bloomBitsOf(word)})
+}
+
+// KeywordProbe is a keyword set hashed once into its probe bit positions,
+// so testing it against many summaries costs no hashing: the planner
+// hashes a query's words once per query, not once per feature block.
+type KeywordProbe [][bloomProbes]uint32
+
+// NewKeywordProbe hashes the words.
+func NewKeywordProbe(words []string) KeywordProbe {
+	p := make(KeywordProbe, len(words))
+	for i, w := range words {
+		p[i] = bloomBitsOf(w)
+	}
+	return p
+}
+
+// MayContainAny reports whether any of the probe's words may occur in the
+// cell — the planner's keyword-disjointness test for one feature block.
+func (b KeywordBloom) MayContainAny(p KeywordProbe) bool {
 	if len(b) != bloomBits/8 {
 		return false
 	}
-	h1, h2 := bloomHash(word)
-	for i := uint32(0); i < bloomProbes; i++ {
-		idx := (h1 + i*h2) % bloomBits
-		if b[idx/8]&(1<<(idx%8)) == 0 {
-			return false
+next:
+	for _, bits := range p {
+		for _, idx := range bits {
+			if b[idx/8]&(1<<(idx%8)) == 0 {
+				continue next
+			}
 		}
-	}
-	return true
-}
-
-// MayContainAny reports whether any of the words may occur in the cell —
-// the planner's keyword-disjointness test for one feature cell.
-func (b KeywordBloom) MayContainAny(words []string) bool {
-	for _, w := range words {
-		if b.MayContain(w) {
-			return true
-		}
+		return true
 	}
 	return false
 }
@@ -149,6 +163,20 @@ type Manifest struct {
 	Grid       GridSpec    `json:"grid"`
 	Data       []CellStats `json:"data"`
 	Features   []CellStats `json:"features"`
+
+	deriveOnce sync.Once // see Derive
+	derived    any
+}
+
+// Derive returns build(m), computed on the first call and kept for the
+// manifest's lifetime; later calls return the same value whatever build
+// they pass. It is where the query planner keeps its per-generation block
+// index, so the index dies with the manifest it indexes. Safe for
+// concurrent use. A manifest must not be mutated once derived from: the
+// engine never mutates a published one.
+func (m *Manifest) Derive(build func(*Manifest) any) any {
+	m.deriveOnce.Do(func() { m.derived = build(m) })
+	return m.derived
 }
 
 // TotalRecords returns the total object count across both datasets.

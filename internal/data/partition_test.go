@@ -27,7 +27,7 @@ func TestKeywordBloomMembership(t *testing.T) {
 			t.Errorf("MayContain(%q) = false after Add (false negative)", w)
 		}
 	}
-	if !b.MayContainAny([]string{"nope", "wine"}) {
+	if !b.MayContainAny(NewKeywordProbe([]string{"nope", "wine"})) {
 		t.Error("MayContainAny missed an added word")
 	}
 	// A nearly empty bloom must prune almost every unrelated word.
@@ -39,6 +39,9 @@ func TestKeywordBloomMembership(t *testing.T) {
 	}
 	if misses < 990 {
 		t.Errorf("only %d/1000 unrelated words pruned; bloom too dense", misses)
+	}
+	if b.MayContainAny(NewKeywordProbe(nil)) {
+		t.Error("MayContainAny matched an empty word set")
 	}
 	var empty KeywordBloom
 	if empty.MayContain("anything") {

@@ -19,19 +19,32 @@
 //     would have survived step 2.)
 //
 // Both distance tests use the tight per-block bounding rectangles, not the
-// cell rectangles. The planner then picks the query-time grid size and
-// reducer count from the surviving statistics instead of a hardcoded
-// default. Pruning never changes results: surviving blocks feed the
-// unmodified query-time grid algorithms, so the top-k is identical to the
-// unpruned path.
+// cell rectangles.
+//
+// A sealed manifest never changes, so the planner does not re-read it per
+// query: the first plan of a generation builds its index (index.go) and
+// hangs it on the manifest (data.Manifest.Derive), where it lives and dies
+// with the generation. The index holds the base's block units in manifest
+// order and files them in a uniform bucket grid over their bounding box.
+// Steps 2 and 3 test a unit only against the surviving units of the
+// buckets within reach of it, base and delta alike (the delta's units are
+// cut and filed per query), and the query's words are hashed once. The
+// candidates are exact: the bucket mapping is monotone and clamped in
+// float64 before it becomes an index, so two rectangles within r of each
+// other always share a bucket range once one is widened by r — a hair
+// more, against rounding — and the unchanged test RectMinDist2 <= r²
+// decides each candidate. Every Decision is the scan's, to the digit.
+//
+// The planner then picks the query-time grid size and reducer count from
+// the surviving statistics instead of a hardcoded default. Pruning never
+// changes results: surviving blocks feed the unmodified query-time grid
+// algorithms, so the top-k is identical to the unpruned path.
 package plan
 
 import (
 	"math"
-	"sort"
 
 	"spq/internal/data"
-	"spq/internal/geo"
 )
 
 // Planner counter names, merged into the job counters of a planned query
@@ -140,56 +153,6 @@ func (d *Decision) Counters() map[string]int64 {
 	}
 }
 
-// unit is the planner's granule: one column block, of a sealed or a delta
-// cell. Every unit carries its zone map's tight bounds, record count and —
-// for feature units — keyword summary, so the three pruning steps are the
-// cell-level ones verbatim, with "cell" read as "block".
-type unit struct {
-	cellIdx  int // index into its category's CellStats slice
-	blockIdx int // block index within the cell
-	records  int
-	bounds   geo.Rect
-	bloom    data.KeywordBloom
-	delta    bool
-}
-
-// explode turns one category's cells into pruning units, one per block.
-// A cell without zone maps has no units, so it is never selected.
-func explode(cells []data.CellStats, delta bool) []unit {
-	out := make([]unit, 0, len(cells))
-	for i, cs := range cells {
-		for bi, bs := range cs.Blocks {
-			out = append(out, unit{cellIdx: i, blockIdx: bi, records: bs.Records,
-				bounds: bs.Bounds, bloom: bs.Keywords, delta: delta})
-		}
-	}
-	return out
-}
-
-// regroup folds one category's surviving units back into per-cell
-// selections: the surviving CellStats in manifest order, and each one's
-// ascending surviving block indices in blocks.
-func regroup(cells []data.CellStats, surv []unit, delta bool, blocks map[string][]int) (kept []data.CellStats, records int64) {
-	sel := make(map[int][]int, len(cells))
-	for _, u := range surv {
-		if u.delta != delta {
-			continue
-		}
-		sel[u.cellIdx] = append(sel[u.cellIdx], u.blockIdx)
-		records += int64(u.records)
-	}
-	for i, cs := range cells {
-		bi, ok := sel[i]
-		if !ok {
-			continue
-		}
-		kept = append(kept, cs)
-		sort.Ints(bi)
-		blocks[cs.File] = bi
-	}
-	return kept, records
-}
-
 // PlanGenerations prunes the union of the sealed base manifest and the
 // in-memory delta cell sets against the query. The delta cells describe
 // records appended after the base generation sealed, cut into column
@@ -199,6 +162,9 @@ func regroup(cells []data.CellStats, surv []unit, delta bool, blocks map[string]
 // reach, and vice versa — so results over base+delta are identical to a
 // hypothetical re-seal of everything. The granule is the column block,
 // not the cell: a surviving cell may be read only partially.
+//
+// The base's units and buckets come from the manifest's index, built on
+// its first plan; only the delta's are cut per query.
 func PlanGenerations(m *data.Manifest, deltaData, deltaFeatures []data.CellStats, in Input) *Decision {
 	d := &Decision{Stats: Stats{
 		SealGridN:    m.Grid.N,
@@ -215,50 +181,61 @@ func PlanGenerations(m *data.Manifest, deltaData, deltaFeatures []data.CellStats
 	}
 	d.Stats.RecordsTotal += d.Stats.DeltaRecords
 
-	allD := append(explode(m.Data, false), explode(deltaData, true)...)
-	allF := append(explode(m.Features, false), explode(deltaFeatures, true)...)
-	d.Stats.Blocks = len(allD) + len(allF)
+	ix := indexOf(m)
+	dd, df := ix.grid.fill(deltaData, explode(deltaData)), ix.grid.fill(deltaFeatures, explode(deltaFeatures))
+	dataL, featL := []*layer{&ix.data, &dd}, []*layer{&ix.features, &df}
+	keepD := [2][]bool{make([]bool, len(dataL[0].units)), make([]bool, len(dataL[1].units))}
+	keepF := [2][]bool{make([]bool, len(featL[0].units)), make([]bool, len(featL[1].units))}
+	d.Stats.Blocks = len(keepD[0]) + len(keepD[1]) + len(keepF[0]) + len(keepF[1])
 
 	// 1. Keyword pruning of feature units.
-	survF := make([]unit, 0, len(allF))
-	for _, fu := range allF {
-		if fu.bloom.MayContainAny(in.Keywords) {
-			survF = append(survF, fu)
+	probe := data.NewKeywordProbe(in.Keywords)
+	for s, l := range featL {
+		for i, u := range l.units {
+			keepF[s][i] = u.zone.Keywords.MayContainAny(probe)
 		}
 	}
 
 	// 2. Distance pruning of data units against surviving feature units.
 	r2 := in.Radius * in.Radius
-	survD := make([]unit, 0, len(allD))
-	for _, du := range allD {
-		if withinAny(du.bounds, survF, r2) {
-			survD = append(survD, du)
+	reach := reachOf(r2)
+	survivors := 0
+	for s, l := range dataL {
+		for i, u := range l.units {
+			keepD[s][i] = ix.grid.near(u.bounds, reach, r2, featL, keepF[:])
+			if keepD[s][i] {
+				survivors++
+			}
 		}
 	}
 
 	// 3. Distance pruning of feature units against surviving data units.
 	// (This cannot re-orphan a data unit: had the feature unit been within
 	// r of a data unit, that data unit would have survived step 2.)
-	finalF := survF[:0]
-	for _, fu := range survF {
-		if withinAny(fu.bounds, survD, r2) {
-			finalF = append(finalF, fu)
+	for s, l := range featL {
+		for i, u := range l.units {
+			keepF[s][i] = keepF[s][i] && ix.grid.near(u.bounds, reach, r2, dataL, keepD[:])
+			if keepF[s][i] {
+				survivors++
+			}
 		}
 	}
 
-	d.Blocks = make(map[string][]int)
+	d.Blocks = make(map[string][]int, dataL[0].keptCells(keepD[0])+dataL[1].keptCells(keepD[1])+
+		featL[0].keptCells(keepF[0])+featL[1].keptCells(keepF[1]))
+	sel := make([]int, 0, survivors)
 	var selected int64
-	d.Data, selected = regroup(m.Data, survD, false, d.Blocks)
+	d.Data, selected, sel = dataL[0].regroup(keepD[0], d.Blocks, sel)
 	d.Stats.RecordsSelected += selected
-	d.Features, selected = regroup(m.Features, finalF, false, d.Blocks)
+	d.Features, selected, sel = featL[0].regroup(keepF[0], d.Blocks, sel)
 	d.Stats.RecordsSelected += selected
-	d.DeltaData, selected = regroup(deltaData, survD, true, d.Blocks)
-	d.Stats.RecordsSelected += selected
-	d.Stats.DeltaRecordsSelected += selected
-	d.DeltaFeatures, selected = regroup(deltaFeatures, finalF, true, d.Blocks)
+	d.DeltaData, selected, sel = dataL[1].regroup(keepD[1], d.Blocks, sel)
 	d.Stats.RecordsSelected += selected
 	d.Stats.DeltaRecordsSelected += selected
-	d.Stats.BlocksPruned = d.Stats.Blocks - len(survD) - len(finalF)
+	d.DeltaFeatures, selected, _ = featL[1].regroup(keepF[1], d.Blocks, sel)
+	d.Stats.RecordsSelected += selected
+	d.Stats.DeltaRecordsSelected += selected
+	d.Stats.BlocksPruned = d.Stats.Blocks - survivors
 	d.Stats.DataCellsPruned = d.Stats.DataCells - len(d.Data) - len(d.DeltaData)
 	d.Stats.FeatureCellsPruned = d.Stats.FeatureCells - len(d.Features) - len(d.DeltaFeatures)
 	d.Stats.DeltaCellsPruned = d.Stats.DeltaCells - len(d.DeltaData) - len(d.DeltaFeatures)
@@ -272,16 +249,6 @@ func PlanGenerations(m *data.Manifest, deltaData, deltaFeatures []data.CellStats
 		d.NumReducers = ChooseReducers(d.GridN, in.ReduceSlots)
 	}
 	return d
-}
-
-// withinAny reports whether any unit in units has MINDIST <= r from b.
-func withinAny(b geo.Rect, units []unit, r2 float64) bool {
-	for _, u := range units {
-		if geo.RectMinDist2(b, u.bounds) <= r2 {
-			return true
-		}
-	}
-	return false
 }
 
 // Grid-size heuristic bounds. The paper's optimum (Section 6.3) trades

@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"spq/internal/data"
@@ -251,13 +252,18 @@ func TestChooseReducers(t *testing.T) {
 
 // buildColumnarManifest seals the same two-cluster corpus with tiny
 // blocks, so cells split into many prunable units.
-func buildColumnarManifest(t *testing.T, sealN, blockRecords int) *data.Manifest {
+func buildColumnarManifest(t testing.TB, sealN, blockRecords int) *data.Manifest {
 	t.Helper()
 	dict := text.NewDict()
-	p := twoClusters(sealN, dict)
-	m, _ := p.SealBlocks("t", dict)
-	// The seal sizes blocks from cell density; to get blockRecords-sized
-	// ones, re-cut every cell and keep only the zone maps.
+	return sealCut(twoClusters(sealN, dict), "t", dict, blockRecords)
+}
+
+// sealCut seals the partitions as resident blocks, then re-cuts every
+// cell into blocks of blockRecords records and keeps only the zone maps:
+// the seal sizes blocks from cell density, too coarse for block-level
+// tests.
+func sealCut(p *data.Partitions, prefix string, dict *text.Dict, blockRecords int) *data.Manifest {
+	m, _ := p.SealBlocks(prefix, dict)
 	for _, kind := range []struct {
 		cells []data.CellStats
 		parts []data.CellPart
@@ -351,28 +357,35 @@ func TestPlanBlockCountersZeroWithoutZoneMaps(t *testing.T) {
 }
 
 // TestPlanEveryUnitIsABlock: base and delta cells alike are pruned block
-// by block. Every unit carries a block index inside its cell's zone maps,
-// there is one unit per zone map, and every surviving cell — base or
-// delta — comes back with its surviving block indices.
+// by block. Every unit — the index's for the base, the per-query cut for
+// the delta — carries a block index inside its cell's zone maps, there is
+// one unit per zone map, and every surviving cell, base or delta, comes
+// back with its surviving block indices.
 func TestPlanEveryUnitIsABlock(t *testing.T) {
 	m := buildColumnarManifest(t, 2, 8)
 	dd, df := buildDelta(m, 0.25, 0.25, "a", 600)
+	ix := indexOf(m)
 	zoneMaps := 0
 	for _, c := range []struct {
+		name  string
 		cells []data.CellStats
-		delta bool
-	}{{m.Data, false}, {m.Features, false}, {dd, true}, {df, true}} {
-		units := explode(c.cells, c.delta)
+		units []unit
+	}{
+		{"base data", m.Data, ix.data.units},
+		{"base features", m.Features, ix.features.units},
+		{"delta data", dd, ix.grid.fill(dd, explode(dd)).units},
+		{"delta features", df, ix.grid.fill(df, explode(df)).units},
+	} {
 		n := 0
 		for _, cs := range c.cells {
 			n += len(cs.Blocks)
 		}
-		if len(units) != n {
-			t.Fatalf("delta=%v: %d units for %d zone maps", c.delta, len(units), n)
+		if len(c.units) != n {
+			t.Fatalf("%s: %d units for %d zone maps", c.name, len(c.units), n)
 		}
-		for _, u := range units {
-			if u.delta != c.delta || u.blockIdx < 0 || u.blockIdx >= len(c.cells[u.cellIdx].Blocks) {
-				t.Fatalf("delta=%v: unit %+v carries no block of its cell", c.delta, u)
+		for _, u := range c.units {
+			if u.block < 0 || int(u.block) >= len(c.cells[u.cell].Blocks) || u.zone != &c.cells[u.cell].Blocks[u.block] {
+				t.Fatalf("%s: unit %+v carries no block of its cell", c.name, u)
 			}
 		}
 		zoneMaps += n
@@ -402,4 +415,130 @@ func TestPlanEveryUnitIsABlock(t *testing.T) {
 	if selected != d.Stats.RecordsSelected {
 		t.Errorf("surviving blocks hold %d records, Stats.RecordsSelected = %d", selected, d.Stats.RecordsSelected)
 	}
+}
+
+// scanPlan is the planner as it was before the per-generation index, kept
+// as the oracle PlanGenerations must equal, Decision for Decision: it cuts
+// every cell of both generations into units on every query, probes every
+// feature unit's bloom word by word, and tests every unit against every
+// other.
+func scanPlan(m *data.Manifest, deltaData, deltaFeatures []data.CellStats, in Input) *Decision {
+	d := &Decision{Stats: Stats{
+		SealGridN:    m.Grid.N,
+		DataCells:    len(m.Data) + len(deltaData),
+		FeatureCells: len(m.Features) + len(deltaFeatures),
+		RecordsTotal: m.TotalRecords(),
+		DeltaCells:   len(deltaData) + len(deltaFeatures),
+	}}
+	for _, cs := range deltaData {
+		d.Stats.DeltaRecords += int64(cs.Records)
+	}
+	for _, cs := range deltaFeatures {
+		d.Stats.DeltaRecords += int64(cs.Records)
+	}
+	d.Stats.RecordsTotal += d.Stats.DeltaRecords
+
+	allD := append(scanExplode(m.Data, false), scanExplode(deltaData, true)...)
+	allF := append(scanExplode(m.Features, false), scanExplode(deltaFeatures, true)...)
+	d.Stats.Blocks = len(allD) + len(allF)
+
+	survF := make([]scanUnit, 0, len(allF))
+	for _, fu := range allF {
+		for _, w := range in.Keywords {
+			if fu.bloom.MayContain(w) {
+				survF = append(survF, fu)
+				break
+			}
+		}
+	}
+	r2 := in.Radius * in.Radius
+	survD := make([]scanUnit, 0, len(allD))
+	for _, du := range allD {
+		if scanWithinAny(du.bounds, survF, r2) {
+			survD = append(survD, du)
+		}
+	}
+	finalF := survF[:0]
+	for _, fu := range survF {
+		if scanWithinAny(fu.bounds, survD, r2) {
+			finalF = append(finalF, fu)
+		}
+	}
+
+	d.Blocks = make(map[string][]int)
+	var selected int64
+	d.Data, selected = scanRegroup(m.Data, survD, false, d.Blocks)
+	d.Stats.RecordsSelected += selected
+	d.Features, selected = scanRegroup(m.Features, finalF, false, d.Blocks)
+	d.Stats.RecordsSelected += selected
+	d.DeltaData, selected = scanRegroup(deltaData, survD, true, d.Blocks)
+	d.Stats.RecordsSelected += selected
+	d.Stats.DeltaRecordsSelected += selected
+	d.DeltaFeatures, selected = scanRegroup(deltaFeatures, finalF, true, d.Blocks)
+	d.Stats.RecordsSelected += selected
+	d.Stats.DeltaRecordsSelected += selected
+	d.Stats.BlocksPruned = d.Stats.Blocks - len(survD) - len(finalF)
+	d.Stats.DataCellsPruned = d.Stats.DataCells - len(d.Data) - len(d.DeltaData)
+	d.Stats.FeatureCellsPruned = d.Stats.FeatureCells - len(d.Features) - len(d.DeltaFeatures)
+	d.Stats.DeltaCellsPruned = d.Stats.DeltaCells - len(d.DeltaData) - len(d.DeltaFeatures)
+
+	d.GridN = in.GridN
+	if d.GridN <= 0 {
+		d.GridN = chooseGridN(d.Stats.RecordsSelected)
+	}
+	d.NumReducers = in.NumReducers
+	if d.NumReducers <= 0 {
+		d.NumReducers = ChooseReducers(d.GridN, in.ReduceSlots)
+	}
+	return d
+}
+
+type scanUnit struct {
+	cellIdx  int
+	blockIdx int
+	records  int
+	bounds   geo.Rect
+	bloom    data.KeywordBloom
+	delta    bool
+}
+
+func scanExplode(cells []data.CellStats, delta bool) []scanUnit {
+	out := make([]scanUnit, 0, len(cells))
+	for i, cs := range cells {
+		for bi, bs := range cs.Blocks {
+			out = append(out, scanUnit{cellIdx: i, blockIdx: bi, records: bs.Records,
+				bounds: bs.Bounds, bloom: bs.Keywords, delta: delta})
+		}
+	}
+	return out
+}
+
+func scanRegroup(cells []data.CellStats, surv []scanUnit, delta bool, blocks map[string][]int) (kept []data.CellStats, records int64) {
+	sel := make(map[int][]int, len(cells))
+	for _, u := range surv {
+		if u.delta != delta {
+			continue
+		}
+		sel[u.cellIdx] = append(sel[u.cellIdx], u.blockIdx)
+		records += int64(u.records)
+	}
+	for i, cs := range cells {
+		bi, ok := sel[i]
+		if !ok {
+			continue
+		}
+		kept = append(kept, cs)
+		sort.Ints(bi)
+		blocks[cs.File] = bi
+	}
+	return kept, records
+}
+
+func scanWithinAny(b geo.Rect, units []scanUnit, r2 float64) bool {
+	for _, u := range units {
+		if geo.RectMinDist2(b, u.bounds) <= r2 {
+			return true
+		}
+	}
+	return false
 }

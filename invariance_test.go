@@ -205,3 +205,47 @@ func TestTopKPrefixOfTopKPlusOne(t *testing.T) {
 		}
 	}
 }
+
+// TestKthScoreMonotoneInRadius is a relation that needs no reference
+// engine: every object's score — the best matching feature within r
+// (range), the best distance-decayed one (influence), or the nearest
+// feature within r (nearest) — never falls as r grows, so neither does
+// the k-th score of the top-k (0 while fewer than k objects score). It
+// covers every algorithm and storage, planned and unplanned; a planner
+// that loses a block within r at some radius breaks it.
+func TestKthScoreMonotoneInRadius(t *testing.T) {
+	dataObjs, feats := tiedCorpus(41, 900)
+	radii := []float64{0, 0.01, 0.03, 0.06, 0.1, 0.2, 0.5, 1.5}
+	for _, st := range oracleStorages {
+		e := sealedEngine(t, Config{Storage: st.storage, Nodes: 4, BlockSize: 4 << 10, Seed: 9}, dataObjs, feats)
+		for _, planned := range []bool{false, true} {
+			for _, c := range invarianceCases() {
+				opts := []QueryOption{WithAlgorithm(c.alg), WithCache(false)}
+				if planned {
+					opts = append(opts, WithAutoPlan())
+				}
+				prev := 0.0
+				for _, r := range radii {
+					q := c.q
+					q.Radius = r
+					got, err := e.Query(q, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					kth := 0.0
+					if len(got) >= q.K {
+						kth = got[q.K-1].Score
+					}
+					if kth < prev {
+						t.Errorf("%s planned=%v %v %v k=%d: k-th score falls from %v to %v as r grows to %v",
+							st.name, planned, c.alg, q.Mode, q.K, prev, kth, r)
+					}
+					prev = kth
+				}
+				if prev == 0 {
+					t.Errorf("%s planned=%v %v %v k=%d: no radius fills the top-k", st.name, planned, c.alg, c.q.Mode, c.q.K)
+				}
+			}
+		}
+	}
+}
