@@ -16,6 +16,7 @@ import (
 	"spq/internal/bench"
 	"spq/internal/core"
 	"spq/internal/data"
+	"spq/internal/grid"
 	"spq/internal/mapreduce"
 )
 
@@ -107,21 +108,14 @@ func BenchmarkAlgorithmPSPQ(b *testing.B)    { benchAlgorithm(b, core.PSPQ, core
 func BenchmarkAlgorithmESPQLen(b *testing.B) { benchAlgorithm(b, core.ESPQLen, core.Options{}) }
 func BenchmarkAlgorithmESPQSco(b *testing.B) { benchAlgorithm(b, core.ESPQSco, core.Options{}) }
 
-// Ablation: pSPQ with the Map-side keyword prune disabled — every feature
-// object is shuffled and examined, quantifying the value of Algorithm 1
-// line 9.
-func BenchmarkAblationNoPrune(b *testing.B) {
-	benchAlgorithm(b, core.PSPQ, core.Options{DisableKeywordPrune: true})
-}
-
 // Ablation: grid resolution — the Section 6.3 trade-off between
 // duplication (coarse grids) and parallelism (fine grids).
 func BenchmarkAblationGrid4(b *testing.B)  { benchAlgorithm(b, core.ESPQSco, core.Options{GridN: 4}) }
 func BenchmarkAblationGrid16(b *testing.B) { benchAlgorithm(b, core.ESPQSco, core.Options{GridN: 16}) }
 func BenchmarkAblationGrid32(b *testing.B) { benchAlgorithm(b, core.ESPQSco, core.Options{GridN: 32}) }
 
-// End-to-end benchmark through the public API and the DFS storage path,
-// including input splits, locality scheduling and line parsing.
+// End-to-end benchmark through the public API on the default sealed
+// storage: unplanned queries over SPQ3 column blocks in the DFS.
 func BenchmarkPublicAPIQueryDFS(b *testing.B) {
 	e := spq.NewEngine(spq.Config{Seed: 1})
 	if err := e.LoadSynthetic("uniform", 20000); err != nil {
@@ -217,11 +211,19 @@ func benchBalance(b *testing.B, balance bool) {
 	q := core.Query{K: 10, Radius: 0.10 / 8, Keywords: ds.RandomQueryKeywords(3, 42)}
 	cluster := mapreduce.NewCluster(nil, 4, 4)
 	src := mapreduce.NewMemorySource(ds.Objects(), 8)
+	var table []int32
+	if balance {
+		weights, err := core.CellWeights(src, grid.New(ds.Bounds(), 8, 8), q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		table = core.BalanceCells(weights, 4)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Run(core.ESPQSco, src, q, core.Options{
 			Cluster: cluster, Bounds: ds.Bounds(), GridN: 8,
-			NumReducers: 4, LoadBalance: balance,
+			NumReducers: 4, CellReducer: table,
 		}); err != nil {
 			b.Fatal(err)
 		}

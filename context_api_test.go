@@ -7,11 +7,14 @@ package spq
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"spq/internal/core"
 )
 
 func contextTestEngine(t *testing.T, cfg Config) *Engine {
@@ -169,11 +172,15 @@ func TestInvalidQueryTaxonomy(t *testing.T) {
 		// A job on 10,000 cells a side runs for tens of seconds; the grid
 		// is capped before any work starts.
 		{"huge grid", valid, []QueryOption{WithGrid(10000)}, "grid size"},
-		{"huge grid, planned", valid, []QueryOption{WithAutoPlan(), WithGrid(maxGridN + 1)}, "grid size"},
+		{"huge grid, planned", valid, []QueryOption{WithAutoPlan(), WithGrid(core.MaxGridN + 1)}, "grid size"},
 		// A billion reducers would run the process out of memory in the
 		// map tasks' partition slices.
 		{"huge reducers", valid, []QueryOption{WithReducers(1_000_000_000)}, "reducers"},
-		{"reducers past the cap", valid, []QueryOption{WithReducers(maxReducers + 1)}, "reducers"},
+		{"reducers past the cap", valid, []QueryOption{WithReducers(core.MaxReducers + 1)}, "reducers"},
+		// A non-finite extent used to build a data view no query could hit
+		// again and then fail outside the taxonomy.
+		{"NaN bounds", valid, []QueryOption{WithBounds(math.NaN(), 0, 1, 1)}, "bounds"},
+		{"infinite bounds", valid, []QueryOption{WithBounds(0, 0, math.Inf(1), 1)}, "bounds"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -752,16 +752,6 @@ func (e *Engine) QueryContext(ctx context.Context, q Query, opts ...QueryOption)
 // planner chooses one (the paper's configuration for small datasets).
 const defaultGridN = 16
 
-// maxGridN and maxReducers bound the grid size and reduce-task count a
-// query may ask for; both arrive off the wire, and a job's work and
-// memory grow with them (gridN² cells, per-map-task partition slices of
-// length reducers). maxGridN is 8x the planner's ceiling of 128;
-// maxReducers is far above the planner's 4 per reduce slot.
-const (
-	maxGridN    = 1024
-	maxReducers = 4096
-)
-
 // QueryReport runs a query and additionally returns the execution metrics
 // of the underlying MapReduce job. It is QueryReportContext with a
 // background context.
@@ -818,11 +808,14 @@ func (e *Engine) queryReport(ctx context.Context, q Query, opts []QueryOption) (
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if cfg.gridSet && (cfg.gridN <= 0 || cfg.gridN > maxGridN) {
-		return nil, fmt.Errorf("%w: grid size %d, must be in [1, %d]", ErrInvalidQuery, cfg.gridN, maxGridN)
+	if cfg.gridSet && (cfg.gridN <= 0 || cfg.gridN > core.MaxGridN) {
+		return nil, fmt.Errorf("%w: grid size %d, must be in [1, %d]", ErrInvalidQuery, cfg.gridN, core.MaxGridN)
 	}
-	if cfg.reducers > maxReducers {
-		return nil, fmt.Errorf("%w: reducers %d, must be at most %d", ErrInvalidQuery, cfg.reducers, maxReducers)
+	if cfg.reducers > core.MaxReducers {
+		return nil, fmt.Errorf("%w: reducers %d, must be at most %d", ErrInvalidQuery, cfg.reducers, core.MaxReducers)
+	}
+	if b := cfg.bounds; b != nil && !(finite(b.MinX) && finite(b.MinY) && finite(b.MaxX) && finite(b.MaxY)) {
+		return nil, fmt.Errorf("%w: bounds %v, must be finite", ErrInvalidQuery, *b)
 	}
 	if !cfg.alg.SupportsMode(q.Mode) {
 		return nil, fmt.Errorf("%w: field Mode = %v needs PSPQ, not %v (early termination is unsound for it)", ErrInvalidQuery, q.Mode, cfg.alg)
@@ -894,8 +887,6 @@ type physicalPlan struct {
 	// wire describes the snapshot to worker processes; nil in-process.
 	wire            *core.WireInfo
 	gridN, reducers int
-	// priority requests the admission priority lane.
-	priority bool
 	// empty marks a plan that proves the query returns nothing: no job runs.
 	empty      bool
 	planStats  *PlanStats // nil unless the planner pruned (WithAutoPlan)
@@ -949,11 +940,6 @@ func (e *Engine) planQuery(s *snapshot, q Query, cfg *queryConfig) *physicalPlan
 		p.deltaStats.RecordsSelected = dec.Stats.DeltaRecordsSelected
 		p.counters = dec.Counters()
 		p.planStats = newPlanStats(dec)
-		// A plan that proves the query cheap (it reads at most a quarter
-		// of the stored records) earns the admission priority lane, so
-		// selective queries are not stuck behind scan-heavy ones.
-		p.priority = dec.Stats.RecordsTotal > 0 &&
-			dec.Stats.RecordsSelected*4 <= dec.Stats.RecordsTotal
 		p.empty = dec.Empty()
 	}
 	p.counters = deltaCounters(p.counters, p.deltaStats)
@@ -1036,22 +1022,23 @@ func (e *Engine) execute(ctx context.Context, s *snapshot, cq core.Query, cfg *q
 		}
 	}
 	rep, err := core.RunContext(ctx, cfg.alg, p.src, cq, core.Options{
-		Cluster:       e.cluster,
-		Bounds:        bounds,
-		GridN:         p.gridN,
-		NumReducers:   p.reducers,
-		ExtraCounters: p.counters,
-		Priority:      p.priority,
-		DataView:      view,
-		Wire:          p.wire,
-		MaxAttempts:   e.cfg.MaxAttempts,
-		RetryBackoff:  e.cfg.RetryBackoff,
+		Cluster:      e.cluster,
+		Bounds:       bounds,
+		GridN:        p.gridN,
+		NumReducers:  p.reducers,
+		DataView:     view,
+		Wire:         p.wire,
+		MaxAttempts:  e.cfg.MaxAttempts,
+		RetryBackoff: e.cfg.RetryBackoff,
 	})
 	if err != nil {
 		return nil, err
 	}
 	if rep.Counters == nil {
 		rep.Counters = make(map[string]int64, 4)
+	}
+	for name, v := range p.counters {
+		rep.Counters[name] += v
 	}
 	if viewCounter != "" {
 		rep.Counters[viewCounter] = 1

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 
@@ -55,8 +56,10 @@ type Config struct {
 	Repeat int
 	// Verify proves result identity for every measured figure cell: the
 	// engine's planned execution is compared against an unplanned full
-	// scan of the in-memory object slice and the ranked results must match
-	// exactly. Rows carry "verified": true in the JSON output.
+	// scan of the in-memory object slice, and the jobs the lb and sh
+	// figures run directly against the centralized R-tree evaluator; the
+	// ranked results must match exactly. Rows carry "verified": true in
+	// the JSON output.
 	Verify bool
 }
 
@@ -119,7 +122,7 @@ type Cell struct {
 	SegBytesDecoded  int64
 	SegBytesSelected int64
 	// Verified records that this cell's results were proven identical to
-	// the full-scan reference (Config.Verify).
+	// the reference (Config.Verify).
 	Verified bool
 }
 
@@ -818,7 +821,9 @@ func (h *Harness) duplicationFactor(id string) (*Figure, error) {
 // observation: with fewer reduce tasks than cells on clustered data, the
 // default cell%R assignment overloads some reducers. It sweeps the reducer
 // count and reports job time under round-robin vs the cost-based LPT
-// assignment, plus the max/ideal load imbalance of each assignment in the
+// assignment. Each point builds its cell→reducer table once from the full
+// |Oi|·|Fi| weights, times the job on exactly that table, and reports the
+// table's max/ideal load imbalance (x1000) in the features-examined
 // counter column.
 func (h *Harness) loadBalance(id string) (*Figure, error) {
 	fig := newFigure(id, "Reducer load balancing on clustered data: round-robin vs cost-based LPT (grid 15)", "reducers")
@@ -826,7 +831,7 @@ func (h *Harness) loadBalance(id string) (*Figure, error) {
 	gridN := defaultGridSyn
 	q := h.defaultQuery(ds, gridN, defaultKeywords, defaultRadiusPc, defaultK, 42)
 	g := grid.New(ds.Bounds(), gridN, gridN)
-	weights, err := core.CellWeights(mapreduce.NewMemorySource(h.objects(ds), h.cfg.MapSlots*2), g, q, 0)
+	weights, err := core.CellWeights(mapreduce.NewMemorySource(h.objects(ds), h.cfg.MapSlots*2), g, q)
 	if err != nil {
 		return nil, err
 	}
@@ -835,36 +840,25 @@ func (h *Harness) loadBalance(id string) (*Figure, error) {
 		total += w
 	}
 	for _, reducers := range h.trim([]int{2, 4, 8, 16}) {
-		ideal := total / float64(reducers)
-		for _, balance := range []bool{false, true} {
-			cell, err := h.measure(jobCell(func() (*core.Report, error) {
-				src := mapreduce.NewMemorySource(h.objects(ds), h.cfg.MapSlots*2)
-				return core.Run(core.ESPQSco, src, q, core.Options{
-					Cluster:     h.cluster,
-					Bounds:      ds.Bounds(),
-					GridN:       gridN,
-					NumReducers: reducers,
-					LoadBalance: balance,
-				})
-			}))
+		for _, s := range []struct {
+			name  string
+			table []int32
+		}{
+			{"round-robin", core.RoundRobinAssign(len(weights), reducers)},
+			{"balanced-lpt", core.BalanceCells(weights, reducers)},
+		} {
+			cell, err := h.runJob(ds, q, h.cfg.MapSlots, core.Options{
+				Cluster:     h.cluster,
+				Bounds:      ds.Bounds(),
+				GridN:       gridN,
+				NumReducers: reducers,
+				CellReducer: s.table,
+			})
 			if err != nil {
 				return nil, err
 			}
-			var assign []int32
-			series := "round-robin"
-			if balance {
-				series = "balanced-lpt"
-				assign = core.BalanceCells(weights, reducers)
-			} else {
-				assign = core.RoundRobinAssign(len(weights), reducers)
-			}
-			imbalance := core.MaxLoad(weights, assign, reducers) / ideal
-			fig.add(series, fmt.Sprint(reducers), Cell{
-				Millis: cell.Millis,
-				// Imbalance x1000 stored in the counter column so
-				// WriteCounters surfaces it (max load / ideal load).
-				FeaturesExamined: int64(imbalance * 1000),
-			})
+			cell.FeaturesExamined = int64(core.MaxLoad(weights, s.table, reducers) / (total / float64(reducers)) * 1000)
+			fig.add(s.name, fmt.Sprint(reducers), cell)
 		}
 	}
 	return fig, nil
@@ -882,21 +876,42 @@ func (h *Harness) shuffleScaling(id string) (*Figure, error) {
 	ds := h.dataset("CL", h.cfg.SizeSynthetic)
 	q := h.defaultQuery(ds, defaultGridSyn, defaultKeywords, defaultRadiusPc, defaultK, 42)
 	for _, slots := range h.trim([]int{1, 2, 4, 8}) {
-		cluster := mapreduce.NewCluster(nil, slots, slots)
-		cell, err := h.measure(jobCell(func() (*core.Report, error) {
-			src := mapreduce.NewMemorySource(h.objects(ds), slots*2)
-			return core.Run(core.ESPQSco, src, q, core.Options{
-				Cluster: cluster,
-				Bounds:  ds.Bounds(),
-				GridN:   defaultGridSyn,
-			})
-		}))
+		cell, err := h.runJob(ds, q, slots, core.Options{
+			Cluster: mapreduce.NewCluster(nil, slots, slots),
+			Bounds:  ds.Bounds(),
+			GridN:   defaultGridSyn,
+		})
 		if err != nil {
 			return nil, err
 		}
 		fig.add("in-memory", fmt.Sprint(slots), cell)
 	}
 	return fig, nil
+}
+
+// runJob measures one eSPQsco job the harness builds itself, over the
+// in-memory object slice in two splits per map slot. Under Verify its
+// results must equal the centralized R-tree evaluator's exactly.
+func (h *Harness) runJob(ds *data.Dataset, q core.Query, mapSlots int, opts core.Options) (Cell, error) {
+	var results []core.ResultItem
+	cell, err := h.measure(jobCell(func() (*core.Report, error) {
+		rep, err := core.Run(core.ESPQSco, mapreduce.NewMemorySource(h.objects(ds), mapSlots*2), q, opts)
+		if err == nil {
+			results = rep.Results
+		}
+		return rep, err
+	}))
+	if err != nil {
+		return Cell{}, err
+	}
+	if h.cfg.Verify {
+		if !slices.Equal(results, core.RTreeCentralized(h.objects(ds), q)) {
+			return Cell{}, fmt.Errorf("bench: eSPQsco k=%d r=%g grid %d reducers %d: results differ from the R-tree oracle",
+				q.K, q.Radius, opts.GridN, opts.NumReducers)
+		}
+		cell.Verified = true
+	}
+	return cell, nil
 }
 
 // SortedCounterNames returns the counter names of a report sorted, for

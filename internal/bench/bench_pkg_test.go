@@ -2,10 +2,13 @@ package bench
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
 	"spq/internal/core"
+	"spq/internal/grid"
+	"spq/internal/mapreduce"
 )
 
 func quickHarness() *Harness {
@@ -186,5 +189,71 @@ func TestSortedCounterNames(t *testing.T) {
 	names := SortedCounterNames(map[string]int64{"b": 1, "a": 2})
 	if len(names) != 2 || names[0] != "a" {
 		t.Errorf("names = %v", names)
+	}
+}
+
+// TestLoadBalanceTimesReportedTable: every lb row times the very table
+// whose imbalance it reports. The imbalance column must be the MaxLoad of
+// that series' table, built from the full weights, and the timed job's work
+// counters — which depend on which cells share a reduce task, since a task
+// carries one top-k across its cells — must equal a job run on that table.
+// Under Verify every lb and sh row is proven against the R-tree oracle.
+func TestLoadBalanceTimesReportedTable(t *testing.T) {
+	h := New(Config{SizeSynthetic: 6000, MapSlots: 2, ReduceSlots: 2, Verify: true})
+	fig, err := h.Run("lb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := h.dataset("CL", h.cfg.SizeSynthetic)
+	gridN := defaultGridSyn
+	q := h.defaultQuery(ds, gridN, defaultKeywords, defaultRadiusPc, defaultK, 42)
+	weights, err := core.CellWeights(mapreduce.NewMemorySource(h.objects(ds), 4), grid.New(ds.Bounds(), gridN, gridN), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0.0
+	for _, w := range weights {
+		total += w
+	}
+	differ := false
+	for _, x := range fig.XVals {
+		reducers, _ := strconv.Atoi(x)
+		work := map[string]int64{}
+		for series, table := range map[string][]int32{
+			"round-robin":  core.RoundRobinAssign(len(weights), reducers),
+			"balanced-lpt": core.BalanceCells(weights, reducers),
+		} {
+			c := fig.Data[series][x]
+			if !c.Verified {
+				t.Errorf("lb %s/%s: row not verified", series, x)
+			}
+			if want := int64(core.MaxLoad(weights, table, reducers) / (total / float64(reducers)) * 1000); c.FeaturesExamined != want {
+				t.Errorf("lb %s/%s: reported imbalance %d, the table's is %d", series, x, c.FeaturesExamined, want)
+			}
+			rep, err := core.Run(core.ESPQSco, mapreduce.NewMemorySource(h.objects(ds), 4), q, core.Options{
+				Bounds: ds.Bounds(), GridN: gridN, NumReducers: reducers, CellReducer: table,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rep.Counters[core.CounterScoreComputations]; c.ScoreComputations != got {
+				t.Errorf("lb %s/%s: timed job made %d score computations, a job on the reported table %d", series, x, c.ScoreComputations, got)
+			}
+			work[series] = c.ScoreComputations
+		}
+		differ = differ || work["round-robin"] != work["balanced-lpt"]
+	}
+	if !differ {
+		t.Error("round-robin and LPT tables did the same work at every point: the check cannot tell them apart")
+	}
+
+	sh, err := h.Run("sh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range sh.XVals {
+		if !sh.Data["in-memory"][x].Verified {
+			t.Errorf("sh %s: row not verified", x)
+		}
 	}
 }

@@ -13,17 +13,18 @@ import (
 // thus typically some Reducers are overburdened". When the number of
 // reduce tasks is smaller than the number of cells, the default partition
 // function assigns cells round-robin (cell % R), which lands neighboring
-// hot cells on the same reducers. The balanced partitioner instead
-// samples the input once, estimates each cell's reduce cost with the
-// |Oi|·|Fi| model of Section 6.1, and assigns cells to reducers with the
-// longest-processing-time-first greedy heuristic.
+// hot cells on the same reducers. A caller that knows the input instead
+// estimates each cell's reduce cost with the |Oi|·|Fi| model of Section
+// 6.1 (CellWeights), assigns cells to reducers with the
+// longest-processing-time-first greedy heuristic (BalanceCells), and
+// hands the job that table (Options.CellReducer).
 
-// CellWeights estimates the per-cell reduce cost from a sample of the
-// input: for every sampled data object the cell's |Oi| grows, for every
-// sampled relevant feature every cell it would be duplicated to grows its
-// |Fi| (Lemma 1), and the final weight is (|Oi|+1)·(|Fi|+1), the
-// Section 6.1 cost model smoothed so empty cells still get scheduled.
-func CellWeights(src mapreduce.Source[data.Object], g *grid.Grid, q Query, samplePerSplit int) ([]float64, error) {
+// CellWeights computes the per-cell reduce cost of the whole input: every
+// data object grows its cell's |Oi|, every relevant feature grows the |Fi|
+// of its cell and of every cell it is duplicated to (Lemma 1), and the
+// final weight is (|Oi|+1)·(|Fi|+1), the Section 6.1 cost model smoothed
+// so empty cells still get scheduled.
+func CellWeights(src mapreduce.Source[data.Object], g *grid.Grid, q Query) ([]float64, error) {
 	dataCnt := make([]float64, g.NumCells())
 	featCnt := make([]float64, g.NumCells())
 	splits, err := src.Splits()
@@ -32,9 +33,7 @@ func CellWeights(src mapreduce.Source[data.Object], g *grid.Grid, q Query, sampl
 	}
 	var scratch []grid.CellID
 	for _, s := range splits {
-		taken := 0
 		err := s.Each(func(o data.Object) bool {
-			taken++
 			if o.Kind == data.DataObject {
 				dataCnt[g.CellOf(o.Loc)]++
 			} else if o.Keywords.Intersects(q.Keywords) {
@@ -44,7 +43,7 @@ func CellWeights(src mapreduce.Source[data.Object], g *grid.Grid, q Query, sampl
 					featCnt[c]++
 				}
 			}
-			return samplePerSplit <= 0 || taken < samplePerSplit
+			return true
 		})
 		if err != nil {
 			return nil, err

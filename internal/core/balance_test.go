@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"spq/internal/data"
@@ -72,7 +73,7 @@ func TestCellWeightsCountDuplicates(t *testing.T) {
 		{Kind: data.FeatureObject, ID: 3, Loc: gp(0.6, 0.6), Keywords: text.NewKeywordSet(9)},
 	}
 	q := Query{K: 1, Radius: 0.01, Keywords: kw}
-	w, err := CellWeights(mapreduce.NewMemorySource(objs, 1), g, q, 0)
+	w, err := CellWeights(mapreduce.NewMemorySource(objs, 1), g, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,17 +97,18 @@ func TestCellWeightsCountDuplicates(t *testing.T) {
 	}
 }
 
-// Load balancing must reduce the maximum reducer load on skewed data and
-// must not change query results.
+// Load balancing must reduce the maximum reducer load on skewed data, and
+// the LPT table it builds must not change query results.
 func TestLoadBalanceSkewedData(t *testing.T) {
 	objs, q := skewedWorkload(3000)
 	g := grid.NewSquare(10)
-	weights, err := CellWeights(mapreduce.NewMemorySource(objs, 4), g, q, 0)
+	weights, err := CellWeights(mapreduce.NewMemorySource(objs, 4), g, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const reducers = 4
-	lpt := MaxLoad(weights, BalanceCells(weights, reducers), reducers)
+	table := BalanceCells(weights, reducers)
+	lpt := MaxLoad(weights, table, reducers)
 	rr := MaxLoad(weights, RoundRobinAssign(len(weights), reducers), reducers)
 	if lpt >= rr {
 		t.Errorf("LPT max load %.0f not better than round-robin %.0f on skewed data", lpt, rr)
@@ -118,7 +120,7 @@ func TestLoadBalanceSkewedData(t *testing.T) {
 			Bounds:      unitBounds,
 			GridN:       10,
 			NumReducers: reducers,
-			LoadBalance: true,
+			CellReducer: table,
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
@@ -127,20 +129,46 @@ func TestLoadBalanceSkewedData(t *testing.T) {
 	}
 }
 
-// With sampling enabled the estimate is partial but results must still be
-// exact (the assignment only moves groups between reducers).
-func TestLoadBalanceWithSampling(t *testing.T) {
-	objs, q := skewedWorkload(2000)
-	want := NaiveCentralized(objs, q)
-	rep, err := Run(ESPQSco, mapreduce.NewMemorySource(objs, 8), q, Options{
-		Bounds:         unitBounds,
-		GridN:          8,
-		NumReducers:    3,
-		LoadBalance:    true,
-		SamplePerSplit: 50,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestCellReducerTable: any cell→reducer table, including one that leaves
+// reducers without a cell, returns exactly the R-tree oracle's results for
+// all three algorithms; a table of the wrong length or with an entry
+// outside [0, R) is an error, not a panic.
+func TestCellReducerTable(t *testing.T) {
+	const gridN, reducers = 6, 5
+	r := rand.New(rand.NewSource(7))
+	for seed := int64(0); seed < 4; seed++ {
+		objs, q := randomWorkload(40+seed, 600, 20, 4)
+		want := RTreeCentralized(objs, q)
+		table := make([]int32, gridN*gridN)
+		for i := range table {
+			// Reducers 0 and 1 never get a cell.
+			table[i] = int32(2 + r.Intn(reducers-2))
+		}
+		for _, alg := range Algorithms() {
+			rep, err := Run(alg, mapreduce.NewMemorySource(objs, 3), q, Options{
+				Bounds: unitBounds, GridN: gridN, NumReducers: reducers, CellReducer: table,
+			})
+			if err != nil {
+				t.Fatalf("seed %d %v: %v", seed, alg, err)
+			}
+			if !reflect.DeepEqual(rep.Results, want) {
+				t.Fatalf("seed %d %v: results %+v, oracle %+v", seed, alg, rep.Results, want)
+			}
+		}
 	}
-	assertSameTopK(t, rep.Results, want, objs, q)
+
+	objs, q := randomWorkload(50, 100, 20, 4)
+	for name, table := range map[string][]int32{
+		"short":        make([]int32, gridN*gridN-1),
+		"long":         make([]int32, gridN*gridN+1),
+		"out of range": append(make([]int32, gridN*gridN-1), reducers),
+		"negative":     append(make([]int32, gridN*gridN-1), -1),
+	} {
+		_, err := Run(PSPQ, mapreduce.NewMemorySource(objs, 2), q, Options{
+			Bounds: unitBounds, GridN: gridN, NumReducers: reducers, CellReducer: table,
+		})
+		if err == nil {
+			t.Errorf("%s table: Run succeeded, want an error", name)
+		}
+	}
 }

@@ -521,21 +521,6 @@ func TestEarlyTerminationExaminesFewerFeatures(t *testing.T) {
 	}
 }
 
-// The keyword-pruning ablation must not change results.
-func TestDisableKeywordPruneSameResults(t *testing.T) {
-	objs, q := randomWorkload(13, 500, 30, 5)
-	want := NaiveCentralized(objs, q)
-	for _, alg := range Algorithms() {
-		rep, err := Run(alg, mapreduce.NewMemorySource(objs, 2), q, Options{
-			Bounds: unitBounds, GridN: 4, DisableKeywordPrune: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertSameTopK(t, rep.Results, want, objs, q)
-	}
-}
-
 // Fewer reducers than cells: reduce tasks process several cells as
 // separate groups and results are unchanged.
 func TestFewerReducersThanCells(t *testing.T) {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 	"time"
@@ -57,24 +58,17 @@ type Options struct {
 	// GridN makes the grid GridN x GridN (the paper's "grid size").
 	GridN int
 	// NumReducers defaults to the number of grid cells, the paper's
-	// configuration. Smaller values make reduce tasks process several
-	// cells each, as separate groups sharing the task's one list Lk:
-	// later cells start from the τ earlier ones reached. Results are
-	// unaffected.
+	// configuration, up to MaxReducers. Smaller values make reduce tasks
+	// process several cells each, as separate groups sharing the task's
+	// one list Lk: later cells start from the τ earlier ones reached.
+	// Results are unaffected.
 	NumReducers int
-	// DisableKeywordPrune turns off the Map-side pruning of features with
-	// no query keyword (Algorithm 1, line 9). Only used by the ablation
-	// benchmark; pruning never changes results.
-	DisableKeywordPrune bool
-	// LoadBalance assigns cells to reduce tasks by estimated cost (LPT
-	// over a sampled |Oi|·|Fi| model) instead of round-robin. Only
-	// meaningful when NumReducers is smaller than the number of cells; it
-	// addresses the reducer imbalance the paper observes on clustered
-	// data (Section 7.2.4). Results are unaffected.
-	LoadBalance bool
-	// SamplePerSplit bounds how many objects per input split the load
-	// balancer samples (default 512; <=0 means scan everything).
-	SamplePerSplit int
+	// CellReducer maps every cell of the grid to its reduce task, in
+	// [0, NumReducers); nil means cell % NumReducers. A table built by
+	// BalanceCells addresses the reducer imbalance the paper observes on
+	// clustered data (Section 7.2.4). Results are unaffected. A job with a
+	// table stays local: the wire spec does not carry it.
+	CellReducer []int32
 	// MaxAttempts, RetryBackoff and FaultInjector are forwarded to the job
 	// (see the mapreduce.Job fields of the same names): the per-task retry
 	// budget, the base of the capped exponential backoff between attempts,
@@ -82,21 +76,12 @@ type Options struct {
 	MaxAttempts   int
 	RetryBackoff  time.Duration
 	FaultInjector func(kind mapreduce.TaskKind, taskID, attempt int) error
-	// Priority admits the job's tasks through the cluster slot pools'
-	// priority lane (see mapreduce.Job.Priority). The engine sets it for
-	// planned queries that read a small fraction of the input.
-	Priority bool
-	// ExtraCounters are merged into the report's counters. The engine uses
-	// this to surface query-planner statistics (cells pruned, records
-	// skipped) next to the job counters when it feeds Run a pre-pruned
-	// file set with a planner-chosen grid.
-	ExtraCounters map[string]int64
 	// Wire, when set, describes the sealed storage the source reads and
 	// offers the job for distributed execution: Run attaches a serialized
 	// query spec (see querySpec) that worker processes reconstruct the job
 	// from, provided nothing in-process-only is configured — a DataView,
-	// a FaultInjector or a load-balanced partition closure keep the job
-	// local regardless. Whether the job actually ships is then the
+	// a FaultInjector or a CellReducer table keep the job local
+	// regardless. Whether the job actually ships is then the
 	// mapreduce layer's decision (it also requires every split to
 	// serialize a reference).
 	Wire *WireInfo
@@ -126,7 +111,7 @@ func (o Options) numReducers() int {
 		return o.NumReducers
 	}
 	n := o.gridN()
-	return n * n
+	return min(n*n, MaxReducers)
 }
 
 // Aliases shared by the reduce implementations.
@@ -145,10 +130,21 @@ type Report struct {
 	Stats     mapreduce.Stats
 }
 
+// MaxGridN and MaxReducers bound the grid size and reduce-task count of a
+// job; both can arrive off the wire, and a job's work and memory grow with
+// them (GridN² cells, per-map-task partition slices of length
+// NumReducers). MaxGridN is 8x the planner's ceiling of 128; MaxReducers
+// is far above the planner's 4 per reduce slot.
+const (
+	MaxGridN    = 1024
+	MaxReducers = 4096
+)
+
 // Validate checks the preconditions Run enforces before launching a job:
-// query shape, algorithm/mode support, and usable bounds. It is exposed
-// so that callers skipping the job entirely (a planner-proven empty
-// result) reject exactly the executions Run would reject.
+// query shape, algorithm/mode support, usable bounds, grid and reducer
+// counts within their limits, and a well-formed CellReducer table. It is
+// exposed so that callers skipping the job entirely (a planner-proven
+// empty result) reject exactly the executions Run would reject.
 func Validate(alg Algorithm, q Query, opts Options) error {
 	if err := q.Validate(); err != nil {
 		return err
@@ -161,8 +157,31 @@ func Validate(alg Algorithm, q Query, opts Options) error {
 	if !alg.SupportsMode(q.Mode) {
 		return fmt.Errorf("core: %v does not support %v scoring (early termination is unsound for it); use PSPQ", alg, q.Mode)
 	}
-	if opts.Bounds.Empty() || opts.Bounds.Area() == 0 {
-		return fmt.Errorf("core: empty bounds %v", opts.Bounds)
+	b := opts.Bounds
+	for _, c := range [...]float64{b.MinX, b.MinY, b.MaxX, b.MaxY} {
+		if math.IsNaN(c) || math.IsInf(c, 0) {
+			return fmt.Errorf("core: bounds %v, must be finite", b)
+		}
+	}
+	if b.Empty() || b.Area() == 0 {
+		return fmt.Errorf("core: empty bounds %v", b)
+	}
+	if opts.GridN > MaxGridN {
+		return fmt.Errorf("core: grid size %d, must be at most %d", opts.GridN, MaxGridN)
+	}
+	if opts.NumReducers > MaxReducers {
+		return fmt.Errorf("core: reducers %d, must be at most %d", opts.NumReducers, MaxReducers)
+	}
+	if t := opts.CellReducer; t != nil {
+		n, r := opts.gridN(), opts.numReducers()
+		if len(t) != n*n {
+			return fmt.Errorf("core: cell→reducer table has %d entries, the %dx%d grid %d cells", len(t), n, n, n*n)
+		}
+		for cell, rdx := range t {
+			if rdx < 0 || int(rdx) >= r {
+				return fmt.Errorf("core: cell %d assigned to reducer %d, must be in [0, %d)", cell, rdx, r)
+			}
+		}
 	}
 	return nil
 }
@@ -191,28 +210,12 @@ func RunContext(ctx context.Context, alg Algorithm, src mapreduce.Source[data.Ob
 		return nil, fmt.Errorf("core: data view built for a different grid than %v", g)
 	}
 
-	partition := CellKeyPartition
-	balanced := false
-	if opts.LoadBalance && opts.numReducers() < g.NumCells() {
-		sample := opts.SamplePerSplit
-		if sample == 0 {
-			sample = 512
-		}
-		weights, werr := CellWeights(src, g, q, sample)
-		if werr != nil {
-			return nil, fmt.Errorf("core: load balancing sample: %w", werr)
-		}
-		assign := BalanceCells(weights, opts.numReducers())
-		partition = func(k CellKey, numReducers int) int { return int(assign[k.Cell]) }
-		balanced = true
-	}
-
-	job, err := buildJob(alg, g, q, opts, partition)
+	job, err := buildJob(alg, g, q, opts)
 	if err != nil {
 		return nil, err
 	}
 	job.Source = src
-	if opts.Wire != nil && opts.DataView == nil && opts.FaultInjector == nil && !balanced {
+	if opts.Wire != nil && opts.DataView == nil && opts.FaultInjector == nil && opts.CellReducer == nil {
 		spec, werr := encodeQuerySpec(alg, q, opts)
 		if werr != nil {
 			return nil, werr
@@ -224,9 +227,6 @@ func RunContext(ctx context.Context, alg Algorithm, src mapreduce.Source[data.Ob
 	if err != nil {
 		return nil, err
 	}
-	for name, v := range opts.ExtraCounters {
-		res.Counters[name] += v
-	}
 	return &Report{
 		Algorithm: alg,
 		Results:   MergeTopK(q.K, res.Output...),
@@ -236,14 +236,19 @@ func RunContext(ctx context.Context, alg Algorithm, src mapreduce.Source[data.Ob
 }
 
 // buildJob constructs the typed MapReduce job of one algorithm: the
-// codecs, comparators, Map and Reduce functions, and the retry knobs. It
-// is shared verbatim between the orchestrating process (Run) and a worker
+// codecs, comparators, Map and Reduce functions, the partition (the
+// CellReducer table, or cell % R), and the retry knobs. It is shared
+// verbatim between the orchestrating process (Run) and a worker
 // reconstructing the job from its wire spec (see remote.go), so task
 // semantics cannot drift between the two. The Source is set by the
 // caller; workers run tasks from split references and never enumerate
 // splits themselves.
-func buildJob(alg Algorithm, g *grid.Grid, q Query, opts Options, partition func(CellKey, int) int) (*mapreduce.Job[data.Object, CellKey, Rec, []ResultItem], error) {
-	m := mapper{alg: alg, g: g, q: q, prune: !opts.DisableKeywordPrune}
+func buildJob(alg Algorithm, g *grid.Grid, q Query, opts Options) (*mapreduce.Job[data.Object, CellKey, Rec, []ResultItem], error) {
+	m := mapper{alg: alg, g: g, q: q}
+	partition := CellKeyPartition
+	if t := opts.CellReducer; t != nil {
+		partition = func(k CellKey, _ int) int { return int(t[k.Cell]) }
+	}
 	job := &mapreduce.Job[data.Object, CellKey, Rec, []ResultItem]{
 		Name:          fmt.Sprintf("%s-k%d-r%g", alg, q.K, q.Radius),
 		Map:           m.mapObject,
@@ -257,7 +262,6 @@ func buildJob(alg Algorithm, g *grid.Grid, q Query, opts Options, partition func
 		MaxAttempts:   opts.MaxAttempts,
 		RetryBackoff:  opts.RetryBackoff,
 		FaultInjector: opts.FaultInjector,
-		Priority:      opts.Priority,
 	}
 	switch alg {
 	case PSPQ:
@@ -342,10 +346,9 @@ func emitTaskTopK(ctx *taskCtx, emit func([]ResultItem)) error {
 // Lemma-1 duplication targets. One mapper is shared by all concurrently
 // running map tasks of a job.
 type mapper struct {
-	alg   Algorithm
-	g     *grid.Grid
-	q     Query
-	prune bool
+	alg Algorithm
+	g   *grid.Grid
+	q   Query
 }
 
 // order returns the secondary-sort Order of a record (see CellKey):
@@ -379,7 +382,7 @@ var dupScratch = sync.Pool{New: func() any { return new([]grid.CellID) }}
 // relevant feature to its primary cell plus its duplication targets. It
 // returns the number of duplicates emitted, or -1 for a pruned feature.
 func (m *mapper) emitRec(r Rec, emit func(CellKey, Rec)) (dups int) {
-	if r.Kind == data.FeatureObject && r.Hits == 0 && m.prune {
+	if r.Kind == data.FeatureObject && r.Hits == 0 {
 		return -1
 	}
 	order := m.order(r)
@@ -453,7 +456,7 @@ func (m *mapper) mapBlock(ctx *mapreduce.TaskContext, batch any, emit func(CellK
 			dups += d
 		}
 	}
-	if feature && m.prune {
+	if feature {
 		// Only a record on a matched posting list survives the prune: visit
 		// the marked records and never touch the rest.
 		for wi, w := range marks {
@@ -463,7 +466,6 @@ func (m *mapper) mapBlock(ctx *mapreduce.TaskContext, batch any, emit func(CellK
 			}
 		}
 	} else {
-		clear(marks)
 		for i := range b.IDs {
 			emitAt(i)
 		}

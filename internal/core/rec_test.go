@@ -110,10 +110,10 @@ type emitted struct {
 // TestBlockMapMatchesRecordMap: mapping a columnar split as a decoded block
 // must emit exactly what mapping its records one at a time emits — the same
 // multiset of (cell, order, id, |f.W|, hits), and the same record and
-// duplication counters — for all three algorithms, with the prune on and
-// off, over blocks with sparse and bitmap postings, query keywords that
-// match none, one or several dictionary entries, and features near cell
-// edges that duplicate into neighbours.
+// duplication counters — for all three algorithms, over blocks with sparse
+// and bitmap postings, query keywords that match none, one or several
+// dictionary entries, and features near cell edges that duplicate into
+// neighbours.
 func TestBlockMapMatchesRecordMap(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	dict := text.NewDict()
@@ -165,75 +165,73 @@ func TestBlockMapMatchesRecordMap(t *testing.T) {
 	}
 	for name, kws := range queries {
 		for _, alg := range Algorithms() {
-			for _, prune := range []bool{true, false} {
-				q := Query{K: 3, Radius: 0.03, Keywords: kws}
-				run := func(batch bool) ([]emitted, map[string]int64) {
-					job, err := buildJob(alg, g, q, Options{GridN: 4, NumReducers: 3, DisableKeywordPrune: !prune}, CellKeyPartition)
-					if err != nil {
-						t.Fatal(err)
+			q := Query{K: 3, Radius: 0.03, Keywords: kws}
+			run := func(batch bool) ([]emitted, map[string]int64) {
+				job, err := buildJob(alg, g, q, Options{GridN: 4, NumReducers: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var batches atomic.Int64
+				if batch {
+					mapBlock := job.MapBatch
+					job.MapBatch = func(ctx *taskCtx, b any, emit func(CellKey, Rec)) (int, error) {
+						batches.Add(1)
+						return mapBlock(ctx, b, emit)
 					}
-					var batches atomic.Int64
-					if batch {
-						mapBlock := job.MapBatch
-						job.MapBatch = func(ctx *taskCtx, b any, emit func(CellKey, Rec)) (int, error) {
-							batches.Add(1)
-							return mapBlock(ctx, b, emit)
+				} else {
+					job.MapBatch = nil
+				}
+				job.Source = newInput()
+				var mu sync.Mutex
+				var out []emitted
+				job.Reduce = func(_ *taskCtx, values *valueIter, _ func([]ResultItem)) error {
+					mu.Lock()
+					defer mu.Unlock()
+					for {
+						v, ok := values.Next()
+						if !ok {
+							return nil
 						}
-					} else {
-						job.MapBatch = nil
-					}
-					job.Source = newInput()
-					var mu sync.Mutex
-					var out []emitted
-					job.Reduce = func(_ *taskCtx, values *valueIter, _ func([]ResultItem)) error {
-						mu.Lock()
-						defer mu.Unlock()
-						for {
-							v, ok := values.Next()
-							if !ok {
-								return nil
-							}
-							k := values.Key()
-							out = append(out, emitted{k.Cell, k.Order, v.ID, v.Len, v.Hits})
-						}
-					}
-					res, err := mapreduce.Run(mapreduce.NewCluster(nil, 2, 2), job)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if batch && int(batches.Load()) != len(cell.Blocks) {
-						// The splits sit inside Coalesce's groups.
-						t.Fatalf("block map saw %d of %d blocks", batches.Load(), len(cell.Blocks))
-					}
-					sort.Slice(out, func(i, j int) bool {
-						if out[i].Cell != out[j].Cell {
-							return out[i].Cell < out[j].Cell
-						}
-						return out[i].ID < out[j].ID
-					})
-					return out, res.Counters
-				}
-				label := fmt.Sprintf("%s/%v/prune=%v", name, alg, prune)
-				block, blockCounters := run(true)
-				record, recordCounters := run(false)
-				if !reflect.DeepEqual(block, record) {
-					t.Fatalf("%s: block map emitted %d pairs, record map %d, or they differ", label, len(block), len(record))
-				}
-				for _, c := range []string{mapreduce.CounterMapRecordsIn, mapreduce.CounterMapRecordsOut, CounterDuplicates, CounterFeaturesPruned} {
-					if blockCounters[c] != recordCounters[c] {
-						t.Errorf("%s: %s = %d through the block map, %d through the record map", label, c, blockCounters[c], recordCounters[c])
+						k := values.Key()
+						out = append(out, emitted{k.Cell, k.Order, v.ID, v.Len, v.Hits})
 					}
 				}
-				if blockCounters[mapreduce.CounterMapRecordsIn] != int64(len(objs)) {
-					t.Errorf("%s: map.records.in = %d, want %d", label, blockCounters[mapreduce.CounterMapRecordsIn], len(objs))
+				res, err := mapreduce.Run(mapreduce.NewCluster(nil, 2, 2), job)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if name == "several mixed" && prune && (blockCounters[CounterDuplicates] == 0 || blockCounters[CounterFeaturesPruned] == 0) {
-					t.Errorf("%s: duplicated %d, pruned %d: the corpus exercises neither", label,
-						blockCounters[CounterDuplicates], blockCounters[CounterFeaturesPruned])
+				if batch && int(batches.Load()) != len(cell.Blocks) {
+					// The splits sit inside Coalesce's groups.
+					t.Fatalf("block map saw %d of %d blocks", batches.Load(), len(cell.Blocks))
 				}
-				if name == "none" && prune && len(block) != 0 {
-					t.Errorf("%s: %d pairs emitted for a query matching nothing", label, len(block))
+				sort.Slice(out, func(i, j int) bool {
+					if out[i].Cell != out[j].Cell {
+						return out[i].Cell < out[j].Cell
+					}
+					return out[i].ID < out[j].ID
+				})
+				return out, res.Counters
+			}
+			label := fmt.Sprintf("%s/%v", name, alg)
+			block, blockCounters := run(true)
+			record, recordCounters := run(false)
+			if !reflect.DeepEqual(block, record) {
+				t.Fatalf("%s: block map emitted %d pairs, record map %d, or they differ", label, len(block), len(record))
+			}
+			for _, c := range []string{mapreduce.CounterMapRecordsIn, mapreduce.CounterMapRecordsOut, CounterDuplicates, CounterFeaturesPruned} {
+				if blockCounters[c] != recordCounters[c] {
+					t.Errorf("%s: %s = %d through the block map, %d through the record map", label, c, blockCounters[c], recordCounters[c])
 				}
+			}
+			if blockCounters[mapreduce.CounterMapRecordsIn] != int64(len(objs)) {
+				t.Errorf("%s: map.records.in = %d, want %d", label, blockCounters[mapreduce.CounterMapRecordsIn], len(objs))
+			}
+			if name == "several mixed" && (blockCounters[CounterDuplicates] == 0 || blockCounters[CounterFeaturesPruned] == 0) {
+				t.Errorf("%s: duplicated %d, pruned %d: the corpus exercises neither", label,
+					blockCounters[CounterDuplicates], blockCounters[CounterFeaturesPruned])
+			}
+			if name == "none" && len(block) != 0 {
+				t.Errorf("%s: %d pairs emitted for a query matching nothing", label, len(block))
 			}
 		}
 	}

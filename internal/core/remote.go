@@ -32,33 +32,31 @@ type WireInfo struct {
 // worker needs to rebuild the job through buildJob. Keyword ids are
 // master-dictionary ids — the same id space the sealed files carry.
 type querySpec struct {
-	Alg                 int
-	K                   int
-	Radius              float64
-	Mode                int
-	Keywords            []uint32
-	Size                int
-	Bounds              geo.Rect
-	GridN               int
-	NumReducers         int
-	DisableKeywordPrune bool
-	Gen                 uint64
+	Alg         int
+	K           int
+	Radius      float64
+	Mode        int
+	Keywords    []uint32
+	Size        int
+	Bounds      geo.Rect
+	GridN       int
+	NumReducers int
+	Gen         uint64
 }
 
 // encodeQuerySpec serializes the job parameters for the wire.
 func encodeQuerySpec(alg Algorithm, q Query, opts Options) ([]byte, error) {
 	s := querySpec{
-		Alg:                 int(alg),
-		K:                   q.K,
-		Radius:              q.Radius,
-		Mode:                int(q.Mode),
-		Keywords:            q.Keywords,
-		Size:                q.Size,
-		Bounds:              opts.Bounds,
-		GridN:               opts.GridN,
-		NumReducers:         opts.NumReducers,
-		DisableKeywordPrune: opts.DisableKeywordPrune,
-		Gen:                 opts.Wire.Gen,
+		Alg:         int(alg),
+		K:           q.K,
+		Radius:      q.Radius,
+		Mode:        int(q.Mode),
+		Keywords:    q.Keywords,
+		Size:        q.Size,
+		Bounds:      opts.Bounds,
+		GridN:       opts.GridN,
+		NumReducers: opts.NumReducers,
+		Gen:         opts.Wire.Gen,
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
@@ -72,26 +70,24 @@ func init() {
 }
 
 // buildWireJob reconstructs an SPQ query job on a worker process. The job
-// goes through the same buildJob as the orchestrator's, over the same
-// grid geometry (the spec carries the orchestrator's padded bounds), so a
-// task attempt computes exactly what it would have in-process.
+// goes through the same Validate and buildJob as the orchestrator's, over
+// the same grid geometry (the spec carries the orchestrator's padded
+// bounds), so a task attempt computes exactly what it would have
+// in-process. A spec Run would reject — hostile or corrupt bytes — is a
+// Permanent error, never a panic.
 func buildWireJob(spec []byte, env *mapreduce.WorkerEnv) (mapreduce.RemoteJob, error) {
 	var s querySpec
 	if err := gob.NewDecoder(bytes.NewReader(spec)).Decode(&s); err != nil {
 		return nil, mapreduce.Permanent(fmt.Errorf("core: decode query spec: %w", err))
 	}
+	alg := Algorithm(s.Alg)
 	q := Query{K: s.K, Radius: s.Radius, Keywords: text.KeywordSet(s.Keywords), Size: s.Size, Mode: ScoringMode(s.Mode)}
-	if err := q.Validate(); err != nil {
+	opts := Options{Bounds: s.Bounds, GridN: s.GridN, NumReducers: s.NumReducers}
+	if err := Validate(alg, q, opts); err != nil {
 		return nil, mapreduce.Permanent(err)
 	}
-	opts := Options{
-		Bounds:              s.Bounds,
-		GridN:               s.GridN,
-		NumReducers:         s.NumReducers,
-		DisableKeywordPrune: s.DisableKeywordPrune,
-	}
 	g := grid.New(s.Bounds, opts.gridN(), opts.gridN())
-	job, err := buildJob(Algorithm(s.Alg), g, q, opts, CellKeyPartition)
+	job, err := buildJob(alg, g, q, opts)
 	if err != nil {
 		return nil, mapreduce.Permanent(err)
 	}

@@ -4,6 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
+	"fmt"
+	"math"
 	"net/rpc"
 	"strings"
 	"testing"
@@ -148,4 +151,96 @@ func TestWorkerRejectsBadShuffleRuns(t *testing.T) {
 			t.Errorf("%s records %d: reply err=%q permanent=%v, want a permanent error naming the run and %q", c.file, c.records, reply.Err, reply.Permanent, c.want)
 		}
 	}
+}
+
+// hostileSpecs are query specs a worker must refuse: each decodes, but Run
+// would reject the job it describes. They seed FuzzQuerySpec too.
+func hostileSpecs(t testing.TB) map[string][]byte {
+	t.Helper()
+	q := Query{K: 1, Radius: 0.1, Keywords: text.NewKeywordSet(1)}
+	unit := geo.Rect{MaxX: 1, MaxY: 1}
+	specs := map[string][]byte{}
+	for name, opts := range map[string]Options{
+		"zero-width bounds": {Bounds: geo.Rect{MinX: 0.5, MaxX: 0.5, MaxY: 1}, GridN: 2},
+		"NaN bounds":        {Bounds: geo.Rect{MinX: math.NaN(), MaxX: 1, MaxY: 1}, GridN: 2},
+		"+Inf bounds":       {Bounds: geo.Rect{MaxX: math.Inf(1), MaxY: 1}, GridN: 2},
+		"grid 2^40":         {Bounds: unit, GridN: 1 << 40},
+		"reducers 2^40":     {Bounds: unit, GridN: 2, NumReducers: 1 << 40},
+	} {
+		opts.Wire = &WireInfo{}
+		spec, err := encodeQuerySpec(ESPQSco, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs[name] = spec
+	}
+	return specs
+}
+
+// TestWorkerRejectsHostileSpecs hands a live worker map tasks whose job
+// spec describes a job Run would reject. Degenerate bounds used to panic in
+// grid.New inside the RPC handler, killing the worker process; NaN or
+// infinite bounds and a 2^40 grid or reducer count were accepted. Each must
+// come back as a permanent task failure, and the worker must keep serving.
+func TestWorkerRejectsHostileSpecs(t *testing.T) {
+	fs := dfs.New(dfs.Config{NumNodes: 1, Replication: 1})
+	_, client := loopbackWorker(t, fs)
+	i := 0
+	for name, spec := range hostileSpecs(t) {
+		i++
+		args := &mapreduce.RunTaskArgs{Desc: mapreduce.TaskDesc{
+			Job: "bad-spec", JobID: fmt.Sprintf("bad-spec-%d", i), Kind: mapreduce.MapTask, Attempt: 1,
+			NumMaps: 1, NumReducers: 1, JobKind: WireKind, JobSpec: spec,
+			Split: &mapreduce.SplitRef{Kind: "col", File: "f", Length: 10},
+		}}
+		var reply mapreduce.RunTaskReply
+		if err := client.Call("Worker.RunTask", args, &reply); err != nil {
+			t.Fatalf("%s: worker unusable: %v", name, err)
+		}
+		if !strings.Contains(reply.Err, "core: ") || !reply.Permanent {
+			t.Errorf("%s: reply err=%q permanent=%v, want a permanent core validation error", name, reply.Err, reply.Permanent)
+		}
+	}
+}
+
+// FuzzQuerySpec feeds the worker's query-spec decoder arbitrary bytes. The
+// spec reaches a worker off the wire, inside a net/rpc handler that does not
+// recover: buildWireJob must return an error, never panic, and every spec
+// it accepts must describe a job within the limits Run enforces — finite
+// bounds, at most MaxGridN² cells and at most MaxReducers reduce tasks.
+func FuzzQuerySpec(f *testing.F) {
+	valid, err := encodeQuerySpec(PSPQ, Query{K: 3, Radius: 0.2, Keywords: text.NewKeywordSet(1, 4)},
+		Options{Bounds: geo.Rect{MaxX: 1, MaxY: 1}, GridN: 4, NumReducers: 3, Wire: &WireInfo{Gen: 2}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := buildWireJob(valid, nil); err != nil {
+		f.Fatalf("valid spec rejected: %v", err)
+	}
+	f.Add(valid)
+	for _, spec := range hostileSpecs(f) {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec []byte) {
+		if _, err := buildWireJob(spec, nil); err != nil {
+			return
+		}
+		var s querySpec
+		if err := gob.NewDecoder(bytes.NewReader(spec)).Decode(&s); err != nil {
+			t.Fatalf("accepted a spec that does not decode: %v", err)
+		}
+		opts := Options{Bounds: s.Bounds, GridN: s.GridN, NumReducers: s.NumReducers}
+		b := s.Bounds
+		for _, c := range [...]float64{b.MinX, b.MinY, b.MaxX, b.MaxY} {
+			if math.IsNaN(c) || math.IsInf(c, 0) {
+				t.Fatalf("accepted non-finite bounds %v", b)
+			}
+		}
+		if n := opts.gridN(); n > MaxGridN {
+			t.Fatalf("accepted a %dx%d grid, limit %d", n, n, MaxGridN)
+		}
+		if r := opts.numReducers(); r > MaxReducers {
+			t.Fatalf("accepted %d reducers, limit %d", r, MaxReducers)
+		}
+	})
 }

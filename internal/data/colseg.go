@@ -225,8 +225,8 @@ type ColumnBlock struct {
 	// The forward view — record i's keywords are kws[kwOff[i]:kwOff[i+1]]
 	// — is derived from the postings on the first Object call. Queries
 	// never ask for it; it serves readers that want whole records (tests,
-	// ablations that disable the keyword prune, load-balance sampling),
-	// and the segment cache does not charge for it.
+	// and record-at-a-time readers such as core.CellWeights handed a
+	// columnar source), and the segment cache does not charge for it.
 	fwdOnce sync.Once
 	kwOff   []int32
 	kws     []uint32

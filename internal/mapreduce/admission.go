@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 )
@@ -17,33 +18,22 @@ import (
 // phase. A task acquires a slot token before it runs and releases it
 // after; with a single job the pool is contention-free (the job spawns
 // exactly as many worker goroutines as there are slots), while concurrent
-// jobs interleave at task granularity. Admission is FIFO, with a small
-// priority lane that lets the tasks of low-cost planned queries jump the
-// queue so a cheap selective query is not stuck behind a scan-heavy one.
+// jobs interleave at task granularity. Admission is FIFO across all
+// jobs, through one queue.
 
 // waiter is one task blocked on slot admission.
 type waiter struct {
 	ch chan struct{}
 }
 
-// slotPool is a FIFO counting semaphore with a priority lane. A released
-// slot is handed directly to the longest-waiting task (priority lane
-// first), so admission order is independent of goroutine scheduling.
-// The priority lane is bounded by aging: after prioBurst consecutive
-// priority grants with regular tasks waiting, the regular lane's head is
-// served, so sustained cheap-query traffic cannot starve a scan-heavy
-// job indefinitely.
+// slotPool is a FIFO counting semaphore. A released slot is handed
+// directly to the longest-waiting task, so admission order is independent
+// of goroutine scheduling.
 type slotPool struct {
-	mu         sync.Mutex
-	free       int
-	prio       []*waiter // priority lane, FIFO within the lane
-	fifo       []*waiter // regular lane, FIFO
-	prioGrants int       // consecutive priority grants since a regular one
+	mu    sync.Mutex
+	free  int
+	queue []*waiter
 }
-
-// prioBurst is how many queue-jumps the priority lane gets in a row
-// while regular tasks wait before one regular task is served.
-const prioBurst = 4
 
 func newSlotPool(slots int) *slotPool {
 	if slots < 1 {
@@ -57,7 +47,7 @@ func newSlotPool(slots int) *slotPool {
 // when admitted immediately). On cancellation no slot is held and the
 // returned error is ctx.Err(); a queued waiter leaves the queue, so an
 // abandoned query's tasks stop consuming admission positions.
-func (p *slotPool) acquire(ctx context.Context, priority bool) (waited time.Duration, depth int, err error) {
+func (p *slotPool) acquire(ctx context.Context) (waited time.Duration, depth int, err error) {
 	p.mu.Lock()
 	if p.free > 0 {
 		p.free--
@@ -65,12 +55,8 @@ func (p *slotPool) acquire(ctx context.Context, priority bool) (waited time.Dura
 		return 0, 0, nil
 	}
 	w := &waiter{ch: make(chan struct{})}
-	if priority {
-		p.prio = append(p.prio, w)
-	} else {
-		p.fifo = append(p.fifo, w)
-	}
-	depth = len(p.prio) + len(p.fifo)
+	p.queue = append(p.queue, w)
+	depth = len(p.queue)
 	p.mu.Unlock()
 	start := time.Now()
 	var done <-chan struct{}
@@ -83,57 +69,32 @@ func (p *slotPool) acquire(ctx context.Context, priority bool) (waited time.Dura
 	case <-done:
 	}
 	// Canceled while queued: remove the waiter. If release already granted
-	// it the slot (it is no longer in either lane), accept the grant and
-	// hand the slot straight back so it is not leaked.
+	// it the slot (it is no longer queued), accept the grant and hand the
+	// slot straight back so it is not leaked.
 	p.mu.Lock()
-	removed := false
-	if priority {
-		p.prio, removed = removeWaiter(p.prio, w)
-	} else {
-		p.fifo, removed = removeWaiter(p.fifo, w)
+	i := slices.Index(p.queue, w)
+	if i >= 0 {
+		p.queue = slices.Delete(p.queue, i, i+1)
 	}
 	p.mu.Unlock()
-	if !removed {
+	if i < 0 {
 		<-w.ch
 		p.release()
 	}
 	return time.Since(start), depth, ctx.Err()
 }
 
-// removeWaiter removes w from lane, reporting whether it was still queued.
-func removeWaiter(lane []*waiter, w *waiter) ([]*waiter, bool) {
-	for i, cand := range lane {
-		if cand == w {
-			return append(lane[:i], lane[i+1:]...), true
-		}
-	}
-	return lane, false
-}
-
-// release returns a slot, waking the next waiter if any: the priority
-// lane first, unless it has exhausted its burst while regular tasks
-// wait (aging — see prioBurst). The slot is transferred directly to the
-// waiter rather than returned to the free count, which is what makes
-// admission FIFO.
+// release returns a slot, waking the longest-waiting task if any. The
+// slot is transferred directly to the waiter rather than returned to the
+// free count, which is what makes admission FIFO.
 func (p *slotPool) release() {
 	p.mu.Lock()
 	var w *waiter
-	switch {
-	case len(p.prio) > 0 && (len(p.fifo) == 0 || p.prioGrants < prioBurst):
-		w = p.prio[0]
-		p.prio = p.prio[1:]
-		if len(p.fifo) > 0 {
-			// Only grants that actually jump a waiting regular task count
-			// against the burst; unchallenged grants are not queue-jumps.
-			p.prioGrants++
-		}
-	case len(p.fifo) > 0:
-		w = p.fifo[0]
-		p.fifo = p.fifo[1:]
-		p.prioGrants = 0
-	default:
+	if len(p.queue) > 0 {
+		w = p.queue[0]
+		p.queue = p.queue[1:]
+	} else {
 		p.free++
-		p.prioGrants = 0
 	}
 	p.mu.Unlock()
 	if w != nil {
@@ -145,7 +106,7 @@ func (p *slotPool) release() {
 func (p *slotPool) queueDepth() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.prio) + len(p.fifo)
+	return len(p.queue)
 }
 
 // slotPools returns the cluster's shared admission pools, creating them on

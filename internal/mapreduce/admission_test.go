@@ -15,7 +15,7 @@ import (
 func TestSlotPoolImmediateWhenFree(t *testing.T) {
 	p := newSlotPool(2)
 	for i := 0; i < 2; i++ {
-		waited, depth, err := p.acquire(context.Background(), false)
+		waited, depth, err := p.acquire(context.Background())
 		if waited != 0 || depth != 0 || err != nil {
 			t.Fatalf("acquire %d: waited=%v depth=%d, want immediate", i, waited, depth)
 		}
@@ -25,17 +25,16 @@ func TestSlotPoolImmediateWhenFree(t *testing.T) {
 	}
 	p.release()
 	p.release()
-	if waited, depth, err := p.acquire(context.Background(), false); waited != 0 || depth != 0 || err != nil {
+	if waited, depth, err := p.acquire(context.Background()); waited != 0 || depth != 0 || err != nil {
 		t.Fatalf("post-release acquire: waited=%v depth=%d", waited, depth)
 	}
 }
 
-// TestSlotPoolFIFOAndPriority holds the only slot, queues regular and
-// priority waiters, and checks the wake order: priority lane first, FIFO
-// within each lane.
-func TestSlotPoolFIFOAndPriority(t *testing.T) {
+// TestSlotPoolFIFO holds the only slot, queues waiters, and checks they
+// are woken in arrival order.
+func TestSlotPoolFIFO(t *testing.T) {
 	p := newSlotPool(1)
-	p.acquire(context.Background(), false) // hold the slot
+	p.acquire(context.Background()) // hold the slot
 
 	var (
 		mu    sync.Mutex
@@ -43,11 +42,11 @@ func TestSlotPoolFIFOAndPriority(t *testing.T) {
 		wg    sync.WaitGroup
 	)
 	enqueued := 0
-	enqueue := func(name string, prio bool) {
+	enqueue := func(name string) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.acquire(context.Background(), prio) //nolint:errcheck // background ctx never cancels
+			p.acquire(context.Background()) //nolint:errcheck // background ctx never cancels
 			mu.Lock()
 			order = append(order, name)
 			mu.Unlock()
@@ -62,61 +61,16 @@ func TestSlotPoolFIFOAndPriority(t *testing.T) {
 		}
 	}
 
-	enqueue("f1", false)
-	enqueue("f2", false)
-	enqueue("p1", true)
-	enqueue("p2", true)
+	want := []string{"w1", "w2", "w3", "w4"}
+	for _, name := range want {
+		enqueue(name)
+	}
 	if d := p.queueDepth(); d != 4 {
 		t.Fatalf("queueDepth = %d, want 4", d)
 	}
 	p.release() // hand the slot down the queue
 	wg.Wait()
 
-	want := []string{"p1", "p2", "f1", "f2"}
-	if fmt.Sprint(order) != fmt.Sprint(want) {
-		t.Fatalf("wake order = %v, want %v", order, want)
-	}
-}
-
-// TestSlotPoolPriorityAging keeps the priority lane saturated and checks
-// the regular lane's head is still served after prioBurst consecutive
-// priority grants — the starvation bound.
-func TestSlotPoolPriorityAging(t *testing.T) {
-	p := newSlotPool(1)
-	p.acquire(context.Background(), false) // hold the slot
-
-	var (
-		mu    sync.Mutex
-		order []string
-		wg    sync.WaitGroup
-	)
-	enqueued := 0
-	enqueue := func(name string, prio bool) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.acquire(context.Background(), prio) //nolint:errcheck // background ctx never cancels
-			mu.Lock()
-			order = append(order, name)
-			mu.Unlock()
-			p.release()
-		}()
-		enqueued++
-		deadline := time.Now().Add(time.Second)
-		for p.queueDepth() < enqueued && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-	}
-	enqueue("f1", false)
-	for i := 1; i <= prioBurst+2; i++ {
-		enqueue(fmt.Sprintf("p%d", i), true)
-	}
-	p.release()
-	wg.Wait()
-
-	// After prioBurst priority grants, f1 must be served before the
-	// remaining priority waiters.
-	want := []string{"p1", "p2", "p3", "p4", "f1", "p5", "p6"}
 	if fmt.Sprint(order) != fmt.Sprint(want) {
 		t.Fatalf("wake order = %v, want %v", order, want)
 	}
@@ -124,7 +78,7 @@ func TestSlotPoolPriorityAging(t *testing.T) {
 
 // admissionJob is a trivial word-free job whose map tasks sleep briefly,
 // so concurrently running tasks overlap observably.
-func admissionJob(chunks int, running, peak *atomic.Int64, priority bool) *Job[int, int, int, int] {
+func admissionJob(chunks int, running, peak *atomic.Int64) *Job[int, int, int, int] {
 	var src MemorySource[int]
 	for i := 0; i < chunks; i++ {
 		src.Chunks = append(src.Chunks, []int{i})
@@ -155,7 +109,6 @@ func admissionJob(chunks int, running, peak *atomic.Int64, priority bool) *Job[i
 				}
 			}
 		},
-		Priority: priority,
 	}
 }
 
@@ -171,7 +124,7 @@ func TestConcurrentJobsShareSlots(t *testing.T) {
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
-			_, err := Run(c, admissionJob(6, &running, &peak, false))
+			_, err := Run(c, admissionJob(6, &running, &peak))
 			errs[j] = err
 		}(j)
 	}
@@ -192,7 +145,7 @@ func TestSchedCounters(t *testing.T) {
 	c := NewCluster(nil, 1, 1)
 	var running, peak atomic.Int64
 
-	res, err := Run(c, admissionJob(3, &running, &peak, false))
+	res, err := Run(c, admissionJob(3, &running, &peak))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +165,7 @@ func TestSchedCounters(t *testing.T) {
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
-			r, err := Run(c, admissionJob(4, &running, &peak, false))
+			r, err := Run(c, admissionJob(4, &running, &peak))
 			if err != nil {
 				t.Error(err)
 				return
@@ -234,36 +187,5 @@ func TestSchedCounters(t *testing.T) {
 	}
 	if wait == 0 {
 		t.Error("queued tasks recorded no wait time")
-	}
-}
-
-// TestPriorityJobOvertakesQueue floods a 1-slot cluster with a regular
-// job, then submits a priority job and checks it finishes while the
-// regular job still has tasks pending — its tasks jumped the queue.
-func TestPriorityJobOvertakes(t *testing.T) {
-	c := NewCluster(nil, 1, 1)
-	var running, peak atomic.Int64
-	var regularDone, priorityDone atomic.Int64
-
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		if _, err := Run(c, admissionJob(40, &running, &peak, false)); err != nil {
-			t.Error(err)
-		}
-		regularDone.Store(time.Now().UnixNano())
-	}()
-	time.Sleep(5 * time.Millisecond) // let the regular job occupy the slot
-	go func() {
-		defer wg.Done()
-		if _, err := Run(c, admissionJob(2, &running, &peak, true)); err != nil {
-			t.Error(err)
-		}
-		priorityDone.Store(time.Now().UnixNano())
-	}()
-	wg.Wait()
-	if priorityDone.Load() >= regularDone.Load() {
-		t.Error("priority job finished after the 20x larger regular job")
 	}
 }

@@ -19,14 +19,14 @@ import (
 // serving afterwards.
 func TestAcquireCancelWhileQueued(t *testing.T) {
 	p := newSlotPool(1)
-	if _, _, err := p.acquire(context.Background(), false); err != nil {
+	if _, _, err := p.acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, _, err := p.acquire(ctx, false)
+		_, _, err := p.acquire(ctx)
 		errCh <- err
 	}()
 	// Wait until the waiter is queued, then cancel it.
@@ -48,7 +48,7 @@ func TestAcquireCancelWhileQueued(t *testing.T) {
 	p.release()
 	done := make(chan struct{})
 	go func() {
-		if _, _, err := p.acquire(context.Background(), false); err != nil {
+		if _, _, err := p.acquire(context.Background()); err != nil {
 			t.Error(err)
 		}
 		close(done)
@@ -78,7 +78,7 @@ func TestAcquireCancelGrantRace(t *testing.T) {
 					// Cancel concurrently with the grant.
 					go cancel()
 				}
-				_, _, err := p.acquire(ctx, seed%3 == 0)
+				_, _, err := p.acquire(ctx)
 				if err == nil {
 					p.release()
 				}
@@ -91,7 +91,7 @@ func TestAcquireCancelGrantRace(t *testing.T) {
 	for i := 0; i < slots; i++ {
 		done := make(chan struct{})
 		go func() {
-			if _, _, err := p.acquire(context.Background(), false); err != nil {
+			if _, _, err := p.acquire(context.Background()); err != nil {
 				t.Error(err)
 			}
 			close(done)

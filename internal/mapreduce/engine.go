@@ -167,7 +167,6 @@ func RunContext[I, K, V, O any](ctx context.Context, c *Cluster, job *Job[I, K, 
 	b := &Binding{
 		job:      job.Name,
 		jobID:    fmt.Sprintf("j%06d", jobSeq.Add(1)),
-		priority: job.Priority,
 		counters: counters,
 		ctx:      ctx,
 		shuffle:  make([][]ShuffleRef, r),
@@ -231,7 +230,7 @@ func RunContext[I, K, V, O any](ctx context.Context, c *Cluster, job *Job[I, K, 
 		d := &TaskDesc{
 			Job: job.Name, JobID: b.jobID, Kind: kind,
 			Task: task, Attempt: attempt, Lane: lane,
-			NumMaps: len(splits), NumReducers: r, Priority: job.Priority,
+			NumMaps: len(splits), NumReducers: r,
 		}
 		if remote {
 			d.JobKind, d.JobSpec = b.wireKind, b.wireSpec

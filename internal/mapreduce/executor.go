@@ -28,8 +28,6 @@ type TaskDesc struct {
 	// NumMaps and NumReducers give the task its phase geometry.
 	NumMaps     int
 	NumReducers int
-	// Priority requests the admission priority lane.
-	Priority bool
 
 	// Wire fields, set only when the job carries a WireJob:
 
@@ -137,7 +135,6 @@ var errTaskAborted = errors.New("mapreduce: task aborted: job already failed")
 type Binding struct {
 	job      string
 	jobID    string
-	priority bool
 	counters *Counters
 	// ctx is the job's cancellation context (RunContext); nil bindings —
 	// worker-side reconstructions — read it as context.Background().
@@ -264,7 +261,7 @@ func (x *LocalExecutor) RunReduceTask(b *Binding, d *TaskDesc) (*TaskResult, err
 // run admits the attempt through the shared slot pool and executes the
 // bound closure on the lane's slot.
 func (x *LocalExecutor) run(b *Binding, d *TaskDesc, pool *slotPool, fn func(lane, task, attempt int, host string) error) (*TaskResult, error) {
-	waited, depth, err := pool.acquire(b.Context(), d.Priority)
+	waited, depth, err := pool.acquire(b.Context())
 	if err != nil {
 		// Canceled while queued for admission: no slot is held and the
 		// job is being torn down; surface the context error so the

@@ -141,13 +141,6 @@ type Job[I, K, V, O any] struct {
 	// default; negative disables backoff.
 	RetryBackoff time.Duration
 
-	// Priority admits this job's tasks through the cluster slot pools'
-	// priority lane, ahead of queued tasks of regular jobs. Reserved for
-	// jobs known to be cheap (the engine flags planned queries that read a
-	// small fraction of the input), so short queries are not stuck behind
-	// scan-heavy ones.
-	Priority bool
-
 	// FaultInjector, if non-nil, is consulted before each task attempt;
 	// a non-nil return fails that attempt. Used by the failure tests.
 	// A job carrying an injector never leaves the local executor (the

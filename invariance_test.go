@@ -8,6 +8,7 @@ import (
 	"spq/internal/core"
 	"spq/internal/data"
 	"spq/internal/geo"
+	"spq/internal/grid"
 	"spq/internal/mapreduce"
 	"spq/internal/text"
 )
@@ -145,8 +146,8 @@ func TestDistributedReducerInvariance(t *testing.T) {
 			t.Error("the job fell back to local execution")
 		}
 	})
-	// The engine assigns cells round-robin; the load balancer's cost-based
-	// assignment is reachable through core directly.
+	// The engine assigns cells round-robin; a cost-based LPT table is
+	// reachable through core directly.
 	t.Run("load-balance", func(t *testing.T) {
 		dict := text.NewDict()
 		var objs []data.Object
@@ -157,13 +158,22 @@ func TestDistributedReducerInvariance(t *testing.T) {
 			objs = append(objs, data.Object{Kind: data.FeatureObject, ID: f.ID, Loc: geo.Point{X: f.X, Y: f.Y}, Keywords: dict.InternAll(f.Keywords)})
 		}
 		cluster := mapreduce.NewCluster(nil, 2, 1)
+		bounds := geo.Rect{MaxX: 1, MaxY: 1}
 		for i, c := range cases {
 			cq := core.Query{K: c.q.K, Radius: c.q.Radius, Keywords: dict.InternAll(c.q.Keywords), Mode: c.q.Mode}
+			weights, err := core.CellWeights(mapreduce.NewMemorySource(objs, 3), grid.New(bounds, gridN, gridN), cq)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, r := range reducers {
 				for _, balance := range []bool{false, true} {
+					var table []int32
+					if balance {
+						table = core.BalanceCells(weights, r)
+					}
 					rep, err := core.Run(c.alg, mapreduce.NewMemorySource(objs, 3), cq, core.Options{
-						Cluster: cluster, Bounds: geo.Rect{MaxX: 1, MaxY: 1}, GridN: gridN,
-						NumReducers: r, LoadBalance: balance,
+						Cluster: cluster, Bounds: bounds, GridN: gridN,
+						NumReducers: r, CellReducer: table,
 					})
 					if err != nil {
 						t.Fatal(err)

@@ -74,8 +74,8 @@ func TestPlanQuery(t *testing.T) {
 					if p.useView != !distributed {
 						t.Errorf("useView = %v on a distributed=%v engine", p.useView, distributed)
 					}
-					if p.empty || p.planStats != nil || p.priority {
-						t.Errorf("unplanned query carries planner output: empty=%v stats=%+v priority=%v", p.empty, p.planStats, p.priority)
+					if p.empty || p.planStats != nil {
+						t.Errorf("unplanned query carries planner output: empty=%v stats=%+v", p.empty, p.planStats)
 					}
 					if want := plan.ChooseReducers(defaultGridN, e.cfg.ReduceSlots); p.gridN != defaultGridN || p.reducers != want || want >= defaultGridN*defaultGridN {
 						t.Errorf("unplanned grid %d with %d reducers, want grid %d with the slot-derived %d (fewer than its cells)",

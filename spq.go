@@ -272,7 +272,8 @@ func WithReducers(r int) QueryOption {
 
 // WithBounds overrides the data-space bounding rectangle used to lay out
 // the grid. By default the engine uses the bounding box of the loaded
-// objects.
+// objects. A NaN or infinite coordinate fails the query with
+// ErrInvalidQuery.
 func WithBounds(minX, minY, maxX, maxY float64) QueryOption {
 	return func(c *queryConfig) {
 		c.bounds = &geo.Rect{MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY}
