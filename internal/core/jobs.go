@@ -426,9 +426,10 @@ var hitScratch = sync.Pool{New: func() any { return new(blockHits) }}
 
 // mapBlock is the Map function over a decoded column block: the path of
 // columnar splits. The query keywords are resolved against the block's
-// dictionary once and only their posting lists are walked, which yields
+// dictionary once and only their posting lists are decoded, which yields
 // |f.W ∩ q.W| of every record at once; |f.W| is a stored column. It emits
 // exactly what mapObject emits for the block's records, in record order.
+// A matched posting list that fails validation fails the task permanently.
 func (m *mapper) mapBlock(ctx *mapreduce.TaskContext, batch any, emit func(CellKey, Rec)) (int, error) {
 	b, ok := batch.(*data.ColumnBlock)
 	if !ok {
@@ -442,7 +443,11 @@ func (m *mapper) mapBlock(ctx *mapreduce.TaskContext, batch any, emit func(CellK
 	hits, marks := sc.hits[:n], sc.marks[:words]
 	feature := b.Kind == data.FeatureObject
 	if feature {
-		b.CountHits(m.q.Keywords, hits, marks)
+		if err := b.CountHits(m.q.Keywords, hits, marks); err != nil {
+			// The scratch is left dirty, so it is not pooled. A corrupt
+			// list reads the same on every attempt.
+			return 0, mapreduce.Permanent(err)
+		}
 	}
 	var emitted, dups int
 	emitAt := func(i int) {

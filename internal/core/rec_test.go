@@ -3,11 +3,14 @@ package core
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -96,7 +99,7 @@ func TestRecCodecRoundTrip(t *testing.T) {
 type memSegments map[string][]byte
 
 func (m memSegments) ReadRange(file string, off int64, n int) ([]byte, error) {
-	return m[file][off : off+int64(n)], nil
+	return bytes.Clone(m[file][off : off+int64(n)]), nil
 }
 
 // emitted is one map output pair, flattened for comparison.
@@ -233,6 +236,98 @@ func TestBlockMapMatchesRecordMap(t *testing.T) {
 			if name == "none" && len(block) != 0 {
 				t.Errorf("%s: %d pairs emitted for a query matching nothing", label, len(block))
 			}
+		}
+	}
+}
+
+// TestCorruptMatchedListIsQueryError breaks two posting lists of a stored
+// feature block — a bitmap left empty and a varint list cut inside its
+// last varint — and re-CRCs the frame, so the block still decodes: lists
+// are read lazily. A query whose keywords match a broken list must fail,
+// never return a result; a query reading only intact lists answers exactly
+// as the centralized oracle does over the original objects.
+func TestCorruptMatchedListIsQueryError(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	dict := text.NewDict()
+	var objs []data.Object
+	parts := map[data.Kind][]data.Object{}
+	for i := 0; i < 300; i++ {
+		d := data.Object{Kind: data.DataObject, ID: uint64(i), Loc: geo.Point{X: r.Float64(), Y: r.Float64()}}
+		// Keywords 0..2 are dense (bitmap lists), 3..62 sparse (varints).
+		f := data.Object{Kind: data.FeatureObject, ID: uint64(1000 + i), Loc: geo.Point{X: r.Float64(), Y: r.Float64()},
+			Keywords: text.NewKeywordSet(uint32(r.Intn(3)), uint32(3+r.Intn(60)))}
+		objs = append(objs, d, f)
+		parts[d.Kind], parts[f.Kind] = append(parts[d.Kind], d), append(parts[f.Kind], f)
+	}
+	segs := memSegments{}
+	var cells []data.ColSel
+	for _, kind := range []data.Kind{data.DataObject, data.FeatureObject} {
+		name := kind.String()
+		var seg bytes.Buffer
+		cw := data.NewCol3Writer(&seg, kind, dict, 0)
+		for _, o := range parts[kind] {
+			if err := cw.Append(o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		segs[name] = seg.Bytes()
+		cells = append(cells, data.ColSel{Cell: data.CellStats{File: name, Records: len(parts[kind]), Blocks: cw.Stats()}})
+	}
+
+	// Decoding a frame in place leaves the block's lists aliasing it, so
+	// the lists are broken through the block and the CRC recomputed.
+	bs := cells[1].Cell.Blocks[0]
+	frame := segs[cells[1].Cell.File][bs.Offset : bs.Offset+int64(bs.Length)]
+	b, err := data.DecodeColFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitmapBytes := (b.Len() + 7) / 8
+	for e, kw := range b.Dict {
+		list := b.Post[b.PostOff[e]:b.PostOff[e+1]]
+		switch kw {
+		case 1:
+			if len(list) != bitmapBytes {
+				t.Fatalf("keyword 1: a %d-byte list, want a %d-byte bitmap", len(list), bitmapBytes)
+			}
+			clear(list)
+		case 10:
+			if len(list) >= bitmapBytes {
+				t.Fatalf("keyword 10: a %d-byte list, want varints under %d bytes", len(list), bitmapBytes)
+			}
+			for i := range list {
+				list[i] = 0x80
+			}
+		}
+	}
+	n, k := binary.Uvarint(frame)
+	binary.LittleEndian.PutUint32(frame[k+int(n):], crc32.ChecksumIEEE(frame[k:k+int(n)]))
+	if _, err := data.DecodeColFrame(frame); err != nil {
+		t.Fatalf("re-CRCed frame does not decode: %v", err)
+	}
+
+	opts := Options{Bounds: unitBounds, GridN: 4, NumReducers: 3}
+	for _, alg := range Algorithms() {
+		for _, kws := range []text.KeywordSet{{1}, {10}, {2, 10}} {
+			q := Query{K: 3, Radius: 0.1, Keywords: kws}
+			rep, err := Run(alg, data.NewColInput(segs, cells, nil, 1), q, opts)
+			if err == nil {
+				t.Fatalf("%v keywords %v: %d results from a broken posting list", alg, kws, len(rep.Results))
+			}
+			if !strings.Contains(err.Error(), "corrupt column block") {
+				t.Fatalf("%v keywords %v: err = %v, want a corrupt-block error", alg, kws, err)
+			}
+		}
+		q := Query{K: 3, Radius: 0.1, Keywords: text.NewKeywordSet(2, 20)}
+		rep, err := Run(alg, data.NewColInput(segs, cells, nil, 1), q, opts)
+		if err != nil {
+			t.Fatalf("%v: a query over intact lists failed: %v", alg, err)
+		}
+		if want := RTreeCentralized(objs, q); !reflect.DeepEqual(rep.Results, want) {
+			t.Fatalf("%v: results %v, oracle %v", alg, rep.Results, want)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -27,12 +28,13 @@ import (
 //     (offset, length) random access.
 //  2. Dense decode. A block decodes into parallel column slices
 //     (ColumnBlock) exactly once: ids, coordinates, and — for features —
-//     the keyword postings as stored, inverted, plus each record's keyword
-//     count. A query maps the block from those columns (see
-//     ColumnBlock.CountHits); no per-record keyword set exists on the
-//     query path, no allocation is made per record, and a decoded block is
-//     shared read-only by every concurrent query through the segment cache
-//     (BlockCache).
+//     the keyword dictionary, each record's keyword count and the byte
+//     offset of every posting list, with the lists themselves left encoded
+//     in the frame. A query maps the block from those columns and decodes
+//     only its own keywords' lists (see ColumnBlock.CountHits); no
+//     per-record keyword set exists on the query path, no allocation is
+//     made per record, and a decoded block is shared read-only by every
+//     concurrent query through the segment cache (BlockCache).
 //
 // File layout (the block payload encoding, SPQ3, is in colseg3.go):
 //
@@ -99,9 +101,10 @@ type ColWriter struct {
 // NewCol3Writer creates a segment writer over w for a single-kind cell
 // partition. dict resolves keyword ids to words for the per-block bloom
 // summaries (may be nil for data cells). blockRecords <= 0 selects the
-// largest block size (see AdaptiveBlockRecords).
+// largest block size (see AdaptiveBlockRecords), which is also the limit
+// a larger value is clamped to.
 func NewCol3Writer(w io.Writer, kind Kind, dict *text.Dict, blockRecords int) *ColWriter {
-	if blockRecords <= 0 {
+	if blockRecords <= 0 || blockRecords > colMaxBlockRecords {
 		blockRecords = colMaxBlockRecords
 	}
 	var c io.Closer
@@ -210,24 +213,30 @@ type ColumnBlock struct {
 	Xs   []float64
 	Ys   []float64
 	// KwLen is the keyword count |f.W| of every record of a feature block.
-	// Dict, PostOff and PostRecs are its postings as the format stores
-	// them, inverted: Dict is the block's sorted distinct keyword ids, and
-	// keyword Dict[e] occurs on records PostRecs[PostOff[e]:PostOff[e+1]]
-	// (ascending). A query needs |f.W ∩ q.W| and |f.W| of a feature and
-	// nothing else of its keywords; CountHits reads the first off the
-	// lists of the query's own keywords and KwLen is the second. All nil
-	// for data blocks.
-	KwLen    []uint32
-	Dict     []uint32
-	PostOff  []int32
-	PostRecs []uint32
+	// Dict, PostOff and Post are its postings as the format stores them,
+	// inverted and still encoded: Dict is the block's sorted distinct
+	// keyword ids, and the posting list of keyword Dict[e] — the records
+	// carrying it, as a bitmap or delta varints (see colseg3.go) — is
+	// Post[PostOff[e]:PostOff[e+1]]. A query needs |f.W ∩ q.W| and |f.W|
+	// of a feature and nothing else of its keywords; CountHits decodes the
+	// first from the lists of the query's own keywords and KwLen is the
+	// second. A decoded block's Post aliases the frame it was decoded from.
+	// All nil for data blocks.
+	KwLen   []uint32
+	Dict    []uint32
+	PostOff []int32
+	Post    []byte
+	// held is the byte size of the buffer Post aliases, which MemBytes
+	// charges.
+	held int
 
-	// The forward view — record i's keywords are kws[kwOff[i]:kwOff[i+1]]
-	// — is derived from the postings on the first Object call. Queries
-	// never ask for it; it serves readers that want whole records (tests,
-	// and record-at-a-time readers such as core.CellWeights handed a
-	// columnar source), and the segment cache does not charge for it.
+	// Validate walks every posting list once and, on success, leaves the
+	// forward view behind — record i's keywords are kws[kwOff[i]:kwOff[i+1]].
+	// Queries never ask for it; it serves readers that want whole records
+	// (tests, and record-at-a-time readers such as core.CellWeights handed
+	// a columnar source), and the segment cache does not charge for it.
 	fwdOnce sync.Once
+	fwdErr  error
 	kwOff   []int32
 	kws     []uint32
 }
@@ -235,21 +244,29 @@ type ColumnBlock struct {
 // Len returns the number of records in the block.
 func (b *ColumnBlock) Len() int { return len(b.IDs) }
 
-// Object views record i as an Object. The keyword set of a feature aliases
-// the block's forward view, which the first call builds; concurrent
-// callers are safe.
-func (b *ColumnBlock) Object(i int) Object {
-	o := Object{Kind: b.Kind, ID: b.IDs[i], Loc: geo.Point{X: b.Xs[i], Y: b.Ys[i]}}
-	if b.KwLen != nil {
-		o.Keywords = b.keywords(i)
+// Validate checks every posting list of a feature block in full — the
+// checks CountHits makes on a query's lists, plus that every record is on
+// exactly as many lists as its keyword count — and builds the forward
+// view Object reads. It runs once per block; later calls return the first
+// result. Readers that want whole records call it before Object.
+func (b *ColumnBlock) Validate() error {
+	if b.KwLen == nil {
+		return nil
 	}
-	return o
+	b.fwdOnce.Do(func() { b.kwOff, b.kws, b.fwdErr = b.forward() })
+	return b.fwdErr
 }
 
-// keywords returns record i's keyword set from the forward view.
-func (b *ColumnBlock) keywords(i int) text.KeywordSet {
-	b.fwdOnce.Do(func() { b.kwOff, b.kws = b.forward() })
-	return keywordsAt(b.kwOff, b.kws, i)
+// Object views record i as an Object. The keyword set of a feature aliases
+// the block's forward view, which the first call builds through Validate;
+// concurrent callers are safe. On a block Validate rejects, features carry
+// no keywords.
+func (b *ColumnBlock) Object(i int) Object {
+	o := Object{Kind: b.Kind, ID: b.IDs[i], Loc: geo.Point{X: b.Xs[i], Y: b.Ys[i]}}
+	if b.KwLen != nil && b.Validate() == nil {
+		o.Keywords = keywordsAt(b.kwOff, b.kws, i)
+	}
+	return o
 }
 
 // keywordsAt returns record i's keyword set from a forward view (nil when
@@ -261,33 +278,60 @@ func keywordsAt(kwOff []int32, kws []uint32, i int) text.KeywordSet {
 	return nil
 }
 
-// forward scatters the posting lists back into per-record keyword sets.
-// Iterating the dictionary in ascending order fills each record's set
-// strictly ascending — the KeywordSet invariant — for free.
-func (b *ColumnBlock) forward() (kwOff []int32, kws []uint32) {
-	kwOff = make([]int32, len(b.KwLen)+1)
-	for i, n := range b.KwLen {
-		kwOff[i+1] = kwOff[i] + int32(n)
-	}
-	kws = make([]uint32, len(b.PostRecs))
-	fill := append([]int32(nil), kwOff[:len(b.KwLen)]...) // per-record write cursor
-	for e, kw := range b.Dict {
-		for _, rec := range b.PostRecs[b.PostOff[e]:b.PostOff[e+1]] {
-			kws[fill[rec]] = kw
-			fill[rec]++
+// forward validates every posting list and scatters the lists back into
+// per-record keyword sets. A first pass counts each record's lists against
+// its keyword count, so the view is sized by entries the lists really
+// hold; the second walks the lists again in ascending dictionary order,
+// which fills each record's set strictly ascending — the KeywordSet
+// invariant — for free.
+func (b *ColumnBlock) forward() (kwOff []int32, kws []uint32, err error) {
+	n := len(b.KwLen)
+	hits := make([]uint32, n)
+	marks := make([]uint64, (n+63)/64)
+	for e := range b.Dict {
+		if err := b.listHits(e, hits, marks); err != nil {
+			return nil, nil, err
 		}
 	}
-	return kwOff, kws
+	kwOff = make([]int32, n+1)
+	for i, h := range hits {
+		if h != b.KwLen[i] {
+			return nil, nil, errCorrupt("record %d is on %d posting lists, its keyword count is %d", i, h, b.KwLen[i])
+		}
+		kwOff[i+1] = kwOff[i] + int32(h)
+	}
+	kws = make([]uint32, kwOff[n])
+	fill := append([]int32(nil), kwOff[:n]...) // per-record write cursor
+	clear(hits)
+	for e, kw := range b.Dict {
+		clear(marks)
+		if err := b.listHits(e, hits, marks); err != nil {
+			return nil, nil, err
+		}
+		for wi, w := range marks {
+			for ; w != 0; w &= w - 1 {
+				rec := wi<<6 | bits.TrailingZeros64(w)
+				kws[fill[rec]] = kw
+				fill[rec]++
+			}
+		}
+	}
+	return kwOff, kws, nil
 }
 
 // AppendObjects appends the block's records to dst as Objects. Unlike
 // Object it leaves no forward view behind, so reading a resident block
-// back — a compaction re-sealing it — does not grow the block.
+// back — a compaction re-sealing it — does not grow the block. b must be
+// a built block (BuildBlock) or one Validate accepted; a posting list that
+// fails validation here is a broken invariant and panics.
 func (b *ColumnBlock) AppendObjects(dst []Object) []Object {
 	var kwOff []int32
 	var kws []uint32
 	if b.KwLen != nil {
-		kwOff, kws = b.forward()
+		var err error
+		if kwOff, kws, err = b.forward(); err != nil {
+			panic(fmt.Sprintf("data: AppendObjects on an invalid block: %v", err))
+		}
 	}
 	for i := range b.IDs {
 		o := Object{Kind: b.Kind, ID: b.IDs[i], Loc: geo.Point{X: b.Xs[i], Y: b.Ys[i]}}
@@ -299,13 +343,14 @@ func (b *ColumnBlock) AppendObjects(dst []Object) []Object {
 	return dst
 }
 
-// BuildBlock lays objs — a non-empty run of records of one kind — out as
-// one column block, with no encoding step, and returns it with its zone
-// map: record count, tight bounds and, for features, the bloom of the
-// block's keywords (resolved through dict; an empty bloom when dict is
-// nil). The columns equal what DecodeColFrame produces from the block's
-// SPQ3 frame, and the zone map equals the one the segment writer records,
-// minus the frame's position.
+// BuildBlock lays objs — a non-empty run of at most colMaxBlockRecords
+// records of one kind — out as one column block, with no decoding step,
+// and returns it with its zone map: record count, tight bounds and, for
+// features, the bloom of the block's keywords (resolved through dict; an
+// empty bloom when dict is nil). The columns equal what DecodeColFrame
+// produces from the block's SPQ3 frame — the posting lists are encoded to
+// the same bytes — and the zone map equals the one the segment writer
+// records, minus the frame's position.
 func BuildBlock(objs []Object, dict *text.Dict) (*ColumnBlock, BlockStats) {
 	n := len(objs)
 	b := &ColumnBlock{Kind: objs[0].Kind, IDs: make([]uint64, n), Xs: make([]float64, n), Ys: make([]float64, n)}
@@ -334,17 +379,32 @@ func BuildBlock(objs []Object, dict *text.Dict) (*ColumnBlock, BlockStats) {
 		b.Dict = append(b.Dict, kw)
 	}
 	slices.Sort(b.Dict)
-	b.PostOff = make([]int32, len(b.Dict)+1)
+	ents := make([]int32, len(b.Dict)+1) // list e is recs[ents[e]:ents[e+1]]
 	for e, kw := range b.Dict {
-		b.PostOff[e+1] = b.PostOff[e] + cursor[kw]
-		cursor[kw] = b.PostOff[e]
+		ents[e+1] = ents[e] + cursor[kw]
+		cursor[kw] = ents[e]
 	}
-	b.PostRecs = make([]uint32, b.PostOff[len(b.Dict)])
+	recs := make([]uint32, ents[len(b.Dict)])
 	for i, o := range objs {
 		for _, kw := range o.Keywords {
-			b.PostRecs[cursor[kw]] = uint32(i)
+			recs[cursor[kw]] = uint32(i)
 			cursor[kw]++
 		}
+	}
+	// Encode every list in its smaller form — the bitmap on a tie — into
+	// one exact-size buffer.
+	bitmapBytes := (n + 7) / 8
+	b.PostOff = make([]int32, len(b.Dict)+1)
+	for e := range b.Dict {
+		b.PostOff[e+1] = b.PostOff[e] + int32(min(varintListSize(recs[ents[e]:ents[e+1]]), bitmapBytes))
+	}
+	if total := int(b.PostOff[len(b.Dict)]); total > 0 {
+		b.Post = make([]byte, 0, total)
+		for e := range b.Dict {
+			varints := int(b.PostOff[e+1]-b.PostOff[e]) < bitmapBytes
+			b.Post = appendPosting(b.Post, recs[ents[e]:ents[e+1]], varints, bitmapBytes)
+		}
+		b.held = total
 	}
 	bs.Keywords = NewKeywordBloom()
 	if dict != nil {
@@ -375,9 +435,14 @@ func BuildBlocks(objs []Object, dict *text.Dict) ([]*ColumnBlock, []BlockStats) 
 // hits has one entry and marks one bit per record. The few query keywords
 // are binary-searched in the block's sorted dictionary — the same
 // asymmetric-intersection trade as text.KeywordSet — and only the matched
-// posting lists are walked, so a keyword the block does not hold, and
-// every record without a query keyword, costs nothing.
-func (b *ColumnBlock) CountHits(kws []uint32, hits []uint32, marks []uint64) {
+// posting lists are decoded, straight into hits and marks, so a keyword
+// the block does not hold, and every list of another keyword, costs
+// nothing. Each matched list is validated in full as it is read; a list
+// that is not strictly ascending, indexes past the block, does not fill
+// its stored length exactly, sets a bitmap bit past the last record, or
+// takes a record's hits past its keyword count is an error, and hits and
+// marks are then partly updated.
+func (b *ColumnBlock) CountHits(kws []uint32, hits []uint32, marks []uint64) error {
 	dict := b.Dict
 	off := 0
 	for _, kw := range kws {
@@ -392,13 +457,33 @@ func (b *ColumnBlock) CountHits(kws []uint32, hits []uint32, marks []uint64) {
 			}
 		}
 		if lo == len(dict) {
-			return
+			return nil
 		}
 		if dict[lo] == kw {
-			addHits(hits, marks, b.PostRecs[b.PostOff[lo]:b.PostOff[lo+1]])
+			if err := b.listHits(lo, hits, marks); err != nil {
+				return err
+			}
 		}
 		off = lo
 	}
+	return nil
+}
+
+// listHits decodes posting list e into hits and marks (see CountHits),
+// dispatching on its form: a list exactly as long as the record bitmap is
+// one.
+func (b *ColumnBlock) listHits(e int, hits []uint32, marks []uint64) error {
+	list := b.Post[b.PostOff[e]:b.PostOff[e+1]]
+	var bad string
+	if len(list) == (len(b.KwLen)+7)/8 {
+		bad = bitmapHits(list, b.KwLen, hits, marks)
+	} else {
+		bad = sparseHits(list, b.KwLen, hits, marks)
+	}
+	if bad != "" {
+		return errCorrupt("posting list %d (keyword %d): %s", e, b.Dict[e], bad)
+	}
+	return nil
 }
 
 // errCorrupt builds the uniform corrupt-block error.
@@ -408,7 +493,11 @@ func errCorrupt(format string, args ...any) error {
 
 // DecodeColFrame validates and decodes one framed block as stored on disk:
 // varint payload length, payload, CRC32. frame must be exactly the bytes
-// BlockStats.{Offset,Length} describe.
+// BlockStats.{Offset,Length} describe. A feature block keeps its posting
+// lists encoded in place: the block aliases frame, which the caller must
+// not modify afterwards, and MemBytes charges all of it. Hand it a private
+// buffer (RangeReader.ReadRange returns one); a frame cut from a larger
+// buffer pins that buffer too.
 func DecodeColFrame(frame []byte) (*ColumnBlock, error) {
 	length, rest, ok := uvarint(frame)
 	if !ok {
@@ -422,5 +511,12 @@ func DecodeColFrame(frame []byte) (*ColumnBlock, error) {
 	if got := crc32.ChecksumIEEE(payload); got != want {
 		return nil, errCorrupt("CRC mismatch: computed %#x, stored %#x", got, want)
 	}
-	return decodeColBlock(payload)
+	b, err := decodeColBlock(payload)
+	if err != nil {
+		return nil, err
+	}
+	if b.Post != nil {
+		b.held = cap(frame)
+	}
+	return b, nil
 }

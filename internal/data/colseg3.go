@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
-	"sync"
 )
 
 // SPQ3: the compressed block payload of columnar cell segments (framing
@@ -22,34 +21,48 @@ import (
 //     bits, so the window is far narrower than 64 bits — and a constant
 //     column (every delta zero) stores zero data bits.
 //   - keywords: a per-block sorted dictionary of the distinct keyword ids
-//     (delta-varint coded), then one inverted posting list per dictionary
-//     entry mapping it back to the records that carry it. Dense postings
-//     (≥ 1/8 of the records) store a record bitmap; sparse ones store
-//     delta-varint record indexes. The decoder keeps the postings inverted
-//     — a query walks only the lists of its own keywords — and records each
-//     record's keyword count, the one per-record fact scoring needs.
+//     (delta-varint coded), each record's keyword count |f.W|, then one
+//     inverted posting list per dictionary entry mapping it back to the
+//     records that carry it, each stored in whichever of two forms is
+//     fewer bytes: a record bitmap, or delta-varint record indexes. Every
+//     list's byte length is stored ahead of the lists, so a reader finds
+//     any list without parsing the others: a query decodes only the lists
+//     of its own keywords (ColumnBlock.CountHits), and the count column
+//     gives the |f.W| scoring needs.
 //
 // Block payload layout (all varints unsigned LEB128 unless noted):
 //
-//	version  byte      '3'
+//	version  byte      '4'
 //	kind     byte      'D' or 'F'
-//	count    uvarint   records in the block (>= 1)
+//	count    uvarint   records in the block, 1..colMaxBlockRecords
 //	ids      count zigzag varints, delta-coded from the previous id
 //	xs, ys   per column: trail byte, width byte,
 //	         ceil(count*width/8) bytes of LSB-first packed deltas
 //	if 'F':
 //	    dictLen  uvarint   distinct keyword ids in the block
 //	    dict     dictLen uvarints: first id raw, then ascending deltas
-//	    per dictionary entry, in dictionary order:
-//	        method  byte   0 = delta varints, 1 = bitmap
-//	        if 0: n uvarint (>= 1), then n record indexes:
-//	              first raw, then strictly ascending deltas, all < count
-//	        if 1: ceil(count/8) bytes, bit i set = record i has the keyword
+//	    kwLen    count uvarints: each record's keyword count (<= dictLen)
+//	    lens     dictLen uvarints: each list's byte length L, in dictionary
+//	             order, 1 <= L <= ceil(count/8)
+//	    lists    the posting lists back to back, list e taking lens[e] bytes:
+//	        L == ceil(count/8): a record bitmap, bit i set = record i has
+//	                            the keyword, bits past count clear
+//	        L <  ceil(count/8): delta varints filling exactly L bytes: the
+//	                            first record index raw, then strictly
+//	                            ascending deltas, all < count
 //
-// The decoder enforces every structural invariant (windows within 64
-// bits, ascending dictionaries and postings, bitmap tail bits clear, no
-// trailing bytes) and bounds every allocation by the payload size, so
-// corrupt input errors out rather than panicking or ballooning memory.
+// The writer keeps the varint form only when it is strictly fewer bytes
+// than the bitmap, so the length alone names the form.
+//
+// Decoding (decodeColBlock) enforces every structural invariant outside the
+// lists — windows within 64 bits, an ascending dictionary, counts and
+// lengths within bounds, no trailing bytes — and bounds every allocation
+// by the payload size, so corrupt input errors out rather than panicking
+// or ballooning memory. The lists stay encoded, aliasing the frame; a list
+// is validated in full (ascending, in range, exact length, bitmap tail bits
+// clear, no record on more lists than its keyword count) whenever it is
+// read — by CountHits for a query's own lists, by ColumnBlock.Validate for
+// all of them.
 
 // col3Magic identifies an SPQ3 segment file. Readers never dispatch on
 // the file header (blocks are self-describing), but the magic keeps
@@ -57,16 +70,19 @@ import (
 var col3Magic = [4]byte{'S', 'P', 'Q', '3'}
 
 // col3Version is the payload version byte. Payloads of the retired
-// uncompressed format opened with their kind byte ('D' or 'F') instead and
-// are rejected as corrupt.
-const col3Version = '3'
+// layouts — the uncompressed one, which opened with its kind byte, and
+// version '3', whose posting lists carried no byte lengths — are rejected
+// as unknown versions.
+const col3Version = '4'
 
 // Adaptive block sizing: the block is the pruning and decode granule, so
 // its ideal size follows cell density. Sparse cells want small blocks
 // (less over-read per surviving block); dense clustered cells can afford
 // larger ones (fewer frames and zone maps for the same data). The seal
 // path sizes blocks as ~8*sqrt(cell records), rounded to a power of two
-// and clamped to [colMinBlockRecords, colMaxBlockRecords].
+// and clamped to [colMinBlockRecords, colMaxBlockRecords]. The maximum is
+// also a format limit: the writer never builds a larger block, and the
+// decoder rejects a record count above it.
 const (
 	colMinBlockRecords = 256
 	colMaxBlockRecords = 4096
@@ -89,18 +105,20 @@ func AdaptiveBlockRecords(cellRecords int) int {
 }
 
 // columnBlockOverhead approximates a block's fixed footprint (the
-// struct with its seven column slice headers) for cache accounting.
+// struct with its column slice headers) for cache accounting.
 const columnBlockOverhead = 240
 
 // MemBytes returns the memory footprint of the block's columns. The
 // segment cache charges this against its byte budget, so adaptive block
 // sizes cannot blow the cache's memory bound the way an entry count
 // could. The decoder and the builder retain every column at exactly its
-// length, so the lengths charged here are the capacities held.
+// length, so the lengths charged here are the capacities held. Post is
+// charged as the buffer it aliases: the whole frame a feature block was
+// decoded from, or the builder's exact-size list bytes.
 func (b *ColumnBlock) MemBytes() int {
 	return columnBlockOverhead +
 		8*len(b.IDs) + 8*len(b.Xs) + 8*len(b.Ys) + 4*len(b.KwLen) +
-		4*len(b.Dict) + 4*len(b.PostOff) + 4*len(b.PostRecs)
+		4*len(b.Dict) + 4*len(b.PostOff) + b.held
 }
 
 // encodeCol3Block renders a built block (see BuildBlock) as one SPQ3 block
@@ -144,30 +162,44 @@ func encodeCol3Block(buf *bytes.Buffer, b *ColumnBlock) {
 			putUvarint(uint64(kw - b.Dict[i-1]))
 		}
 	}
-	bitmapBytes := (b.Len() + 7) / 8
-	for e := range b.Dict {
-		recs := b.PostRecs[b.PostOff[e]:b.PostOff[e+1]]
-		if len(recs) >= bitmapBytes {
-			// Dense: a bitmap is no larger than one byte per entry.
-			buf.WriteByte(1)
-			start := buf.Len()
-			buf.Write(make([]byte, bitmapBytes))
-			bm := buf.Bytes()[start:]
-			for _, r := range recs {
-				bm[r>>3] |= 1 << (r & 7)
-			}
-			continue
-		}
-		buf.WriteByte(0)
-		putUvarint(uint64(len(recs)))
-		for j, r := range recs {
-			if j == 0 {
-				putUvarint(uint64(r))
-			} else {
-				putUvarint(uint64(r - recs[j-1]))
-			}
-		}
+	for _, n := range b.KwLen {
+		putUvarint(uint64(n))
 	}
+	for e := range b.Dict {
+		putUvarint(uint64(b.PostOff[e+1] - b.PostOff[e]))
+	}
+	buf.Write(b.Post)
+}
+
+// appendPosting appends one posting list — the ascending record indexes
+// recs — as delta varints or as a record bitmap of bitmapBytes bytes.
+// The builder picks the varints only when they are strictly fewer bytes
+// (varintListSize), so the decoder tells the forms apart by length alone.
+func appendPosting(dst []byte, recs []uint32, varints bool, bitmapBytes int) []byte {
+	if varints {
+		prev := uint32(0)
+		for _, r := range recs {
+			dst = binary.AppendUvarint(dst, uint64(r-prev))
+			prev = r
+		}
+		return dst
+	}
+	start := len(dst)
+	dst = append(dst, make([]byte, bitmapBytes)...)
+	for _, r := range recs {
+		dst[start+int(r>>3)] |= 1 << (r & 7)
+	}
+	return dst
+}
+
+// varintListSize is the byte length of recs as delta varints.
+func varintListSize(recs []uint32) int {
+	n, prev := 0, uint32(0)
+	for _, r := range recs {
+		n += (bits.Len32(r-prev|1) + 6) / 7
+		prev = r
+	}
+	return n
 }
 
 // packXorColumn appends one xor-delta bit-packed column: vals carries the
@@ -262,11 +294,13 @@ func unpackXorColumn(p []byte, out []float64) ([]byte, error) {
 }
 
 // decodeColBlock decodes one block payload (the bytes between the frame's
-// length prefix and its CRC). Every structural violation — an unknown
-// version byte, truncation, impossible counts, unsorted dictionaries or
-// postings, trailing garbage — returns an error; malformed input can never
-// panic, silently yield objects, or allocate beyond a small multiple of
-// the payload size. This is the fuzzing boundary of the format.
+// length prefix and its CRC). Every structural violation outside the
+// posting lists — an unknown version byte, truncation, impossible counts or
+// lengths, an unsorted dictionary, trailing garbage — returns an error;
+// malformed input can never panic, silently yield objects, or allocate
+// beyond a small multiple of the payload size. The posting lists are kept
+// encoded, aliasing payload, and validated when read (see CountHits and
+// Validate). This is the fuzzing boundary of the format.
 func decodeColBlock(payload []byte) (*ColumnBlock, error) {
 	if len(payload) < 1 {
 		return nil, errCorrupt("missing version byte")
@@ -276,6 +310,9 @@ func decodeColBlock(payload []byte) (*ColumnBlock, error) {
 	}
 	if len(payload) < 2 {
 		return nil, errCorrupt("missing kind byte")
+	}
+	if len(payload) > math.MaxInt32 {
+		return nil, errCorrupt("payload of %d bytes exceeds 2 GiB", len(payload))
 	}
 	var kind Kind
 	switch payload[1] {
@@ -293,9 +330,12 @@ func decodeColBlock(payload []byte) (*ColumnBlock, error) {
 	if count64 == 0 {
 		return nil, errCorrupt("empty block")
 	}
+	if count64 > colMaxBlockRecords {
+		return nil, errCorrupt("record count %d exceeds the %d-record block limit", count64, colMaxBlockRecords)
+	}
 	// Each record needs at least one id byte, so the count is bounded by
 	// the payload size; checking before allocating keeps a hostile count
-	// varint from forcing a huge allocation.
+	// varint from forcing a large allocation.
 	if count64 > uint64(len(p)) {
 		return nil, errCorrupt("record count %d exceeds payload size %d", count64, len(payload))
 	}
@@ -323,7 +363,7 @@ func decodeColBlock(payload []byte) (*ColumnBlock, error) {
 		return nil, err
 	}
 	if kind == FeatureObject {
-		if p, err = decodeCol3Keywords(p, len(payload), b); err != nil {
+		if p, err = decodeCol3Keywords(p, b); err != nil {
 			return nil, err
 		}
 	}
@@ -333,27 +373,20 @@ func decodeColBlock(payload []byte) (*ColumnBlock, error) {
 	return b, nil
 }
 
-// postingScratch pools the buffer posting lists are parsed into. The
-// entry total of a block is unknown until its last list is read, so the
-// lists accumulate in a reusable buffer and the block retains one exact-
-// size copy. A buffer grown per block would reallocate as it grows and be
-// retained at up to twice the size MemBytes charges.
-var postingScratch = sync.Pool{New: func() any { return new([]uint32) }}
-
-// decodeCol3Keywords decodes the dictionary and posting lists of a feature
-// block from the head of p into b's inverted columns (Dict, PostOff,
-// PostRecs) and per-record keyword counts (KwLen), and returns the rest of
-// p. payloadLen bounds the posting-entry total.
-func decodeCol3Keywords(p []byte, payloadLen int, b *ColumnBlock) ([]byte, error) {
+// decodeCol3Keywords decodes the keyword section of a feature block from
+// the head of p — the dictionary (Dict), the keyword counts (KwLen) and the
+// list lengths (PostOff) — leaves the lists themselves encoded in place
+// (Post aliases p), and returns the rest of p.
+func decodeCol3Keywords(p []byte, b *ColumnBlock) ([]byte, error) {
 	count := len(b.IDs)
 	dictLen64, p, ok := uvarint(p)
 	if !ok {
 		return nil, errCorrupt("dictionary length: truncated or overlong varint")
 	}
-	// Each dictionary entry costs at least one id byte plus one posting
-	// method byte.
-	if dictLen64 > uint64(len(p))/2 {
-		return nil, errCorrupt("dictionary length %d exceeds payload size %d", dictLen64, payloadLen)
+	// Each dictionary entry costs at least one id byte, one length byte and
+	// one list byte.
+	if dictLen64 > uint64(len(p))/3 {
+		return nil, errCorrupt("dictionary length %d exceeds the %d bytes left", dictLen64, len(p))
 	}
 	dict := make([]uint32, int(dictLen64))
 	kw := uint64(0)
@@ -372,63 +405,42 @@ func decodeCol3Keywords(p []byte, payloadLen int, b *ColumnBlock) ([]byte, error
 		dict[i] = uint32(kw)
 	}
 
-	// Every posting entry costs at least one stored bit, so the entry total
-	// is bounded by 8x the payload size.
-	maxTotal := 8 * payloadLen
-	bitmapBytes := (count + 7) / 8
 	kwLen := make([]uint32, count)
-	pOff := make([]int32, len(dict)+1)
-	scratch := postingScratch.Get().(*[]uint32)
-	recs := (*scratch)[:0]
-	defer func() {
-		*scratch = recs
-		postingScratch.Put(scratch)
-	}()
-	for e := range dict {
-		if len(p) == 0 {
-			return nil, errCorrupt("posting %d: missing method byte", e)
+	for i := range kwLen {
+		var v uint64
+		if v, p, ok = uvarint(p); !ok {
+			return nil, errCorrupt("keyword count %d: truncated or overlong varint", i)
 		}
-		method := p[0]
-		p = p[1:]
-		before := len(recs)
-		switch method {
-		case 0:
-			var n64 uint64
-			if n64, p, ok = uvarint(p); !ok {
-				return nil, errCorrupt("posting %d length: truncated or overlong varint", e)
-			}
-			if n64 == 0 {
-				return nil, errCorrupt("posting %d is empty", e)
-			}
-			if n64 > uint64(count) {
-				return nil, errCorrupt("posting %d holds %d of %d records", e, n64, count)
-			}
-			var bad string
-			if p, recs, bad = sparsePosting(p, int(n64), kwLen, recs); bad != "" {
-				return nil, errCorrupt("posting %d: %s", e, bad)
-			}
-		case 1:
-			if len(p) < bitmapBytes {
-				return nil, errCorrupt("truncated posting %d bitmap: %d bytes left, need %d", e, len(p), bitmapBytes)
-			}
-			if recs, ok = bitmapPosting(p[:bitmapBytes], kwLen, recs); !ok {
-				return nil, errCorrupt("posting %d bitmap sets a bit beyond %d records", e, count)
-			}
-			p = p[bitmapBytes:]
-			if len(recs) == before {
-				return nil, errCorrupt("posting %d is empty", e)
-			}
-		default:
-			return nil, errCorrupt("posting %d: unknown method byte %#x", e, method)
+		if v > dictLen64 {
+			return nil, errCorrupt("record %d counts %d keywords, the block holds %d", i, v, dictLen64)
 		}
-		if len(recs) > maxTotal {
-			return nil, errCorrupt("keyword total %d exceeds payload size %d", len(recs), payloadLen)
-		}
-		pOff[e+1] = int32(len(recs))
+		kwLen[i] = uint32(v)
 	}
-	b.Dict = dict
-	b.PostOff = pOff
-	b.PostRecs = append(make([]uint32, 0, len(recs)), recs...)
-	b.KwLen = kwLen
-	return p, nil
+
+	bitmapBytes := uint64(count+7) / 8
+	off := make([]int32, len(dict)+1)
+	total := 0
+	for e := range dict {
+		var n uint64
+		if n, p, ok = uvarint(p); !ok {
+			return nil, errCorrupt("posting %d length: truncated or overlong varint", e)
+		}
+		if n == 0 {
+			return nil, errCorrupt("posting %d is empty", e)
+		}
+		if n > bitmapBytes {
+			return nil, errCorrupt("posting %d takes %d bytes, more than a %d-byte bitmap", e, n, bitmapBytes)
+		}
+		// The lists follow the lengths, so their total is bounded by what
+		// is left; the payload limit keeps the offsets within int32.
+		if total += int(n); total > len(p) {
+			return nil, errCorrupt("posting lists need %d bytes, %d left", total, len(p))
+		}
+		off[e+1] = int32(total)
+	}
+	b.Dict, b.KwLen, b.PostOff = dict, kwLen, off
+	if total > 0 {
+		b.Post = p[:total:total]
+	}
+	return p[total:], nil
 }

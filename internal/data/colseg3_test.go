@@ -2,11 +2,12 @@ package data
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime/debug"
 	"slices"
 	"strings"
 	"sync"
@@ -148,6 +149,129 @@ func TestCol3SegmentRejectsCorruption(t *testing.T) {
 	}
 }
 
+// col3Payload assembles a block payload from explicit parts, bypassing
+// every invariant the writer keeps: count records with ids 0..count-1 at
+// the origin, and — for a feature block — the given dictionary, keyword
+// counts and posting lists, each list's length taken from its bytes.
+func col3Payload(kind byte, count int, dict, kwLen []uint32, lists ...[]byte) []byte {
+	p := []byte{col3Version, kind}
+	p = binary.AppendUvarint(p, uint64(count))
+	for range count {
+		p = append(p, 2) // zigzag +1
+	}
+	p = append(p, 0, 0, 0, 0) // two constant-zero coordinate columns
+	if kind != colKindFeature {
+		return p
+	}
+	p = binary.AppendUvarint(p, uint64(len(dict)))
+	prev := uint32(0)
+	for _, kw := range dict {
+		p = binary.AppendUvarint(p, uint64(kw-prev))
+		prev = kw
+	}
+	for _, n := range kwLen {
+		p = binary.AppendUvarint(p, uint64(n))
+	}
+	for _, l := range lists {
+		p = binary.AppendUvarint(p, uint64(len(l)))
+	}
+	for _, l := range lists {
+		p = append(p, l...)
+	}
+	return p
+}
+
+// col3Frame frames a payload as the segment writer does, with a valid CRC.
+func col3Frame(payload []byte) []byte {
+	f := binary.AppendUvarint(nil, uint64(len(payload)))
+	f = append(f, payload...)
+	return binary.LittleEndian.AppendUint32(f, crc32.ChecksumIEEE(payload))
+}
+
+// hostileFrame is a frame the writer cannot produce, behind a valid CRC:
+// fails names the first read step that must reject it — "decode"
+// (DecodeColFrame), "hits" (CountHits with the block's whole dictionary)
+// or "validate" (Validate) — and want a fragment of that step's error.
+// Posting lists are read lazily, so a broken list decodes and fails only
+// when it is read.
+type hostileFrame struct {
+	name, fails, want string
+	frame             []byte
+}
+
+// hostileCol3Frames are feature blocks of 64 records (an 8-byte bitmap)
+// with keyword 4 on every record and keyword 9 on the records of a second
+// list, each broken in one way, plus a data block one record over the
+// block limit.
+func hostileCol3Frames() []hostileFrame {
+	const n = 64
+	ones := bytes.Repeat([]byte{0xFF}, 8)
+	counts := func(on9 ...int) []uint32 {
+		c := slices.Repeat([]uint32{1}, n)
+		for _, i := range on9 {
+			c[i]++
+		}
+		return c
+	}
+	feature := func(kwLen []uint32, list9 []byte) []byte {
+		return col3Payload(colKindFeature, n, []uint32{4, 9}, kwLen, ones, list9)
+	}
+	valid := feature(counts(3, 7), []byte{3, 4})
+	tail := append(bytes.Repeat([]byte{0xFF}, 7), 0x1F) // bit 60 of 60 records
+	return []hostileFrame{
+		{"valid", "", "", col3Frame(valid)},
+		{"4,097 records", "decode", "block limit", col3Frame(col3Payload(colKindData, colMaxBlockRecords+1, nil, nil))},
+		{"retired version 3", "decode", "version byte", col3Frame(append([]byte{'3'}, valid[1:]...))},
+		{"empty list", "decode", "is empty", col3Frame(feature(counts(), []byte{}))},
+		{"list longer than the bitmap", "decode", "more than a 8-byte bitmap", col3Frame(feature(counts(3), append([]byte{3}, make([]byte, 8)...)))},
+		{"keyword count past the dictionary", "decode", "the block holds", col3Frame(feature(counts(3, 3, 3), []byte{3}))},
+		{"lists past the payload", "decode", "posting lists need", col3Frame(valid[:len(valid)-1])},
+		{"trailing byte", "decode", "trailing bytes", col3Frame(append(valid[:len(valid):len(valid)], 0))},
+		{"varints not ascending", "hits", "not strictly ascending", col3Frame(feature(counts(3), []byte{3, 0}))},
+		{"varint index past the block", "hits", "index out of range", col3Frame(feature(counts(3), []byte{64}))},
+		{"varint delta past the block", "hits", "index out of range", col3Frame(feature(counts(60), []byte{60, 4}))},
+		{"varint cut inside the list", "hits", "truncated or overlong", col3Frame(feature(counts(3), []byte{3, 0x80}))},
+		{"bitmap tail bit set", "hits", "index out of range", col3Frame(col3Payload(colKindFeature, 60, []uint32{4}, slices.Repeat([]uint32{1}, 60), tail))},
+		{"empty bitmap", "hits", "empty bitmap", col3Frame(feature(counts(), make([]byte, 8)))},
+		{"on more lists than counted", "hits", "more lists than its keyword count", col3Frame(feature(counts(), []byte{3}))},
+		{"on fewer lists than counted", "validate", "its keyword count is", col3Frame(feature(counts(3, 5), []byte{3}))},
+	}
+}
+
+// TestCol3RejectsHostileFrames: a frame with a valid CRC but a broken
+// structure fails at the step that reads the broken part, for the reason
+// it is broken — the decoder for everything outside the posting lists,
+// CountHits for a query's own lists and Validate for all of them — and
+// never panics. A record count above the block limit is a decode error
+// even when the rest is valid.
+func TestCol3RejectsHostileFrames(t *testing.T) {
+	for _, h := range hostileCol3Frames() {
+		check := func(step string, err error) bool {
+			t.Helper()
+			switch {
+			case step == h.fails && (err == nil || !strings.Contains(err.Error(), h.want)):
+				t.Errorf("%s: %s err = %v, want one naming %q", h.name, step, err, h.want)
+			case step != h.fails && err != nil:
+				t.Errorf("%s: %s failed: %v", h.name, step, err)
+			}
+			return err == nil
+		}
+		b, err := DecodeColFrame(h.frame)
+		if !check("decode", err) {
+			continue
+		}
+		hits, marks := make([]uint32, b.Len()), make([]uint64, (b.Len()+63)/64)
+		if err := b.CountHits(b.Dict, hits, marks); !check("hits", err) {
+			// Validate reads every list CountHits read.
+			if b.Validate() == nil {
+				t.Errorf("%s: Validate accepts a block CountHits rejects", h.name)
+			}
+			continue
+		}
+		check("validate", b.Validate())
+	}
+}
+
 func TestAdaptiveBlockRecords(t *testing.T) {
 	cases := []struct{ records, want int }{
 		{0, 256}, {1, 256}, {1000, 256},
@@ -219,16 +343,25 @@ func TestPackXorColumn(t *testing.T) {
 	}
 }
 
-// TestCol3PostingMethods exercises both posting encodings in one block: a
-// keyword on every record (bitmap) next to keywords on a single record
-// (delta varints), decoded back to identical keyword sets.
+// TestCol3PostingMethods exercises both posting encodings in one block and
+// the byte-size rule that picks between them: a list is stored as delta
+// varints only when they take strictly fewer bytes than the record bitmap.
+// A keyword on every record (bitmap), keywords on a single record
+// (varints), and lists one either side of the tie all decode back to
+// identical keyword sets.
 func TestCol3PostingMethods(t *testing.T) {
 	dict := text.NewDict()
-	objs := make([]Object, 64)
+	objs := make([]Object, 64) // an 8-byte bitmap
 	for i := range objs {
 		kws := []uint32{7} // dense: present on all 64 records
 		if i%16 == 0 {
 			kws = append(kws, uint32(100+i)) // sparse: one record each
+		}
+		if i%8 == 0 {
+			kws = append(kws, 50) // 8 one-byte varints: the tie, a bitmap
+		}
+		if i%9 == 0 && i > 0 {
+			kws = append(kws, 51) // 7 one-byte varints: one byte under
 		}
 		objs[i] = Object{
 			Kind:     FeatureObject,
@@ -251,11 +384,38 @@ func TestCol3PostingMethods(t *testing.T) {
 			t.Fatalf("record %d keywords: got %v, want %v", i, got.Keywords, want.Keywords)
 		}
 	}
+	const bitmapBytes = 8
+	forms := map[string]int{}
+	for e, kw := range b.Dict {
+		var varints []byte
+		prev := 0
+		for i, o := range objs {
+			if o.Keywords.Contains(kw) {
+				varints = binary.AppendUvarint(varints, uint64(i-prev))
+				prev = i
+			}
+		}
+		want, form := bitmapBytes, "bitmap"
+		if len(varints) < bitmapBytes {
+			want, form = len(varints), "varints"
+		}
+		if got := int(b.PostOff[e+1] - b.PostOff[e]); got != want {
+			t.Fatalf("keyword %d: %d varint bytes against an %d-byte bitmap stored in %d bytes, want %d (%s)",
+				kw, len(varints), bitmapBytes, got, want, form)
+		}
+		if form == "varints" && !bytes.Equal(b.Post[b.PostOff[e]:b.PostOff[e+1]], varints) {
+			t.Fatalf("keyword %d: varint list %x, want %x", kw, b.Post[b.PostOff[e]:b.PostOff[e+1]], varints)
+		}
+		forms[form]++
+	}
+	if forms["bitmap"] != 2 || forms["varints"] != 5 {
+		t.Fatalf("lists by form %v, want 2 bitmaps (the dense list and the tie) and 5 varint lists", forms)
+	}
 }
 
 // requireSameBlock fails unless two blocks hold equal columns: kind, ids,
 // coordinates by bit pattern, and the keyword columns KwLen, Dict, PostOff
-// and PostRecs.
+// and the encoded posting lists Post.
 func requireSameBlock(t *testing.T, got, want *ColumnBlock) {
 	t.Helper()
 	sameBits := func(a, b []float64) bool {
@@ -272,7 +432,7 @@ func requireSameBlock(t *testing.T, got, want *ColumnBlock) {
 		{"KwLen", slices.Equal(got.KwLen, want.KwLen)},
 		{"Dict", slices.Equal(got.Dict, want.Dict)},
 		{"PostOff", slices.Equal(got.PostOff, want.PostOff)},
-		{"PostRecs", slices.Equal(got.PostRecs, want.PostRecs)},
+		{"Post", bytes.Equal(got.Post, want.Post)},
 	} {
 		if !c.equal {
 			t.Fatalf("column %s differs", c.name)
@@ -419,7 +579,9 @@ func TestCountHits(t *testing.T) {
 		for qi, kws := range queries {
 			hits := make([]uint32, b.Len())
 			marks := make([]uint64, (b.Len()+63)/64)
-			b.CountHits(kws, hits, marks)
+			if err := b.CountHits(kws, hits, marks); err != nil {
+				t.Fatalf("block %d query %d: %v", bi, qi, err)
+			}
 			for i := range hits {
 				o := b.Object(i)
 				if want := o.Keywords.IntersectionSize(text.KeywordSet(kws)); int(hits[i]) != want {
@@ -437,33 +599,41 @@ func TestCountHits(t *testing.T) {
 }
 
 // TestDecodedBlockColumnsExact: every column a decoded block retains has
-// cap == len, so MemBytes — which charges lengths — is what the segment
-// cache actually pins, and a cache filled with feature blocks stays within
-// its budget measured by capacity.
+// cap == len, and a feature block's posting lists alias the frame it was
+// decoded from, so MemBytes — which charges column lengths plus that frame
+// — is what the segment cache actually pins, and a cache filled with
+// feature blocks stays within its budget measured by capacity.
 func TestDecodedBlockColumnsExact(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	dict := text.NewDict()
-	held := func(b *ColumnBlock) int {
-		return columnBlockOverhead +
-			8*cap(b.IDs) + 8*cap(b.Xs) + 8*cap(b.Ys) + 4*cap(b.KwLen) +
-			4*cap(b.Dict) + 4*cap(b.PostOff) + 4*cap(b.PostRecs)
-	}
+	pins := map[*ColumnBlock]int{} // bytes held, by capacity
 	var blocks []*ColumnBlock
 	for _, kind := range []Kind{DataObject, FeatureObject} {
-		// Descending block sizes: the pooled parse buffer is larger than
-		// every block after the first, so a decoder retaining it (or an
-		// append-grown copy) would hold more than it reports.
 		for _, blockRecords := range []int{700, 300, 64, 5} {
 			raw, stats := writeSegment3(t, onlyKind(randObjects(r, 1400), kind), blockRecords, dict)
 			for _, bs := range stats {
-				b, err := DecodeColFrame(raw[bs.Offset : bs.Offset+int64(bs.Length)])
+				// A private frame, as RangeReader.ReadRange returns one.
+				frame := bytes.Clone(raw[bs.Offset : bs.Offset+int64(bs.Length)])
+				b, err := DecodeColFrame(frame)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if held(b) != b.MemBytes() {
-					t.Fatalf("%v block of %d records holds %d bytes by capacity, MemBytes reports %d",
-						kind, b.Len(), held(b), b.MemBytes())
+				held := columnBlockOverhead +
+					8*cap(b.IDs) + 8*cap(b.Xs) + 8*cap(b.Ys) + 4*cap(b.KwLen) +
+					4*cap(b.Dict) + 4*cap(b.PostOff)
+				if kind == FeatureObject {
+					if len(b.Post) == 0 || &b.Post[len(b.Post)-1] != &frame[len(frame)-5] {
+						t.Fatalf("feature block of %d records: posting lists do not alias the frame's last payload bytes", b.Len())
+					}
+					held += cap(frame)
+				} else if b.Post != nil {
+					t.Fatalf("data block of %d records retains %d posting bytes", b.Len(), len(b.Post))
 				}
+				if held != b.MemBytes() {
+					t.Fatalf("%v block of %d records holds %d bytes by capacity, MemBytes reports %d",
+						kind, b.Len(), held, b.MemBytes())
+				}
+				pins[b] = held
 				blocks = append(blocks, b)
 			}
 		}
@@ -475,7 +645,7 @@ func TestDecodedBlockColumnsExact(t *testing.T) {
 		pinned := 0
 		for j := 0; j <= i; j++ {
 			if cb, ok := cache.entries[BlockKey{Gen: 1, File: "f", Index: j}]; ok {
-				pinned += held(cb.Value.(*blockEntry).block)
+				pinned += pins[cb.Value.(*blockEntry).block]
 			}
 		}
 		if pinned > budget {
@@ -488,16 +658,10 @@ func TestDecodedBlockColumnsExact(t *testing.T) {
 }
 
 // TestDecodeFeatureBlockAllocs pins the feature-block decode at a constant
-// allocation count: the block and its seven retained columns, whatever the
-// number of records and posting entries. Parse scratch is pooled.
+// allocation count: the block and its six retained columns, whatever the
+// number of records and posting entries. The posting lists stay in the
+// frame.
 func TestDecodeFeatureBlockAllocs(t *testing.T) {
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("under -race sync.Pool drops a quarter of its puts on purpose, so the parse scratch is reallocated at random")
-			}
-		}
-	}
 	r := rand.New(rand.NewSource(29))
 	dict := text.NewDict()
 	for _, n := range []int{50, 500, 4000} {

@@ -125,17 +125,24 @@ func TestColInputLRUEviction(t *testing.T) {
 	}
 }
 
-// spq2SeedFrames are a data and a feature block frame written by the
-// retired uncompressed encoder (payloads opening with their kind byte, CRC
-// intact). They stay in the fuzz corpus as well-formed-looking inputs the
-// decoder must reject.
-var spq2SeedFrames = []string{
+// retiredSeedFrames are frames of retired layouts, CRC intact: a data and
+// a feature block of the uncompressed encoder (payloads opening with their
+// kind byte), and a feature block of version '3', whose posting lists
+// carried a method byte and an entry count instead of a byte length. They
+// stay in the fuzz corpus as well-formed-looking inputs the decoder must
+// reject by their version byte.
+var retiredSeedFrames = []string{
 	"354403140606000000000000e03f000000000000e43f000000000000e83f0000000000000040000000000000fc3f000000000000f83f127111f5",
 	"3e4603140606000000000000e03f000000000000e43f000000000000e83f0000000000000040000000000000fc3f000000000000f83f02020200010002000390a4d46b",
+	"20334603060408330bfc0fc00000340afd0f200004010102050101010401070104bc299384",
 }
 
 // FuzzDecodeColFrame is the corruption fuzz target: arbitrary bytes must
-// decode or fail with an error — never panic, never loop.
+// decode or fail with an error — never panic, never loop. Every accepted
+// feature block is then queried with keywords derived from the input:
+// CountHits must never panic, and wherever Validate accepts the block,
+// CountHits must succeed and count exactly the intersection of each
+// record's keywords (the forward view) with the query.
 func FuzzDecodeColFrame(f *testing.F) {
 	r := rand.New(rand.NewSource(2))
 	dict := text.NewDict()
@@ -145,7 +152,7 @@ func FuzzDecodeColFrame(f *testing.F) {
 			f.Add(raw[bs.Offset : bs.Offset+int64(bs.Length)])
 		}
 	}
-	for _, h := range spq2SeedFrames {
+	for _, h := range retiredSeedFrames {
 		frame, err := hex.DecodeString(h)
 		if err != nil {
 			f.Fatal(err)
@@ -154,6 +161,9 @@ func FuzzDecodeColFrame(f *testing.F) {
 			f.Fatalf("retired-format frame: err = %v, want an unknown-version error", err)
 		}
 		f.Add(frame)
+	}
+	for _, h := range hostileCol3Frames() {
+		f.Add(h.frame)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x05, 'F', 0x01})
@@ -169,6 +179,39 @@ func FuzzDecodeColFrame(f *testing.F) {
 		}
 		for i := 0; i < b.Len(); i++ {
 			_ = b.Object(i)
+		}
+		if b.Kind != FeatureObject {
+			return
+		}
+		// The query: dictionary entries and raw ids picked by the last
+		// bytes of the frame (its CRC, for a frame that decodes).
+		var ids []uint32
+		for _, c := range frame[max(0, len(frame)-6):] {
+			ids = append(ids, uint32(c))
+			if len(b.Dict) > 0 {
+				ids = append(ids, b.Dict[int(c)%len(b.Dict)])
+			}
+		}
+		q := text.NewKeywordSet(ids...)
+		hits, marks := make([]uint32, b.Len()), make([]uint64, (b.Len()+63)/64)
+		hitErr := b.CountHits(q, hits, marks)
+		if b.Validate() != nil {
+			return
+		}
+		if hitErr != nil {
+			t.Fatalf("CountHits rejects a block Validate accepts: %v", hitErr)
+		}
+		for i := range hits {
+			o := b.Object(i)
+			if want := o.Keywords.IntersectionSize(q); int(hits[i]) != want {
+				t.Fatalf("record %d: %d hits, its keywords %v meet query %v in %d", i, hits[i], o.Keywords, q, want)
+			}
+			if marked := marks[i>>6]>>(i&63)&1 == 1; marked != (hits[i] > 0) {
+				t.Fatalf("record %d: marked=%v with %d hits", i, marked, hits[i])
+			}
+			if int(b.KwLen[i]) != o.Keywords.Len() {
+				t.Fatalf("record %d: KwLen %d, %d keywords", i, b.KwLen[i], o.Keywords.Len())
+			}
 		}
 	})
 }

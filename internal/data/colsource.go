@@ -33,7 +33,10 @@ type SegIOStats struct {
 // random-access ranged reads, nothing else. dfs.FileSystem satisfies it on
 // the master, mapreduce.TaskIO on a worker.
 type RangeReader interface {
-	// ReadRange returns up to n bytes of the named file starting at off.
+	// ReadRange returns up to n bytes of the named file starting at off,
+	// in a buffer the caller owns: a decoded feature block keeps its
+	// posting lists by aliasing the frame it was read into (see
+	// DecodeColFrame).
 	ReadRange(file string, off int64, n int) ([]byte, error)
 }
 
@@ -177,11 +180,16 @@ func (c *ColInput) OpenRef(ref *mapreduce.SplitRef) (mapreduce.SourceSplit[Objec
 }
 
 // Each implements mapreduce.SourceSplit: fetch (or reuse) the decoded
-// block and view its records as Objects (see ColumnBlock.Object).
+// block, validate all of its posting lists, and view its records as
+// Objects (see ColumnBlock.Object). A block that fails validation reads
+// the same on every attempt, so the error is permanent.
 func (s *colSplit) Each(yield func(Object) bool) error {
 	b, err := s.fetch()
 	if err != nil {
 		return err
+	}
+	if err := b.Validate(); err != nil {
+		return mapreduce.Permanent(fmt.Errorf("data: segment %s block %d: %w", s.file, s.idx, err))
 	}
 	for i := 0; i < b.Len(); i++ {
 		if !yield(b.Object(i)) {

@@ -6,14 +6,14 @@ import (
 )
 
 // Decode kernels of the SPQ3 keyword section: the varint reader and the
-// two posting-list parsers. A cold scan spends most of its map phase
-// here — one call per stored posting entry — so the loops consume their
-// input from the head of a slice (p = p[1:] behind a length test) and
-// validate every record index against the length of the column it is
-// about to write. That validation is the decoder's safety check and the
-// compiler's bounds proof at once: the CI pipeline builds this package
-// with -gcflags=-d=ssa/check_bce and fails if a bounds check appears in
-// this file.
+// two posting-list walkers. A query decodes every posting list of its own
+// keywords in every block it reads here — one step per stored entry — so
+// the loops consume their input from the head of a slice (p = p[1:] behind
+// a length test) and validate every record index against the length of
+// the columns they are about to write. That validation is the reader's
+// safety check and the compiler's bounds proof at once: the CI pipeline
+// builds this package with -gcflags=-d=ssa/check_bce and fails if a bounds
+// check appears in this file.
 
 // uvarint decodes one unsigned LEB128 varint from the head of p and
 // returns it with the rest of p. ok is false when p ends inside the
@@ -39,90 +39,87 @@ func uvarint(p []byte) (v uint64, rest []byte, ok bool) {
 	return 0, p, false
 }
 
-// sparsePosting parses a delta-varint posting list of n record indexes
-// from the head of p: the first index raw, then strictly ascending deltas,
-// every index below len(kwLen). Each index is appended to recs and bumps
-// its record's keyword count. bad names the violated invariant, empty on
-// success.
-func sparsePosting(p []byte, n int, kwLen, recs []uint32) (rest []byte, out []uint32, bad string) {
+// sparseHits walks a delta-varint posting list that fills list exactly:
+// the first record index raw, then strictly ascending deltas, every index
+// below len(kwLen). For each index rec it adds one to hits[rec], refusing
+// to take it past kwLen[rec], and sets bit rec of marks. bad names the
+// violated invariant, empty on success.
+func sparseHits(list []byte, kwLen, hits []uint32, marks []uint64) (bad string) {
 	limit := uint64(len(kwLen))
 	var rec uint64
-	for j := 0; j < n; j++ {
+	for first := true; len(list) > 0; first = false {
 		// One-byte deltas are nearly all of them; taking that case here
-		// rather than through uvarint is about 15% of a block's decode.
+		// rather than through uvarint saves a call per entry.
 		var d uint64
-		if len(p) > 0 && p[0] < 0x80 {
-			d, p = uint64(p[0]), p[1:]
+		if list[0] < 0x80 {
+			d, list = uint64(list[0]), list[1:]
 		} else {
 			var ok bool
-			if d, p, ok = uvarint(p); !ok {
-				return p, recs, "truncated or overlong index"
+			if d, list, ok = uvarint(list); !ok {
+				return "truncated or overlong index"
 			}
 		}
 		// A delta at or past the record count cannot land in range, and
 		// refusing it here keeps rec+d from wrapping around.
 		if d >= limit {
-			return p, recs, "index out of range"
+			return "index out of range"
 		}
-		if j > 0 && d == 0 {
-			return p, recs, "not strictly ascending"
-		}
-		if j == 0 {
+		if first {
 			rec = d
+		} else if d == 0 {
+			return "not strictly ascending"
 		} else {
 			rec += d
 		}
-		if rec >= uint64(len(kwLen)) {
-			return p, recs, "index out of range"
+		if bad := hit(rec, kwLen, hits, marks); bad != "" {
+			return bad
 		}
-		kwLen[rec]++
-		recs = append(recs, uint32(rec))
 	}
-	return p, recs, ""
+	return ""
 }
 
-// bitmapPosting expands a record bitmap (bit i set = record i carries the
-// keyword) into ascending record indexes appended to recs, bumping each
-// record's keyword count. ok is false when a bit is set at or beyond
-// len(kwLen), the tail-bits check.
-func bitmapPosting(bm []byte, kwLen, recs []uint32) (out []uint32, ok bool) {
-	base := uint(0)
+// bitmapHits walks a record bitmap (bit i set = record i carries the
+// keyword) like sparseHits walks a varint list. A bit at or beyond
+// len(kwLen) — the tail-bits check — or a bitmap with no bit set is bad.
+func bitmapHits(bm []byte, kwLen, hits []uint32, marks []uint64) (bad string) {
+	base, set := uint64(0), false
 	for len(bm) >= 8 {
 		w := binary.LittleEndian.Uint64(bm)
 		bm = bm[8:]
+		set = set || w != 0
 		for ; w != 0; w &= w - 1 {
-			rec := base + uint(bits.TrailingZeros64(w))
-			if rec >= uint(len(kwLen)) {
-				return recs, false
+			if bad := hit(base+uint64(bits.TrailingZeros64(w)), kwLen, hits, marks); bad != "" {
+				return bad
 			}
-			kwLen[rec]++
-			recs = append(recs, uint32(rec))
 		}
 		base += 64
 	}
 	for _, bv := range bm {
+		set = set || bv != 0
 		for ; bv != 0; bv &= bv - 1 {
-			rec := base + uint(bits.TrailingZeros8(bv))
-			if rec >= uint(len(kwLen)) {
-				return recs, false
+			if bad := hit(base+uint64(bits.TrailingZeros8(bv)), kwLen, hits, marks); bad != "" {
+				return bad
 			}
-			kwLen[rec]++
-			recs = append(recs, uint32(rec))
 		}
 		base += 8
 	}
-	return recs, true
+	if !set {
+		return "empty bitmap"
+	}
+	return ""
 }
 
-// addHits adds one to hits[rec] and sets bit rec of marks for every record
-// index of a posting list. Decoded lists only hold indexes below the
-// block's record count, which hits and marks are sized for; the guards
-// restate that for the compiler.
-func addHits(hits []uint32, marks []uint64, recs []uint32) {
-	for _, rec := range recs {
-		if w := rec >> 6; int(rec) < len(hits) && int(w) < len(marks) {
-			hits[rec]++
-			marks[w] |= 1 << (rec & 63)
-		}
+// hit records one posting entry for record rec: one more hit, within its
+// keyword count, and its mark bit. The guards are the range check and the
+// compiler's bounds proof.
+func hit(rec uint64, kwLen, hits []uint32, marks []uint64) (bad string) {
+	if rec >= uint64(len(kwLen)) || rec >= uint64(len(hits)) || rec>>6 >= uint64(len(marks)) {
+		return "index out of range"
 	}
+	if hits[rec] >= kwLen[rec] {
+		return "a record is on more lists than its keyword count"
+	}
+	hits[rec]++
+	marks[rec>>6] |= 1 << (rec & 63)
+	return ""
 }

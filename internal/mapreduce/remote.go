@@ -257,8 +257,6 @@ func (r *remoteJob[I, K, V, O]) RunMapTask(io *TaskIO, d *TaskDesc) (*TaskResult
 	switch {
 	case d.Split == nil:
 		return nil, Permanent(fmt.Errorf("mapreduce: job %q: map task %d shipped without a split reference", job.Name, d.Task))
-	case d.NumReducers <= 0:
-		return nil, Permanent(fmt.Errorf("mapreduce: job %q: map task %d shipped with %d reducers", job.Name, d.Task, d.NumReducers))
 	case job.KeyCodec == nil || job.ValueCodec == nil:
 		return nil, Permanent(fmt.Errorf("mapreduce: job %q: remote execution requires Key/ValueCodec", job.Name))
 	}
@@ -268,6 +266,12 @@ func (r *remoteJob[I, K, V, O]) RunMapTask(io *TaskIO, d *TaskDesc) (*TaskResult
 	split, err := r.openRef(io, d.Split)
 	if err != nil {
 		return nil, err
+	}
+	if d.NumReducers <= 0 || d.NumReducers != job.NumReducers {
+		// The descriptor's count sizes the task's partition tables, so it
+		// must be the one the job was built with, never a count off the
+		// wire alone.
+		return nil, Permanent(fmt.Errorf("mapreduce: job %q: map task %d shipped with %d reducers, the job has %d", job.Name, d.Task, d.NumReducers, job.NumReducers))
 	}
 	chunks, err := mapBody(job, split, d.NumReducers, ctx, neverStop)
 	if err != nil {

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -203,17 +204,25 @@ func BenchmarkShuffle(b *testing.B) {
 // budget over a counted split: the two per-partition tables, the chunk
 // buffers and the chunk lists — a few per partition, however many records
 // flow through. A per-record allocation (a grown buffer, a boxed pair, a
-// closure built inside the loop) multiplies the count by thousands.
+// closure built inside the loop) multiplies the count by thousands. It
+// also bounds the bytes: a partition's chunks double from firstChunkCap,
+// so their capacity is at most twice the pairs the split emitted plus
+// firstChunkCap per partition, also when the map keeps only a few of its
+// records.
 func TestMapBodyAllocsBoundedByChunks(t *testing.T) {
 	const reducers = 16
 	job := shuffleJob(nil, 64, reducers)
 	ctx := newTaskContext(MapTask, 0, 1, "test", NewCounters())
-	allocs := func(n int) float64 {
+	splitOf := func(n int) memorySplit[int32] {
 		rng := rand.New(rand.NewSource(5))
 		split := make(memorySplit[int32], n)
 		for i := range split {
 			split[i] = int32(rng.Intn(1 << 28))
 		}
+		return split
+	}
+	allocs := func(n int) float64 {
+		split := splitOf(n)
 		return testing.AllocsPerRun(5, func() {
 			chunks, err := mapBody(job, split, reducers, ctx, neverStop)
 			if err != nil || len(chunks) != reducers {
@@ -221,13 +230,42 @@ func TestMapBodyAllocsBoundedByChunks(t *testing.T) {
 			}
 		})
 	}
-	// Per partition: at most 2 chunk buffers on this near-uniform input
-	// (chunkCap = n/reducers+1) and as many chunk-list growths. Measured:
-	// 54 at 2,000 records, 62 at 64,000.
-	const budget = 4*reducers + 8
+	// Per partition, on this near-uniform input: chunks double from
+	// firstChunkCap to chunkCap = n/reducers+1, so its n/reducers pairs fill
+	// c = log2(chunkCap/firstChunkCap)+1 buffers at most, and the chunk
+	// list grows log2(c)+1 times to hold them. Measured: 76 at 2,000
+	// records, 176 at 64,000.
 	for _, n := range []int{2000, 64000} {
-		if got := allocs(n); got > budget {
+		c := bits.Len(uint((n/reducers+1)/firstChunkCap)) + 1
+		budget := reducers*(c+bits.Len(uint(c-1))+1) + 24
+		if got := allocs(n); got > float64(budget) {
 			t.Errorf("%d records: %.0f allocations per attempt, budget %d", n, got, budget)
+		}
+	}
+
+	sparse := *job
+	sparse.Map = func(ctx *TaskContext, rec int32, emit func(shuffleKey, int32)) error {
+		if rec%100 == 0 {
+			return job.Map(ctx, rec, emit)
+		}
+		return nil
+	}
+	for _, j := range []*Job[int32, shuffleKey, int32, string]{job, &sparse} {
+		for _, n := range []int{2000, 64000} {
+			chunks, err := mapBody(j, splitOf(n), reducers, ctx, neverStop)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pairs, held := 0, 0
+			for _, cs := range chunks {
+				for _, c := range cs {
+					pairs += len(c)
+					held += cap(c)
+				}
+			}
+			if bound := 2*pairs + firstChunkCap*reducers; held > bound {
+				t.Errorf("%d records, %d pairs emitted: chunks hold %d pairs of capacity, bound %d", n, pairs, held, bound)
+			}
 		}
 	}
 }

@@ -10,9 +10,12 @@ import (
 // the glue around them — where the split comes from, where the sorted
 // chunks go, and what the stop poll consults.
 
-// defaultChunkCap is the map-side partition buffer capacity when the
-// split's record count is unknown.
-const defaultChunkCap = 4096
+// defaultChunkCap is the largest map-side partition buffer when the
+// split's record count is unknown; firstChunkCap is the smallest.
+const (
+	defaultChunkCap = 4096
+	firstChunkCap   = 64
+)
 
 // cancelCheckEvery is the record granularity at which task bodies poll
 // their stop function: coarse enough that the poll never shows up in
@@ -37,12 +40,17 @@ func neverStop() error { return nil }
 // batch; a non-nil return aborts the attempt with that error.
 func mapBody[I, K, V, O any](job *Job[I, K, V, O], split SourceSplit[I], r int, ctx *TaskContext, stop func() error) ([][][]Pair[K, V], error) {
 	cmp := job.compare()
-	// Partition buffers are fixed-capacity chunks sized from the split's
-	// record count when it is known. A full chunk is sorted on the spot and
-	// set aside, and a fresh buffer is allocated — growth never copies. On
-	// skewed key distributions (clustered data) a single partition can
-	// receive many times the per-partition estimate, and doubling one flat
-	// buffer would spend the map phase in growslice.
+	// Partition buffers are fixed-capacity chunks. A full chunk is sorted on
+	// the spot and set aside, and a fresh buffer is allocated — growth
+	// never copies. On skewed key distributions (clustered data) a single
+	// partition can receive many times the per-partition estimate, and
+	// doubling one flat buffer would spend the map phase in growslice.
+	// A partition's first chunk holds firstChunkCap pairs and each next one
+	// twice its predecessor, up to chunkCap — sized from the split's record
+	// count when it is known. So a partition's chunks are sized by what the
+	// split really emits to it (a block's survivors, not its records): they
+	// hold at most twice its pairs plus firstChunkCap, in O(log(chunkCap/
+	// firstChunkCap)) chunks below the cap.
 	chunkCap := defaultChunkCap
 	if cs, ok := split.(CountedSplit); ok {
 		if n := cs.Records(); n > 0 {
@@ -68,7 +76,11 @@ func mapBody[I, K, V, O any](job *Job[I, K, V, O], split SourceSplit[I], r int, 
 		}
 		buf := open[p]
 		if buf == nil {
-			buf = make([]Pair[K, V], 0, chunkCap)
+			size := firstChunkCap
+			if cs := chunks[p]; len(cs) > 0 {
+				size = 2 * cap(cs[len(cs)-1])
+			}
+			buf = make([]Pair[K, V], 0, min(size, chunkCap))
 		}
 		buf = append(buf, Pair[K, V]{Key: k, Value: v})
 		recOut++
