@@ -8,7 +8,7 @@
 //	GET  /metrics   Prometheus-style text: request outcomes, latency
 //	                histogram, admission gauges, aggregated spq.* counters
 //	GET  /stats     the same as JSON (serve.Stats)
-//	GET  /healthz   200 while serving, 503 while draining
+//	GET  /healthz   200 while serving, 503 once shutdown begins
 //
 // Admission is bounded (-max-inflight running, -queue waiting) and shed
 // beyond that with 429; queued requests whose deadline expires are evicted
@@ -110,14 +110,14 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	s := <-sig
-	log.Printf("caught %v, draining (max %v)", s, *drainWait)
+	log.Printf("caught %v, shutting down (max %v)", s, *drainWait)
 
 	ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
 	defer cancel()
 	if err := srv.Drain(ctx); err != nil {
 		log.Printf("drain: %v (closing anyway)", err)
 	}
-	hs.Shutdown(ctx) //nolint:errcheck // draining already waited for queries
+	hs.Shutdown(ctx) //nolint:errcheck // Drain already waited for queries
 	if err := eng.Close(); err != nil {
 		log.Printf("engine close: %v", err)
 	}

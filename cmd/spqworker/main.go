@@ -2,20 +2,12 @@
 // task RPCs, waits for a master to attach (spq.Config.Workers), and
 // executes the map and reduce tasks of SPQ query jobs against the master's
 // storage, fetched over the same connection. Stop it with SIGINT/SIGTERM;
-// a detached master simply re-executes the worker's in-flight tasks
-// elsewhere.
+// the engine then counts the worker as lost for the rest of its life and
+// re-executes the worker's in-flight tasks on the others.
 //
 // Usage:
 //
 //	spqworker -addr 127.0.0.1:0 -slots 4
-//	spqworker -addr 127.0.0.1:0 -master 127.0.0.1:7070 -name worker-a
-//
-// With -master the worker joins the running engine at that address itself
-// (the master dials it back), keeps probing the master, and rejoins under
-// the name it was assigned whenever the connection is lost — elastic
-// membership without restarting the engine. Without -master the worker
-// passively waits to be attached via spq.Config.Workers or
-// Engine.AddWorker.
 //
 // The first stdout line is "listening <host:port>", so a parent process
 // spawning workers on ephemeral ports can scrape the address to pass to
@@ -29,7 +21,6 @@ import (
 	"os/signal"
 	"runtime"
 	"syscall"
-	"time"
 
 	"spq/internal/mapreduce"
 
@@ -39,11 +30,8 @@ import (
 
 func main() {
 	var (
-		addr   = flag.String("addr", "127.0.0.1:0", "host:port to listen on (port 0 picks an ephemeral port)")
-		slots  = flag.Int("slots", 0, "concurrent task slots offered to the master (default NumCPU)")
-		master = flag.String("master", "", "master address to join; the worker registers itself and rejoins on connection loss")
-		name   = flag.String("name", "", "worker name to request when joining (default master-assigned)")
-		probe  = flag.Duration("probe", 2*time.Second, "master liveness probe interval of the reconnect loop")
+		addr  = flag.String("addr", "127.0.0.1:0", "host:port to listen on (port 0 picks an ephemeral port)")
+		slots = flag.Int("slots", 0, "concurrent task slots offered to the master (default NumCPU)")
 	)
 	flag.Parse()
 
@@ -59,40 +47,8 @@ func main() {
 	fmt.Printf("listening %s\n", w.Addr())
 	os.Stdout.Sync()
 
-	stop := make(chan struct{})
-	if *master != "" {
-		go joinLoop(w.Addr(), *master, *name, *probe, stop)
-	}
-
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	<-sig
-	close(stop)
 	w.Stop()
-}
-
-// joinLoop keeps the worker registered with the master. Every probe
-// interval it offers to join under its (last assigned) name: while the
-// registration is live the master refuses the duplicate — a cheap
-// liveness handshake — and whenever the worker was dropped (master
-// restart, quarantine after call timeouts, heartbeat loss) the same offer
-// rejoins it in place, reclaiming its lanes. An unreachable master just
-// means the next tick retries.
-func joinLoop(workerAddr, masterAddr, name string, probe time.Duration, stop <-chan struct{}) {
-	for {
-		if err := mapreduce.PingMaster(masterAddr); err == nil {
-			got, err := mapreduce.JoinMaster(masterAddr, workerAddr, name)
-			if err == nil && got != name {
-				fmt.Printf("joined %s as %s\n", masterAddr, got)
-				os.Stdout.Sync()
-				name = got
-			}
-			// A refusal means the current registration is still live.
-		}
-		select {
-		case <-stop:
-			return
-		case <-time.After(probe):
-		}
-	}
 }

@@ -2,7 +2,10 @@ package spq
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"spq/internal/mapreduce"
 )
@@ -285,145 +288,40 @@ func TestDistributedSegCounters(t *testing.T) {
 	}
 }
 
-// Full-churn chaos property: under a seeded schedule of kills, joins and
-// graceful drains that always leaves at least one live worker, every
-// algorithm on DFS storage must return results byte-identical to the
-// undisturbed in-process reference. The scheduled join, drain and kill
-// must be metered, the joined worker must execute tasks, and a worker
-// added mid-engine through the public API must be observed executing
-// tasks via its per-worker attribution counter.
-func TestDistributedChurn(t *testing.T) {
+// Worker-kill chaos: losing workers mid-workload (seeded fault plan) must
+// not change any result of any algorithm — lost tasks are re-executed on
+// survivors, byte-identical to the in-process reference, and the losses
+// and re-executions are metered. The seed shifts when each of two of the
+// three workers dies, so worker-3 always survives.
+func TestDistributedWorkerKill(t *testing.T) {
 	algs := []struct {
 		name string
 		alg  Algorithm
 	}{{"pspq", PSPQ}, {"espq-len", ESPQLen}, {"espq-sco", ESPQSco}}
 	const size = 1200
-
-	t.Run("columnar", func(t *testing.T) {
-		base := Config{
-			Nodes: 4, BlockSize: 8 << 10, MapSlots: 4, ReduceSlots: 2,
-			QueryCache: -1, MaxAttempts: 5,
-		}
-		ref := distEngine(t, base, size)
-		kws := ref.FrequentKeywords(16)
-		queries := distQueries(kws, 4)
-
-		var want [][]Result
-		for _, a := range algs {
-			for _, q := range queries {
-				res, err := ref.Query(q, WithAlgorithm(a.alg))
-				if err != nil {
-					t.Fatal(err)
-				}
-				want = append(want, res)
+	base := Config{
+		Storage: StorageDFSBinary, Nodes: 4, BlockSize: 8 << 10,
+		MapSlots: 4, ReduceSlots: 2,
+		QueryCache:  -1,
+		MaxAttempts: 5,
+	}
+	ref := distEngine(t, base, size)
+	queries := distQueries(ref.FrequentKeywords(16), 6)
+	var want [][]Result
+	for _, a := range algs {
+		for _, q := range queries {
+			res, err := ref.Query(q, WithAlgorithm(a.alg))
+			if err != nil {
+				t.Fatal(err)
 			}
+			want = append(want, res)
 		}
+	}
 
-		for _, seed := range chaosSeeds(t) {
-			t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-				// The joiner process is up before the engine exists; the
-				// churn schedule attaches it mid-run.
-				joiner, err := mapreduce.StartWorker("127.0.0.1:0", 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(joiner.Stop)
-
-				cfg := base
-				cfg.Workers = distWorkers(t, 3, 2)
-				// worker-1 dies; worker-2 drains gracefully; the joiner
-				// arrives in between. At least worker-3 and the joiner
-				// always survive.
-				cfg.Faults = &FaultPlan{
-					Seed: seed,
-					WorkerKills: []WorkerKillEvent{
-						{Worker: "worker-1", AfterTasks: 3 + int(seed%5)},
-					},
-					WorkerJoins: []WorkerJoinEvent{
-						{Addr: joiner.Addr(), Name: "joiner", AfterTasks: 2 + int(seed%3)},
-					},
-					WorkerDrains: []WorkerDrainEvent{
-						{Worker: "worker-2", AfterTasks: 8 + int(seed%6)},
-					},
-				}
-				eng := distEngine(t, cfg, size)
-
-				churn := make(map[string]int64)
-				i := 0
-				for _, a := range algs {
-					for qi, q := range queries {
-						rep, err := eng.QueryReport(q, WithAlgorithm(a.alg), WithCache(false))
-						if err != nil {
-							t.Fatalf("%s q%d under churn: %v", a.name, qi, err)
-						}
-						if d := diffResults(rep.Results, want[i]); d != "" {
-							t.Errorf("%s q%d under churn: %s", a.name, qi, d)
-						}
-						for k, v := range rep.Counters {
-							churn[k] += v
-						}
-						i++
-					}
-				}
-				if churn[CounterExecWorkersJoined] == 0 {
-					t.Error("scheduled join not metered")
-				}
-				if churn[CounterExecWorkersDrained] == 0 {
-					t.Error("scheduled drain not metered")
-				}
-				if churn[CounterExecWorkersLost] == 0 {
-					t.Error("scheduled kill not metered as a loss")
-				}
-				if churn[CounterExecTasksPrefix+"joiner"] == 0 {
-					t.Error("chaos-joined worker executed no tasks")
-				}
-
-				// Mid-engine membership through the public API: a fresh
-				// worker added now must serve the next query.
-				late, err := mapreduce.StartWorker("127.0.0.1:0", 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(late.Stop)
-				name, err := eng.AddWorker(late.Addr(), "late")
-				if err != nil {
-					t.Fatal(err)
-				}
-				rep, err := eng.QueryReport(queries[0], WithAlgorithm(algs[0].alg), WithCache(false))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d := diffResults(rep.Results, want[0]); d != "" {
-					t.Errorf("post-AddWorker query: %s", d)
-				}
-				if rep.Counters[CounterExecTasksPrefix+name] == 0 {
-					t.Errorf("worker %q added mid-engine executed no tasks", name)
-				}
-			})
-		}
-	})
-}
-
-// Worker-kill chaos: losing workers mid-workload (seeded fault plan) must
-// not change any result — lost tasks are re-executed on survivors and the
-// losses and re-executions are metered.
-func TestDistributedWorkerKill(t *testing.T) {
 	for _, seed := range chaosSeeds(t) {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			base := Config{
-				Storage: StorageDFSBinary, Nodes: 4, BlockSize: 8 << 10,
-				MapSlots: 4, ReduceSlots: 2,
-				QueryCache:  -1,
-				MaxAttempts: 5,
-			}
-			ref := distEngine(t, base, 1200)
-			kws := ref.FrequentKeywords(16)
-			queries := distQueries(kws, 6)
-
 			cfg := base
 			cfg.Workers = distWorkers(t, 3, 2)
-			// The seed shifts when each worker dies; every schedule must
-			// yield identical results.
 			cfg.Faults = &FaultPlan{
 				Seed: seed,
 				WorkerKills: []WorkerKillEvent{
@@ -431,23 +329,23 @@ func TestDistributedWorkerKill(t *testing.T) {
 					{Worker: "worker-2", AfterTasks: 4 + int(seed%7)},
 				},
 			}
-			eng := distEngine(t, cfg, 1200)
+			eng := distEngine(t, cfg, size)
 
 			var reexec, lost int64
-			for qi, q := range queries {
-				want, err := ref.Query(q, WithCache(false))
-				if err != nil {
-					t.Fatal(err)
+			i := 0
+			for _, a := range algs {
+				for qi, q := range queries {
+					rep, err := eng.QueryReport(q, WithAlgorithm(a.alg), WithCache(false))
+					if err != nil {
+						t.Fatalf("%s q%d under worker kills: %v", a.name, qi, err)
+					}
+					if d := diffResults(rep.Results, want[i]); d != "" {
+						t.Errorf("%s q%d under worker kills: %s", a.name, qi, d)
+					}
+					reexec += rep.Counters[CounterExecReexec]
+					lost += rep.Counters[CounterExecWorkersLost]
+					i++
 				}
-				rep, err := eng.QueryReport(q, WithCache(false))
-				if err != nil {
-					t.Fatalf("q%d under worker kills: %v", qi, err)
-				}
-				if d := diffResults(rep.Results, want); d != "" {
-					t.Errorf("q%d under worker kills: %s", qi, d)
-				}
-				reexec += rep.Counters[CounterExecReexec]
-				lost += rep.Counters[CounterExecWorkersLost]
 			}
 			if lost == 0 {
 				t.Error("no worker losses metered despite a kill plan")
@@ -456,5 +354,54 @@ func TestDistributedWorkerKill(t *testing.T) {
 				t.Error("no re-executions metered despite losing workers mid-workload")
 			}
 		})
+	}
+}
+
+// masterGoroutines counts the live goroutines started by a master's
+// callback listener: its accept loop and one per accepted connection.
+func masterGoroutines() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "created by spq/internal/mapreduce.NewMaster")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// Close must release every connection of the engine's master, also the
+// callback connections the still-running workers opened to it: after
+// Close, no goroutine of any master remains, across repeated engines on
+// the same workers.
+func TestDistributedCloseReleasesConnections(t *testing.T) {
+	before := masterGoroutines()
+	addrs := distWorkers(t, 2, 2)
+	for i := 0; i < 3; i++ {
+		eng := NewEngine(Config{Nodes: 4, BlockSize: 8 << 10, Workers: addrs})
+		if err := eng.LoadSynthetic("clustered", 400); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		q := distQueries(eng.FrequentKeywords(4), 1)[0]
+		rep, err := eng.QueryReport(q, WithCache(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Counters[CounterExecFallbackLocal] != 0 {
+			t.Fatal("the query did not ship to the workers")
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		n := masterGoroutines()
+		for deadline := time.Now().Add(2 * time.Second); n > before && time.Now().Before(deadline); n = masterGoroutines() {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if n > before {
+			t.Fatalf("engine %d: %d master goroutines outlive Close (%d before the test)", i+1, n, before)
+		}
 	}
 }

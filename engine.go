@@ -141,9 +141,10 @@ type Config struct {
 	// Empty (the default) runs everything in-process. Engines with workers
 	// should be Closed.
 	//
-	// The worker set is elastic: AddWorker attaches more (or rejoins
-	// crashed ones) while the engine serves, and DrainWorker detaches one
-	// gracefully.
+	// The worker set is fixed for the engine's life: these workers are
+	// attached once, at construction, and a worker's loss is the only way
+	// it changes. A lost or quarantined worker stays lost; its tasks run
+	// on the survivors.
 	Workers []string
 }
 
@@ -298,7 +299,7 @@ func NewEngine(cfg Config) *Engine {
 			e.exec = exec
 			e.cluster.Executor = exec
 			if cfg.Faults != nil {
-				exec.SetChurn(cfg.Faults)
+				exec.SetKills(cfg.Faults.WorkerKills)
 			}
 		}
 	}
@@ -317,46 +318,6 @@ func (e *Engine) Workers() []string {
 		return nil
 	}
 	return e.exec.Workers()
-}
-
-// ErrNotDistributed rejects membership operations on engines that run
-// everything in-process (no Config.Workers).
-var ErrNotDistributed = errors.New("spq: engine has no distributed executor")
-
-// AddWorker attaches the worker process listening at addr to a running
-// distributed engine under the given name ("" auto-assigns the next
-// worker-N) and returns the registered name. A name that previously
-// belonged to a lost or drained worker rejoins in place — its lanes
-// route to the fresh connection immediately; a brand-new worker starts
-// executing tasks from the next query job on. Workers may equivalently
-// join themselves via the master's Join RPC (spqworker -master).
-func (e *Engine) AddWorker(addr, name string) (string, error) {
-	if e.exec == nil {
-		return "", ErrNotDistributed
-	}
-	return e.exec.AddWorker(addr, name)
-}
-
-// DrainWorker gracefully detaches a named worker from a running
-// distributed engine: new tasks route around it immediately, in-flight
-// tasks finish, then the connection closes. The worker process keeps
-// running and may rejoin later (AddWorker with the same name). Draining
-// the last live worker is refused.
-func (e *Engine) DrainWorker(name string) error {
-	if e.exec == nil {
-		return ErrNotDistributed
-	}
-	return e.exec.DrainWorker(name)
-}
-
-// MasterAddr returns the listen address of the engine's RPC master ("",
-// for in-process engines). Worker processes started with
-// `spqworker -master <addr>` join it on their own.
-func (e *Engine) MasterAddr() string {
-	if e.exec == nil {
-		return ""
-	}
-	return e.exec.MasterAddr()
 }
 
 // Close shuts the engine down: it waits for in-flight queries to finish,

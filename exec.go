@@ -25,27 +25,14 @@ const (
 	// the query's job ran (a heartbeat or call failure, or an injected
 	// FaultPlan.WorkerKills event).
 	CounterExecWorkersLost = mapreduce.CounterExecWorkersLost
-	// CounterExecFallbackLocal counts jobs a distributed engine ran
-	// in-process anyway because they were not remotable (in-memory
-	// sources, fault-injected lanes, or a job without a wire form).
-	CounterExecFallbackLocal = mapreduce.CounterExecFallbackLocal
-)
-
-// Membership counters. Like the rest of the spq.exec.* family they only
-// appear on reports produced by a distributed engine, and only when
-// non-zero.
-const (
 	// CounterExecWorkersQuarantined counts workers removed from dispatch
 	// after consecutive per-call timeouts — slow-loss, a subset of
 	// CounterExecWorkersLost distinct from heartbeat/transport death.
 	CounterExecWorkersQuarantined = mapreduce.CounterExecWorkersQuarantined
-	// CounterExecWorkersJoined counts workers that joined the engine while
-	// the query's job was dispatching (FaultPlan.WorkerJoins or a live
-	// Engine.AddWorker/worker Join).
-	CounterExecWorkersJoined = mapreduce.CounterExecWorkersJoined
-	// CounterExecWorkersDrained counts workers gracefully drained while the
-	// query's job was dispatching.
-	CounterExecWorkersDrained = mapreduce.CounterExecWorkersDrained
+	// CounterExecFallbackLocal counts jobs a distributed engine ran
+	// in-process anyway because they were not remotable (in-memory
+	// sources, fault-injected lanes, or a job without a wire form).
+	CounterExecFallbackLocal = mapreduce.CounterExecFallbackLocal
 )
 
 // WorkerKillEvent schedules the loss of one named worker inside a
@@ -55,14 +42,3 @@ const (
 // The DFS itself ignores these events; they are interpreted by the
 // execution layer.
 type WorkerKillEvent = dfs.WorkerKillEvent
-
-// WorkerJoinEvent schedules a worker joining the engine mid-run: right
-// before the plan's AfterTasks-th task dispatch (counted across all
-// workers), the executor attaches the worker at Addr under Name and new
-// phases pick up its lanes. Interpreted by the execution layer.
-type WorkerJoinEvent = dfs.WorkerJoinEvent
-
-// WorkerDrainEvent schedules a graceful drain of one named worker: the
-// worker stops receiving new tasks immediately, finishes its in-flight
-// attempts, and detaches. Interpreted by the execution layer.
-type WorkerDrainEvent = dfs.WorkerDrainEvent

@@ -39,47 +39,19 @@ type FaultPlan struct {
 	// order, each exactly once.
 	Crashes []CrashEvent
 
-	// WorkerKills schedules execution-worker crashes. The DFS itself
-	// ignores these events; the distributed execution layer interprets
-	// them, killing the named worker process once its task dispatch count
-	// reaches AfterTasks (see mapreduce.RPCExecutor). They live on the
-	// fault plan so a chaos run's storage and execution faults replay from
-	// one seeded schedule.
+	// WorkerKills schedules execution-worker crashes, the only membership
+	// change of the distributed execution layer. The DFS itself ignores
+	// these events; the execution layer interprets them, killing the named
+	// worker once its task dispatch count reaches AfterTasks (see
+	// mapreduce.RPCExecutor). They live on the fault plan so a chaos run's
+	// storage and execution faults replay from one seeded schedule.
 	WorkerKills []WorkerKillEvent
-
-	// WorkerJoins and WorkerDrains schedule membership churn for the
-	// distributed execution layer, keyed on the cluster-global task
-	// dispatch count. Like WorkerKills, the DFS ignores them;
-	// mapreduce.RPCExecutor interprets them so one seeded plan replays a
-	// whole churn schedule.
-	WorkerJoins  []WorkerJoinEvent
-	WorkerDrains []WorkerDrainEvent
 }
 
 // WorkerKillEvent is one scheduled execution-worker crash.
 type WorkerKillEvent struct {
 	Worker     string // worker name as registered with the master
 	AfterTasks int    // fires when the worker's task dispatch count reaches this
-}
-
-// WorkerJoinEvent schedules a worker process joining the running engine
-// mid-workload: once the cluster-global task dispatch count reaches
-// AfterTasks, the execution layer attaches the worker listening at Addr
-// under Name (empty auto-assigns the next worker-N name). Joining a name
-// that previously died rejoins it in place: its lanes route to the fresh
-// connection.
-type WorkerJoinEvent struct {
-	Addr       string
-	Name       string
-	AfterTasks int
-}
-
-// WorkerDrainEvent schedules a graceful drain: once the cluster-global
-// task dispatch count reaches AfterTasks, the named worker stops
-// receiving new tasks, finishes its in-flight ones, and detaches.
-type WorkerDrainEvent struct {
-	Worker     string
-	AfterTasks int
 }
 
 // CrashEvent is one scheduled node crash or revival.

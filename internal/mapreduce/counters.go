@@ -57,15 +57,10 @@ const (
 	CounterExecFallbackLocal = "spq.exec.fallback.local"
 )
 
-// Membership counters (spq.exec.*): workers quarantined after
-// consecutive call timeouts (a subset of workers.lost — slow-loss, as
-// opposed to transport death), and workers that joined or gracefully
-// drained while a job was dispatching.
-const (
-	CounterExecWorkersQuarantined = "spq.exec.workers.quarantined"
-	CounterExecWorkersJoined      = "spq.exec.workers.joined"
-	CounterExecWorkersDrained     = "spq.exec.workers.drained"
-)
+// CounterExecWorkersQuarantined counts workers quarantined after
+// consecutive call timeouts: a subset of workers.lost (slow-loss, as
+// opposed to transport death).
+const CounterExecWorkersQuarantined = "spq.exec.workers.quarantined"
 
 // Counters is a concurrency-safe registry of named int64 counters,
 // mirroring Hadoop job counters.
@@ -232,10 +227,10 @@ func newTaskContext(kind TaskKind, task, attempt int, node string, counters *Cou
 	return t
 }
 
-// rebind repoints the context at another attempt executed by the same
+// retarget repoints the context at another attempt executed by the same
 // slot. The counters registry is unchanged, so every resolved cell and the
 // Counter cache stay valid.
-func (t *TaskContext) rebind(task, attempt int) {
+func (t *TaskContext) retarget(task, attempt int) {
 	t.TaskID = task
 	t.Attempt = attempt
 }

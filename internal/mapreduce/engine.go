@@ -208,14 +208,14 @@ func RunContext[I, K, V, O any](ctx context.Context, c *Cluster, job *Job[I, K, 
 		b.localMap = func(lane, task, attempt int, host string) error {
 			lc, tctx := mapStates[lane].get(MapTask, host)
 			lc.reset()
-			tctx.rebind(task, attempt)
+			tctx.retarget(task, attempt)
 			return runMapAttempt(ctx, job, splits[task], parts, counters, lc, tctx, task, attempt)
 		}
 		reduceStates := make([]slotState, exec.Lanes(ReduceTask))
 		b.localReduce = func(lane, task, attempt int, host string) error {
 			lc, tctx := reduceStates[lane].get(ReduceTask, host)
 			lc.reset()
-			tctx.rebind(task, attempt)
+			tctx.retarget(task, attempt)
 			out, rerr := runReduceAttempt(ctx, job, parts[task], counters, lc, tctx, task, attempt)
 			if rerr != nil {
 				return rerr

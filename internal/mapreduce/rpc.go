@@ -1,9 +1,9 @@
 // Master/worker execution over net/rpc.
 //
-// The master lives in the engine process: it owns the DFS, listens for
-// worker callbacks (file fetches, shuffle writes), registers worker
-// processes by dialing them and heartbeats them for liveness. Workers are separate processes (or
-// loopback servers in tests) serving RunTask: they reconstruct jobs from
+// The master lives in the engine process: it owns the DFS and listens for
+// worker callbacks (file fetches, shuffle writes). Workers are separate
+// processes (or loopback servers in tests) serving RunTask: they
+// reconstruct jobs from
 // wire descriptors through the job-kind registry and execute whole task
 // attempts, reading inputs from and writing shuffle intermediates to the
 // master's DFS — which brings replication, checksums and repair to the
@@ -16,7 +16,6 @@ import (
 	"net"
 	"net/rpc"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"spq/internal/dfs"
@@ -65,18 +64,6 @@ type RunTaskReply struct {
 type PingArgs struct{}
 type PingReply struct{}
 
-// JoinArgs/JoinReply let a worker process register itself with a running
-// master (worker-initiated membership, the inverse of AttachWorker). Addr
-// is the worker's own listen address the master should dial back; Name is
-// the name the worker wants ("" lets the master assign one). The reply
-// carries the name the master registered the worker under, which the
-// worker reuses when it rejoins after a crash.
-type JoinArgs struct {
-	Addr string
-	Name string
-}
-type JoinReply struct{ Name string }
-
 // ForgetJobArgs tells a worker a job finished, releasing its cached
 // reconstruction.
 type ForgetJobArgs struct{ JobID string }
@@ -85,8 +72,6 @@ type ForgetJobReply struct{}
 // MasterService is the RPC surface workers call back into.
 type MasterService struct {
 	fs *dfs.FileSystem
-	// m backs the Join RPC (worker-initiated membership).
-	m *Master
 }
 
 // Fetch serves a whole-file read from the master DFS.
@@ -104,37 +89,17 @@ func (s *MasterService) Store(args *StoreArgs, reply *StoreReply) error {
 	return s.fs.Create(args.Name, args.Data)
 }
 
-// Ping answers worker liveness probes.
-func (s *MasterService) Ping(args *PingArgs, reply *PingReply) error { return nil }
-
-// Join registers a worker that introduced itself (see JoinArgs). The
-// heavy lifting — dialing the worker back, assigning a name, rejoining a
-// previously lost name in place — is done by the join handler the
-// executor installed.
-func (s *MasterService) Join(args *JoinArgs, reply *JoinReply) error {
-	fn := s.m.joinHandler()
-	if fn == nil {
-		return fmt.Errorf("mapreduce: master does not accept worker joins")
-	}
-	name, err := fn(args.Addr, args.Name)
-	if err != nil {
-		return err
-	}
-	reply.Name = name
-	return nil
-}
-
-// Master hosts the cluster-side half of distributed execution: the
-// callback listener plus the registry of attached workers.
+// Master is the callback listener workers call back into. It tracks the
+// connections it accepted, so Close releases every one of them even while
+// the worker processes keep running.
 type Master struct {
 	addr string
 	ln   net.Listener
+	wg   sync.WaitGroup // the accept loop and one server per connection
 
-	mu      sync.Mutex
-	workers []*workerConn
-	closed  bool
-	done    chan struct{}
-	joinFn  func(addr, name string) (string, error)
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
+	closed bool
 }
 
 // Per-call deadlines. A hung (but not dead) worker would otherwise stall
@@ -193,31 +158,36 @@ func callWithTimeout(c *rpc.Client, method string, args, reply any, timeout time
 	}
 }
 
-// workerConn is the master's handle of one attached worker.
+// workerConn is the master's handle of one attached worker. The name,
+// slot count and client are fixed at attach; a lost worker stays lost.
 type workerConn struct {
-	name string
-
-	mu    sync.Mutex
-	addr  string
-	slots int
-
+	name   string
+	slots  int
 	client *rpc.Client
-	dead   bool
-	// draining blocks new task dispatches while in-flight ones finish;
-	// drained records that the eventual detach was graceful (so it is not
-	// metered as a loss).
-	draining bool
-	drained  bool
+
+	mu   sync.Mutex
+	dead bool
 	// dispatched counts task dispatches to this worker (drives the
 	// seeded worker-kill plan of the chaos harness).
 	dispatched int
 	// slowCalls counts consecutive timed-out calls; reaching
 	// quarantineAfter treats the worker as lost.
 	slowCalls int
+}
 
-	// inflight counts task dispatches currently executing on this worker,
-	// so a graceful drain knows when the worker is idle.
-	inflight atomic.Int64
+// attachWorker dials the worker process at addr, introduces the master
+// listening at masterAddr and learns the worker's slot capacity.
+func attachWorker(masterAddr, addr, name string) (*workerConn, error) {
+	client, err := rpc.Dial("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("mapreduce: dial worker %s: %w", addr, err)
+	}
+	var reply AttachReply
+	if err := callWithTimeout(client, "Worker.Attach", &AttachArgs{Master: masterAddr, Name: name}, &reply, ctrlCallTimeout); err != nil {
+		client.Close()
+		return nil, fmt.Errorf("mapreduce: attach worker %s: %w", addr, err)
+	}
+	return &workerConn{name: name, slots: max(reply.Slots, 1), client: client}, nil
 }
 
 // call invokes an RPC on the worker under a deadline. Any failure that is
@@ -227,13 +197,10 @@ type workerConn struct {
 // toward consecutive-slow-call quarantine. The outcome reports whether
 // this call performed the live→dead transition, and how.
 func (w *workerConn) call(method string, args, reply any, timeout time.Duration) (error, callOutcome) {
-	w.mu.Lock()
-	c, dead := w.client, w.dead
-	w.mu.Unlock()
-	if dead || c == nil {
+	if w.isDead() {
 		return fmt.Errorf("mapreduce: worker %s is down", w.name), callOK
 	}
-	err := callWithTimeout(c, method, args, reply, timeout)
+	err := callWithTimeout(w.client, method, args, reply, timeout)
 	if err == nil {
 		w.resetSlow()
 		return nil, callOK
@@ -296,80 +263,42 @@ func (w *workerConn) isDead() bool {
 	return w.dead
 }
 
-// available reports whether the worker accepts new task dispatches (alive
-// and not draining).
-func (w *workerConn) available() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return !w.dead && !w.draining
-}
-
-// setDraining flips the worker in or out of draining mode. New task
-// dispatches route around a draining worker while its in-flight tasks
-// finish.
-func (w *workerConn) setDraining(v bool) {
-	w.mu.Lock()
-	w.draining = v
-	w.mu.Unlock()
-}
-
-// detach closes the connection at the end of a graceful drain; unlike
-// markDead it records the departure as intentional.
-func (w *workerConn) detach() {
-	w.mu.Lock()
-	w.drained = true
-	w.mu.Unlock()
-	w.markDead()
-}
-
-// rebind points the handle at a fresh connection to a rejoined worker:
-// same name, possibly a new address and process. Lanes that referenced
-// the worker route to the new connection on their next dispatch. The
-// dispatch count is preserved so seeded churn schedules keyed on it stay
-// monotone across rejoins.
-func (w *workerConn) rebind(addr string, client *rpc.Client, slots int) {
-	w.mu.Lock()
-	old := w.client
-	w.addr = addr
-	w.client = client
-	if slots > 0 {
-		w.slots = slots
-	}
-	w.dead = false
-	w.draining = false
-	w.drained = false
-	w.slowCalls = 0
-	w.mu.Unlock()
-	if old != nil && old != client {
-		old.Close()
-	}
-}
-
-// Kill severs the master's connection to the worker: the client closes,
-// so every in-flight and subsequent call to it fails at the transport
-// level — from the master's perspective, exactly a machine loss. It
-// reports whether this call performed the transition.
-func (w *workerConn) Kill() bool { return w.markDead() }
-
 // NewMaster starts the master's callback listener on a loopback address.
 func NewMaster(fs *dfs.FileSystem) (*Master, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: master listen: %w", err)
 	}
-	m := &Master{addr: ln.Addr().String(), ln: ln, done: make(chan struct{})}
+	m := &Master{addr: ln.Addr().String(), ln: ln, conns: make(map[net.Conn]struct{})}
 	srv := rpc.NewServer()
-	if err := srv.RegisterName("Master", &MasterService{fs: fs, m: m}); err != nil {
+	if err := srv.RegisterName("Master", &MasterService{fs: fs}); err != nil {
 		ln.Close()
 		return nil, err
 	}
+	m.wg.Add(1)
 	go func() {
+		defer m.wg.Done()
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			go srv.ServeConn(conn)
+			m.mu.Lock()
+			if m.closed {
+				m.mu.Unlock()
+				conn.Close()
+				return
+			}
+			m.conns[conn] = struct{}{}
+			m.wg.Add(1)
+			m.mu.Unlock()
+			go func() {
+				defer m.wg.Done()
+				srv.ServeConn(conn)
+				m.mu.Lock()
+				delete(m.conns, conn)
+				m.mu.Unlock()
+			}()
 		}
 	}()
 	return m, nil
@@ -378,93 +307,10 @@ func NewMaster(fs *dfs.FileSystem) (*Master, error) {
 // Addr returns the master's callback address.
 func (m *Master) Addr() string { return m.addr }
 
-// SetJoinHandler installs the function backing the Master.Join RPC. The
-// executor installs one that attaches (or rejoins) the worker and wires
-// it into the lane table.
-func (m *Master) SetJoinHandler(fn func(addr, name string) (string, error)) {
-	m.mu.Lock()
-	m.joinFn = fn
-	m.mu.Unlock()
-}
-
-func (m *Master) joinHandler() func(addr, name string) (string, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.joinFn
-}
-
-// dialWorker performs the attach handshake with a worker process at addr
-// — dial, introduce the master, learn the slot capacity — without
-// touching the registry, so it serves both first attaches and rejoins.
-func (m *Master) dialWorker(addr, name string) (*rpc.Client, int, error) {
-	client, err := rpc.Dial("tcp", addr)
-	if err != nil {
-		return nil, 0, fmt.Errorf("mapreduce: dial worker %s: %w", addr, err)
-	}
-	var reply AttachReply
-	if err := callWithTimeout(client, "Worker.Attach", &AttachArgs{Master: m.addr, Name: name}, &reply, ctrlCallTimeout); err != nil {
-		client.Close()
-		return nil, 0, fmt.Errorf("mapreduce: attach worker %s: %w", addr, err)
-	}
-	slots := reply.Slots
-	if slots <= 0 {
-		slots = 1
-	}
-	return client, slots, nil
-}
-
-// register adds an already-connected worker handle to the heartbeat
-// registry.
-func (m *Master) register(w *workerConn) {
-	m.mu.Lock()
-	m.workers = append(m.workers, w)
-	m.mu.Unlock()
-}
-
-// AttachWorker dials a worker process at addr, introduces the master and
-// registers the worker under the given name. The returned handle is
-// already part of the master's registry.
-func (m *Master) AttachWorker(addr, name string) (*workerConn, error) {
-	client, slots, err := m.dialWorker(addr, name)
-	if err != nil {
-		return nil, err
-	}
-	w := &workerConn{name: name, addr: addr, slots: slots, client: client}
-	m.register(w)
-	return w, nil
-}
-
-// heartbeat starts a liveness loop pinging every attached worker each
-// interval; a failed ping marks the worker dead (its lanes reroute), and
-// note hears the outcome of every ping, so the transitions pings perform
-// are metered.
-func (m *Master) heartbeat(interval time.Duration, note func(callOutcome)) {
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-m.done:
-				return
-			case <-t.C:
-				m.mu.Lock()
-				ws := append([]*workerConn(nil), m.workers...)
-				m.mu.Unlock()
-				for _, w := range ws {
-					if w.isDead() {
-						continue
-					}
-					_, oc := w.call("Worker.Ping", &PingArgs{}, &PingReply{}, pingCallTimeout)
-					note(oc)
-				}
-			}
-		}
-	}()
-}
-
-// Close shuts the master down: the callback listener stops and every
-// worker client closes. Attached worker processes keep running (they
-// belong to their own lifecycle).
+// Close stops the callback listener and closes every connection it
+// accepted, returning once their servers have exited. Worker processes
+// keep running (they belong to their own lifecycle); each drops its end
+// of the connection when it sees it close.
 func (m *Master) Close() error {
 	m.mu.Lock()
 	if m.closed {
@@ -472,13 +318,15 @@ func (m *Master) Close() error {
 		return nil
 	}
 	m.closed = true
-	close(m.done)
-	ws := append([]*workerConn(nil), m.workers...)
+	conns := m.conns
+	m.conns = nil
 	m.mu.Unlock()
-	for _, w := range ws {
-		w.markDead()
+	err := m.ln.Close()
+	for c := range conns {
+		c.Close()
 	}
-	return m.ln.Close()
+	m.wg.Wait()
+	return err
 }
 
 // WorkerService is the RPC surface a worker process serves to its master.
@@ -487,7 +335,7 @@ type WorkerService struct {
 }
 
 // Attach introduces a master: the worker dials the master's callback
-// address and rebinds its environment to it.
+// address and builds a fresh environment over that connection.
 func (s *WorkerService) Attach(args *AttachArgs, reply *AttachReply) error {
 	if err := s.w.attach(args.Master, args.Name); err != nil {
 		return err
@@ -533,9 +381,9 @@ type WorkerNode struct {
 	slots      int
 	ln         net.Listener
 
-	mu  sync.Mutex
-	e   *WorkerEnv
-	cls []net.Conn
+	mu    sync.Mutex
+	e     *WorkerEnv
+	conns map[net.Conn]struct{}
 }
 
 // StartWorker listens on addr (e.g. "127.0.0.1:0") and serves task
@@ -548,7 +396,7 @@ func StartWorker(addr string, slots int) (*WorkerNode, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: worker listen: %w", err)
 	}
-	w := &WorkerNode{listenAddr: ln.Addr().String(), slots: slots, ln: ln}
+	w := &WorkerNode{listenAddr: ln.Addr().String(), slots: slots, ln: ln, conns: make(map[net.Conn]struct{})}
 	srv := rpc.NewServer()
 	if err := srv.RegisterName("Worker", &WorkerService{w: w}); err != nil {
 		ln.Close()
@@ -561,9 +409,14 @@ func StartWorker(addr string, slots int) (*WorkerNode, error) {
 				return
 			}
 			w.mu.Lock()
-			w.cls = append(w.cls, conn)
+			w.conns[conn] = struct{}{}
 			w.mu.Unlock()
-			go srv.ServeConn(conn)
+			go func() {
+				srv.ServeConn(conn)
+				w.mu.Lock()
+				delete(w.conns, conn)
+				w.mu.Unlock()
+			}()
 		}
 	}()
 	return w, nil
@@ -605,11 +458,11 @@ func (w *WorkerNode) env() *WorkerEnv {
 func (w *WorkerNode) Stop() {
 	w.ln.Close()
 	w.mu.Lock()
-	cls := w.cls
-	w.cls = nil
+	conns := w.conns
+	w.conns = make(map[net.Conn]struct{})
 	e := w.e
 	w.mu.Unlock()
-	for _, c := range cls {
+	for c := range conns {
 		c.Close()
 	}
 	if e != nil {
@@ -635,35 +488,4 @@ func (r *rpcRemoteFS) Fetch(name string) ([]byte, error) {
 
 func (r *rpcRemoteFS) Store(name string, data []byte) error {
 	return callWithTimeout(r.client, "Master.Store", &StoreArgs{Name: name, Data: data}, &StoreReply{}, ctrlCallTimeout)
-}
-
-// JoinMaster introduces the worker listening at workerAddr to the master
-// at masterAddr (the worker-initiated inverse of AttachWorker) and
-// returns the name the master registered it under. The master dials the
-// worker back during the call, so when JoinMaster returns the worker is
-// attached and routable. cmd/spqworker drives this from its reconnect
-// loop; rejoining after a crash passes the previously assigned name so
-// the worker reclaims its identity (and its lanes).
-func JoinMaster(masterAddr, workerAddr, name string) (string, error) {
-	client, err := rpc.Dial("tcp", masterAddr)
-	if err != nil {
-		return "", fmt.Errorf("mapreduce: dial master %s: %w", masterAddr, err)
-	}
-	defer client.Close()
-	var reply JoinReply
-	if err := callWithTimeout(client, "Master.Join", &JoinArgs{Addr: workerAddr, Name: name}, &reply, ctrlCallTimeout); err != nil {
-		return "", fmt.Errorf("mapreduce: join master %s: %w", masterAddr, err)
-	}
-	return reply.Name, nil
-}
-
-// PingMaster probes a master's liveness from outside (the worker
-// reconnect loop uses it to detect a lost master and rejoin).
-func PingMaster(masterAddr string) error {
-	client, err := rpc.Dial("tcp", masterAddr)
-	if err != nil {
-		return err
-	}
-	defer client.Close()
-	return callWithTimeout(client, "Master.Ping", &PingArgs{}, &PingReply{}, pingCallTimeout)
 }

@@ -269,7 +269,7 @@ func TestRPCExecutorWorkerKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer exec.Close()
-	exec.SetChurn(&dfs.FaultPlan{WorkerKills: []dfs.WorkerKillEvent{{Worker: "worker-1", AfterTasks: 2}}})
+	exec.SetKills([]dfs.WorkerKillEvent{{Worker: "worker-1", AfterTasks: 2}})
 
 	res := runRPCSum(t, fs, exec)
 	checkRPCSum(t, res, want)
@@ -295,7 +295,7 @@ func TestRPCExecutorAllWorkersLost(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer exec.Close()
-	exec.SetChurn(&dfs.FaultPlan{WorkerKills: []dfs.WorkerKillEvent{{Worker: "worker-1", AfterTasks: 1}}})
+	exec.SetKills([]dfs.WorkerKillEvent{{Worker: "worker-1", AfterTasks: 1}})
 
 	job := rpcSumJob()
 	job.Source = rangeInput{fs: fs, file: "nums", per: 32}

@@ -221,13 +221,13 @@ func TestTopKPrefixOfTopKPlusOne(t *testing.T) {
 // (range), the best distance-decayed one (influence), or the nearest
 // feature within r (nearest) — never falls as r grows, so neither does
 // the k-th score of the top-k (0 while fewer than k objects score). It
-// covers every algorithm and storage, planned and unplanned; a planner
-// that loses a block within r at some radius breaks it.
+// covers every algorithm and storage, planned and unplanned, in-process
+// and on two loopback workers; a planner that loses a block within r at
+// some radius breaks it.
 func TestKthScoreMonotoneInRadius(t *testing.T) {
 	dataObjs, feats := tiedCorpus(41, 900)
 	radii := []float64{0, 0.01, 0.03, 0.06, 0.1, 0.2, 0.5, 1.5}
-	for _, st := range oracleStorages {
-		e := sealedEngine(t, Config{Storage: st.storage, Nodes: 4, BlockSize: 4 << 10, Seed: 9}, dataObjs, feats)
+	check := func(t *testing.T, name string, e *Engine) (fallbacks int64) {
 		for _, planned := range []bool{false, true} {
 			for _, c := range invarianceCases() {
 				opts := []QueryOption{WithAlgorithm(c.alg), WithCache(false)}
@@ -238,24 +238,36 @@ func TestKthScoreMonotoneInRadius(t *testing.T) {
 				for _, r := range radii {
 					q := c.q
 					q.Radius = r
-					got, err := e.Query(q, opts...)
+					rep, err := e.QueryReport(q, opts...)
 					if err != nil {
 						t.Fatal(err)
 					}
+					fallbacks += rep.Counters[CounterExecFallbackLocal]
 					kth := 0.0
-					if len(got) >= q.K {
-						kth = got[q.K-1].Score
+					if len(rep.Results) >= q.K {
+						kth = rep.Results[q.K-1].Score
 					}
 					if kth < prev {
 						t.Errorf("%s planned=%v %v %v k=%d: k-th score falls from %v to %v as r grows to %v",
-							st.name, planned, c.alg, q.Mode, q.K, prev, kth, r)
+							name, planned, c.alg, q.Mode, q.K, prev, kth, r)
 					}
 					prev = kth
 				}
 				if prev == 0 {
-					t.Errorf("%s planned=%v %v %v k=%d: no radius fills the top-k", st.name, planned, c.alg, c.q.Mode, c.q.K)
+					t.Errorf("%s planned=%v %v %v k=%d: no radius fills the top-k", name, planned, c.alg, c.q.Mode, c.q.K)
 				}
 			}
 		}
+		return fallbacks
 	}
+	for _, st := range oracleStorages {
+		check(t, st.name, sealedEngine(t, Config{Storage: st.storage, Nodes: 4, BlockSize: 4 << 10, Seed: 9}, dataObjs, feats))
+	}
+	t.Run("workers-2", func(t *testing.T) {
+		e := sealedEngine(t, Config{Nodes: 4, BlockSize: 4 << 10, Seed: 9, MapSlots: 2, ReduceSlots: 1, Workers: distWorkers(t, 2, 2)}, dataObjs, feats)
+		t.Cleanup(func() { e.Close() })
+		if n := check(t, "spq3 workers-2", e); n != 0 {
+			t.Errorf("%d jobs fell back to local execution", n)
+		}
+	})
 }

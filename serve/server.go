@@ -81,11 +81,11 @@ type Server struct {
 	metrics *metrics
 	mux     *http.ServeMux
 
-	draining atomic.Bool
+	stopping atomic.Bool
 
 	// lifeMu guards the in-flight request count against Drain: beginReq's
 	// admit-or-refuse decision and Drain's zero-check are atomic with
-	// respect to each other, and idle closes exactly once, when draining
+	// respect to each other, and idle closes exactly once, when Drain
 	// has started and the count reaches zero.
 	lifeMu sync.Mutex
 	nreq   int
@@ -185,8 +185,8 @@ func (s *Server) do(ctx context.Context, req *spq.QueryRequest, tenantFallback s
 func (s *Server) beginReq() error {
 	s.lifeMu.Lock()
 	defer s.lifeMu.Unlock()
-	if s.draining.Load() {
-		return fmt.Errorf("%w: server draining", spq.ErrClosed)
+	if s.stopping.Load() {
+		return fmt.Errorf("%w: server shutting down", spq.ErrClosed)
 	}
 	s.nreq++
 	return nil
@@ -195,7 +195,7 @@ func (s *Server) beginReq() error {
 func (s *Server) endReq() {
 	s.lifeMu.Lock()
 	s.nreq--
-	if s.nreq == 0 && s.draining.Load() {
+	if s.nreq == 0 && s.stopping.Load() {
 		s.closeIdleLocked()
 	}
 	s.lifeMu.Unlock()
@@ -284,8 +284,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
+	if s.stopping.Load() {
+		http.Error(w, "shutting down", http.StatusServiceUnavailable)
 		return
 	}
 	io.WriteString(w, "ok\n") //nolint:errcheck // best-effort response
@@ -307,7 +307,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // the listener: the caller shuts its http.Server down afterwards.
 func (s *Server) Drain(ctx context.Context) error {
 	s.lifeMu.Lock()
-	s.draining.Store(true)
+	s.stopping.Store(true)
 	if s.nreq == 0 {
 		s.closeIdleLocked()
 	}

@@ -300,7 +300,7 @@ func TestServerErrorMapping(t *testing.T) {
 	}
 }
 
-// TestServerDrain: draining flips /healthz, refuses new queries with 503,
+// TestServerDrain: Drain flips /healthz, refuses new queries with 503,
 // and waits for in-flight queries to finish.
 func TestServerDrain(t *testing.T) {
 	eng := &fakeEngine{release: make(chan struct{})}
@@ -322,7 +322,7 @@ func TestServerDrain(t *testing.T) {
 
 	drained := make(chan error, 1)
 	go func() { drained <- s.Drain(context.Background()) }()
-	for i := 0; !s.draining.Load(); i++ {
+	for i := 0; !s.stopping.Load(); i++ {
 		if i > 5000 {
 			t.Fatal("drain flag never set")
 		}
