@@ -18,8 +18,8 @@ const (
 	// worker after their primary worker was lost mid-job.
 	CounterExecReexec = mapreduce.CounterExecReexec
 	// CounterExecRPCBytes meters the payload bytes remote tasks moved
-	// across the master boundary: input fetches, shuffle writes and reads,
-	// and dictionary pulls.
+	// across the master boundary: input fetches and shuffle writes and
+	// reads.
 	CounterExecRPCBytes = mapreduce.CounterExecRPCBytes
 	// CounterExecWorkersLost counts worker-loss transitions observed while
 	// the query's job ran (a heartbeat or call failure, or an injected

@@ -1,21 +1,22 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
-	"spq/internal/data"
 	"spq/internal/geo"
 	"spq/internal/grid"
+	"spq/internal/mapreduce"
 )
 
 // objGrid is a per-cell sub-grid bucket index over the data objects of one
 // reduce group. The paper's reduce functions score every feature against
 // every data object of the cell; with a few thousand objects per cell
 // (clustered data) that inner loop dominates. The index lays a small
-// uniform grid over the tight bounding box of the objects and stores the
-// object indices bucket by bucket (CSR layout), so a feature only visits
-// the buckets its radius can reach.
+// uniform grid over the tight bounding box of the objects, and the cell
+// stores its objects bucket by bucket (CSR layout, see viewCell.seal), so
+// a feature only visits the buckets its radius can reach.
 //
 // The bucket filter is a bounding-square test: every object within
 // distance r of the probe point is guaranteed to be in a visited bucket,
@@ -25,8 +26,7 @@ type objGrid struct {
 	minX, minY float64
 	invW, invH float64 // buckets per unit length along x and y
 	nx, ny     int
-	start      []int32 // CSR offsets, len nx*ny+1
-	idx        []int32 // object indices grouped by bucket (row-major)
+	start      []int32 // CSR offsets into the cell's columns, len nx*ny+1; empty when unindexed
 }
 
 // objGridMinObjs is the group size below which the plain scan is cheaper
@@ -38,28 +38,18 @@ const objGridMinObjs = 32
 // enough that the bucket directory stays tiny.
 const targetBucketOccupancy = 8
 
-// buildObjGrid indexes objs, or returns nil when the group is too small
-// for the index to pay off.
-func buildObjGrid(objs []data.Object) *objGrid {
-	n := len(objs)
-	if n < objGridMinObjs {
-		return nil
-	}
+// frame sizes the index for n objects at xs/ys: the tight bounding box and
+// about targetBucketOccupancy objects per bucket.
+func (b *objGrid) frame(xs, ys []float64) {
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	for i := range objs {
-		p := objs[i].Loc
-		minX, maxX = math.Min(minX, p.X), math.Max(maxX, p.X)
-		minY, maxY = math.Min(minY, p.Y), math.Max(maxY, p.Y)
+	for i := range xs {
+		minX, maxX = math.Min(minX, xs[i]), math.Max(maxX, xs[i])
+		minY, maxY = math.Min(minY, ys[i]), math.Max(maxY, ys[i])
 	}
-	side := int(math.Sqrt(float64(n) / targetBucketOccupancy))
-	if side < 1 {
-		side = 1
-	}
-	if side > 256 {
-		side = 256
-	}
-	b := &objGrid{minX: minX, minY: minY, nx: side, ny: side}
+	side := int(math.Sqrt(float64(len(xs)) / targetBucketOccupancy))
+	side = max(1, min(side, 256))
+	*b = objGrid{minX: minX, minY: minY, nx: side, ny: side, start: b.start}
 	if w := maxX - minX; w > 0 {
 		b.invW = float64(b.nx) / w
 	} else {
@@ -70,28 +60,13 @@ func buildObjGrid(objs []data.Object) *objGrid {
 	} else {
 		b.ny = 1
 	}
-	bucketOf := func(p geo.Point) int {
-		col := clamp(int((p.X-b.minX)*b.invW), b.nx)
-		row := clamp(int((p.Y-b.minY)*b.invH), b.ny)
-		return row*b.nx + col
-	}
-	// Counting sort of object indices into CSR buckets.
-	b.start = make([]int32, b.nx*b.ny+1)
-	for i := range objs {
-		b.start[bucketOf(objs[i].Loc)+1]++
-	}
-	for i := 1; i < len(b.start); i++ {
-		b.start[i] += b.start[i-1]
-	}
-	b.idx = make([]int32, n)
-	fill := make([]int32, b.nx*b.ny)
-	copy(fill, b.start[:len(b.start)-1])
-	for i := range objs {
-		bk := bucketOf(objs[i].Loc)
-		b.idx[fill[bk]] = int32(i)
-		fill[bk]++
-	}
-	return b
+}
+
+// bucketOf returns the row-major bucket of the point (x, y).
+func (b *objGrid) bucketOf(x, y float64) int {
+	col := clamp(int((x-b.minX)*b.invW), b.nx)
+	row := clamp(int((y-b.minY)*b.invH), b.ny)
+	return row*b.nx + col
 }
 
 // clamp limits i to [0, n-1].
@@ -118,11 +93,11 @@ func floorIdx(f float64, n int) int {
 	return int(f)
 }
 
-// spans invokes fn with the idx range [lo, hi) of every bucket row
+// spans invokes fn with the column range [lo, hi) of every bucket row
 // intersecting the axis-aligned square of half-edge r around p (a
 // superset of the disk of radius r; exact distances are the caller's
-// job). It returns the number of index slots covered. Buckets of one row
-// are contiguous in idx, so each row's whole column range is one span.
+// job). It returns the number of objects covered. Buckets of one row are
+// contiguous in the cell, so each row's whole column range is one span.
 func (b *objGrid) spans(p geo.Point, r float64, fn func(lo, hi int32)) int64 {
 	lox := floorIdx((p.X-r-b.minX)*b.invW, b.nx)
 	hix := floorIdx((p.X+r-b.minX)*b.invW, b.nx)
@@ -143,159 +118,201 @@ func (b *objGrid) spans(p geo.Point, r float64, fn func(lo, hi int32)) int64 {
 	return n
 }
 
-// each invokes fn for every object index in a bucket intersecting the
-// probe square (see spans) and returns the number of objects visited.
-func (b *objGrid) each(p geo.Point, r float64, fn func(i int32)) int64 {
-	return b.spans(p, r, func(lo, hi int32) {
-		for _, i := range b.idx[lo:hi] {
-			fn(i)
-		}
-	})
+// columns are data objects as what the reduce side reads of them: ids and
+// coordinates, one dense slice each.
+type columns struct {
+	ids    []uint64
+	xs, ys []float64
 }
 
-// groupObjs holds the data objects of one reduce group in two parts that
-// share one index space, view objects first: object i is view.objs[i] for
-// i < base(), objs[i-base()] after.
-//
-//   - view is the group's DataView cell, nil without a view: shared,
-//     immutable, scored with the scanSpan kernel over its dense columns
-//     (viewCell.kernelHits). A group never writes it.
-//   - objs are the data objects that arrived in-stream — all of them
-//     without a view, an uncompacted delta's beside one — private to the
-//     group, scored through candidates and a bucket index lazily
-//     (re)built over them. Data objects normally all precede the first
-//     feature in comparator order, so the index is built exactly once per
-//     group; the rebuild-on-growth check keeps the exotic interleaved case
-//     (identical sort keys for data and features) correct.
-type groupObjs struct {
-	view    *viewCell
-	objs    []data.Object
-	index   *objGrid
-	indexed int // len(objs) the index was last built over
+func (c *columns) add(id uint64, x, y float64) {
+	c.ids = append(c.ids, id)
+	c.xs = append(c.xs, x)
+	c.ys = append(c.ys, y)
 }
 
-func (g *groupObjs) add(o data.Object) { g.objs = append(g.objs, o) }
+func (c *columns) reset() {
+	c.ids, c.xs, c.ys = c.ids[:0], c.xs[:0], c.ys[:0]
+}
 
-// base is the index of the first in-stream object: the view cell's size.
-func (g *groupObjs) base() int32 {
-	if g.view == nil {
-		return 0
+// viewCell is the one layout of a reduce group's data objects: the
+// columns in bucket order plus the bucket offsets, so every bucket of the
+// index is a contiguous run that kernelHits scans with the batch-8
+// kernel. A DataView holds one per grid cell, immutable and shared
+// read-only by concurrent reduce tasks; a reduce group seals its
+// in-stream data records into a private, pooled one (reduceScratch).
+type viewCell struct {
+	columns
+	index objGrid
+}
+
+// seal lays the objects of in out as c, in bucket order, with the bucket
+// index over them when the cell is large enough for one to pay off
+// (objGridMinObjs). Objects keep their input order within a bucket.
+// c's slices are reused when large enough; in must not alias them.
+func (c *viewCell) seal(in columns) {
+	n := len(in.ids)
+	c.ids, c.xs, c.ys = resize(c.ids, n), resize(c.xs, n), resize(c.ys, n)
+	b := &c.index
+	if n < objGridMinObjs {
+		b.start = b.start[:0]
+		copy(c.ids, in.ids)
+		copy(c.xs, in.xs)
+		copy(c.ys, in.ys)
+		return
 	}
-	return int32(len(g.view.objs))
+	b.frame(in.xs, in.ys)
+	nb := b.nx * b.ny
+	// Counting sort into CSR buckets: count, prefix-sum to each bucket's
+	// first slot, place (advancing start[bk] to its bucket's end, the next
+	// bucket's first slot), then shift the offsets back by one bucket.
+	b.start = growZeroed(b.start, nb+1)
+	for i := range in.xs {
+		b.start[b.bucketOf(in.xs[i], in.ys[i])+1]++
+	}
+	for i := 1; i <= nb; i++ {
+		b.start[i] += b.start[i-1]
+	}
+	for i := range in.xs {
+		bk := b.bucketOf(in.xs[i], in.ys[i])
+		j := b.start[bk]
+		b.start[bk]++
+		c.ids[j], c.xs[j], c.ys[j] = in.ids[i], in.xs[i], in.ys[i]
+	}
+	copy(b.start[1:], b.start[:nb])
+	b.start[0] = 0
+}
+
+// kernelHits resolves the candidate spans of a probe and filters them by
+// exact distance in one pass with the batch-8 kernel, setting hits/d2s to
+// each in-range object's index and squared distance. It returns the
+// number of bucket-square candidates visited, before the distance test:
+// every object of an unindexed cell.
+func (c *viewCell) kernelHits(p geo.Point, r, r2 float64, hits *[]int32, d2s *[]float64) int64 {
+	h, d := (*hits)[:0], (*d2s)[:0]
+	var n int64
+	if len(c.index.start) == 0 {
+		h, d = scanSpan(c.xs, c.ys, p.X, p.Y, r2, 0, h, d)
+		n = int64(len(c.ids))
+	} else {
+		n = c.index.spans(p, r, func(lo, hi int32) {
+			h, d = scanSpan(c.xs[lo:hi], c.ys[lo:hi], p.X, p.Y, r2, lo, h, d)
+		})
+	}
+	*hits, *d2s = h, d
+	return n
+}
+
+// item is object i of the cell as a result with the given score.
+func (c *viewCell) item(i int32, score float64) ResultItem {
+	return ResultItem{ID: c.ids[i], Loc: geo.Point{X: c.xs[i], Y: c.ys[i]}, Score: score}
+}
+
+// groupPart is one cell of a reduce group with the group-wide index of its
+// first object: the per-object state of the group covers the view cell
+// first, then the stream cell.
+type groupPart struct {
+	*viewCell
+	base int32
 }
 
 // reduceScratch is the pooled per-group state of the reduce functions:
-// the collected data objects with their bucket index and the dense
+// the group's in-stream data records, their sealed cell, and the dense
 // per-object bookkeeping slices (each reduce function uses the one
-// matching its algorithm). A reduce task visits one
-// group per grid cell — thousands on fine grids — and reusing the backing
-// arrays across groups keeps the per-group constant cost out of the
-// allocator.
+// matching its algorithm). A reduce task visits one group per grid cell —
+// thousands on fine grids — and reusing the backing arrays across groups
+// keeps the per-group constant cost out of the allocator.
 type reduceScratch struct {
-	g       groupObjs
-	scores  []float64
-	covered []bool
-	best    []nnState
-	// hits/hitD2 are the kernel path's per-feature output: the indexes
-	// of the objects within range and their squared distances.
+	// in holds the in-stream data records in arrival order — all of the
+	// group's without a view, an uncompacted delta's beside one; stream is
+	// them sealed, at the group's first feature that is scored. A group
+	// whose features all fall below τ, or that has none, never seals.
+	in     columns
+	stream viewCell
+	// parts are the group's non-empty cells: the view cell, then stream
+	// once sealed.
+	parts []groupPart
+	// features is set at the group's first feature: the key order puts
+	// every data record before it, so none may follow.
+	features, sealed bool
+	scores           []float64
+	covered          []bool
+	best             []nnState
+	// hits/hitD2 are kernelHits' per-feature output: the indexes of the
+	// objects within range and their squared distances.
 	hits  []int32
 	hitD2 []float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(reduceScratch) }}
 
-// getScratch returns a reset scratch. Return it with putScratch when the
-// group is done.
-func getScratch() *reduceScratch {
+// getScratch returns a scratch for one group of cell, holding the cell's
+// view cell when the view has data there. Return it with putScratch when
+// the group is done.
+func getScratch(view *DataView, cell grid.CellID) *reduceScratch {
 	s := scratchPool.Get().(*reduceScratch)
-	s.g.objs = s.g.objs[:0]
-	s.g.index = nil
-	s.g.indexed = 0
-	s.scores = s.scores[:0]
-	s.covered = s.covered[:0]
-	s.best = s.best[:0]
+	s.in.reset()
+	s.features, s.sealed = false, false
+	if view != nil {
+		if vc := view.cell(cell); vc != nil {
+			s.parts = append(s.parts, groupPart{viewCell: vc})
+		}
+	}
 	return s
 }
 
-// seedView points the scratch at the group's DataView cell, as if the
-// cell's data objects had just arrived in-stream: the view part of the
-// group set, per-object bookkeeping slices zero-filled to match. Safe
-// no-op when the view has no objects in the cell.
-func (s *reduceScratch) seedView(view *DataView, cell grid.CellID) {
-	vc := view.cell(cell)
-	if vc == nil {
-		return
+// putScratch returns a scratch to the pool, dropping its parts so a
+// pooled scratch never pins a view the cache has let go.
+func putScratch(s *reduceScratch) {
+	clear(s.parts)
+	s.parts = s.parts[:0]
+	scratchPool.Put(s)
+}
+
+// add appends an in-stream data record to the group. Every data record of
+// a group sorts before its first feature — pSPQ orders data 0 before
+// features 1, eSPQlen data 0 before |f.W| ≥ 1, and eSPQsco data 2 above any
+// Jaccard score under its descending order — so one that follows a
+// feature comes from a corrupt shuffle run, and reads the same on every
+// attempt.
+func (s *reduceScratch) add(r Rec) error {
+	if s.features {
+		return mapreduce.Permanent(fmt.Errorf("core: data record %d follows a feature in its reduce group: the shuffle run is out of order", r.ID))
 	}
-	s.g.view = vc
-	n := len(vc.objs)
-	s.scores = growZeroed(s.scores, n)
-	s.covered = growZeroed(s.covered, n)
-	s.best = growZeroed(s.best, n)
-	for i := range s.best {
-		s.best[i] = nnState{d2: math.Inf(1)}
+	s.in.add(r.ID, r.Loc.X, r.Loc.Y)
+	return nil
+}
+
+// seal lays the group's in-stream records out as its stream cell and
+// returns the group's object count, view and stream together: the length
+// of the per-object state.
+func (s *reduceScratch) seal() int {
+	s.sealed = true
+	n := 0
+	if len(s.parts) > 0 {
+		n = len(s.parts[0].ids)
 	}
+	if len(s.in.ids) > 0 {
+		s.stream.seal(s.in)
+		s.parts = append(s.parts, groupPart{viewCell: &s.stream, base: int32(n)})
+		n += len(s.in.ids)
+	}
+	return n
+}
+
+// resize returns s with length n, reusing its backing array when large
+// enough; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // growZeroed returns s resized to n zero-valued elements, reusing the
 // backing array when it is large enough.
 func growZeroed[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	var zero T
-	for i := range s {
-		s[i] = zero
-	}
+	s = resize(s, n)
+	clear(s)
 	return s
-}
-
-// putScratch returns a scratch to the pool, dropping its view cell so a
-// pooled scratch never pins a view the cache has let go.
-func putScratch(s *reduceScratch) {
-	s.g.view = nil
-	scratchPool.Put(s)
-}
-
-// candidates invokes fn(i) for every in-stream object that may lie within
-// distance r of p — via the bucket index when it pays off, linearly
-// otherwise — and returns the number of candidates visited. i indexes objs,
-// so the group-wide index is base()+i. Candidates may still be farther
-// than r; the caller checks exact distances.
-func (g *groupObjs) candidates(p geo.Point, r float64, fn func(i int32)) int64 {
-	if g.indexed != len(g.objs) {
-		g.index = buildObjGrid(g.objs)
-		g.indexed = len(g.objs)
-	}
-	if g.index == nil {
-		for i := range g.objs {
-			fn(int32(i))
-		}
-		return int64(len(g.objs))
-	}
-	return g.index.each(p, r, fn)
-}
-
-// kernelHits is the vectorized counterpart of candidates for a view cell:
-// it resolves the candidate spans and filters them by exact distance in
-// one pass with the batch-8 kernel, appending each in-range object's index
-// and squared distance to hits/d2s. The visited count it returns matches
-// candidates exactly — both count bucket-square candidates, before the
-// distance test — so the score-computation counters stay comparable
-// across paths.
-func (vc *viewCell) kernelHits(p geo.Point, r, r2 float64, hits *[]int32, d2s *[]float64) int64 {
-	h, d := (*hits)[:0], (*d2s)[:0]
-	var n int64
-	if vc.index == nil {
-		h, d = scanSpan(vc.xs, vc.ys, p.X, p.Y, r2, 0, h, d)
-		n = int64(len(vc.objs))
-	} else {
-		// View indexes are identity-permuted (BuildDataView), so a span
-		// [lo, hi) is a contiguous run of the coordinate columns.
-		n = vc.index.spans(p, r, func(lo, hi int32) {
-			h, d = scanSpan(vc.xs[lo:hi], vc.ys[lo:hi], p.X, p.Y, r2, lo, h, d)
-		})
-	}
-	*hits, *d2s = h, d
-	return n
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // DataView is the dense query-grid layout of a storage generation's data
-// objects: for every query-grid cell, the cell's data objects in one
-// contiguous slice with the reduce-side bucket index prebuilt. It exists
+// objects: for every query-grid cell, the cell's data objects as id and
+// coordinate columns in bucket order, the reduce-side index prebuilt. It exists
 // because the data half of an SPQ job is query-independent given the grid:
 // data objects carry no keywords, never duplicate (only features fan out
 // under Lemma 1), and land in exactly one cell — so shuffling them
@@ -25,8 +25,9 @@ import (
 // Reduce tasks resolve their cell's sealed objects directly from the view,
 // exactly as if the records had arrived in-stream first (the comparator
 // guarantees data before features, so preloading is order-equivalent), and
-// the in-stream data objects join the group beside them (see groupObjs),
-// making results bit-identical to the shuffled path.
+// the in-stream data objects join the group beside them in a cell of the
+// same layout (see reduceScratch), making results bit-identical to the
+// shuffled path.
 type DataView struct {
 	gridN  int
 	bounds geo.Rect
@@ -35,29 +36,18 @@ type DataView struct {
 	cells   []viewCell // indexed by grid.CellID
 }
 
-// viewCell is one grid cell's data objects plus its prebuilt bucket index
-// (nil when the cell is too small for the index to pay off, mirroring
-// buildObjGrid). When indexed, objs are permuted into bucket (CSR) order
-// so that every index bucket is a contiguous run; xs/ys are the matching
-// dense coordinate columns the scanSpan kernel reads. Everything is
-// immutable after construction and shared read-only by concurrent reduce
-// tasks: a group never copies or writes it, it only indexes past it.
-type viewCell struct {
-	objs   []data.Object
-	xs, ys []float64
-	index  *objGrid
-}
-
-// BuildDataView lays the source's data objects out over the query grid and
-// prebuilds each cell's bucket index. The source must yield data objects
-// only; feature objects are rejected, because silently accepting them
-// would drop their scores from every query using the view.
+// BuildDataView lays the source's data objects out over the query grid,
+// each cell sealed into bucket order with its index (viewCell.seal). The
+// source must yield data objects only; feature objects are rejected,
+// because silently accepting them would drop their scores from every
+// query using the view.
 func BuildDataView(g *grid.Grid, src mapreduce.Source[data.Object]) (*DataView, error) {
 	splits, err := src.Splits()
 	if err != nil {
 		return nil, err
 	}
 	v := &DataView{gridN: dimsOf(g), bounds: g.Bounds(), cells: make([]viewCell, g.NumCells())}
+	staged := make([]columns, len(v.cells))
 	var badKind bool
 	for _, s := range splits {
 		err := s.Each(func(o data.Object) bool {
@@ -65,8 +55,7 @@ func BuildDataView(g *grid.Grid, src mapreduce.Source[data.Object]) (*DataView, 
 				badKind = true
 				return false
 			}
-			c := g.CellOf(o.Loc)
-			v.cells[c].objs = append(v.cells[c].objs, o)
+			staged[g.CellOf(o.Loc)].add(o.ID, o.Loc.X, o.Loc.Y)
 			v.records++
 			return true
 		})
@@ -77,31 +66,19 @@ func BuildDataView(g *grid.Grid, src mapreduce.Source[data.Object]) (*DataView, 
 			return nil, fmt.Errorf("core: data view source yielded a feature object")
 		}
 	}
-	for i := range v.cells {
+	// Every cell's columns are a window of three view-wide slices, so the
+	// view holds no per-cell growth slack.
+	ids, xs, ys := make([]uint64, v.records), make([]float64, v.records), make([]float64, v.records)
+	off := 0
+	for i, in := range staged {
+		n := len(in.ids)
+		if n == 0 {
+			continue
+		}
 		c := &v.cells[i]
-		c.index = buildObjGrid(c.objs)
-		if c.index != nil {
-			// Permute the cell into bucket order: the index's idx array
-			// becomes the identity, so every bucket span is a contiguous
-			// run of objs — and of the coordinate columns below, which is
-			// what lets the reduce side scan a span with the batch-8
-			// kernel instead of gathering through idx. Scores are
-			// per-index state seeded fresh for each group, and the top-k
-			// is order-canonical, so the permutation cannot change
-			// results.
-			perm := make([]data.Object, len(c.objs))
-			for j, oi := range c.index.idx {
-				perm[j] = c.objs[oi]
-				c.index.idx[j] = int32(j)
-			}
-			c.objs = perm
-		}
-		c.xs = make([]float64, len(c.objs))
-		c.ys = make([]float64, len(c.objs))
-		for j := range c.objs {
-			c.xs[j] = c.objs[j].Loc.X
-			c.ys[j] = c.objs[j].Loc.Y
-		}
+		c.ids, c.xs, c.ys = ids[off:off:off+n], xs[off:off:off+n], ys[off:off:off+n]
+		c.seal(in)
+		off += n
 	}
 	return v, nil
 }
@@ -114,7 +91,7 @@ func (v *DataView) cell(id grid.CellID) *viewCell {
 	if int(id) < 0 || int(id) >= len(v.cells) {
 		return nil
 	}
-	if len(v.cells[id].objs) == 0 {
+	if len(v.cells[id].ids) == 0 {
 		return nil
 	}
 	return &v.cells[id]
@@ -145,10 +122,10 @@ type ViewKey struct {
 }
 
 // DefaultViewCacheRecords is the default ViewCache budget, in cached data
-// objects. A cached object costs about 84 bytes of live heap — the 56-byte
-// data.Object, its two coordinate columns, its bucket-index slot and the
-// growth slack of small cells (BenchmarkDataViewBytesPerRecord measures
-// it) — so the default is on the order of 170 MiB.
+// objects. A cached object costs about 28 bytes of live heap — its id and
+// two coordinate columns, plus its share of the cells and their bucket
+// offsets (BenchmarkDataViewBytesPerRecord measures it) — so the default
+// is on the order of 56 MiB.
 const DefaultViewCacheRecords = 1 << 21
 
 // ViewCache is an LRU over data views, budgeted by total cached records

@@ -13,7 +13,7 @@ import (
 )
 
 // viewChecksum digests every byte a reduce group could write through a
-// view: each cell's objects, coordinate columns and bucket index.
+// view: each cell's columns and bucket index.
 func viewChecksum(v *DataView) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -24,25 +24,14 @@ func viewChecksum(v *DataView) uint64 {
 		h.Write(buf[:])
 	}
 	for _, c := range v.cells {
-		word(uint64(len(c.objs)))
-		for _, o := range c.objs {
-			word(uint64(o.Kind))
-			word(o.ID)
-			word(math.Float64bits(o.Loc.X))
-			word(math.Float64bits(o.Loc.Y))
-			word(uint64(len(o.Keywords)))
-		}
-		for i := range c.xs {
+		word(uint64(len(c.ids)))
+		for i := range c.ids {
+			word(c.ids[i])
 			word(math.Float64bits(c.xs[i]))
 			word(math.Float64bits(c.ys[i]))
 		}
-		if c.index != nil {
-			for _, s := range c.index.start {
-				word(uint64(s))
-			}
-			for _, i := range c.index.idx {
-				word(uint64(i))
-			}
+		for _, s := range c.index.start {
+			word(uint64(s))
 		}
 	}
 	return h.Sum64()

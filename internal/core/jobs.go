@@ -505,46 +505,26 @@ type scanOpts struct {
 func reduceScan(q Query, opts scanOpts, view *DataView) reduceFunc {
 	r2 := q.Radius * q.Radius
 	return func(ctx *taskCtx, values *valueIter, _ func([]ResultItem)) error {
-		sc := getScratch()
+		sc := getScratch(view, values.GroupKey().Cell)
 		defer putScratch(sc)
-		if view != nil {
-			sc.seedView(view, values.GroupKey().Cell)
-		}
 		var (
-			g    = &sc.g
-			base = g.base()
 			topk = taskTopK(ctx, q.K)
-			fLoc geo.Point
-			fw   float64
 			// Counter deltas are accumulated per group and flushed once:
 			// ctx.Counter hashes the counter name, too costly per feature.
 			examined, computed int64
 		)
-		// One scoring closure per group, not per feature: fLoc/fw are
-		// rebound between features so the hot path allocates nothing.
-		// It scores the in-stream objects; the view part takes the
-		// scanSpan kernel below instead.
-		scoreObj := func(i int32) {
-			p := &g.objs[i]
-			d2 := geo.Dist2(p.Loc, fLoc)
-			if d2 > r2 {
-				return
-			}
-			if c := q.contribution(fw, d2); c > sc.scores[base+i] {
-				sc.scores[base+i] = c
-				topk.Update(ResultItem{ID: p.ID, Loc: p.Loc, Score: c})
-			}
-		}
 		for {
 			x, ok := values.Next()
 			if !ok {
 				break
 			}
 			if x.Kind == data.DataObject {
-				g.add(x.object())
-				sc.scores = append(sc.scores, 0)
+				if err := sc.add(x); err != nil {
+					return err
+				}
 				continue
 			}
+			sc.features = true
 			if opts.lenBound {
 				// Strict: at τ = w̄ a later feature can still reach w = τ
 				// exactly and win a canonical tie, so only τ > w̄ stops.
@@ -570,17 +550,18 @@ func reduceScan(q Query, opts scanOpts, view *DataView) reduceFunc {
 			if w == 0 {
 				continue
 			}
-			fLoc, fw = x.Loc, w
-			if vc := g.view; vc != nil {
-				computed += vc.kernelHits(fLoc, q.Radius, r2, &sc.hits, &sc.hitD2)
+			if !sc.sealed {
+				sc.scores = growZeroed(sc.scores, sc.seal())
+			}
+			for _, g := range sc.parts {
+				computed += g.kernelHits(x.Loc, q.Radius, r2, &sc.hits, &sc.hitD2)
 				for n, i := range sc.hits {
-					if c := q.contribution(fw, sc.hitD2[n]); c > sc.scores[i] {
-						sc.scores[i] = c
-						topk.Update(ResultItem{ID: vc.objs[i].ID, Loc: vc.objs[i].Loc, Score: c})
+					if c := q.contribution(w, sc.hitD2[n]); c > sc.scores[g.base+i] {
+						sc.scores[g.base+i] = c
+						topk.Update(g.item(i, c))
 					}
 				}
 			}
-			computed += g.candidates(fLoc, q.Radius, scoreObj)
 		}
 		ctx.Counter(CounterFeaturesExamined, examined)
 		ctx.Counter(CounterScoreComputations, computed)
@@ -598,39 +579,25 @@ func reduceScan(q Query, opts scanOpts, view *DataView) reduceFunc {
 func reduceESPQSco(q Query, view *DataView) reduceFunc {
 	r2 := q.Radius * q.Radius
 	return func(ctx *taskCtx, values *valueIter, _ func([]ResultItem)) error {
-		sc := getScratch()
+		sc := getScratch(view, values.GroupKey().Cell)
 		defer putScratch(sc)
-		if view != nil {
-			sc.seedView(view, values.GroupKey().Cell)
-		}
 		var (
-			g    = &sc.g
-			base = g.base()
 			topk = taskTopK(ctx, q.K)
-			fLoc geo.Point
-			fw   float64
 			// Flushed once per group; see reduceScan.
 			examined, computed int64
 		)
-		coverObj := func(i int32) {
-			p := &g.objs[i]
-			if sc.covered[base+i] || geo.Dist2(p.Loc, fLoc) > r2 {
-				return
-			}
-			// Here w(x,q) = τ(p): no later feature scores higher.
-			sc.covered[base+i] = true
-			topk.Update(ResultItem{ID: p.ID, Loc: p.Loc, Score: fw})
-		}
 		for {
 			x, ok := values.Next()
 			if !ok {
 				break
 			}
 			if x.Kind == data.DataObject {
-				g.add(x.object())
-				sc.covered = append(sc.covered, false)
+				if err := sc.add(x); err != nil {
+					return err
+				}
 				continue
 			}
+			sc.features = true
 			w := q.score(x)
 			if w == 0 {
 				// Only zero-score features can follow; the group is done.
@@ -643,18 +610,19 @@ func reduceESPQSco(q Query, view *DataView) reduceFunc {
 				break
 			}
 			examined++
-			fLoc, fw = x.Loc, w
-			if vc := g.view; vc != nil {
-				computed += vc.kernelHits(fLoc, q.Radius, r2, &sc.hits, &sc.hitD2)
+			if !sc.sealed {
+				sc.covered = growZeroed(sc.covered, sc.seal())
+			}
+			for _, g := range sc.parts {
+				computed += g.kernelHits(x.Loc, q.Radius, r2, &sc.hits, &sc.hitD2)
 				for _, i := range sc.hits {
-					if !sc.covered[i] {
+					if !sc.covered[g.base+i] {
 						// Here w(x,q) = τ(p): no later feature scores higher.
-						sc.covered[i] = true
-						topk.Update(ResultItem{ID: vc.objs[i].ID, Loc: vc.objs[i].Loc, Score: fw})
+						sc.covered[g.base+i] = true
+						topk.Update(g.item(i, w))
 					}
 				}
 			}
-			computed += g.candidates(fLoc, q.Radius, coverObj)
 		}
 		ctx.Counter(CounterFeaturesExamined, examined)
 		ctx.Counter(CounterScoreComputations, computed)

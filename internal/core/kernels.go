@@ -25,7 +25,7 @@ func b2u(b bool) uint32 {
 // hits/d2s: for every i with (xs[i]-fx)² + (ys[i]-fy)² within r2, it
 // appends base+i and the squared distance. The filter keeps exactly the
 // complement of the scalar rejection test d2 > r2, so NaN coordinates
-// land on the same side as in the closure path. Eight distances are
+// are kept, as that test keeps them. Eight distances are
 // computed per iteration into a bitmask; only mask set-bits touch the
 // output slices, so the common all-miss batch costs no stores.
 func scanSpan(xs, ys []float64, fx, fy, r2 float64, base int32, hits []int32, d2s []float64) ([]int32, []float64) {

@@ -9,8 +9,8 @@ import (
 	"spq/internal/text"
 )
 
-// scanSpanRef is the scalar reference: the exact per-record test the
-// closure path in groupObjs.candidates performs, including its NaN
+// scanSpanRef is the scalar reference: the per-record rejection test
+// !(d2 > r2) with d2 computed as geo.Dist2 does, including its NaN
 // convention (only d2 > r2 rejects, so NaN distances pass).
 func scanSpanRef(xs, ys []float64, fx, fy, r2 float64, base int32) ([]int32, []float64) {
 	var hits []int32
@@ -86,8 +86,8 @@ func TestScanSpanEmpty(t *testing.T) {
 
 // TestScanSpanNaN: NaN coordinates yield NaN distances, and NaN fails
 // the d2 > r2 rejection — so the record is kept, batch and tail alike,
-// exactly as the scalar closure keeps it. A kernel written with d2 <= r2
-// would silently drop these.
+// exactly as the scalar !(d2 > r2) reference keeps it. A kernel written
+// with d2 <= r2 would silently drop these.
 func TestScanSpanNaN(t *testing.T) {
 	nan := math.NaN()
 	for _, n := range []int{1, 3, 8, 11} {

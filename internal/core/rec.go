@@ -38,11 +38,6 @@ func (q Query) newRec(o data.Object) Rec {
 	return r
 }
 
-// object views a data record as the Object the reduce-side index holds.
-func (r Rec) object() data.Object {
-	return data.Object{Kind: r.Kind, ID: r.ID, Loc: r.Loc}
-}
-
 // score returns w(f,q) of a feature record (Definition 1), 0 for a data
 // record: the same expression as Query.Score, from the counts.
 func (q Query) score(r Rec) float64 {

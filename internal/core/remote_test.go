@@ -98,28 +98,41 @@ func TestWorkerRejectsBadSplitRefs(t *testing.T) {
 // TestWorkerRejectsBadShuffleRuns hands a live worker reduce tasks whose
 // shuffle references lie about the run: a negative or absurd record count
 // used to size make([]Pair, 0, Records) inside the RPC handler (a makeslice
-// panic, or an allocation of terabytes), bytes that do not decode, and a
-// record whose counts no Map task can have produced must fail the attempt,
-// not the process. Each comes back as a permanent error naming the run.
+// panic, or an allocation of terabytes), bytes that do not decode, a
+// record whose counts no Map task can have produced, and a data record
+// after a feature of its group (out of key order) must fail the attempt,
+// not the process. Each comes back as a permanent error; the decode
+// failures name the run.
 func TestWorkerRejectsBadShuffleRuns(t *testing.T) {
 	fs := dfs.New(dfs.Config{NumNodes: 1, Replication: 1})
 	if err := fs.Create("shuffle/bad/run", make([]byte, 1000)); err != nil {
 		t.Fatal(err)
 	}
-	var hostile bytes.Buffer
-	w := bufio.NewWriter(&hostile)
-	if err := CellKeyCodec().Encode(w, CellKey{Cell: 1, Order: 1}); err != nil {
-		t.Fatal(err)
+	writeRun := func(name string, pairs ...mapreduce.Pair[CellKey, Rec]) {
+		var run bytes.Buffer
+		w := bufio.NewWriter(&run)
+		for _, p := range pairs {
+			if err := CellKeyCodec().Encode(w, p.Key); err != nil {
+				t.Fatal(err)
+			}
+			if err := encodeRec(w, p.Value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Create(name, run.Bytes()); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := encodeRec(w, Rec{Kind: data.FeatureObject, ID: 4, Len: 2, Hits: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Create("shuffle/bad/hits", hostile.Bytes()); err != nil {
-		t.Fatal(err)
-	}
+	writeRun("shuffle/bad/hits", mapreduce.Pair[CellKey, Rec]{
+		Key: CellKey{Cell: 1, Order: 1}, Value: Rec{Kind: data.FeatureObject, ID: 4, Len: 2, Hits: 3}})
+	// Under eSPQsco's descending order a data record (Order 2) sorts
+	// before every feature of its cell; this run has one after a feature.
+	writeRun("shuffle/bad/order",
+		mapreduce.Pair[CellKey, Rec]{Key: CellKey{Cell: 3, Order: 1}, Value: Rec{Kind: data.FeatureObject, ID: 5, Loc: geo.Point{X: 0.6, Y: 0.6}, Len: 1, Hits: 1}},
+		mapreduce.Pair[CellKey, Rec]{Key: CellKey{Cell: 3, Order: 2}, Value: Rec{Kind: data.DataObject, ID: 6, Loc: geo.Point{X: 0.7, Y: 0.7}}})
 	_, client := loopbackWorker(t, fs)
 	spec, err := encodeQuerySpec(ESPQSco,
 		Query{K: 1, Radius: 0.1, Keywords: text.NewKeywordSet(1)},
@@ -137,6 +150,8 @@ func TestWorkerRejectsBadShuffleRuns(t *testing.T) {
 		{"shuffle/bad/run", 7, "trailing bytes"}, // 1000 zero bytes are 25 whole 39-byte records and a tail
 		{"shuffle/bad/run", 40, "record 25 value"},
 		{"shuffle/bad/hits", 1, "3 hits among 2 keywords"},
+		// The run decodes; the reduce group rejects the order.
+		{"shuffle/bad/order", 2, "data record 6 follows a feature"},
 	} {
 		args := &mapreduce.RunTaskArgs{Desc: mapreduce.TaskDesc{
 			Job: "bad-run", JobID: "bad-run-1", Kind: mapreduce.ReduceTask, Task: i, Attempt: 1,
@@ -147,7 +162,8 @@ func TestWorkerRejectsBadShuffleRuns(t *testing.T) {
 		if err := client.Call("Worker.RunTask", args, &reply); err != nil {
 			t.Fatalf("%s records %d: worker unusable: %v", c.file, c.records, err)
 		}
-		if !strings.Contains(reply.Err, "shuffle run "+c.file) || !strings.Contains(reply.Err, c.want) || !reply.Permanent {
+		named := c.file == "shuffle/bad/order" || strings.Contains(reply.Err, "shuffle run "+c.file)
+		if !named || !strings.Contains(reply.Err, c.want) || !reply.Permanent {
 			t.Errorf("%s records %d: reply err=%q permanent=%v, want a permanent error naming the run and %q", c.file, c.records, reply.Err, reply.Permanent, c.want)
 		}
 	}

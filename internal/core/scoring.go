@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"spq/internal/data"
-	"spq/internal/geo"
 )
 
 // ScoringMode selects how a feature object within the query radius
@@ -81,72 +80,58 @@ type nnState struct {
 func reduceNearest(q Query, view *DataView) reduceFunc {
 	r2 := q.Radius * q.Radius
 	return func(ctx *taskCtx, values *valueIter, _ func([]ResultItem)) error {
-		sc := getScratch()
+		sc := getScratch(view, values.GroupKey().Cell)
 		defer putScratch(sc)
-		if view != nil {
-			sc.seedView(view, values.GroupKey().Cell)
-		}
-		var (
-			g    = &sc.g
-			base = g.base()
-			fLoc geo.Point
-			fw   float64
-			// Flushed once per group; per-feature Counter calls hash the name.
-			computed int64
-		)
-		nearObj := func(i int32) {
-			d2 := geo.Dist2(g.objs[i].Loc, fLoc)
-			if d2 > r2 {
-				return
-			}
-			if cur := &sc.best[base+i]; d2 < cur.d2 || (d2 == cur.d2 && fw > cur.w) {
-				*cur = nnState{d2: d2, w: fw}
-			}
-		}
+		// Flushed once per group; per-feature Counter calls hash the name.
+		var examined, computed int64
 		for {
 			x, ok := values.Next()
 			if !ok {
 				break
 			}
 			if x.Kind == data.DataObject {
-				g.add(x.object())
-				sc.best = append(sc.best, nnState{d2: math.Inf(1)})
+				if err := sc.add(x); err != nil {
+					return err
+				}
 				continue
 			}
+			sc.features = true
 			w := q.score(x)
-			ctx.Counter(CounterFeaturesExamined, 1)
+			examined++
 			if w == 0 {
 				continue
 			}
-			fLoc, fw = x.Loc, w
-			if vc := g.view; vc != nil {
-				computed += vc.kernelHits(fLoc, q.Radius, r2, &sc.hits, &sc.hitD2)
+			if !sc.sealed {
+				sc.best = resize(sc.best, sc.seal())
+				for i := range sc.best {
+					sc.best[i] = nnState{d2: math.Inf(1)}
+				}
+			}
+			for _, g := range sc.parts {
+				computed += g.kernelHits(x.Loc, q.Radius, r2, &sc.hits, &sc.hitD2)
 				for n, i := range sc.hits {
 					d2 := sc.hitD2[n]
-					if cur := &sc.best[i]; d2 < cur.d2 || (d2 == cur.d2 && fw > cur.w) {
-						*cur = nnState{d2: d2, w: fw}
+					if cur := &sc.best[g.base+i]; d2 < cur.d2 || (d2 == cur.d2 && w > cur.w) {
+						*cur = nnState{d2: d2, w: w}
 					}
 				}
 			}
-			computed += g.candidates(fLoc, q.Radius, nearObj)
 		}
+		ctx.Counter(CounterFeaturesExamined, examined)
 		ctx.Counter(CounterScoreComputations, computed)
 		topk := taskTopK(ctx, q.K)
+		if !sc.sealed {
+			// No feature scored: no object has a relevant one within r.
+			return nil
+		}
 		// TopK's canonical tie-breaking makes the outcome independent of
-		// offer order, so iterating view objects first, then in-stream
-		// ones, is for clarity, not correctness.
-		offer := func(p *data.Object, best nnState) {
-			if best.w != 0 { // else no relevant feature within r
-				topk.Update(ResultItem{ID: p.ID, Loc: p.Loc, Score: best.w})
+		// offer order.
+		for _, g := range sc.parts {
+			for i := range g.ids {
+				if best := sc.best[int(g.base)+i]; best.w != 0 { // else no relevant feature within r
+					topk.Update(g.item(int32(i), best.w))
+				}
 			}
-		}
-		if vc := g.view; vc != nil {
-			for i := range vc.objs {
-				offer(&vc.objs[i], sc.best[i])
-			}
-		}
-		for i := range g.objs {
-			offer(&g.objs[i], sc.best[int(base)+i])
 		}
 		return nil
 	}

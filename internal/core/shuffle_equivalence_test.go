@@ -87,53 +87,60 @@ func TestReportResultsInvariantUnderShuffleConfig(t *testing.T) {
 	}
 }
 
-// TestObjGridMatchesLinearScan cross-checks the bucket index against the
-// plain scan it replaces: for random probe points and radii, the candidate
-// set restricted to exact distance must be identical.
+// TestObjGridMatchesLinearScan cross-checks a sealed cell's bucket index
+// against the plain scan it replaces: for random probe points and radii,
+// the objects of the spans restricted to exact distance must be exactly
+// the in-range objects of the input, and sealing must permute the input,
+// keeping each object's id with its coordinates.
 func TestObjGridMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
 		n := objGridMinObjs + rng.Intn(500)
-		objs := make([]data.Object, n)
-		for i := range objs {
-			objs[i] = data.Object{
-				Kind: data.DataObject, ID: uint64(i),
-				Loc: geo.Point{X: rng.Float64(), Y: rng.Float64()},
+		var in columns
+		for i := 0; i < n; i++ {
+			y := rng.Float64()
+			if trial%5 == 4 {
+				y = 0.5 // degenerate layout: one axis collapsed
 			}
+			in.add(uint64(i), rng.Float64(), y)
 		}
-		// Degenerate layouts: occasionally collapse one axis.
-		if trial%5 == 4 {
-			for i := range objs {
-				objs[i].Loc.Y = 0.5
-			}
-		}
-		b := buildObjGrid(objs)
-		if b == nil {
+		var c viewCell
+		c.seal(in)
+		if len(c.index.start) == 0 {
 			t.Fatalf("trial %d: index not built for %d objects", trial, n)
+		}
+		seen := make([]bool, n)
+		for j, id := range c.ids {
+			if seen[id] || c.xs[j] != in.xs[id] || c.ys[j] != in.ys[id] {
+				t.Fatalf("trial %d: sealed slot %d holds object %d at (%v, %v), not a permutation of the input", trial, j, id, c.xs[j], c.ys[j])
+			}
+			seen[id] = true
 		}
 		for probe := 0; probe < 50; probe++ {
 			p := geo.Point{X: rng.Float64()*1.4 - 0.2, Y: rng.Float64()*1.4 - 0.2}
 			r := rng.Float64() * 0.3
 			r2 := r * r
-			want := make(map[int32]bool)
-			for i := range objs {
-				if geo.Dist2(objs[i].Loc, p) <= r2 {
-					want[int32(i)] = true
+			want := make(map[uint64]bool)
+			for i := range in.ids {
+				if geo.Dist2(geo.Point{X: in.xs[i], Y: in.ys[i]}, p) <= r2 {
+					want[in.ids[i]] = true
 				}
 			}
-			got := make(map[int32]bool)
-			b.each(p, r, func(i int32) {
-				if geo.Dist2(objs[i].Loc, p) <= r2 {
-					got[i] = true
+			got := make(map[uint64]bool)
+			c.index.spans(p, r, func(lo, hi int32) {
+				for j := lo; j < hi; j++ {
+					if geo.Dist2(geo.Point{X: c.xs[j], Y: c.ys[j]}, p) <= r2 {
+						got[c.ids[j]] = true
+					}
 				}
 			})
 			if len(got) != len(want) {
 				t.Fatalf("trial %d probe %d: index found %d in-range objects, scan found %d",
 					trial, probe, len(got), len(want))
 			}
-			for i := range want {
-				if !got[i] {
-					t.Fatalf("trial %d probe %d: object %d missed by index", trial, probe, i)
+			for id := range want {
+				if !got[id] {
+					t.Fatalf("trial %d probe %d: object %d missed by index", trial, probe, id)
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package spq
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -10,18 +11,39 @@ import (
 // needs a reference engine. They cover every algorithm and storage,
 // planned and unplanned.
 
-// metamorphicRun answers c on e, planned or not.
+// metamorphicRun answers c on e, planned or not. On a distributed engine
+// the job must ship: a fallback to local execution would leave the
+// distributed leg testing the local path.
 func metamorphicRun(t *testing.T, e *Engine, c invarianceCase, planned bool) []Result {
 	t.Helper()
 	opts := []QueryOption{WithAlgorithm(c.alg), WithCache(false)}
 	if planned {
 		opts = append(opts, WithAutoPlan())
 	}
-	got, err := e.Query(c.q, opts...)
+	rep, err := e.QueryReport(c.q, opts...)
 	if err != nil {
 		t.Fatalf("%v %v k=%d planned=%v: %v", c.alg, c.q.Mode, c.q.K, planned, err)
 	}
-	return got
+	if e.Distributed() && rep.Counters[CounterExecFallbackLocal] != 0 {
+		t.Errorf("%v %v k=%d planned=%v: the job fell back to local execution", c.alg, c.q.Mode, c.q.K, planned)
+	}
+	return rep.Results
+}
+
+// distMetamorphicConfig makes the configuration of one distributed engine
+// of the relations: spq3 on two loopback workers of its own (a worker
+// serves the engine that attached it last), with the slots of the other
+// distributed legs.
+func distMetamorphicConfig(t *testing.T) Config {
+	return Config{Nodes: 4, BlockSize: 4 << 10, Seed: 9, MapSlots: 2, ReduceSlots: 1, Workers: distWorkers(t, 2, 2)}
+}
+
+// metamorphicEngine is sealedEngine, closed at the end of the test.
+func metamorphicEngine(t *testing.T, cfg Config, dataObjs []DataObject, feats []Feature) *Engine {
+	t.Helper()
+	e := sealedEngine(t, cfg, dataObjs, feats)
+	t.Cleanup(func() { e.Close() })
+	return e
 }
 
 // TestDisjointFeaturesChangeNothing: a feature whose keywords share
@@ -31,6 +53,22 @@ func metamorphicRun(t *testing.T, e *Engine, c invarianceCase, planned bool) []R
 // the base data or appended into the delta. (The nearest mode is left
 // out: there a nearer feature replaces the one that scored.)
 func TestDisjointFeaturesChangeNothing(t *testing.T) {
+	for _, st := range oracleStorages {
+		cfg := Config{Storage: st.storage, Nodes: 4, BlockSize: 4 << 10, Seed: 9, CompactAfter: -1}
+		t.Run(st.name, func(t *testing.T) { checkDisjointFeatures(t, func(*testing.T) Config { return cfg }, true) })
+	}
+}
+
+// TestDistributedDisjointFeaturesChangeNothing is the relation's
+// distributed leg, sealed only: a delta makes the job run locally.
+func TestDistributedDisjointFeaturesChangeNothing(t *testing.T) {
+	checkDisjointFeatures(t, distMetamorphicConfig, false)
+}
+
+// checkDisjointFeatures checks the relation on engines of configuration
+// newCfg, one call per engine; withDelta also appends the added features
+// into the delta of a third engine.
+func checkDisjointFeatures(t *testing.T, newCfg func(*testing.T) Config, withDelta bool) {
 	dataObjs, feats := tiedCorpus(43, 900)
 	var cases []invarianceCase
 	for _, c := range invarianceCases() {
@@ -53,44 +91,45 @@ func TestDisjointFeaturesChangeNothing(t *testing.T) {
 		}
 	}
 
-	for _, st := range oracleStorages {
-		t.Run(st.name, func(t *testing.T) {
-			cfg := Config{Storage: st.storage, Nodes: 4, BlockSize: 4 << 10, Seed: 9, CompactAfter: -1}
-			base := sealedEngine(t, cfg, dataObjs, feats)
-			// One disjoint feature on every object any case returns.
-			var extra []Feature
-			seen := make(map[uint64]bool)
-			for _, c := range cases {
-				for _, r := range metamorphicRun(t, base, c, false) {
-					if !seen[r.ID] {
-						seen[r.ID] = true
-						extra = append(extra, Feature{ID: uint64(1_000_000 + len(extra)), X: r.X, Y: r.Y, Keywords: disjoint[len(extra)%len(disjoint)]})
-					}
+	base := metamorphicEngine(t, newCfg(t), dataObjs, feats)
+	// One disjoint feature on every object any case returns.
+	var extra []Feature
+	seen := make(map[uint64]bool)
+	for _, c := range cases {
+		for _, r := range metamorphicRun(t, base, c, false) {
+			if !seen[r.ID] {
+				seen[r.ID] = true
+				extra = append(extra, Feature{ID: uint64(1_000_000 + len(extra)), X: r.X, Y: r.Y, Keywords: disjoint[len(extra)%len(disjoint)]})
+			}
+		}
+	}
+	variants := []struct {
+		name string
+		e    *Engine
+	}{{"sealed", metamorphicEngine(t, newCfg(t), dataObjs, append(append([]Feature(nil), feats...), extra...))}}
+	if withDelta {
+		delta := metamorphicEngine(t, newCfg(t), dataObjs, feats)
+		if err := delta.AddFeature(extra...); err != nil {
+			t.Fatal(err)
+		}
+		if delta.DeltaLen() != len(extra) {
+			t.Fatalf("delta holds %d records, want the %d added features", delta.DeltaLen(), len(extra))
+		}
+		variants = append(variants, struct {
+			name string
+			e    *Engine
+		}{"delta", delta})
+	}
+	for _, planned := range []bool{false, true} {
+		for _, c := range cases {
+			want := metamorphicRun(t, base, c, planned)
+			for _, v := range variants {
+				if got := metamorphicRun(t, v.e, c, planned); !resultsEqual(got, want) {
+					t.Errorf("%s planned=%v %v %v k=%d: adding %d keyword-disjoint features changed the results\nbefore: %+v\nafter:  %+v",
+						v.name, planned, c.alg, c.q.Mode, c.q.K, len(extra), want, got)
 				}
 			}
-			sealed := sealedEngine(t, cfg, dataObjs, append(append([]Feature(nil), feats...), extra...))
-			delta := sealedEngine(t, cfg, dataObjs, feats)
-			if err := delta.AddFeature(extra...); err != nil {
-				t.Fatal(err)
-			}
-			if delta.DeltaLen() != len(extra) {
-				t.Fatalf("delta holds %d records, want the %d added features", delta.DeltaLen(), len(extra))
-			}
-			for _, planned := range []bool{false, true} {
-				for _, c := range cases {
-					want := metamorphicRun(t, base, c, planned)
-					for _, v := range []struct {
-						name string
-						e    *Engine
-					}{{"sealed", sealed}, {"delta", delta}} {
-						if got := metamorphicRun(t, v.e, c, planned); !resultsEqual(got, want) {
-							t.Errorf("%s planned=%v %v %v k=%d: adding %d keyword-disjoint features changed the results\nbefore: %+v\nafter:  %+v",
-								v.name, planned, c.alg, c.q.Mode, c.q.K, len(extra), want, got)
-						}
-					}
-				}
-			}
-		})
+		}
 	}
 }
 
@@ -99,47 +138,116 @@ func TestDisjointFeaturesChangeNothing(t *testing.T) {
 // result. The removed ones are the near misses — ranks k+1 to k+3, where
 // ties at τ sit — and five more drawn at random from outside the top-k.
 func TestRemovingNonResultChangesNothing(t *testing.T) {
-	dataObjs, feats := tiedCorpus(47, 900)
 	for _, st := range oracleStorages {
-		t.Run(st.name, func(t *testing.T) {
-			cfg := Config{Storage: st.storage, Nodes: 4, BlockSize: 4 << 10, Seed: 9}
-			base := sealedEngine(t, cfg, dataObjs, feats)
-			rng := rand.New(rand.NewSource(47))
-			for ci, c := range invarianceCases() {
-				wider := c
-				wider.q.K += 3
-				ranked := metamorphicRun(t, base, wider, false)
-				if len(ranked) <= c.q.K {
-					t.Fatalf("case %d: only %d objects score", ci, len(ranked))
+		cfg := Config{Storage: st.storage, Nodes: 4, BlockSize: 4 << 10, Seed: 9}
+		t.Run(st.name, func(t *testing.T) { checkRemovingNonResult(t, func(*testing.T) Config { return cfg }) })
+	}
+}
+
+// TestDistributedRemovingNonResultChangesNothing is the relation's
+// distributed leg.
+func TestDistributedRemovingNonResultChangesNothing(t *testing.T) {
+	checkRemovingNonResult(t, distMetamorphicConfig)
+}
+
+// checkRemovingNonResult checks the relation on engines of configuration
+// newCfg, one call per engine.
+func checkRemovingNonResult(t *testing.T, newCfg func(*testing.T) Config) {
+	dataObjs, feats := tiedCorpus(47, 900)
+	base := metamorphicEngine(t, newCfg(t), dataObjs, feats)
+	rng := rand.New(rand.NewSource(47))
+	for ci, c := range invarianceCases() {
+		wider := c
+		wider.q.K += 3
+		ranked := metamorphicRun(t, base, wider, false)
+		if len(ranked) <= c.q.K {
+			t.Fatalf("case %d: only %d objects score", ci, len(ranked))
+		}
+		inTop := make(map[uint64]bool)
+		for _, r := range ranked[:c.q.K] {
+			inTop[r.ID] = true
+		}
+		drop := make(map[uint64]bool)
+		for _, r := range ranked[c.q.K:] {
+			drop[r.ID] = true
+		}
+		for len(drop) < len(ranked)-c.q.K+5 {
+			if id := dataObjs[rng.Intn(len(dataObjs))].ID; !inTop[id] {
+				drop[id] = true
+			}
+		}
+		var kept []DataObject
+		for _, o := range dataObjs {
+			if !drop[o.ID] {
+				kept = append(kept, o)
+			}
+		}
+		removed := metamorphicEngine(t, newCfg(t), kept, feats)
+		for _, planned := range []bool{false, true} {
+			want := metamorphicRun(t, base, c, planned)
+			if got := metamorphicRun(t, removed, c, planned); !resultsEqual(got, want) {
+				t.Errorf("planned=%v %v %v k=%d: removing %d non-result objects changed the results\nbefore: %+v\nafter:  %+v",
+					planned, c.alg, c.q.Mode, c.q.K, len(drop), want, got)
+			}
+		}
+		removed.Close()
+	}
+}
+
+// TestPowerOfTwoScalingChangesNothing: multiplying every coordinate and
+// the radius by 2^s is exact in binary floating point, and so is every
+// quantity derived from them — grid cells, bucket offsets, squared
+// distances against r², the influence decay d/r — or it does not change.
+// Results keep their ids and scores bit for bit, and their locations
+// scale by 2^s, for s ∈ {−3, 5}: every algorithm and mode, both storages,
+// planned and unplanned. The corpus spans the unit square, so its bounds
+// are not degenerate: padding degenerate bounds adds an unscaled 1.
+func TestPowerOfTwoScalingChangesNothing(t *testing.T) {
+	for _, st := range oracleStorages {
+		cfg := Config{Storage: st.storage, Nodes: 4, BlockSize: 4 << 10, Seed: 9}
+		t.Run(st.name, func(t *testing.T) { checkPowerOfTwoScaling(t, func(*testing.T) Config { return cfg }) })
+	}
+}
+
+// TestDistributedPowerOfTwoScaling is the relation's distributed leg.
+func TestDistributedPowerOfTwoScaling(t *testing.T) {
+	checkPowerOfTwoScaling(t, distMetamorphicConfig)
+}
+
+// checkPowerOfTwoScaling checks the relation on engines of configuration
+// newCfg, one call per engine.
+func checkPowerOfTwoScaling(t *testing.T, newCfg func(*testing.T) Config) {
+	dataObjs, feats := tiedCorpus(53, 900)
+	base := metamorphicEngine(t, newCfg(t), dataObjs, feats)
+	for _, s := range []int{-3, 5} {
+		scaledData := make([]DataObject, len(dataObjs))
+		for i, o := range dataObjs {
+			o.X, o.Y = math.Ldexp(o.X, s), math.Ldexp(o.Y, s)
+			scaledData[i] = o
+		}
+		scaledFeats := make([]Feature, len(feats))
+		for i, f := range feats {
+			f.X, f.Y = math.Ldexp(f.X, s), math.Ldexp(f.Y, s)
+			scaledFeats[i] = f
+		}
+		scaled := metamorphicEngine(t, newCfg(t), scaledData, scaledFeats)
+		for _, planned := range []bool{false, true} {
+			for _, c := range invarianceCases() {
+				want := metamorphicRun(t, base, c, planned)
+				sc := c
+				sc.q.Radius = math.Ldexp(c.q.Radius, s)
+				got := metamorphicRun(t, scaled, sc, planned)
+				same := len(got) == len(want) && len(want) > 0
+				for i := 0; same && i < len(want); i++ {
+					same = got[i].ID == want[i].ID &&
+						math.Float64bits(got[i].Score) == math.Float64bits(want[i].Score) &&
+						got[i].X == math.Ldexp(want[i].X, s) && got[i].Y == math.Ldexp(want[i].Y, s)
 				}
-				inTop := make(map[uint64]bool)
-				for _, r := range ranked[:c.q.K] {
-					inTop[r.ID] = true
-				}
-				drop := make(map[uint64]bool)
-				for _, r := range ranked[c.q.K:] {
-					drop[r.ID] = true
-				}
-				for len(drop) < len(ranked)-c.q.K+5 {
-					if id := dataObjs[rng.Intn(len(dataObjs))].ID; !inTop[id] {
-						drop[id] = true
-					}
-				}
-				var kept []DataObject
-				for _, o := range dataObjs {
-					if !drop[o.ID] {
-						kept = append(kept, o)
-					}
-				}
-				removed := sealedEngine(t, cfg, kept, feats)
-				for _, planned := range []bool{false, true} {
-					want := metamorphicRun(t, base, c, planned)
-					if got := metamorphicRun(t, removed, c, planned); !resultsEqual(got, want) {
-						t.Errorf("planned=%v %v %v k=%d: removing %d non-result objects changed the results\nbefore: %+v\nafter:  %+v",
-							planned, c.alg, c.q.Mode, c.q.K, len(drop), want, got)
-					}
+				if !same {
+					t.Errorf("s=%d planned=%v %v %v k=%d: scaling by 2^s changed the results\nbefore: %+v\nafter:  %+v",
+						s, planned, c.alg, c.q.Mode, c.q.K, want, got)
 				}
 			}
-		})
+		}
 	}
 }

@@ -6,8 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -557,5 +560,64 @@ func TestMetricsEndpoints(t *testing.T) {
 	sr.Body.Close()
 	if st.Served != 1 || st.Generation != 7 {
 		t.Fatalf("stats served=%d gen=%d, want 1/7", st.Served, st.Generation)
+	}
+}
+
+// TestDrainShutdownLeavesNoGoroutines: a server that answered concurrent
+// queries over real connections, then drained, was shut down and had its
+// engine closed, leaves no goroutine behind — neither its own, nor the
+// connection handlers of net/http, nor the engine's.
+func TestDrainShutdownLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := testEngine(t)
+	s := New(e, Config{MaxInflight: 2, MaxQueue: 8})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &http.Server{Handler: s.Handler()}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	tr := &http.Transport{}
+	client := &http.Client{Transport: tr}
+	var wg sync.WaitGroup
+	for i, q := range engineQueries(t, e, 8) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body, _ := json.Marshal(spq.QueryRequest{Query: q})
+			resp, err := client.Post("http://"+ln.Addr().String()+"/query", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Errorf("query %d: %v", i, err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusTooManyRequests {
+				t.Errorf("query %d: status %d", i, resp.StatusCode)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := s.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		t.Fatalf("Serve returned %v, want http.ErrServerClosed", err)
+	}
+	tr.CloseIdleConnections()
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n > before {
+		buf := make([]byte, 1<<20)
+		t.Fatalf("%d goroutines outlive Drain, Shutdown and Close, %d before the server:\n%s", n, before, buf[:runtime.Stack(buf, true)])
 	}
 }
