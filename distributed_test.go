@@ -133,11 +133,14 @@ func TestDistributedConformance(t *testing.T) {
 
 // TestExecutorTaskParity runs one and the same spq.query job — same plan,
 // same splits, same wire form — through both executors: on 2 loopback
-// workers, then in-process by taking the RPC executor off the engine's
-// cluster (the plan still sees a distributed engine, so the source keeps
-// data objects in-stream instead of switching to the data view). Both run
-// the shared task bodies, so what a task reads, emits, groups and merges
-// must agree exactly, not just the ranked results.
+// workers, whose reduce tasks serve the sealed data objects from views the
+// workers build, then in-process by taking the RPC executor off the
+// engine's cluster. The plan still sees a distributed engine, so its
+// source still leaves the sealed data blocks out; the in-process run reads
+// them from the engine's own view instead (WireInfo.LocalView), never
+// running without them. Both run the shared task bodies, so what a task
+// reads, emits, groups and merges must agree exactly, not just the ranked
+// results — and neither reads a sealed data record through the shuffle.
 func TestExecutorTaskParity(t *testing.T) {
 	parity := []string{
 		mapreduce.CounterMapRecordsIn,
@@ -151,13 +154,18 @@ func TestExecutorTaskParity(t *testing.T) {
 			Workers: distWorkers(t, 2, 2),
 		}, 1200)
 		q := distQueries(eng.FrequentKeywords(16), 1)[0]
+		_, nFeats := eng.Len()
 		for _, alg := range Algorithms() {
+			p := eng.planQuery(eng.snap.Load(), q, &queryConfig{alg: alg})
+			if p.useView || p.wire == nil || p.wire.DataBlocks == "" {
+				t.Fatalf("%v: plan useView=%v wire=%+v, want the workers' views", alg, p.useView, p.wire)
+			}
 			remote, err := eng.QueryReport(q, WithAlgorithm(alg), WithCache(false))
 			if err != nil {
 				t.Fatalf("%v on workers: %v", alg, err)
 			}
-			if remote.Counters[CounterExecFallbackLocal] != 0 {
-				t.Fatalf("%v: job did not ship", alg)
+			if remote.Counters[CounterExecFallbackLocal] != 0 || remote.Counters[CounterViewHit] != 0 {
+				t.Fatalf("%v: job did not ship with its block list: %v", alg, remote.Counters)
 			}
 			exec := eng.cluster.Executor
 			eng.cluster.Executor = nil
@@ -169,6 +177,9 @@ func TestExecutorTaskParity(t *testing.T) {
 			if local.Counters[mapreduce.CounterExecRPCBytes] != 0 {
 				t.Fatalf("%v: in-process run moved %d RPC bytes", alg, local.Counters[mapreduce.CounterExecRPCBytes])
 			}
+			if local.Counters[CounterViewHit]+local.Counters[CounterViewMiss] != 1 {
+				t.Errorf("%v: the in-process run did not read the engine's view: %v", alg, local.Counters)
+			}
 			if d := diffResults(remote.Results, local.Results); d != "" {
 				t.Errorf("%v: workers vs in-process: %s", alg, d)
 			}
@@ -177,6 +188,9 @@ func TestExecutorTaskParity(t *testing.T) {
 					t.Errorf("%v: %s = %d on workers, %d in-process (want equal and non-zero)",
 						alg, c, remote.Counters[c], local.Counters[c])
 				}
+			}
+			if in := remote.Counters[mapreduce.CounterMapRecordsIn]; in != int64(nFeats) {
+				t.Errorf("%v: map.records.in = %d, want the %d feature records alone", alg, in, nFeats)
 			}
 		}
 	})

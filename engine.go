@@ -135,9 +135,11 @@ type Config struct {
 	// remotable query job on them: the master ships self-describing task
 	// descriptors, workers read inputs and write shuffle intermediates
 	// through the master's DFS, and lost workers have their tasks
-	// re-executed on surviving ones. Jobs that cannot ship — those reading
-	// resident blocks: memory storage, the uncompacted delta —
-	// transparently fall back to local execution (spq.exec.fallback.local).
+	// re-executed on surviving ones. Each worker builds and keeps its own
+	// data views and decoded blocks across jobs, so a shipped job shuffles
+	// only features. Jobs that cannot ship — those reading resident
+	// blocks: memory storage, the uncompacted delta — transparently fall
+	// back to local execution (spq.exec.fallback.local).
 	// Empty (the default) runs everything in-process. Engines with workers
 	// should be Closed.
 	//
@@ -196,6 +198,10 @@ type snapshot struct {
 	// resident holds the sealed cells' blocks by cell name under memory
 	// storage; nil under DFS storage.
 	resident map[string][]*data.ColumnBlock
+	// dataBlocks names the DFS block list of the base generation's sealed
+	// data blocks, from which workers build their data views; empty unless
+	// the engine is distributed over DFS storage.
+	dataBlocks string
 	// delta is the view of records appended after the base sealed; nil
 	// when the delta is empty.
 	delta *deltaState
@@ -216,9 +222,10 @@ type Engine struct {
 	// disabled or unused by the storage mode.
 	segCache *data.BlockCache
 	// viewCache caches one data view per (base generation, query grid) over
-	// every sealed data block (see core.DataView): in-process queries shuffle
-	// only feature records and the delta's data records, and reduce against
-	// the view's dense per-cell columns.
+	// every sealed data block (see core.DataView): jobs run in-process
+	// shuffle only feature records and the delta's data records, and reduce
+	// against the view's dense per-cell columns. Shipped jobs read their
+	// workers' own views instead.
 	viewCache *core.ViewCache
 
 	// exec is the RPC executor when Config.Workers is set; execErr holds a
@@ -256,8 +263,9 @@ type Engine struct {
 	// Sealed state: the manifest of the partitioned storage layout, plus
 	// — under StorageMemory — the cells' resident blocks, the only copy of
 	// the sealed base.
-	manifest *data.Manifest
-	resident map[string][]*data.ColumnBlock
+	manifest   *data.Manifest
+	resident   map[string][]*data.ColumnBlock
+	dataBlocks string
 
 	// delta holds the records appended after the last seal or compaction,
 	// in append order. It is append-only between compactions: published
@@ -436,10 +444,11 @@ func (e *Engine) commitLocked() error {
 func (e *Engine) publishLocked() {
 	e.gen++
 	s := &snapshot{
-		gen:      e.gen,
-		manifest: e.manifest,
-		bounds:   e.bounds,
-		resident: e.resident,
+		gen:        e.gen,
+		manifest:   e.manifest,
+		bounds:     e.bounds,
+		resident:   e.resident,
+		dataBlocks: e.dataBlocks,
 	}
 	if len(e.delta) > 0 {
 		s.delta = &deltaState{objs: e.delta[:len(e.delta)]}
@@ -602,6 +611,15 @@ func (e *Engine) writeGenerationLocked(objs []data.Object) error {
 		man, err := parts.SealDFS(e.fs, prefix, e.dict)
 		if err != nil {
 			return fmt.Errorf("spq: seal: %w", err)
+		}
+		if e.exec != nil {
+			// Workers build their data views from this list, a few bytes
+			// per block, rather than from the manifest.
+			name := data.BlockListFileName(prefix)
+			if err := e.fs.Create(name, data.EncodeBlockList(man.Data)); err != nil {
+				return fmt.Errorf("spq: seal: %w", err)
+			}
+			e.dataBlocks = name
 		}
 		e.manifest = man
 		e.objects = objs // retained: future compactions re-seal base+delta
@@ -835,12 +853,13 @@ type physicalPlan struct {
 	// The input: per-cell block selections of the sealed base and the
 	// delta, the data and feature halves apart.
 	colsData, colsFeat []data.ColSel
-	// src maps that selection block by block — minus the sealed data
-	// blocks under useView.
+	// src maps that selection block by block, minus the sealed data
+	// blocks: those reach reduce through a data view, never the shuffle.
 	src mapreduce.Source[data.Object]
-	// useView serves the sealed data objects from the cached data view of
-	// the base generation and query grid (core.DataView) instead of the
-	// shuffle.
+	// useView serves the sealed data objects from the engine's cached data
+	// view of the base generation and query grid (core.DataView). It is
+	// false when the job ships with wire.DataBlocks set: the workers serve
+	// them from their own views.
 	useView bool
 	// segIO meters the segment reads of src and of a view build; nil on
 	// memory storage, which reads no segments.
@@ -916,21 +935,19 @@ func (e *Engine) planQuery(s *snapshot, q Query, cfg *queryConfig) *physicalPlan
 		// the planner picks, and its cells stay one group each.
 		p.reducers = plan.ChooseReducers(p.gridN, e.cfg.ReduceSlots)
 	}
-	if e.exec != nil {
-		p.wire = &core.WireInfo{Gen: s.manifest.Generation}
-	}
 
 	// One block source serves the sealed and the delta selections: SPQ3
 	// blocks are fetched by ranged read through the decoded-segment cache,
 	// resident ones (memory storage, the delta) are served as they are.
-	// In-process queries take the data-view path: the sealed data objects
-	// come from the view of the base generation and query grid, and the
-	// job shuffles the delta's data records and the features only. The
-	// delta overlays the view rather than disabling it — its data records
-	// join their groups in-stream, beside the view cell. Distributed
-	// engines skip the view: it is an in-process structure a worker cannot
-	// receive. The selection is one slice, sealed data cells first, so the
-	// in-stream source is the whole slice or, beside a view, its tail.
+	// The sealed data objects never shuffle: they come from a data view of
+	// the base generation and query grid, and the job shuffles the delta's
+	// data records and the features only. The delta overlays the view
+	// rather than disabling it — its data records join their groups
+	// in-stream, beside the view cell. A job that ships (every selected
+	// block stored, on a distributed engine) reads the workers' own views,
+	// built from the generation's block list; any other job reads the
+	// engine's. The selection is one slice, sealed data cells first, so the
+	// in-stream source is its tail.
 	cols := make([]data.ColSel, 0, len(dataCells)+len(deltaData)+len(featCells)+len(deltaFeat))
 	cols = selectCells(cols, dataCells, blocks, s.resident)
 	nSealed := len(cols)
@@ -939,10 +956,15 @@ func (e *Engine) planQuery(s *snapshot, q Query, cfg *queryConfig) *physicalPlan
 	cols = selectCells(cols, featCells, blocks, s.resident)
 	cols = selectCells(cols, deltaFeat, blocks, deltaResident)
 	p.colsData, p.colsFeat = cols[:n:n], cols[n:]
-	p.useView = e.exec == nil
-	if p.useView {
-		cols = cols[nSealed:]
+	p.useView = true
+	if e.exec != nil {
+		p.wire = &core.WireInfo{Gen: s.manifest.Generation}
+		if s.dataBlocks != "" && !slices.ContainsFunc(cols[nSealed:], func(sel data.ColSel) bool { return sel.Resident != nil }) {
+			p.wire.DataBlocks = s.dataBlocks
+			p.useView = false
+		}
 	}
+	cols = cols[nSealed:]
 	if s.manifest.Format == data.FormatCompressed {
 		p.segIO = &data.SegIOStats{}
 	}
@@ -972,15 +994,30 @@ func (e *Engine) execute(ctx context.Context, s *snapshot, cq core.Query, cfg *q
 	}
 	var view *core.DataView
 	var viewCounter string
-	if p.useView {
+	localView := func() (*core.DataView, error) {
 		v, built, err := e.dataView(s, p.gridN, bounds, p.segIO)
 		if err != nil {
 			return nil, err
 		}
-		view, viewCounter = v, CounterViewHit
+		viewCounter = CounterViewHit
 		if built {
 			viewCounter = CounterViewMiss
 		}
+		return v, nil
+	}
+	wire := p.wire
+	if p.useView {
+		v, err := localView()
+		if err != nil {
+			return nil, err
+		}
+		view = v
+	} else {
+		// The job ships, and its workers serve the sealed data objects; in
+		// case it runs in-process after all, the engine's view does.
+		w := *wire
+		w.LocalView = localView
+		wire = &w
 	}
 	rep, err := core.RunContext(ctx, cfg.alg, p.src, cq, core.Options{
 		Cluster:      e.cluster,
@@ -988,7 +1025,7 @@ func (e *Engine) execute(ctx context.Context, s *snapshot, cq core.Query, cfg *q
 		GridN:        p.gridN,
 		NumReducers:  p.reducers,
 		DataView:     view,
-		Wire:         p.wire,
+		Wire:         wire,
 		MaxAttempts:  e.cfg.MaxAttempts,
 		RetryBackoff: e.cfg.RetryBackoff,
 	})
@@ -1094,14 +1131,16 @@ func selectCells(dst []data.ColSel, cells []data.CellStats, blocks map[string][]
 	return dst
 }
 
-// Data-view counters, on every report that executed in-process: exactly
-// one of them is 1. A miss means this query built the view of its base
-// generation and query grid (the build failed and was retried, if need
-// be); a hit means it found the view cached, or shared a concurrent
-// query's build.
+// Data-view counters. A query whose job runs in-process reports exactly
+// one of them as 1: a miss means it built the view of its base generation
+// and query grid (the build failed and was retried, if need be), a hit
+// that it found the view cached or shared a concurrent query's build. A
+// query shipped to workers that serve the sealed data objects from their
+// own views reports spq.view.miss once per worker that built its view for
+// this query, and no hit.
 const (
-	CounterViewHit  = "spq.view.hit"
-	CounterViewMiss = "spq.view.miss"
+	CounterViewHit  = core.CounterViewHit
+	CounterViewMiss = core.CounterViewMiss
 )
 
 // dataView returns the cached data view of the snapshot's base generation

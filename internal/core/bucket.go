@@ -39,13 +39,26 @@ const objGridMinObjs = 32
 const targetBucketOccupancy = 8
 
 // frame sizes the index for n objects at xs/ys: the tight bounding box and
-// about targetBucketOccupancy objects per bucket.
+// about targetBucketOccupancy objects per bucket. The coordinates are
+// finite (every path into a reduce group or a view rejects others): one
+// NaN in the box would make every probe miss every object of the cell.
 func (b *objGrid) frame(xs, ys []float64) {
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	for i := range xs {
-		minX, maxX = math.Min(minX, xs[i]), math.Max(maxX, xs[i])
-		minY, maxY = math.Min(minY, ys[i]), math.Max(maxY, ys[i])
+	for i, x := range xs {
+		y := ys[i]
+		if x < minX {
+			minX = x
+		}
+		if x > maxX {
+			maxX = x
+		}
+		if y < minY {
+			minY = y
+		}
+		if y > maxY {
+			maxY = y
+		}
 	}
 	side := int(math.Sqrt(float64(len(xs)) / targetBucketOccupancy))
 	side = max(1, min(side, 256))

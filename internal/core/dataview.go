@@ -40,7 +40,7 @@ type DataView struct {
 // each cell sealed into bucket order with its index (viewCell.seal). The
 // source must yield data objects only; feature objects are rejected,
 // because silently accepting them would drop their scores from every
-// query using the view.
+// query using the view, and so are objects at a non-finite location.
 func BuildDataView(g *grid.Grid, src mapreduce.Source[data.Object]) (*DataView, error) {
 	splits, err := src.Splits()
 	if err != nil {
@@ -48,11 +48,16 @@ func BuildDataView(g *grid.Grid, src mapreduce.Source[data.Object]) (*DataView, 
 	}
 	v := &DataView{gridN: dimsOf(g), bounds: g.Bounds(), cells: make([]viewCell, g.NumCells())}
 	staged := make([]columns, len(v.cells))
-	var badKind bool
+	var bad error
 	for _, s := range splits {
 		err := s.Each(func(o data.Object) bool {
-			if o.Kind != data.DataObject {
-				badKind = true
+			switch {
+			case o.Kind != data.DataObject:
+				bad = fmt.Errorf("core: data view source yielded a feature object")
+			case !o.Loc.Finite():
+				bad = fmt.Errorf("core: data view source yielded object %d at non-finite location %v", o.ID, o.Loc)
+			}
+			if bad != nil {
 				return false
 			}
 			staged[g.CellOf(o.Loc)].add(o.ID, o.Loc.X, o.Loc.Y)
@@ -62,8 +67,8 @@ func BuildDataView(g *grid.Grid, src mapreduce.Source[data.Object]) (*DataView, 
 		if err != nil {
 			return nil, err
 		}
-		if badKind {
-			return nil, fmt.Errorf("core: data view source yielded a feature object")
+		if bad != nil {
+			return nil, bad
 		}
 	}
 	// Every cell's columns are a window of three view-wide slices, so the
@@ -106,6 +111,18 @@ func dimsOf(g *grid.Grid) int {
 	nx, _ := g.Dims()
 	return nx
 }
+
+// Data-view counters. The engine reports exactly one of them on a query
+// whose reduce tasks read its own view: a miss means the query built the
+// view (the build failed and was retried, if need be), a hit that it found
+// the view cached or shared a concurrent query's build. A shipped job
+// whose workers serve the sealed data (WireInfo.DataBlocks) reports one
+// miss per worker that built its view, through the building reduce task's
+// counter deltas, and no hit.
+const (
+	CounterViewHit  = "spq.view.hit"
+	CounterViewMiss = "spq.view.miss"
+)
 
 // ViewKey identifies one data view: the storage generation whose sealed
 // data blocks it holds and the query grid (size and bounds) it lays them

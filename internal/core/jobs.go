@@ -83,7 +83,10 @@ type Options struct {
 	// a FaultInjector or a CellReducer table keep the job local
 	// regardless. Whether the job actually ships is then the
 	// mapreduce layer's decision (it also requires every split to
-	// serialize a reference).
+	// serialize a reference). With Wire.DataBlocks set, the source leaves
+	// the sealed data blocks out and the workers serve them from their own
+	// views; a job that runs in-process after all reads them from
+	// Wire.LocalView, or fails.
 	Wire *WireInfo
 	// DataView, when set, supplies data objects out of band: each reduce
 	// group is seeded with its cell's data objects from the view — shared
@@ -95,6 +98,8 @@ type Options struct {
 	// features within a group; preloading is the limit of that order), but
 	// the job sorts, copies and merges only the records the view lacks.
 	// The view must have been built for exactly this grid (Bounds, GridN).
+	// A view lives in this process, so a job with one stays in-process; a
+	// shipped job gets its workers' own views instead (Wire.DataBlocks).
 	// See BuildDataView.
 	DataView *DataView
 }
@@ -215,12 +220,41 @@ func RunContext(ctx context.Context, alg Algorithm, src mapreduce.Source[data.Ob
 		return nil, err
 	}
 	job.Source = src
+	// A source without the sealed data blocks needs a view wherever the
+	// job runs: the workers' own, or in-process the one LocalView gives.
+	var local func() error
+	if w := opts.Wire; w != nil && w.DataBlocks != "" && opts.DataView == nil {
+		local = func() error {
+			if w.LocalView == nil {
+				return fmt.Errorf("core: the sealed data objects of generation %d are served by worker data views, and the job runs in-process without one", w.Gen)
+			}
+			v, err := w.LocalView()
+			if err != nil {
+				return err
+			}
+			if !v.matches(g) {
+				return fmt.Errorf("core: data view built for a different grid than %v", g)
+			}
+			vopts := opts
+			vopts.DataView = v
+			vjob, err := buildJob(alg, g, q, vopts)
+			if err != nil {
+				return err
+			}
+			job.Reduce = vjob.Reduce
+			return nil
+		}
+	}
 	if opts.Wire != nil && opts.DataView == nil && opts.FaultInjector == nil && opts.CellReducer == nil {
 		spec, werr := encodeQuerySpec(alg, q, opts)
 		if werr != nil {
 			return nil, werr
 		}
-		job.Wire = &mapreduce.WireJob{Kind: WireKind, Spec: spec}
+		job.Wire = &mapreduce.WireJob{Kind: WireKind, Spec: spec, Local: local}
+	} else if local != nil {
+		if err := local(); err != nil {
+			return nil, err
+		}
 	}
 
 	res, err := mapreduce.RunContext(ctx, opts.Cluster, job)
@@ -405,6 +439,12 @@ func (m *mapper) emitRec(r Rec, emit func(CellKey, Rec)) (dups int) {
 // counts come from the record's keyword set. The engine's splits are all
 // column blocks and take mapBlock.
 func (m *mapper) mapObject(ctx *mapreduce.TaskContext, o data.Object, emit func(CellKey, Rec)) error {
+	if !o.Loc.Finite() {
+		// Unlike the engine's blocks, a caller's records were never
+		// validated; a NaN or infinite coordinate has no cell and no
+		// distance.
+		return mapreduce.Permanent(fmt.Errorf("core: object %d at non-finite location %v", o.ID, o.Loc))
+	}
 	switch dups := m.emitRec(m.q.newRec(o), emit); {
 	case dups < 0:
 		ctx.Counter(CounterFeaturesPruned, 1)

@@ -92,6 +92,8 @@ func decodeRec(r *bufio.Reader) (Rec, error) {
 		return Rec{}, fmt.Errorf("core: record %d hit count: %w", rec.ID, err)
 	}
 	switch {
+	case !rec.Loc.Finite():
+		return Rec{}, fmt.Errorf("core: record %d at non-finite location %v", rec.ID, rec.Loc)
 	case n > math.MaxUint32:
 		return Rec{}, fmt.Errorf("core: record %d: keyword count %d overflows 32 bits", rec.ID, n)
 	case hits > n:

@@ -22,10 +22,24 @@ const WireKind = "spq.query"
 // self-describing column-block selections, so only the facts a worker
 // cannot read from the references themselves travel here.
 type WireInfo struct {
-	// Gen is the storage generation of the snapshot the query reads; it
-	// scopes worker-side decoded-block caching exactly like the engine's
-	// segment cache keys.
+	// Gen is the storage generation of the snapshot the query reads. It
+	// keys a worker's decoded blocks and data views exactly like the
+	// engine's segment and view caches, so neither can go stale: a
+	// generation's files are write-once.
 	Gen uint64
+	// DataBlocks, when set, names the DFS block list of every sealed data
+	// block of generation Gen (see data.BlockListFileName), and the job's
+	// source leaves those blocks out: a shipped reduce task serves its
+	// cell's sealed data objects from a data view its worker builds once
+	// from the list and keeps for later jobs of the same generation and
+	// grid. The job then shuffles only features and whatever data objects
+	// the source still yields.
+	DataBlocks string
+	// LocalView supplies the view of the same data when a DataBlocks job
+	// runs in-process after all (see mapreduce.WireJob.Local). When it is
+	// nil, such a run fails instead of returning results without the
+	// sealed data objects.
+	LocalView func() (*DataView, error)
 }
 
 // querySpec is the serialized form of one SPQ query job: everything a
@@ -42,6 +56,7 @@ type querySpec struct {
 	GridN       int
 	NumReducers int
 	Gen         uint64
+	DataBlocks  string
 }
 
 // encodeQuerySpec serializes the job parameters for the wire.
@@ -57,6 +72,7 @@ func encodeQuerySpec(alg Algorithm, q Query, opts Options) ([]byte, error) {
 		GridN:       opts.GridN,
 		NumReducers: opts.NumReducers,
 		Gen:         opts.Wire.Gen,
+		DataBlocks:  opts.Wire.DataBlocks,
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
@@ -67,6 +83,23 @@ func encodeQuerySpec(alg Algorithm, q Query, opts Options) ([]byte, error) {
 
 func init() {
 	mapreduce.RegisterJobKind(WireKind, buildWireJob)
+}
+
+// workerState is what a worker keeps across the SPQ query jobs of its
+// attachment: decoded column blocks and data views. Both are keyed by
+// storage generation, and a generation's files are write-once, so neither
+// goes stale; the block cache is bounded by data.DefaultBlockCacheBytes and
+// the views by DefaultViewCacheRecords.
+type workerState struct {
+	blocks *data.BlockCache
+	views  *ViewCache
+}
+
+// stateOf returns the worker-lifetime state of env.
+func stateOf(env *mapreduce.WorkerEnv) *workerState {
+	return env.State(WireKind, func() any {
+		return &workerState{blocks: data.NewBlockCache(0), views: NewViewCache(0)}
+	}).(*workerState)
 }
 
 // buildWireJob reconstructs an SPQ query job on a worker process. The job
@@ -86,16 +119,24 @@ func buildWireJob(spec []byte, env *mapreduce.WorkerEnv) (mapreduce.RemoteJob, e
 	if err := Validate(alg, q, opts); err != nil {
 		return nil, mapreduce.Permanent(err)
 	}
+	if s.DataBlocks != "" && !data.IsBlockListFile(s.DataBlocks) {
+		return nil, mapreduce.Permanent(fmt.Errorf("core: %q names no block list", s.DataBlocks))
+	}
 	g := grid.New(s.Bounds, opts.gridN(), opts.gridN())
 	job, err := buildJob(alg, g, q, opts)
 	if err != nil {
 		return nil, mapreduce.Permanent(err)
 	}
 
-	// Job-scoped worker state: decoded column blocks are cached across the
-	// job's tasks (released with the job). The blocks carry the master's
-	// interned keyword ids, so a worker needs no dictionary.
-	blocks := data.NewBlockCache(0)
+	// Decoded column blocks are cached for the worker's life, across jobs.
+	// The blocks carry the master's interned keyword ids, so a worker
+	// needs no dictionary.
+	st := stateOf(env)
+	if s.DataBlocks != "" {
+		// A job of generation Gen means the master sealed it: views of
+		// older generations serve at most queries still in flight on them.
+		st.views.Retire(s.Gen)
+	}
 	// Per-attempt segment I/O stats: one SegIOStats per TaskIO, folded
 	// into the attempt's counter deltas when it finishes — so a worker's
 	// columnar reads ride TaskResult.Counters back to the master instead
@@ -107,12 +148,12 @@ func buildWireJob(spec []byte, env *mapreduce.WorkerEnv) (mapreduce.RemoteJob, e
 	segStatsFor := func(io *mapreduce.TaskIO) *data.SegIOStats {
 		segMu.Lock()
 		defer segMu.Unlock()
-		st, ok := segStats[io]
+		ss, ok := segStats[io]
 		if !ok {
-			st = &data.SegIOStats{}
-			segStats[io] = st
+			ss = &data.SegIOStats{}
+			segStats[io] = ss
 			io.OnFinish(func(c *mapreduce.Counters) {
-				read, dec := st.BytesRead.Load(), st.BytesDecoded.Load()
+				read, dec := ss.BytesRead.Load(), ss.BytesDecoded.Load()
 				c.Add(data.CounterSegBytesRead, read)
 				c.Add(data.CounterSegBytesDecoded, dec)
 				if w := io.Env.Worker; w != "" {
@@ -124,15 +165,71 @@ func buildWireJob(spec []byte, env *mapreduce.WorkerEnv) (mapreduce.RemoteJob, e
 				segMu.Unlock()
 			})
 		}
-		return st
+		return ss
 	}
 
 	open := func(io *mapreduce.TaskIO, ref *mapreduce.SplitRef) (mapreduce.SourceSplit[data.Object], error) {
 		if ref.Kind != "col" {
 			return nil, mapreduce.Permanent(fmt.Errorf("core: unknown split kind %q", ref.Kind))
 		}
-		in := &data.ColInput{R: io, Cache: blocks, Gen: s.Gen, IO: segStatsFor(io)}
+		in := &data.ColInput{R: io, Cache: st.blocks, Gen: s.Gen, IO: segStatsFor(io)}
 		return in.OpenRef(ref)
 	}
-	return mapreduce.BindRemote(job, open), nil
+	remote := mapreduce.BindRemote(job, open)
+	if s.DataBlocks == "" {
+		return remote, nil
+	}
+	// The view is resolved by the first reduce task that needs it, never by
+	// a map task: those read features only.
+	withView := func(io *mapreduce.TaskIO) (mapreduce.RemoteJob, error) {
+		key := ViewKey{Gen: s.Gen, GridN: opts.gridN(), Bounds: s.Bounds}
+		built := false
+		v, err := st.views.GetOrBuild(key, func() (*DataView, error) {
+			built = true
+			raw, err := io.Fetch(s.DataBlocks)
+			if err != nil {
+				return nil, err
+			}
+			cells, err := data.DecodeBlockList(raw)
+			if err != nil {
+				return nil, mapreduce.Permanent(fmt.Errorf("core: %s: %w", s.DataBlocks, err))
+			}
+			return BuildDataView(g, &data.ColInput{R: io, Cells: cells, Cache: st.blocks, Gen: s.Gen, IO: segStatsFor(io)})
+		})
+		if err != nil {
+			return nil, err
+		}
+		if built {
+			io.OnFinish(func(c *mapreduce.Counters) { c.Add(CounterViewMiss, 1) })
+		}
+		vopts := opts
+		vopts.DataView = v
+		job, err := buildJob(alg, g, q, vopts)
+		if err != nil {
+			return nil, mapreduce.Permanent(err)
+		}
+		return mapreduce.BindRemote(job, open), nil
+	}
+	return &viewJob{RemoteJob: remote, withView: withView}, nil
+}
+
+// viewJob is a shipped job whose sealed data objects the worker serves
+// from its own data view: map tasks run the job as built, and each reduce
+// task runs it over the worker's view of the job's generation and grid.
+type viewJob struct {
+	mapreduce.RemoteJob
+	withView func(io *mapreduce.TaskIO) (mapreduce.RemoteJob, error)
+}
+
+// RunReduceTask implements mapreduce.RemoteJob. A task without shuffle
+// runs has no groups, and so needs no view.
+func (j *viewJob) RunReduceTask(io *mapreduce.TaskIO, d *mapreduce.TaskDesc) (*mapreduce.TaskResult, error) {
+	if len(d.Shuffle) == 0 {
+		return j.RemoteJob.RunReduceTask(io, d)
+	}
+	job, err := j.withView(io)
+	if err != nil {
+		return nil, err
+	}
+	return job.RunReduceTask(io, d)
 }

@@ -182,8 +182,11 @@ func hostileSpecs(t testing.TB) map[string][]byte {
 		"+Inf bounds":       {Bounds: geo.Rect{MaxX: math.Inf(1), MaxY: 1}, GridN: 2},
 		"grid 2^40":         {Bounds: unit, GridN: 1 << 40},
 		"reducers 2^40":     {Bounds: unit, GridN: 2, NumReducers: 1 << 40},
+		"no block list":     {Bounds: unit, GridN: 2, Wire: &WireInfo{Gen: 1, DataBlocks: "shuffle/j1/m00000.a01.p00000"}},
 	} {
-		opts.Wire = &WireInfo{}
+		if opts.Wire == nil {
+			opts.Wire = &WireInfo{}
+		}
 		spec, err := encodeQuerySpec(ESPQSco, q, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -223,17 +226,20 @@ func TestWorkerRejectsHostileSpecs(t *testing.T) {
 // spec reaches a worker off the wire, inside a net/rpc handler that does not
 // recover: buildWireJob must return an error, never panic, and every spec
 // it accepts must describe a job within the limits Run enforces — finite
-// bounds, at most MaxGridN² cells and at most MaxReducers reduce tasks.
+// bounds, at most MaxGridN² cells and at most MaxReducers reduce tasks —
+// and name no file but a block list as its data blocks.
 func FuzzQuerySpec(f *testing.F) {
-	valid, err := encodeQuerySpec(PSPQ, Query{K: 3, Radius: 0.2, Keywords: text.NewKeywordSet(1, 4)},
-		Options{Bounds: geo.Rect{MaxX: 1, MaxY: 1}, GridN: 4, NumReducers: 3, Wire: &WireInfo{Gen: 2}})
-	if err != nil {
-		f.Fatal(err)
+	for _, wire := range []*WireInfo{{Gen: 2}, {Gen: 2, DataBlocks: data.BlockListFileName("spq-objects-1")}} {
+		valid, err := encodeQuerySpec(PSPQ, Query{K: 3, Radius: 0.2, Keywords: text.NewKeywordSet(1, 4)},
+			Options{Bounds: geo.Rect{MaxX: 1, MaxY: 1}, GridN: 4, NumReducers: 3, Wire: wire})
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := buildWireJob(valid, nil); err != nil {
+			f.Fatalf("valid spec rejected: %v", err)
+		}
+		f.Add(valid)
 	}
-	if _, err := buildWireJob(valid, nil); err != nil {
-		f.Fatalf("valid spec rejected: %v", err)
-	}
-	f.Add(valid)
 	for _, spec := range hostileSpecs(f) {
 		f.Add(spec)
 	}
@@ -257,6 +263,9 @@ func FuzzQuerySpec(f *testing.F) {
 		}
 		if r := opts.numReducers(); r > MaxReducers {
 			t.Fatalf("accepted %d reducers, limit %d", r, MaxReducers)
+		}
+		if s.DataBlocks != "" && !data.IsBlockListFile(s.DataBlocks) {
+			t.Fatalf("accepted %q as a block list", s.DataBlocks)
 		}
 	})
 }

@@ -21,6 +21,12 @@ type Point struct {
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%g, %g)", p.X, p.Y) }
 
+// Finite reports whether both coordinates are finite: neither NaN nor
+// infinite.
+func (p Point) Finite() bool {
+	return math.Abs(p.X) <= math.MaxFloat64 && math.Abs(p.Y) <= math.MaxFloat64
+}
+
 // Dist returns the Euclidean distance between p and q.
 func Dist(p, q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)

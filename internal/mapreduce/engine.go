@@ -195,6 +195,12 @@ func RunContext[I, K, V, O any](ctx context.Context, c *Cluster, job *Job[I, K, 
 		}
 	}
 
+	if !remote && job.Wire != nil && job.Wire.Local != nil {
+		if err := job.Wire.Local(); err != nil {
+			return nil, fmt.Errorf("mapreduce: job %q: %w", job.Name, err)
+		}
+	}
+
 	// Local execution state: shared shuffle partitions plus the typed
 	// attempt closures the LocalExecutor calls back through.
 	var parts []*partitionData[K, V]

@@ -162,6 +162,13 @@ type WireJob struct {
 	Kind string
 	// Spec is the kind-specific job description, opaque to the framework.
 	Spec []byte
+	// Local, when non-nil, is called once, before the first task, when the
+	// job runs on the local executor after all: the cluster has no remote
+	// executor, or a split has no reference. A wire form whose workers
+	// supply part of the input from state they keep (see WorkerEnv.State)
+	// uses it to supply that input in-process; an error fails the job
+	// before any task runs, so the job never runs without that input.
+	Local func() error
 }
 
 // compare returns the job's three-way key comparator, deriving one from

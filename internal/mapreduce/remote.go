@@ -53,10 +53,13 @@ type RemoteFS interface {
 	Store(name string, data []byte) error
 }
 
-// WorkerEnv is the per-worker-process execution environment: the
-// transport to the master, a write-once local mirror of fetched input
-// files (input files are immutable and generation-prefixed, so the mirror
-// never invalidates), and a cache of reconstructed jobs keyed by job id.
+// WorkerEnv is the execution environment of one worker's attachment to
+// one master: the transport to the master, a write-once local mirror of
+// fetched input files (input files are immutable and generation-prefixed,
+// so the mirror never invalidates), a cache of reconstructed jobs keyed by
+// job id, and the worker-lifetime state job kinds keep across jobs (see
+// State). A new attachment starts a new environment, so nothing in it
+// outlives the master file system it was read from.
 type WorkerEnv struct {
 	// Worker is the name the master assigned at attach time.
 	Worker string
@@ -67,6 +70,9 @@ type WorkerEnv struct {
 
 	jobsMu sync.Mutex
 	jobs   map[string]RemoteJob
+
+	stateMu sync.Mutex
+	state   map[string]any
 }
 
 // NewWorkerEnv builds a worker environment over the given transport.
@@ -79,7 +85,27 @@ func NewWorkerEnv(worker string, fs RemoteFS) *WorkerEnv {
 		// carry explicit byte ranges).
 		mirror: dfs.New(dfs.Config{NumNodes: 1, Replication: 1}),
 		jobs:   make(map[string]RemoteJob),
+		state:  make(map[string]any),
 	}
+}
+
+// State returns the worker-lifetime value kept under key, creating it with
+// mk on first use. Job kinds keep here what outlives one job — decoded
+// blocks, data views — keyed by the kind that owns it; the value must be
+// safe for the concurrent tasks of the worker. A nil environment keeps
+// nothing: every call returns a fresh mk().
+func (e *WorkerEnv) State(key string, mk func() any) any {
+	if e == nil {
+		return mk()
+	}
+	e.stateMu.Lock()
+	defer e.stateMu.Unlock()
+	v, ok := e.state[key]
+	if !ok {
+		v = mk()
+		e.state[key] = v
+	}
+	return v
 }
 
 // jobFor returns the reconstructed job of a descriptor, building it once

@@ -17,9 +17,14 @@ import (
 //
 //   - pruning off (no WithAutoPlan) selects every block of every sealed and
 //     delta cell, and reports no planner statistics;
-//   - both storages plan alike: the data view is used by every in-process
-//     query, delta or not, resident blocks (memory storage, the delta)
-//     travel with the selection, and only SPQ3 meters segment reads;
+//   - both storages plan alike: no sealed data block is in the source,
+//     the engine's data view serves them to every job that runs
+//     in-process, delta or not, resident blocks (memory storage, the
+//     delta) travel with the selection, and only SPQ3 meters segment
+//     reads;
+//   - a distributed engine hands a job whose every selected block is
+//     stored (SPQ3, no delta) the generation's block list instead, so its
+//     workers serve the sealed data from their own views;
 //   - two planned queries with disjoint keywords at one grid share one
 //     view;
 //   - the delta is cut into blocks at most once per snapshot, by the first
@@ -70,9 +75,31 @@ func TestPlanQuery(t *testing.T) {
 						return e.planQuery(snap, q, &qc)
 					}
 
+					// Whether a job ships with its block list: every block it
+					// reads is stored, and the engine has workers.
+					ships := func(delta bool) bool { return distributed && st.storage == StorageDFSBinary && !delta }
 					p := planQ()
-					if p.useView != !distributed {
-						t.Errorf("useView = %v on a distributed=%v engine", p.useView, distributed)
+					if p.useView == ships(withDelta) {
+						t.Errorf("useView = %v on a distributed=%v engine, delta=%v", p.useView, distributed, withDelta)
+					}
+					if lists := p.wire != nil && p.wire.DataBlocks != ""; lists != ships(withDelta) {
+						t.Errorf("wire block list = %v on a distributed=%v engine, delta=%v", lists, distributed, withDelta)
+					}
+					if p.src == nil {
+						t.Fatal("plan without a source")
+					} else if splits, err := p.src.Splits(); err != nil {
+						t.Fatal(err)
+					} else {
+						var in, feats int
+						for _, sp := range splits {
+							in += sp.(mapreduce.CountedSplit).Records()
+						}
+						for _, sel := range p.colsFeat {
+							feats += sel.Cell.Records
+						}
+						if nDeltaData := len(deltaCellsOf(snap, false)); in != feats || nDeltaData != 0 {
+							t.Errorf("the source yields %d records, want the %d selected feature records (delta data cells: %d)", in, feats, nDeltaData)
+						}
 					}
 					if p.empty || p.planStats != nil {
 						t.Errorf("unplanned query carries planner output: empty=%v stats=%+v", p.empty, p.planStats)
@@ -120,7 +147,7 @@ func TestPlanQuery(t *testing.T) {
 							t.Errorf("delta stats = %+v, want the whole 1-record delta in its one cell", p.deltaStats)
 						}
 						// Opting out of the delta drops only the delta.
-						if pd := planQ(WithDelta(false)); pd.useView != !distributed || pd.deltaStats.Records != 0 {
+						if pd := planQ(WithDelta(false)); pd.useView == ships(false) || pd.deltaStats.Records != 0 {
 							t.Errorf("WithDelta(false): useView=%v delta=%+v", pd.useView, pd.deltaStats)
 						}
 						// A planned query reads the same blocks: they are not
