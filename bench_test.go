@@ -146,30 +146,12 @@ func BenchmarkCentralizedNaive(b *testing.B) {
 	}
 }
 
-func BenchmarkCentralizedGrid(b *testing.B) {
-	ds, q := benchWorkload()
-	objs := ds.Objects()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.GridCentralized(objs, q, ds.Bounds(), 32)
-	}
-}
-
 func BenchmarkCentralizedRTree(b *testing.B) {
 	ds, q := benchWorkload()
 	objs := ds.Objects()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.RTreeCentralized(objs, q)
-	}
-}
-
-func BenchmarkCentralizedInvertedIndex(b *testing.B) {
-	ds, q := benchWorkload()
-	objs := ds.Objects()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.InvertedIndexCentralized(objs, q)
 	}
 }
 

@@ -131,16 +131,14 @@ func TestDistributedConformance(t *testing.T) {
 	})
 }
 
-// TestExecutorTaskParity runs one and the same spq.query job — same plan,
-// same splits, same wire form — through both executors: on 2 loopback
-// workers, whose reduce tasks serve the sealed data objects from views the
-// workers build, then in-process by taking the RPC executor off the
-// engine's cluster. The plan still sees a distributed engine, so its
-// source still leaves the sealed data blocks out; the in-process run reads
-// them from the engine's own view instead (WireInfo.LocalView), never
-// running without them. Both run the shared task bodies, so what a task
-// reads, emits, groups and merges must agree exactly, not just the ranked
-// results — and neither reads a sealed data record through the shuffle.
+// TestExecutorTaskParity runs one query through both executors: on 2
+// loopback workers, whose reduce tasks serve the sealed data objects from
+// views the workers build, then in-process with the RPC executor detached
+// from the engine and its cluster, so that the plan itself hands the job
+// the engine's own view. Both plans select the same splits, and both runs
+// run the shared task bodies, so what a task reads, emits, groups and
+// merges must agree exactly, not just the ranked results — and neither
+// reads a sealed data record through the shuffle.
 func TestExecutorTaskParity(t *testing.T) {
 	parity := []string{
 		mapreduce.CounterMapRecordsIn,
@@ -156,9 +154,8 @@ func TestExecutorTaskParity(t *testing.T) {
 		q := distQueries(eng.FrequentKeywords(16), 1)[0]
 		_, nFeats := eng.Len()
 		for _, alg := range Algorithms() {
-			p := eng.planQuery(eng.snap.Load(), q, &queryConfig{alg: alg})
-			if p.useView || p.wire == nil || p.wire.DataBlocks == "" {
-				t.Fatalf("%v: plan useView=%v wire=%+v, want the workers' views", alg, p.useView, p.wire)
+			if p := eng.planQuery(eng.snap.Load(), q, &queryConfig{alg: alg}); p.wire == nil {
+				t.Fatalf("%v: the plan does not ship the job", alg)
 			}
 			remote, err := eng.QueryReport(q, WithAlgorithm(alg), WithCache(false))
 			if err != nil {
@@ -167,10 +164,13 @@ func TestExecutorTaskParity(t *testing.T) {
 			if remote.Counters[CounterExecFallbackLocal] != 0 || remote.Counters[CounterViewHit] != 0 {
 				t.Fatalf("%v: job did not ship with its block list: %v", alg, remote.Counters)
 			}
-			exec := eng.cluster.Executor
-			eng.cluster.Executor = nil
+			exec := eng.exec
+			eng.exec, eng.cluster.Executor = nil, nil
+			if p := eng.planQuery(eng.snap.Load(), q, &queryConfig{alg: alg}); p.wire != nil {
+				t.Fatalf("%v: the plan ships the job of an engine without workers", alg)
+			}
 			local, err := eng.QueryReport(q, WithAlgorithm(alg), WithCache(false))
-			eng.cluster.Executor = exec
+			eng.exec, eng.cluster.Executor = exec, exec
 			if err != nil {
 				t.Fatalf("%v in-process: %v", alg, err)
 			}
@@ -221,34 +221,6 @@ func TestDistributedAutoPlan(t *testing.T) {
 		if rep.Counters[CounterExecFallbackLocal] != 0 && rep.Plan != nil {
 			t.Errorf("planned q%d fell back to local execution", qi)
 		}
-	}
-}
-
-// A distributed engine whose sources cannot serialize (in-memory storage)
-// must transparently run jobs in-process, metered as local fallbacks, with
-// identical results.
-func TestDistributedMemoryFallback(t *testing.T) {
-	base := Config{Storage: StorageMemory, MapSlots: 4, ReduceSlots: 2}
-	ref := distEngine(t, base, 800)
-	kws := ref.FrequentKeywords(8)
-	cfg := base
-	cfg.Workers = distWorkers(t, 2, 2)
-	eng := distEngine(t, cfg, 800)
-
-	q := distQueries(kws, 1)[0]
-	want, err := ref.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := eng.QueryReport(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := diffResults(rep.Results, want); d != "" {
-		t.Errorf("memory-storage distributed query: %s", d)
-	}
-	if rep.Counters[CounterExecFallbackLocal] == 0 {
-		t.Error("memory-source job not metered as a local fallback")
 	}
 }
 

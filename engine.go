@@ -40,7 +40,8 @@ const (
 	// StorageDFSBinary stores, never encoded: the same zone maps, planner
 	// pruning, block-at-a-time map and data views, minus the DFS, the
 	// decode and the segment cache. Sufficient when only the algorithms
-	// (not the storage substrate) matter; its jobs never ship to workers.
+	// (not the storage substrate) matter. Its blocks have no reference a
+	// worker could read, so it takes no Config.Workers.
 	StorageMemory
 )
 
@@ -137,9 +138,11 @@ type Config struct {
 	// through the master's DFS, and lost workers have their tasks
 	// re-executed on surviving ones. Each worker builds and keeps its own
 	// data views and decoded blocks across jobs, so a shipped job shuffles
-	// only features. Jobs that cannot ship — those reading resident
-	// blocks: memory storage, the uncompacted delta — transparently fall
-	// back to local execution (spq.exec.fallback.local).
+	// only features. A query whose plan selects a block of the uncompacted
+	// delta, which lives in the master's memory, runs in-process on the
+	// engine's own view instead (spq.exec.fallback.local). Workers need
+	// StorageDFSBinary: with StorageMemory every query fails with a
+	// configuration error, and no worker is attached.
 	// Empty (the default) runs everything in-process. Engines with workers
 	// should be Closed.
 	//
@@ -200,7 +203,7 @@ type snapshot struct {
 	resident map[string][]*data.ColumnBlock
 	// dataBlocks names the DFS block list of the base generation's sealed
 	// data blocks, from which workers build their data views; empty unless
-	// the engine is distributed over DFS storage.
+	// the engine is distributed.
 	dataBlocks string
 	// delta is the view of records appended after the base sealed; nil
 	// when the delta is empty.
@@ -229,8 +232,9 @@ type Engine struct {
 	viewCache *core.ViewCache
 
 	// exec is the RPC executor when Config.Workers is set; execErr holds a
-	// worker attach failure, surfaced by the first query rather than lost
-	// (NewEngine does not return errors).
+	// worker attach failure or a storage mode that takes no workers,
+	// surfaced by every query rather than lost (NewEngine does not return
+	// errors).
 	exec    *mapreduce.RPCExecutor
 	execErr error
 
@@ -299,7 +303,12 @@ func NewEngine(cfg Config) *Engine {
 	if cfg.Storage == StorageDFSBinary && cfg.SegmentCache >= 0 {
 		e.segCache = data.NewBlockCache(int64(cfg.SegmentCache))
 	}
-	if len(cfg.Workers) > 0 {
+	switch {
+	case len(cfg.Workers) == 0:
+	case cfg.Storage != StorageDFSBinary:
+		// Checked before any worker is attached, so none is left connected.
+		e.execErr = errors.New("spq: attach workers: memory storage has no blocks a worker can read; workers need StorageDFSBinary")
+	default:
 		exec, err := mapreduce.NewRPCExecutor(fs, cfg.Workers)
 		if err != nil {
 			e.execErr = fmt.Errorf("spq: attach workers: %w", err)
@@ -856,15 +865,13 @@ type physicalPlan struct {
 	// src maps that selection block by block, minus the sealed data
 	// blocks: those reach reduce through a data view, never the shuffle.
 	src mapreduce.Source[data.Object]
-	// useView serves the sealed data objects from the engine's cached data
-	// view of the base generation and query grid (core.DataView). It is
-	// false when the job ships with wire.DataBlocks set: the workers serve
-	// them from their own views.
-	useView bool
 	// segIO meters the segment reads of src and of a view build; nil on
 	// memory storage, which reads no segments.
 	segIO *data.SegIOStats
-	// wire describes the snapshot to worker processes; nil in-process.
+	// wire, when set, ships the job to the workers, whose own views of the
+	// generation's block list serve the sealed data objects. Nil runs the
+	// job in-process on the engine's cached data view of the base
+	// generation and query grid (core.DataView).
 	wire            *core.WireInfo
 	gridN, reducers int
 	// empty marks a plan that proves the query returns nothing: no job runs.
@@ -876,9 +883,11 @@ type physicalPlan struct {
 
 // planQuery decides how one query executes against snapshot s. It is the
 // only place that looks at the auto-plan and delta options, the storage
-// mode and whether the engine is distributed. An unplanned query is the
-// same plan with pruning off: every block of every cell, base and delta,
-// no planner statistics.
+// mode and whether the engine is distributed, and the only place that
+// decides whether the job ships: it does on a distributed engine when no
+// delta block is selected, since resident blocks have no reference a
+// worker could read. An unplanned query is the same plan with pruning off:
+// every block of every cell, base and delta, no planner statistics.
 func (e *Engine) planQuery(s *snapshot, q Query, cfg *queryConfig) *physicalPlan {
 	// The delta participating in this query: records appended after the
 	// base generation sealed, unless the caller opted out.
@@ -943,11 +952,10 @@ func (e *Engine) planQuery(s *snapshot, q Query, cfg *queryConfig) *physicalPlan
 	// the base generation and query grid, and the job shuffles the delta's
 	// data records and the features only. The delta overlays the view
 	// rather than disabling it — its data records join their groups
-	// in-stream, beside the view cell. A job that ships (every selected
-	// block stored, on a distributed engine) reads the workers' own views,
-	// built from the generation's block list; any other job reads the
-	// engine's. The selection is one slice, sealed data cells first, so the
-	// in-stream source is its tail.
+	// in-stream, beside the view cell. A job that ships reads the workers'
+	// own views, built from the generation's block list; any other job
+	// reads the engine's. The selection is one slice, sealed data cells
+	// first, so the in-stream source is its tail.
 	cols := make([]data.ColSel, 0, len(dataCells)+len(deltaData)+len(featCells)+len(deltaFeat))
 	cols = selectCells(cols, dataCells, blocks, s.resident)
 	nSealed := len(cols)
@@ -956,15 +964,10 @@ func (e *Engine) planQuery(s *snapshot, q Query, cfg *queryConfig) *physicalPlan
 	cols = selectCells(cols, featCells, blocks, s.resident)
 	cols = selectCells(cols, deltaFeat, blocks, deltaResident)
 	p.colsData, p.colsFeat = cols[:n:n], cols[n:]
-	p.useView = true
-	if e.exec != nil {
-		p.wire = &core.WireInfo{Gen: s.manifest.Generation}
-		if s.dataBlocks != "" && !slices.ContainsFunc(cols[nSealed:], func(sel data.ColSel) bool { return sel.Resident != nil }) {
-			p.wire.DataBlocks = s.dataBlocks
-			p.useView = false
-		}
-	}
 	cols = cols[nSealed:]
+	if e.exec != nil && !slices.ContainsFunc(cols, func(sel data.ColSel) bool { return sel.Resident != nil }) {
+		p.wire = &core.WireInfo{Gen: s.manifest.Generation, DataBlocks: s.dataBlocks}
+	}
 	if s.manifest.Format == data.FormatCompressed {
 		p.segIO = &data.SegIOStats{}
 	}
@@ -978,8 +981,8 @@ func (e *Engine) planQuery(s *snapshot, q Query, cfg *queryConfig) *physicalPlan
 }
 
 // execute runs plan p: nothing for a provably empty plan, otherwise one
-// MapReduce job over p.src, with the data half served by the cached view
-// when the plan says so.
+// MapReduce job over p.src, shipped when the plan says so and run
+// in-process on the engine's cached view otherwise.
 func (e *Engine) execute(ctx context.Context, s *snapshot, cq core.Query, cfg *queryConfig, bounds geo.Rect, p *physicalPlan) (*Report, error) {
 	out := &Report{Algorithm: cfg.alg, Counters: p.counters, Plan: p.planStats, Delta: p.deltaStats}
 	if p.empty {
@@ -994,30 +997,15 @@ func (e *Engine) execute(ctx context.Context, s *snapshot, cq core.Query, cfg *q
 	}
 	var view *core.DataView
 	var viewCounter string
-	localView := func() (*core.DataView, error) {
+	if p.wire == nil {
 		v, built, err := e.dataView(s, p.gridN, bounds, p.segIO)
 		if err != nil {
 			return nil, err
 		}
-		viewCounter = CounterViewHit
+		view, viewCounter = v, CounterViewHit
 		if built {
 			viewCounter = CounterViewMiss
 		}
-		return v, nil
-	}
-	wire := p.wire
-	if p.useView {
-		v, err := localView()
-		if err != nil {
-			return nil, err
-		}
-		view = v
-	} else {
-		// The job ships, and its workers serve the sealed data objects; in
-		// case it runs in-process after all, the engine's view does.
-		w := *wire
-		w.LocalView = localView
-		wire = &w
 	}
 	rep, err := core.RunContext(ctx, cfg.alg, p.src, cq, core.Options{
 		Cluster:      e.cluster,
@@ -1025,7 +1013,7 @@ func (e *Engine) execute(ctx context.Context, s *snapshot, cq core.Query, cfg *q
 		GridN:        p.gridN,
 		NumReducers:  p.reducers,
 		DataView:     view,
-		Wire:         wire,
+		Wire:         p.wire,
 		MaxAttempts:  e.cfg.MaxAttempts,
 		RetryBackoff: e.cfg.RetryBackoff,
 	})

@@ -30,8 +30,8 @@ const (
 	// CounterExecWorkersLost distinct from heartbeat/transport death.
 	CounterExecWorkersQuarantined = mapreduce.CounterExecWorkersQuarantined
 	// CounterExecFallbackLocal counts jobs a distributed engine ran
-	// in-process anyway because they were not remotable (in-memory
-	// sources, fault-injected lanes, or a job without a wire form).
+	// in-process because its plan did not ship them: the query selected a
+	// block of the uncompacted delta, which lives in the master's memory.
 	CounterExecFallbackLocal = mapreduce.CounterExecFallbackLocal
 )
 

@@ -3,7 +3,6 @@ package core
 import (
 	"spq/internal/data"
 	"spq/internal/geo"
-	"spq/internal/grid"
 )
 
 // scoreAccum accumulates the score of one data object across all modes.
@@ -62,48 +61,6 @@ func NaiveCentralized(objs []data.Object, q Query) []ResultItem {
 				continue
 			}
 			acc.add(q, q.Score(f), d2)
-		}
-		topk.Update(ResultItem{ID: p.ID, Loc: p.Loc, Score: acc.score(q)})
-	}
-	return topk.Items()
-}
-
-// GridCentralized answers the query with a single-machine grid index over
-// the feature objects: for every data object only the feature cells within
-// distance r are probed. It is exact and serves both as a faster oracle
-// for larger tests and as the "what a centralized system could do" point
-// of comparison in the experiment harness.
-func GridCentralized(objs []data.Object, q Query, bounds geo.Rect, gridN int) []ResultItem {
-	g := grid.New(bounds, gridN, gridN)
-	buckets := make([][]data.Object, g.NumCells())
-	var dataObjs []data.Object
-	for _, o := range objs {
-		if o.Kind == data.DataObject {
-			dataObjs = append(dataObjs, o)
-			continue
-		}
-		// Map-side pruning: features sharing no keyword with the query
-		// cannot contribute to any score (Algorithm 1, line 9).
-		if !o.Keywords.Intersects(q.Keywords) {
-			continue
-		}
-		c := g.CellOf(o.Loc)
-		buckets[c] = append(buckets[c], o)
-	}
-	r2 := q.Radius * q.Radius
-	topk := NewTopK(q.K)
-	var cells []grid.CellID
-	for _, p := range dataObjs {
-		var acc scoreAccum
-		cells = g.CellsWithinDist(p.Loc, q.Radius, cells[:0])
-		for _, c := range cells {
-			for _, f := range buckets[c] {
-				d2 := geo.Dist2(p.Loc, f.Loc)
-				if d2 > r2 {
-					continue
-				}
-				acc.add(q, q.Score(f), d2)
-			}
 		}
 		topk.Update(ResultItem{ID: p.ID, Loc: p.Loc, Score: acc.score(q)})
 	}

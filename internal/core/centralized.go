@@ -4,17 +4,15 @@ import (
 	"spq/internal/data"
 	"spq/internal/geo"
 	"spq/internal/rtree"
-	"spq/internal/text"
 )
 
-// This file holds the richer centralized reference systems: an R-tree
-// driven evaluator (the index the original spatial preference query work
-// [12, 16, 17] builds on) and an inverted-index driven evaluator (the
-// textual access path of spatio-textual engines). Both are exact and
-// cross-validated against NaiveCentralized; together with GridCentralized
-// they are the "centralized processing" comparison points the paper argues
-// are infeasible at its scale (Section 7.1: "centralized processing of
-// this query type is infeasible in practice").
+// This file holds the R-tree driven centralized evaluator (the index the
+// original spatial preference query work [12, 16, 17] builds on). It is
+// exact and cross-validated against NaiveCentralized, with which it shares
+// only the score accumulation; the two are the "centralized processing"
+// comparison points the paper argues are infeasible at its scale (Section
+// 7.1: "centralized processing of this query type is infeasible in
+// practice").
 
 // RTreeCentralized evaluates the query with an STR-packed R-tree over the
 // relevant feature objects: for each data object only the features within
@@ -35,46 +33,6 @@ func RTreeCentralized(objs []data.Object, q Query) []ResultItem {
 		feats = append(feats, o)
 	}
 	tree := rtree.Build(items, rtree.DefaultFanout)
-	topk := NewTopK(q.K)
-	for _, p := range dataObjs {
-		var acc scoreAccum
-		tree.VisitWithin(p.Loc, q.Radius, func(it rtree.Item) bool {
-			f := feats[it.ID]
-			acc.add(q, q.Score(f), geo.Dist2(p.Loc, f.Loc))
-			return true
-		})
-		topk.Update(ResultItem{ID: p.ID, Loc: p.Loc, Score: acc.score(q)})
-	}
-	return topk.Items()
-}
-
-// InvertedIndexCentralized evaluates the query text-first: an inverted
-// index over feature keywords yields exactly the features with non-zero
-// Jaccard score, which are then bulk-loaded into an R-tree probed per data
-// object. For selective queries (few matching features) this is the
-// fastest centralized plan; for broad queries it degenerates to
-// RTreeCentralized.
-func InvertedIndexCentralized(objs []data.Object, q Query) []ResultItem {
-	var dataObjs []data.Object
-	var feats []data.Object
-	ix := text.NewInvertedIndex()
-	for _, o := range objs {
-		if o.Kind == data.DataObject {
-			dataObjs = append(dataObjs, o)
-			continue
-		}
-		ix.Add(int32(len(feats)), o.Keywords)
-		feats = append(feats, o)
-	}
-	ix.Finish()
-
-	cands := ix.Candidates(q.Keywords)
-	items := make([]rtree.Item, len(cands))
-	for i, h := range cands {
-		items[i] = rtree.Item{Loc: feats[h].Loc, ID: uint64(h)}
-	}
-	tree := rtree.Build(items, rtree.DefaultFanout)
-
 	topk := NewTopK(q.K)
 	for _, p := range dataObjs {
 		var acc scoreAccum

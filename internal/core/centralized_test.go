@@ -6,8 +6,8 @@ import (
 	"spq/internal/data"
 )
 
-// Both index-based centralized evaluators must agree with the naive oracle
-// across modes and random workloads.
+// The R-tree evaluator must agree with the naive oracle across modes and
+// random workloads.
 func TestCentralizedEvaluatorsMatchOracle(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		objs, q := randomWorkload(int64(500+trial), 500, 35, 6)
@@ -16,7 +16,6 @@ func TestCentralizedEvaluatorsMatchOracle(t *testing.T) {
 			q.Mode = mode
 			want := NaiveCentralized(objs, q)
 			assertModeTopK(t, RTreeCentralized(objs, q), want, objs, q)
-			assertModeTopK(t, InvertedIndexCentralized(objs, q), want, objs, q)
 		}
 	}
 }
@@ -27,10 +26,8 @@ func TestCentralizedEvaluatorsPaperExample(t *testing.T) {
 	want := NaiveCentralized(objs, q)
 	got := RTreeCentralized(objs, q)
 	assertSameTopK(t, got, want, objs, q)
-	got = InvertedIndexCentralized(objs, q)
-	assertSameTopK(t, got, want, objs, q)
 	if len(got) != 3 || got[0].ID != 1 || got[0].Score != 1 {
-		t.Errorf("paper example via inverted index: %+v", got)
+		t.Errorf("paper example via the R-tree: %+v", got)
 	}
 }
 
@@ -45,9 +42,6 @@ func TestCentralizedEmptyInputs(t *testing.T) {
 		}
 	}
 	if got := RTreeCentralized(onlyData, q); len(got) != 0 {
-		t.Errorf("no features: %+v", got)
-	}
-	if got := InvertedIndexCentralized(onlyData, q); len(got) != 0 {
 		t.Errorf("no features: %+v", got)
 	}
 	// Only features: nothing to rank.

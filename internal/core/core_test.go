@@ -187,15 +187,14 @@ func randomWorkload(seed int64, n int, vocab int, maxKw int) ([]data.Object, Que
 var unitBounds = geo.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
 
 // Property test: on random workloads, every MapReduce algorithm and the
-// grid-indexed baseline agree with the naive oracle, across grid sizes and
+// R-tree evaluator agree with the naive oracle, across grid sizes and
 // parallelism levels.
 func TestAlgorithmsMatchOracleRandomized(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		objs, q := randomWorkload(int64(trial), 400, 40, 6)
 		want := NaiveCentralized(objs, q)
 		gridN := 1 + trial%7
-		gridRes := GridCentralized(objs, q, unitBounds, gridN)
-		assertSameTopK(t, gridRes, want, objs, q)
+		assertSameTopK(t, RTreeCentralized(objs, q), want, objs, q)
 		for _, alg := range Algorithms() {
 			opts := Options{
 				Bounds:  unitBounds,

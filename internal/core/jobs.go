@@ -66,27 +66,25 @@ type Options struct {
 	// CellReducer maps every cell of the grid to its reduce task, in
 	// [0, NumReducers); nil means cell % NumReducers. A table built by
 	// BalanceCells addresses the reducer imbalance the paper observes on
-	// clustered data (Section 7.2.4). Results are unaffected. A job with a
-	// table stays local: the wire spec does not carry it.
+	// clustered data (Section 7.2.4). Results are unaffected. The wire
+	// spec does not carry a table, so a job with one may not set Wire.
 	CellReducer []int32
 	// MaxAttempts, RetryBackoff and FaultInjector are forwarded to the job
 	// (see the mapreduce.Job fields of the same names): the per-task retry
 	// budget, the base of the capped exponential backoff between attempts,
-	// and the failure-test hook.
+	// and the failure-test hook. A hook cannot ship, so a job with one may
+	// not set Wire.
 	MaxAttempts   int
 	RetryBackoff  time.Duration
 	FaultInjector func(kind mapreduce.TaskKind, taskID, attempt int) error
-	// Wire, when set, describes the sealed storage the source reads and
-	// offers the job for distributed execution: Run attaches a serialized
-	// query spec (see querySpec) that worker processes reconstruct the job
-	// from, provided nothing in-process-only is configured — a DataView,
-	// a FaultInjector or a CellReducer table keep the job local
-	// regardless. Whether the job actually ships is then the
-	// mapreduce layer's decision (it also requires every split to
-	// serialize a reference). With Wire.DataBlocks set, the source leaves
-	// the sealed data blocks out and the workers serve them from their own
-	// views; a job that runs in-process after all reads them from
-	// Wire.LocalView, or fails.
+	// Wire, when set, ships the job: Run attaches a serialized query spec
+	// (see querySpec) that worker processes reconstruct the job from, and
+	// the job runs on the cluster's remote executor or fails (see
+	// mapreduce.Job.Wire). The source leaves the sealed data blocks out,
+	// and each worker serves them from its own view, built from the block
+	// list Wire.DataBlocks names. Validate rejects a Wire without a block
+	// list, and one beside the in-process-only DataView, FaultInjector or
+	// CellReducer.
 	Wire *WireInfo
 	// DataView, when set, supplies data objects out of band: each reduce
 	// group is seeded with its cell's data objects from the view — shared
@@ -98,9 +96,9 @@ type Options struct {
 	// features within a group; preloading is the limit of that order), but
 	// the job sorts, copies and merges only the records the view lacks.
 	// The view must have been built for exactly this grid (Bounds, GridN).
-	// A view lives in this process, so a job with one stays in-process; a
-	// shipped job gets its workers' own views instead (Wire.DataBlocks).
-	// See BuildDataView.
+	// A view lives in this process, so a job with one runs in-process; a
+	// shipped job reads its workers' own views instead (Wire). See
+	// BuildDataView.
 	DataView *DataView
 }
 
@@ -147,7 +145,8 @@ const (
 
 // Validate checks the preconditions Run enforces before launching a job:
 // query shape, algorithm/mode support, usable bounds, grid and reducer
-// counts within their limits, and a well-formed CellReducer table. It is
+// counts within their limits, a well-formed CellReducer table, and a Wire
+// that names a block list and comes without in-process-only options. It is
 // exposed so that callers skipping the job entirely (a planner-proven
 // empty result) reject exactly the executions Run would reject.
 func Validate(alg Algorithm, q Query, opts Options) error {
@@ -188,6 +187,14 @@ func Validate(alg Algorithm, q Query, opts Options) error {
 			}
 		}
 	}
+	if w := opts.Wire; w != nil {
+		if !data.IsBlockListFile(w.DataBlocks) {
+			return fmt.Errorf("core: %q names no block list", w.DataBlocks)
+		}
+		if opts.DataView != nil || opts.FaultInjector != nil || opts.CellReducer != nil {
+			return fmt.Errorf("core: a shipped job takes no data view, fault injector or cell→reducer table")
+		}
+	}
 	return nil
 }
 
@@ -220,41 +227,12 @@ func RunContext(ctx context.Context, alg Algorithm, src mapreduce.Source[data.Ob
 		return nil, err
 	}
 	job.Source = src
-	// A source without the sealed data blocks needs a view wherever the
-	// job runs: the workers' own, or in-process the one LocalView gives.
-	var local func() error
-	if w := opts.Wire; w != nil && w.DataBlocks != "" && opts.DataView == nil {
-		local = func() error {
-			if w.LocalView == nil {
-				return fmt.Errorf("core: the sealed data objects of generation %d are served by worker data views, and the job runs in-process without one", w.Gen)
-			}
-			v, err := w.LocalView()
-			if err != nil {
-				return err
-			}
-			if !v.matches(g) {
-				return fmt.Errorf("core: data view built for a different grid than %v", g)
-			}
-			vopts := opts
-			vopts.DataView = v
-			vjob, err := buildJob(alg, g, q, vopts)
-			if err != nil {
-				return err
-			}
-			job.Reduce = vjob.Reduce
-			return nil
-		}
-	}
-	if opts.Wire != nil && opts.DataView == nil && opts.FaultInjector == nil && opts.CellReducer == nil {
-		spec, werr := encodeQuerySpec(alg, q, opts)
-		if werr != nil {
-			return nil, werr
-		}
-		job.Wire = &mapreduce.WireJob{Kind: WireKind, Spec: spec, Local: local}
-	} else if local != nil {
-		if err := local(); err != nil {
+	if opts.Wire != nil {
+		spec, err := encodeQuerySpec(alg, q, opts)
+		if err != nil {
 			return nil, err
 		}
+		job.Wire = &mapreduce.WireJob{Kind: WireKind, Spec: spec}
 	}
 
 	res, err := mapreduce.RunContext(ctx, opts.Cluster, job)

@@ -27,19 +27,13 @@ type WireInfo struct {
 	// engine's segment and view caches, so neither can go stale: a
 	// generation's files are write-once.
 	Gen uint64
-	// DataBlocks, when set, names the DFS block list of every sealed data
-	// block of generation Gen (see data.BlockListFileName), and the job's
-	// source leaves those blocks out: a shipped reduce task serves its
-	// cell's sealed data objects from a data view its worker builds once
-	// from the list and keeps for later jobs of the same generation and
-	// grid. The job then shuffles only features and whatever data objects
-	// the source still yields.
+	// DataBlocks names the DFS block list of every sealed data block of
+	// generation Gen (see data.BlockListFileName), and the job's source
+	// leaves those blocks out: a shipped reduce task serves its cell's
+	// sealed data objects from a data view its worker builds once from the
+	// list and keeps for later jobs of the same generation and grid. The
+	// job then shuffles only features.
 	DataBlocks string
-	// LocalView supplies the view of the same data when a DataBlocks job
-	// runs in-process after all (see mapreduce.WireJob.Local). When it is
-	// nil, such a run fails instead of returning results without the
-	// sealed data objects.
-	LocalView func() (*DataView, error)
 }
 
 // querySpec is the serialized form of one SPQ query job: everything a
@@ -115,12 +109,9 @@ func buildWireJob(spec []byte, env *mapreduce.WorkerEnv) (mapreduce.RemoteJob, e
 	}
 	alg := Algorithm(s.Alg)
 	q := Query{K: s.K, Radius: s.Radius, Keywords: text.KeywordSet(s.Keywords), Size: s.Size, Mode: ScoringMode(s.Mode)}
-	opts := Options{Bounds: s.Bounds, GridN: s.GridN, NumReducers: s.NumReducers}
+	opts := Options{Bounds: s.Bounds, GridN: s.GridN, NumReducers: s.NumReducers, Wire: &WireInfo{Gen: s.Gen, DataBlocks: s.DataBlocks}}
 	if err := Validate(alg, q, opts); err != nil {
 		return nil, mapreduce.Permanent(err)
-	}
-	if s.DataBlocks != "" && !data.IsBlockListFile(s.DataBlocks) {
-		return nil, mapreduce.Permanent(fmt.Errorf("core: %q names no block list", s.DataBlocks))
 	}
 	g := grid.New(s.Bounds, opts.gridN(), opts.gridN())
 	job, err := buildJob(alg, g, q, opts)
@@ -130,13 +121,11 @@ func buildWireJob(spec []byte, env *mapreduce.WorkerEnv) (mapreduce.RemoteJob, e
 
 	// Decoded column blocks are cached for the worker's life, across jobs.
 	// The blocks carry the master's interned keyword ids, so a worker
-	// needs no dictionary.
+	// needs no dictionary. A job of generation Gen means the master sealed
+	// it: views of older generations serve at most queries still in flight
+	// on them.
 	st := stateOf(env)
-	if s.DataBlocks != "" {
-		// A job of generation Gen means the master sealed it: views of
-		// older generations serve at most queries still in flight on them.
-		st.views.Retire(s.Gen)
-	}
+	st.views.Retire(s.Gen)
 	// Per-attempt segment I/O stats: one SegIOStats per TaskIO, folded
 	// into the attempt's counter deltas when it finishes — so a worker's
 	// columnar reads ride TaskResult.Counters back to the master instead
@@ -175,10 +164,6 @@ func buildWireJob(spec []byte, env *mapreduce.WorkerEnv) (mapreduce.RemoteJob, e
 		in := &data.ColInput{R: io, Cache: st.blocks, Gen: s.Gen, IO: segStatsFor(io)}
 		return in.OpenRef(ref)
 	}
-	remote := mapreduce.BindRemote(job, open)
-	if s.DataBlocks == "" {
-		return remote, nil
-	}
 	// The view is resolved by the first reduce task that needs it, never by
 	// a map task: those read features only.
 	withView := func(io *mapreduce.TaskIO) (mapreduce.RemoteJob, error) {
@@ -210,7 +195,7 @@ func buildWireJob(spec []byte, env *mapreduce.WorkerEnv) (mapreduce.RemoteJob, e
 		}
 		return mapreduce.BindRemote(job, open), nil
 	}
-	return &viewJob{RemoteJob: remote, withView: withView}, nil
+	return &viewJob{RemoteJob: mapreduce.BindRemote(job, open), withView: withView}, nil
 }
 
 // viewJob is a shipped job whose sealed data objects the worker serves

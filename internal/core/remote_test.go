@@ -56,7 +56,7 @@ func TestWorkerRejectsBadSplitRefs(t *testing.T) {
 
 	spec, err := encodeQuerySpec(ESPQSco,
 		Query{K: 1, Radius: 0.1, Keywords: text.NewKeywordSet(1)},
-		Options{Bounds: geo.Rect{MaxX: 1, MaxY: 1}, GridN: 2, Wire: &WireInfo{}})
+		Options{Bounds: geo.Rect{MaxX: 1, MaxY: 1}, GridN: 2, Wire: &WireInfo{Gen: 1, DataBlocks: data.BlockListFileName("f")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,10 +133,16 @@ func TestWorkerRejectsBadShuffleRuns(t *testing.T) {
 	writeRun("shuffle/bad/order",
 		mapreduce.Pair[CellKey, Rec]{Key: CellKey{Cell: 3, Order: 1}, Value: Rec{Kind: data.FeatureObject, ID: 5, Loc: geo.Point{X: 0.6, Y: 0.6}, Len: 1, Hits: 1}},
 		mapreduce.Pair[CellKey, Rec]{Key: CellKey{Cell: 3, Order: 2}, Value: Rec{Kind: data.DataObject, ID: 6, Loc: geo.Point{X: 0.7, Y: 0.7}}})
+	// The reduce tasks build their worker's view first, from an empty
+	// block list, so the runs alone can fail them.
+	blocks := data.BlockListFileName("bad")
+	if err := fs.Create(blocks, data.EncodeBlockList(nil)); err != nil {
+		t.Fatal(err)
+	}
 	_, client := loopbackWorker(t, fs)
 	spec, err := encodeQuerySpec(ESPQSco,
 		Query{K: 1, Radius: 0.1, Keywords: text.NewKeywordSet(1)},
-		Options{Bounds: geo.Rect{MaxX: 1, MaxY: 1}, GridN: 2, Wire: &WireInfo{}})
+		Options{Bounds: geo.Rect{MaxX: 1, MaxY: 1}, GridN: 2, Wire: &WireInfo{Gen: 1, DataBlocks: blocks}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,10 +188,11 @@ func hostileSpecs(t testing.TB) map[string][]byte {
 		"+Inf bounds":       {Bounds: geo.Rect{MaxX: math.Inf(1), MaxY: 1}, GridN: 2},
 		"grid 2^40":         {Bounds: unit, GridN: 1 << 40},
 		"reducers 2^40":     {Bounds: unit, GridN: 2, NumReducers: 1 << 40},
-		"no block list":     {Bounds: unit, GridN: 2, Wire: &WireInfo{Gen: 1, DataBlocks: "shuffle/j1/m00000.a01.p00000"}},
+		"not a block list":  {Bounds: unit, GridN: 2, Wire: &WireInfo{Gen: 1, DataBlocks: "shuffle/j1/m00000.a01.p00000"}},
+		"no block list":     {Bounds: unit, GridN: 2, Wire: &WireInfo{Gen: 2}},
 	} {
 		if opts.Wire == nil {
-			opts.Wire = &WireInfo{}
+			opts.Wire = &WireInfo{Gen: 1, DataBlocks: data.BlockListFileName("spq-objects-1")}
 		}
 		spec, err := encodeQuerySpec(ESPQSco, q, opts)
 		if err != nil {
@@ -227,20 +234,21 @@ func TestWorkerRejectsHostileSpecs(t *testing.T) {
 // recover: buildWireJob must return an error, never panic, and every spec
 // it accepts must describe a job within the limits Run enforces — finite
 // bounds, at most MaxGridN² cells and at most MaxReducers reduce tasks —
-// and name no file but a block list as its data blocks.
+// and name a block list as its data blocks.
 func FuzzQuerySpec(f *testing.F) {
-	for _, wire := range []*WireInfo{{Gen: 2}, {Gen: 2, DataBlocks: data.BlockListFileName("spq-objects-1")}} {
-		valid, err := encodeQuerySpec(PSPQ, Query{K: 3, Radius: 0.2, Keywords: text.NewKeywordSet(1, 4)},
-			Options{Bounds: geo.Rect{MaxX: 1, MaxY: 1}, GridN: 4, NumReducers: 3, Wire: wire})
-		if err != nil {
-			f.Fatal(err)
-		}
-		if _, err := buildWireJob(valid, nil); err != nil {
-			f.Fatalf("valid spec rejected: %v", err)
-		}
-		f.Add(valid)
+	valid, err := encodeQuerySpec(PSPQ, Query{K: 3, Radius: 0.2, Keywords: text.NewKeywordSet(1, 4)},
+		Options{Bounds: geo.Rect{MaxX: 1, MaxY: 1}, GridN: 4, NumReducers: 3, Wire: &WireInfo{Gen: 2, DataBlocks: data.BlockListFileName("spq-objects-1")}})
+	if err != nil {
+		f.Fatal(err)
 	}
-	for _, spec := range hostileSpecs(f) {
+	if _, err := buildWireJob(valid, nil); err != nil {
+		f.Fatalf("valid spec rejected: %v", err)
+	}
+	f.Add(valid)
+	for name, spec := range hostileSpecs(f) {
+		if _, err := buildWireJob(spec, nil); err == nil {
+			f.Fatalf("hostile spec %q accepted", name)
+		}
 		f.Add(spec)
 	}
 	f.Fuzz(func(t *testing.T, spec []byte) {
@@ -264,7 +272,7 @@ func FuzzQuerySpec(f *testing.F) {
 		if r := opts.numReducers(); r > MaxReducers {
 			t.Fatalf("accepted %d reducers, limit %d", r, MaxReducers)
 		}
-		if s.DataBlocks != "" && !data.IsBlockListFile(s.DataBlocks) {
+		if !data.IsBlockListFile(s.DataBlocks) {
 			t.Fatalf("accepted %q as a block list", s.DataBlocks)
 		}
 	})

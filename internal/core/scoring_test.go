@@ -169,8 +169,7 @@ func TestModesMatchOracleRandomized(t *testing.T) {
 			q.Mode = mode
 			want := NaiveCentralized(objs, q)
 			gridN := 2 + trial%5
-			gridRes := GridCentralized(objs, q, unitBounds, gridN)
-			assertModeTopK(t, gridRes, want, objs, q)
+			assertModeTopK(t, RTreeCentralized(objs, q), want, objs, q)
 			for _, alg := range Algorithms() {
 				if !alg.SupportsMode(mode) {
 					continue

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -61,12 +60,13 @@ func TestNonFiniteLocationRejected(t *testing.T) {
 	}
 }
 
-// TestDataBlocksJobRunsLocallyOnlyWithAView runs a job whose source lacks
-// the sealed data objects (Wire.DataBlocks) on a cluster without workers:
-// without Wire.LocalView it fails rather than return results that miss
-// every sealed object; with it, it returns exactly what the job over all
-// records in-stream returns.
-func TestDataBlocksJobRunsLocallyOnlyWithAView(t *testing.T) {
+// TestWiredJobRunsOnlyOnWorkers pins that a job with a wire form never
+// runs in-process: its source leaves the sealed data objects to the
+// workers' views, so an in-process run would return results without them.
+// A cluster without workers, a split without a reference, a wire form that
+// names no block list, and one beside an in-process-only option each fail
+// the job before any task runs.
+func TestWiredJobRunsOnlyOnWorkers(t *testing.T) {
 	objs, q := randomWorkload(11, 2000, 30, 3)
 	q.K = 8
 	var dataObjs, feats []data.Object
@@ -77,32 +77,38 @@ func TestDataBlocksJobRunsLocallyOnlyWithAView(t *testing.T) {
 			feats = append(feats, o)
 		}
 	}
-	opts := Options{Bounds: geo.Rect{MaxX: 1, MaxY: 1}, GridN: 4, NumReducers: 3}
-	view, err := BuildDataView(grid.New(opts.Bounds, 4, 4), mapreduce.NewMemorySource(dataObjs, 2))
+	base := Options{Bounds: geo.Rect{MaxX: 1, MaxY: 1}, GridN: 4, NumReducers: 3}
+	view, err := BuildDataView(grid.New(base.Bounds, 4, 4), mapreduce.NewMemorySource(dataObjs, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, alg := range Algorithms() {
-		want, err := Run(alg, mapreduce.NewMemorySource(objs, 3), q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want.Results) == 0 {
-			t.Fatalf("%v: no results; the workload is off", alg)
-		}
-		wired := opts
-		wired.Wire = &WireInfo{Gen: 1, DataBlocks: data.BlockListFileName("g1")}
-		if _, err := Run(alg, mapreduce.NewMemorySource(feats, 3), q, wired); err == nil || !strings.Contains(err.Error(), "without one") {
-			t.Errorf("%v: a worker-view job ran in-process without a view: err = %v", alg, err)
-		}
-		builds := 0
-		wired.Wire.LocalView = func() (*DataView, error) { builds++; return view, nil }
-		got, err := Run(alg, mapreduce.NewMemorySource(feats, 3), q, wired)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Results, want.Results) || builds != 1 {
-			t.Errorf("%v with the local view (%d builds): %v, want %v", alg, builds, got.Results, want.Results)
+	fs := dfs.New(dfs.Config{NumNodes: 1, Replication: 1})
+	exec, _ := loopbackWorker(t, fs)
+	workers := mapreduce.NewCluster(fs, 2, 2)
+	workers.Executor = exec
+	blocks := data.BlockListFileName("g1")
+	for name, c := range map[string]struct {
+		opts func(*Options)
+		want string
+	}{
+		"no executor":              {func(o *Options) {}, "no remote executor"},
+		"memory source on workers": {func(o *Options) { o.Cluster = workers }, "serializes no reference"},
+		"no block list":            {func(o *Options) { o.Wire.DataBlocks = "" }, "names no block list"},
+		"not a block list":         {func(o *Options) { o.Wire.DataBlocks = "spq-objects-1.data.0" }, "names no block list"},
+		"with a data view":         {func(o *Options) { o.DataView = view }, "takes no data view"},
+		"with a fault injector": {func(o *Options) {
+			o.FaultInjector = func(mapreduce.TaskKind, int, int) error { return nil }
+		}, "takes no data view, fault injector"},
+		"with a cell table": {func(o *Options) { o.CellReducer = make([]int32, 16) }, "cell→reducer table"},
+	} {
+		for _, alg := range Algorithms() {
+			opts := base
+			opts.Wire = &WireInfo{Gen: 1, DataBlocks: blocks}
+			c.opts(&opts)
+			rep, err := Run(alg, mapreduce.NewMemorySource(feats, 3), q, opts)
+			if rep != nil || err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s, %v: report %v, err = %v, want no report and a %q error", name, alg, rep, err, c.want)
+			}
 		}
 	}
 }

@@ -45,7 +45,9 @@ const (
 // task counts use the CounterExecTasksPrefix + worker name; re-executions
 // count attempts re-dispatched after a worker was lost mid-job; RPC bytes
 // meter the payloads a remote task moved across the master boundary
-// (input fetches, shuffle writes and reads). Workers lost counts every
+// (input fetches, shuffle writes and reads). The fallback counts jobs
+// without a wire form that ran in-process on a cluster with a remote
+// executor. Workers lost counts every
 // live→dead transition exactly once: in the job whose dispatch saw it, or
 // — when a heartbeat or the end-of-job cleanup saw it first — in the next
 // job that dispatches a task.

@@ -29,11 +29,11 @@ type Cluster struct {
 	MapSlots    int
 	ReduceSlots int
 
-	// Executor, when set, runs the cluster's tasks somewhere other than
-	// the calling process (see RPCExecutor). Nil selects the in-process
-	// LocalExecutor. Jobs the executor cannot ship — no wire form, or
-	// splits without serializable references — fall back to the local
-	// executor transparently (metered as spq.exec.fallback.local).
+	// Executor, when set, runs the tasks of every job with a wire form on
+	// worker processes (see RPCExecutor). Nil selects the in-process
+	// LocalExecutor, and a job with a wire form then fails. A job without
+	// one runs in-process on either, metered as spq.exec.fallback.local
+	// when the cluster has an Executor.
 	Executor Executor
 
 	poolsOnce           sync.Once
@@ -132,10 +132,9 @@ func Run[I, K, V, O any](c *Cluster, job *Job[I, K, V, O]) (*Result[O], error) {
 // once, assigns tasks to executor lanes, dispatches self-describing task
 // descriptors, gathers results and drives the per-task retry loop — but
 // has no knowledge of where an attempt executes. The executor decides
-// that: in-process on the cluster's slot pools (the default), or on
-// remote worker processes over RPC when the cluster carries an Executor
-// and the job is remotable (it has a WireJob and every split serializes
-// a SplitRef).
+// that: a job with a WireJob on the cluster's remote Executor, over RPC
+// on worker processes, with a SplitRef for every split; any other job
+// in-process on the cluster's slot pools.
 //
 // Canceling ctx stops the job promptly: no further task attempts start
 // (tasks queued for slot admission leave the queue without consuming a
@@ -172,33 +171,29 @@ func RunContext[I, K, V, O any](ctx context.Context, c *Cluster, job *Job[I, K, 
 		shuffle:  make([][]ShuffleRef, r),
 	}
 
-	// Executor selection: a remote-capable executor takes the job only
-	// when it can be shipped whole — a registered wire form plus a
-	// serializable reference for every split. Everything else (in-memory
-	// sources, fault-injector hooks, custom partitioners) stays local.
+	// Executor selection: the job's wire form decides. A job with one runs
+	// on the remote executor, whole, or fails; a job without one runs
+	// in-process, metered as a fallback on a cluster that has workers.
 	exec := c.executor()
-	remote := false
-	if _, isLocal := exec.(*LocalExecutor); !isLocal {
-		if job.Wire != nil && job.FaultInjector == nil {
-			if refs, ok := collectSplitRefs(splits); ok {
-				b.wireKind, b.wireSpec, b.splitRefs = job.Wire.Kind, job.Wire.Spec, refs
-				remote = true
-			}
+	_, isLocal := exec.(*LocalExecutor)
+	remote := job.Wire != nil
+	switch {
+	case remote && isLocal:
+		return nil, Permanent(fmt.Errorf("mapreduce: job %q has a wire form, and the cluster has no remote executor", job.Name))
+	case remote:
+		refs, err := collectSplitRefs(splits)
+		if err != nil {
+			return nil, Permanent(fmt.Errorf("mapreduce: job %q: %w", job.Name, err))
 		}
-		if !remote {
-			counters.Add(CounterExecFallbackLocal, 1)
-			exec = c.localExecutor()
-		} else if cl, ok := exec.(shuffleCleaner); ok {
+		b.wireKind, b.wireSpec, b.splitRefs = job.Wire.Kind, job.Wire.Spec, refs
+		if cl, ok := exec.(shuffleCleaner); ok {
 			// Shuffle intermediates of remote tasks live in the DFS; they
 			// are removed when the job finishes, success or not.
 			defer cl.CleanupShuffle(b)
 		}
-	}
-
-	if !remote && job.Wire != nil && job.Wire.Local != nil {
-		if err := job.Wire.Local(); err != nil {
-			return nil, fmt.Errorf("mapreduce: job %q: %w", job.Name, err)
-		}
+	case !isLocal:
+		counters.Add(CounterExecFallbackLocal, 1)
+		exec = c.localExecutor()
 	}
 
 	// Local execution state: shared shuffle partitions plus the typed
@@ -311,22 +306,25 @@ func RunContext[I, K, V, O any](ctx context.Context, c *Cluster, job *Job[I, K, 
 	}, nil
 }
 
-// collectSplitRefs serializes a reference for every split; ok is false
-// when any split cannot be referenced (the job then runs locally).
-func collectSplitRefs[I any](splits []SourceSplit[I]) ([]*SplitRef, bool) {
+// collectSplitRefs serializes a reference for every split, failing on the
+// first split that has none.
+func collectSplitRefs[I any](splits []SourceSplit[I]) ([]*SplitRef, error) {
 	refs := make([]*SplitRef, len(splits))
 	for i, s := range splits {
 		rs, ok := s.(RefSplit)
 		if !ok {
-			return nil, false
+			return nil, fmt.Errorf("split %d serializes no reference", i)
 		}
 		ref, err := rs.SplitRef()
-		if err != nil || ref == nil {
-			return nil, false
+		if err != nil {
+			return nil, fmt.Errorf("split %d: %w", i, err)
+		}
+		if ref == nil {
+			return nil, fmt.Errorf("split %d serializes no reference", i)
 		}
 		refs[i] = ref
 	}
-	return refs, true
+	return refs, nil
 }
 
 // runPhase executes every task of one phase through the executor, one

@@ -141,11 +141,13 @@ type wireSpec struct {
 	GridN       int
 	NumReducers int
 	Gen         uint64
+	DataBlocks  string
 }
 
 // FuzzTaskDesc feeds a worker arbitrary bytes as a gob-encoded task
 // descriptor and runs the task against a tiny file system holding one data
-// and one feature segment and the shuffle runs of a real map task. The
+// and one feature segment, the data segment's block list (the reduce
+// tasks' views) and the shuffle runs of a real map task. The
 // descriptor reaches a worker off the wire, inside a net/rpc handler that
 // does not recover: RunTask must never panic, and every task it does not
 // run must come back as an error. The seeds are valid map (one block and a
@@ -173,6 +175,9 @@ func FuzzTaskDesc(f *testing.F) {
 		}
 		name := "g1/" + kind.String()
 		fsys.files[name] = seg.Bytes()
+		if kind == data.DataObject {
+			fsys.files[data.BlockListFileName("g1")] = data.EncodeBlockList([]data.CellStats{{File: name, Records: 40, Blocks: cw.Stats()}})
+		}
 		for i, bs := range cw.Stats() {
 			extra := binary.AppendUvarint(binary.AppendUvarint(nil, uint64(i)), uint64(bs.Records))
 			refs[kind] = append(refs[kind], mapreduce.SplitRef{Kind: "col", File: name, Offset: bs.Offset, Length: int64(bs.Length), Extra: extra})
@@ -181,7 +186,7 @@ func FuzzTaskDesc(f *testing.F) {
 	var spec bytes.Buffer
 	if err := gob.NewEncoder(&spec).Encode(wireSpec{
 		Alg: int(core.PSPQ), K: 3, Radius: 0.2, Keywords: []uint32{1, 5},
-		Bounds: geo.Rect{MaxX: 1, MaxY: 1}, GridN: 4, NumReducers: 3, Gen: 1,
+		Bounds: geo.Rect{MaxX: 1, MaxY: 1}, GridN: 4, NumReducers: 3, Gen: 1, DataBlocks: data.BlockListFileName("g1"),
 	}); err != nil {
 		f.Fatal(err)
 	}

@@ -143,14 +143,15 @@ type Job[I, K, V, O any] struct {
 
 	// FaultInjector, if non-nil, is consulted before each task attempt;
 	// a non-nil return fails that attempt. Used by the failure tests.
-	// A job carrying an injector never leaves the local executor (the
-	// hook is a closure and cannot be shipped).
+	// The hook is a closure and cannot be shipped, so a job may not carry
+	// both an injector and a Wire form.
 	FaultInjector func(kind TaskKind, taskID, attempt int) error
 
-	// Wire, when non-nil, gives the job a serializable self-description so
-	// remote executors can reconstruct it on worker processes (see
-	// RegisterJobKind). Nil keeps the job local-only. The local executor
-	// ignores it.
+	// Wire, when non-nil, gives the job a serializable self-description and
+	// makes it a remote-only job: it runs on the cluster's remote executor,
+	// whose workers reconstruct it (see RegisterJobKind), and fails when
+	// the cluster has none or a split serializes no reference. Nil keeps
+	// the job in-process.
 	Wire *WireJob
 }
 
@@ -162,13 +163,6 @@ type WireJob struct {
 	Kind string
 	// Spec is the kind-specific job description, opaque to the framework.
 	Spec []byte
-	// Local, when non-nil, is called once, before the first task, when the
-	// job runs on the local executor after all: the cluster has no remote
-	// executor, or a split has no reference. A wire form whose workers
-	// supply part of the input from state they keep (see WorkerEnv.State)
-	// uses it to supply that input in-process; an error fails the job
-	// before any task runs, so the job never runs without that input.
-	Local func() error
 }
 
 // compare returns the job's three-way key comparator, deriving one from
@@ -204,6 +198,8 @@ func (j *Job[I, K, V, O]) validate() error {
 		return fmt.Errorf("mapreduce: job %q: nil Partition", j.Name)
 	case j.Less == nil:
 		return fmt.Errorf("mapreduce: job %q: nil Less", j.Name)
+	case j.Wire != nil && j.FaultInjector != nil:
+		return fmt.Errorf("mapreduce: job %q: a wire form and a fault injector", j.Name)
 	}
 	return nil
 }

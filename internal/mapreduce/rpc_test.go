@@ -307,8 +307,10 @@ func TestRPCExecutorAllWorkersLost(t *testing.T) {
 	}
 }
 
-// A job without serializable splits runs on the local executor even when
-// an RPC executor is installed, and says so in the counters.
+// A job without a wire form runs on the local executor even when an RPC
+// executor is installed, and says so in the counters. A job with one runs
+// on the workers or fails: with splits that serialize no reference, on a
+// cluster without an executor, or beside a fault injector it cannot ship.
 func TestRPCExecutorFallbackLocal(t *testing.T) {
 	fs, want := rpcHarness(t, 100)
 	exec, err := NewRPCExecutor(fs, startWorkers(t, 1, 2))
@@ -323,7 +325,6 @@ func TestRPCExecutorFallbackLocal(t *testing.T) {
 	}
 	job := rpcSumJob()
 	job.Source = NewMemorySource(recs, 4)
-	job.Wire = &WireJob{Kind: "rpc-test-sum"}
 	cl := NewCluster(fs, 4, 2)
 	cl.Executor = exec
 	res, err := Run(cl, job)
@@ -332,7 +333,32 @@ func TestRPCExecutorFallbackLocal(t *testing.T) {
 	}
 	checkRPCSum(t, res, want)
 	if res.Counters[CounterExecFallbackLocal] == 0 {
-		t.Error("memory-source job not metered as a local fallback")
+		t.Error("unwired job not metered as a local fallback")
+	}
+
+	for _, c := range []struct {
+		name    string
+		cluster *Cluster
+		source  Source[int]
+		inject  bool
+		want    string
+	}{
+		{"memory source on workers", cl, NewMemorySource(recs, 4), false, "split 0 serializes no reference"},
+		{"no executor", NewCluster(fs, 4, 2), rangeInput{fs: fs, file: "nums", per: 32}, false, "no remote executor"},
+		{"fault injector", cl, rangeInput{fs: fs, file: "nums", per: 32}, true, "a wire form and a fault injector"},
+	} {
+		job := rpcSumJob()
+		job.Source = c.source
+		job.Wire = &WireJob{Kind: "rpc-test-sum"}
+		if c.inject {
+			job.FaultInjector = func(TaskKind, int, int) error { return nil }
+		}
+		res, err := Run(c.cluster, job)
+		if res != nil || err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("wired job, %s: result %v, err = %v, want no result and a %q error", c.name, res, err, c.want)
+		} else if !c.inject && !isPermanent(err) {
+			t.Errorf("wired job, %s: err = %v is not permanent", c.name, err)
+		}
 	}
 }
 

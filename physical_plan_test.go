@@ -3,6 +3,7 @@ package spq
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -22,18 +23,18 @@ import (
 //     in-process, delta or not, resident blocks (memory storage, the
 //     delta) travel with the selection, and only SPQ3 meters segment
 //     reads;
-//   - a distributed engine hands a job whose every selected block is
-//     stored (SPQ3, no delta) the generation's block list instead, so its
-//     workers serve the sealed data from their own views;
+//   - a distributed engine ships a job whose every selected block is
+//     stored (no delta block) with the generation's block list, so its
+//     workers serve the sealed data from their own views; any other job
+//     runs in-process, metered as spq.exec.fallback.local;
+//   - a memory-storage engine with workers is a configuration error every
+//     query reports, and it attaches no worker;
 //   - two planned queries with disjoint keywords at one grid share one
 //     view;
 //   - the delta is cut into blocks at most once per snapshot, by the first
 //     query that reads it, planned or not;
 //   - an unplanned query runs the planner's slot-derived reduce-task count,
-//     not one task per query-grid cell, unless WithReducers overrides it;
-//   - a distributed engine ships a job only when every block is stored:
-//     memory storage and delta blocks run in-process, metered as
-//     spq.exec.fallback.local.
+//     not one task per query-grid cell, unless WithReducers overrides it.
 func TestPlanQuery(t *testing.T) {
 	storages := []struct {
 		name    string
@@ -48,6 +49,7 @@ func TestPlanQuery(t *testing.T) {
 			for _, withDelta := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/distributed=%v/delta=%v", st.name, distributed, withDelta), func(t *testing.T) {
 					cfg := Config{Storage: st.storage, Nodes: 4, CompactAfter: -1}
+					masters := masterGoroutines()
 					if distributed {
 						cfg.Workers = distWorkers(t, 1, 1)
 					}
@@ -62,6 +64,17 @@ func TestPlanQuery(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
+					if distributed && st.storage == StorageMemory {
+						// Resident blocks have no reference a worker could
+						// read: the engine refuses the workers up front.
+						if _, err := e.Query(q); err == nil || !strings.Contains(err.Error(), "workers need StorageDFSBinary") {
+							t.Errorf("memory storage with workers: err = %v, want a configuration error", err)
+						}
+						if e.Distributed() || e.Workers() != nil || masterGoroutines() > masters {
+							t.Errorf("memory storage with workers attached %v (master goroutines %d, %d before)", e.Workers(), masterGoroutines(), masters)
+						}
+						return
+					}
 					snap := e.snap.Load()
 					if withDelta && snap.delta.cells != nil {
 						t.Fatal("delta cut into blocks before any query read it")
@@ -75,15 +88,15 @@ func TestPlanQuery(t *testing.T) {
 						return e.planQuery(snap, q, &qc)
 					}
 
-					// Whether a job ships with its block list: every block it
-					// reads is stored, and the engine has workers.
-					ships := func(delta bool) bool { return distributed && st.storage == StorageDFSBinary && !delta }
+					// Whether a job ships with its block list: the engine has
+					// workers, and no delta block is selected.
+					ships := func(delta bool) bool { return distributed && !delta }
 					p := planQ()
-					if p.useView == ships(withDelta) {
-						t.Errorf("useView = %v on a distributed=%v engine, delta=%v", p.useView, distributed, withDelta)
+					if (p.wire != nil) != ships(withDelta) {
+						t.Errorf("wire = %+v on a distributed=%v engine, delta=%v", p.wire, distributed, withDelta)
 					}
-					if lists := p.wire != nil && p.wire.DataBlocks != ""; lists != ships(withDelta) {
-						t.Errorf("wire block list = %v on a distributed=%v engine, delta=%v", lists, distributed, withDelta)
+					if p.wire != nil && !data.IsBlockListFile(p.wire.DataBlocks) {
+						t.Errorf("shipped job names %q, not a block list", p.wire.DataBlocks)
 					}
 					if p.src == nil {
 						t.Fatal("plan without a source")
@@ -110,9 +123,6 @@ func TestPlanQuery(t *testing.T) {
 					}
 					if pr := planQ(WithReducers(3)); pr.reducers != 3 {
 						t.Errorf("WithReducers(3): %d reducers", pr.reducers)
-					}
-					if (p.wire != nil) != distributed {
-						t.Errorf("wire info = %v on a distributed=%v engine", p.wire, distributed)
 					}
 					if (p.segIO != nil) != (st.storage == StorageDFSBinary) {
 						t.Errorf("segment meter = %v on %s storage", p.segIO, st.name)
@@ -147,8 +157,8 @@ func TestPlanQuery(t *testing.T) {
 							t.Errorf("delta stats = %+v, want the whole 1-record delta in its one cell", p.deltaStats)
 						}
 						// Opting out of the delta drops only the delta.
-						if pd := planQ(WithDelta(false)); pd.useView == ships(false) || pd.deltaStats.Records != 0 {
-							t.Errorf("WithDelta(false): useView=%v delta=%+v", pd.useView, pd.deltaStats)
+						if pd := planQ(WithDelta(false)); (pd.wire != nil) != ships(false) || pd.deltaStats.Records != 0 {
+							t.Errorf("WithDelta(false): wire=%+v delta=%+v", pd.wire, pd.deltaStats)
 						}
 						// A planned query reads the same blocks: they are not
 						// cut again.
@@ -177,9 +187,8 @@ func TestPlanQuery(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						local := rep.Counters[mapreduce.CounterExecFallbackLocal] > 0
-						if want := st.storage == StorageMemory || withDelta; local != want {
-							t.Errorf("job ran locally = %v, want %v", local, want)
+						if local := rep.Counters[mapreduce.CounterExecFallbackLocal] > 0; local != withDelta {
+							t.Errorf("job ran locally = %v, want %v", local, withDelta)
 						}
 					}
 				})
