@@ -28,7 +28,6 @@ func main() {
 		nodes    = flag.Int("nodes", 16, "simulated DFS nodes")
 		slots    = flag.Int("slots", 8, "map/reduce worker slots")
 		autoplan = flag.Bool("autoplan", false, "prune sealed cell files against the query and pick the grid from the manifest statistics")
-		storage  = flag.String("storage", "spq3", "sealed storage: spq3 (compressed columnar segments in the DFS), memory (the same blocks, resident)")
 		verbose  = flag.Bool("v", false, "print job counters")
 	)
 	flag.Parse()
@@ -54,17 +53,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := spq.Config{Nodes: *nodes, MapSlots: *slots, ReduceSlots: *slots}
-	switch strings.ToLower(*storage) {
-	case "spq3":
-		cfg.Storage = spq.StorageDFSBinary
-	case "memory":
-		cfg.Storage = spq.StorageMemory
-	default:
-		fmt.Fprintf(os.Stderr, "spqrun: unknown storage %q\n", *storage)
-		os.Exit(2)
-	}
-	eng := spq.NewEngine(cfg)
+	eng := spq.NewEngine(spq.Config{Nodes: *nodes, MapSlots: *slots, ReduceSlots: *slots})
 	for _, f := range strings.Split(*files, ",") {
 		if err := eng.LoadFile(f); err != nil {
 			fmt.Fprintf(os.Stderr, "spqrun: %v\n", err)

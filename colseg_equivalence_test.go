@@ -1,9 +1,9 @@
 package spq
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"spq/internal/core"
@@ -28,12 +28,12 @@ func oracleResults(dataObjs []DataObject, feats []Feature, q Query) []Result {
 	return toResults(core.RTreeCentralized(objs, cq))
 }
 
-// oracleStorages are the storage modes the oracle properties cover.
+// oracleStorages are the storages the oracle properties cover: the one
+// sealed storage, SPQ3 segments in the DFS.
 var oracleStorages = []struct {
 	name    string
 	storage Storage
-	format  string
-}{{"spq3", StorageDFSBinary, "spq3"}, {"memory", StorageMemory, "mem"}}
+}{{"spq3", StorageDFSBinary}}
 
 // oracleEngine loads the objects into an engine over storage st and seals
 // it. With delta set, the last third of each dataset is appended after the
@@ -66,7 +66,7 @@ func oracleEngine(t *testing.T, st Storage, delta bool, dataObjs []DataObject, f
 }
 
 // checkOracle runs every query through every algorithm, unplanned and
-// planned, on every storage mode, sealed and with an uncompacted delta,
+// planned, sealed and with an uncompacted delta,
 // and requires results identical to the oracle's — ids, coordinates and
 // bitwise scores, ties broken canonically.
 func checkOracle(t *testing.T, dataObjs []DataObject, feats []Feature, queries []Query, opts ...QueryOption) {
@@ -78,9 +78,6 @@ func checkOracle(t *testing.T, dataObjs []DataObject, feats []Feature, queries [
 	for _, st := range oracleStorages {
 		for _, delta := range []bool{false, true} {
 			e := oracleEngine(t, st.storage, delta, dataObjs, feats)
-			if f := e.Manifest().Format; f != st.format {
-				t.Fatalf("%s sealed as %q, want %q", st.name, f, st.format)
-			}
 			for qi, q := range queries {
 				for _, alg := range Algorithms() {
 					for _, planned := range []bool{false, true} {
@@ -106,10 +103,10 @@ func checkOracle(t *testing.T, dataObjs []DataObject, feats []Feature, queries [
 // TestColumnarMatchesRecordStorageProperty is the storage-format
 // correctness property on a clustered corpus and five hand-picked queries,
 // among them an out-of-vocabulary keyword and a zero radius: SPQ3
-// compressed columnar segments and resident memory blocks both
-// return exactly the centralized R-tree oracle's results, for every
-// algorithm, planned and unplanned, sealed and with a delta. For SPQ3 this
-// also covers the block-at-a-time map: a feature's two counts come from
+// compressed columnar segments, and the delta's resident blocks beside
+// them, return exactly the centralized R-tree oracle's results, for every
+// algorithm, planned and unplanned, sealed and with a delta. This also
+// covers the block-at-a-time map: a feature's two counts come from
 // the block dictionary and the posting lists of the query's keywords
 // instead of from a per-record keyword set, and the results must not move.
 func TestColumnarMatchesRecordStorageProperty(t *testing.T) {
@@ -271,63 +268,47 @@ func TestSegmentCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestStoragesBuildSameBlocks: memory storage is SPQ3 minus the encoding.
-// Two engines loaded identically seal the same cells into the same blocks
-// with equal zone maps — records, bounds, blooms — and the memory engine
-// holds its base once, as those blocks: no object copy survives the seal,
-// nor a compaction, which reads the base back from the blocks.
-func TestStoragesBuildSameBlocks(t *testing.T) {
-	engines := make([]*Engine, 2)
-	for i, st := range []Storage{StorageDFSBinary, StorageMemory} {
-		engines[i] = NewEngine(Config{Storage: st, Nodes: 4, SealGridN: 4, CompactAfter: -1})
-		loadClusteredCorpus(t, engines[i], 20000, 8)
-		if err := engines[i].Seal(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stored, mem := engines[0].Manifest(), engines[1].Manifest()
-	multiBlock := false
-	for _, pair := range [][2][]data.CellStats{{stored.Data, mem.Data}, {stored.Features, mem.Features}} {
-		if len(pair[0]) != len(pair[1]) {
-			t.Fatalf("%d SPQ3 cells, %d memory cells", len(pair[0]), len(pair[1]))
-		}
-		for i, s := range pair[0] {
-			m := pair[1][i]
-			if s.Cell != m.Cell || s.Records != m.Records || s.Bounds != m.Bounds ||
-				!bytes.Equal(s.Keywords, m.Keywords) || len(s.Blocks) != len(m.Blocks) {
-				t.Fatalf("cell %d: SPQ3 %+v, memory %+v", s.Cell, s, m)
+// TestSealWritesOnlyCellSegments: a seal and a compaction write the cell
+// segments their manifest names, plus the data block list on a
+// distributed engine, and nothing else — no manifest file. A compaction
+// leaves the previous generation's files in place for queries still
+// reading it.
+func TestSealWritesOnlyCellSegments(t *testing.T) {
+	for _, distributed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("distributed=%v", distributed), func(t *testing.T) {
+			cfg := Config{Nodes: 4, SealGridN: 4, CompactAfter: -1}
+			if distributed {
+				cfg.Workers = distWorkers(t, 1, 1)
 			}
-			multiBlock = multiBlock || len(s.Blocks) > 1
-			for bi, sb := range s.Blocks {
-				mb := m.Blocks[bi]
-				if sb.Records != mb.Records || sb.Bounds != mb.Bounds || !bytes.Equal(sb.Keywords, mb.Keywords) {
-					t.Fatalf("cell %d block %d: SPQ3 zone map %+v, memory %+v", s.Cell, bi, sb, mb)
+			e := NewEngine(cfg)
+			t.Cleanup(func() { e.Close() })
+			loadClusteredCorpus(t, e, 2000, 4)
+			var want []string
+			sealed := func(when string) {
+				t.Helper()
+				m := e.Manifest()
+				for _, cs := range append(append([]data.CellStats(nil), m.Data...), m.Features...) {
+					want = append(want, cs.File)
+				}
+				if distributed {
+					want = append(want, e.snap.Load().dataBlocks)
+				}
+				slices.Sort(want)
+				if got := e.fs.List(); !slices.Equal(got, want) {
+					t.Errorf("after %s the DFS holds %v, want the cell segments and block lists %v", when, got, want)
 				}
 			}
-		}
-	}
-	if !multiBlock {
-		t.Fatal("no cell spans several blocks: the block cut is untested")
-	}
-
-	e := engines[1]
-	heldOnce := func(when string) {
-		t.Helper()
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		if e.objects != nil || e.resident == nil || e.snap.Load().resident == nil {
-			t.Errorf("%s: %d objects held beside the blocks (resident blocks: %v)", when, len(e.objects), e.resident != nil)
-		}
-	}
-	heldOnce("after Seal")
-	if err := e.AddData(DataObject{ID: 1 << 40, X: 0.5, Y: 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	heldOnce("after Compact")
-	if nd, nf := e.Len(); int64(nd+nf) != e.Manifest().TotalRecords() {
-		t.Errorf("compacted manifest holds %d records, engine %d", e.Manifest().TotalRecords(), nd+nf)
+			if err := e.Seal(); err != nil {
+				t.Fatal(err)
+			}
+			sealed("Seal")
+			if err := e.AddData(DataObject{ID: 1 << 40, X: 0.5, Y: 0.5}); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			sealed("Compact")
+		})
 	}
 }

@@ -41,7 +41,7 @@ func contextTestQuery(t *testing.T, e *Engine) Query {
 // TestQueryContextPreCanceled: an already-canceled context fails fast with
 // ErrCanceled (carrying the context cause), before any job runs.
 func TestQueryContextPreCanceled(t *testing.T) {
-	e := contextTestEngine(t, Config{Storage: StorageMemory, Seed: 3})
+	e := contextTestEngine(t, Config{Seed: 3})
 	defer e.Close()
 	q := contextTestQuery(t, e)
 
@@ -74,7 +74,7 @@ func TestQueryContextPreCanceled(t *testing.T) {
 // counter-verified "no further task starts" assertion lives at the
 // mapreduce layer in TestRunContextCancelStopsTaskStarts.)
 func TestQueryContextCancelMidFlight(t *testing.T) {
-	e := contextTestEngine(t, Config{Storage: StorageMemory, Seed: 5, MapSlots: 2, ReduceSlots: 2, QueryCache: -1})
+	e := contextTestEngine(t, Config{Seed: 5, MapSlots: 2, ReduceSlots: 2, QueryCache: -1})
 	defer e.Close()
 	q := contextTestQuery(t, e)
 
@@ -110,7 +110,7 @@ func TestQueryContextCancelMidFlight(t *testing.T) {
 // TestCloseIdempotent: Close twice is fine, Close during in-flight queries
 // drains them, and queries after Close fail with ErrClosed.
 func TestCloseIdempotent(t *testing.T) {
-	e := contextTestEngine(t, Config{Storage: StorageMemory, Seed: 7})
+	e := contextTestEngine(t, Config{Seed: 7})
 	q := contextTestQuery(t, e)
 
 	var wg sync.WaitGroup
@@ -150,7 +150,7 @@ func TestCloseIdempotent(t *testing.T) {
 // TestInvalidQueryTaxonomy: boundary validation wraps ErrInvalidQuery and
 // names the offending field.
 func TestInvalidQueryTaxonomy(t *testing.T) {
-	e := contextTestEngine(t, Config{Storage: StorageMemory, Seed: 9})
+	e := contextTestEngine(t, Config{Seed: 9})
 	defer e.Close()
 
 	valid := Query{K: 1, Radius: 0.1, Keywords: []string{"x"}}
@@ -202,7 +202,7 @@ func TestInvalidQueryTaxonomy(t *testing.T) {
 // overrides an earlier one — and Report.Options reflects what actually
 // applied.
 func TestWithCacheDeltaRedesign(t *testing.T) {
-	e := contextTestEngine(t, Config{Storage: StorageMemory, Seed: 11})
+	e := contextTestEngine(t, Config{Seed: 11})
 	defer e.Close()
 	q := contextTestQuery(t, e)
 
@@ -245,7 +245,7 @@ func TestWithCacheDeltaRedesign(t *testing.T) {
 // TestReportOptionsIntrospection: Options echoes the resolved settings,
 // including on cache hits.
 func TestReportOptionsIntrospection(t *testing.T) {
-	e := contextTestEngine(t, Config{Storage: StorageMemory, Seed: 13})
+	e := contextTestEngine(t, Config{Seed: 13})
 	defer e.Close()
 	q := contextTestQuery(t, e)
 
@@ -271,7 +271,7 @@ func TestReportOptionsIntrospection(t *testing.T) {
 	}
 
 	// An engine with the cache disabled reports Cache=false even by default.
-	ne := contextTestEngine(t, Config{Storage: StorageMemory, Seed: 13, QueryCache: -1})
+	ne := contextTestEngine(t, Config{Seed: 13, QueryCache: -1})
 	defer ne.Close()
 	rep2, err := ne.QueryReport(contextTestQuery(t, ne))
 	if err != nil {

@@ -75,7 +75,7 @@ type deltaState struct {
 }
 
 // blocks cuts the delta into column blocks over the manifest's seal grid,
-// once: a memory seal of the delta, whose synthetic cell names
+// once: a SealBlocks seal of the delta, whose synthetic cell names
 // ("delta-d0012.mem") cannot collide with the sealed ones.
 func (d *deltaState) blocks(m *data.Manifest, dict *text.Dict) (*data.Manifest, map[string][]*data.ColumnBlock) {
 	d.once.Do(func() {

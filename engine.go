@@ -20,32 +20,22 @@ import (
 	"spq/internal/text"
 )
 
-// Storage selects where the engine keeps its datasets.
+// Storage names where the engine keeps its sealed datasets. There is one
+// storage, StorageDFSBinary; any other value is a configuration error.
 type Storage int
 
-// Storage modes.
-const (
-	// StorageDFSBinary stores objects in the simulated distributed file
-	// system as SPQ3 compressed columnar segments: each sealed cell is
-	// written as density-sized column blocks (delta-varint ids, xor-delta
-	// bit-packed coordinates, dictionary-coded keyword postings) with
-	// per-block zone maps (bounding box, record count, keyword bloom) in
-	// the manifest, so the query planner prunes inside cells and the reader
-	// decodes only surviving blocks — straight into dense, cache-shared
-	// column buffers. This is the full reproduction of the paper's
-	// Hadoop/HDFS stack (replicated blocks, repair, worker processes) and
-	// the default.
-	StorageDFSBinary Storage = iota
-	// StorageMemory keeps every sealed cell in memory as the column blocks
-	// StorageDFSBinary stores, never encoded: the same zone maps, planner
-	// pruning, block-at-a-time map and data views, minus the DFS, the
-	// decode and the segment cache. Sufficient when only the algorithms
-	// (not the storage substrate) matter. Its blocks have no reference a
-	// worker could read, so it takes no Config.Workers.
-	StorageMemory
-)
+// StorageDFSBinary stores objects in the simulated distributed file system
+// as SPQ3 compressed columnar segments: each sealed cell is written as
+// density-sized column blocks (delta-varint ids, xor-delta bit-packed
+// coordinates, dictionary-coded keyword postings) with per-block zone maps
+// (bounding box, record count, keyword bloom) in the in-memory manifest, so
+// the query planner prunes inside cells and the reader decodes only
+// surviving blocks — straight into dense, cache-shared column buffers. This
+// is the full reproduction of the paper's Hadoop/HDFS stack (replicated
+// blocks, repair, worker processes), and the zero value.
+const StorageDFSBinary Storage = 0
 
-// Per-query segment I/O counters, emitted on SPQ3 storage
+// Per-query segment I/O counters, emitted by every executed query
 // (see Report.Counters). Together they quantify the storage cost of a
 // query: selected is the plan's compressed footprint, read what actually
 // hit storage (cache hits read nothing), decoded the in-memory size
@@ -68,7 +58,7 @@ const (
 )
 
 // DefaultSealGridN is the default seal grid edge: Seal partitions the
-// datasets into DefaultSealGridN² per-cell files (plus a manifest) unless
+// datasets into up to DefaultSealGridN² per-cell files unless
 // Config.SealGridN overrides it.
 const DefaultSealGridN = 32
 
@@ -84,13 +74,15 @@ type Config struct {
 	BlockSize int
 	// Replication is the DFS replication factor (default 3).
 	Replication int
-	// Storage selects DFS-resident SPQ3 segments (the default) or the same
-	// column blocks kept in memory.
+	// Storage must be StorageDFSBinary, the zero value: SPQ3 segments in
+	// the DFS. With any other value every query fails with a configuration
+	// error, and no worker is attached.
 	Storage Storage
 	// SealGridN is the edge size of the seal grid: Seal writes the
-	// datasets as per-cell files over a SealGridN x SealGridN grid with a
-	// manifest of per-cell statistics, which is what the query planner
-	// (WithAutoPlan) prunes against. Default DefaultSealGridN.
+	// datasets as per-cell files over a SealGridN x SealGridN grid and
+	// keeps a manifest of per-cell statistics in memory, which is what the
+	// query planner (WithAutoPlan) prunes against. Default
+	// DefaultSealGridN.
 	SealGridN int
 	// QueryCache bounds the engine's query result cache, in cached
 	// reports. Repeated queries against an unchanged storage generation
@@ -106,7 +98,6 @@ type Config struct {
 	// (generation, cell file, block), so compactions invalidate by
 	// construction, mirroring the query cache. Zero selects
 	// data.DefaultBlockCacheBytes; a negative value disables the cache.
-	// Only SPQ3 storage uses it.
 	SegmentCache int
 	// CompactAfter bounds the in-memory delta of a sealed engine, in
 	// records: once an append batch leaves at least CompactAfter records
@@ -140,9 +131,7 @@ type Config struct {
 	// data views and decoded blocks across jobs, so a shipped job shuffles
 	// only features. A query whose plan selects a block of the uncompacted
 	// delta, which lives in the master's memory, runs in-process on the
-	// engine's own view instead (spq.exec.fallback.local). Workers need
-	// StorageDFSBinary: with StorageMemory every query fails with a
-	// configuration error, and no worker is attached.
+	// engine's own view instead (spq.exec.fallback.local).
 	// Empty (the default) runs everything in-process. Engines with workers
 	// should be Closed.
 	//
@@ -198,9 +187,6 @@ type snapshot struct {
 	gen      uint64
 	manifest *data.Manifest
 	bounds   geo.Rect
-	// resident holds the sealed cells' blocks by cell name under memory
-	// storage; nil under DFS storage.
-	resident map[string][]*data.ColumnBlock
 	// dataBlocks names the DFS block list of the base generation's sealed
 	// data blocks, from which workers build their data views; empty unless
 	// the engine is distributed.
@@ -221,8 +207,7 @@ type Engine struct {
 	cluster *mapreduce.Cluster
 	dict    *text.Dict
 	cache   *queryCache // nil when Config.QueryCache < 0
-	// segCache is the decoded-segment cache of SPQ3 storage; nil when
-	// disabled or unused by the storage mode.
+	// segCache is the decoded-segment cache; nil when disabled.
 	segCache *data.BlockCache
 	// viewCache caches one data view per (base generation, query grid) over
 	// every sealed data block (see core.DataView): jobs run in-process
@@ -232,9 +217,8 @@ type Engine struct {
 	viewCache *core.ViewCache
 
 	// exec is the RPC executor when Config.Workers is set; execErr holds a
-	// worker attach failure or a storage mode that takes no workers,
-	// surfaced by every query rather than lost (NewEngine does not return
-	// errors).
+	// worker attach failure or an unknown Config.Storage, surfaced by every
+	// query rather than lost (NewEngine does not return errors).
 	exec    *mapreduce.RPCExecutor
 	execErr error
 
@@ -250,7 +234,10 @@ type Engine struct {
 	closed   bool
 	inflight sync.WaitGroup
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// objects is the load buffer before the first seal and the objects of
+	// the sealed base generation after it: compactions re-seal them with
+	// the delta.
 	objects []data.Object
 	nData   int
 	nFeats  int
@@ -264,11 +251,9 @@ type Engine struct {
 	gen     uint64
 	fileSeq int
 
-	// Sealed state: the manifest of the partitioned storage layout, plus
-	// — under StorageMemory — the cells' resident blocks, the only copy of
-	// the sealed base.
+	// Sealed state: the manifest of the partitioned storage layout, and
+	// the block list workers build their data views from.
 	manifest   *data.Manifest
-	resident   map[string][]*data.ColumnBlock
 	dataBlocks string
 
 	// delta holds the records appended after the last seal or compaction,
@@ -300,14 +285,14 @@ func NewEngine(cfg Config) *Engine {
 	if cfg.QueryCache > 0 {
 		e.cache = newQueryCache(cfg.QueryCache)
 	}
-	if cfg.Storage == StorageDFSBinary && cfg.SegmentCache >= 0 {
+	if cfg.SegmentCache >= 0 {
 		e.segCache = data.NewBlockCache(int64(cfg.SegmentCache))
 	}
 	switch {
-	case len(cfg.Workers) == 0:
 	case cfg.Storage != StorageDFSBinary:
 		// Checked before any worker is attached, so none is left connected.
-		e.execErr = errors.New("spq: attach workers: memory storage has no blocks a worker can read; workers need StorageDFSBinary")
+		e.execErr = fmt.Errorf("spq: config: unknown storage %d; StorageDFSBinary is the only storage", cfg.Storage)
+	case len(cfg.Workers) == 0:
 	default:
 		exec, err := mapreduce.NewRPCExecutor(fs, cfg.Workers)
 		if err != nil {
@@ -375,9 +360,7 @@ func (e *Engine) endQuery() { e.inflight.Done() }
 
 // AddData loads data objects (the objects ranked and returned by queries).
 //
-// Every object is validated at load time: coordinates must be finite (a
-// NaN or infinite coordinate used to surface only at seal time, as an
-// opaque JSON encoding error that could wedge the engine mid-seal), and
+// Every object is validated at load time: coordinates must be finite, and
 // ids must be unique within the data dataset — a duplicate id would
 // otherwise silently yield duplicate top-k entries, so duplicates are
 // rejected outright rather than deduplicated (data and feature ids live
@@ -394,18 +377,14 @@ func (e *Engine) endQuery() { e.inflight.Done() }
 // compaction it triggers fails, the returned error says so explicitly —
 // the records ARE appended and served, so the batch must not be retried.
 func (e *Engine) AddData(objs ...DataObject) error {
+	batch := make([]data.Object, len(objs))
+	for i, o := range objs {
+		batch[i] = data.Object{Kind: data.DataObject, ID: o.ID, Loc: geo.Point{X: o.X, Y: o.Y}}
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	seen := make(map[uint64]struct{}, len(objs))
-	for _, o := range objs {
-		if err := e.checkLocked(data.DataObject, o.ID, o.X, o.Y, seen); err != nil {
-			return err
-		}
-	}
-	for _, o := range objs {
-		e.addLocked(data.Object{Kind: data.DataObject, ID: o.ID, Loc: geo.Point{X: o.X, Y: o.Y}})
-	}
-	return e.commitLocked()
+	_, err := e.loadLocked(batch, nil)
+	return err
 }
 
 // AddFeature loads feature objects (the keyword-annotated objects that
@@ -413,18 +392,40 @@ func (e *Engine) AddData(objs ...DataObject) error {
 // follow AddData: finite coordinates, unique ids within the feature
 // dataset, all-or-nothing per call.
 func (e *Engine) AddFeature(feats ...Feature) error {
+	batch := make([]data.Object, len(feats))
+	for i, f := range feats {
+		batch[i] = data.Object{Kind: data.FeatureObject, ID: f.ID, Loc: geo.Point{X: f.X, Y: f.Y}}
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	seen := make(map[uint64]struct{}, len(feats))
-	for _, f := range feats {
-		if err := e.checkLocked(data.FeatureObject, f.ID, f.X, f.Y, seen); err != nil {
-			return err
+	_, err := e.loadLocked(batch, func(i int) []string { return keywordsOf(feats[i].Keywords) })
+	return err
+}
+
+// loadLocked is the one load path: it validates every object of the batch
+// — finite coordinates, an id unused by its dataset and earlier in the
+// batch — and only then interns each feature's keywords, keywords(i) for
+// batch object i, into the engine's dictionary, adds every object and
+// commits. A rejected batch therefore leaves the engine unchanged,
+// dictionary included; its error comes back with the index of the object
+// that failed, and a failed commit with index -1.
+func (e *Engine) loadLocked(objs []data.Object, keywords func(i int) []string) (int, error) {
+	seen := map[data.Kind]map[uint64]struct{}{
+		data.DataObject:    make(map[uint64]struct{}),
+		data.FeatureObject: make(map[uint64]struct{}),
+	}
+	for i, o := range objs {
+		if err := e.checkLocked(o, seen[o.Kind]); err != nil {
+			return i, err
 		}
 	}
-	for _, f := range feats {
-		e.addLocked(toFeatureObject(f, e.dict))
+	for i, o := range objs {
+		if o.Kind == data.FeatureObject {
+			o.Keywords = e.dict.InternAll(keywords(i))
+		}
+		e.addLocked(o)
 	}
-	return e.commitLocked()
+	return -1, e.commitLocked()
 }
 
 // commitLocked finishes a successful load batch. Before the first seal it
@@ -456,7 +457,6 @@ func (e *Engine) publishLocked() {
 		gen:        e.gen,
 		manifest:   e.manifest,
 		bounds:     e.bounds,
-		resident:   e.resident,
 		dataBlocks: e.dataBlocks,
 	}
 	if len(e.delta) > 0 {
@@ -466,26 +466,22 @@ func (e *Engine) publishLocked() {
 }
 
 // checkLocked validates one incoming object: finite coordinates and an id
-// unused by its dataset (and, via seen, unused earlier in the same batch).
-// Errors name the offending object so bad records in a bulk load can be
-// found and fixed.
-func (e *Engine) checkLocked(kind data.Kind, id uint64, x, y float64, seen map[uint64]struct{}) error {
-	if !finite(x) || !finite(y) {
-		return fmt.Errorf("spq: %s object %d: non-finite coordinate (%g, %g)", kind, id, x, y)
+// unused by its dataset and, via seen, earlier in the same batch. Errors
+// name the offending object so bad records in a bulk load can be found
+// and fixed.
+func (e *Engine) checkLocked(o data.Object, seen map[uint64]struct{}) error {
+	if !finite(o.Loc.X) || !finite(o.Loc.Y) {
+		return fmt.Errorf("spq: %s object %d: non-finite coordinate (%g, %g)", o.Kind, o.ID, o.Loc.X, o.Loc.Y)
 	}
 	ids := e.dataIDs
-	if kind == data.FeatureObject {
+	if o.Kind == data.FeatureObject {
 		ids = e.featIDs
 	}
-	if _, dup := ids[id]; dup {
-		return fmt.Errorf("spq: duplicate %s object id %d", kind, id)
+	_, loaded := ids[o.ID]
+	if _, batched := seen[o.ID]; loaded || batched {
+		return fmt.Errorf("spq: duplicate %s object id %d", o.Kind, o.ID)
 	}
-	if seen != nil {
-		if _, dup := seen[id]; dup {
-			return fmt.Errorf("spq: duplicate %s object id %d", kind, id)
-		}
-		seen[id] = struct{}{}
-	}
+	seen[o.ID] = struct{}{}
 	return nil
 }
 
@@ -529,39 +525,20 @@ func (e *Engine) Bounds() (minX, minY, maxX, maxY float64) {
 	return e.bounds.MinX, e.bounds.MinY, e.bounds.MaxX, e.bounds.MaxY
 }
 
-// baseObjectsLocked returns the objects of the sealed base generation (or
-// the load buffer before the first seal): the load-order slice under DFS
-// storage; under memory storage, which keeps the base only as blocks, the
-// blocks read back cell by cell.
-func (e *Engine) baseObjectsLocked() []data.Object {
-	if e.resident == nil {
-		return e.objects
-	}
-	objs := make([]data.Object, 0, e.manifest.TotalRecords())
-	for _, cells := range [][]data.CellStats{e.manifest.Data, e.manifest.Features} {
-		for _, cs := range cells {
-			for _, b := range e.resident[cs.File] {
-				objs = b.AppendObjects(objs)
-			}
-		}
-	}
-	return objs
-}
-
 // allObjectsLocked returns every loaded object — base plus delta. The
 // returned slice may alias engine state and must not be mutated or
 // retained past the lock.
 func (e *Engine) allObjectsLocked() []data.Object {
-	base := e.baseObjectsLocked()
 	if len(e.delta) == 0 {
-		return base
+		return e.objects
 	}
-	out := make([]data.Object, 0, len(base)+len(e.delta))
-	return append(append(out, base...), e.delta...)
+	out := make([]data.Object, 0, len(e.objects)+len(e.delta))
+	return append(append(out, e.objects...), e.delta...)
 }
 
 // Manifest returns the partition manifest of the sealed storage layout,
-// or nil before Seal. The manifest is what the query planner prunes
+// or nil before Seal. The manifest lives in memory only — the DFS holds
+// the cell segments it describes — and is what the query planner prunes
 // against; it is exposed for inspection and tooling.
 func (e *Engine) Manifest() *data.Manifest {
 	e.mu.Lock()
@@ -570,13 +547,14 @@ func (e *Engine) Manifest() *data.Manifest {
 }
 
 // Seal publishes the loaded datasets to storage (write-once files, like
-// HDFS). Storage is partition-aware: objects are written as per-cell files
-// over the seal grid (Config.SealGridN), with a persisted manifest
-// carrying per-cell statistics — record counts, tight bounding rectangles,
-// keyword summaries — that the query planner uses to skip irrelevant
-// files. Query seals implicitly; calling Seal explicitly lets the caller
-// observe storage errors early. Loading after Seal appends into the
-// in-memory delta (see AddData and Compact) — the engine stays writable.
+// HDFS). Storage is partition-aware: objects are written as per-cell SPQ3
+// segment files over the seal grid (Config.SealGridN), described by an
+// in-memory manifest of per-cell statistics — record counts, tight
+// bounding rectangles, keyword summaries — that the query planner uses to
+// skip irrelevant files. Query seals implicitly; calling Seal explicitly
+// lets the caller observe storage errors early. Loading after Seal
+// appends into the in-memory delta (see AddData and Compact) — the engine
+// stays writable.
 func (e *Engine) Seal() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -615,29 +593,21 @@ func (e *Engine) writeGenerationLocked(objs []data.Object) error {
 	e.fileSeq++
 	parts := data.PartitionObjects(g, objs)
 	parts.Generation = e.gen + 1
-	switch e.cfg.Storage {
-	case StorageDFSBinary:
-		man, err := parts.SealDFS(e.fs, prefix, e.dict)
-		if err != nil {
+	man, err := parts.SealDFS(e.fs, prefix, e.dict)
+	if err != nil {
+		return fmt.Errorf("spq: seal: %w", err)
+	}
+	if e.exec != nil {
+		// Workers build their data views from this list, a few bytes per
+		// block, rather than from the manifest.
+		name := data.BlockListFileName(prefix)
+		if err := e.fs.Create(name, data.EncodeBlockList(man.Data)); err != nil {
 			return fmt.Errorf("spq: seal: %w", err)
 		}
-		if e.exec != nil {
-			// Workers build their data views from this list, a few bytes
-			// per block, rather than from the manifest.
-			name := data.BlockListFileName(prefix)
-			if err := e.fs.Create(name, data.EncodeBlockList(man.Data)); err != nil {
-				return fmt.Errorf("spq: seal: %w", err)
-			}
-			e.dataBlocks = name
-		}
-		e.manifest = man
-		e.objects = objs // retained: future compactions re-seal base+delta
-	default:
-		// The blocks are the only copy of the base; compactions read it
-		// back from them.
-		e.manifest, e.resident = parts.SealBlocks(prefix, e.dict)
-		e.objects = nil
+		e.dataBlocks = name
 	}
+	e.manifest = man
+	e.objects = objs // retained: future compactions re-seal base+delta
 	e.sealed = true
 	e.delta = nil
 	// Publish the read-path snapshot: from here on queries run lock-free
@@ -674,9 +644,8 @@ func (e *Engine) compactLocked() error {
 	if len(e.delta) == 0 {
 		return nil
 	}
-	base := e.baseObjectsLocked()
-	merged := make([]data.Object, 0, len(base)+len(e.delta))
-	merged = append(append(merged, base...), e.delta...)
+	merged := make([]data.Object, 0, len(e.objects)+len(e.delta))
+	merged = append(append(merged, e.objects...), e.delta...)
 	return e.writeGenerationLocked(merged)
 }
 
@@ -865,8 +834,7 @@ type physicalPlan struct {
 	// src maps that selection block by block, minus the sealed data
 	// blocks: those reach reduce through a data view, never the shuffle.
 	src mapreduce.Source[data.Object]
-	// segIO meters the segment reads of src and of a view build; nil on
-	// memory storage, which reads no segments.
+	// segIO meters the segment reads of src and of a view build.
 	segIO *data.SegIOStats
 	// wire, when set, ships the job to the workers, whose own views of the
 	// generation's block list serve the sealed data objects. Nil runs the
@@ -882,11 +850,10 @@ type physicalPlan struct {
 }
 
 // planQuery decides how one query executes against snapshot s. It is the
-// only place that looks at the auto-plan and delta options, the storage
-// mode and whether the engine is distributed, and the only place that
-// decides whether the job ships: it does on a distributed engine when no
-// delta block is selected, since resident blocks have no reference a
-// worker could read. An unplanned query is the same plan with pruning off:
+// only place that looks at the auto-plan and delta options and whether
+// the engine is distributed, and the only place that decides whether the
+// job ships: it does on a distributed engine when no delta block is
+// selected, since resident blocks have no reference a worker could read. An unplanned query is the same plan with pruning off:
 // every block of every cell, base and delta, no planner statistics.
 func (e *Engine) planQuery(s *snapshot, q Query, cfg *queryConfig) *physicalPlan {
 	// The delta participating in this query: records appended after the
@@ -899,6 +866,7 @@ func (e *Engine) planQuery(s *snapshot, q Query, cfg *queryConfig) *physicalPlan
 		gridN:      cfg.gridN,
 		reducers:   cfg.reducers,
 		deltaStats: &DeltaStats{Generation: s.gen},
+		segIO:      &data.SegIOStats{},
 	}
 	dataCells, featCells := s.manifest.Data, s.manifest.Features
 	var deltaData, deltaFeat []data.CellStats
@@ -947,7 +915,7 @@ func (e *Engine) planQuery(s *snapshot, q Query, cfg *queryConfig) *physicalPlan
 
 	// One block source serves the sealed and the delta selections: SPQ3
 	// blocks are fetched by ranged read through the decoded-segment cache,
-	// resident ones (memory storage, the delta) are served as they are.
+	// the delta's resident ones are served as they are.
 	// The sealed data objects never shuffle: they come from a data view of
 	// the base generation and query grid, and the job shuffles the delta's
 	// data records and the features only. The delta overlays the view
@@ -957,19 +925,16 @@ func (e *Engine) planQuery(s *snapshot, q Query, cfg *queryConfig) *physicalPlan
 	// reads the engine's. The selection is one slice, sealed data cells
 	// first, so the in-stream source is its tail.
 	cols := make([]data.ColSel, 0, len(dataCells)+len(deltaData)+len(featCells)+len(deltaFeat))
-	cols = selectCells(cols, dataCells, blocks, s.resident)
+	cols = selectCells(cols, dataCells, blocks, nil)
 	nSealed := len(cols)
 	cols = selectCells(cols, deltaData, blocks, deltaResident)
 	n := len(cols)
-	cols = selectCells(cols, featCells, blocks, s.resident)
+	cols = selectCells(cols, featCells, blocks, nil)
 	cols = selectCells(cols, deltaFeat, blocks, deltaResident)
 	p.colsData, p.colsFeat = cols[:n:n], cols[n:]
 	cols = cols[nSealed:]
 	if e.exec != nil && !slices.ContainsFunc(cols, func(sel data.ColSel) bool { return sel.Resident != nil }) {
 		p.wire = &core.WireInfo{Gen: s.manifest.Generation, DataBlocks: s.dataBlocks}
-	}
-	if s.manifest.Format == data.FormatCompressed {
-		p.segIO = &data.SegIOStats{}
 	}
 	in := data.NewColInput(e.fs, cols, e.segCache, s.manifest.Generation)
 	in.IO = p.segIO
@@ -1029,15 +994,13 @@ func (e *Engine) execute(ctx context.Context, s *snapshot, cq core.Query, cfg *q
 	if viewCounter != "" {
 		rep.Counters[viewCounter] = 1
 	}
-	if p.segIO != nil {
-		// Accumulate (not overwrite): on distributed engines the workers'
-		// own segment reads already rode the task counter deltas into
-		// rep.Counters, and the master-side stats cover only what this
-		// process read (split enumeration, delta scans).
-		rep.Counters[CounterSegBytesRead] += p.segIO.BytesRead.Load()
-		rep.Counters[CounterSegBytesDecoded] += p.segIO.BytesDecoded.Load()
-		rep.Counters[CounterSegBytesSelected] = selBytes(p.colsData) + selBytes(p.colsFeat)
-	}
+	// Accumulate (not overwrite): on distributed engines the workers' own
+	// segment reads already rode the task counter deltas into
+	// rep.Counters, and the master-side stats cover only what this process
+	// read (split enumeration, delta scans).
+	rep.Counters[CounterSegBytesRead] += p.segIO.BytesRead.Load()
+	rep.Counters[CounterSegBytesDecoded] += p.segIO.BytesDecoded.Load()
+	rep.Counters[CounterSegBytesSelected] = selBytes(p.colsData) + selBytes(p.colsFeat)
 	out.Results = toResults(rep.Results)
 	out.Counters = rep.Counters
 	out.MapMillis = float64(rep.Stats.MapDuration.Microseconds()) / 1000
@@ -1107,7 +1070,7 @@ func newPlanStats(d *plan.Decision) *PlanStats {
 // selectCells appends the read selection over cells to dst: every block
 // when blocks is nil (the unplanned path), otherwise each cell's surviving
 // block indices from the planner decision; resident holds the blocks of
-// cells kept in memory (nil for SPQ3 cells).
+// the delta's cells, which live in memory (nil for sealed SPQ3 cells).
 func selectCells(dst []data.ColSel, cells []data.CellStats, blocks map[string][]int, resident map[string][]*data.ColumnBlock) []data.ColSel {
 	for _, cs := range cells {
 		sel := data.ColSel{Cell: cs, Resident: resident[cs.File]}
@@ -1141,7 +1104,7 @@ func (e *Engine) dataView(s *snapshot, gridN int, bounds geo.Rect, io *data.SegI
 	build := func() (*core.DataView, error) {
 		built = true
 		g := grid.New(bounds, gridN, gridN)
-		in := data.NewColInput(e.fs, selectCells(nil, s.manifest.Data, nil, s.resident), e.segCache, s.manifest.Generation)
+		in := data.NewColInput(e.fs, selectCells(nil, s.manifest.Data, nil, nil), e.segCache, s.manifest.Generation)
 		in.IO = io
 		return core.BuildDataView(g, in)
 	}
@@ -1181,8 +1144,8 @@ func selBytes(sels []data.ColSel) int64 {
 }
 
 // SegmentCacheStats returns the cumulative hit/miss counts and current
-// size of the decoded-segment cache. All zeros when the engine's storage
-// mode does not use one, or when Config.SegmentCache disabled it.
+// size of the decoded-segment cache. All zeros when Config.SegmentCache
+// disabled it.
 func (e *Engine) SegmentCacheStats() data.BlockCacheStats {
 	return e.segCache.Stats()
 }

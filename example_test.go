@@ -41,7 +41,7 @@ func Example() {
 // which algorithm ran, and how much work the early-termination mechanism
 // saved.
 func ExampleEngine_QueryReport() {
-	eng := spq.NewEngine(spq.Config{Storage: spq.StorageMemory})
+	eng := spq.NewEngine(spq.Config{})
 	eng.AddData(spq.DataObject{ID: 1, X: 0.5, Y: 0.5})
 	eng.AddFeature(
 		spq.Feature{ID: 2, X: 0.52, Y: 0.5, Keywords: []string{"cafe"}},
@@ -61,7 +61,7 @@ func ExampleEngine_QueryReport() {
 // ExampleWithAlgorithm compares the three algorithms of the paper on the
 // same query; they always return identical rankings.
 func ExampleWithAlgorithm() {
-	eng := spq.NewEngine(spq.Config{Storage: spq.StorageMemory})
+	eng := spq.NewEngine(spq.Config{})
 	eng.AddData(spq.DataObject{ID: 10, X: 1, Y: 1}, spq.DataObject{ID: 20, X: 9, Y: 9})
 	eng.AddFeature(
 		spq.Feature{ID: 1, X: 1.1, Y: 1, Keywords: []string{"park"}},
@@ -87,7 +87,7 @@ func ExampleWithAlgorithm() {
 // discounts the textual score, so a nearby partial match can beat a
 // distant perfect one.
 func ExampleQuery_mode() {
-	eng := spq.NewEngine(spq.Config{Storage: spq.StorageMemory})
+	eng := spq.NewEngine(spq.Config{})
 	eng.AddData(spq.DataObject{ID: 1, X: 0, Y: 0})
 	eng.AddFeature(
 		spq.Feature{ID: 2, X: 0.95, Y: 0, Keywords: []string{"sushi"}},          // perfect, far

@@ -24,7 +24,7 @@ func main() {
 	for _, n := range []int{*base, *base * 2, *base * 4, *base * 8} {
 		var times []float64
 		for _, alg := range spq.Algorithms() {
-			eng := spq.NewEngine(spq.Config{Storage: spq.StorageMemory})
+			eng := spq.NewEngine(spq.Config{})
 			if err := eng.LoadSynthetic("uniform", n); err != nil {
 				log.Fatal(err)
 			}

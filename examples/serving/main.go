@@ -26,7 +26,7 @@ import (
 
 func main() {
 	// 1. An engine with a sealed synthetic dataset, as spqd boots it.
-	eng := spq.NewEngine(spq.Config{Storage: spq.StorageMemory, Seed: 42})
+	eng := spq.NewEngine(spq.Config{Seed: 42})
 	if err := eng.LoadSynthetic("uniform", 4000); err != nil {
 		log.Fatal(err)
 	}

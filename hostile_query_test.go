@@ -16,9 +16,9 @@ import (
 // TestInvalidQueryTaxonomy covers the grid size and reducer count, which
 // are rejected above a bound.
 
-func hostileEngine(t *testing.T, storage Storage) *Engine {
+func hostileEngine(t *testing.T) *Engine {
 	t.Helper()
-	e := NewEngine(Config{Storage: storage, Seed: 42})
+	e := NewEngine(Config{Seed: 42})
 	if err := e.LoadSynthetic("uniform", 2000); err != nil {
 		t.Fatal(err)
 	}
@@ -30,15 +30,15 @@ func hostileEngine(t *testing.T, storage Storage) *Engine {
 }
 
 // TestHugeKReturnsEveryScoredObject: k = 2^40 returns the same results as
-// k = the object count, on both storages and every algorithm. A top-k
+// k = the object count, on every algorithm. A top-k
 // list that reserved k slots up front would run the process out of
 // memory, which no recover catches.
 func TestHugeKReturnsEveryScoredObject(t *testing.T) {
-	for name, storage := range map[string]Storage{"spq3": StorageDFSBinary, "memory": StorageMemory} {
-		e := hostileEngine(t, storage)
+	for _, st := range oracleStorages {
+		e := hostileEngine(t)
 		kws := e.FrequentKeywords(2)
 		for _, alg := range Algorithms() {
-			t.Run(name+"/"+alg.String(), func(t *testing.T) {
+			t.Run(st.name+"/"+alg.String(), func(t *testing.T) {
 				// Reduce tasks reuse pooled top-k lists; two collections
 				// empty the pool, so the huge k sizes fresh ones.
 				runtime.GC()
@@ -69,7 +69,7 @@ func TestHugeKReturnsEveryScoredObject(t *testing.T) {
 // overflows the grid's ring count and duplicates no feature, and 1e9
 // walks ~10^11 rows outside the grid per feature.
 func TestRadiusBeyondDataSpaceMatchesDiagonal(t *testing.T) {
-	e := hostileEngine(t, StorageMemory)
+	e := hostileEngine(t)
 	kws := e.FrequentKeywords(2)
 	diag := math.Sqrt2 // the synthetic data lies in the unit square
 	plans := []struct {

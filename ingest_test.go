@@ -47,7 +47,7 @@ func featureLines(feats []Feature) string {
 // TestIngestEquivalenceProperty is the lifecycle property of the PR:
 // results are identical whether records are loaded pre-seal in one batch
 // or appended across N generations with compactions interleaved, for every
-// algorithm and storage mode, with and without the planner.
+// algorithm, with and without the planner.
 func TestIngestEquivalenceProperty(t *testing.T) {
 	const n = 400
 	dataObjs, feats := ingestWorkload(n, 42)
@@ -56,81 +56,79 @@ func TestIngestEquivalenceProperty(t *testing.T) {
 		{K: 25, Radius: 0.15, Keywords: []string{"sushi"}},
 		{K: 5, Radius: 0.03, Keywords: []string{"vegan", "wine", "cheap"}},
 	}
-	for _, storage := range []Storage{StorageMemory, StorageDFSBinary} {
-		cfg := Config{Storage: storage, Nodes: 4, BlockSize: 8 << 10, Seed: 3}
+	cfg := Config{Nodes: 4, BlockSize: 8 << 10, Seed: 3}
 
-		// Engine A: everything loaded pre-seal, one batch, one generation.
-		batch := NewEngine(cfg)
-		if err := batch.AddData(dataObjs...); err != nil {
-			t.Fatal(err)
-		}
-		if err := batch.AddFeature(feats...); err != nil {
-			t.Fatal(err)
-		}
-		if err := batch.Seal(); err != nil {
-			t.Fatal(err)
-		}
+	// Engine A: everything loaded pre-seal, one batch, one generation.
+	batch := NewEngine(cfg)
+	if err := batch.AddData(dataObjs...); err != nil {
+		t.Fatal(err)
+	}
+	if err := batch.AddFeature(feats...); err != nil {
+		t.Fatal(err)
+	}
+	if err := batch.Seal(); err != nil {
+		t.Fatal(err)
+	}
 
-		// Engine B: half the records sealed as the base, the rest appended
-		// across several generations — via AddData, AddFeature and
-		// LoadLines — with a compaction in the middle and a tail left
-		// uncompacted in the delta.
-		inc := NewEngine(cfg)
-		half := n / 2
-		if err := inc.AddData(dataObjs[:half]...); err != nil {
-			t.Fatal(err)
-		}
-		if err := inc.AddFeature(feats[:half]...); err != nil {
-			t.Fatal(err)
-		}
-		if err := inc.Seal(); err != nil {
-			t.Fatal(err)
-		}
-		quarter := half + n/4
-		if err := inc.AddData(dataObjs[half:quarter]...); err != nil {
-			t.Fatal(err)
-		}
-		if err := inc.AddFeature(feats[half:quarter]...); err != nil {
-			t.Fatal(err)
-		}
-		if err := inc.Compact(); err != nil {
-			t.Fatal(err)
-		}
-		if d := inc.DeltaLen(); d != 0 {
-			t.Fatalf("storage %d: DeltaLen = %d after Compact, want 0", storage, d)
-		}
-		if err := inc.AddData(dataObjs[quarter:]...); err != nil {
-			t.Fatal(err)
-		}
-		if err := inc.LoadLines(strings.NewReader(featureLines(feats[quarter:]))); err != nil {
-			t.Fatal(err)
-		}
-		if d := inc.DeltaLen(); d == 0 {
-			t.Fatalf("storage %d: tail appends not in delta", storage)
-		}
-		if nd, nf := inc.Len(); nd != n || nf != n {
-			t.Fatalf("storage %d: Len = %d, %d, want %d, %d", storage, nd, nf, n, n)
-		}
+	// Engine B: half the records sealed as the base, the rest appended
+	// across several generations — via AddData, AddFeature and
+	// LoadLines — with a compaction in the middle and a tail left
+	// uncompacted in the delta.
+	inc := NewEngine(cfg)
+	half := n / 2
+	if err := inc.AddData(dataObjs[:half]...); err != nil {
+		t.Fatal(err)
+	}
+	if err := inc.AddFeature(feats[:half]...); err != nil {
+		t.Fatal(err)
+	}
+	if err := inc.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	quarter := half + n/4
+	if err := inc.AddData(dataObjs[half:quarter]...); err != nil {
+		t.Fatal(err)
+	}
+	if err := inc.AddFeature(feats[half:quarter]...); err != nil {
+		t.Fatal(err)
+	}
+	if err := inc.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if d := inc.DeltaLen(); d != 0 {
+		t.Fatalf("DeltaLen = %d after Compact, want 0", d)
+	}
+	if err := inc.AddData(dataObjs[quarter:]...); err != nil {
+		t.Fatal(err)
+	}
+	if err := inc.LoadLines(strings.NewReader(featureLines(feats[quarter:]))); err != nil {
+		t.Fatal(err)
+	}
+	if d := inc.DeltaLen(); d == 0 {
+		t.Fatal("tail appends not in delta")
+	}
+	if nd, nf := inc.Len(); nd != n || nf != n {
+		t.Fatalf("Len = %d, %d, want %d, %d", nd, nf, n, n)
+	}
 
-		for _, alg := range Algorithms() {
-			for _, planned := range []bool{false, true} {
-				for qi, q := range queries {
-					opts := []QueryOption{WithAlgorithm(alg), WithCache(false)}
-					if planned {
-						opts = append(opts, WithAutoPlan())
-					}
-					want, err := batch.Query(q, opts...)
-					if err != nil {
-						t.Fatalf("storage %d %v planned=%t q%d batch: %v", storage, alg, planned, qi, err)
-					}
-					got, err := inc.Query(q, opts...)
-					if err != nil {
-						t.Fatalf("storage %d %v planned=%t q%d incremental: %v", storage, alg, planned, qi, err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("storage %d %v planned=%t q%d: incremental results differ\n got %v\nwant %v",
-							storage, alg, planned, qi, got, want)
-					}
+	for _, alg := range Algorithms() {
+		for _, planned := range []bool{false, true} {
+			for qi, q := range queries {
+				opts := []QueryOption{WithAlgorithm(alg), WithCache(false)}
+				if planned {
+					opts = append(opts, WithAutoPlan())
+				}
+				want, err := batch.Query(q, opts...)
+				if err != nil {
+					t.Fatalf("%v planned=%t q%d batch: %v", alg, planned, qi, err)
+				}
+				got, err := inc.Query(q, opts...)
+				if err != nil {
+					t.Fatalf("%v planned=%t q%d incremental: %v", alg, planned, qi, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%v planned=%t q%d: incremental results differ\n got %v\nwant %v",
+						alg, planned, qi, got, want)
 				}
 			}
 		}
@@ -152,7 +150,7 @@ func TestAppendWhileQueryRace(t *testing.T) {
 	}
 	// Every fifth append call of perBatch records crosses the threshold:
 	// six compactions during the stream, and a tail left in the delta.
-	e := NewEngine(Config{Storage: StorageMemory, CompactAfter: 5 * perBatch})
+	e := NewEngine(Config{CompactAfter: 5 * perBatch})
 	if err := e.AddData(dataObjs[:base]...); err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +232,7 @@ func TestAppendWhileQueryRace(t *testing.T) {
 	if total := e.Manifest().TotalRecords(); total != int64(len(dataObjs)+len(feats)) {
 		t.Errorf("manifest records = %d, want %d", total, len(dataObjs)+len(feats))
 	}
-	batch := NewEngine(Config{Storage: StorageMemory})
+	batch := NewEngine(Config{})
 	if err := batch.AddData(dataObjs...); err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +258,7 @@ func TestAppendWhileQueryRace(t *testing.T) {
 // append must not satisfy the same query afterwards — the appended record
 // has to show up.
 func TestCacheNeverServesStaleGeneration(t *testing.T) {
-	e := loadPaperExample(t, Config{Storage: StorageMemory})
+	e := loadPaperExample(t, Config{})
 	q := Query{K: 3, Radius: 1.5, Keywords: []string{"italian"}}
 	first, err := e.QueryReport(q)
 	if err != nil {
@@ -319,7 +317,7 @@ func TestCacheNeverServesStaleGeneration(t *testing.T) {
 // sealed generation automatically; a negative threshold disables it.
 func TestAutoCompaction(t *testing.T) {
 	dataObjs, feats := ingestWorkload(40, 11)
-	e := NewEngine(Config{Storage: StorageMemory, CompactAfter: 10})
+	e := NewEngine(Config{CompactAfter: 10})
 	if err := e.AddData(dataObjs[:20]...); err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +355,7 @@ func TestAutoCompaction(t *testing.T) {
 	}
 
 	// CompactAfter < 0 disables auto-compaction entirely.
-	e2 := NewEngine(Config{Storage: StorageMemory, CompactAfter: -1})
+	e2 := NewEngine(Config{CompactAfter: -1})
 	if err := e2.AddData(dataObjs[:20]...); err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +376,7 @@ func TestAutoCompaction(t *testing.T) {
 // TestCompactSemantics: Compact is a no-op on an empty delta and performs
 // the first seal on an unsealed engine.
 func TestCompactSemantics(t *testing.T) {
-	e := loadPaperExample(t, Config{Storage: StorageMemory})
+	e := loadPaperExample(t, Config{})
 	if err := e.Compact(); err != nil {
 		t.Fatalf("Compact on unsealed engine: %v", err)
 	}
@@ -397,7 +395,7 @@ func TestCompactSemantics(t *testing.T) {
 // TestWithDeltaFalse: the option restricts a query to the sealed base and
 // is cached separately from the delta-inclusive execution.
 func TestWithDeltaFalse(t *testing.T) {
-	e := loadPaperExample(t, Config{Storage: StorageMemory})
+	e := loadPaperExample(t, Config{})
 	if err := e.Seal(); err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +441,7 @@ func TestWithDeltaFalse(t *testing.T) {
 // touch one side.
 func TestDeltaPlannerCounters(t *testing.T) {
 	dataObjs, feats := ingestWorkload(100, 23)
-	e := NewEngine(Config{Storage: StorageMemory, CompactAfter: -1})
+	e := NewEngine(Config{CompactAfter: -1})
 	if err := e.AddData(dataObjs...); err != nil {
 		t.Fatal(err)
 	}

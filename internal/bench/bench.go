@@ -350,7 +350,6 @@ func (h *Harness) engine(ds *data.Dataset) (*spq.Engine, error) {
 		}
 	}
 	eng := spq.NewEngine(spq.Config{
-		Storage:      spq.StorageDFSBinary,
 		QueryCache:   -1,
 		SegmentCache: 1 << 30,
 		MapSlots:     h.cfg.MapSlots,

@@ -22,7 +22,7 @@ import (
 const blockListSuffix = ".blocks"
 
 // BlockListFileName names the block list of a sealed generation's data
-// cells, beside the manifest of the same prefix.
+// cells, beside the cell segments of the same prefix.
 func BlockListFileName(prefix string) string { return prefix + ".data" + blockListSuffix }
 
 // IsBlockListFile reports whether name is a block list's file name. A

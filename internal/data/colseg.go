@@ -63,23 +63,23 @@ func colKindByte(k Kind) byte {
 	return colKindFeature
 }
 
-// BlockStats is the zone map of one column block, persisted in the seal
+// BlockStats is the zone map of one column block, kept in the seal
 // manifest next to the owning cell's statistics. Offset and Length frame
 // the block inside its segment file (varint length prefix through trailing
 // CRC), so a reader fetches exactly the surviving blocks with one ranged
 // read each.
 type BlockStats struct {
 	// Records is the number of objects in the block.
-	Records int `json:"records"`
+	Records int
 	// Offset is the byte position of the block's frame in the segment
 	// file; Length is the frame's total byte count.
-	Offset int64 `json:"offset"`
-	Length int   `json:"length"`
+	Offset int64
+	Length int
 	// Bounds is the tight bounding rectangle of the block's objects.
-	Bounds geo.Rect `json:"bounds"`
+	Bounds geo.Rect
 	// Keywords summarizes the keywords of the block's features. Empty for
 	// data blocks.
-	Keywords KeywordBloom `json:"keywords,omitempty"`
+	Keywords KeywordBloom
 }
 
 // ColWriter writes one cell's objects as a columnar segment, accumulating

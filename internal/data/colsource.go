@@ -43,9 +43,9 @@ type RangeReader interface {
 // ColSel selects what a query reads of one cell: the cell's manifest entry
 // plus the indices of its surviving blocks. A nil Blocks slice selects
 // every block (the unplanned path); the query planner narrows it using the
-// per-block zone maps. Resident holds the cell's blocks when they live in
-// memory, never encoded (memory storage, the delta), one per zone map; nil
-// for a cell stored as an SPQ3 segment.
+// per-block zone maps. Resident holds the blocks of a delta cell, which
+// live in memory, never encoded, one per zone map; nil for a sealed cell,
+// stored as an SPQ3 segment.
 type ColSel struct {
 	Cell     CellStats
 	Blocks   []int

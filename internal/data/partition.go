@@ -1,10 +1,8 @@
 package data
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"sort"
 	"sync"
 
@@ -15,24 +13,14 @@ import (
 )
 
 // Partition-aware sealed storage. Instead of one monolithic object file,
-// Seal writes the datasets as per-cell files over a fixed seal grid and
-// records a manifest with per-cell statistics: record counts, tight
-// bounding rectangles and — for feature cells — a bloom-style summary of
-// the keywords occurring in the cell. The manifest is what the query
-// planner (package plan) consumes to skip whole cell files before the
-// MapReduce job starts, the classic write-time-partitioning trade of
-// Hadoop-era systems: pay once at load, prune on every query.
-
-// ManifestVersion is the on-disk manifest format version.
-const ManifestVersion = 1
-
-// Storage formats recorded in the manifest. Both lay every cell out as
-// the same column blocks with the same zone maps; they differ only in
-// where the blocks live.
-const (
-	FormatCompressed = "spq3" // SPQ3: compressed columnar segments in the DFS
-	FormatMemory     = "mem"  // resident column blocks, never encoded
-)
+// Seal writes the datasets as per-cell SPQ3 segment files over a fixed
+// seal grid and returns an in-memory manifest with per-cell statistics:
+// record counts, tight bounding rectangles and — for feature cells — a
+// bloom-style summary of the keywords occurring in the cell. The manifest
+// is what the query planner (package plan) consumes to skip whole cell
+// files before the MapReduce job starts, the classic write-time-
+// partitioning trade of Hadoop-era systems: pay once at load, prune on
+// every query.
 
 // Bloom filter geometry for per-cell keyword summaries. 2048 bits and 3
 // probes keep the false-positive rate under 1% for the few hundred
@@ -74,8 +62,7 @@ func (b KeywordBloom) Add(word string) {
 
 // MayContain reports whether the keyword may occur in the cell. False
 // positives are possible; false negatives are not. Summaries of
-// unexpected length (possible only through a hand-crafted manifest, which
-// DecodeManifest rejects) are treated as empty.
+// unexpected length are treated as empty.
 func (b KeywordBloom) MayContain(word string) bool {
 	return b.MayContainAny(KeywordProbe{bloomBitsOf(word)})
 }
@@ -114,8 +101,8 @@ next:
 
 // GridSpec records the seal grid a manifest was partitioned over.
 type GridSpec struct {
-	Bounds geo.Rect `json:"bounds"`
-	N      int      `json:"n"` // the grid is N x N
+	Bounds geo.Rect
+	N      int // the grid is N x N
 }
 
 // Grid reconstructs the seal grid.
@@ -126,43 +113,40 @@ func (s GridSpec) Grid() *grid.Grid { return grid.New(s.Bounds, s.N, s.N) }
 // the planner can prune them independently).
 type CellStats struct {
 	// Cell is the seal-grid cell id.
-	Cell int32 `json:"cell"`
+	Cell int32
 	// File names the cell: its SPQ3 segment file in the DFS, or the key
-	// of its resident blocks (memory storage and the delta).
-	File string `json:"file"`
+	// of its resident blocks (the delta).
+	File string
 	// Records is the number of objects in the cell.
-	Records int `json:"records"`
+	Records int
 	// Bounds is the tight bounding rectangle of the cell's objects —
 	// tighter than the cell rectangle, which sharpens the planner's
 	// distance pruning.
-	Bounds geo.Rect `json:"bounds"`
+	Bounds geo.Rect
 	// Keywords summarizes the keywords of the cell's features. Empty for
 	// data cells.
-	Keywords KeywordBloom `json:"keywords,omitempty"`
+	Keywords KeywordBloom
 	// Blocks are the zone maps of the cell's column blocks, in block
 	// order: each block's record count, tight bounding rectangle and
 	// keyword summary, plus — for an SPQ3 segment — its frame's offset and
-	// length. Every cell has them, whatever its format: the planner prunes
+	// length. Every cell has them, stored or resident: the planner prunes
 	// individual blocks against them, and readers fetch surviving blocks by
 	// ranged read or take them resident.
-	Blocks []BlockStats `json:"blocks,omitempty"`
+	Blocks []BlockStats
 }
 
-// Manifest is the persisted description of one sealed, partitioned
-// dataset: the seal grid, the storage format, and per-cell statistics for
-// both datasets. Only non-empty cells appear.
+// Manifest is the in-memory description of one sealed, partitioned
+// dataset: the seal grid and per-cell statistics for both datasets. Only
+// non-empty cells appear.
 type Manifest struct {
-	Version int    `json:"version"`
-	Format  string `json:"format"`
 	// Generation is the storage generation this manifest seals. Under
 	// generational ingestion the engine re-seals base+delta into a fresh
 	// manifest on every compaction; the strictly increasing generation is
-	// what keys query caches and lets readers tell apart the layouts. 0 in
-	// manifests written before generations existed.
-	Generation uint64      `json:"generation,omitempty"`
-	Grid       GridSpec    `json:"grid"`
-	Data       []CellStats `json:"data"`
-	Features   []CellStats `json:"features"`
+	// what keys query caches and lets readers tell apart the layouts.
+	Generation uint64
+	Grid       GridSpec
+	Data       []CellStats
+	Features   []CellStats
 
 	deriveOnce sync.Once // see Derive
 	derived    any
@@ -189,97 +173,6 @@ func (m *Manifest) TotalRecords() int64 {
 		n += int64(c.Records)
 	}
 	return n
-}
-
-// EncodeManifest writes the manifest as JSON.
-func EncodeManifest(w io.Writer, m *Manifest) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(m)
-}
-
-// DecodeManifest reads a manifest written by EncodeManifest.
-func DecodeManifest(r io.Reader) (*Manifest, error) {
-	var m Manifest
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
-		return nil, fmt.Errorf("data: manifest decode: %w", err)
-	}
-	if m.Version != ManifestVersion {
-		return nil, fmt.Errorf("data: manifest version %d, want %d", m.Version, ManifestVersion)
-	}
-	if m.Grid.N <= 0 {
-		return nil, fmt.Errorf("data: manifest has invalid seal grid %dx%d", m.Grid.N, m.Grid.N)
-	}
-	switch m.Format {
-	case FormatCompressed, FormatMemory:
-	case "text", "seq", "spq2":
-		return nil, fmt.Errorf("data: manifest uses retired format %q; re-seal the dataset (DFS storage is %q only)", m.Format, FormatCompressed)
-	default:
-		return nil, fmt.Errorf("data: manifest has unknown format %q", m.Format)
-	}
-	for _, cs := range m.Data {
-		if len(cs.Keywords) != 0 {
-			return nil, fmt.Errorf("data: manifest data cell %d has a keyword summary", cs.Cell)
-		}
-		if err := checkBlocks(cs, m.Format, false); err != nil {
-			return nil, err
-		}
-	}
-	for _, cs := range m.Features {
-		if len(cs.Keywords) != bloomBits/8 {
-			return nil, fmt.Errorf("data: manifest feature cell %d has a %d-byte keyword summary, want %d",
-				cs.Cell, len(cs.Keywords), bloomBits/8)
-		}
-		if err := checkBlocks(cs, m.Format, true); err != nil {
-			return nil, err
-		}
-	}
-	return &m, nil
-}
-
-// checkBlocks validates one cell's block zone maps: every cell must carry
-// maps whose record counts sum to the cell's; an SPQ3 cell's frames must
-// be non-overlapping and in file order, and resident (memory) blocks have
-// no frame. A manifest failing these checks could make a reader fetch
-// garbage offsets, so it is rejected whole.
-func checkBlocks(cs CellStats, format string, feature bool) error {
-	if len(cs.Blocks) == 0 {
-		return fmt.Errorf("data: manifest %s cell %d has no block zone maps", kindName(feature), cs.Cell)
-	}
-	total := 0
-	next := int64(0)
-	for i, bs := range cs.Blocks {
-		badFrame := bs.Length <= 0 || bs.Offset < next
-		if format == FormatMemory {
-			badFrame = bs.Length != 0 || bs.Offset != 0
-		}
-		if bs.Records <= 0 || badFrame {
-			return fmt.Errorf("data: manifest %s cell %d block %d has invalid frame (%d records at %d+%d)",
-				kindName(feature), cs.Cell, i, bs.Records, bs.Offset, bs.Length)
-		}
-		wantBloom := 0
-		if feature {
-			wantBloom = bloomBits / 8
-		}
-		if len(bs.Keywords) != wantBloom {
-			return fmt.Errorf("data: manifest %s cell %d block %d has a %d-byte keyword summary, want %d",
-				kindName(feature), cs.Cell, i, len(bs.Keywords), wantBloom)
-		}
-		next = bs.Offset + int64(bs.Length)
-		total += bs.Records
-	}
-	if total != cs.Records {
-		return fmt.Errorf("data: manifest %s cell %d blocks hold %d records, cell says %d",
-			kindName(feature), cs.Cell, total, cs.Records)
-	}
-	return nil
-}
-
-func kindName(feature bool) string {
-	if feature {
-		return "feature"
-	}
-	return "data"
 }
 
 // CellPart is the objects of one dataset falling into one seal-grid cell.
@@ -355,10 +248,8 @@ func (c CellPart) build(file string, dict *text.Dict) (CellStats, []*ColumnBlock
 // each <prefix>-<d|f><cell>.<ext>; hands each cell to store, which keeps
 // its blocks and may complete its manifest entry; and returns the
 // manifest of the cells.
-func (p *Partitions) seal(format, prefix, ext string, dict *text.Dict, store func(cs *CellStats, blocks []*ColumnBlock) error) (*Manifest, error) {
+func (p *Partitions) seal(prefix, ext string, dict *text.Dict, store func(cs *CellStats, blocks []*ColumnBlock) error) (*Manifest, error) {
 	m := &Manifest{
-		Version:    ManifestVersion,
-		Format:     format,
 		Generation: p.Generation,
 		Grid:       GridSpec{Bounds: p.Grid.Bounds(), N: dims(p.Grid)},
 	}
@@ -378,17 +269,13 @@ func (p *Partitions) seal(format, prefix, ext string, dict *text.Dict, store fun
 	return m, nil
 }
 
-// ManifestFileName names the manifest persisted next to the cell files of
-// a seal with the given prefix.
-func ManifestFileName(prefix string) string { return prefix + ".manifest.json" }
-
 // SealDFS writes every cell partition as its own SPQ3 columnar segment
-// file in the DFS and persists the manifest as <prefix>.manifest.json. The
-// returned manifest carries the per-cell statistics the planner prunes on
+// file in the DFS, and nothing else. The returned manifest, which lives
+// only in memory, carries the per-cell statistics the planner prunes on
 // and every block's zone map (CellStats.Blocks), with each cell's blocks
 // sized adaptively from its record density (AdaptiveBlockRecords).
 func (p *Partitions) SealDFS(fs *dfs.FileSystem, prefix string, dict *text.Dict) (*Manifest, error) {
-	m, err := p.seal(FormatCompressed, prefix, "spq3", dict, func(cs *CellStats, blocks []*ColumnBlock) error {
+	return p.seal(prefix, "spq3", dict, func(cs *CellStats, blocks []*ColumnBlock) error {
 		w, err := fs.Writer(cs.File)
 		if err != nil {
 			return err
@@ -405,32 +292,18 @@ func (p *Partitions) SealDFS(fs *dfs.FileSystem, prefix string, dict *text.Dict)
 		cs.Blocks = cw.Stats()
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	mw, err := fs.Writer(ManifestFileName(prefix))
-	if err != nil {
-		return nil, fmt.Errorf("data: seal manifest: %w", err)
-	}
-	if err := EncodeManifest(mw, m); err != nil {
-		return nil, fmt.Errorf("data: seal manifest: %w", err)
-	}
-	if err := mw.Close(); err != nil {
-		return nil, fmt.Errorf("data: seal manifest: %w", err)
-	}
-	return m, nil
 }
 
 // SealBlocks builds every cell partition as resident column blocks — the
 // blocks SealDFS writes, never encoded — and returns the manifest of the
-// layout (FormatMemory: every block's zone map, no frames) with each
-// cell's blocks by cell name. It is the memory storage's seal, and what
-// generational ingestion cuts the uncompacted delta into, so memory, delta
-// and SPQ3 cells plan and map alike.
+// layout (every block's zone map, no frames) with each cell's blocks by
+// cell name. It is the delta's seal: generational ingestion cuts the
+// uncompacted delta into these blocks, so delta and SPQ3 cells plan and
+// map alike.
 func (p *Partitions) SealBlocks(prefix string, dict *text.Dict) (*Manifest, map[string][]*ColumnBlock) {
 	resident := make(map[string][]*ColumnBlock, len(p.Data)+len(p.Features))
 	// Keeping the blocks cannot fail, so neither can seal.
-	m, _ := p.seal(FormatMemory, prefix, "mem", dict, func(cs *CellStats, blocks []*ColumnBlock) error {
+	m, _ := p.seal(prefix, "mem", dict, func(cs *CellStats, blocks []*ColumnBlock) error {
 		resident[cs.File] = blocks
 		return nil
 	})

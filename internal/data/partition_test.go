@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 
 	"spq/internal/dfs"
@@ -112,24 +111,19 @@ func TestSealDFSRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man.Format != FormatCompressed {
-		t.Errorf("sealed format %q, want %q", man.Format, FormatCompressed)
-	}
 	if man.TotalRecords() != int64(len(objs)) {
 		t.Errorf("manifest records = %d, want %d", man.TotalRecords(), len(objs))
 	}
 
-	// The persisted manifest decodes back to the returned one.
-	raw, err := fs.ReadAll(ManifestFileName("t"))
-	if err != nil {
-		t.Fatalf("manifest file: %v", err)
+	// The seal writes the cell segments the manifest names and nothing
+	// else: the manifest itself lives in memory only.
+	var cells []string
+	for _, cs := range append(append([]CellStats(nil), man.Data...), man.Features...) {
+		cells = append(cells, cs.File)
 	}
-	dec, err := DecodeManifest(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(dec, man) {
-		t.Error("decoded manifest differs from sealed one")
+	sort.Strings(cells)
+	if files := fs.List(); !reflect.DeepEqual(files, cells) {
+		t.Errorf("seal wrote %v, want only the cell segments %v", files, cells)
 	}
 
 	// Reading every cell file back yields exactly the dataset.
@@ -176,7 +170,7 @@ func eachSourceObject(src interface {
 	return nil
 }
 
-// TestSealBlocksLayoutMatchesManifest: the memory seal's manifest describes
+// TestSealBlocksLayoutMatchesManifest: the SealBlocks manifest describes
 // its resident blocks. Every cell lists one frameless zone map per block,
 // the zone maps' records sum to the cell's, each block holds as many
 // objects as its zone map says, every object sits in its manifest cell,
@@ -188,8 +182,8 @@ func TestSealBlocksLayoutMatchesManifest(t *testing.T) {
 	p := PartitionObjects(g, objs)
 	p.Generation = 7
 	man, resident := p.SealBlocks("m", dict)
-	if man.Format != FormatMemory || man.Generation != 7 {
-		t.Fatalf("memory manifest header: format %q, generation %d", man.Format, man.Generation)
+	if man.Generation != 7 {
+		t.Fatalf("memory manifest generation %d, want 7", man.Generation)
 	}
 	if len(resident) != len(man.Data)+len(man.Features) {
 		t.Fatalf("%d resident cells, manifest lists %d", len(resident), len(man.Data)+len(man.Features))
@@ -230,12 +224,12 @@ func TestSealBlocksLayoutMatchesManifest(t *testing.T) {
 	}
 }
 
-// TestSealBlocksMatchesSealDFS: the memory seal is the SPQ3 seal minus the
-// encoding. Over the same partitions both manifests list the same cells
+// TestSealBlocksMatchesSealDFS: the delta's seal (SealBlocks) is the SPQ3
+// seal minus the encoding. Over the same partitions both manifests list the same cells
 // with the same zone maps — records, bounds, blooms; frames only in SPQ3 —
 // and every resident block equals, column by column, the block decoded
-// from its stored frame. Planner pruning and the map phase treat memory,
-// delta and SPQ3 cells alike on the strength of this.
+// from its stored frame. Planner pruning and the map phase treat delta
+// and SPQ3 cells alike on the strength of this.
 func TestSealBlocksMatchesSealDFS(t *testing.T) {
 	dict := text.NewDict()
 	objs := testObjects(2500, dict)
@@ -276,83 +270,6 @@ func TestSealBlocksMatchesSealDFS(t *testing.T) {
 				}
 				requireSameBlock(t, resident[m.File][bi], dec)
 			}
-		}
-	}
-}
-
-// TestManifestGenerationRoundTrips: the generation survives encode/decode,
-// and manifests without one (written before generations existed) decode
-// with generation 0.
-func TestManifestGenerationRoundTrips(t *testing.T) {
-	dict := text.NewDict()
-	g := grid.NewSquare(2)
-	p := PartitionObjects(g, testObjects(20, dict))
-	p.Generation = 42
-	man, _ := p.SealBlocks("t", dict)
-	var buf bytes.Buffer
-	if err := EncodeManifest(&buf, man); err != nil {
-		t.Fatal(err)
-	}
-	dec, err := DecodeManifest(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Generation != 42 {
-		t.Errorf("decoded generation = %d, want 42", dec.Generation)
-	}
-	man.Generation = 0
-	buf.Reset()
-	if err := EncodeManifest(&buf, man); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeManifest(&buf); err != nil {
-		t.Errorf("manifest without generation rejected: %v", err)
-	}
-}
-
-func TestDecodeManifestRejectsBadInput(t *testing.T) {
-	if _, err := DecodeManifest(bytes.NewReader([]byte("{"))); err == nil {
-		t.Error("truncated JSON accepted")
-	}
-	if _, err := DecodeManifest(bytes.NewReader([]byte(`{"version":99,"grid":{"n":4}}`))); err == nil {
-		t.Error("future version accepted")
-	}
-	if _, err := DecodeManifest(bytes.NewReader([]byte(`{"version":1,"grid":{"n":0}}`))); err == nil {
-		t.Error("zero seal grid accepted")
-	}
-	// Keyword summaries must be full-size blooms (truncated ones would
-	// index out of range) and absent on data cells.
-	if _, err := DecodeManifest(bytes.NewReader([]byte(
-		`{"version":1,"format":"mem","grid":{"n":4},"features":[{"cell":0,"file":"f","records":1,"keywords":"AAAA"}]}`))); err == nil {
-		t.Error("truncated feature bloom accepted")
-	}
-	if _, err := DecodeManifest(bytes.NewReader([]byte(
-		`{"version":1,"format":"mem","grid":{"n":4},"data":[{"cell":0,"file":"d","records":1,"keywords":"AAAA"}]}`))); err == nil {
-		t.Error("data-cell bloom accepted")
-	}
-	// Every cell carries zone maps, and resident blocks have no frame.
-	for _, blocks := range []string{``, `,"blocks":[{"records":1,"offset":5,"length":9}]`} {
-		if _, err := DecodeManifest(bytes.NewReader([]byte(
-			`{"version":1,"format":"mem","grid":{"n":4},"data":[{"cell":0,"file":"d","records":1` + blocks + `}]}`))); err == nil {
-			t.Errorf("memory cell with blocks %q accepted", blocks)
-		}
-	}
-	// The format must be one the readers know; the retired formats are
-	// named as such.
-	for _, format := range []string{"spq3", "mem"} {
-		if _, err := DecodeManifest(strings.NewReader(`{"version":1,"format":"` + format + `","grid":{"n":4}}`)); err != nil {
-			t.Errorf("format %q rejected: %v", format, err)
-		}
-	}
-	for _, format := range []string{"bogus", ""} {
-		if _, err := DecodeManifest(strings.NewReader(`{"version":1,"format":"` + format + `","grid":{"n":4}}`)); err == nil {
-			t.Errorf("unknown format %q accepted", format)
-		}
-	}
-	for _, format := range []string{"text", "seq", "spq2"} {
-		_, err := DecodeManifest(strings.NewReader(`{"version":1,"format":"` + format + `","grid":{"n":4}}`))
-		if err == nil || !strings.Contains(err.Error(), "retired format") {
-			t.Errorf("retired format %q: err = %v, want a retired-format error", format, err)
 		}
 	}
 }

@@ -338,8 +338,8 @@ func TestPlanBlockGranularity(t *testing.T) {
 }
 
 // TestPlanBlockCountersZeroWithoutZoneMaps: the block is the planner's
-// only granule, so cells without zone maps (which DecodeManifest rejects)
-// offer nothing to select: no blocks, no selections, an empty plan.
+// only granule, so cells without zone maps (which no seal writes) offer
+// nothing to select: no blocks, no selections, an empty plan.
 func TestPlanBlockCountersZeroWithoutZoneMaps(t *testing.T) {
 	m := buildManifest(t, 8)
 	for _, cells := range [][]data.CellStats{m.Data, m.Features} {

@@ -7,6 +7,7 @@ import (
 	"os"
 
 	"spq/internal/data"
+	"spq/internal/text"
 )
 
 // MaxLineBytes is the longest input line LoadLines accepts, in bytes. A
@@ -24,57 +25,49 @@ const MaxLineBytes = 64 << 20
 //	D <id> <x> <y>                 — data object (tab-separated)
 //	F <id> <x> <y> <kw1,kw2,...>   — feature object
 //
-// This is the same format cmd/spqgen emits and the engine's DFS stores.
-// Lines may be up to MaxLineBytes long.
+// This is the same format cmd/spqgen emits. Lines may be up to
+// MaxLineBytes long.
 //
-// Records are validated as they stream in — finite coordinates, unique
-// ids per dataset (see AddData) — and a bad record fails the load with an
-// error naming the line and the offending object. The whole batch is
-// buffered and committed only after the last line validates, so a failed
-// call leaves the engine unchanged. On a sealed engine the batch appends
-// into the in-memory delta and becomes visible to queries atomically when
-// the call returns (see AddData).
+// Records are validated like AddData's — finite coordinates, unique ids
+// per dataset — and a bad record fails the load with an error naming the
+// line and the offending object. The whole batch is parsed into a
+// batch-local dictionary and committed only after every line validates,
+// so a failed call leaves the engine unchanged, its keyword dictionary
+// included. On a sealed engine the batch appends into the in-memory delta
+// and becomes visible to queries atomically when the call returns (see
+// AddData).
 func (e *Engine) LoadLines(r io.Reader) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	sc := bufio.NewScanner(r)
 	// Start small and let the scanner grow up to the documented cap: most
 	// lines are tens of bytes, and pre-allocating the worst case per load
 	// call would cost 64 MiB on every tiny batch.
 	sc.Buffer(make([]byte, 0, 64<<10), MaxLineBytes)
+	words := text.NewDict()
 	var objs []data.Object
-	// Per-batch duplicate tracking, one namespace per dataset (see
-	// AddData): nothing is loaded until every line has validated.
-	seen := map[data.Kind]map[uint64]struct{}{
-		data.DataObject:    make(map[uint64]struct{}),
-		data.FeatureObject: make(map[uint64]struct{}),
-	}
-	n := 0
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		n++
-		o, err := data.ParseLine(line, e.dict)
+		o, err := data.ParseLine(line, words)
 		if err != nil {
-			return fmt.Errorf("spq: line %d: %w", n, err)
-		}
-		if err := e.checkLocked(o.Kind, o.ID, o.Loc.X, o.Loc.Y, seen[o.Kind]); err != nil {
-			return fmt.Errorf("spq: line %d: %w", n, err)
+			return fmt.Errorf("spq: line %d: %w", len(objs)+1, err)
 		}
 		objs = append(objs, o)
 	}
 	if err := sc.Err(); err != nil {
 		if err == bufio.ErrTooLong {
-			return fmt.Errorf("spq: line %d: longer than MaxLineBytes (%d): %w", n+1, MaxLineBytes, err)
+			return fmt.Errorf("spq: line %d: longer than MaxLineBytes (%d): %w", len(objs)+1, MaxLineBytes, err)
 		}
 		return err
 	}
-	for _, o := range objs {
-		e.addLocked(o)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	i, err := e.loadLocked(objs, func(i int) []string { return words.Words(objs[i].Keywords) })
+	if i >= 0 {
+		return fmt.Errorf("spq: line %d: %w", i+1, err)
 	}
-	return e.commitLocked()
+	return err
 }
 
 // LoadFile reads a text-format object file from the local file system.

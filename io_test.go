@@ -28,7 +28,7 @@ func TestLoadLinesLongLine(t *testing.T) {
 		t.Fatalf("test line only %d bytes, want > 2 MiB", sb.Len())
 	}
 
-	e := NewEngine(Config{Storage: StorageMemory})
+	e := NewEngine(Config{})
 	if err := e.LoadLines(strings.NewReader(sb.String())); err != nil {
 		t.Fatalf("LoadLines rejected a %d-byte line: %v", sb.Len(), err)
 	}

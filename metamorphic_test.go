@@ -199,8 +199,8 @@ func checkRemovingNonResult(t *testing.T, newCfg func(*testing.T) Config) {
 // quantity derived from them — grid cells, bucket offsets, squared
 // distances against r², the influence decay d/r — or it does not change.
 // Results keep their ids and scores bit for bit, and their locations
-// scale by 2^s, for s ∈ {−3, 5}: every algorithm and mode, both storages,
-// planned and unplanned. The corpus spans the unit square, so its bounds
+// scale by 2^s, for s ∈ {−3, 5}: every algorithm and mode, planned and
+// unplanned. The corpus spans the unit square, so its bounds
 // are not degenerate: padding degenerate bounds adds an unscaled 1.
 func TestPowerOfTwoScalingChangesNothing(t *testing.T) {
 	for _, st := range oracleStorages {

@@ -13,22 +13,20 @@ import (
 	"spq/internal/plan"
 )
 
-// TestPlanQuery pins the planning step over both storage modes, with and
-// without a visible delta, in-process and distributed:
+// TestPlanQuery pins the planning step, with and without a visible delta,
+// in-process and distributed:
 //
 //   - pruning off (no WithAutoPlan) selects every block of every sealed and
 //     delta cell, and reports no planner statistics;
-//   - both storages plan alike: no sealed data block is in the source,
-//     the engine's data view serves them to every job that runs
-//     in-process, delta or not, resident blocks (memory storage, the
-//     delta) travel with the selection, and only SPQ3 meters segment
-//     reads;
+//   - no sealed data block is in the source: the engine's data view serves
+//     them to every job that runs in-process, delta or not, and only the
+//     delta's blocks travel resident with the selection;
 //   - a distributed engine ships a job whose every selected block is
 //     stored (no delta block) with the generation's block list, so its
 //     workers serve the sealed data from their own views; any other job
 //     runs in-process, metered as spq.exec.fallback.local;
-//   - a memory-storage engine with workers is a configuration error every
-//     query reports, and it attaches no worker;
+//   - a Config.Storage other than StorageDFSBinary is a configuration
+//     error every query reports, and the engine attaches no worker;
 //   - two planned queries with disjoint keywords at one grid share one
 //     view;
 //   - the delta is cut into blocks at most once per snapshot, by the first
@@ -36,163 +34,159 @@ import (
 //   - an unplanned query runs the planner's slot-derived reduce-task count,
 //     not one task per query-grid cell, unless WithReducers overrides it.
 func TestPlanQuery(t *testing.T) {
-	storages := []struct {
-		name    string
-		storage Storage
-	}{
-		{"spq3", StorageDFSBinary},
-		{"memory", StorageMemory},
-	}
 	q := Query{K: 3, Radius: 0.05, Keywords: []string{"common1"}}
-	for _, st := range storages {
-		for _, distributed := range []bool{false, true} {
-			for _, withDelta := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/distributed=%v/delta=%v", st.name, distributed, withDelta), func(t *testing.T) {
-					cfg := Config{Storage: st.storage, Nodes: 4, CompactAfter: -1}
-					masters := masterGoroutines()
-					if distributed {
-						cfg.Workers = distWorkers(t, 1, 1)
-					}
-					e := NewEngine(cfg)
-					t.Cleanup(func() { e.Close() })
-					loadClusteredCorpus(t, e, 600, 4)
-					if err := e.Seal(); err != nil {
+	for _, distributed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("storage=1/distributed=%v", distributed), func(t *testing.T) {
+			cfg := Config{Storage: Storage(1), Nodes: 4, CompactAfter: -1}
+			masters := masterGoroutines()
+			if distributed {
+				cfg.Workers = distWorkers(t, 1, 1)
+			}
+			e := NewEngine(cfg)
+			t.Cleanup(func() { e.Close() })
+			loadClusteredCorpus(t, e, 600, 4)
+			// The check runs before any worker is attached, so none is
+			// left connected.
+			if _, err := e.Query(q); err == nil || !strings.Contains(err.Error(), "unknown storage") {
+				t.Errorf("Storage(1): err = %v, want a configuration error", err)
+			}
+			if e.Distributed() || e.Workers() != nil || masterGoroutines() > masters {
+				t.Errorf("Storage(1) attached %v (master goroutines %d, %d before)", e.Workers(), masterGoroutines(), masters)
+			}
+		})
+	}
+	for _, distributed := range []bool{false, true} {
+		for _, withDelta := range []bool{false, true} {
+			t.Run(fmt.Sprintf("spq3/distributed=%v/delta=%v", distributed, withDelta), func(t *testing.T) {
+				cfg := Config{Nodes: 4, CompactAfter: -1}
+				if distributed {
+					cfg.Workers = distWorkers(t, 1, 1)
+				}
+				e := NewEngine(cfg)
+				t.Cleanup(func() { e.Close() })
+				loadClusteredCorpus(t, e, 600, 4)
+				if err := e.Seal(); err != nil {
+					t.Fatal(err)
+				}
+				if withDelta {
+					if err := e.AddFeature(Feature{ID: 1 << 40, X: 0.5, Y: 0.5, Keywords: q.Keywords}); err != nil {
 						t.Fatal(err)
 					}
-					if withDelta {
-						if err := e.AddFeature(Feature{ID: 1 << 40, X: 0.5, Y: 0.5, Keywords: q.Keywords}); err != nil {
-							t.Fatal(err)
-						}
+				}
+				snap := e.snap.Load()
+				if withDelta && snap.delta.cells != nil {
+					t.Fatal("delta cut into blocks before any query read it")
+				}
+				planQ := func(opts ...QueryOption) *physicalPlan {
+					t.Helper()
+					qc := queryConfig{alg: core.ESPQSco}
+					for _, opt := range opts {
+						opt(&qc)
 					}
-					if distributed && st.storage == StorageMemory {
-						// Resident blocks have no reference a worker could
-						// read: the engine refuses the workers up front.
-						if _, err := e.Query(q); err == nil || !strings.Contains(err.Error(), "workers need StorageDFSBinary") {
-							t.Errorf("memory storage with workers: err = %v, want a configuration error", err)
-						}
-						if e.Distributed() || e.Workers() != nil || masterGoroutines() > masters {
-							t.Errorf("memory storage with workers attached %v (master goroutines %d, %d before)", e.Workers(), masterGoroutines(), masters)
-						}
-						return
-					}
-					snap := e.snap.Load()
-					if withDelta && snap.delta.cells != nil {
-						t.Fatal("delta cut into blocks before any query read it")
-					}
-					planQ := func(opts ...QueryOption) *physicalPlan {
-						t.Helper()
-						qc := queryConfig{alg: core.ESPQSco}
-						for _, opt := range opts {
-							opt(&qc)
-						}
-						return e.planQuery(snap, q, &qc)
-					}
+					return e.planQuery(snap, q, &qc)
+				}
 
-					// Whether a job ships with its block list: the engine has
-					// workers, and no delta block is selected.
-					ships := func(delta bool) bool { return distributed && !delta }
-					p := planQ()
-					if (p.wire != nil) != ships(withDelta) {
-						t.Errorf("wire = %+v on a distributed=%v engine, delta=%v", p.wire, distributed, withDelta)
+				// Whether a job ships with its block list: the engine has
+				// workers, and no delta block is selected.
+				ships := func(delta bool) bool { return distributed && !delta }
+				p := planQ()
+				if (p.wire != nil) != ships(withDelta) {
+					t.Errorf("wire = %+v on a distributed=%v engine, delta=%v", p.wire, distributed, withDelta)
+				}
+				if p.wire != nil && !data.IsBlockListFile(p.wire.DataBlocks) {
+					t.Errorf("shipped job names %q, not a block list", p.wire.DataBlocks)
+				}
+				if p.src == nil {
+					t.Fatal("plan without a source")
+				} else if splits, err := p.src.Splits(); err != nil {
+					t.Fatal(err)
+				} else {
+					var in, feats int
+					for _, sp := range splits {
+						in += sp.(mapreduce.CountedSplit).Records()
 					}
-					if p.wire != nil && !data.IsBlockListFile(p.wire.DataBlocks) {
-						t.Errorf("shipped job names %q, not a block list", p.wire.DataBlocks)
+					for _, sel := range p.colsFeat {
+						feats += sel.Cell.Records
 					}
-					if p.src == nil {
-						t.Fatal("plan without a source")
-					} else if splits, err := p.src.Splits(); err != nil {
-						t.Fatal(err)
-					} else {
-						var in, feats int
-						for _, sp := range splits {
-							in += sp.(mapreduce.CountedSplit).Records()
-						}
-						for _, sel := range p.colsFeat {
-							feats += sel.Cell.Records
-						}
-						if nDeltaData := len(deltaCellsOf(snap, false)); in != feats || nDeltaData != 0 {
-							t.Errorf("the source yields %d records, want the %d selected feature records (delta data cells: %d)", in, feats, nDeltaData)
-						}
+					if nDeltaData := len(deltaCellsOf(snap, false)); in != feats || nDeltaData != 0 {
+						t.Errorf("the source yields %d records, want the %d selected feature records (delta data cells: %d)", in, feats, nDeltaData)
 					}
-					if p.empty || p.planStats != nil {
-						t.Errorf("unplanned query carries planner output: empty=%v stats=%+v", p.empty, p.planStats)
-					}
-					if want := plan.ChooseReducers(defaultGridN, e.cfg.ReduceSlots); p.gridN != defaultGridN || p.reducers != want || want >= defaultGridN*defaultGridN {
-						t.Errorf("unplanned grid %d with %d reducers, want grid %d with the slot-derived %d (fewer than its cells)",
-							p.gridN, p.reducers, defaultGridN, want)
-					}
-					if pr := planQ(WithReducers(3)); pr.reducers != 3 {
-						t.Errorf("WithReducers(3): %d reducers", pr.reducers)
-					}
-					if (p.segIO != nil) != (st.storage == StorageDFSBinary) {
-						t.Errorf("segment meter = %v on %s storage", p.segIO, st.name)
-					}
+				}
+				if p.empty || p.planStats != nil {
+					t.Errorf("unplanned query carries planner output: empty=%v stats=%+v", p.empty, p.planStats)
+				}
+				if want := plan.ChooseReducers(defaultGridN, e.cfg.ReduceSlots); p.gridN != defaultGridN || p.reducers != want || want >= defaultGridN*defaultGridN {
+					t.Errorf("unplanned grid %d with %d reducers, want grid %d with the slot-derived %d (fewer than its cells)",
+						p.gridN, p.reducers, defaultGridN, want)
+				}
+				if pr := planQ(WithReducers(3)); pr.reducers != 3 {
+					t.Errorf("WithReducers(3): %d reducers", pr.reducers)
+				}
 
-					// Every block of every cell: base data, delta data, base
-					// features, delta features.
-					var want, got []string
-					nDelta := len(deltaCellsOf(snap, false)) + len(deltaCellsOf(snap, true))
-					for _, cells := range [][]data.CellStats{snap.manifest.Data, deltaCellsOf(snap, false), snap.manifest.Features, deltaCellsOf(snap, true)} {
-						for _, cs := range cells {
-							want = append(want, cs.File)
-						}
+				// Every block of every cell: base data, delta data, base
+				// features, delta features.
+				var want, got []string
+				nDelta := len(deltaCellsOf(snap, false)) + len(deltaCellsOf(snap, true))
+				for _, cells := range [][]data.CellStats{snap.manifest.Data, deltaCellsOf(snap, false), snap.manifest.Features, deltaCellsOf(snap, true)} {
+					for _, cs := range cells {
+						want = append(want, cs.File)
 					}
-					for _, sel := range append(append([]data.ColSel(nil), p.colsData...), p.colsFeat...) {
-						if sel.Blocks != nil {
-							t.Errorf("cell %s narrowed to blocks %v without pruning", sel.Cell.File, sel.Blocks)
-						}
-						inDelta := snap.delta != nil && snap.delta.resident[sel.Cell.File] != nil
-						if resident := sel.Resident != nil; resident != (st.storage == StorageMemory || inDelta) {
-							t.Errorf("cell %s: resident blocks = %v on %s storage (delta cell: %v)", sel.Cell.File, resident, st.name, inDelta)
-						}
-						got = append(got, sel.Cell.File)
+				}
+				for _, sel := range append(append([]data.ColSel(nil), p.colsData...), p.colsFeat...) {
+					if sel.Blocks != nil {
+						t.Errorf("cell %s narrowed to blocks %v without pruning", sel.Cell.File, sel.Blocks)
 					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("block selection covers %v, want every cell %v", got, want)
+					inDelta := snap.delta != nil && snap.delta.resident[sel.Cell.File] != nil
+					if resident := sel.Resident != nil; resident != inDelta {
+						t.Errorf("cell %s: resident blocks = %v (delta cell: %v)", sel.Cell.File, resident, inDelta)
 					}
+					got = append(got, sel.Cell.File)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("block selection covers %v, want every cell %v", got, want)
+				}
 
-					if withDelta {
-						cells := snap.delta.cells
-						if p.deltaStats.Records != 1 || p.deltaStats.RecordsSelected != 1 || p.deltaStats.Cells != nDelta || nDelta != 1 {
-							t.Errorf("delta stats = %+v, want the whole 1-record delta in its one cell", p.deltaStats)
-						}
-						// Opting out of the delta drops only the delta.
-						if pd := planQ(WithDelta(false)); (pd.wire != nil) != ships(false) || pd.deltaStats.Records != 0 {
-							t.Errorf("WithDelta(false): wire=%+v delta=%+v", pd.wire, pd.deltaStats)
-						}
-						// A planned query reads the same blocks: they are not
-						// cut again.
-						if pp := planQ(WithAutoPlan()); pp.planStats == nil || pp.deltaStats.Cells != 1 || snap.delta.cells != cells {
-							t.Errorf("planned query: stats=%+v delta=%+v, blocks rebuilt: %v", pp.planStats, pp.deltaStats, snap.delta.cells != cells)
-						}
-					} else if p.deltaStats.Records != 0 || p.counters != nil {
-						t.Errorf("delta-free unplanned plan: delta=%+v counters=%v", p.deltaStats, p.counters)
+				if withDelta {
+					cells := snap.delta.cells
+					if p.deltaStats.Records != 1 || p.deltaStats.RecordsSelected != 1 || p.deltaStats.Cells != nDelta || nDelta != 1 {
+						t.Errorf("delta stats = %+v, want the whole 1-record delta in its one cell", p.deltaStats)
 					}
+					// Opting out of the delta drops only the delta.
+					if pd := planQ(WithDelta(false)); (pd.wire != nil) != ships(false) || pd.deltaStats.Records != 0 {
+						t.Errorf("WithDelta(false): wire=%+v delta=%+v", pd.wire, pd.deltaStats)
+					}
+					// A planned query reads the same blocks: they are not
+					// cut again.
+					if pp := planQ(WithAutoPlan()); pp.planStats == nil || pp.deltaStats.Cells != 1 || snap.delta.cells != cells {
+						t.Errorf("planned query: stats=%+v delta=%+v, blocks rebuilt: %v", pp.planStats, pp.deltaStats, snap.delta.cells != cells)
+					}
+				} else if p.deltaStats.Records != 0 || p.counters != nil {
+					t.Errorf("delta-free unplanned plan: delta=%+v counters=%v", p.deltaStats, p.counters)
+				}
 
-					if !distributed {
-						var views []int64
-						for _, kw := range []string{"common1", "c0-kw7"} {
-							rep, err := e.QueryReport(Query{K: 3, Radius: 0.05, Keywords: []string{kw}}, WithAutoPlan(), WithGrid(8), WithCache(false))
-							if err != nil {
-								t.Fatal(err)
-							}
-							views = append(views, rep.Counters[CounterViewMiss], rep.Counters[CounterViewHit])
-						}
-						if want := []int64{1, 0, 0, 1}; !reflect.DeepEqual(views, want) {
-							t.Errorf("view miss/hit of two planned queries at one grid = %v, want %v", views, want)
-						}
-					}
-					if distributed {
-						rep, err := e.QueryReport(q, WithCache(false))
+				if !distributed {
+					var views []int64
+					for _, kw := range []string{"common1", "c0-kw7"} {
+						rep, err := e.QueryReport(Query{K: 3, Radius: 0.05, Keywords: []string{kw}}, WithAutoPlan(), WithGrid(8), WithCache(false))
 						if err != nil {
 							t.Fatal(err)
 						}
-						if local := rep.Counters[mapreduce.CounterExecFallbackLocal] > 0; local != withDelta {
-							t.Errorf("job ran locally = %v, want %v", local, withDelta)
-						}
+						views = append(views, rep.Counters[CounterViewMiss], rep.Counters[CounterViewHit])
 					}
-				})
-			}
+					if want := []int64{1, 0, 0, 1}; !reflect.DeepEqual(views, want) {
+						t.Errorf("view miss/hit of two planned queries at one grid = %v, want %v", views, want)
+					}
+				}
+				if distributed {
+					rep, err := e.QueryReport(q, WithCache(false))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if local := rep.Counters[mapreduce.CounterExecFallbackLocal] > 0; local != withDelta {
+						t.Errorf("job ran locally = %v, want %v", local, withDelta)
+					}
+				}
+			})
 		}
 	}
 }

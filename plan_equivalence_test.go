@@ -23,83 +23,76 @@ func resultsEqual(a, b []Result) bool {
 
 // TestPlannedQueriesMatchUnplannedProperty is the planner's correctness
 // property: for random datasets (uniform and clustered), random queries
-// (including out-of-vocabulary keywords), every algorithm and every
-// storage mode, the pruned path returns results identical to the unpruned
-// path.
+// (including out-of-vocabulary keywords) and every algorithm, the pruned
+// path returns results identical to the unpruned path.
 func TestPlannedQueriesMatchUnplannedProperty(t *testing.T) {
-	storages := map[string]Storage{
-		"memory": StorageMemory,
-		"binary": StorageDFSBinary,
-	}
 	for _, family := range []string{"uniform", "clustered"} {
-		for sname, storage := range storages {
-			t.Run(family+"/"+sname, func(t *testing.T) {
-				e := NewEngine(Config{Storage: storage, Nodes: 4, BlockSize: 4 << 10, Seed: 9, SealGridN: 8})
-				if err := e.LoadSynthetic(family, 600); err != nil {
-					t.Fatal(err)
-				}
-				kws := e.FrequentKeywords(6)
-				rng := rand.New(rand.NewSource(17))
-				queries := []Query{
-					{K: 1, Radius: 0.02, Keywords: kws[:1]},
-					{K: 3, Radius: 0.05, Keywords: kws[1:3]},
-					{K: 10, Radius: 0.15, Keywords: kws[3:6]},
-					{K: 5, Radius: 0.08, Keywords: []string{kws[0], "zzz-out-of-vocabulary"}},
-					{K: 4, Radius: 0, Keywords: kws[:2]},
-					{K: 2, Radius: 0.03, Keywords: []string{"zzz-no-such-keyword"}},
-					{K: 6, Radius: float64(rng.Intn(20)+1) / 100, Keywords: kws[rng.Intn(3) : rng.Intn(3)+2]},
-				}
-				for qi, q := range queries {
-					for _, alg := range Algorithms() {
-						// At a fixed query grid, pruning must be invisible:
-						// byte-identical results.
-						plain, err := e.Query(q, WithAlgorithm(alg), WithGrid(9))
-						if err != nil {
-							t.Fatalf("q%d %v unplanned: %v", qi, alg, err)
-						}
-						planned, err := e.Query(q, WithAlgorithm(alg), WithGrid(9), WithAutoPlan())
-						if err != nil {
-							t.Fatalf("q%d %v planned: %v", qi, alg, err)
-						}
-						if !resultsEqual(plain, planned) {
-							t.Errorf("q%d %v: planned results differ\nunplanned: %+v\nplanned:   %+v",
-								qi, alg, plain, planned)
-						}
-						// With a planner-chosen grid and reducer count, the
-						// results are still identical, k-ties at the
-						// threshold included: the top-k is canonical (lowest
-						// id wins a tie), whatever the grid or the cells
-						// sharing a task.
-						auto, err := e.Query(q, WithAlgorithm(alg), WithAutoPlan())
-						if err != nil {
-							t.Fatalf("q%d %v auto-grid: %v", qi, alg, err)
-						}
-						if !resultsEqual(plain, auto) {
-							t.Errorf("q%d %v: auto-grid results differ\nunplanned: %+v\nplanned:   %+v",
-								qi, alg, plain, auto)
-						}
+		t.Run(family+"/binary", func(t *testing.T) {
+			e := NewEngine(Config{Nodes: 4, BlockSize: 4 << 10, Seed: 9, SealGridN: 8})
+			if err := e.LoadSynthetic(family, 600); err != nil {
+				t.Fatal(err)
+			}
+			kws := e.FrequentKeywords(6)
+			rng := rand.New(rand.NewSource(17))
+			queries := []Query{
+				{K: 1, Radius: 0.02, Keywords: kws[:1]},
+				{K: 3, Radius: 0.05, Keywords: kws[1:3]},
+				{K: 10, Radius: 0.15, Keywords: kws[3:6]},
+				{K: 5, Radius: 0.08, Keywords: []string{kws[0], "zzz-out-of-vocabulary"}},
+				{K: 4, Radius: 0, Keywords: kws[:2]},
+				{K: 2, Radius: 0.03, Keywords: []string{"zzz-no-such-keyword"}},
+				{K: 6, Radius: float64(rng.Intn(20)+1) / 100, Keywords: kws[rng.Intn(3) : rng.Intn(3)+2]},
+			}
+			for qi, q := range queries {
+				for _, alg := range Algorithms() {
+					// At a fixed query grid, pruning must be invisible:
+					// byte-identical results.
+					plain, err := e.Query(q, WithAlgorithm(alg), WithGrid(9))
+					if err != nil {
+						t.Fatalf("q%d %v unplanned: %v", qi, alg, err)
 					}
-					// The scoring-mode extensions prune identically: every
-					// mode restricts contributions to features within r.
-					for _, mode := range []ScoringMode{ScoreInfluence, ScoreNearest} {
-						mq := q
-						mq.Mode = mode
-						plain, err := e.Query(mq, WithAlgorithm(PSPQ), WithGrid(9))
-						if err != nil {
-							t.Fatalf("q%d %v unplanned: %v", qi, mode, err)
-						}
-						planned, err := e.Query(mq, WithAlgorithm(PSPQ), WithGrid(9), WithAutoPlan())
-						if err != nil {
-							t.Fatalf("q%d %v planned: %v", qi, mode, err)
-						}
-						if !resultsEqual(plain, planned) {
-							t.Errorf("q%d mode %v: planned results differ\nunplanned: %+v\nplanned:   %+v",
-								qi, mode, plain, planned)
-						}
+					planned, err := e.Query(q, WithAlgorithm(alg), WithGrid(9), WithAutoPlan())
+					if err != nil {
+						t.Fatalf("q%d %v planned: %v", qi, alg, err)
+					}
+					if !resultsEqual(plain, planned) {
+						t.Errorf("q%d %v: planned results differ\nunplanned: %+v\nplanned:   %+v",
+							qi, alg, plain, planned)
+					}
+					// With a planner-chosen grid and reducer count, the
+					// results are still identical, k-ties at the
+					// threshold included: the top-k is canonical (lowest
+					// id wins a tie), whatever the grid or the cells
+					// sharing a task.
+					auto, err := e.Query(q, WithAlgorithm(alg), WithAutoPlan())
+					if err != nil {
+						t.Fatalf("q%d %v auto-grid: %v", qi, alg, err)
+					}
+					if !resultsEqual(plain, auto) {
+						t.Errorf("q%d %v: auto-grid results differ\nunplanned: %+v\nplanned:   %+v",
+							qi, alg, plain, auto)
 					}
 				}
-			})
-		}
+				// The scoring-mode extensions prune identically: every
+				// mode restricts contributions to features within r.
+				for _, mode := range []ScoringMode{ScoreInfluence, ScoreNearest} {
+					mq := q
+					mq.Mode = mode
+					plain, err := e.Query(mq, WithAlgorithm(PSPQ), WithGrid(9))
+					if err != nil {
+						t.Fatalf("q%d %v unplanned: %v", qi, mode, err)
+					}
+					planned, err := e.Query(mq, WithAlgorithm(PSPQ), WithGrid(9), WithAutoPlan())
+					if err != nil {
+						t.Fatalf("q%d %v planned: %v", qi, mode, err)
+					}
+					if !resultsEqual(plain, planned) {
+						t.Errorf("q%d mode %v: planned results differ\nunplanned: %+v\nplanned:   %+v",
+							qi, mode, plain, planned)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -153,7 +146,7 @@ func clusteredCorpus(n, nClusters int) ([]DataObject, []Feature) {
 // so the job itself reads feature records only: all 50k unplanned, a
 // strict subset of the plan's selection planned.
 func TestPlannerReadsFractionOnSelectiveQuery(t *testing.T) {
-	e := NewEngine(Config{Storage: StorageMemory})
+	e := NewEngine(Config{})
 	loadClusteredCorpus(t, e, 100000, 16)
 
 	q := Query{K: 10, Radius: 0.02, Keywords: []string{"c3-kw7"}}
@@ -204,7 +197,7 @@ func TestPlannerReadsFractionOnSelectiveQuery(t *testing.T) {
 // short-circuit: a query whose keyword occurs nowhere needs no MapReduce
 // job at all, and still reports its pruning.
 func TestAutoPlanProvablyEmptyQuerySkipsJob(t *testing.T) {
-	e := loadPaperExample(t, Config{Storage: StorageMemory})
+	e := loadPaperExample(t, Config{})
 	rep, err := e.QueryReport(Query{K: 3, Radius: 1.5, Keywords: []string{"nope-xyzzy"}}, WithAutoPlan())
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,7 @@ var statusOfCode = map[string][]int{
 // largest float, unknown or unsupported scoring modes — so plain
 // `go test` replays them.
 func FuzzServeQuery(f *testing.F) {
-	e := spq.NewEngine(spq.Config{Storage: spq.StorageMemory, Seed: 42, QueryCache: -1})
+	e := spq.NewEngine(spq.Config{Seed: 42, QueryCache: -1})
 	if err := e.LoadSynthetic("uniform", 400); err != nil {
 		f.Fatal(err)
 	}

@@ -389,7 +389,7 @@ func TestDrainDeadline(t *testing.T) {
 
 func testEngine(t *testing.T) *spq.Engine {
 	t.Helper()
-	e := spq.NewEngine(spq.Config{Storage: spq.StorageMemory, Seed: 42})
+	e := spq.NewEngine(spq.Config{Seed: 42})
 	if err := e.LoadSynthetic("uniform", 1500); err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 func TestValidateQueryNonFiniteRadius(t *testing.T) {
-	e := loadPaperExample(t, Config{Storage: StorageMemory})
+	e := loadPaperExample(t, Config{})
 	cases := []struct {
 		name   string
 		q      Query
@@ -52,7 +52,7 @@ func TestAddRejectsNonFiniteCoordinates(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := NewEngine(Config{Storage: StorageMemory})
+			e := NewEngine(Config{})
 			err := e.AddData(DataObject{ID: 7, X: tc.x, Y: tc.y})
 			if err == nil {
 				t.Fatal("non-finite data coordinate accepted")
@@ -74,7 +74,7 @@ func TestAddRejectsNonFiniteCoordinates(t *testing.T) {
 	}
 
 	// A batch with one bad object loads nothing.
-	e := NewEngine(Config{Storage: StorageMemory})
+	e := NewEngine(Config{})
 	err := e.AddData(
 		DataObject{ID: 1, X: 0, Y: 0},
 		DataObject{ID: 2, X: nan, Y: 0},
@@ -89,7 +89,7 @@ func TestAddRejectsNonFiniteCoordinates(t *testing.T) {
 }
 
 func TestLoadLinesValidation(t *testing.T) {
-	e := NewEngine(Config{Storage: StorageMemory})
+	e := NewEngine(Config{})
 	err := e.LoadLines(strings.NewReader("D\t1\t0.5\t0.5\nD\t2\tNaN\t0.5\n"))
 	if err == nil {
 		t.Fatal("NaN coordinate line accepted")
@@ -98,15 +98,44 @@ func TestLoadLinesValidation(t *testing.T) {
 		t.Errorf("error does not locate the bad record: %v", err)
 	}
 
-	e = NewEngine(Config{Storage: StorageMemory})
+	e = NewEngine(Config{})
 	err = e.LoadLines(strings.NewReader("D\t1\t0.5\t0.5\nD\t1\t0.6\t0.6\n"))
 	if err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("duplicate id line: err = %v, want duplicate-id error", err)
 	}
 }
 
+// TestRejectedBatchInternsNoWords: a rejected load batch leaves the
+// keyword dictionary as it was, whether a line is malformed, a line's id
+// is a duplicate, or an AddFeature object has a non-finite coordinate;
+// the same feature lines, valid, intern their words.
+func TestRejectedBatchInternsNoWords(t *testing.T) {
+	e := NewEngine(Config{})
+	good := "F\t1\t0.1\t0.1\ta,b\nF\t2\t0.2\t0.2\tc\n"
+	for i, bad := range []func() error{
+		func() error { return e.LoadLines(strings.NewReader(good + "F\tbad\n")) },
+		func() error { return e.LoadLines(strings.NewReader(good + "F\t1\t0.3\t0.3\td\n")) },
+		func() error {
+			return e.AddFeature(Feature{ID: 1, X: 0.1, Y: 0.1, Keywords: []string{"a"}}, Feature{ID: 2, X: math.NaN(), Keywords: []string{"b"}})
+		},
+	} {
+		if err := bad(); err == nil {
+			t.Fatalf("bad batch %d accepted", i)
+		}
+		if n := e.dict.Size(); n != 0 {
+			t.Fatalf("rejected batch %d grew the dictionary from 0 to %d words", i, n)
+		}
+	}
+	if err := e.LoadLines(strings.NewReader(good)); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.dict.Size(); n != 3 {
+		t.Errorf("an accepted batch of 3 words left %d in the dictionary", n)
+	}
+}
+
 func TestDuplicateIDsRejected(t *testing.T) {
-	e := NewEngine(Config{Storage: StorageMemory})
+	e := NewEngine(Config{})
 	// Same call.
 	err := e.AddData(DataObject{ID: 1, X: 0, Y: 0}, DataObject{ID: 1, X: 1, Y: 1})
 	if err == nil || !strings.Contains(err.Error(), "duplicate") {
@@ -133,7 +162,7 @@ func TestDuplicateIDsRejected(t *testing.T) {
 		t.Fatalf("duplicate feature id: err = %v", err)
 	}
 	// LoadSynthetic twice overlaps generated ids and must fail too.
-	e2 := NewEngine(Config{Storage: StorageMemory})
+	e2 := NewEngine(Config{})
 	if err := e2.LoadSynthetic("uniform", 100); err != nil {
 		t.Fatal(err)
 	}
@@ -142,34 +171,32 @@ func TestDuplicateIDsRejected(t *testing.T) {
 	}
 }
 
-// Property: across all algorithms and storage modes, a top-k list never
+// Property: across all algorithms, a top-k list never
 // contains the same data object twice. Before the duplicate-id rejection,
 // loading an id twice produced exactly that corruption.
 func TestNoDuplicateResultsAcrossAlgorithmsAndStorages(t *testing.T) {
-	for _, storage := range []Storage{StorageMemory, StorageDFSBinary} {
-		e := NewEngine(Config{Storage: storage, Nodes: 4, BlockSize: 8 << 10, Seed: 11})
-		if err := e.LoadSynthetic("uniform", 600); err != nil {
-			t.Fatal(err)
+	e := NewEngine(Config{Nodes: 4, BlockSize: 8 << 10, Seed: 11})
+	if err := e.LoadSynthetic("uniform", 600); err != nil {
+		t.Fatal(err)
+	}
+	// The engine now rejects the duplicate load outright...
+	if err := e.AddData(DataObject{ID: 0, X: 0.5, Y: 0.5}); err == nil {
+		t.Fatal("duplicate data id accepted")
+	}
+	kws := e.FrequentKeywords(2)
+	for _, alg := range Algorithms() {
+		// ...and the served top-k holds each id at most once.
+		res, err := e.Query(Query{K: 50, Radius: 0.15, Keywords: kws},
+			WithAlgorithm(alg), WithGrid(6), WithCache(false))
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
 		}
-		// The engine now rejects the duplicate load outright...
-		if err := e.AddData(DataObject{ID: 0, X: 0.5, Y: 0.5}); err == nil {
-			t.Fatalf("storage %d: duplicate data id accepted", storage)
-		}
-		kws := e.FrequentKeywords(2)
-		for _, alg := range Algorithms() {
-			// ...and the served top-k holds each id at most once.
-			res, err := e.Query(Query{K: 50, Radius: 0.15, Keywords: kws},
-				WithAlgorithm(alg), WithGrid(6), WithCache(false))
-			if err != nil {
-				t.Fatalf("storage %d %v: %v", storage, alg, err)
+		seen := make(map[uint64]bool, len(res))
+		for _, r := range res {
+			if seen[r.ID] {
+				t.Errorf("%v: id %d appears twice in top-k", alg, r.ID)
 			}
-			seen := make(map[uint64]bool, len(res))
-			for _, r := range res {
-				if seen[r.ID] {
-					t.Errorf("storage %d %v: id %d appears twice in top-k", storage, alg, r.ID)
-				}
-				seen[r.ID] = true
-			}
+			seen[r.ID] = true
 		}
 	}
 }
@@ -209,10 +236,10 @@ func servingWorkload(t *testing.T, cfg Config, n int) (*Engine, []Query) {
 func TestConcurrentQueriesMatchSerial(t *testing.T) {
 	for _, cacheOn := range []bool{false, true} {
 		name := "cache-off"
-		cfg := Config{Storage: StorageMemory, QueryCache: -1}
+		cfg := Config{QueryCache: -1}
 		if cacheOn {
 			name = "cache-on"
-			cfg = Config{Storage: StorageMemory}
+			cfg = Config{}
 		}
 		t.Run(name, func(t *testing.T) {
 			const nq, goroutines, rounds = 12, 8, 3
@@ -265,7 +292,7 @@ func TestConcurrentQueriesMatchSerial(t *testing.T) {
 }
 
 func TestQueryCacheSemantics(t *testing.T) {
-	e := loadPaperExample(t, Config{Storage: StorageMemory})
+	e := loadPaperExample(t, Config{})
 	q := Query{K: 2, Radius: 1.5, Keywords: []string{"italian"}}
 
 	first, err := e.QueryReport(q, WithGrid(4))
@@ -335,7 +362,7 @@ func TestQueryCacheKeyNoCollision(t *testing.T) {
 }
 
 func TestQueryCacheLRUEviction(t *testing.T) {
-	e := loadPaperExample(t, Config{Storage: StorageMemory, QueryCache: 2})
+	e := loadPaperExample(t, Config{QueryCache: 2})
 	qa := Query{K: 1, Radius: 1.5, Keywords: []string{"italian"}}
 	qb := Query{K: 1, Radius: 1.5, Keywords: []string{"chinese"}}
 	qc := Query{K: 1, Radius: 1.5, Keywords: []string{"greek"}}
@@ -367,7 +394,7 @@ func TestQueryCacheLRUEviction(t *testing.T) {
 // TestSchedCountersSurfaceInReport checks the admission-control counters
 // are visible through the public report.
 func TestSchedCountersSurfaceInReport(t *testing.T) {
-	e := loadPaperExample(t, Config{Storage: StorageMemory})
+	e := loadPaperExample(t, Config{})
 	rep, err := e.QueryReport(Query{K: 1, Radius: 1.5, Keywords: []string{"italian"}}, WithGrid(4))
 	if err != nil {
 		t.Fatal(err)

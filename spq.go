@@ -30,9 +30,7 @@ import (
 	"slices"
 
 	"spq/internal/core"
-	"spq/internal/data"
 	"spq/internal/geo"
-	"spq/internal/text"
 )
 
 // Algorithm selects the query processing algorithm.
@@ -286,15 +284,6 @@ func toResults(items []core.ResultItem) []Result {
 		out[i] = Result{ID: it.ID, X: it.Loc.X, Y: it.Loc.Y, Score: it.Score}
 	}
 	return out
-}
-
-func toFeatureObject(f Feature, dict *text.Dict) data.Object {
-	return data.Object{
-		Kind:     data.FeatureObject,
-		ID:       f.ID,
-		Loc:      geo.Point{X: f.X, Y: f.Y},
-		Keywords: dict.InternAll(keywordsOf(f.Keywords)),
-	}
 }
 
 // keywordsOf drops the empty words of a feature's or query's keyword

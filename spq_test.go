@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"spq/internal/data"
 )
 
 // loadPaperExample fills an engine with the dataset of Example 1 / Table 2.
@@ -39,19 +41,17 @@ func loadPaperExample(t *testing.T, cfg Config) *Engine {
 }
 
 func TestQuickstartPaperExample(t *testing.T) {
-	for _, storage := range []Storage{StorageDFSBinary, StorageMemory} {
-		for _, alg := range Algorithms() {
-			e := loadPaperExample(t, Config{Storage: storage, Nodes: 4, BlockSize: 64})
-			res, err := e.Query(
-				Query{K: 1, Radius: 1.5, Keywords: []string{"italian"}},
-				WithAlgorithm(alg), WithGrid(4), WithBounds(0, 0, 10, 10),
-			)
-			if err != nil {
-				t.Fatalf("storage %d %v: %v", storage, alg, err)
-			}
-			if len(res) != 1 || res[0].ID != 1 || res[0].Score != 1 {
-				t.Errorf("storage %d %v: top-1 = %+v, want p1 score 1", storage, alg, res)
-			}
+	for _, alg := range Algorithms() {
+		e := loadPaperExample(t, Config{Nodes: 4, BlockSize: 64})
+		res, err := e.Query(
+			Query{K: 1, Radius: 1.5, Keywords: []string{"italian"}},
+			WithAlgorithm(alg), WithGrid(4), WithBounds(0, 0, 10, 10),
+		)
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		if len(res) != 1 || res[0].ID != 1 || res[0].Score != 1 {
+			t.Errorf("%v: top-1 = %+v, want p1 score 1", alg, res)
 		}
 	}
 }
@@ -63,8 +63,11 @@ func TestDefaultConfigSealsSPQ3(t *testing.T) {
 	if err := e.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Manifest().Format; got != "spq3" {
-		t.Errorf("Config{} sealed %q, want spq3", got)
+	m := e.Manifest()
+	for _, cs := range append(append([]data.CellStats(nil), m.Data...), m.Features...) {
+		if n, err := e.fs.Len(cs.File); err != nil || n == 0 || cs.Blocks[0].Length == 0 {
+			t.Errorf("Config{} sealed cell %s as %d DFS bytes (%v), first frame %d bytes; want an SPQ3 segment", cs.File, n, err, cs.Blocks[0].Length)
+		}
 	}
 }
 
@@ -194,7 +197,7 @@ func TestLenAndBounds(t *testing.T) {
 func TestDegenerateBounds(t *testing.T) {
 	// All objects on one vertical line: the engine must pad the bounds
 	// rather than panic on a zero-width grid.
-	e := NewEngine(Config{Storage: StorageMemory})
+	e := NewEngine(Config{})
 	e.AddData(DataObject{ID: 1, X: 5, Y: 1}, DataObject{ID: 2, X: 5, Y: 9})
 	e.AddFeature(Feature{ID: 3, X: 5, Y: 1.2, Keywords: []string{"a"}})
 	res, err := e.Query(Query{K: 1, Radius: 0.5, Keywords: []string{"a"}}, WithGrid(4))
@@ -208,7 +211,7 @@ func TestDegenerateBounds(t *testing.T) {
 
 func TestLoadSynthetic(t *testing.T) {
 	for _, name := range []string{"uniform", "clustered", "flickr", "twitter"} {
-		e := NewEngine(Config{Storage: StorageMemory})
+		e := NewEngine(Config{})
 		if err := e.LoadSynthetic(name, 400); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -273,7 +276,7 @@ func TestAlgorithmsAgreeViaPublicAPI(t *testing.T) {
 }
 
 func TestWithReducers(t *testing.T) {
-	e := loadPaperExample(t, Config{Storage: StorageMemory})
+	e := loadPaperExample(t, Config{})
 	res, err := e.Query(Query{K: 1, Radius: 1.5, Keywords: []string{"italian"}},
 		WithGrid(4), WithReducers(3))
 	if err != nil {
@@ -300,7 +303,7 @@ func TestFrequentKeywordsOrder(t *testing.T) {
 }
 
 func TestScoringModesViaPublicAPI(t *testing.T) {
-	e := NewEngine(Config{Storage: StorageMemory})
+	e := NewEngine(Config{})
 	e.AddData(DataObject{ID: 1, X: 0, Y: 0})
 	e.AddFeature(
 		Feature{ID: 10, X: 0.9, Y: 0, Keywords: []string{"a"}},
@@ -382,8 +385,8 @@ func (errWrongResult) Error() string { return "wrong concurrent result" }
 // loaded from a text line with a trailing comma — 1, not 1/2, for a query
 // on its one real keyword — and an empty query word changes nothing.
 func TestEmptyKeywordsThroughAPI(t *testing.T) {
-	viaAPI := NewEngine(Config{Storage: StorageMemory})
-	viaLines := NewEngine(Config{Storage: StorageMemory})
+	viaAPI := NewEngine(Config{})
+	viaLines := NewEngine(Config{})
 	for _, e := range []*Engine{viaAPI, viaLines} {
 		if err := e.AddData(DataObject{ID: 1, X: 0.1, Y: 0}); err != nil {
 			t.Fatal(err)
@@ -411,40 +414,38 @@ func TestEmptyKeywordsThroughAPI(t *testing.T) {
 // TestUnknownQueryWordsNotInterned: query words are looked up, never
 // interned, so a stream of queries with ever new unknown words leaves the
 // dictionary as it was — yet an unknown word still counts in |q.W|: a
-// feature carrying only "pizza" scores 1/2 against {pizza, unknown}, on
-// both storages, planned and unplanned.
+// feature carrying only "pizza" scores 1/2 against {pizza, unknown},
+// planned and unplanned.
 func TestUnknownQueryWordsNotInterned(t *testing.T) {
-	for _, storage := range []Storage{StorageDFSBinary, StorageMemory} {
-		e := NewEngine(Config{Storage: storage})
-		if err := e.AddData(DataObject{ID: 1, X: 0.1, Y: 0}, DataObject{ID: 2, X: 0.9, Y: 1}); err != nil {
+	e := NewEngine(Config{})
+	if err := e.AddData(DataObject{ID: 1, X: 0.1, Y: 0}, DataObject{ID: 2, X: 0.9, Y: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddFeature(Feature{ID: 7, X: 0.1, Y: 0, Keywords: []string{"pizza"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	size := e.dict.Size()
+	for i := 0; i < 200; i++ {
+		opts := []QueryOption{WithCache(false)}
+		if i%2 == 1 {
+			opts = append(opts, WithAutoPlan())
+		}
+		unknown := fmt.Sprintf("unknown-%d", i)
+		res, err := e.Query(Query{K: 1, Radius: 0.2, Keywords: []string{"pizza", unknown}}, opts...)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.AddFeature(Feature{ID: 7, X: 0.1, Y: 0, Keywords: []string{"pizza"}}); err != nil {
-			t.Fatal(err)
+		if len(res) != 1 || res[0].ID != 1 || res[0].Score != 0.5 {
+			t.Fatalf("query %d: results %+v, want object 1 with score 1/2", i, res)
 		}
-		if err := e.Seal(); err != nil {
-			t.Fatal(err)
+		if res, err := e.Query(Query{K: 1, Radius: 0.2, Keywords: []string{unknown}}, opts...); err != nil || len(res) != 0 {
+			t.Fatalf("query %d on an unknown word alone: results %+v, err %v", i, res, err)
 		}
-		size := e.dict.Size()
-		for i := 0; i < 200; i++ {
-			opts := []QueryOption{WithCache(false)}
-			if i%2 == 1 {
-				opts = append(opts, WithAutoPlan())
-			}
-			unknown := fmt.Sprintf("unknown-%d", i)
-			res, err := e.Query(Query{K: 1, Radius: 0.2, Keywords: []string{"pizza", unknown}}, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res) != 1 || res[0].ID != 1 || res[0].Score != 0.5 {
-				t.Fatalf("storage %d query %d: results %+v, want object 1 with score 1/2", storage, i, res)
-			}
-			if res, err := e.Query(Query{K: 1, Radius: 0.2, Keywords: []string{unknown}}, opts...); err != nil || len(res) != 0 {
-				t.Fatalf("storage %d query %d on an unknown word alone: results %+v, err %v", storage, i, res, err)
-			}
-		}
-		if got := e.dict.Size(); got != size {
-			t.Errorf("storage %d: queries grew the dictionary from %d to %d words", storage, size, got)
-		}
+	}
+	if got := e.dict.Size(); got != size {
+		t.Errorf("queries grew the dictionary from %d to %d words", size, got)
 	}
 }

@@ -36,33 +36,14 @@ func (e *Engine) LoadSynthetic(dataset string, n int) error {
 		return fmt.Errorf("spq: unknown synthetic dataset %q (want uniform, clustered, flickr or twitter)", dataset)
 	}
 	ds := data.Generate(spec)
-
+	objs := ds.Objects()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	// Generated objects pass the same load-time validation as user input
-	// (finite coordinates, unique ids per dataset) — so loading the same
-	// synthetic family twice into one engine fails on the duplicate ids
-	// instead of silently corrupting top-k results.
-	for _, o := range ds.Data {
-		if err := e.checkLocked(o.Kind, o.ID, o.Loc.X, o.Loc.Y, nil); err != nil {
-			return err
-		}
-	}
-	for _, f := range ds.Features {
-		if err := e.checkLocked(f.Kind, f.ID, f.Loc.X, f.Loc.Y, nil); err != nil {
-			return err
-		}
-	}
-	for _, o := range ds.Data {
-		e.addLocked(o)
-	}
-	for _, f := range ds.Features {
-		// Re-intern keywords into the engine's dictionary so user-supplied
-		// features and query keywords share the id space.
-		f.Keywords = e.dict.InternAll(ds.Dict.Words(f.Keywords))
-		e.addLocked(f)
-	}
-	return e.commitLocked()
+	// Generated objects pass the same load-time validation as user input,
+	// so loading the same synthetic family twice into one engine fails on
+	// the duplicate ids instead of silently corrupting top-k results.
+	_, err := e.loadLocked(objs, func(i int) []string { return ds.Dict.Words(objs[i].Keywords) })
+	return err
 }
 
 // FrequentKeywords returns up to n of the most frequently used feature
