@@ -56,8 +56,8 @@ func main() {
 		dataset    = flag.String("dataset", "uniform", "synthetic dataset family (uniform, cluster)")
 		n          = flag.Int("n", 20000, "synthetic dataset size in objects")
 		seed       = flag.Int64("seed", 42, "dataset generation seed")
-		mapSlots   = flag.Int("map-slots", 0, "map task slots (default 8)")
-		redSlots   = flag.Int("reduce-slots", 0, "reduce task slots (default 8)")
+		mapSlots   = flag.Int("map-slots", 0, "map task slots of in-process jobs (default 8); shipped jobs are sized by the worker slots")
+		redSlots   = flag.Int("reduce-slots", 0, "reduce task slots of in-process jobs (default 8); shipped jobs are sized by the worker slots")
 		qcache     = flag.Int("query-cache", 0, "query cache size in reports (0 default, negative disables)")
 		inflight   = flag.Int("max-inflight", 0, "max concurrently executing queries (default 2x GOMAXPROCS)")
 		queue      = flag.Int("queue", 0, "max queries waiting for admission (default 4x max-inflight)")

@@ -31,7 +31,7 @@ import (
 func main() {
 	var (
 		addr  = flag.String("addr", "127.0.0.1:0", "host:port to listen on (port 0 picks an ephemeral port)")
-		slots = flag.Int("slots", 0, "concurrent task slots offered to the master (default NumCPU)")
+		slots = flag.Int("slots", 0, "concurrent task slots offered to the master; a shipped job runs one map and one reduce task per slot of its workers (default NumCPU)")
 	)
 	flag.Parse()
 

@@ -2,6 +2,7 @@ package spq
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -135,10 +136,11 @@ func TestDistributedConformance(t *testing.T) {
 // loopback workers, whose reduce tasks serve the sealed data objects from
 // views the workers build, then in-process with the RPC executor detached
 // from the engine and its cluster, so that the plan itself hands the job
-// the engine's own view. Both plans select the same splits, and both runs
-// run the shared task bodies, so what a task reads, emits, groups and
-// merges must agree exactly, not just the ranked results — and neither
-// reads a sealed data record through the shuffle.
+// the engine's own view. Both plans select the same blocks (into fewer
+// tasks on the workers, one per lane), and both runs run the shared task
+// bodies, so what the tasks read, emit, group and merge must agree
+// exactly, not just the ranked results — and neither reads a sealed data
+// record through the shuffle.
 func TestExecutorTaskParity(t *testing.T) {
 	parity := []string{
 		mapreduce.CounterMapRecordsIn,
@@ -194,6 +196,62 @@ func TestExecutorTaskParity(t *testing.T) {
 			}
 		}
 	})
+}
+
+// A shipped job runs one map and one reduce task per worker lane, not
+// the in-process counts of Config's default 8 map and 8 reduce slots: on
+// 2 workers of 1 slot each, every query runs 2 map and 2 reduce tasks,
+// one of each per worker, and returns what the in-process engine returns.
+// WithReducers still wins.
+func TestDistributedJobSizedByWorkerLanes(t *testing.T) {
+	base := Config{Nodes: 4, BlockSize: 8 << 10}
+	ref := distEngine(t, base, 1200)
+	cfg := base
+	cfg.Workers = distWorkers(t, 2, 1)
+	eng := distEngine(t, cfg, 1200)
+	queries := distQueries(ref.FrequentKeywords(16), 3)
+	perWorker := func(rep *Report) []int64 {
+		var n []int64
+		for _, w := range eng.Workers() {
+			n = append(n, rep.Counters[CounterExecTasksPrefix+w])
+		}
+		return n
+	}
+	for _, alg := range Algorithms() {
+		for qi, q := range queries {
+			if splits, err := ref.planQuery(ref.snap.Load(), q, &queryConfig{alg: alg}).src.Splits(); err != nil || len(splits) <= 2 {
+				t.Fatalf("the in-process plan has %d map splits (%v), want more than the 2 lanes", len(splits), err)
+			}
+			want, err := ref.Query(q, WithAlgorithm(alg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, opts := range [][]QueryOption{nil, {WithAutoPlan()}} {
+				opts = append(opts, WithAlgorithm(alg), WithCache(false))
+				rep, err := eng.QueryReport(q, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(rep.Results, want) {
+					t.Errorf("%v q%d: results differ from the in-process engine: %s", alg, qi, diffResults(rep.Results, want))
+				}
+				if got := perWorker(rep); !reflect.DeepEqual(got, []int64{2, 2}) {
+					t.Errorf("%v q%d (planned %v): tasks per worker %v, want one map and one reduce task on each", alg, qi, rep.Plan != nil, got)
+				}
+				if rep.Plan != nil && rep.Plan.NumReducers != 2 {
+					t.Errorf("%v q%d: the plan reports %d reducers, 2 ran", alg, qi, rep.Plan.NumReducers)
+				}
+			}
+			rep, err := eng.QueryReport(q, WithAlgorithm(alg), WithCache(false), WithReducers(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := perWorker(rep); got[0]+got[1] != 2+3 || !reflect.DeepEqual(rep.Results, want) {
+				t.Errorf("%v q%d WithReducers(3): tasks per worker %v, want 2 map and 3 reduce tasks; results %s",
+					alg, qi, got, diffResults(rep.Results, want))
+			}
+		}
+	}
 }
 
 // A planned (WithAutoPlan) columnar query must ship its pruned block

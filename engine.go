@@ -67,7 +67,11 @@ type Config struct {
 	// Nodes is the number of DFS DataNodes (default 16, the paper's
 	// cluster size).
 	Nodes int
-	// MapSlots and ReduceSlots bound task concurrency (default 8 each).
+	// MapSlots and ReduceSlots bound the concurrency of jobs that run
+	// in-process and size them: 4·MapSlots map tasks and at most
+	// 4·ReduceSlots reduce tasks (default 8 each). A job shipped to
+	// Workers is sized by the workers' slots instead: one map and one
+	// reduce task per slot.
 	MapSlots    int
 	ReduceSlots int
 	// BlockSize is the DFS block size in bytes (default 256 KiB).
@@ -853,8 +857,10 @@ type physicalPlan struct {
 // only place that looks at the auto-plan and delta options and whether
 // the engine is distributed, and the only place that decides whether the
 // job ships: it does on a distributed engine when no delta block is
-// selected, since resident blocks have no reference a worker could read. An unplanned query is the same plan with pruning off:
-// every block of every cell, base and delta, no planner statistics.
+// selected, since resident blocks have no reference a worker could read.
+// That decision sizes the job (sizeJob). An unplanned query is the same
+// plan with pruning off: every block of every cell, base and delta, no
+// planner statistics.
 func (e *Engine) planQuery(s *snapshot, q Query, cfg *queryConfig) *physicalPlan {
 	// The delta participating in this query: records appended after the
 	// base generation sealed, unless the caller opted out.
@@ -892,7 +898,6 @@ func (e *Engine) planQuery(s *snapshot, q Query, cfg *queryConfig) *physicalPlan
 		dataCells, featCells, blocks = dec.Data, dec.Features, dec.Blocks
 		deltaData, deltaFeat = dec.DeltaData, dec.DeltaFeatures
 		p.gridN = dec.GridN
-		p.reducers = dec.NumReducers
 		p.deltaStats.CellsPruned = dec.Stats.DeltaCellsPruned
 		p.deltaStats.RecordsSelected = dec.Stats.DeltaRecordsSelected
 		p.counters = dec.Counters()
@@ -905,12 +910,6 @@ func (e *Engine) planQuery(s *snapshot, q Query, cfg *queryConfig) *physicalPlan
 	}
 	if p.gridN <= 0 {
 		p.gridN = defaultGridN
-	}
-	if p.reducers <= 0 {
-		// The paper's one reducer per cell is a statement about groups,
-		// not tasks: an unplanned query gets the slot-derived task count
-		// the planner picks, and its cells stay one group each.
-		p.reducers = plan.ChooseReducers(p.gridN, e.cfg.ReduceSlots)
 	}
 
 	// One block source serves the sealed and the delta selections: SPQ3
@@ -939,10 +938,32 @@ func (e *Engine) planQuery(s *snapshot, q Query, cfg *queryConfig) *physicalPlan
 	in := data.NewColInput(e.fs, cols, e.segCache, s.manifest.Generation)
 	in.IO = p.segIO
 	// Column blocks are small, and one map task per block would drown the
-	// job in task overhead, so consecutive blocks are grouped down to a few
-	// per map slot.
-	p.src = mapreduce.Coalesce[data.Object](in, e.cfg.MapSlots*4)
+	// job in task overhead, so consecutive blocks are grouped into the
+	// job's map task count.
+	p.src = mapreduce.Coalesce[data.Object](in, e.sizeJob(p, cfg))
 	return p
+}
+
+// sizeJob sets p.reducers, unless WithReducers chose it, and returns the
+// map task count. The paper's one reducer per cell is a statement about
+// groups, not tasks: cells share reduce tasks, and each stays one group.
+// An in-process task costs little, so the counts follow the slots. A
+// shipped task is a RunTask round trip plus a Store per non-empty
+// partition and a Fetch per run, so a shipped job runs one map and one
+// reduce task per worker lane (slot), and no more reducers than cells.
+func (e *Engine) sizeJob(p *physicalPlan, cfg *queryConfig) int {
+	maps, reducers := e.cfg.MapSlots*4, plan.ChooseReducers(p.gridN, e.cfg.ReduceSlots)
+	if p.wire != nil {
+		maps = e.exec.Lanes(mapreduce.MapTask)
+		reducers = min(p.gridN*p.gridN, e.exec.Lanes(mapreduce.ReduceTask))
+	}
+	if cfg.reducers <= 0 {
+		p.reducers = reducers
+		if p.planStats != nil {
+			p.planStats.NumReducers = reducers
+		}
+	}
+	return maps
 }
 
 // execute runs plan p: nothing for a provably empty plan, otherwise one

@@ -153,9 +153,12 @@ type Binding struct {
 	splitRefs []*SplitRef
 
 	// shuffle gathers the run references returned by remote map tasks,
-	// keyed by reduce partition.
-	mu      sync.Mutex
-	shuffle [][]ShuffleRef
+	// keyed by reduce partition; mapAttempts holds the (task, attempt)
+	// pairs of every map attempt dispatched to a worker, whatever its
+	// outcome.
+	mu          sync.Mutex
+	shuffle     [][]ShuffleRef
+	mapAttempts [][2]int
 }
 
 // Job returns the bound job's name.
@@ -192,13 +195,25 @@ func (b *Binding) addShuffle(refs []ShuffleRef) {
 	}
 }
 
-// gatherShuffle returns all recorded shuffle runs (for cleanup).
-func (b *Binding) gatherShuffle() []ShuffleRef {
+// noteMapAttempt records a map attempt dispatched to a worker.
+func (b *Binding) noteMapAttempt(task, attempt int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var out []ShuffleRef
-	for _, refs := range b.shuffle {
-		out = append(out, refs...)
+	b.mapAttempts = append(b.mapAttempts, [2]int{task, attempt})
+}
+
+// shuffleFiles names every run the job's dispatched map attempts could
+// have written: one per attempt and partition, for cleanup. A failed
+// attempt may have stored some of its runs, so the names come from the
+// attempts, not from the runs the job absorbed.
+func (b *Binding) shuffleFiles() []string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	out := make([]string, 0, len(b.mapAttempts)*len(b.shuffle))
+	for _, a := range b.mapAttempts {
+		for part := range b.shuffle {
+			out = append(out, shuffleFile(b.jobID, a[0], a[1], part))
+		}
 	}
 	return out
 }

@@ -264,10 +264,6 @@ func shuffleFile(jobID string, task, attempt, part int) string {
 	return fmt.Sprintf("shuffle/%s/m%05d.a%02d.p%05d", jobID, task, attempt, part)
 }
 
-// ShufflePrefix returns the DFS name prefix of a job's shuffle files, for
-// cleanup.
-func ShufflePrefix(jobID string) string { return "shuffle/" + jobID + "/" }
-
 // sortShuffleRefs orders runs by file name: zero-padded (task, attempt,
 // partition) indices make this the deterministic map-task order,
 // independent of result arrival order.

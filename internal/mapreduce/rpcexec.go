@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -193,6 +192,9 @@ func (e *RPCExecutor) dispatch(b *Binding, d *TaskDesc) (*TaskResult, error) {
 		// task is re-dispatched elsewhere.
 		b.Counters().Add(CounterExecReexec, 1)
 	}
+	if d.Kind == MapTask {
+		b.noteMapAttempt(d.Task, d.Attempt)
+	}
 	res, err := e.runOn(b, w, d)
 	if err != nil {
 		return nil, err
@@ -277,13 +279,11 @@ func (e *RPCExecutor) preDispatch(w *workerConn) bool {
 
 // CleanupShuffle implements shuffleCleaner: it removes the job's shuffle
 // intermediates from the DFS and releases the workers' cached job
-// reconstructions.
+// reconstructions. It deletes by name, so its cost follows the job's map
+// attempts and partitions, not the number of files the DFS holds.
 func (e *RPCExecutor) CleanupShuffle(b *Binding) {
-	prefix := ShufflePrefix(b.JobID())
-	for _, name := range e.fs.List() {
-		if strings.HasPrefix(name, prefix) {
-			e.fs.Delete(name) //nolint:errcheck // best-effort cleanup
-		}
+	for _, name := range b.shuffleFiles() {
+		e.fs.Delete(name) //nolint:errcheck // best-effort cleanup; most names were never written
 	}
 	for _, w := range e.workers {
 		if w.isDead() {

@@ -96,11 +96,22 @@ func TestPlanQuery(t *testing.T) {
 				if p.wire != nil && !data.IsBlockListFile(p.wire.DataBlocks) {
 					t.Errorf("shipped job names %q, not a block list", p.wire.DataBlocks)
 				}
+				// A shipped job runs one map and one reduce task per worker
+				// lane: here one worker of one slot. An in-process job gets
+				// a few map tasks per map slot and the slot-derived reducer
+				// count, fewer than its cells.
+				wantMaps, wantReducers := 4*e.cfg.MapSlots, plan.ChooseReducers(defaultGridN, e.cfg.ReduceSlots)
+				if p.wire != nil {
+					wantMaps, wantReducers = 1, 1
+				}
 				if p.src == nil {
 					t.Fatal("plan without a source")
 				} else if splits, err := p.src.Splits(); err != nil {
 					t.Fatal(err)
 				} else {
+					if len(splits) > wantMaps || len(splits) == 0 {
+						t.Errorf("%d map splits, want 1 to %d", len(splits), wantMaps)
+					}
 					var in, feats int
 					for _, sp := range splits {
 						in += sp.(mapreduce.CountedSplit).Records()
@@ -115,12 +126,21 @@ func TestPlanQuery(t *testing.T) {
 				if p.empty || p.planStats != nil {
 					t.Errorf("unplanned query carries planner output: empty=%v stats=%+v", p.empty, p.planStats)
 				}
-				if want := plan.ChooseReducers(defaultGridN, e.cfg.ReduceSlots); p.gridN != defaultGridN || p.reducers != want || want >= defaultGridN*defaultGridN {
-					t.Errorf("unplanned grid %d with %d reducers, want grid %d with the slot-derived %d (fewer than its cells)",
-						p.gridN, p.reducers, defaultGridN, want)
+				if p.gridN != defaultGridN || p.reducers != wantReducers || wantReducers >= defaultGridN*defaultGridN {
+					t.Errorf("unplanned grid %d with %d reducers, want grid %d with %d (fewer than its cells)",
+						p.gridN, p.reducers, defaultGridN, wantReducers)
 				}
 				if pr := planQ(WithReducers(3)); pr.reducers != 3 {
 					t.Errorf("WithReducers(3): %d reducers", pr.reducers)
+				}
+				// The planner's report names the count that runs.
+				pp := planQ(WithAutoPlan())
+				wantPlanned := plan.ChooseReducers(pp.gridN, e.cfg.ReduceSlots)
+				if pp.wire != nil {
+					wantPlanned = 1
+				}
+				if pp.planStats == nil || pp.planStats.NumReducers != pp.reducers || pp.reducers != wantPlanned {
+					t.Errorf("planned: %d reducers, reported %+v, want %d", pp.reducers, pp.planStats, wantPlanned)
 				}
 
 				// Every block of every cell: base data, delta data, base
