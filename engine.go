@@ -47,8 +47,10 @@ const (
 	// per-worker share additionally appears under the same name with a
 	// "."+worker suffix.
 	CounterSegBytesRead = data.CounterSegBytesRead
-	// CounterSegBytesDecoded is the decoded in-memory size of the blocks
-	// produced from those reads (master + workers on a distributed
+	// CounterSegBytesDecoded is the in-memory size of the blocks opened
+	// from those reads, as the segment cache charges them: the decoded id
+	// and coordinate columns plus the frame a feature block's keyword
+	// header and posting lists stay in (master + workers on a distributed
 	// engine, with the same per-worker breakdown).
 	CounterSegBytesDecoded = data.CounterSegBytesDecoded
 	// CounterSegBytesSelected is the stored (compressed) size of every

@@ -472,7 +472,7 @@ func (m *mapper) mapBlock(ctx *mapreduce.TaskContext, batch any, emit func(CellK
 		r := Rec{Kind: b.Kind, ID: b.IDs[i], Loc: geo.Point{X: b.Xs[i], Y: b.Ys[i]}, Hits: hits[i]}
 		hits[i] = 0
 		if feature {
-			r.Len = b.KwLen[i]
+			r.Len = b.KwLen(i)
 		}
 		if d := m.emitRec(r, emit); d >= 0 {
 			emitted++

@@ -286,8 +286,11 @@ func TestCorruptMatchedListIsQueryError(t *testing.T) {
 		t.Fatal(err)
 	}
 	bitmapBytes := (b.Len() + 7) / 8
-	for e, kw := range b.Dict {
-		list := b.Post[b.PostOff[e]:b.PostOff[e+1]]
+	for _, kw := range []uint32{1, 10} {
+		list, err := b.Posting(kw)
+		if err != nil {
+			t.Fatal(err)
+		}
 		switch kw {
 		case 1:
 			if len(list) != bitmapBytes {
@@ -295,7 +298,7 @@ func TestCorruptMatchedListIsQueryError(t *testing.T) {
 			}
 			clear(list)
 		case 10:
-			if len(list) >= bitmapBytes {
+			if len(list) == 0 || len(list) >= bitmapBytes {
 				t.Fatalf("keyword 10: a %d-byte list, want varints under %d bytes", len(list), bitmapBytes)
 			}
 			for i := range list {

@@ -27,14 +27,14 @@ import (
 //     granularity and the reader fetches only surviving blocks by
 //     (offset, length) random access.
 //  2. Dense decode. A block decodes into parallel column slices
-//     (ColumnBlock) exactly once: ids, coordinates, and — for features —
-//     the keyword dictionary, each record's keyword count and the byte
-//     offset of every posting list, with the lists themselves left encoded
-//     in the frame. A query maps the block from those columns and decodes
-//     only its own keywords' lists (see ColumnBlock.CountHits); no
-//     per-record keyword set exists on the query path, no allocation is
-//     made per record, and a decoded block is shared read-only by every
-//     concurrent query through the segment cache (BlockCache).
+//     (ColumnBlock) exactly once: ids and coordinates. A feature block's
+//     keyword header — dictionary, keyword counts, list lengths — and its
+//     posting lists stay encoded in the frame: a query looks up only its
+//     own keywords, decodes only their lists and reads only the counts of
+//     the records they mark (see ColumnBlock.CountHits); no per-record
+//     keyword set exists on the query path, no allocation is made per
+//     record, and a decoded block is shared read-only by every concurrent
+//     query through the segment cache (BlockCache).
 //
 // File layout (the block payload encoding, SPQ3, is in colseg3.go):
 //
@@ -212,21 +212,15 @@ type ColumnBlock struct {
 	IDs  []uint64
 	Xs   []float64
 	Ys   []float64
-	// KwLen is the keyword count |f.W| of every record of a feature block.
-	// Dict, PostOff and Post are its postings as the format stores them,
-	// inverted and still encoded: Dict is the block's sorted distinct
-	// keyword ids, and the posting list of keyword Dict[e] — the records
-	// carrying it, as a bitmap or delta varints (see colseg3.go) — is
-	// Post[PostOff[e]:PostOff[e+1]]. A query needs |f.W ∩ q.W| and |f.W|
-	// of a feature and nothing else of its keywords; CountHits decodes the
-	// first from the lists of the query's own keywords and KwLen is the
-	// second. A decoded block's Post aliases the frame it was decoded from.
-	// All nil for data blocks.
-	KwLen   []uint32
-	Dict    []uint32
-	PostOff []int32
-	Post    []byte
-	// held is the byte size of the buffer Post aliases, which MemBytes
+	// kw is a feature block's keywords as the format stores them (see
+	// colseg3.go): a dictionary, each record's keyword count, and the
+	// posting lists inverting the records' keyword sets, still encoded. A
+	// query needs |f.W ∩ q.W| and |f.W| of a feature and nothing else of
+	// its keywords; CountHits decodes the first from the lists of the
+	// query's own keywords and KwLen reads the second. A decoded block's
+	// section aliases the frame it was decoded from. Empty for data blocks.
+	kw kwSection
+	// held is the byte size of the buffer kw aliases, which MemBytes
 	// charges.
 	held int
 
@@ -244,13 +238,22 @@ type ColumnBlock struct {
 // Len returns the number of records in the block.
 func (b *ColumnBlock) Len() int { return len(b.IDs) }
 
+// KwLen returns the keyword count |f.W| of record i of a feature block,
+// read in place; 0 for a data block. Only a read that validates a count
+// checks it against the block's dictionary — CountHits for the records it
+// marks, Validate for all — so read it for those records.
+func (b *ColumnBlock) KwLen(i int) uint32 {
+	n, _ := fixedAt(b.kw.counts, b.kw.w, uint64(i))
+	return n
+}
+
 // Validate checks every posting list of a feature block in full — the
 // checks CountHits makes on a query's lists, plus that every record is on
 // exactly as many lists as its keyword count — and builds the forward
 // view Object reads. It runs once per block; later calls return the first
 // result. Readers that want whole records call it before Object.
 func (b *ColumnBlock) Validate() error {
-	if b.KwLen == nil {
+	if b.Kind != FeatureObject {
 		return nil
 	}
 	b.fwdOnce.Do(func() { b.kwOff, b.kws, b.fwdErr = b.forward() })
@@ -263,7 +266,7 @@ func (b *ColumnBlock) Validate() error {
 // no keywords.
 func (b *ColumnBlock) Object(i int) Object {
 	o := Object{Kind: b.Kind, ID: b.IDs[i], Loc: geo.Point{X: b.Xs[i], Y: b.Ys[i]}}
-	if b.KwLen != nil && b.Validate() == nil {
+	if b.Kind == FeatureObject && b.Validate() == nil {
 		o.Keywords = keywordsAt(b.kwOff, b.kws, i)
 	}
 	return o
@@ -278,35 +281,40 @@ func keywordsAt(kwOff []int32, kws []uint32, i int) text.KeywordSet {
 	return nil
 }
 
-// forward validates every posting list and scatters the lists back into
-// per-record keyword sets. A first pass counts each record's lists against
-// its keyword count, so the view is sized by entries the lists really
-// hold; the second walks the lists again in ascending dictionary order,
-// which fills each record's set strictly ascending — the KeywordSet
-// invariant — for free.
+// forward validates the whole keyword section and scatters the posting
+// lists back into per-record keyword sets. A first pass counts each
+// record's lists against its keyword count, so the view is sized by
+// entries the lists really hold; the second walks the lists again in
+// ascending dictionary order, which fills each record's set strictly
+// ascending — the KeywordSet invariant — for free.
 func (b *ColumnBlock) forward() (kwOff []int32, kws []uint32, err error) {
-	n := len(b.KwLen)
+	n := b.Len()
+	ids, err := b.kw.ids()
+	if err != nil {
+		return nil, nil, err
+	}
 	hits := make([]uint32, n)
 	marks := make([]uint64, (n+63)/64)
-	for e := range b.Dict {
-		if err := b.listHits(e, hits, marks); err != nil {
-			return nil, nil, err
-		}
+	err = b.kw.eachList(ids, (n+7)/8, func(e int, kw uint32, list []byte) error {
+		return b.listHits(e, kw, list, hits, marks)
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	kwOff = make([]int32, n+1)
 	for i, h := range hits {
-		if h != b.KwLen[i] {
-			return nil, nil, errCorrupt("record %d is on %d posting lists, its keyword count is %d", i, h, b.KwLen[i])
+		if c := b.KwLen(i); h != c {
+			return nil, nil, errCorrupt("record %d is on %d posting lists, its keyword count is %d", i, h, c)
 		}
 		kwOff[i+1] = kwOff[i] + int32(h)
 	}
 	kws = make([]uint32, kwOff[n])
 	fill := append([]int32(nil), kwOff[:n]...) // per-record write cursor
 	clear(hits)
-	for e, kw := range b.Dict {
+	err = b.kw.eachList(ids, (n+7)/8, func(e int, kw uint32, list []byte) error {
 		clear(marks)
-		if err := b.listHits(e, hits, marks); err != nil {
-			return nil, nil, err
+		if err := b.listHits(e, kw, list, hits, marks); err != nil {
+			return err
 		}
 		for wi, w := range marks {
 			for ; w != 0; w &= w - 1 {
@@ -315,6 +323,10 @@ func (b *ColumnBlock) forward() (kwOff []int32, kws []uint32, err error) {
 				fill[rec]++
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return kwOff, kws, nil
 }
@@ -327,7 +339,7 @@ func (b *ColumnBlock) forward() (kwOff []int32, kws []uint32, err error) {
 func (b *ColumnBlock) AppendObjects(dst []Object) []Object {
 	var kwOff []int32
 	var kws []uint32
-	if b.KwLen != nil {
+	if b.Kind == FeatureObject {
 		var err error
 		if kwOff, kws, err = b.forward(); err != nil {
 			panic(fmt.Sprintf("data: AppendObjects on an invalid block: %v", err))
@@ -348,9 +360,9 @@ func (b *ColumnBlock) AppendObjects(dst []Object) []Object {
 // and returns it with its zone map: record count, tight bounds and, for
 // features, the bloom of the block's keywords (resolved through dict; an
 // empty bloom when dict is nil). The columns equal what DecodeColFrame
-// produces from the block's SPQ3 frame — the posting lists are encoded to
-// the same bytes — and the zone map equals the one the segment writer
-// records, minus the frame's position.
+// produces from the block's SPQ3 frame — the keyword section is encoded
+// to the same bytes, which the block reads in place — and the zone map
+// equals the one the segment writer records, minus the frame's position.
 func BuildBlock(objs []Object, dict *text.Dict) (*ColumnBlock, BlockStats) {
 	n := len(objs)
 	b := &ColumnBlock{Kind: objs[0].Kind, IDs: make([]uint64, n), Xs: make([]float64, n), Ys: make([]float64, n)}
@@ -366,49 +378,40 @@ func BuildBlock(objs []Object, dict *text.Dict) (*ColumnBlock, BlockStats) {
 	// Invert the keyword sets: count each keyword's records, lay the lists
 	// out in ascending keyword order, then scatter the record indexes in
 	// record order, so every list comes out ascending.
-	b.KwLen = make([]uint32, n)
+	kwLen := make([]uint32, n)
 	cursor := make(map[uint32]int32)
 	for i, o := range objs {
-		b.KwLen[i] = uint32(len(o.Keywords))
+		kwLen[i] = uint32(len(o.Keywords))
 		for _, kw := range o.Keywords {
 			cursor[kw]++
 		}
 	}
-	b.Dict = make([]uint32, 0, len(cursor))
+	ids := make([]uint32, 0, len(cursor))
 	for kw := range cursor {
-		b.Dict = append(b.Dict, kw)
+		ids = append(ids, kw)
 	}
-	slices.Sort(b.Dict)
-	ents := make([]int32, len(b.Dict)+1) // list e is recs[ents[e]:ents[e+1]]
-	for e, kw := range b.Dict {
+	slices.Sort(ids)
+	ents := make([]int32, len(ids)+1) // list e is recs[ents[e]:ents[e+1]]
+	for e, kw := range ids {
 		ents[e+1] = ents[e] + cursor[kw]
 		cursor[kw] = ents[e]
 	}
-	recs := make([]uint32, ents[len(b.Dict)])
+	recs := make([]uint32, ents[len(ids)])
 	for i, o := range objs {
 		for _, kw := range o.Keywords {
 			recs[cursor[kw]] = uint32(i)
 			cursor[kw]++
 		}
 	}
-	// Encode every list in its smaller form — the bitmap on a tie — into
-	// one exact-size buffer.
-	bitmapBytes := (n + 7) / 8
-	b.PostOff = make([]int32, len(b.Dict)+1)
-	for e := range b.Dict {
-		b.PostOff[e+1] = b.PostOff[e] + int32(min(varintListSize(recs[ents[e]:ents[e+1]]), bitmapBytes))
+	enc := encodeKwSection(kwLen, ids, recs, ents)
+	var err error
+	if b.kw, err = parseKwSection(enc, n); err != nil {
+		panic(fmt.Sprintf("data: BuildBlock encoded a keyword section it cannot open: %v", err))
 	}
-	if total := int(b.PostOff[len(b.Dict)]); total > 0 {
-		b.Post = make([]byte, 0, total)
-		for e := range b.Dict {
-			varints := int(b.PostOff[e+1]-b.PostOff[e]) < bitmapBytes
-			b.Post = appendPosting(b.Post, recs[ents[e]:ents[e+1]], varints, bitmapBytes)
-		}
-		b.held = total
-	}
+	b.held = len(enc)
 	bs.Keywords = NewKeywordBloom()
 	if dict != nil {
-		for _, kw := range b.Dict {
+		for _, kw := range ids {
 			bs.Keywords.Add(dict.Word(kw))
 		}
 	}
@@ -433,55 +436,75 @@ func BuildBlocks(objs []Object, dict *text.Dict) ([]*ColumnBlock, []BlockStats) 
 // block: it adds to hits[i] the number of keywords of kws record i carries,
 // |f.W ∩ kws|, and sets bit i of marks for every record with at least one.
 // hits has one entry and marks one bit per record. The few query keywords
-// are binary-searched in the block's sorted dictionary — the same
-// asymmetric-intersection trade as text.KeywordSet — and only the matched
-// posting lists are decoded, straight into hits and marks, so a keyword
-// the block does not hold, and every list of another keyword, costs
-// nothing. Each matched list is validated in full as it is read; a list
-// that is not strictly ascending, indexes past the block, does not fill
-// its stored length exactly, sets a bitmap bit past the last record, or
-// takes a record's hits past its keyword count is an error, and hits and
-// marks are then partly updated.
+// are looked up in the block's encoded dictionary — binary-searched among
+// varint-form ids, or found by bit and popcount rank in a bitmap — in one
+// ascending pass, and only the matched posting lists are decoded, straight
+// into hits and marks, so a keyword the block does not hold, and every list
+// of another keyword, costs nothing. Everything the lookups read is
+// validated as it is read: the bitmap's range and rank, each matched
+// list's length and extent, the list itself, and the keyword count of
+// each record it marks. A bitmap that does not start and end on an entry
+// or holds more entries than stored, a list that is empty, longer than the
+// record bitmap or past the lists, not strictly ascending, indexes past
+// the block, does not fill its stored length exactly or sets a bitmap bit
+// past the last record, and a record counting more keywords than the
+// dictionary holds or on more lists than it counts, is an error, and hits
+// and marks are then partly updated.
 func (b *ColumnBlock) CountHits(kws []uint32, hits []uint32, marks []uint64) error {
-	dict := b.Dict
-	off := 0
+	if err := b.kw.checkBitmap(); err != nil {
+		return err
+	}
+	bitmapBytes := (b.Len() + 7) / 8
+	c := dictCursor{k: &b.kw}
 	for _, kw := range kws {
-		// kws and dict are both ascending: search only past the last hit.
-		lo, hi := off, len(dict)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if dict[mid] < kw {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+		found, end, err := c.seek(kw)
+		if err != nil {
+			return err
 		}
-		if lo == len(dict) {
+		if end {
 			return nil
 		}
-		if dict[lo] == kw {
-			if err := b.listHits(lo, hits, marks); err != nil {
-				return err
-			}
+		if !found {
+			continue
 		}
-		off = lo
+		list, err := c.list(bitmapBytes)
+		if err != nil {
+			return err
+		}
+		if err := b.listHits(c.e, kw, list, hits, marks); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// listHits decodes posting list e into hits and marks (see CountHits),
-// dispatching on its form: a list exactly as long as the record bitmap is
-// one.
-func (b *ColumnBlock) listHits(e int, hits []uint32, marks []uint64) error {
-	list := b.Post[b.PostOff[e]:b.PostOff[e+1]]
+// Posting returns the encoded posting list of keyword kw (see colseg3.go),
+// aliasing the block, or nil when the block does not hold kw, after the
+// checks CountHits makes of the header it reads.
+func (b *ColumnBlock) Posting(kw uint32) ([]byte, error) {
+	if err := b.kw.checkBitmap(); err != nil {
+		return nil, err
+	}
+	c := dictCursor{k: &b.kw}
+	if found, _, err := c.seek(kw); !found {
+		return nil, err
+	}
+	return c.list((b.Len() + 7) / 8)
+}
+
+// listHits decodes list, posting list e of keyword kw, into hits and marks
+// (see CountHits), dispatching on its form: a list exactly as long as the
+// record bitmap is one.
+func (b *ColumnBlock) listHits(e int, kw uint32, list []byte, hits []uint32, marks []uint64) error {
+	c := kwCounts{col: b.kw.counts, w: b.kw.w, max: uint32(b.kw.size)}
 	var bad string
-	if len(list) == (len(b.KwLen)+7)/8 {
-		bad = bitmapHits(list, b.KwLen, hits, marks)
+	if len(list) == (b.Len()+7)/8 {
+		bad = bitmapHits(list, c, hits, marks)
 	} else {
-		bad = sparseHits(list, b.KwLen, hits, marks)
+		bad = sparseHits(list, c, hits, marks)
 	}
 	if bad != "" {
-		return errCorrupt("posting list %d (keyword %d): %s", e, b.Dict[e], bad)
+		return errCorrupt("posting list %d (keyword %d): %s", e, kw, bad)
 	}
 	return nil
 }
@@ -493,11 +516,13 @@ func errCorrupt(format string, args ...any) error {
 
 // DecodeColFrame validates and decodes one framed block as stored on disk:
 // varint payload length, payload, CRC32. frame must be exactly the bytes
-// BlockStats.{Offset,Length} describe. A feature block keeps its posting
-// lists encoded in place: the block aliases frame, which the caller must
-// not modify afterwards, and MemBytes charges all of it. Hand it a private
-// buffer (RangeReader.ReadRange returns one); a frame cut from a larger
-// buffer pins that buffer too.
+// BlockStats.{Offset,Length} describe. A feature block keeps its keyword
+// header and posting lists encoded in place: the block aliases frame,
+// which must stay unmodified for the block's life — the read-only bytes
+// RangeReader.ReadRange returns — and MemBytes charges cap(frame). A
+// frame whose capacity is capped at its length (frame[lo:hi:hi]) is
+// charged at its length, though it keeps the buffer it was cut from
+// reachable.
 func DecodeColFrame(frame []byte) (*ColumnBlock, error) {
 	length, rest, ok := uvarint(frame)
 	if !ok {
@@ -515,7 +540,7 @@ func DecodeColFrame(frame []byte) (*ColumnBlock, error) {
 	if err != nil {
 		return nil, err
 	}
-	if b.Post != nil {
+	if b.Kind == FeatureObject {
 		b.held = cap(frame)
 	}
 	return b, nil

@@ -5,11 +5,12 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
+	"unsafe"
 )
 
 // SPQ3: the compressed block payload of columnar cell segments (framing
-// and the decoded in-memory form, ColumnBlock, are in colseg.go). Each
-// column is compressed:
+// and the in-memory form, ColumnBlock, are in colseg.go). Each column is
+// compressed:
 //
 //   - ids: zigzag-varint deltas from the previous id. Seal order sorts
 //     ids within a cell, so deltas are small.
@@ -20,49 +21,66 @@ import (
 //     Sorted, spatially clustered cells share exponent and high mantissa
 //     bits, so the window is far narrower than 64 bits — and a constant
 //     column (every delta zero) stores zero data bits.
-//   - keywords: a per-block sorted dictionary of the distinct keyword ids
-//     (delta-varint coded), each record's keyword count |f.W|, then one
-//     inverted posting list per dictionary entry mapping it back to the
-//     records that carry it, each stored in whichever of two forms is
-//     fewer bytes: a record bitmap, or delta-varint record indexes. Every
-//     list's byte length is stored ahead of the lists, so a reader finds
-//     any list without parsing the others: a query decodes only the lists
-//     of its own keywords (ColumnBlock.CountHits), and the count column
-//     gives the |f.W| scoring needs.
+//   - keywords: a searchable header, then one inverted posting list per
+//     keyword of the block mapping it back to the records that carry it.
+//     The header is a per-block sorted dictionary of the distinct keyword
+//     ids, each record's keyword count |f.W| and each list's byte length,
+//     the last two as fixed-width columns. A reader never decodes it: a
+//     query looks its few keywords up in the dictionary, finds each list
+//     at the sum of the lengths before it, and reads the counts of only
+//     the records its lists mark (ColumnBlock.CountHits, KwLen).
 //
 // Block payload layout (all varints unsigned LEB128 unless noted):
 //
-//	version  byte      '4'
+//	version  byte      '5'
 //	kind     byte      'D' or 'F'
 //	count    uvarint   records in the block, 1..colMaxBlockRecords
 //	ids      count zigzag varints, delta-coded from the previous id
 //	xs, ys   per column: trail byte, width byte,
 //	         ceil(count*width/8) bytes of LSB-first packed deltas
-//	if 'F':
-//	    dictLen  uvarint   distinct keyword ids in the block
-//	    dict     dictLen uvarints: first id raw, then ascending deltas
-//	    kwLen    count uvarints: each record's keyword count (<= dictLen)
-//	    lens     dictLen uvarints: each list's byte length L, in dictionary
-//	             order, 1 <= L <= ceil(count/8)
-//	    lists    the posting lists back to back, list e taking lens[e] bytes:
+//	if 'F', the keyword section:
+//	    flags     byte      bit 0: the dictionary form, 1 = bitmap;
+//	                        bits 1-3: w, the byte width of every count
+//	                        and length, 1, 2 or 4; bits 4-7 clear
+//	    dictLen   uvarint   distinct keyword ids in the block
+//	    postLen   uvarint   byte length of the posting lists
+//	    dict      in one of two forms, whichever is fewer bytes (varints
+//	              on a tie):
+//	        varints  dictLen uvarints: the first id raw, then ascending
+//	                 deltas
+//	        bitmap   first uvarint, the lowest id; n uvarint; n bytes of
+//	                 bitmap over [first, first+8n): bit j set = id first+j
+//	                 is an entry, bit 0 and the last byte set, dictLen
+//	                 bits set in all; entry e is the e-th set bit
+//	    counts    count values of w bytes, little-endian: each record's
+//	              keyword count, <= dictLen
+//	    lens      dictLen values of w bytes, little-endian: each list's
+//	              byte length L, in dictionary order, 1 <= L <= ceil(count/8)
+//	    lists     postLen bytes: the posting lists back to back, list e
+//	              starting at the sum of the lengths before it:
 //	        L == ceil(count/8): a record bitmap, bit i set = record i has
 //	                            the keyword, bits past count clear
 //	        L <  ceil(count/8): delta varints filling exactly L bytes: the
 //	                            first record index raw, then strictly
 //	                            ascending deltas, all < count
 //
-// The writer keeps the varint form only when it is strictly fewer bytes
-// than the bitmap, so the length alone names the form.
+// The writer keeps a varint list only when it is strictly fewer bytes than
+// the bitmap, so the length alone names the list's form, and it picks the
+// narrowest w that holds every count and length.
 //
-// Decoding (decodeColBlock) enforces every structural invariant outside the
-// lists — windows within 64 bits, an ascending dictionary, counts and
-// lengths within bounds, no trailing bytes — and bounds every allocation
-// by the payload size, so corrupt input errors out rather than panicking
-// or ballooning memory. The lists stay encoded, aliasing the frame; a list
-// is validated in full (ascending, in range, exact length, bitmap tail bits
-// clear, no record on more lists than its keyword count) whenever it is
-// read — by CountHits for a query's own lists, by ColumnBlock.Validate for
-// all of them.
+// Opening a block (decodeColBlock) decodes the id and coordinate columns,
+// enforcing windows within 64 bits and record counts within bounds; of the
+// keyword section it checks only what O(1) work can — the flags, that
+// every section fits the payload, that the lists end exactly at its end —
+// and decodes a varint-form dictionary, which is not searchable in place.
+// Every allocation is bounded by the payload size, so corrupt input errors
+// out rather than panicking or ballooning memory. The rest of the section
+// stays encoded, aliasing the frame, and is validated whenever it is read:
+// the bitmap's range and rank, a list's length and extent, a record's
+// count against the dictionary, and the list itself (ascending, in range,
+// exact length, bitmap tail bits clear, no record on more lists than its
+// keyword count) — by CountHits for a query's own keywords, by
+// ColumnBlock.Validate for all of them.
 
 // col3Magic identifies an SPQ3 segment file. Readers never dispatch on
 // the file header (blocks are self-describing), but the magic keeps
@@ -70,10 +88,11 @@ import (
 var col3Magic = [4]byte{'S', 'P', 'Q', '3'}
 
 // col3Version is the payload version byte. Payloads of the retired
-// layouts — the uncompressed one, which opened with its kind byte, and
-// version '3', whose posting lists carried no byte lengths — are rejected
-// as unknown versions.
-const col3Version = '4'
+// layouts — the uncompressed one, which opened with its kind byte,
+// version '3', whose posting lists carried no byte lengths, and version
+// '4', whose keyword header was all varints and decoded whole — are
+// rejected as unknown versions.
+const col3Version = '5'
 
 // Adaptive block sizing: the block is the pruning and decode granule, so
 // its ideal size follows cell density. Sparse cells want small blocks
@@ -104,25 +123,27 @@ func AdaptiveBlockRecords(cellRecords int) int {
 	return b
 }
 
-// columnBlockOverhead approximates a block's fixed footprint (the
-// struct with its column slice headers) for cache accounting.
-const columnBlockOverhead = 240
+// columnBlockOverhead is a block's fixed footprint (the struct with its
+// column slice headers) for cache accounting.
+const columnBlockOverhead = int(unsafe.Sizeof(ColumnBlock{}))
 
 // MemBytes returns the memory footprint of the block's columns. The
 // segment cache charges this against its byte budget, so adaptive block
 // sizes cannot blow the cache's memory bound the way an entry count
 // could. The decoder and the builder retain every column at exactly its
-// length, so the lengths charged here are the capacities held. Post is
-// charged as the buffer it aliases: the whole frame a feature block was
-// decoded from, or the builder's exact-size list bytes.
+// length, so the lengths charged here are the capacities held. A feature
+// block's keyword section is charged as the buffer it aliases: the frame
+// the block was decoded from, at its capacity (its length, for a frame
+// ReadRange cut from a replica), or the builder's exact-size section; a
+// varint-form dictionary adds its decoded ids.
 func (b *ColumnBlock) MemBytes() int {
 	return columnBlockOverhead +
-		8*len(b.IDs) + 8*len(b.Xs) + 8*len(b.Ys) + 4*len(b.KwLen) +
-		4*len(b.Dict) + 4*len(b.PostOff) + b.held
+		8*len(b.IDs) + 8*len(b.Xs) + 8*len(b.Ys) + 4*len(b.kw.dict) + b.held
 }
 
 // encodeCol3Block renders a built block (see BuildBlock) as one SPQ3 block
-// payload.
+// payload. A built feature block already holds its keyword section
+// encoded.
 func encodeCol3Block(buf *bytes.Buffer, b *ColumnBlock) {
 	var tmp [binary.MaxVarintLen64]byte
 	putUvarint := func(v uint64) {
@@ -150,26 +171,119 @@ func encodeCol3Block(buf *bytes.Buffer, b *ColumnBlock) {
 		deltas[i] = math.Float64bits(y)
 	}
 	packXorColumn(buf, deltas)
-	if b.Kind != FeatureObject {
-		return
-	}
+	buf.Write(b.kw.enc)
+}
 
-	putUvarint(uint64(len(b.Dict)))
-	for i, kw := range b.Dict {
-		if i == 0 {
-			putUvarint(uint64(kw))
-		} else {
-			putUvarint(uint64(kw - b.Dict[i-1]))
+// Keyword section flags (see the layout above).
+const (
+	kwFlagBitmap = 1 // the dictionary is a bitmap, not delta varints
+	kwWidthShift = 1 // w, the byte width of counts and lengths, in bits 1-3
+	kwFlagsKnown = kwFlagBitmap | 7<<kwWidthShift
+)
+
+// kwSection is the keyword section of a feature block as SPQ3 stores it,
+// flags byte through posting lists, never decoded: every slice aliases
+// enc, the section's bytes, except dict, the decoded ids of a varint-form
+// dictionary. The zero value is the empty section of a data block.
+type kwSection struct {
+	enc    []byte
+	w      int  // byte width of every count and length: 1, 2 or 4
+	size   int  // dictionary entries
+	bitmap bool // the dictionary form
+	// first and bits are a bitmap-form dictionary: bit j of bits set = id
+	// first+j is an entry. dict is a varint-form one, ascending.
+	first  uint32
+	bits   []byte
+	dict   []uint32
+	counts []byte // each record's keyword count, w bytes each
+	lens   []byte // each list's byte length, w bytes each, in entry order
+	post   []byte // the posting lists, back to back
+}
+
+// encodeKwSection encodes a feature block's keyword section: kwLen is each
+// record's keyword count, dict the sorted distinct ids, and
+// recs[ents[e]:ents[e+1]] — ascending record indexes — the records
+// carrying dict[e]. The result is exactly as long as the section.
+func encodeKwSection(kwLen, dict, recs []uint32, ents []int32) []byte {
+	n := len(kwLen)
+	bitmapBytes := (n + 7) / 8
+	// Every list in its smaller form — the bitmap on a tie — and the
+	// narrowest width holding every count and length.
+	listLen := func(e int) int { return min(varintListSize(recs[ents[e]:ents[e+1]]), bitmapBytes) }
+	postLen, widest := 0, uint32(0)
+	for e := range dict {
+		l := listLen(e)
+		postLen += l
+		widest = max(widest, uint32(l))
+	}
+	for _, c := range kwLen {
+		widest = max(widest, c)
+	}
+	w := 1
+	if widest > math.MaxUint16 {
+		w = 4
+	} else if widest > math.MaxUint8 {
+		w = 2
+	}
+	// The dictionary in its smaller form, the varints on a tie.
+	varintDict, prev := 0, uint32(0)
+	for _, kw := range dict {
+		varintDict += uvarintLen(uint64(kw - prev))
+		prev = kw
+	}
+	flags, dictBytes, span := byte(w<<kwWidthShift), varintDict, 0
+	if len(dict) > 0 {
+		span = (int(dict[len(dict)-1]-dict[0]) + 8) / 8
+		if bitmapDict := uvarintLen(uint64(dict[0])) + uvarintLen(uint64(span)) + span; bitmapDict < varintDict {
+			flags |= kwFlagBitmap
+			dictBytes = bitmapDict
 		}
 	}
-	for _, n := range b.KwLen {
-		putUvarint(uint64(n))
+
+	size := 1 + uvarintLen(uint64(len(dict))) + uvarintLen(uint64(postLen)) + dictBytes + (n+len(dict))*w + postLen
+	enc := make([]byte, 0, size)
+	enc = append(enc, flags)
+	enc = binary.AppendUvarint(enc, uint64(len(dict)))
+	enc = binary.AppendUvarint(enc, uint64(postLen))
+	if flags&kwFlagBitmap != 0 {
+		enc = binary.AppendUvarint(enc, uint64(dict[0]))
+		enc = binary.AppendUvarint(enc, uint64(span))
+		bm := len(enc)
+		enc = append(enc, make([]byte, span)...)
+		for _, kw := range dict {
+			j := kw - dict[0]
+			enc[bm+int(j>>3)] |= 1 << (j & 7)
+		}
+	} else {
+		prev = 0
+		for _, kw := range dict {
+			enc = binary.AppendUvarint(enc, uint64(kw-prev))
+			prev = kw
+		}
 	}
-	for e := range b.Dict {
-		putUvarint(uint64(b.PostOff[e+1] - b.PostOff[e]))
+	for _, c := range kwLen {
+		enc = appendFixed(enc, c, w)
 	}
-	buf.Write(b.Post)
+	for e := range dict {
+		enc = appendFixed(enc, uint32(listLen(e)), w)
+	}
+	for e := range dict {
+		enc = appendPosting(enc, recs[ents[e]:ents[e+1]], listLen(e) < bitmapBytes, bitmapBytes)
+	}
+	return enc
 }
+
+// appendFixed appends v as a w-byte little-endian value.
+func appendFixed(dst []byte, v uint32, w int) []byte {
+	for range w {
+		dst = append(dst, byte(v))
+		v >>= 8
+	}
+	return dst
+}
+
+// uvarintLen is the byte length of v as an unsigned varint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // appendPosting appends one posting list — the ascending record indexes
 // recs — as delta varints or as a record bitmap of bitmapBytes bytes.
@@ -196,7 +310,7 @@ func appendPosting(dst []byte, recs []uint32, varints bool, bitmapBytes int) []b
 func varintListSize(recs []uint32) int {
 	n, prev := 0, uint32(0)
 	for _, r := range recs {
-		n += (bits.Len32(r-prev|1) + 6) / 7
+		n += uvarintLen(uint64(r - prev))
 		prev = r
 	}
 	return n
@@ -294,13 +408,14 @@ func unpackXorColumn(p []byte, out []float64) ([]byte, error) {
 }
 
 // decodeColBlock decodes one block payload (the bytes between the frame's
-// length prefix and its CRC). Every structural violation outside the
-// posting lists — an unknown version byte, truncation, impossible counts or
-// lengths, an unsorted dictionary, trailing garbage — returns an error;
-// malformed input can never panic, silently yield objects, or allocate
-// beyond a small multiple of the payload size. The posting lists are kept
-// encoded, aliasing payload, and validated when read (see CountHits and
-// Validate). This is the fuzzing boundary of the format.
+// length prefix and its CRC): the id and coordinate columns, and of a
+// feature block the bounds of its keyword section's parts, which stay
+// encoded, aliasing payload (see parseKwSection). Every structural
+// violation outside that section — an unknown version byte, truncation,
+// impossible counts, trailing garbage — returns an error; malformed input
+// can never panic, silently yield objects, or allocate beyond a small
+// multiple of the payload size. This is the fuzzing boundary of the
+// format.
 func decodeColBlock(payload []byte) (*ColumnBlock, error) {
 	if len(payload) < 1 {
 		return nil, errCorrupt("missing version byte")
@@ -363,84 +478,250 @@ func decodeColBlock(payload []byte) (*ColumnBlock, error) {
 		return nil, err
 	}
 	if kind == FeatureObject {
-		if p, err = decodeCol3Keywords(p, b); err != nil {
+		if b.kw, err = parseKwSection(p, count); err != nil {
 			return nil, err
 		}
-	}
-	if len(p) != 0 {
+	} else if len(p) != 0 {
 		return nil, errCorrupt("%d trailing bytes", len(p))
 	}
 	return b, nil
 }
 
-// decodeCol3Keywords decodes the keyword section of a feature block from
-// the head of p — the dictionary (Dict), the keyword counts (KwLen) and the
-// list lengths (PostOff) — leaves the lists themselves encoded in place
-// (Post aliases p), and returns the rest of p.
-func decodeCol3Keywords(p []byte, b *ColumnBlock) ([]byte, error) {
-	count := len(b.IDs)
-	dictLen64, p, ok := uvarint(p)
+// parseKwSection opens the keyword section p of a feature block of count
+// records — the payload's last bytes — without decoding it: it checks the
+// flags and that every part fits, with the lists ending exactly at the end
+// of p, and slices the parts out of p. Only a varint-form dictionary is
+// decoded, into ids a query can binary-search. What the parts hold is
+// checked when a read reaches it (see CountHits and Validate).
+func parseKwSection(p []byte, count int) (kwSection, error) {
+	k := kwSection{enc: p}
+	if len(p) == 0 {
+		return k, errCorrupt("missing keyword flags byte")
+	}
+	flags := p[0]
+	if flags&^kwFlagsKnown != 0 {
+		return k, errCorrupt("unknown keyword flags %#x", flags)
+	}
+	k.bitmap, k.w = flags&kwFlagBitmap != 0, int(flags>>kwWidthShift)
+	if k.w != 1 && k.w != 2 && k.w != 4 {
+		return k, errCorrupt("keyword column width %d is not 1, 2 or 4", k.w)
+	}
+	size, p, ok := uvarint(p[1:])
 	if !ok {
-		return nil, errCorrupt("dictionary length: truncated or overlong varint")
+		return k, errCorrupt("dictionary length: truncated or overlong varint")
 	}
-	// Each dictionary entry costs at least one id byte, one length byte and
-	// one list byte.
-	if dictLen64 > uint64(len(p))/3 {
-		return nil, errCorrupt("dictionary length %d exceeds the %d bytes left", dictLen64, len(p))
+	// Every entry has a w-byte list length.
+	if size > uint64(len(p)/k.w) {
+		return k, errCorrupt("dictionary length %d exceeds the %d bytes left", size, len(p))
 	}
-	dict := make([]uint32, int(dictLen64))
+	k.size = int(size)
+	postLen, p, ok := uvarint(p)
+	if !ok {
+		return k, errCorrupt("posting lists length: truncated or overlong varint")
+	}
+	if k.bitmap {
+		var first, n uint64
+		if first, p, ok = uvarint(p); !ok || first > math.MaxUint32 {
+			return k, errCorrupt("dictionary bitmap: bad first id")
+		}
+		if n, p, ok = uvarint(p); !ok || n > uint64(len(p)) {
+			return k, errCorrupt("dictionary bitmap: length past the payload")
+		}
+		k.first, k.bits, p = uint32(first), p[:n:n], p[n:]
+	} else {
+		var err error
+		if k.dict, p, err = decodeDict(p, k.size); err != nil {
+			return k, err
+		}
+	}
+	if count > len(p)/k.w {
+		return k, errCorrupt("keyword counts need %d bytes, %d left", count*k.w, len(p))
+	}
+	n := count * k.w
+	k.counts, p = p[:n:n], p[n:]
+	if k.size > len(p)/k.w {
+		return k, errCorrupt("list lengths need %d bytes, %d left", k.size*k.w, len(p))
+	}
+	n = k.size * k.w
+	k.lens, p = p[:n:n], p[n:]
+	if postLen > uint64(len(p)) {
+		return k, errCorrupt("posting lists need %d bytes, %d left", postLen, len(p))
+	}
+	if uint64(len(p)) != postLen {
+		return k, errCorrupt("%d trailing bytes", uint64(len(p))-postLen)
+	}
+	k.post = p
+	return k, nil
+}
+
+// decodeDict decodes a varint-form dictionary of size entries from the
+// head of p — the first id raw, then strictly ascending deltas — and
+// returns it with the rest of p.
+func decodeDict(p []byte, size int) ([]uint32, []byte, error) {
+	// Each entry takes at least one byte.
+	if size > len(p) {
+		return nil, nil, errCorrupt("dictionary length %d exceeds the %d bytes left", size, len(p))
+	}
+	dict := make([]uint32, size)
 	kw := uint64(0)
 	for i := range dict {
-		var v uint64
-		if v, p, ok = uvarint(p); !ok {
-			return nil, errCorrupt("dictionary id %d: truncated or overlong varint", i)
+		v, rest, ok := uvarint(p)
+		if !ok {
+			return nil, nil, errCorrupt("dictionary id %d: truncated or overlong varint", i)
 		}
+		p = rest
 		if i > 0 && v == 0 {
-			return nil, errCorrupt("dictionary not strictly ascending at entry %d", i)
+			return nil, nil, errCorrupt("dictionary not strictly ascending at entry %d", i)
 		}
 		// Checking the delta too keeps kw+v from wrapping around.
 		if kw += v; v > math.MaxUint32 || kw > math.MaxUint32 {
-			return nil, errCorrupt("dictionary id %d overflows uint32", i)
+			return nil, nil, errCorrupt("dictionary id %d overflows uint32", i)
 		}
 		dict[i] = uint32(kw)
 	}
+	return dict, p, nil
+}
 
-	kwLen := make([]uint32, count)
-	for i := range kwLen {
-		var v uint64
-		if v, p, ok = uvarint(p); !ok {
-			return nil, errCorrupt("keyword count %d: truncated or overlong varint", i)
-		}
-		if v > dictLen64 {
-			return nil, errCorrupt("record %d counts %d keywords, the block holds %d", i, v, dictLen64)
-		}
-		kwLen[i] = uint32(v)
+// checkBitmap checks the range of a bitmap-form dictionary, what a lookup
+// relies on and O(1) can check: bit 0 and the last byte set, so first and
+// the highest set bit are the smallest and largest entries, and no entry
+// past the largest uint32.
+func (k *kwSection) checkBitmap() error {
+	if !k.bitmap {
+		return nil
 	}
+	bm := k.bits
+	if len(bm) == 0 || bm[0]&1 == 0 || bm[len(bm)-1] == 0 {
+		return errCorrupt("dictionary bitmap of %d bytes does not start and end on an entry", len(bm))
+	}
+	if last := uint64(k.first) + uint64(8*(len(bm)-1)+bits.Len8(bm[len(bm)-1])-1); last > math.MaxUint32 {
+		return errCorrupt("dictionary bitmap reaches id %d, past uint32", last)
+	}
+	return nil
+}
 
-	bitmapBytes := uint64(count+7) / 8
-	off := make([]int32, len(dict)+1)
-	total := 0
-	for e := range dict {
-		var n uint64
-		if n, p, ok = uvarint(p); !ok {
-			return nil, errCorrupt("posting %d length: truncated or overlong varint", e)
-		}
-		if n == 0 {
-			return nil, errCorrupt("posting %d is empty", e)
-		}
-		if n > bitmapBytes {
-			return nil, errCorrupt("posting %d takes %d bytes, more than a %d-byte bitmap", e, n, bitmapBytes)
-		}
-		// The lists follow the lengths, so their total is bounded by what
-		// is left; the payload limit keeps the offsets within int32.
-		if total += int(n); total > len(p) {
-			return nil, errCorrupt("posting lists need %d bytes, %d left", total, len(p))
-		}
-		off[e+1] = int32(total)
+// dictCursor looks up ascending keyword ids in a keyword section. It keeps
+// the entry and list start it reached, so the lookups of a sorted query
+// cost one pass over the part of the header below its largest hit: the
+// bitmap's popcount and the sum of the list lengths up to there.
+type dictCursor struct {
+	k     *kwSection
+	kw    uint32 // the last id sought
+	e     int    // entry at the cursor
+	start int    // byte offset of list e in post: the lengths before it summed
+	// byteAt and rankAt are a bitmap-form cursor: the bitmap bytes passed
+	// and the entries among them.
+	byteAt, rankAt int
+}
+
+// seek moves the cursor to id kw. found reports that kw is an entry, now
+// the cursor's; end that no id from kw on is. An id below the previous one
+// sought starts the walk over.
+func (c *dictCursor) seek(kw uint32) (found, end bool, err error) {
+	k := c.k
+	if kw < c.kw {
+		*c = dictCursor{k: k}
 	}
-	b.Dict, b.KwLen, b.PostOff = dict, kwLen, off
-	if total > 0 {
-		b.Post = p[:total:total]
+	c.kw = kw
+	var e int
+	if k.bitmap {
+		if kw < k.first {
+			return false, false, nil
+		}
+		j := uint64(kw - k.first)
+		if j>>3 >= uint64(len(k.bits)) {
+			return false, true, nil
+		}
+		jb := int(j >> 3)
+		c.rankAt += popcount(k.bits[c.byteAt:jb])
+		c.byteAt = jb
+		if k.bits[jb]>>(j&7)&1 == 0 {
+			return false, false, nil
+		}
+		if e = c.rankAt + bits.OnesCount8(k.bits[jb]&(1<<(j&7)-1)); e >= k.size {
+			return false, false, errCorrupt("dictionary bitmap holds more than its %d entries", k.size)
+		}
+	} else {
+		lo, hi := c.e, len(k.dict)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if k.dict[mid] < kw {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo == len(k.dict) {
+			return false, true, nil
+		}
+		if k.dict[lo] != kw {
+			return false, false, nil
+		}
+		e = lo
 	}
-	return p[total:], nil
+	c.start += int(sumFixed(k.lens[c.e*k.w:e*k.w], k.w))
+	c.e = e
+	return true, false, nil
+}
+
+// list returns the posting list of the cursor's entry after the checks a
+// read makes of its length: within [1, bitmapBytes] and ending within the
+// lists.
+func (c *dictCursor) list(bitmapBytes int) ([]byte, error) {
+	k := c.k
+	n, _ := fixedAt(k.lens, k.w, uint64(c.e))
+	switch {
+	case n == 0:
+		return nil, errCorrupt("posting %d is empty", c.e)
+	case int64(n) > int64(bitmapBytes):
+		return nil, errCorrupt("posting %d takes %d bytes, more than a %d-byte bitmap", c.e, n, bitmapBytes)
+	case c.start+int(n) > len(k.post):
+		return nil, errCorrupt("posting %d ends at byte %d, past the %d bytes of lists", c.e, c.start+int(n), len(k.post))
+	}
+	return k.post[c.start : c.start+int(n)], nil
+}
+
+// ids returns the whole dictionary, ascending, after the checks only a
+// full read of a bitmap-form one can make: its range, and that it holds
+// exactly its entries. A varint-form dictionary is already decoded.
+func (k *kwSection) ids() ([]uint32, error) {
+	if !k.bitmap {
+		return k.dict, nil
+	}
+	if err := k.checkBitmap(); err != nil {
+		return nil, err
+	}
+	if n := popcount(k.bits); n != k.size {
+		return nil, errCorrupt("dictionary bitmap holds %d entries, the block %d", n, k.size)
+	}
+	ids := make([]uint32, 0, k.size)
+	for i, c := range k.bits {
+		for ; c != 0; c &= c - 1 {
+			ids = append(ids, k.first+uint32(8*i+bits.TrailingZeros8(c)))
+		}
+	}
+	return ids, nil
+}
+
+// eachList calls fn with every posting list in dictionary order, ids being
+// the dictionary (see ids), after the checks a query makes of each list's
+// length and extent; then it checks that the lists fill their section
+// exactly, which only a full read can.
+func (k *kwSection) eachList(ids []uint32, bitmapBytes int, fn func(e int, kw uint32, list []byte) error) error {
+	c := dictCursor{k: k}
+	for e, kw := range ids {
+		c.e = e
+		list, err := c.list(bitmapBytes)
+		if err != nil {
+			return err
+		}
+		if err := fn(e, kw, list); err != nil {
+			return err
+		}
+		c.start += len(list)
+	}
+	if c.start != len(k.post) {
+		return errCorrupt("posting lists fill %d of their %d bytes", c.start, len(k.post))
+	}
+	return nil
 }

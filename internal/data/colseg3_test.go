@@ -149,11 +149,25 @@ func TestCol3SegmentRejectsCorruption(t *testing.T) {
 	}
 }
 
+// kwParts are the parts of a keyword section as col3Payload writes them,
+// each free to break an invariant the writer keeps. The zero value of a
+// field takes the writer's choice: width 1, the dictionary's own bitmap or
+// varints, the lists' own lengths and their total.
+type kwParts struct {
+	bitmap bool
+	flags  int // the flags byte, when nonzero
+	dict   []uint32
+	bits   []byte // a bitmap-form dictionary's bytes, first = dict[0]
+	kwLen  []uint32
+	lens   []int
+	post   int // postLen, when nonzero
+	lists  [][]byte
+}
+
 // col3Payload assembles a block payload from explicit parts, bypassing
 // every invariant the writer keeps: count records with ids 0..count-1 at
-// the origin, and — for a feature block — the given dictionary, keyword
-// counts and posting lists, each list's length taken from its bytes.
-func col3Payload(kind byte, count int, dict, kwLen []uint32, lists ...[]byte) []byte {
+// the origin, and — for a feature block — the keyword section kw.
+func col3Payload(kind byte, count int, kw kwParts) []byte {
 	p := []byte{col3Version, kind}
 	p = binary.AppendUvarint(p, uint64(count))
 	for range count {
@@ -163,22 +177,54 @@ func col3Payload(kind byte, count int, dict, kwLen []uint32, lists ...[]byte) []
 	if kind != colKindFeature {
 		return p
 	}
-	p = binary.AppendUvarint(p, uint64(len(dict)))
-	prev := uint32(0)
-	for _, kw := range dict {
-		p = binary.AppendUvarint(p, uint64(kw-prev))
-		prev = kw
+	flags := byte(1 << kwWidthShift)
+	if kw.bitmap {
+		flags |= kwFlagBitmap
 	}
-	for _, n := range kwLen {
-		p = binary.AppendUvarint(p, uint64(n))
+	if kw.flags != 0 {
+		flags = byte(kw.flags)
 	}
-	for _, l := range lists {
-		p = binary.AppendUvarint(p, uint64(len(l)))
+	w := max(int(flags>>kwWidthShift), 1)
+	var lists []byte
+	for _, l := range kw.lists {
+		lists = append(lists, l...)
 	}
-	for _, l := range lists {
-		p = append(p, l...)
+	p = append(p, flags)
+	p = binary.AppendUvarint(p, uint64(len(kw.dict)))
+	post := len(lists)
+	if kw.post != 0 {
+		post = kw.post
 	}
-	return p
+	p = binary.AppendUvarint(p, uint64(post))
+	if kw.bitmap {
+		bits := kw.bits
+		if bits == nil {
+			bits = make([]byte, (kw.dict[len(kw.dict)-1]-kw.dict[0])/8+1)
+			for _, id := range kw.dict {
+				bits[(id-kw.dict[0])/8] |= 1 << ((id - kw.dict[0]) % 8)
+			}
+		}
+		p = binary.AppendUvarint(p, uint64(kw.dict[0]))
+		p = binary.AppendUvarint(p, uint64(len(bits)))
+		p = append(p, bits...)
+	} else {
+		prev := uint32(0)
+		for _, id := range kw.dict {
+			p = binary.AppendUvarint(p, uint64(id-prev))
+			prev = id
+		}
+	}
+	for _, n := range kw.kwLen {
+		p = appendFixed(p, n, w)
+	}
+	for e, l := range kw.lists {
+		n := len(l)
+		if kw.lens != nil {
+			n = kw.lens[e]
+		}
+		p = appendFixed(p, uint32(n), w)
+	}
+	return append(p, lists...)
 }
 
 // col3Frame frames a payload as the segment writer does, with a valid CRC.
@@ -190,14 +236,18 @@ func col3Frame(payload []byte) []byte {
 
 // hostileFrame is a frame the writer cannot produce, behind a valid CRC:
 // fails names the first read step that must reject it — "decode"
-// (DecodeColFrame), "hits" (CountHits with the block's whole dictionary)
-// or "validate" (Validate) — and want a fragment of that step's error.
-// Posting lists are read lazily, so a broken list decodes and fails only
-// when it is read.
+// (DecodeColFrame), "hits" (CountHits with hostileQuery, the block's
+// keywords) or "validate" (Validate) — and want a fragment of that step's
+// error. The keyword header and the posting lists are read lazily, so a
+// broken part decodes and fails only when it is read.
 type hostileFrame struct {
 	name, fails, want string
 	frame             []byte
 }
+
+// hostileQuery is the query CountHits runs on a hostile frame: both
+// keywords of its blocks.
+var hostileQuery = []uint32{4, 9}
 
 // hostileCol3Frames are feature blocks of 64 records (an 8-byte bitmap)
 // with keyword 4 on every record and keyword 9 on the records of a second
@@ -213,37 +263,64 @@ func hostileCol3Frames() []hostileFrame {
 		}
 		return c
 	}
-	feature := func(kwLen []uint32, list9 []byte) []byte {
-		return col3Payload(colKindFeature, n, []uint32{4, 9}, kwLen, ones, list9)
+	parts := func(kwLen []uint32, list9 []byte) kwParts {
+		return kwParts{dict: []uint32{4, 9}, kwLen: kwLen, lists: [][]byte{ones, list9}}
 	}
-	valid := feature(counts(3, 7), []byte{3, 4})
+	frame := func(kw kwParts) []byte { return col3Frame(col3Payload(colKindFeature, n, kw)) }
+	with := func(kw kwParts, edit func(*kwParts)) kwParts {
+		edit(&kw)
+		return kw
+	}
+	valid := parts(counts(3, 7), []byte{3, 4})
+	validBitmap := with(valid, func(kw *kwParts) { kw.bitmap = true })
+	validPayload := col3Payload(colKindFeature, n, valid)
+	bitmapPayload := col3Payload(colKindFeature, n, validBitmap)
 	tail := append(bytes.Repeat([]byte{0xFF}, 7), 0x1F) // bit 60 of 60 records
 	return []hostileFrame{
-		{"valid", "", "", col3Frame(valid)},
-		{"4,097 records", "decode", "block limit", col3Frame(col3Payload(colKindData, colMaxBlockRecords+1, nil, nil))},
-		{"retired version 3", "decode", "version byte", col3Frame(append([]byte{'3'}, valid[1:]...))},
-		{"empty list", "decode", "is empty", col3Frame(feature(counts(), []byte{}))},
-		{"list longer than the bitmap", "decode", "more than a 8-byte bitmap", col3Frame(feature(counts(3), append([]byte{3}, make([]byte, 8)...)))},
-		{"keyword count past the dictionary", "decode", "the block holds", col3Frame(feature(counts(3, 3, 3), []byte{3}))},
-		{"lists past the payload", "decode", "posting lists need", col3Frame(valid[:len(valid)-1])},
-		{"trailing byte", "decode", "trailing bytes", col3Frame(append(valid[:len(valid):len(valid)], 0))},
-		{"varints not ascending", "hits", "not strictly ascending", col3Frame(feature(counts(3), []byte{3, 0}))},
-		{"varint index past the block", "hits", "index out of range", col3Frame(feature(counts(3), []byte{64}))},
-		{"varint delta past the block", "hits", "index out of range", col3Frame(feature(counts(60), []byte{60, 4}))},
-		{"varint cut inside the list", "hits", "truncated or overlong", col3Frame(feature(counts(3), []byte{3, 0x80}))},
-		{"bitmap tail bit set", "hits", "index out of range", col3Frame(col3Payload(colKindFeature, 60, []uint32{4}, slices.Repeat([]uint32{1}, 60), tail))},
-		{"empty bitmap", "hits", "empty bitmap", col3Frame(feature(counts(), make([]byte, 8)))},
-		{"on more lists than counted", "hits", "more lists than its keyword count", col3Frame(feature(counts(), []byte{3}))},
-		{"on fewer lists than counted", "validate", "its keyword count is", col3Frame(feature(counts(3, 5), []byte{3}))},
+		{"valid", "", "", frame(valid)},
+		{"valid, bitmap dictionary", "", "", frame(validBitmap)},
+		{"4,097 records", "decode", "block limit", col3Frame(col3Payload(colKindData, colMaxBlockRecords+1, kwParts{}))},
+		{"retired version 3", "decode", "version byte", col3Frame(append([]byte{'3'}, validPayload[1:]...))},
+		{"retired version 4", "decode", "version byte", col3Frame(append([]byte{'4'}, validPayload[1:]...))},
+		{"width 0", "decode", "width 0", frame(with(validBitmap, func(kw *kwParts) { kw.flags = kwFlagBitmap }))},
+		{"width 3", "decode", "width 3", frame(with(valid, func(kw *kwParts) { kw.flags = 3 << kwWidthShift }))},
+		{"unknown flag bit", "decode", "unknown keyword flags", frame(with(valid, func(kw *kwParts) { kw.flags = 1<<kwWidthShift | 0x10 }))},
+		{"counts past the payload", "decode", "keyword counts need", frame(kwParts{dict: []uint32{4}})},
+		// The columns, the flags byte, dictLen, postLen and first, then a
+		// bitmap length of 200 bytes with none left.
+		{"bitmap past the payload", "decode", "length past the payload", col3Frame(append(slices.Clone(bitmapPayload[:len(col3Payload(colKindData, n, kwParts{}))+4]), 200))},
+		{"lists past the payload", "decode", "posting lists need", col3Frame(validPayload[:len(validPayload)-1])},
+		{"trailing byte", "decode", "trailing bytes", col3Frame(append(validPayload[:len(validPayload):len(validPayload)], 0))},
+		{"empty list", "hits", "is empty", frame(with(parts(counts(), nil), func(kw *kwParts) { kw.lens = []int{8, 0} }))},
+		{"list longer than the bitmap", "hits", "more than a 8-byte bitmap", frame(parts(counts(3), append([]byte{3}, make([]byte, 8)...)))},
+		{"lengths past the lists", "hits", "past the 10 bytes of lists", frame(with(valid, func(kw *kwParts) { kw.lens = []int{8, 3} }))},
+		{"lengths short of the lists", "validate", "fill 9 of their 10 bytes", frame(with(parts(counts(3), []byte{3, 0}), func(kw *kwParts) { kw.lens = []int{8, 1} }))},
+		{"bitmap past uint32", "hits", "past uint32", frame(kwParts{bitmap: true, dict: []uint32{math.MaxUint32 - 3, math.MaxUint32}, bits: []byte{0x01, 0x01}, kwLen: counts(), lists: [][]byte{ones, {3}}})},
+		{"empty bitmap", "hits", "start and end on an entry", frame(with(validBitmap, func(kw *kwParts) { kw.bits = []byte{0} }))},
+		{"bitmap of no bytes", "hits", "start and end on an entry", frame(with(validBitmap, func(kw *kwParts) { kw.bits = []byte{} }))},
+		{"bitmap over its entries", "hits", "more than its 2 entries", frame(with(validBitmap, func(kw *kwParts) { kw.bits = []byte{0x25} }))},
+		{"bitmap under its entries", "validate", "holds 2 entries, the block 3", frame(with(parts(counts(3, 7), []byte{3, 4}), func(kw *kwParts) {
+			kw.bitmap, kw.dict, kw.bits, kw.lists = true, []uint32{4, 9, 10}, []byte{0x21}, [][]byte{ones, {3, 4}, {5}}
+		}))},
+		{"keyword count past the dictionary", "hits", "more keywords than the block holds", frame(parts(counts(3, 3, 3), []byte{3}))},
+		{"varints not ascending", "hits", "not strictly ascending", frame(parts(counts(3), []byte{3, 0}))},
+		{"varint index past the block", "hits", "index out of range", frame(parts(counts(3), []byte{64}))},
+		{"varint delta past the block", "hits", "index out of range", frame(parts(counts(60), []byte{60, 4}))},
+		{"varint cut inside the list", "hits", "truncated or overlong", frame(parts(counts(3), []byte{3, 0x80}))},
+		{"bitmap tail bit set", "hits", "index out of range", col3Frame(col3Payload(colKindFeature, 60, kwParts{dict: []uint32{4}, kwLen: slices.Repeat([]uint32{1}, 60), lists: [][]byte{tail}}))},
+		{"empty record bitmap", "hits", "empty bitmap", frame(parts(counts(), make([]byte, 8)))},
+		{"on more lists than counted", "hits", "more lists than its keyword count", frame(parts(counts(), []byte{3}))},
+		{"on fewer lists than counted", "validate", "its keyword count is", frame(parts(counts(3, 5), []byte{3}))},
 	}
 }
 
 // TestCol3RejectsHostileFrames: a frame with a valid CRC but a broken
 // structure fails at the step that reads the broken part, for the reason
-// it is broken — the decoder for everything outside the posting lists,
-// CountHits for a query's own lists and Validate for all of them — and
-// never panics. A record count above the block limit is a decode error
-// even when the rest is valid.
+// it is broken — the decoder for the columns and the bounds of the keyword
+// section's parts, CountHits for the header entries and lists of a
+// query's keywords and Validate for all of them — and never panics. A
+// record count above the block limit is a decode error even when the rest
+// is valid.
 func TestCol3RejectsHostileFrames(t *testing.T) {
 	for _, h := range hostileCol3Frames() {
 		check := func(step string, err error) bool {
@@ -261,8 +338,8 @@ func TestCol3RejectsHostileFrames(t *testing.T) {
 			continue
 		}
 		hits, marks := make([]uint32, b.Len()), make([]uint64, (b.Len()+63)/64)
-		if err := b.CountHits(b.Dict, hits, marks); !check("hits", err) {
-			// Validate reads every list CountHits read.
+		if err := b.CountHits(hostileQuery, hits, marks); !check("hits", err) {
+			// Validate reads everything CountHits read.
 			if b.Validate() == nil {
 				t.Errorf("%s: Validate accepts a block CountHits rejects", h.name)
 			}
@@ -386,7 +463,7 @@ func TestCol3PostingMethods(t *testing.T) {
 	}
 	const bitmapBytes = 8
 	forms := map[string]int{}
-	for e, kw := range b.Dict {
+	for _, kw := range blockDict(t, b) {
 		var varints []byte
 		prev := 0
 		for i, o := range objs {
@@ -399,12 +476,16 @@ func TestCol3PostingMethods(t *testing.T) {
 		if len(varints) < bitmapBytes {
 			want, form = len(varints), "varints"
 		}
-		if got := int(b.PostOff[e+1] - b.PostOff[e]); got != want {
+		list, err := b.Posting(kw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(list); got != want {
 			t.Fatalf("keyword %d: %d varint bytes against an %d-byte bitmap stored in %d bytes, want %d (%s)",
 				kw, len(varints), bitmapBytes, got, want, form)
 		}
-		if form == "varints" && !bytes.Equal(b.Post[b.PostOff[e]:b.PostOff[e+1]], varints) {
-			t.Fatalf("keyword %d: varint list %x, want %x", kw, b.Post[b.PostOff[e]:b.PostOff[e+1]], varints)
+		if form == "varints" && !bytes.Equal(list, varints) {
+			t.Fatalf("keyword %d: varint list %x, want %x", kw, list, varints)
 		}
 		forms[form]++
 	}
@@ -413,9 +494,22 @@ func TestCol3PostingMethods(t *testing.T) {
 	}
 }
 
+// blockDict returns the dictionary of a feature block, the whole keyword
+// section validated.
+func blockDict(t testing.TB, b *ColumnBlock) []uint32 {
+	t.Helper()
+	ids, err := b.kw.ids()
+	if err == nil {
+		err = b.kw.eachList(ids, (b.Len()+7)/8, func(int, uint32, []byte) error { return nil })
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ids
+}
+
 // requireSameBlock fails unless two blocks hold equal columns: kind, ids,
-// coordinates by bit pattern, and the keyword columns KwLen, Dict, PostOff
-// and the encoded posting lists Post.
+// coordinates by bit pattern, and the encoded keyword section.
 func requireSameBlock(t *testing.T, got, want *ColumnBlock) {
 	t.Helper()
 	sameBits := func(a, b []float64) bool {
@@ -429,10 +523,8 @@ func requireSameBlock(t *testing.T, got, want *ColumnBlock) {
 		{"IDs", slices.Equal(got.IDs, want.IDs)},
 		{"Xs", sameBits(got.Xs, want.Xs)},
 		{"Ys", sameBits(got.Ys, want.Ys)},
-		{"KwLen", slices.Equal(got.KwLen, want.KwLen)},
-		{"Dict", slices.Equal(got.Dict, want.Dict)},
-		{"PostOff", slices.Equal(got.PostOff, want.PostOff)},
-		{"Post", bytes.Equal(got.Post, want.Post)},
+		{"keyword section", bytes.Equal(got.kw.enc, want.kw.enc)},
+		{"decoded dictionary", slices.Equal(got.kw.dict, want.kw.dict)},
 	} {
 		if !c.equal {
 			t.Fatalf("column %s differs", c.name)
@@ -496,13 +588,23 @@ func TestBuiltBlockMatchesDecodedDense(t *testing.T) {
 }
 
 // FuzzCol3BlockRoundTrip drives the SPQ3 encoder with fuzzer-chosen
-// objects and checks encode -> frame -> decode is the identity, and that
-// the block built from the same objects equals the decoded one.
+// objects and checks encode -> frame -> decode is the identity, that the
+// block built from the same objects equals the decoded one, and that
+// CountHits over the whole dictionary counts every keyword. The seeds
+// cover both dictionary forms and both widths: the interned ids are
+// dense, so a few distinct keywords store varints and many a bitmap, and
+// more than 255 keywords on a record take 2-byte columns.
 func FuzzCol3BlockRoundTrip(f *testing.F) {
 	f.Add(uint64(7), 0.25, -3.5, "alpha,beta", true)
 	f.Add(uint64(1<<63), -1e300, 1e-300, "", false)
 	f.Add(uint64(0), 0.0, 0.0, strings.Repeat("k,", 40), true)
 	f.Add(uint64(42), math.Inf(1), math.NaN(), "dense", true)
+	var many []string
+	for i := range 300 {
+		many = append(many, fmt.Sprintf("w%d", i))
+	}
+	f.Add(uint64(9), 1.0, 2.0, strings.Join(many[:40], ","), true)
+	f.Add(uint64(9), 1.0, 2.0, strings.Join(many, ","), true)
 	f.Fuzz(func(t *testing.T, id uint64, x, y float64, kws string, feature bool) {
 		dict := text.NewDict()
 		kind := DataObject
@@ -548,6 +650,17 @@ func FuzzCol3BlockRoundTrip(f *testing.F) {
 				t.Fatalf("record %d: got %v, want %v", i, got, want)
 			}
 		}
+		if feature {
+			hits, marks := make([]uint32, b.Len()), make([]uint64, 1)
+			if err := b.CountHits(blockDict(t, b), hits, marks); err != nil {
+				t.Fatal(err)
+			}
+			for i, want := range objs {
+				if int(hits[i]) != want.Keywords.Len() || b.KwLen(i) != hits[i] {
+					t.Fatalf("record %d: %d hits and KwLen %d over the whole dictionary, want %d", i, hits[i], b.KwLen(i), want.Keywords.Len())
+				}
+			}
+		}
 		checkBuiltMatchesDecoded(t, objs, dict)
 	})
 }
@@ -566,15 +679,13 @@ func TestCountHits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b.Dict == nil || len(b.KwLen) != b.Len() {
-			t.Fatalf("block %d decoded without its postings or keyword counts", bi)
-		}
+		dict := blockDict(t, b)
 		queries := [][]uint32{
-			{b.Dict[0]},                           // single posting list
-			{b.Dict[0], b.Dict[len(b.Dict)/2]},    // union of two
-			{1 << 30},                             // out of vocabulary
-			{0, b.Dict[len(b.Dict)-1], 1<<31 - 1}, // mixed hits and misses
-			b.Dict,                                // every keyword: hits = |f.W|
+			{dict[0]},                         // single posting list
+			{dict[0], dict[len(dict)/2]},      // union of two
+			{1 << 30},                         // out of vocabulary
+			{0, dict[len(dict)-1], 1<<31 - 1}, // mixed hits and misses
+			dict,                              // every keyword: hits = |f.W|
 		}
 		for qi, kws := range queries {
 			hits := make([]uint32, b.Len())
@@ -590,8 +701,8 @@ func TestCountHits(t *testing.T) {
 				if marked := marks[i>>6]>>(i&63)&1 == 1; marked != (hits[i] > 0) {
 					t.Fatalf("block %d query %d record %d: marked=%v with %d hits", bi, qi, i, marked, hits[i])
 				}
-				if int(b.KwLen[i]) != o.Keywords.Len() {
-					t.Fatalf("block %d record %d: KwLen %d, want %d", bi, i, b.KwLen[i], o.Keywords.Len())
+				if int(b.KwLen(i)) != o.Keywords.Len() {
+					t.Fatalf("block %d record %d: KwLen %d, want %d", bi, i, b.KwLen(i), o.Keywords.Len())
 				}
 			}
 		}
@@ -599,9 +710,9 @@ func TestCountHits(t *testing.T) {
 }
 
 // TestDecodedBlockColumnsExact: every column a decoded block retains has
-// cap == len, and a feature block's posting lists alias the frame it was
-// decoded from, so MemBytes — which charges column lengths plus that frame
-// — is what the segment cache actually pins, and a cache filled with
+// cap == len, and a feature block's keyword section aliases the frame it
+// was decoded from, so MemBytes — which charges column lengths plus that
+// frame — is what the segment cache actually pins, and a cache filled with
 // feature blocks stays within its budget measured by capacity.
 func TestDecodedBlockColumnsExact(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
@@ -619,15 +730,14 @@ func TestDecodedBlockColumnsExact(t *testing.T) {
 					t.Fatal(err)
 				}
 				held := columnBlockOverhead +
-					8*cap(b.IDs) + 8*cap(b.Xs) + 8*cap(b.Ys) + 4*cap(b.KwLen) +
-					4*cap(b.Dict) + 4*cap(b.PostOff)
+					8*cap(b.IDs) + 8*cap(b.Xs) + 8*cap(b.Ys) + 4*cap(b.kw.dict)
 				if kind == FeatureObject {
-					if len(b.Post) == 0 || &b.Post[len(b.Post)-1] != &frame[len(frame)-5] {
-						t.Fatalf("feature block of %d records: posting lists do not alias the frame's last payload bytes", b.Len())
+					if enc := b.kw.enc; len(enc) == 0 || &enc[len(enc)-1] != &frame[len(frame)-5] {
+						t.Fatalf("feature block of %d records: the keyword section does not alias the frame's last payload bytes", b.Len())
 					}
 					held += cap(frame)
-				} else if b.Post != nil {
-					t.Fatalf("data block of %d records retains %d posting bytes", b.Len(), len(b.Post))
+				} else if b.kw.enc != nil {
+					t.Fatalf("data block of %d records retains %d keyword bytes", b.Len(), len(b.kw.enc))
 				}
 				if held != b.MemBytes() {
 					t.Fatalf("%v block of %d records holds %d bytes by capacity, MemBytes reports %d",
@@ -657,24 +767,46 @@ func TestDecodedBlockColumnsExact(t *testing.T) {
 	}
 }
 
-// TestDecodeFeatureBlockAllocs pins the feature-block decode at a constant
-// allocation count: the block and its six retained columns, whatever the
-// number of records and posting entries. The posting lists stay in the
-// frame.
+// TestDecodeFeatureBlockAllocs pins the feature-block open at a constant
+// allocation count, whatever the number of records and posting entries:
+// the block and its id, x and y columns for a bitmap-form dictionary, which
+// is read in place like the counts, the lengths and the lists; one more,
+// the decoded ids, for a varint-form one.
 func TestDecodeFeatureBlockAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	dict := text.NewDict()
-	for _, n := range []int{50, 500, 4000} {
-		objs := onlyKind(randObjects(r, 3*n+100), FeatureObject)[:n:n]
-		raw, stats := writeSegment3(t, objs, n, dict)
-		frame := raw[stats[0].Offset : stats[0].Offset+int64(stats[0].Length)]
-		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := DecodeColFrame(frame); err != nil {
+	for _, spread := range []uint32{1, 5000} {
+		for _, n := range []int{50, 500, 4000} {
+			objs := onlyKind(randObjects(r, 3*n+100), FeatureObject)[:n:n]
+			for i, o := range objs {
+				kws := make([]uint32, len(o.Keywords))
+				for j, kw := range o.Keywords {
+					kws[j] = spread * kw
+				}
+				objs[i].Keywords = kws
+			}
+			raw, stats := writeSegment3(t, objs, n, dict)
+			frame := raw[stats[0].Offset : stats[0].Offset+int64(stats[0].Length)]
+			b, err := DecodeColFrame(frame)
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-		if allocs > 8 {
-			t.Errorf("decoding a %d-record feature block made %.0f allocations, want at most 8", n, allocs)
+			want := 4.0
+			if !b.kw.bitmap {
+				want = 5
+			}
+			if b.kw.bitmap != (spread == 1) {
+				t.Fatalf("spread %d, %d records: bitmap dictionary %v", spread, n, b.kw.bitmap)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := DecodeColFrame(frame); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > want {
+				t.Errorf("opening a %d-record feature block (bitmap dictionary %v) made %.0f allocations, want at most %.0f",
+					n, b.kw.bitmap, allocs, want)
+			}
 		}
 	}
 }

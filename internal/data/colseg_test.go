@@ -129,8 +129,9 @@ func TestColInputLRUEviction(t *testing.T) {
 // a feature block of the uncompressed encoder (payloads opening with their
 // kind byte), and a feature block of version '3', whose posting lists
 // carried a method byte and an entry count instead of a byte length. They
-// stay in the fuzz corpus as well-formed-looking inputs the decoder must
-// reject by their version byte.
+// stay in the fuzz corpus, with version-'4' frames (v4Frame), as
+// well-formed-looking inputs the decoder must reject by their version
+// byte.
 var retiredSeedFrames = []string{
 	"354403140606000000000000e03f000000000000e43f000000000000e83f0000000000000040000000000000fc3f000000000000f83f127111f5",
 	"3e4603140606000000000000e03f000000000000e43f000000000000e83f0000000000000040000000000000fc3f000000000000f83f02020200010002000390a4d46b",
@@ -152,11 +153,19 @@ func FuzzDecodeColFrame(f *testing.F) {
 			f.Add(raw[bs.Offset : bs.Offset+int64(bs.Length)])
 		}
 	}
+	retired := [][]byte{}
 	for _, h := range retiredSeedFrames {
 		frame, err := hex.DecodeString(h)
 		if err != nil {
 			f.Fatal(err)
 		}
+		retired = append(retired, frame)
+	}
+	for _, rb := range refBlocks(r)[:3] {
+		built, _ := BuildBlock(rb.objs, nil)
+		retired = append(retired, v4Frame(built, rb.objs))
+	}
+	for _, frame := range retired {
 		if _, err := DecodeColFrame(frame); err == nil || !strings.Contains(err.Error(), "version byte") {
 			f.Fatalf("retired-format frame: err = %v, want an unknown-version error", err)
 		}
@@ -183,13 +192,15 @@ func FuzzDecodeColFrame(f *testing.F) {
 		if b.Kind != FeatureObject {
 			return
 		}
-		// The query: dictionary entries and raw ids picked by the last
-		// bytes of the frame (its CRC, for a frame that decodes).
+		// The query: dictionary entries, when the dictionary reads, and
+		// raw ids picked by the last bytes of the frame (its CRC, for a
+		// frame that decodes).
+		dict, _ := b.kw.ids()
 		var ids []uint32
 		for _, c := range frame[max(0, len(frame)-6):] {
 			ids = append(ids, uint32(c))
-			if len(b.Dict) > 0 {
-				ids = append(ids, b.Dict[int(c)%len(b.Dict)])
+			if len(dict) > 0 {
+				ids = append(ids, dict[int(c)%len(dict)])
 			}
 		}
 		q := text.NewKeywordSet(ids...)
@@ -209,8 +220,8 @@ func FuzzDecodeColFrame(f *testing.F) {
 			if marked := marks[i>>6]>>(i&63)&1 == 1; marked != (hits[i] > 0) {
 				t.Fatalf("record %d: marked=%v with %d hits", i, marked, hits[i])
 			}
-			if int(b.KwLen[i]) != o.Keywords.Len() {
-				t.Fatalf("record %d: KwLen %d, %d keywords", i, b.KwLen[i], o.Keywords.Len())
+			if int(b.KwLen(i)) != o.Keywords.Len() {
+				t.Fatalf("record %d: KwLen %d, %d keywords", i, b.KwLen(i), o.Keywords.Len())
 			}
 		}
 	})

@@ -21,9 +21,12 @@ const (
 // SegIOStats accumulates the storage traffic of one query's columnar
 // reads: BytesRead is what was fetched from storage (compressed frame
 // bytes; zero on a segment-cache hit), BytesDecoded the in-memory size of
-// the blocks decoded from those reads. Their ratio is the storage-level
-// compression factor; the engine surfaces both as the spq.seg.bytes.*
-// query counters. Safe for the concurrent map tasks of one job.
+// the blocks opened from those reads, as the segment cache charges it
+// (ColumnBlock.MemBytes): the decoded id and coordinate columns, plus, for
+// a feature block, the frame its keyword header and posting lists stay
+// in and a varint-form dictionary's decoded ids. The engine surfaces both
+// as the spq.seg.bytes.* query counters. Safe for the concurrent map
+// tasks of one job.
 type SegIOStats struct {
 	BytesRead    atomic.Int64
 	BytesDecoded atomic.Int64
@@ -33,10 +36,11 @@ type SegIOStats struct {
 // random-access ranged reads, nothing else. dfs.FileSystem satisfies it on
 // the master, mapreduce.TaskIO on a worker.
 type RangeReader interface {
-	// ReadRange returns up to n bytes of the named file starting at off,
-	// in a buffer the caller owns: a decoded feature block keeps its
-	// posting lists by aliasing the frame it was read into (see
-	// DecodeColFrame).
+	// ReadRange returns up to n bytes of the named file starting at off.
+	// The bytes are read-only, and must stay unchanged for as long as the
+	// caller holds them: they may be the storage's own, and a decoded
+	// feature block keeps its keyword header and posting lists by aliasing
+	// the frame it was read into (see DecodeColFrame).
 	ReadRange(file string, off int64, n int) ([]byte, error)
 }
 

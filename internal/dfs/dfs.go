@@ -176,7 +176,8 @@ type FileSystem struct {
 	rng     *rand.Rand
 
 	// reads is the global block-read counter driving the fault plan's
-	// deterministic schedules (transient errors, crash events).
+	// deterministic schedules (transient errors, crash events). Only a
+	// file system with a fault plan counts.
 	reads atomic.Int64
 	// crashCursor indexes the first unapplied entry of faults.Crashes;
 	// guarded by crashMu so each event fires exactly once.
@@ -377,48 +378,55 @@ func (e *ReplicaError) IsTransient() bool {
 // readBlock fetches a block payload, failing over across replicas. Every
 // candidate payload is checksum-verified; a corrupt copy is quarantined and
 // the read moves on to the next replica. When corruption was detected and a
-// healthy copy found, the block is re-replicated inline (read repair).
+// healthy copy found, the block is re-replicated inline (read repair). The
+// payload returned is the replica's own, which no code modifies: a
+// corrupt copy is replaced, never repaired in place. Without a fault plan
+// a read takes no global read index and a healthy one allocates nothing.
 func (fs *FileSystem) readBlock(file string, idx int, b blockMeta) ([]byte, error) {
-	readIdx := fs.reads.Add(1)
-	fs.applyCrashSchedule(readIdx)
-	perr := &ReplicaError{File: file, Block: idx, ID: b.id}
+	var readIdx int64
+	if fs.faults != nil {
+		readIdx = fs.reads.Add(1)
+		fs.applyCrashSchedule(readIdx)
+	}
+	var dead, missing, corrupted, transient int
 	for _, ni := range b.replicas {
 		payload, st := fs.nodes[ni].get(b.id)
 		switch st {
 		case replicaDead:
-			perr.Dead++
+			dead++
 			continue
 		case replicaMissing:
-			perr.Missing++
+			missing++
 			continue
 		case replicaQuarantined:
-			perr.Corrupted++
+			corrupted++
 			continue
 		}
 		if fs.transientReadError(readIdx, ni) {
-			perr.Transient++
+			transient++
 			fs.stats.transientErrors.Add(1)
 			continue
 		}
 		if crc32.Checksum(payload, castagnoli) != b.sum {
-			perr.Corrupted++
+			corrupted++
 			fs.stats.corruptionsDetected.Add(1)
 			if fs.nodes[ni].quarantine(b.id) {
 				fs.stats.replicasQuarantined.Add(1)
 			}
 			continue
 		}
-		if perr.Dead+perr.Missing+perr.Corrupted+perr.Transient > 0 {
+		if dead+missing+corrupted+transient > 0 {
 			fs.stats.failoverReads.Add(1)
 		}
-		if perr.Corrupted > 0 {
+		if corrupted > 0 {
 			// Read repair: a replica was just quarantined, so the block is
 			// under-replicated; restore the factor from this healthy copy.
 			fs.repairBlock(file, idx, payload, nil)
 		}
 		return payload, nil
 	}
-	return nil, perr
+	return nil, &ReplicaError{File: file, Block: idx, ID: b.id,
+		Dead: dead, Missing: missing, Corrupted: corrupted, Transient: transient}
 }
 
 // BlockLocations returns, for each block of the file in order, the names of

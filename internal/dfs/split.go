@@ -4,7 +4,12 @@ import "fmt"
 
 // ReadRange reads up to n bytes of the named file starting at byte offset
 // off. Fewer bytes are returned at end of file; a negative offset is an
-// error. Each touched block is read from any live replica.
+// error. Each touched block is read from any live replica. The bytes are
+// read-only: a range inside one block is the verified replica's own bytes,
+// capacity-capped at the range (payload[lo:hi:hi]) so an append cannot
+// reach past it, and stays unchanged for as long as it is held, whatever
+// later quarantines, repairs or deletes the replica. A range across blocks
+// is a fresh buffer.
 func (fs *FileSystem) ReadRange(name string, off int64, n int) ([]byte, error) {
 	if off < 0 {
 		return nil, fmt.Errorf("dfs: read %q: negative offset %d", name, off)
@@ -21,7 +26,7 @@ func (fs *FileSystem) ReadRange(name string, off int64, n int) ([]byte, error) {
 	if rem := f.length - off; int64(n) > rem {
 		n = int(rem)
 	}
-	out := make([]byte, 0, n)
+	var out []byte
 	var blockStart int64
 	for i, b := range f.blocks {
 		blockEnd := blockStart + int64(b.length)
@@ -40,6 +45,12 @@ func (fs *FileSystem) ReadRange(name string, off int64, n int) ([]byte, error) {
 		hi := int64(b.length)
 		if want := off + int64(n) - blockStart; want < hi {
 			hi = want
+		}
+		if out == nil && hi-lo == int64(n) {
+			return payload[lo:hi:hi], nil
+		}
+		if out == nil {
+			out = make([]byte, 0, n)
 		}
 		out = append(out, payload[lo:hi]...)
 		if len(out) >= n {
