@@ -24,10 +24,10 @@ func main() {
 		k        = flag.Int("k", 10, "number of results")
 		r        = flag.Float64("r", 0.01, "query radius")
 		algName  = flag.String("alg", "espqsco", "algorithm: pspq, espqlen, espqsco")
-		gridN    = flag.Int("grid", 0, "grid size (n x n cells; 0 = automatic: the planner's choice with -autoplan, the library default of 16 otherwise)")
+		gridN    = flag.Int("grid", 0, "grid size (n x n cells; 0 = the library default of 16, with or without -autoplan)")
 		nodes    = flag.Int("nodes", 16, "simulated DFS nodes")
 		slots    = flag.Int("slots", 8, "map/reduce worker slots")
-		autoplan = flag.Bool("autoplan", false, "prune sealed cell files against the query and pick the grid from the manifest statistics")
+		autoplan = flag.Bool("autoplan", false, "prune sealed cell files against the query before the job runs")
 		verbose  = flag.Bool("v", false, "print job counters")
 	)
 	flag.Parse()

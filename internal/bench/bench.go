@@ -449,9 +449,9 @@ func queryKeywords(ds *data.Dataset, nk int, seed int64) text.KeywordSet {
 // runOne executes one algorithm on one workload configuration through the
 // dataset's engine and collects the measured cell: the query is planned
 // against the block zone maps, executed over the surviving blocks through
-// the decoded-segment cache, with the planner's reducer choice. The
-// figure's swept grid still overrides the query-time grid, so the x-axis
-// keeps its meaning.
+// the decoded-segment cache, with the engine's slot-derived reducer count.
+// The figure's swept grid sets the query-time grid, so the x-axis keeps
+// its meaning.
 func (h *Harness) runOne(ds *data.Dataset, alg core.Algorithm, q core.Query, gridN int) (Cell, error) {
 	eng, err := h.engine(ds)
 	if err != nil {

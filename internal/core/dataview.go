@@ -118,7 +118,8 @@ func dimsOf(g *grid.Grid) int {
 // the view cached or shared a concurrent query's build. A shipped job
 // whose workers serve the sealed data (WireInfo.DataBlocks) reports one
 // miss per worker that built its view, through the building reduce task's
-// counter deltas, and no hit.
+// counter deltas, and no hit; each such miss also appears under the same
+// name with a "."+worker suffix.
 const (
 	CounterViewHit  = "spq.view.hit"
 	CounterViewMiss = "spq.view.miss"

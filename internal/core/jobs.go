@@ -136,8 +136,8 @@ type Report struct {
 // MaxGridN and MaxReducers bound the grid size and reduce-task count of a
 // job; both can arrive off the wire, and a job's work and memory grow with
 // them (GridN² cells, per-map-task partition slices of length
-// NumReducers). MaxGridN is 8x the planner's ceiling of 128; MaxReducers
-// is far above the planner's 4 per reduce slot.
+// NumReducers). MaxGridN is 64x the engine's default grid of 16;
+// MaxReducers is far above the engine's 4 per reduce slot.
 const (
 	MaxGridN    = 1024
 	MaxReducers = 4096

@@ -185,7 +185,12 @@ func buildWireJob(spec []byte, env *mapreduce.WorkerEnv) (mapreduce.RemoteJob, e
 			return nil, err
 		}
 		if built {
-			io.OnFinish(func(c *mapreduce.Counters) { c.Add(CounterViewMiss, 1) })
+			io.OnFinish(func(c *mapreduce.Counters) {
+				c.Add(CounterViewMiss, 1)
+				if w := io.Env.Worker; w != "" {
+					c.Add(CounterViewMiss+"."+w, 1)
+				}
+			})
 		}
 		vopts := opts
 		vopts.DataView = v

@@ -128,7 +128,7 @@ func TestPlanMatchesScanOracle(t *testing.T) {
 		inst := randomInstance(r)
 		radii := inst.radii(r)
 		for q := 0; q < queries; q++ {
-			in := Input{Radius: radii[r.Intn(len(radii))], Keywords: randomWords(r), ReduceSlots: 4}
+			in := Input{Radius: radii[r.Intn(len(radii))], Keywords: randomWords(r)}
 			dd, df := inst.dd, inst.df
 			if q%2 == 0 {
 				dd, df = nil, nil
@@ -192,7 +192,7 @@ func TestPlanReachAtBucketEdge(t *testing.T) {
 func TestPlanConcurrentFirstUse(t *testing.T) {
 	m := buildColumnarManifest(t, 4, 8)
 	dd, df := buildDelta(m, 0.5, 0.5, "c", 200)
-	in := Input{Radius: 0.05, Keywords: []string{"a3", "c1"}, ReduceSlots: 4}
+	in := Input{Radius: 0.05, Keywords: []string{"a3", "c1"}}
 	want := scanPlan(m, dd, df, in)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -356,7 +356,7 @@ func FuzzPlanManifest(f *testing.F) {
 			dx, dy = 0, 0 // the engine admits finite coordinates only
 		}
 		dd, df := shifted(m.Data, dx, dy), shifted(m.Features, dx, dy)
-		in := Input{Radius: radius, Keywords: strings.Split(words, ","), ReduceSlots: 4}
+		in := Input{Radius: radius, Keywords: strings.Split(words, ",")}
 		blocks := 0
 		for _, cs := range append(append([]data.CellStats(nil), m.Data...), m.Features...) {
 			blocks += len(cs.Blocks)
@@ -408,7 +408,7 @@ var benchDecision *Decision
 // index's retained bytes per block.
 func BenchmarkPlanGenerations(b *testing.B) {
 	m, delta := flManifest()
-	in := Input{Radius: 0.02, Keywords: []string{"w300", "w700", "w1500"}, ReduceSlots: 4}
+	in := Input{Radius: 0.02, Keywords: []string{"w300", "w700", "w1500"}}
 	indexOf(m) // the index is per generation, not per query
 	for _, c := range []struct {
 		name   string

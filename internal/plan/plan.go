@@ -35,17 +35,15 @@
 // more, against rounding — and the unchanged test RectMinDist2 <= r²
 // decides each candidate. Every Decision is the scan's, to the digit.
 //
-// The planner then picks the query-time grid size and reducer count from
-// the surviving statistics instead of a hardcoded default. Pruning never
-// changes results: surviving blocks feed the unmodified query-time grid
-// algorithms, so the top-k is identical to the unpruned path.
+// The planner only prunes: it never sizes the job. The query-time grid and
+// the task counts are the engine's, the same for a planned query as for an
+// unplanned one, so one data view per generation serves every query.
+// Pruning never changes results: surviving blocks feed the unmodified
+// query-time grid algorithms, so the top-k is identical to the unpruned
+// path.
 package plan
 
-import (
-	"math"
-
-	"spq/internal/data"
-)
+import "spq/internal/data"
 
 // Planner counter names, merged into the job counters of a planned query
 // so callers can observe pruning effectiveness next to the MapReduce
@@ -72,13 +70,9 @@ type Input struct {
 	// Keywords is the query keyword set W, as strings (the manifest's
 	// keyword summaries hash strings, not interned ids).
 	Keywords []string
-	// ReduceSlots is the cluster's reduce-task concurrency, used to cap
-	// the chosen reducer count.
+	// ReduceSlots is ignored: the planner sizes no job. It is kept only
+	// for callers that still set it.
 	ReduceSlots int
-	// GridN and NumReducers, when positive, are caller overrides the
-	// planner must respect (it still prunes).
-	GridN       int
-	NumReducers int
 }
 
 // Stats describes what the planner did, for reporting.
@@ -112,8 +106,7 @@ type Stats struct {
 	DeltaRecordsSelected int64
 }
 
-// Decision is the planner's output: the surviving cells and blocks and the
-// execution parameters for the MapReduce job.
+// Decision is the planner's output: the surviving cells and blocks.
 type Decision struct {
 	// Data and Features are the surviving sealed-base manifest entries.
 	Data     []data.CellStats
@@ -128,9 +121,6 @@ type Decision struct {
 	// cell is often read only partially. Base and delta cell names must
 	// not collide.
 	Blocks map[string][]int
-	// GridN and NumReducers are the chosen execution parameters.
-	GridN       int
-	NumReducers int
 	// Stats describes the pruning outcome.
 	Stats Stats
 }
@@ -239,55 +229,5 @@ func PlanGenerations(m *data.Manifest, deltaData, deltaFeatures []data.CellStats
 	d.Stats.DataCellsPruned = d.Stats.DataCells - len(d.Data) - len(d.DeltaData)
 	d.Stats.FeatureCellsPruned = d.Stats.FeatureCells - len(d.Features) - len(d.DeltaFeatures)
 	d.Stats.DeltaCellsPruned = d.Stats.DeltaCells - len(d.DeltaData) - len(d.DeltaFeatures)
-
-	d.GridN = in.GridN
-	if d.GridN <= 0 {
-		d.GridN = chooseGridN(d.Stats.RecordsSelected)
-	}
-	d.NumReducers = in.NumReducers
-	if d.NumReducers <= 0 {
-		d.NumReducers = ChooseReducers(d.GridN, in.ReduceSlots)
-	}
 	return d
-}
-
-// Grid-size heuristic bounds. The paper's optimum (Section 6.3) trades
-// per-reducer work df·α⁴ against duplication and task overhead; across its
-// experiments the best grid tracks the square root of the input size
-// (grid 50 at 150k objects, 15 at 100k synthetic). gridN = sqrt(records)/8
-// lands in that band and is clamped to keep degenerate inputs sane.
-const (
-	minGridN = 4
-	maxGridN = 128
-)
-
-// chooseGridN picks the query-time grid edge from the surviving record
-// count.
-func chooseGridN(records int64) int {
-	if records <= 0 {
-		return minGridN
-	}
-	n := int(math.Round(math.Sqrt(float64(records)) / 8))
-	if n < minGridN {
-		return minGridN
-	}
-	if n > maxGridN {
-		return maxGridN
-	}
-	return n
-}
-
-// ChooseReducers caps the paper's one-reducer-per-cell default at a small
-// multiple of the available reduce slots: beyond that, extra reduce tasks
-// only add scheduling overhead (cells are then assigned round-robin).
-func ChooseReducers(gridN, reduceSlots int) int {
-	cells := gridN * gridN
-	if reduceSlots <= 0 {
-		return cells
-	}
-	limit := 4 * reduceSlots
-	if cells < limit {
-		return cells
-	}
-	return limit
 }

@@ -62,7 +62,7 @@ func TestPlanKeywordAndDistancePruning(t *testing.T) {
 	// A query for an "a"-cluster keyword with a small radius must drop
 	// every "b"-cluster cell: its feature cells by keyword disjointness,
 	// its data cells because no surviving feature cell is in range.
-	d := PlanGenerations(m, nil, nil, Input{Radius: 0.02, Keywords: []string{"a3"}, ReduceSlots: 4})
+	d := PlanGenerations(m, nil, nil, Input{Radius: 0.02, Keywords: []string{"a3"}})
 	if d.Empty() {
 		t.Fatal("plan empty for a matching query")
 	}
@@ -146,7 +146,7 @@ func TestPlanGenerationsJointPruning(t *testing.T) {
 	// A "c"-keyword query prunes every base feature cell by keyword
 	// disjointness but keeps the delta: surviving cells must be delta-only
 	// features plus the data cells (base or delta) they can reach.
-	d := PlanGenerations(m, dd, df, Input{Radius: 0.02, Keywords: []string{"c4"}, ReduceSlots: 4})
+	d := PlanGenerations(m, dd, df, Input{Radius: 0.02, Keywords: []string{"c4"}})
 	if d.Empty() {
 		t.Fatal("plan empty despite matching delta cells")
 	}
@@ -178,7 +178,7 @@ func TestPlanGenerationsJointPruning(t *testing.T) {
 	// An "a"-keyword query with a small radius keeps cluster A and prunes
 	// the whole delta — base data cells must not be kept alive by
 	// unreachable delta features.
-	d = PlanGenerations(m, dd, df, Input{Radius: 0.02, Keywords: []string{"a3"}, ReduceSlots: 4})
+	d = PlanGenerations(m, dd, df, Input{Radius: 0.02, Keywords: []string{"a3"}})
 	if len(d.DeltaFeatures) != 0 {
 		t.Errorf("%d delta feature cells survived keyword 'a3'", len(d.DeltaFeatures))
 	}
@@ -209,44 +209,6 @@ func TestPlanGenerationsEmptyAcrossBothSets(t *testing.T) {
 	if !d.Empty() {
 		t.Errorf("plan kept %d+%d data / %d+%d feature cells for an unknown keyword",
 			len(d.Data), len(d.DeltaData), len(d.Features), len(d.DeltaFeatures))
-	}
-}
-
-func TestPlanRespectsOverrides(t *testing.T) {
-	m := buildManifest(t, 8)
-	d := PlanGenerations(m, nil, nil, Input{Radius: 0.05, Keywords: []string{"a1", "b1"}, GridN: 7, NumReducers: 3})
-	if d.GridN != 7 || d.NumReducers != 3 {
-		t.Errorf("overrides ignored: gridN=%d reducers=%d", d.GridN, d.NumReducers)
-	}
-}
-
-func TestChooseGridN(t *testing.T) {
-	cases := []struct {
-		records int64
-		want    int
-	}{
-		{0, minGridN},
-		{100, minGridN},
-		{10000, 13},
-		{100000, 40},
-		{100000000, maxGridN},
-	}
-	for _, c := range cases {
-		if got := chooseGridN(c.records); got != c.want {
-			t.Errorf("chooseGridN(%d) = %d, want %d", c.records, got, c.want)
-		}
-	}
-}
-
-func TestChooseReducers(t *testing.T) {
-	if got := ChooseReducers(4, 8); got != 16 {
-		t.Errorf("small grid: reducers = %d, want 16 (one per cell)", got)
-	}
-	if got := ChooseReducers(50, 8); got != 32 {
-		t.Errorf("large grid: reducers = %d, want 32 (4x slots)", got)
-	}
-	if got := ChooseReducers(50, 0); got != 2500 {
-		t.Errorf("no slot info: reducers = %d, want 2500", got)
 	}
 }
 
@@ -287,7 +249,7 @@ func TestPlanBlockGranularity(t *testing.T) {
 	// one cell of ~200 records split into ~25 blocks with tight bounds and
 	// per-block blooms.
 	m := buildColumnarManifest(t, 2, 8)
-	d := PlanGenerations(m, nil, nil, Input{Radius: 0.01, Keywords: []string{"a3"}, ReduceSlots: 4})
+	d := PlanGenerations(m, nil, nil, Input{Radius: 0.01, Keywords: []string{"a3"}})
 	if d.Empty() {
 		t.Fatal("plan pruned everything for an in-vocabulary keyword")
 	}
@@ -324,7 +286,7 @@ func TestPlanBlockGranularity(t *testing.T) {
 	}
 	// Block pruning must be at least as sharp as cell pruning: re-plan the
 	// same corpus with one block per cell and compare the records read.
-	coarse := PlanGenerations(buildManifest(t, 2), nil, nil, Input{Radius: 0.01, Keywords: []string{"a3"}, ReduceSlots: 4})
+	coarse := PlanGenerations(buildManifest(t, 2), nil, nil, Input{Radius: 0.01, Keywords: []string{"a3"}})
 	if d.Stats.RecordsSelected > coarse.Stats.RecordsSelected {
 		t.Errorf("block-level selection (%d records) coarser than cell-level (%d)",
 			d.Stats.RecordsSelected, coarse.Stats.RecordsSelected)
@@ -393,7 +355,7 @@ func TestPlanEveryUnitIsABlock(t *testing.T) {
 	if len(dd) == 0 || len(df) == 0 || len(dd[0].Blocks) < 2 {
 		t.Fatal("delta cells not cut into several blocks")
 	}
-	d := PlanGenerations(m, dd, df, Input{Radius: 0.01, Keywords: []string{"a3"}, ReduceSlots: 4})
+	d := PlanGenerations(m, dd, df, Input{Radius: 0.01, Keywords: []string{"a3"}})
 	if d.Stats.Blocks != zoneMaps {
 		t.Errorf("planner considered %d blocks, want all %d zone maps", d.Stats.Blocks, zoneMaps)
 	}
@@ -481,15 +443,6 @@ func scanPlan(m *data.Manifest, deltaData, deltaFeatures []data.CellStats, in In
 	d.Stats.DataCellsPruned = d.Stats.DataCells - len(d.Data) - len(d.DeltaData)
 	d.Stats.FeatureCellsPruned = d.Stats.FeatureCells - len(d.Features) - len(d.DeltaFeatures)
 	d.Stats.DeltaCellsPruned = d.Stats.DeltaCells - len(d.DeltaData) - len(d.DeltaFeatures)
-
-	d.GridN = in.GridN
-	if d.GridN <= 0 {
-		d.GridN = chooseGridN(d.Stats.RecordsSelected)
-	}
-	d.NumReducers = in.NumReducers
-	if d.NumReducers <= 0 {
-		d.NumReducers = ChooseReducers(d.GridN, in.ReduceSlots)
-	}
 	return d
 }
 

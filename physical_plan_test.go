@@ -10,7 +10,6 @@ import (
 	"spq/internal/core"
 	"spq/internal/data"
 	"spq/internal/mapreduce"
-	"spq/internal/plan"
 )
 
 // TestPlanQuery pins the planning step, with and without a visible delta,
@@ -31,8 +30,11 @@ import (
 //     view;
 //   - the delta is cut into blocks at most once per snapshot, by the first
 //     query that reads it, planned or not;
-//   - an unplanned query runs the planner's slot-derived reduce-task count,
-//     not one task per query-grid cell, unless WithReducers overrides it.
+//   - every query, planned or not, runs on the default grid unless WithGrid
+//     sets it: the planner prunes but never sizes the job;
+//   - an in-process job runs the slot-derived reduce-task count, not one
+//     task per query-grid cell, unless WithReducers overrides it, and the
+//     planner's report names the grid and count that run.
 func TestPlanQuery(t *testing.T) {
 	q := Query{K: 3, Radius: 0.05, Keywords: []string{"common1"}}
 	for _, distributed := range []bool{false, true} {
@@ -100,7 +102,7 @@ func TestPlanQuery(t *testing.T) {
 				// lane: here one worker of one slot. An in-process job gets
 				// a few map tasks per map slot and the slot-derived reducer
 				// count, fewer than its cells.
-				wantMaps, wantReducers := 4*e.cfg.MapSlots, plan.ChooseReducers(defaultGridN, e.cfg.ReduceSlots)
+				wantMaps, wantReducers := 4*e.cfg.MapSlots, chooseReducers(defaultGridN, e.cfg.ReduceSlots)
 				if p.wire != nil {
 					wantMaps, wantReducers = 1, 1
 				}
@@ -133,14 +135,28 @@ func TestPlanQuery(t *testing.T) {
 				if pr := planQ(WithReducers(3)); pr.reducers != 3 {
 					t.Errorf("WithReducers(3): %d reducers", pr.reducers)
 				}
-				// The planner's report names the count that runs.
-				pp := planQ(WithAutoPlan())
-				wantPlanned := plan.ChooseReducers(pp.gridN, e.cfg.ReduceSlots)
-				if pp.wire != nil {
-					wantPlanned = 1
-				}
-				if pp.planStats == nil || pp.planStats.NumReducers != pp.reducers || pp.reducers != wantPlanned {
-					t.Errorf("planned: %d reducers, reported %+v, want %d", pp.reducers, pp.planStats, wantPlanned)
+				// A planned query runs on the grid an unplanned one runs on,
+				// or on WithGrid's, and the planner's report names the grid
+				// and the reducer count that run.
+				for _, gridN := range []int{0, 7} {
+					opts := []QueryOption{WithAutoPlan()}
+					wantGrid := defaultGridN
+					if gridN > 0 {
+						opts, wantGrid = append(opts, WithGrid(gridN)), gridN
+						if pu := planQ(WithGrid(gridN)); pu.gridN != gridN {
+							t.Errorf("unplanned WithGrid(%d): grid %d", gridN, pu.gridN)
+						}
+					}
+					pp := planQ(opts...)
+					wantPlanned := chooseReducers(wantGrid, e.cfg.ReduceSlots)
+					if pp.wire != nil {
+						wantPlanned = 1
+					}
+					if pp.gridN != wantGrid || pp.reducers != wantPlanned || pp.planStats == nil ||
+						pp.planStats.GridN != pp.gridN || pp.planStats.NumReducers != pp.reducers {
+						t.Errorf("planned, WithGrid(%d): grid %d with %d reducers, reported %+v, want grid %d with %d",
+							gridN, pp.gridN, pp.reducers, pp.planStats, wantGrid, wantPlanned)
+					}
 				}
 
 				// Every block of every cell: base data, delta data, base
@@ -361,4 +377,16 @@ func TestConcurrentPlannedQueriesOverlayDelta(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+func TestChooseReducers(t *testing.T) {
+	if got := chooseReducers(4, 8); got != 16 {
+		t.Errorf("small grid: reducers = %d, want 16 (one per cell)", got)
+	}
+	if got := chooseReducers(50, 8); got != 32 {
+		t.Errorf("large grid: reducers = %d, want 32 (4x slots)", got)
+	}
+	if got := chooseReducers(50, 0); got != 2500 {
+		t.Errorf("no slot info: reducers = %d, want 2500", got)
+	}
 }

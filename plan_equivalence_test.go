@@ -59,17 +59,16 @@ func TestPlannedQueriesMatchUnplannedProperty(t *testing.T) {
 						t.Errorf("q%d %v: planned results differ\nunplanned: %+v\nplanned:   %+v",
 							qi, alg, plain, planned)
 					}
-					// With a planner-chosen grid and reducer count, the
-					// results are still identical, k-ties at the
-					// threshold included: the top-k is canonical (lowest
-					// id wins a tie), whatever the grid or the cells
-					// sharing a task.
+					// On the default grid and reducer count, the results
+					// are still identical, k-ties at the threshold
+					// included: the top-k is canonical (lowest id wins a
+					// tie), whatever the grid or the cells sharing a task.
 					auto, err := e.Query(q, WithAlgorithm(alg), WithAutoPlan())
 					if err != nil {
-						t.Fatalf("q%d %v auto-grid: %v", qi, alg, err)
+						t.Fatalf("q%d %v default grid: %v", qi, alg, err)
 					}
 					if !resultsEqual(plain, auto) {
-						t.Errorf("q%d %v: auto-grid results differ\nunplanned: %+v\nplanned:   %+v",
+						t.Errorf("q%d %v: default-grid results differ\nunplanned: %+v\nplanned:   %+v",
 							qi, alg, plain, auto)
 					}
 				}

@@ -153,8 +153,7 @@ type EffectiveOptions struct {
 	// Delta reports whether appended-but-uncompacted records were visible.
 	Delta bool `json:"delta"`
 	// GridN is the query-time grid edge requested by WithGrid; 0 when the
-	// default or a planner-chosen grid applied (Plan.GridN has the final
-	// value for planned queries).
+	// default grid of 16 applied, planned or not.
 	GridN int `json:"grid_n,omitempty"`
 	// Reducers is the reduce-task override from WithReducers; 0 = default.
 	Reducers int `json:"reducers,omitempty"`
@@ -167,7 +166,7 @@ func (r *Report) Options() EffectiveOptions { return r.effective }
 
 // PlanStats describes one planned query execution: how much of the sealed,
 // partitioned storage the planner proved irrelevant, and the execution
-// parameters it chose.
+// parameters the job ran with.
 type PlanStats struct {
 	// SealGridN is the seal grid edge the storage was partitioned over.
 	SealGridN int
@@ -192,7 +191,8 @@ type PlanStats struct {
 	RecordsTotal    int64
 	RecordsSelected int64
 	// GridN and NumReducers are the execution parameters the job ran
-	// with (planner-chosen unless overridden by WithGrid/WithReducers).
+	// with, as an unplanned query would; NumReducers is 0 when the plan
+	// proved the query empty and no job ran, unless WithReducers set it.
 	GridN       int
 	NumReducers int
 }
@@ -216,10 +216,9 @@ func WithAlgorithm(a Algorithm) QueryOption {
 	return func(c *queryConfig) { c.alg = a }
 }
 
-// WithGrid sets the query-time grid to n x n cells (default 16x16, or
-// planner-chosen under WithAutoPlan). More cells mean more parallelism and
-// cheaper reduce tasks at the cost of more feature duplication (Section
-// 6.3 of the paper). n must be in [1, 1024]; a query outside it fails with
+// WithGrid sets the query-time grid to n x n cells (default 16x16, planned
+// or not). More cells mean more parallelism and cheaper reduce tasks at
+// the cost of more feature duplication (Section 6.3 of the paper). n must be in [1, 1024]; a query outside it fails with
 // ErrInvalidQuery.
 func WithGrid(n int) QueryOption {
 	return func(c *queryConfig) { c.gridN = n; c.gridSet = true }
@@ -229,11 +228,10 @@ func WithGrid(n int) QueryOption {
 // pruned against the query before the MapReduce job starts — feature
 // cells whose keyword summary is disjoint from the query keywords are
 // skipped, data cells with no surviving feature cell within the radius are
-// skipped (their objects provably score 0) — and the query-time grid size
-// and reducer count are chosen from the surviving cell statistics instead
-// of the defaults. Results are identical to the unplanned path; selective
-// queries read a fraction of the input. Report.Plan records the outcome.
-// WithGrid and WithReducers still override the planner's choices.
+// skipped (their objects provably score 0). It only prunes: the grid and
+// the task counts stay the unplanned query's. Results are identical to the
+// unplanned path; selective queries read a fraction of the input.
+// Report.Plan records the outcome.
 func WithAutoPlan() QueryOption {
 	return func(c *queryConfig) { c.autoPlan = true }
 }
