@@ -143,9 +143,9 @@ func copyReport(r *Report) *Report {
 // appends and compactions invalidate by construction.
 func cacheKey(gen uint64, q Query, cfg *queryConfig) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "g%d|a%d|k%d|r%x|m%d|G%d|R%d|P%t|D%t|",
+	fmt.Fprintf(&b, "g%d|a%d|k%d|r%x|m%d|G%d|R%d|D%t|",
 		gen, cfg.alg, q.K, math.Float64bits(q.Radius), q.Mode,
-		cfg.gridN, cfg.reducers, cfg.autoPlan, cfg.noDelta)
+		cfg.gridN, cfg.reducers, cfg.noDelta)
 	if cfg.bounds != nil {
 		fmt.Fprintf(&b, "B%x,%x,%x,%x|",
 			math.Float64bits(cfg.bounds.MinX), math.Float64bits(cfg.bounds.MinY),

@@ -24,10 +24,9 @@ func main() {
 		k        = flag.Int("k", 10, "number of results")
 		r        = flag.Float64("r", 0.01, "query radius")
 		algName  = flag.String("alg", "espqsco", "algorithm: pspq, espqlen, espqsco")
-		gridN    = flag.Int("grid", 0, "grid size (n x n cells; 0 = the library default of 16, with or without -autoplan)")
+		gridN    = flag.Int("grid", 0, "query-time grid size (n x n cells; 0 = the library default of 16)")
 		nodes    = flag.Int("nodes", 16, "simulated DFS nodes")
 		slots    = flag.Int("slots", 8, "map/reduce worker slots")
-		autoplan = flag.Bool("autoplan", false, "prune sealed cell files against the query before the job runs")
 		verbose  = flag.Bool("v", false, "print job counters")
 	)
 	flag.Parse()
@@ -67,9 +66,6 @@ func main() {
 	if *gridN > 0 {
 		opts = append(opts, spq.WithGrid(*gridN))
 	}
-	if *autoplan {
-		opts = append(opts, spq.WithAutoPlan())
-	}
 	rep, err := eng.QueryReport(spq.Query{
 		K:        *k,
 		Radius:   *r,
@@ -82,11 +78,10 @@ func main() {
 
 	fmt.Printf("%s: %d results in %.2f ms (map %.2f ms, reduce %.2f ms)\n",
 		rep.Algorithm, len(rep.Results), rep.TotalMillis, rep.MapMillis, rep.ReduceMillis)
-	if p := rep.Plan; p != nil {
-		fmt.Printf("plan: read %d of %d records (pruned %d/%d data cells, %d/%d feature cells), grid %d, %d reducers\n",
-			p.RecordsSelected, p.RecordsTotal, p.DataCellsPruned, p.DataCells,
-			p.FeatureCellsPruned, p.FeatureCells, p.GridN, p.NumReducers)
-	}
+	p := rep.Plan
+	fmt.Printf("plan: read %d of %d records (pruned %d/%d data cells, %d/%d feature cells), grid %d, %d reducers\n",
+		p.RecordsSelected, p.RecordsTotal, p.DataCellsPruned, p.DataCells,
+		p.FeatureCellsPruned, p.FeatureCells, p.GridN, p.NumReducers)
 	for i, res := range rep.Results {
 		fmt.Printf("%2d. object %-8d score %.4f  at (%.4f, %.4f)\n",
 			i+1, res.ID, res.Score, res.X, res.Y)

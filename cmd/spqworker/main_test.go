@@ -89,7 +89,7 @@ func TestWorkerProcesses(t *testing.T) {
 		for i := range queries {
 			queries[i] = spq.Query{K: 10, Radius: 0.02, Keywords: []string{kws[i%len(kws)], kws[(i*7+3)%len(kws)]}}
 			var err error
-			if want[i], err = ref.Query(queries[i], spq.WithAutoPlan()); err != nil {
+			if want[i], err = ref.Query(queries[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -113,7 +113,7 @@ func TestWorkerProcesses(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := lo + int(next.Add(1)-1); i < hi; i = lo + int(next.Add(1)-1) {
-						rep, err := eng.QueryReport(queries[i], spq.WithAutoPlan())
+						rep, err := eng.QueryReport(queries[i])
 						if err != nil {
 							t.Errorf("query %d: %v", i, err)
 							return

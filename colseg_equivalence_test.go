@@ -65,9 +65,8 @@ func oracleEngine(t *testing.T, st Storage, delta bool, dataObjs []DataObject, f
 	return e
 }
 
-// checkOracle runs every query through every algorithm, unplanned and
-// planned, sealed and with an uncompacted delta,
-// and requires results identical to the oracle's — ids, coordinates and
+// checkOracle runs every query through every algorithm, sealed and with
+// an uncompacted delta, and requires results identical to the oracle's — ids, coordinates and
 // bitwise scores, ties broken canonically.
 func checkOracle(t *testing.T, dataObjs []DataObject, feats []Feature, queries []Query, opts ...QueryOption) {
 	t.Helper()
@@ -80,19 +79,14 @@ func checkOracle(t *testing.T, dataObjs []DataObject, feats []Feature, queries [
 			e := oracleEngine(t, st.storage, delta, dataObjs, feats)
 			for qi, q := range queries {
 				for _, alg := range Algorithms() {
-					for _, planned := range []bool{false, true} {
-						o := append([]QueryOption{WithAlgorithm(alg), WithCache(false)}, opts...)
-						if planned {
-							o = append(o, WithAutoPlan())
-						}
-						got, err := e.Query(q, o...)
-						if err != nil {
-							t.Fatalf("q%d %v %s delta=%v planned=%v: %v", qi, alg, st.name, delta, planned, err)
-						}
-						if !resultsEqual(want[qi], got) {
-							t.Errorf("q%d %+v %v %s delta=%v planned=%v differs from the oracle\noracle: %+v\nengine: %+v",
-								qi, q, alg, st.name, delta, planned, want[qi], got)
-						}
+					o := append([]QueryOption{WithAlgorithm(alg), WithCache(false)}, opts...)
+					got, err := e.Query(q, o...)
+					if err != nil {
+						t.Fatalf("q%d %v %s delta=%v: %v", qi, alg, st.name, delta, err)
+					}
+					if !resultsEqual(want[qi], got) {
+						t.Errorf("q%d %+v %v %s delta=%v differs from the oracle\noracle: %+v\nengine: %+v",
+							qi, q, alg, st.name, delta, want[qi], got)
 					}
 				}
 			}
@@ -105,7 +99,7 @@ func checkOracle(t *testing.T, dataObjs []DataObject, feats []Feature, queries [
 // among them an out-of-vocabulary keyword and a zero radius: SPQ3
 // compressed columnar segments, and the delta's resident blocks beside
 // them, return exactly the centralized R-tree oracle's results, for every
-// algorithm, planned and unplanned, sealed and with a delta. This also
+// algorithm, sealed and with a delta. This also
 // covers the block-at-a-time map: a feature's two counts come from
 // the block dictionary and the posting lists of the query's keywords
 // instead of from a per-record keyword set, and the results must not move.
@@ -180,7 +174,7 @@ func TestColumnarBlockPruningAndCache(t *testing.T) {
 	}
 
 	q := Query{K: 5, Radius: 0.02, Keywords: []string{"c1-kw5"}}
-	rep, err := e.QueryReport(q, WithAutoPlan(), WithCache(false))
+	rep, err := e.QueryReport(q, WithCache(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +207,7 @@ func TestColumnarBlockPruningAndCache(t *testing.T) {
 	if before.Misses == 0 || before.Hits != 0 {
 		t.Fatalf("cold segment cache stats: %+v", before)
 	}
-	rep2, err := e.QueryReport(q, WithAutoPlan(), WithCache(false))
+	rep2, err := e.QueryReport(q, WithCache(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +229,7 @@ func TestColumnarBlockPruningAndCache(t *testing.T) {
 	if err := e.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.QueryReport(q, WithAutoPlan(), WithCache(false)); err != nil {
+	if _, err := e.QueryReport(q, WithCache(false)); err != nil {
 		t.Fatal(err)
 	}
 	final := e.SegmentCacheStats()
@@ -250,7 +244,7 @@ func TestSegmentCacheDisabled(t *testing.T) {
 	e := NewEngine(Config{Storage: StorageDFSBinary, SegmentCache: -1})
 	loadClusteredCorpus(t, e, 500, 4)
 	q := Query{K: 3, Radius: 0.05, Keywords: []string{"common2"}}
-	res, err := e.Query(q, WithAutoPlan())
+	res, err := e.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +253,7 @@ func TestSegmentCacheDisabled(t *testing.T) {
 	}
 	ref := NewEngine(Config{Storage: StorageDFSBinary})
 	loadClusteredCorpus(t, ref, 500, 4)
-	want, err := ref.Query(q, WithAutoPlan())
+	want, err := ref.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}

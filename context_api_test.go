@@ -172,7 +172,7 @@ func TestInvalidQueryTaxonomy(t *testing.T) {
 		// A job on 10,000 cells a side runs for tens of seconds; the grid
 		// is capped before any work starts.
 		{"huge grid", valid, []QueryOption{WithGrid(10000)}, "grid size"},
-		{"huge grid, planned", valid, []QueryOption{WithAutoPlan(), WithGrid(core.MaxGridN + 1)}, "grid size"},
+		{"grid past the cap", valid, []QueryOption{WithGrid(core.MaxGridN + 1)}, "grid size"},
 		// A billion reducers would run the process out of memory in the
 		// map tasks' partition slices.
 		{"huge reducers", valid, []QueryOption{WithReducers(1_000_000_000)}, "reducers"},
@@ -249,17 +249,17 @@ func TestReportOptionsIntrospection(t *testing.T) {
 	defer e.Close()
 	q := contextTestQuery(t, e)
 
-	rep, err := e.QueryReport(q, WithAlgorithm(ESPQLen), WithAutoPlan(), WithReducers(3))
+	rep, err := e.QueryReport(q, WithAlgorithm(ESPQLen), WithGrid(7), WithReducers(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := rep.Options()
-	if opt.Algorithm != ESPQLen || !opt.AutoPlan || opt.Reducers != 3 {
-		t.Fatalf("options = %+v, want eSPQlen/autoplan/3 reducers", opt)
+	if opt.Algorithm != ESPQLen || opt.GridN != 7 || opt.Reducers != 3 {
+		t.Fatalf("options = %+v, want eSPQlen/grid 7/3 reducers", opt)
 	}
 
 	// Same query again: a cache hit must carry the same effective options.
-	hit, err := e.QueryReport(q, WithAlgorithm(ESPQLen), WithAutoPlan(), WithReducers(3))
+	hit, err := e.QueryReport(q, WithAlgorithm(ESPQLen), WithGrid(7), WithReducers(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,12 +24,11 @@ const (
 	// CounterDeltaRecords is the number of delta records visible to the
 	// query before any pruning.
 	CounterDeltaRecords = "spq.delta.records"
-	// CounterDeltaRecordsSelected is the number of delta records the job
-	// actually read (equal to CounterDeltaRecords unless the planner
-	// pruned delta blocks).
+	// CounterDeltaRecordsSelected is the number of delta records in the
+	// blocks the planner kept: the delta records the job read.
 	CounterDeltaRecordsSelected = "spq.delta.records.selected"
 	// CounterDeltaCellsPruned is the number of delta cells the planner
-	// proved irrelevant (planned queries only).
+	// proved irrelevant.
 	CounterDeltaCellsPruned = "spq.delta.cells.pruned"
 )
 
@@ -48,11 +47,11 @@ type DeltaStats struct {
 	Records int64
 	// Cells counts the delta's seal-grid cells — every query reads the
 	// delta cut into column blocks over the seal grid — and CellsPruned
-	// how many of them the planner skipped (0 unless WithAutoPlan).
+	// how many of them the planner skipped.
 	Cells       int
 	CellsPruned int
-	// RecordsSelected is the number of delta records the job read after
-	// pruning (equal to Records for unplanned queries).
+	// RecordsSelected is the number of delta records in the blocks the
+	// planner kept: the delta records the job read.
 	RecordsSelected int64
 }
 
@@ -65,21 +64,26 @@ type DeltaStats struct {
 type deltaState struct {
 	objs []data.Object
 
-	// The delta cut into column blocks over the base manifest's seal grid:
-	// cells with their zone maps, and each cell's blocks by name. Built
-	// lazily, at most once per snapshot, by the first query that reads the
-	// delta, planned or not.
-	once     sync.Once
-	cells    *data.Manifest
-	resident map[string][]*data.ColumnBlock
+	// The delta cut into column blocks over the base manifest's seal grid,
+	// as one read selection per cell, every block, resident: the planner
+	// narrows them like the manifest's. Built lazily, at most once per
+	// snapshot, by the first query that reads the delta.
+	once           sync.Once
+	data, features []data.ColSel
 }
 
-// blocks cuts the delta into column blocks over the manifest's seal grid,
-// once: a SealBlocks seal of the delta, whose synthetic cell names
+// selections cuts the delta into column blocks over the manifest's seal
+// grid, once: a SealBlocks seal of the delta, whose synthetic cell names
 // ("delta-d0012.mem") cannot collide with the sealed ones.
-func (d *deltaState) blocks(m *data.Manifest, dict *text.Dict) (*data.Manifest, map[string][]*data.ColumnBlock) {
+func (d *deltaState) selections(m *data.Manifest, dict *text.Dict) (dataCells, features []data.ColSel) {
 	d.once.Do(func() {
-		d.cells, d.resident = data.PartitionObjects(m.Grid.Grid(), d.objs).SealBlocks("delta", dict)
+		cells, resident := data.PartitionObjects(m.Grid.Grid(), d.objs).SealBlocks("delta", dict)
+		d.data, d.features = data.SelectAll(cells.Data), data.SelectAll(cells.Features)
+		for _, sels := range [][]data.ColSel{d.data, d.features} {
+			for i := range sels {
+				sels[i].Resident = resident[sels[i].Cell.File]
+			}
+		}
 	})
-	return d.cells, d.resident
+	return d.data, d.features
 }

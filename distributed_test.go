@@ -154,9 +154,9 @@ func TestExecutorTaskParity(t *testing.T) {
 			Workers: distWorkers(t, 2, 2),
 		}, 1200)
 		q := distQueries(eng.FrequentKeywords(16), 1)[0]
-		_, nFeats := eng.Len()
 		for _, alg := range Algorithms() {
-			if p := eng.planQuery(eng.snap.Load(), q, &queryConfig{alg: alg}); p.wire == nil {
+			p := eng.planQuery(eng.snap.Load(), q, &queryConfig{alg: alg})
+			if p.wire == nil {
 				t.Fatalf("%v: the plan does not ship the job", alg)
 			}
 			remote, err := eng.QueryReport(q, WithAlgorithm(alg), WithCache(false))
@@ -191,8 +191,8 @@ func TestExecutorTaskParity(t *testing.T) {
 						alg, c, remote.Counters[c], local.Counters[c])
 				}
 			}
-			if in := remote.Counters[mapreduce.CounterMapRecordsIn]; in != int64(nFeats) {
-				t.Errorf("%v: map.records.in = %d, want the %d feature records alone", alg, in, nFeats)
+			if in, want := remote.Counters[mapreduce.CounterMapRecordsIn], selRecords(p.colsFeat); in != want {
+				t.Errorf("%v: map.records.in = %d, want the %d selected feature records alone", alg, in, want)
 			}
 		}
 	})
@@ -226,23 +226,20 @@ func TestDistributedJobSizedByWorkerLanes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, opts := range [][]QueryOption{nil, {WithAutoPlan()}} {
-				opts = append(opts, WithAlgorithm(alg), WithCache(false))
-				rep, err := eng.QueryReport(q, opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(rep.Results, want) {
-					t.Errorf("%v q%d: results differ from the in-process engine: %s", alg, qi, diffResults(rep.Results, want))
-				}
-				if got := perWorker(rep); !reflect.DeepEqual(got, []int64{2, 2}) {
-					t.Errorf("%v q%d (planned %v): tasks per worker %v, want one map and one reduce task on each", alg, qi, rep.Plan != nil, got)
-				}
-				if rep.Plan != nil && rep.Plan.NumReducers != 2 {
-					t.Errorf("%v q%d: the plan reports %d reducers, 2 ran", alg, qi, rep.Plan.NumReducers)
-				}
+			rep, err := eng.QueryReport(q, WithAlgorithm(alg), WithCache(false))
+			if err != nil {
+				t.Fatal(err)
 			}
-			rep, err := eng.QueryReport(q, WithAlgorithm(alg), WithCache(false), WithReducers(3))
+			if !reflect.DeepEqual(rep.Results, want) {
+				t.Errorf("%v q%d: results differ from the in-process engine: %s", alg, qi, diffResults(rep.Results, want))
+			}
+			if got := perWorker(rep); !reflect.DeepEqual(got, []int64{2, 2}) {
+				t.Errorf("%v q%d: tasks per worker %v, want one map and one reduce task on each", alg, qi, got)
+			}
+			if rep.Plan.NumReducers != 2 {
+				t.Errorf("%v q%d: the plan reports %d reducers, 2 ran", alg, qi, rep.Plan.NumReducers)
+			}
+			rep, err = eng.QueryReport(q, WithAlgorithm(alg), WithCache(false), WithReducers(3))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,8 +251,8 @@ func TestDistributedJobSizedByWorkerLanes(t *testing.T) {
 	}
 }
 
-// A planned (WithAutoPlan) columnar query must ship its pruned block
-// selection and still match the in-process planner exactly.
+// Every query is planned: a columnar query must ship its pruned block
+// selection and still match the in-process engine exactly.
 func TestDistributedAutoPlan(t *testing.T) {
 	base := Config{Storage: StorageDFSBinary, Nodes: 4, BlockSize: 8 << 10, MapSlots: 4, ReduceSlots: 2}
 	ref := distEngine(t, base, 1500)
@@ -265,19 +262,19 @@ func TestDistributedAutoPlan(t *testing.T) {
 	eng := distEngine(t, cfg, 1500)
 
 	for qi, q := range distQueries(kws, 4) {
-		want, err := ref.Query(q, WithAutoPlan())
+		want, err := ref.Query(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := eng.QueryReport(q, WithAutoPlan(), WithCache(false))
+		rep, err := eng.QueryReport(q, WithCache(false))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if d := diffResults(rep.Results, want); d != "" {
-			t.Errorf("planned q%d: %s", qi, d)
+			t.Errorf("q%d: %s", qi, d)
 		}
-		if rep.Counters[CounterExecFallbackLocal] != 0 && rep.Plan != nil {
-			t.Errorf("planned q%d fell back to local execution", qi)
+		if rep.Counters[CounterExecFallbackLocal] != 0 {
+			t.Errorf("q%d fell back to local execution", qi)
 		}
 	}
 }

@@ -88,8 +88,7 @@ type Config struct {
 	// SealGridN is the edge size of the seal grid: Seal writes the
 	// datasets as per-cell files over a SealGridN x SealGridN grid and
 	// keeps a manifest of per-cell statistics in memory, which is what the
-	// query planner (WithAutoPlan) prunes against. Default
-	// DefaultSealGridN.
+	// query planner prunes every query against. Default DefaultSealGridN.
 	SealGridN int
 	// QueryCache bounds the engine's query result cache, in cached
 	// reports. Repeated queries against an unchanged storage generation
@@ -706,8 +705,8 @@ func (e *Engine) QueryContext(ctx context.Context, q Query, opts ...QueryOption)
 	return rep.Results, nil
 }
 
-// defaultGridN is the query-time grid of every query without WithGrid,
-// planned or not, so a generation has one data view. Grids sized per query
+// defaultGridN is the query-time grid of every query without WithGrid, so
+// a generation has one data view. Grids sized per query
 // from the planner's selection put the query_hot benchmark's 150 queries
 // on 12 grids (42 to 53), one view each; on one grid its live heap fell
 // from 63 to 41 MB and its qps rose 21% (6 paired seeds, 2 cores).
@@ -834,8 +833,8 @@ func (e *Engine) queryReport(ctx context.Context, q Query, opts []QueryOption) (
 // planQuery before anything runs: execute reads this value and nothing
 // else about the options, the storage format or the executor.
 type physicalPlan struct {
-	// The input: per-cell block selections of the sealed base and the
-	// delta, the data and feature halves apart.
+	// The input: the planner's per-cell block selections of the sealed
+	// base and the delta, the data and feature halves apart.
 	colsData, colsFeat []data.ColSel
 	// src maps that selection block by block, minus the sealed data
 	// blocks: those reach reduce through a data view, never the shuffle.
@@ -850,57 +849,42 @@ type physicalPlan struct {
 	gridN, reducers int
 	// empty marks a plan that proves the query returns nothing: no job runs.
 	empty      bool
-	planStats  *PlanStats // nil unless the planner pruned (WithAutoPlan)
+	planStats  *PlanStats
 	deltaStats *DeltaStats
 	counters   map[string]int64 // spq.plan.* and spq.delta.*
 }
 
-// planQuery decides how one query executes against snapshot s. It is the
-// only place that looks at the auto-plan and delta options and whether
-// the engine is distributed, and the only place that decides whether the
-// job ships: it does on a distributed engine when no delta block is
-// selected, since resident blocks have no reference a worker could read.
-// That decision sizes the job (sizeJob). An unplanned query is the same
-// plan with pruning off: every block of every cell, base and delta, no
-// planner statistics.
+// planQuery decides how one query executes against snapshot s. Every
+// query is planned: the planner prunes the sealed base and the delta
+// against it, and the job reads the surviving blocks. planQuery is the
+// only place that looks at the delta option and whether the engine is
+// distributed, and the only place that decides whether the job ships: it
+// does on a distributed engine when no delta block is selected, since
+// resident blocks have no reference a worker could read. That decision
+// sizes the job (sizeJob).
 func (e *Engine) planQuery(s *snapshot, q Query, cfg *queryConfig) *physicalPlan {
-	// The delta participating in this query: records appended after the
-	// base generation sealed, unless the caller opted out.
-	delta := s.delta
-	if cfg.noDelta {
-		delta = nil
-	}
 	p := &physicalPlan{
 		gridN:      cmp.Or(cfg.gridN, defaultGridN),
 		reducers:   cfg.reducers,
 		deltaStats: &DeltaStats{Generation: s.gen},
 		segIO:      &data.SegIOStats{},
 	}
-	dataCells, featCells := s.manifest.Data, s.manifest.Features
-	var deltaData, deltaFeat []data.CellStats
-	var deltaResident map[string][]*data.ColumnBlock
-	if delta != nil {
+	// The delta participating in this query: records appended after the
+	// base generation sealed, unless the caller opted out.
+	var deltaData, deltaFeat []data.ColSel
+	if delta := s.delta; delta != nil && !cfg.noDelta {
 		// The delta cut into blocks over the manifest's seal grid (lazily,
 		// once per snapshot), so its cells read and prune like sealed ones.
-		cells, resident := delta.blocks(s.manifest, e.dict)
-		deltaData, deltaFeat, deltaResident = cells.Data, cells.Features, resident
+		deltaData, deltaFeat = delta.selections(s.manifest, e.dict)
 		p.deltaStats.Records = int64(len(delta.objs))
-		p.deltaStats.RecordsSelected = p.deltaStats.Records
 		p.deltaStats.Cells = len(deltaData) + len(deltaFeat)
 	}
-	var blocks map[string][]int // surviving blocks per cell; nil = all
-	if cfg.autoPlan {
-		dec := plan.PlanGenerations(s.manifest, deltaData, deltaFeat, plan.Input{Radius: q.Radius, Keywords: q.Keywords})
-		dataCells, featCells, blocks = dec.Data, dec.Features, dec.Blocks
-		deltaData, deltaFeat = dec.DeltaData, dec.DeltaFeatures
-		p.deltaStats.CellsPruned = dec.Stats.DeltaCellsPruned
-		p.deltaStats.RecordsSelected = dec.Stats.DeltaRecordsSelected
-		p.counters = dec.Counters()
-		p.planStats = newPlanStats(dec, p.gridN, p.reducers)
-		p.empty = dec.Empty()
-	}
-	p.counters = deltaCounters(p.counters, p.deltaStats)
-	if p.empty {
+	dec := plan.PlanGenerations(s.manifest, deltaData, deltaFeat, plan.Input{Radius: q.Radius, Keywords: q.Keywords})
+	p.deltaStats.CellsPruned = dec.Stats.DeltaCellsPruned
+	p.deltaStats.RecordsSelected = dec.Stats.DeltaRecordsSelected
+	p.counters = deltaCounters(dec.Counters(), p.deltaStats)
+	p.planStats = newPlanStats(dec, p.gridN, p.reducers)
+	if p.empty = dec.Empty(); p.empty {
 		return p
 	}
 
@@ -913,17 +897,10 @@ func (e *Engine) planQuery(s *snapshot, q Query, cfg *queryConfig) *physicalPlan
 	// rather than disabling it — its data records join their groups
 	// in-stream, beside the view cell. A job that ships reads the workers'
 	// own views, built from the generation's block list; any other job
-	// reads the engine's. The selection is one slice, sealed data cells
+	// reads the engine's. The planner's selection runs sealed data cells
 	// first, so the in-stream source is its tail.
-	cols := make([]data.ColSel, 0, len(dataCells)+len(deltaData)+len(featCells)+len(deltaFeat))
-	cols = selectCells(cols, dataCells, blocks, nil)
-	nSealed := len(cols)
-	cols = selectCells(cols, deltaData, blocks, deltaResident)
-	n := len(cols)
-	cols = selectCells(cols, featCells, blocks, nil)
-	cols = selectCells(cols, deltaFeat, blocks, deltaResident)
-	p.colsData, p.colsFeat = cols[:n:n], cols[n:]
-	cols = cols[nSealed:]
+	p.colsData, p.colsFeat = dec.Data(), dec.Features()
+	cols := dec.Cells[dec.SealedData:]
 	if e.exec != nil && !slices.ContainsFunc(cols, func(sel data.ColSel) bool { return sel.Resident != nil }) {
 		p.wire = &core.WireInfo{Gen: s.manifest.Generation, DataBlocks: s.dataBlocks}
 	}
@@ -952,20 +929,16 @@ func (e *Engine) sizeJob(p *physicalPlan, cfg *queryConfig) int {
 	}
 	if cfg.reducers <= 0 {
 		p.reducers = reducers
-		if p.planStats != nil {
-			p.planStats.NumReducers = reducers
-		}
+		p.planStats.NumReducers = reducers
 	}
 	return maps
 }
 
 // chooseReducers caps the paper's one-reducer-per-cell default at a small
-// multiple of the available reduce slots: beyond that, extra reduce tasks
-// only add scheduling overhead (cells are then assigned round-robin).
+// multiple of the available reduce slots (Config.ReduceSlots, at least 1
+// after withDefaults): beyond that, extra reduce tasks only add
+// scheduling overhead (cells are then assigned round-robin).
 func chooseReducers(gridN, reduceSlots int) int {
-	if reduceSlots <= 0 {
-		return gridN * gridN
-	}
 	return min(gridN*gridN, 4*reduceSlots)
 }
 
@@ -1033,16 +1006,12 @@ func (e *Engine) execute(ctx context.Context, s *snapshot, cq core.Query, cfg *q
 	return out, nil
 }
 
-// deltaCounters merges the spq.delta.* counters into base (the planner's
-// counter map, or nil). They are emitted only when a delta was actually
-// visible to the query, so delta-free executions keep their counter sets
-// unchanged.
+// deltaCounters merges the spq.delta.* counters into base, the planner's
+// counter map. They are emitted only when a delta was actually visible to
+// the query, so delta-free executions keep their counter sets unchanged.
 func deltaCounters(base map[string]int64, ds *DeltaStats) map[string]int64 {
 	if ds.Records == 0 {
 		return base
-	}
-	if base == nil {
-		base = make(map[string]int64, 3)
 	}
 	base[CounterDeltaRecords] = ds.Records
 	base[CounterDeltaRecordsSelected] = ds.RecordsSelected
@@ -1092,21 +1061,6 @@ func newPlanStats(d *plan.Decision, gridN, reducers int) *PlanStats {
 	}
 }
 
-// selectCells appends the read selection over cells to dst: every block
-// when blocks is nil (the unplanned path), otherwise each cell's surviving
-// block indices from the planner decision; resident holds the blocks of
-// the delta's cells, which live in memory (nil for sealed SPQ3 cells).
-func selectCells(dst []data.ColSel, cells []data.CellStats, blocks map[string][]int, resident map[string][]*data.ColumnBlock) []data.ColSel {
-	for _, cs := range cells {
-		sel := data.ColSel{Cell: cs, Resident: resident[cs.File]}
-		if blocks != nil {
-			sel.Blocks = blocks[cs.File]
-		}
-		dst = append(dst, sel)
-	}
-	return dst
-}
-
 // Data-view counters. A query whose job runs in-process reports exactly
 // one of them as 1: a miss means it built the view of its base generation
 // and query grid (the build failed and was retried, if need be), a hit
@@ -1129,7 +1083,7 @@ func (e *Engine) dataView(s *snapshot, gridN int, bounds geo.Rect, io *data.SegI
 	build := func() (*core.DataView, error) {
 		built = true
 		g := grid.New(bounds, gridN, gridN)
-		in := data.NewColInput(e.fs, selectCells(nil, s.manifest.Data, nil, nil), e.segCache, s.manifest.Generation)
+		in := data.NewColInput(e.fs, data.SelectAll(s.manifest.Data), e.segCache, s.manifest.Generation)
 		in.IO = io
 		return core.BuildDataView(g, in)
 	}
@@ -1148,19 +1102,14 @@ func (e *Engine) dataView(s *snapshot, gridN int, bounds geo.Rect, io *data.SegI
 	}
 }
 
-// selBytes sums the stored (compressed) frame bytes of a block selection:
-// the deterministic spq.seg.bytes.selected counter. Unlike bytes.read it
-// does not depend on segment-cache warmth, so two segment formats can be
-// compared byte-for-byte even when every read is a cache hit.
+// selBytes sums the stored (compressed) frame bytes of the planner's
+// block selections, which always list their blocks: the deterministic
+// spq.seg.bytes.selected counter. Unlike bytes.read it does not depend on
+// segment-cache warmth, so two segment formats can be compared
+// byte-for-byte even when every read is a cache hit.
 func selBytes(sels []data.ColSel) int64 {
 	var n int64
 	for _, sel := range sels {
-		if sel.Blocks == nil {
-			for _, bs := range sel.Cell.Blocks {
-				n += int64(bs.Length)
-			}
-			continue
-		}
 		for _, i := range sel.Blocks {
 			n += int64(sel.Cell.Blocks[i].Length)
 		}

@@ -83,9 +83,9 @@ func main() {
 	resp, status = post(spq.QueryRequest{
 		Query:     q,
 		Algorithm: "eSPQlen",
-		AutoPlan:  true,
+		GridN:     8,
 	}, "demo")
-	fmt.Printf("\nwith algorithm+planner -> %d, effective options %+v\n", status, *resp.Options)
+	fmt.Printf("\nwith algorithm+grid -> %d, effective options %+v\n", status, *resp.Options)
 
 	// 5. The "demo" tenant has burst 2 and has spent it: the third query
 	// is shed with 429/overloaded — without occupying any admission slot.

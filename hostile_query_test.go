@@ -65,7 +65,7 @@ func TestHugeKReturnsEveryScoredObject(t *testing.T) {
 // TestRadiusBeyondDataSpaceMatchesDiagonal is the radius relation at its
 // far end: once r covers the data space's diagonal every feature is in
 // range of every object, so any larger radius returns the diagonal's
-// results, planned or not, within the query's deadline. Unclamped, 1e20
+// results, within the query's deadline. Unclamped, 1e20
 // overflows the grid's ring count and duplicates no feature, and 1e9
 // walks ~10^11 rows outside the grid per feature.
 func TestRadiusBeyondDataSpaceMatchesDiagonal(t *testing.T) {
@@ -78,7 +78,6 @@ func TestRadiusBeyondDataSpaceMatchesDiagonal(t *testing.T) {
 	}{
 		{"default", nil},
 		{"grid8", []QueryOption{WithGrid(8)}},
-		{"planned", []QueryOption{WithAutoPlan()}},
 	}
 	for _, alg := range Algorithms() {
 		for _, p := range plans {

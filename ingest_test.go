@@ -112,24 +112,19 @@ func TestIngestEquivalenceProperty(t *testing.T) {
 	}
 
 	for _, alg := range Algorithms() {
-		for _, planned := range []bool{false, true} {
-			for qi, q := range queries {
-				opts := []QueryOption{WithAlgorithm(alg), WithCache(false)}
-				if planned {
-					opts = append(opts, WithAutoPlan())
-				}
-				want, err := batch.Query(q, opts...)
-				if err != nil {
-					t.Fatalf("%v planned=%t q%d batch: %v", alg, planned, qi, err)
-				}
-				got, err := inc.Query(q, opts...)
-				if err != nil {
-					t.Fatalf("%v planned=%t q%d incremental: %v", alg, planned, qi, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%v planned=%t q%d: incremental results differ\n got %v\nwant %v",
-						alg, planned, qi, got, want)
-				}
+		for qi, q := range queries {
+			opts := []QueryOption{WithAlgorithm(alg), WithCache(false)}
+			want, err := batch.Query(q, opts...)
+			if err != nil {
+				t.Fatalf("%v q%d batch: %v", alg, qi, err)
+			}
+			got, err := inc.Query(q, opts...)
+			if err != nil {
+				t.Fatalf("%v q%d incremental: %v", alg, qi, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%v q%d: incremental results differ\n got %v\nwant %v",
+					alg, qi, got, want)
 			}
 		}
 	}
@@ -192,7 +187,7 @@ func TestAppendWhileQueryRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				res, err := e.Query(query(g), WithAutoPlan())
+				res, err := e.Query(query(g))
 				if err != nil {
 					errs[g] = err
 					return
@@ -240,11 +235,11 @@ func TestAppendWhileQueryRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	for g := 0; g < queriers; g++ {
-		want, err := batch.Query(query(g), WithAutoPlan())
+		want, err := batch.Query(query(g))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := e.Query(query(g), WithAutoPlan(), WithCache(false))
+		got, err := e.Query(query(g), WithCache(false))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,7 +456,7 @@ func TestDeltaPlannerCounters(t *testing.T) {
 	if err := e.AddFeature(Feature{ID: 9001, X: -50, Y: -50, Keywords: []string{"espresso"}}); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.QueryReport(Query{K: 5, Radius: 0.05, Keywords: []string{"espresso"}}, WithAutoPlan(), WithCache(false))
+	rep, err := e.QueryReport(Query{K: 5, Radius: 0.05, Keywords: []string{"espresso"}}, WithCache(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +483,7 @@ func TestDeltaPlannerCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := e.Query(Query{K: 200, Radius: 0.05, Keywords: []string{"espresso"}},
-		WithAutoPlan(), WithCache(false))
+		WithCache(false))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -462,7 +462,7 @@ func (h *Harness) runOne(ds *data.Dataset, alg core.Algorithm, q core.Query, gri
 	var results []spq.Result
 	cell, err := h.measure(func() (Cell, error) {
 		before := eng.SegmentCacheStats()
-		rep, err := eng.QueryReport(query, spq.WithAutoPlan(), spq.WithAlgorithm(alg),
+		rep, err := eng.QueryReport(query, spq.WithAlgorithm(alg),
 			spq.WithGrid(gridN), spq.WithBounds(b.MinX, b.MinY, b.MaxX, b.MaxY))
 		if err != nil {
 			return Cell{}, err

@@ -155,7 +155,7 @@ func TestBlockMapMatchesRecordMap(t *testing.T) {
 	}
 	cell := data.CellStats{File: "seg", Records: len(objs), Blocks: cw.Stats()}
 	newInput := func() mapreduce.Source[data.Object] {
-		in := data.NewColInput(memSegments{"seg": seg.Bytes()}, []data.ColSel{{Cell: cell}}, nil, 1)
+		in := data.NewColInput(memSegments{"seg": seg.Bytes()}, []data.ColSel{{Cell: &cell}}, nil, 1)
 		return mapreduce.Coalesce[data.Object](in, 2)
 	}
 
@@ -274,7 +274,7 @@ func TestCorruptMatchedListIsQueryError(t *testing.T) {
 			t.Fatal(err)
 		}
 		segs[name] = seg.Bytes()
-		cells = append(cells, data.ColSel{Cell: data.CellStats{File: name, Records: len(parts[kind]), Blocks: cw.Stats()}})
+		cells = append(cells, data.ColSel{Cell: &data.CellStats{File: name, Records: len(parts[kind]), Blocks: cw.Stats()}})
 	}
 
 	// Decoding a frame in place leaves the block's lists aliasing it, so

@@ -57,9 +57,9 @@ func EncodeBlockList(cells []CellStats) []byte {
 func DecodeBlockList(raw []byte) ([]ColSel, error) {
 	d := listDecoder{raw: raw}
 	n := d.count("cell count")
-	var sels []ColSel
+	var cells []CellStats
 	if d.err == nil {
-		sels = make([]ColSel, 0, n)
+		cells = make([]CellStats, 0, n)
 	}
 	for i := 0; i < n && d.err == nil; i++ {
 		name := d.count("file name length")
@@ -69,7 +69,8 @@ func DecodeBlockList(raw []byte) ([]ColSel, error) {
 		if d.err != nil {
 			break
 		}
-		cs := CellStats{File: string(d.raw[:name])}
+		cells = append(cells, CellStats{File: string(d.raw[:name])})
+		cs := &cells[i]
 		d.raw = d.raw[name:]
 		nb := d.count("block count")
 		if d.err == nil && nb == 0 {
@@ -94,7 +95,6 @@ func DecodeBlockList(raw []byte) ([]ColSel, error) {
 			cs.Blocks[j] = BlockStats{Records: int(recs), Offset: int64(off), Length: int(length)}
 			cs.Records += int(recs)
 		}
-		sels = append(sels, ColSel{Cell: cs})
 	}
 	if d.err == nil && len(d.raw) > 0 {
 		d.err = fmt.Errorf("%d trailing bytes", len(d.raw))
@@ -102,7 +102,7 @@ func DecodeBlockList(raw []byte) ([]ColSel, error) {
 	if d.err != nil {
 		return nil, fmt.Errorf("data: block list: %w", d.err)
 	}
-	return sels, nil
+	return SelectAll(cells), nil
 }
 
 // listDecoder reads uvarints off a block list, keeping the first error.

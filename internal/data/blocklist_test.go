@@ -101,7 +101,7 @@ func FuzzDecodeBlockList(f *testing.F) {
 		}
 		cells := make([]CellStats, len(sels))
 		for i, sel := range sels {
-			cells[i] = sel.Cell
+			cells[i] = *sel.Cell
 		}
 		again, err := DecodeBlockList(EncodeBlockList(cells))
 		if err != nil || !reflect.DeepEqual(again, sels) {

@@ -99,11 +99,7 @@ func TestColInputCacheSharing(t *testing.T) {
 // allBlocks is the unpruned selection over a manifest: every cell, every
 // block.
 func allBlocks(m *Manifest) []ColSel {
-	var out []ColSel
-	for _, cs := range append(append([]CellStats(nil), m.Data...), m.Features...) {
-		out = append(out, ColSel{Cell: cs})
-	}
-	return out
+	return append(SelectAll(m.Data), SelectAll(m.Features)...)
 }
 
 // TestColInputLRUEviction bounds the cache by decoded bytes.

@@ -44,16 +44,27 @@ type RangeReader interface {
 	ReadRange(file string, off int64, n int) ([]byte, error)
 }
 
-// ColSel selects what a query reads of one cell: the cell's manifest entry
-// plus the indices of its surviving blocks. A nil Blocks slice selects
-// every block (the unplanned path); the query planner narrows it using the
-// per-block zone maps. Resident holds the blocks of a delta cell, which
-// live in memory, never encoded, one per zone map; nil for a sealed cell,
-// stored as an SPQ3 segment.
+// ColSel selects what a reader reads of one cell: the cell's entry, shared
+// with the manifest (or the delta's block cut) it belongs to, never a
+// copy, plus the indices of the blocks to read. A nil Blocks slice selects
+// every block, as a data view's build reads them; the query planner's
+// selections carry the surviving indices. Resident holds the blocks of a
+// delta cell, which live in memory, never encoded, one per zone map; nil
+// for a sealed cell, stored as an SPQ3 segment.
 type ColSel struct {
-	Cell     CellStats
+	Cell     *CellStats
 	Blocks   []int
 	Resident []*ColumnBlock
+}
+
+// SelectAll selects every block of every cell, each selection pointing
+// at its entry of cells.
+func SelectAll(cells []CellStats) []ColSel {
+	sels := make([]ColSel, len(cells))
+	for i := range cells {
+		sels[i].Cell = &cells[i]
+	}
+	return sels
 }
 
 // ColInput is a MapReduce source over column blocks: one split per
@@ -93,7 +104,7 @@ func (c *ColInput) Splits() ([]mapreduce.SourceSplit[Object], error) {
 			return nil, fmt.Errorf("data: columnar read of cell %q: %d resident blocks for %d zone maps", sel.Cell.File, len(sel.Resident), len(sel.Cell.Blocks))
 		}
 		split := func(i int) *colSplit {
-			s := &colSplit{in: c, file: sel.Cell.File, idx: i, bs: sel.Cell.Blocks[i]}
+			s := &colSplit{in: c, file: sel.Cell.File, idx: i, bs: &sel.Cell.Blocks[i]}
 			if sel.Resident != nil {
 				s.block = sel.Resident[i]
 			}
@@ -116,12 +127,12 @@ func (c *ColInput) Splits() ([]mapreduce.SourceSplit[Object], error) {
 	return out, nil
 }
 
-// colSplit reads one column block.
+// colSplit reads one column block; bs is its zone map, in the manifest.
 type colSplit struct {
 	in   *ColInput
 	file string
 	idx  int
-	bs   BlockStats
+	bs   *BlockStats
 	// block is the resident block; nil for a block read from storage.
 	block *ColumnBlock
 }
@@ -179,7 +190,7 @@ func (c *ColInput) OpenRef(ref *mapreduce.SplitRef) (mapreduce.SourceSplit[Objec
 		in:   c,
 		file: ref.File,
 		idx:  int(idx),
-		bs:   BlockStats{Records: int(records), Offset: ref.Offset, Length: int(ref.Length)},
+		bs:   &BlockStats{Records: int(records), Offset: ref.Offset, Length: int(ref.Length)},
 	}, nil
 }
 

@@ -24,10 +24,9 @@ func BenchmarkColdBlockOpen(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var cells []ColSel
+	cells := SelectAll(man.Features)
 	blocks := 0
 	for _, cs := range man.Features {
-		cells = append(cells, ColSel{Cell: cs})
 		blocks += len(cs.Blocks)
 	}
 	q := ds.FrequentQueryKeywords(3)

@@ -20,15 +20,15 @@ type unit struct {
 // explode turns one category's cells into pruning units, one per block, in
 // cell and block order. A cell without zone maps has no units, so it is
 // never selected.
-func explode(cells []data.CellStats) []unit {
+func explode(cells []data.ColSel) []unit {
 	n := 0
-	for _, cs := range cells {
-		n += len(cs.Blocks)
+	for _, sel := range cells {
+		n += len(sel.Cell.Blocks)
 	}
 	out := make([]unit, 0, n)
-	for i := range cells {
-		for b := range cells[i].Blocks {
-			zone := &cells[i].Blocks[b]
+	for i, sel := range cells {
+		for b := range sel.Cell.Blocks {
+			zone := &sel.Cell.Blocks[b]
 			out = append(out, unit{cell: int32(i), block: int32(b), bounds: zone.Bounds, zone: zone})
 		}
 	}
@@ -36,11 +36,12 @@ func explode(cells []data.CellStats) []unit {
 }
 
 // layer is one category — data or features — of one generation: its
-// cells, their units, and the units filed by bucket. Bucket b (row-major)
-// holds units ids[start[b]:start[b+1]], so the buckets of one row between
-// two columns are one contiguous run of ids.
+// cells, each selecting every block, their units, and the units filed by
+// bucket. Bucket b (row-major) holds units ids[start[b]:start[b+1]], so
+// the buckets of one row between two columns are one contiguous run of
+// ids.
 type layer struct {
-	cells []data.CellStats
+	cells []data.ColSel
 	units []unit
 	start []int32
 	ids   []int32
@@ -57,30 +58,27 @@ func (l *layer) keptCells(keep []bool) int {
 	return n
 }
 
-// regroup folds the layer's surviving units back into per-cell
-// selections: the surviving cells in layer order, and each one's ascending
-// surviving block indices in blocks, cut from the tail of sel (which it
-// returns extended).
-func (l *layer) regroup(keep []bool, blocks map[string][]int, sel []int) (kept []data.CellStats, records int64, rest []int) {
-	if n := l.keptCells(keep); n > 0 {
-		kept = make([]data.CellStats, 0, n)
-	}
+// regroup appends the layer's surviving cells to dst, in layer order: each
+// one's selection narrowed to its ascending surviving block indices, cut
+// from the tail of idx (which it returns extended), and the records of
+// those blocks.
+func (l *layer) regroup(keep []bool, dst []data.ColSel, idx []int) (out []data.ColSel, records int64, rest []int) {
 	for i := 0; i < len(l.units); {
-		from := len(sel)
+		from := len(idx)
 		c := l.units[i].cell
 		for ; i < len(l.units) && l.units[i].cell == c; i++ {
 			if keep[i] {
-				sel = append(sel, int(l.units[i].block))
+				idx = append(idx, int(l.units[i].block))
 				records += int64(l.units[i].zone.Records)
 			}
 		}
-		if len(sel) > from {
-			cs := l.cells[c]
-			kept = append(kept, cs)
-			blocks[cs.File] = sel[from:len(sel):len(sel)]
+		if len(idx) > from {
+			sel := l.cells[c]
+			sel.Blocks = idx[from:len(idx):len(idx)]
+			dst = append(dst, sel)
 		}
 	}
-	return kept, records, sel
+	return dst, records, idx
 }
 
 // index is the planner's view of one sealed generation: the base's units
@@ -98,9 +96,10 @@ func indexOf(m *data.Manifest) *index {
 }
 
 func newIndex(m *data.Manifest) *index {
-	du, fu := explode(m.Data), explode(m.Features)
+	dc, fc := data.SelectAll(m.Data), data.SelectAll(m.Features)
+	du, fu := explode(dc), explode(fc)
 	g := newBucketGrid(du, fu)
-	return &index{grid: g, data: g.fill(m.Data, du), features: g.fill(m.Features, fu)}
+	return &index{grid: g, data: g.fill(dc, du), features: g.fill(fc, fu)}
 }
 
 // maxFill bounds the bucket entries per unit, so that a manifest of huge
@@ -194,7 +193,7 @@ func (g bucketGrid) spans(b geo.Rect, reach float64) (x0, x1, y0, y1 int) {
 
 // fill files the units of cells under their buckets: once per generation
 // for the base, per query for the delta. No units, no buckets.
-func (g bucketGrid) fill(cells []data.CellStats, units []unit) layer {
+func (g bucketGrid) fill(cells []data.ColSel, units []unit) layer {
 	if len(units) == 0 {
 		return layer{cells: cells}
 	}

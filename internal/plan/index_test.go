@@ -37,7 +37,7 @@ var families = []family{{1, 0}, {1, 0}, {1, 0}, {1e-163, 0}, {1e300, 0}, {1, 1e6
 type instance struct {
 	fam    family
 	m      *data.Manifest
-	dd, df []data.CellStats
+	dd, df []data.ColSel
 }
 
 // randomPoint draws a point of the unit square, often on a multiple of
@@ -85,7 +85,7 @@ func randomInstance(r *rand.Rand) instance {
 		m: sealCut(data.PartitionObjects(g, randomObjects(r, 20+r.Intn(300), 1, fam, false, dict)), "base", dict, 1+r.Intn(8))}
 	if r.Intn(2) == 0 {
 		d := sealCut(data.PartitionObjects(g, randomObjects(r, 10+r.Intn(100), 1e6, fam, true, dict)), "delta", dict, 1+r.Intn(8))
-		in.dd, in.df = d.Data, d.Features
+		in.dd, in.df = data.SelectAll(d.Data), data.SelectAll(d.Features)
 	}
 	return in
 }
@@ -97,7 +97,7 @@ func (in instance) radii(r *rand.Rand) []float64 {
 	s := in.fam.scale
 	rs := []float64{0, 1e-6, 1e-6 * s, 0.02 * s, 0.1 * s, 2 * s, 1e20, math.MaxFloat64}
 	var units []unit
-	for _, cells := range [][]data.CellStats{in.m.Data, in.m.Features, in.dd, in.df} {
+	for _, cells := range [][]data.ColSel{data.SelectAll(in.m.Data), data.SelectAll(in.m.Features), in.dd, in.df} {
 		units = append(units, explode(cells)...)
 	}
 	for i := 0; i < 4; i++ {
@@ -211,9 +211,9 @@ func TestPlanConcurrentFirstUse(t *testing.T) {
 // and delta, as "file#block".
 func kept(d *Decision) map[string]bool {
 	out := make(map[string]bool)
-	for file, blocks := range d.Blocks {
-		for _, b := range blocks {
-			out[fmt.Sprintf("%s#%d", file, b)] = true
+	for _, sel := range d.Cells {
+		for _, b := range sel.Blocks {
+			out[fmt.Sprintf("%s#%d", sel.Cell.File, b)] = true
 		}
 	}
 	return out
@@ -262,7 +262,7 @@ func TestPlanSurvivorsMonotone(t *testing.T) {
 
 // shifted copies cells as a delta: renamed, with every block moved by
 // (dx, dy).
-func shifted(cells []data.CellStats, dx, dy float64) []data.CellStats {
+func shifted(cells []data.CellStats, dx, dy float64) []data.ColSel {
 	out := make([]data.CellStats, len(cells))
 	for i, cs := range cells {
 		cs.File = "delta-" + cs.File
@@ -273,7 +273,7 @@ func shifted(cells []data.CellStats, dx, dy float64) []data.CellStats {
 		}
 		out[i] = cs
 	}
-	return out
+	return data.SelectAll(out)
 }
 
 // decodeManifest reads a JSON-encoded manifest and rejects one a seal
@@ -383,7 +383,7 @@ func FuzzPlanManifest(f *testing.F) {
 // objects, hotspot-skewed, Zipfian keywords) sealed over the default
 // 32x32 grid, about 1,200 blocks per kind, plus a delta of 5,000 more
 // objects cut over the same grid.
-var flManifest = sync.OnceValues(func() (*data.Manifest, [2][]data.CellStats) {
+var flManifest = sync.OnceValues(func() (*data.Manifest, [2][]data.ColSel) {
 	ds := data.Generate(data.FlickrSpec(200000))
 	g := grid.New(ds.Bounds(), 32, 32)
 	m, _ := data.PartitionObjects(g, ds.Objects()).SealBlocks("fl", ds.Dict)
@@ -397,7 +397,7 @@ var flManifest = sync.OnceValues(func() (*data.Manifest, [2][]data.CellStats) {
 		dds.Features[i].ID += 1 << 32
 	}
 	delta, _ := data.PartitionObjects(g, dds.Objects()).SealBlocks("fl-delta", dds.Dict)
-	return m, [2][]data.CellStats{delta.Data, delta.Features}
+	return m, [2][]data.ColSel{data.SelectAll(delta.Data), data.SelectAll(delta.Features)}
 })
 
 var benchDecision *Decision
@@ -412,8 +412,8 @@ func BenchmarkPlanGenerations(b *testing.B) {
 	indexOf(m) // the index is per generation, not per query
 	for _, c := range []struct {
 		name   string
-		dd, df []data.CellStats
-		plan   func(*data.Manifest, []data.CellStats, []data.CellStats, Input) *Decision
+		dd, df []data.ColSel
+		plan   func(*data.Manifest, []data.ColSel, []data.ColSel, Input) *Decision
 	}{
 		{"base", nil, nil, PlanGenerations},
 		{"delta", delta[0], delta[1], PlanGenerations},

@@ -35,19 +35,21 @@
 // more, against rounding — and the unchanged test RectMinDist2 <= r²
 // decides each candidate. Every Decision is the scan's, to the digit.
 //
-// The planner only prunes: it never sizes the job. The query-time grid and
-// the task counts are the engine's, the same for a planned query as for an
-// unplanned one, so one data view per generation serves every query.
-// Pruning never changes results: surviving blocks feed the unmodified
-// query-time grid algorithms, so the top-k is identical to the unpruned
-// path.
+// The engine plans every query, and the planner only prunes: it never
+// sizes the job. The query-time grid and the task counts are the
+// engine's, so one data view per generation serves every query. Pruning
+// never changes results: it drops only what the Map phase would drop, and
+// the surviving blocks feed the unmodified query-time grid algorithms, so
+// the top-k is that of a scan of every block. The selections it returns
+// point into the manifest and the delta cells it was handed, which are
+// immutable, so nothing is copied per query.
 package plan
 
 import "spq/internal/data"
 
-// Planner counter names, merged into the job counters of a planned query
-// so callers can observe pruning effectiveness next to the MapReduce
-// counters they already read.
+// Planner counter names, merged into the job counters of every query so
+// callers can observe pruning effectiveness next to the MapReduce counters
+// they already read.
 const (
 	// CounterDataCellsPruned counts data cells skipped by distance pruning.
 	CounterDataCellsPruned = "spq.plan.cells.data.pruned"
@@ -106,30 +108,37 @@ type Stats struct {
 	DeltaRecordsSelected int64
 }
 
-// Decision is the planner's output: the surviving cells and blocks.
+// Decision is the planner's output: the surviving cells and blocks, as
+// the selections a columnar reader reads.
 type Decision struct {
-	// Data and Features are the surviving sealed-base manifest entries.
-	Data     []data.CellStats
-	Features []data.CellStats
-	// DeltaData and DeltaFeatures are the surviving delta cells (see
-	// PlanGenerations), as the caller handed them in.
-	DeltaData     []data.CellStats
-	DeltaFeatures []data.CellStats
-	// Blocks maps every surviving cell, base and delta, to the ascending
-	// indices of its surviving blocks: the planner prunes individual
-	// column blocks the same three ways it prunes cells, so a surviving
-	// cell is often read only partially. Base and delta cell names must
-	// not collide.
-	Blocks map[string][]int
+	// Cells selects every surviving cell, base and delta, with the
+	// ascending indices of its surviving blocks: the planner prunes
+	// individual column blocks the same three ways it prunes cells, so a
+	// surviving cell is often read only partially. Each selection points
+	// at the entry the planner was handed — the manifest's own, or the
+	// delta's, whose resident blocks ride along — never a copy. Cells runs
+	// sealed data, delta data, sealed features, delta features;
+	// SealedData and DeltaData count the first two runs.
+	Cells                 []data.ColSel
+	SealedData, DeltaData int
 	// Stats describes the pruning outcome.
 	Stats Stats
 }
+
+// Data returns the surviving data cells, sealed then delta.
+func (d *Decision) Data() []data.ColSel {
+	n := d.SealedData + d.DeltaData
+	return d.Cells[:n:n]
+}
+
+// Features returns the surviving feature cells, sealed then delta.
+func (d *Decision) Features() []data.ColSel { return d.Cells[d.SealedData+d.DeltaData:] }
 
 // Empty reports whether the plan proves the query returns no results
 // (every data cell or every feature cell pruned, across base and delta):
 // the job can be skipped entirely.
 func (d *Decision) Empty() bool {
-	return len(d.Data)+len(d.DeltaData) == 0 || len(d.Features)+len(d.DeltaFeatures) == 0
+	return len(d.Data()) == 0 || len(d.Features()) == 0
 }
 
 // Counters renders the pruning outcome as job-counter deltas.
@@ -147,7 +156,8 @@ func (d *Decision) Counters() map[string]int64 {
 // in-memory delta cell sets against the query. The delta cells describe
 // records appended after the base generation sealed, cut into column
 // blocks over the same seal grid with zone maps like the manifest's (the
-// engine builds them on the fly). Pruning is performed jointly — a base
+// engine builds them on the fly), each selecting every block and carrying
+// its resident blocks. Pruning is performed jointly — a base
 // data block survives if any feature block of either generation is within
 // reach, and vice versa — so results over base+delta are identical to a
 // hypothetical re-seal of everything. The granule is the column block,
@@ -155,7 +165,7 @@ func (d *Decision) Counters() map[string]int64 {
 //
 // The base's units and buckets come from the manifest's index, built on
 // its first plan; only the delta's are cut per query.
-func PlanGenerations(m *data.Manifest, deltaData, deltaFeatures []data.CellStats, in Input) *Decision {
+func PlanGenerations(m *data.Manifest, deltaData, deltaFeatures []data.ColSel, in Input) *Decision {
 	d := &Decision{Stats: Stats{
 		SealGridN:    m.Grid.N,
 		DataCells:    len(m.Data) + len(deltaData),
@@ -163,11 +173,11 @@ func PlanGenerations(m *data.Manifest, deltaData, deltaFeatures []data.CellStats
 		RecordsTotal: m.TotalRecords(),
 		DeltaCells:   len(deltaData) + len(deltaFeatures),
 	}}
-	for _, cs := range deltaData {
-		d.Stats.DeltaRecords += int64(cs.Records)
+	for _, sel := range deltaData {
+		d.Stats.DeltaRecords += int64(sel.Cell.Records)
 	}
-	for _, cs := range deltaFeatures {
-		d.Stats.DeltaRecords += int64(cs.Records)
+	for _, sel := range deltaFeatures {
+		d.Stats.DeltaRecords += int64(sel.Cell.Records)
 	}
 	d.Stats.RecordsTotal += d.Stats.DeltaRecords
 
@@ -211,23 +221,23 @@ func PlanGenerations(m *data.Manifest, deltaData, deltaFeatures []data.CellStats
 		}
 	}
 
-	d.Blocks = make(map[string][]int, dataL[0].keptCells(keepD[0])+dataL[1].keptCells(keepD[1])+
+	d.Cells = make([]data.ColSel, 0, dataL[0].keptCells(keepD[0])+dataL[1].keptCells(keepD[1])+
 		featL[0].keptCells(keepF[0])+featL[1].keptCells(keepF[1]))
 	sel := make([]int, 0, survivors)
-	var selected int64
-	d.Data, selected, sel = dataL[0].regroup(keepD[0], d.Blocks, sel)
-	d.Stats.RecordsSelected += selected
-	d.Features, selected, sel = featL[0].regroup(keepF[0], d.Blocks, sel)
-	d.Stats.RecordsSelected += selected
-	d.DeltaData, selected, sel = dataL[1].regroup(keepD[1], d.Blocks, sel)
-	d.Stats.RecordsSelected += selected
-	d.Stats.DeltaRecordsSelected += selected
-	d.DeltaFeatures, selected, _ = featL[1].regroup(keepF[1], d.Blocks, sel)
-	d.Stats.RecordsSelected += selected
-	d.Stats.DeltaRecordsSelected += selected
+	var base, delta int64
+	d.Cells, base, sel = dataL[0].regroup(keepD[0], d.Cells, sel)
+	d.SealedData = len(d.Cells)
+	d.Cells, delta, sel = dataL[1].regroup(keepD[1], d.Cells, sel)
+	d.DeltaData = len(d.Cells) - d.SealedData
+	d.Stats.RecordsSelected, d.Stats.DeltaRecordsSelected = base+delta, delta
+	d.Cells, base, sel = featL[0].regroup(keepF[0], d.Cells, sel)
+	deltaFeatures0 := len(d.Cells)
+	d.Cells, delta, _ = featL[1].regroup(keepF[1], d.Cells, sel)
+	d.Stats.RecordsSelected += base + delta
+	d.Stats.DeltaRecordsSelected += delta
 	d.Stats.BlocksPruned = d.Stats.Blocks - survivors
-	d.Stats.DataCellsPruned = d.Stats.DataCells - len(d.Data) - len(d.DeltaData)
-	d.Stats.FeatureCellsPruned = d.Stats.FeatureCells - len(d.Features) - len(d.DeltaFeatures)
-	d.Stats.DeltaCellsPruned = d.Stats.DeltaCells - len(d.DeltaData) - len(d.DeltaFeatures)
+	d.Stats.DataCellsPruned = d.Stats.DataCells - len(d.Data())
+	d.Stats.FeatureCellsPruned = d.Stats.FeatureCells - len(d.Features())
+	d.Stats.DeltaCellsPruned = d.Stats.DeltaCells - d.DeltaData - (len(d.Cells) - deltaFeatures0)
 	return d
 }

@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -49,12 +50,30 @@ func buildManifest(t *testing.T, sealN int) *data.Manifest {
 	return m
 }
 
-func records(cells []data.CellStats) int64 {
+// records sums the records of the selected blocks.
+func records(sels []data.ColSel) int64 {
 	var n int64
-	for _, c := range cells {
-		n += int64(c.Records)
+	for _, sel := range sels {
+		if sel.Blocks == nil {
+			n += int64(sel.Cell.Records)
+		}
+		for _, i := range sel.Blocks {
+			n += int64(sel.Cell.Blocks[i].Records)
+		}
 	}
 	return n
+}
+
+// runs cuts a decision's selections into its four runs: sealed data,
+// delta data, sealed features and delta features, the last told apart by
+// the resident blocks buildDelta's cells carry.
+func runs(d *Decision) (sealedData, deltaData, sealedFeatures, deltaFeatures []data.ColSel) {
+	f := d.Features()
+	i := slices.IndexFunc(f, func(sel data.ColSel) bool { return sel.Resident != nil })
+	if i < 0 {
+		i = len(f)
+	}
+	return d.Cells[:d.SealedData], d.Cells[d.SealedData : d.SealedData+d.DeltaData], f[:i], f[i:]
 }
 
 func TestPlanKeywordAndDistancePruning(t *testing.T) {
@@ -70,21 +89,23 @@ func TestPlanKeywordAndDistancePruning(t *testing.T) {
 		t.Errorf("selected %d of %d records; cluster B not pruned",
 			d.Stats.RecordsSelected, d.Stats.RecordsTotal)
 	}
-	for _, cs := range d.Data {
-		if cs.Bounds.MinX > 0.5 {
-			t.Errorf("data cell %d from cluster B survived", cs.Cell)
+	for _, sel := range d.Data() {
+		if sel.Cell.Bounds.MinX > 0.5 {
+			t.Errorf("data cell %d from cluster B survived", sel.Cell.Cell)
 		}
 	}
-	for _, cs := range d.Features {
-		if !cs.Keywords.MayContain("a3") {
-			t.Errorf("feature cell %d without the query keyword survived", cs.Cell)
+	for _, sel := range d.Features() {
+		if !sel.Cell.Keywords.MayContain("a3") {
+			t.Errorf("feature cell %d without the query keyword survived", sel.Cell.Cell)
 		}
 	}
-	if got := records(d.Data) + records(d.Features); got != d.Stats.RecordsSelected {
+	if got := records(d.Cells); got != d.Stats.RecordsSelected {
 		t.Errorf("RecordsSelected = %d, cells sum to %d", d.Stats.RecordsSelected, got)
 	}
-	if len(d.Blocks) != len(d.Data)+len(d.Features) {
-		t.Errorf("Blocks = %d entries, want %d", len(d.Blocks), len(d.Data)+len(d.Features))
+	for _, sel := range d.Cells {
+		if len(sel.Blocks) == 0 {
+			t.Errorf("surviving cell %s lists no blocks", sel.Cell.File)
+		}
 	}
 	c := d.Counters()
 	if c[CounterRecordsSkipped] != d.Stats.RecordsTotal-d.Stats.RecordsSelected {
@@ -97,7 +118,7 @@ func TestPlanUnknownKeywordIsProvablyEmpty(t *testing.T) {
 	d := PlanGenerations(m, nil, nil, Input{Radius: 0.1, Keywords: []string{"no-such-word-xyzzy"}})
 	if !d.Empty() {
 		t.Errorf("plan for an out-of-vocabulary keyword kept %d data / %d feature cells",
-			len(d.Data), len(d.Features))
+			len(d.Data()), len(d.Features()))
 	}
 }
 
@@ -106,18 +127,18 @@ func TestPlanLargeRadiusKeepsEverythingRelevant(t *testing.T) {
 	// Radius spanning the whole space: distance pruning must keep every
 	// data cell; keyword pruning still drops cluster B's feature cells.
 	d := PlanGenerations(m, nil, nil, Input{Radius: 2, Keywords: []string{"a1"}})
-	if len(d.Data) != len(m.Data) {
-		t.Errorf("kept %d of %d data cells under a space-covering radius", len(d.Data), len(m.Data))
+	if len(d.Data()) != len(m.Data) {
+		t.Errorf("kept %d of %d data cells under a space-covering radius", len(d.Data()), len(m.Data))
 	}
-	if len(d.Features) >= len(m.Features) {
+	if len(d.Features()) >= len(m.Features) {
 		t.Errorf("no feature cell pruned despite disjoint vocabulary")
 	}
 }
 
-// buildDelta computes delta cell sets for a cluster around (cx, cy) with
-// the given keyword vocabulary, cut into blocks over the manifest's seal
-// grid exactly as the engine's delta is.
-func buildDelta(m *data.Manifest, cx, cy float64, vocab string, n int) (dataCells, featureCells []data.CellStats) {
+// buildDelta computes delta cell selections for a cluster around (cx, cy)
+// with the given keyword vocabulary, cut into resident blocks over the
+// manifest's seal grid exactly as the engine's delta is.
+func buildDelta(m *data.Manifest, cx, cy float64, vocab string, n int) (dataCells, featureCells []data.ColSel) {
 	dict := text.NewDict()
 	r := rand.New(rand.NewSource(9))
 	var objs []data.Object
@@ -134,8 +155,14 @@ func buildDelta(m *data.Manifest, cx, cy float64, vocab string, n int) (dataCell
 			})
 		}
 	}
-	delta, _ := data.PartitionObjects(m.Grid.Grid(), objs).SealBlocks("delta", dict)
-	return delta.Data, delta.Features
+	delta, resident := data.PartitionObjects(m.Grid.Grid(), objs).SealBlocks("delta", dict)
+	dataCells, featureCells = data.SelectAll(delta.Data), data.SelectAll(delta.Features)
+	for _, sels := range [][]data.ColSel{dataCells, featureCells} {
+		for i := range sels {
+			sels[i].Resident = resident[sels[i].Cell.File]
+		}
+	}
+	return dataCells, featureCells
 }
 
 func TestPlanGenerationsJointPruning(t *testing.T) {
@@ -150,10 +177,11 @@ func TestPlanGenerationsJointPruning(t *testing.T) {
 	if d.Empty() {
 		t.Fatal("plan empty despite matching delta cells")
 	}
-	if len(d.Features) != 0 {
-		t.Errorf("%d base feature cells survived a delta-only keyword", len(d.Features))
+	sd, sdd, sf, sdf := runs(d)
+	if len(sf) != 0 {
+		t.Errorf("%d base feature cells survived a delta-only keyword", len(sf))
 	}
-	if len(d.DeltaFeatures) == 0 {
+	if len(sdf) == 0 {
 		t.Error("no delta feature cell survived its own keyword")
 	}
 	if d.Stats.DeltaCells != len(dd)+len(df) {
@@ -162,16 +190,17 @@ func TestPlanGenerationsJointPruning(t *testing.T) {
 	if d.Stats.DeltaRecords != records(dd)+records(df) {
 		t.Errorf("DeltaRecords = %d, want %d", d.Stats.DeltaRecords, records(dd)+records(df))
 	}
-	if got := records(d.DeltaData) + records(d.DeltaFeatures); got != d.Stats.DeltaRecordsSelected {
+	if got := records(sdd) + records(sdf); got != d.Stats.DeltaRecordsSelected {
 		t.Errorf("DeltaRecordsSelected = %d, delta cells sum to %d", d.Stats.DeltaRecordsSelected, got)
 	}
-	if got := records(d.Data) + records(d.Features) + d.Stats.DeltaRecordsSelected; got != d.Stats.RecordsSelected {
+	if got := records(sd) + records(sf) + d.Stats.DeltaRecordsSelected; got != d.Stats.RecordsSelected {
 		t.Errorf("RecordsSelected = %d, survivors sum to %d", d.Stats.RecordsSelected, got)
 	}
-	// Surviving delta cells carry their block selections like sealed ones.
-	for _, cs := range append(append([]data.CellStats(nil), d.DeltaData...), d.DeltaFeatures...) {
-		if len(d.Blocks[cs.File]) == 0 {
-			t.Errorf("surviving delta cell %s has no block selection", cs.File)
+	// Surviving delta cells carry their block selections like sealed ones,
+	// and their resident blocks come back out with them.
+	for _, sel := range append(append([]data.ColSel(nil), sdd...), sdf...) {
+		if len(sel.Blocks) == 0 || len(sel.Resident) != len(sel.Cell.Blocks) {
+			t.Errorf("surviving delta cell %s selects blocks %v of %d resident", sel.Cell.File, sel.Blocks, len(sel.Resident))
 		}
 	}
 
@@ -179,11 +208,12 @@ func TestPlanGenerationsJointPruning(t *testing.T) {
 	// the whole delta — base data cells must not be kept alive by
 	// unreachable delta features.
 	d = PlanGenerations(m, dd, df, Input{Radius: 0.02, Keywords: []string{"a3"}})
-	if len(d.DeltaFeatures) != 0 {
-		t.Errorf("%d delta feature cells survived keyword 'a3'", len(d.DeltaFeatures))
+	_, sdd, _, sdf = runs(d)
+	if len(sdf) != 0 {
+		t.Errorf("%d delta feature cells survived keyword 'a3'", len(sdf))
 	}
-	if len(d.DeltaData) != 0 {
-		t.Errorf("%d delta data cells survived with no reachable feature", len(d.DeltaData))
+	if len(sdd) != 0 {
+		t.Errorf("%d delta data cells survived with no reachable feature", len(sdd))
 	}
 	if d.Stats.DeltaCellsPruned != d.Stats.DeltaCells {
 		t.Errorf("DeltaCellsPruned = %d, want all %d", d.Stats.DeltaCellsPruned, d.Stats.DeltaCells)
@@ -192,8 +222,8 @@ func TestPlanGenerationsJointPruning(t *testing.T) {
 	// Cross-generation reachability: a radius large enough to span the
 	// space keeps base data cells alive through delta features alone.
 	d = PlanGenerations(m, dd, df, Input{Radius: 2, Keywords: []string{"c1"}})
-	if len(d.Data) != len(m.Data) {
-		t.Errorf("kept %d of %d base data cells; delta features should reach all", len(d.Data), len(m.Data))
+	if d.SealedData != len(m.Data) {
+		t.Errorf("kept %d of %d base data cells; delta features should reach all", d.SealedData, len(m.Data))
 	}
 	if d.Empty() {
 		t.Error("plan empty despite space-covering radius and matching delta keyword")
@@ -207,8 +237,8 @@ func TestPlanGenerationsEmptyAcrossBothSets(t *testing.T) {
 	// with delta cells present.
 	d := PlanGenerations(m, dd, df, Input{Radius: 0.1, Keywords: []string{"no-such-word-xyzzy"}})
 	if !d.Empty() {
-		t.Errorf("plan kept %d+%d data / %d+%d feature cells for an unknown keyword",
-			len(d.Data), len(d.DeltaData), len(d.Features), len(d.DeltaFeatures))
+		t.Errorf("plan kept %d data / %d feature cells for an unknown keyword",
+			len(d.Data()), len(d.Features()))
 	}
 }
 
@@ -259,29 +289,13 @@ func TestPlanBlockGranularity(t *testing.T) {
 	if d.Stats.BlocksPruned == 0 {
 		t.Error("selective query pruned no blocks")
 	}
-	// Blocks of the "b" cluster must all be gone: keyword-disjoint feature
-	// blocks, unreachable data blocks.
-	for file, blocks := range d.Blocks {
-		if len(blocks) == 0 {
-			t.Errorf("surviving cell %s has an empty block selection", file)
+	for _, sel := range d.Cells {
+		if len(sel.Blocks) == 0 {
+			t.Errorf("surviving cell %s has an empty block selection", sel.Cell.File)
 		}
 	}
 	// Selected records must equal the records of surviving blocks exactly.
-	var got int64
-	lookup := make(map[string]data.CellStats)
-	for _, cs := range append(append([]data.CellStats(nil), m.Data...), m.Features...) {
-		lookup[cs.File] = cs
-	}
-	for _, cs := range append(append([]data.CellStats(nil), d.Data...), d.Features...) {
-		sel, ok := d.Blocks[cs.File]
-		if !ok {
-			t.Fatalf("surviving columnar cell %s has no block selection", cs.File)
-		}
-		for _, bi := range sel {
-			got += int64(lookup[cs.File].Blocks[bi].Records)
-		}
-	}
-	if got != d.Stats.RecordsSelected {
+	if got := records(d.Cells); got != d.Stats.RecordsSelected {
 		t.Errorf("surviving blocks hold %d records, Stats.RecordsSelected = %d", got, d.Stats.RecordsSelected)
 	}
 	// Block pruning must be at least as sharp as cell pruning: re-plan the
@@ -313,8 +327,8 @@ func TestPlanBlockCountersZeroWithoutZoneMaps(t *testing.T) {
 	if d.Stats.Blocks != 0 || d.Stats.BlocksPruned != 0 {
 		t.Errorf("manifest without zone maps reported blocks: %+v", d.Stats)
 	}
-	if len(d.Blocks) != 0 || !d.Empty() {
-		t.Errorf("manifest without zone maps produced block selections %v (empty plan: %v)", d.Blocks, d.Empty())
+	if len(d.Cells) != 0 || !d.Empty() {
+		t.Errorf("manifest without zone maps produced block selections %v (empty plan: %v)", d.Cells, d.Empty())
 	}
 }
 
@@ -322,7 +336,9 @@ func TestPlanBlockCountersZeroWithoutZoneMaps(t *testing.T) {
 // by block. Every unit — the index's for the base, the per-query cut for
 // the delta — carries a block index inside its cell's zone maps, there is
 // one unit per zone map, and every surviving cell, base or delta, comes
-// back with its surviving block indices.
+// back with its surviving block indices, pointing at the entry it was
+// handed in as: the manifest's own, or the delta's with its resident
+// blocks.
 func TestPlanEveryUnitIsABlock(t *testing.T) {
 	m := buildColumnarManifest(t, 2, 8)
 	dd, df := buildDelta(m, 0.25, 0.25, "a", 600)
@@ -330,52 +346,62 @@ func TestPlanEveryUnitIsABlock(t *testing.T) {
 	zoneMaps := 0
 	for _, c := range []struct {
 		name  string
-		cells []data.CellStats
+		cells []data.ColSel
 		units []unit
 	}{
-		{"base data", m.Data, ix.data.units},
-		{"base features", m.Features, ix.features.units},
+		{"base data", data.SelectAll(m.Data), ix.data.units},
+		{"base features", data.SelectAll(m.Features), ix.features.units},
 		{"delta data", dd, ix.grid.fill(dd, explode(dd)).units},
 		{"delta features", df, ix.grid.fill(df, explode(df)).units},
 	} {
 		n := 0
-		for _, cs := range c.cells {
-			n += len(cs.Blocks)
+		for _, sel := range c.cells {
+			n += len(sel.Cell.Blocks)
 		}
 		if len(c.units) != n {
 			t.Fatalf("%s: %d units for %d zone maps", c.name, len(c.units), n)
 		}
 		for _, u := range c.units {
-			if u.block < 0 || int(u.block) >= len(c.cells[u.cell].Blocks) || u.zone != &c.cells[u.cell].Blocks[u.block] {
+			cs := c.cells[u.cell].Cell
+			if u.block < 0 || int(u.block) >= len(cs.Blocks) || u.zone != &cs.Blocks[u.block] {
 				t.Fatalf("%s: unit %+v carries no block of its cell", c.name, u)
 			}
 		}
 		zoneMaps += n
 	}
-	if len(dd) == 0 || len(df) == 0 || len(dd[0].Blocks) < 2 {
+	if len(dd) == 0 || len(df) == 0 || len(dd[0].Cell.Blocks) < 2 {
 		t.Fatal("delta cells not cut into several blocks")
 	}
 	d := PlanGenerations(m, dd, df, Input{Radius: 0.01, Keywords: []string{"a3"}})
 	if d.Stats.Blocks != zoneMaps {
 		t.Errorf("planner considered %d blocks, want all %d zone maps", d.Stats.Blocks, zoneMaps)
 	}
-	if len(d.DeltaData) == 0 || len(d.DeltaFeatures) == 0 {
+	sd, sdd, sf, sdf := runs(d)
+	if len(sdd) == 0 || len(sdf) == 0 {
 		t.Fatal("no delta cell survived a query on its own cluster")
 	}
-	var selected int64
-	for _, cells := range [][]data.CellStats{d.Data, d.Features, d.DeltaData, d.DeltaFeatures} {
-		for _, cs := range cells {
-			sel := d.Blocks[cs.File]
-			if len(sel) == 0 {
-				t.Fatalf("surviving cell %s has no block selection", cs.File)
+	for _, r := range []struct {
+		name   string
+		kept   []data.ColSel
+		handed []data.ColSel
+	}{
+		{"base data", sd, data.SelectAll(m.Data)},
+		{"delta data", sdd, dd},
+		{"base features", sf, data.SelectAll(m.Features)},
+		{"delta features", sdf, df},
+	} {
+		for _, sel := range r.kept {
+			if len(sel.Blocks) == 0 {
+				t.Fatalf("surviving cell %s has no block selection", sel.Cell.File)
 			}
-			for _, bi := range sel {
-				selected += int64(cs.Blocks[bi].Records)
+			i := slices.IndexFunc(r.handed, func(h data.ColSel) bool { return h.Cell == sel.Cell })
+			if i < 0 || !slices.Equal(sel.Resident, r.handed[i].Resident) {
+				t.Fatalf("%s: surviving cell %s is not the entry handed in, or lost its resident blocks", r.name, sel.Cell.File)
 			}
 		}
 	}
-	if selected != d.Stats.RecordsSelected {
-		t.Errorf("surviving blocks hold %d records, Stats.RecordsSelected = %d", selected, d.Stats.RecordsSelected)
+	if got := records(d.Cells); got != d.Stats.RecordsSelected {
+		t.Errorf("surviving blocks hold %d records, Stats.RecordsSelected = %d", got, d.Stats.RecordsSelected)
 	}
 }
 
@@ -384,7 +410,8 @@ func TestPlanEveryUnitIsABlock(t *testing.T) {
 // every cell of both generations into units on every query, probes every
 // feature unit's bloom word by word, and tests every unit against every
 // other.
-func scanPlan(m *data.Manifest, deltaData, deltaFeatures []data.CellStats, in Input) *Decision {
+func scanPlan(m *data.Manifest, deltaData, deltaFeatures []data.ColSel, in Input) *Decision {
+	baseData, baseFeatures := data.SelectAll(m.Data), data.SelectAll(m.Features)
 	d := &Decision{Stats: Stats{
 		SealGridN:    m.Grid.N,
 		DataCells:    len(m.Data) + len(deltaData),
@@ -392,16 +419,11 @@ func scanPlan(m *data.Manifest, deltaData, deltaFeatures []data.CellStats, in In
 		RecordsTotal: m.TotalRecords(),
 		DeltaCells:   len(deltaData) + len(deltaFeatures),
 	}}
-	for _, cs := range deltaData {
-		d.Stats.DeltaRecords += int64(cs.Records)
-	}
-	for _, cs := range deltaFeatures {
-		d.Stats.DeltaRecords += int64(cs.Records)
-	}
+	d.Stats.DeltaRecords = records(deltaData) + records(deltaFeatures)
 	d.Stats.RecordsTotal += d.Stats.DeltaRecords
 
-	allD := append(scanExplode(m.Data, false), scanExplode(deltaData, true)...)
-	allF := append(scanExplode(m.Features, false), scanExplode(deltaFeatures, true)...)
+	allD := append(scanExplode(baseData, false), scanExplode(deltaData, true)...)
+	allF := append(scanExplode(baseFeatures, false), scanExplode(deltaFeatures, true)...)
 	d.Stats.Blocks = len(allD) + len(allF)
 
 	survF := make([]scanUnit, 0, len(allF))
@@ -427,64 +449,57 @@ func scanPlan(m *data.Manifest, deltaData, deltaFeatures []data.CellStats, in In
 		}
 	}
 
-	d.Blocks = make(map[string][]int)
-	var selected int64
-	d.Data, selected = scanRegroup(m.Data, survD, false, d.Blocks)
-	d.Stats.RecordsSelected += selected
-	d.Features, selected = scanRegroup(m.Features, finalF, false, d.Blocks)
-	d.Stats.RecordsSelected += selected
-	d.DeltaData, selected = scanRegroup(deltaData, survD, true, d.Blocks)
-	d.Stats.RecordsSelected += selected
-	d.Stats.DeltaRecordsSelected += selected
-	d.DeltaFeatures, selected = scanRegroup(deltaFeatures, finalF, true, d.Blocks)
-	d.Stats.RecordsSelected += selected
-	d.Stats.DeltaRecordsSelected += selected
+	d.Cells = scanRegroup([]data.ColSel{}, baseData, survD, false)
+	d.SealedData = len(d.Cells)
+	d.Cells = scanRegroup(d.Cells, deltaData, survD, true)
+	d.DeltaData = len(d.Cells) - d.SealedData
+	d.Cells = scanRegroup(d.Cells, baseFeatures, finalF, false)
+	deltaFeatures0 := len(d.Cells)
+	d.Cells = scanRegroup(d.Cells, deltaFeatures, finalF, true)
+	d.Stats.RecordsSelected = records(d.Cells)
+	d.Stats.DeltaRecordsSelected = records(d.Cells[d.SealedData:d.SealedData+d.DeltaData]) + records(d.Cells[deltaFeatures0:])
 	d.Stats.BlocksPruned = d.Stats.Blocks - len(survD) - len(finalF)
-	d.Stats.DataCellsPruned = d.Stats.DataCells - len(d.Data) - len(d.DeltaData)
-	d.Stats.FeatureCellsPruned = d.Stats.FeatureCells - len(d.Features) - len(d.DeltaFeatures)
-	d.Stats.DeltaCellsPruned = d.Stats.DeltaCells - len(d.DeltaData) - len(d.DeltaFeatures)
+	d.Stats.DataCellsPruned = d.Stats.DataCells - d.SealedData - d.DeltaData
+	d.Stats.FeatureCellsPruned = d.Stats.FeatureCells - (len(d.Cells) - d.SealedData - d.DeltaData)
+	d.Stats.DeltaCellsPruned = d.Stats.DeltaCells - d.DeltaData - (len(d.Cells) - deltaFeatures0)
 	return d
 }
 
 type scanUnit struct {
 	cellIdx  int
 	blockIdx int
-	records  int
 	bounds   geo.Rect
 	bloom    data.KeywordBloom
 	delta    bool
 }
 
-func scanExplode(cells []data.CellStats, delta bool) []scanUnit {
+func scanExplode(cells []data.ColSel, delta bool) []scanUnit {
 	out := make([]scanUnit, 0, len(cells))
-	for i, cs := range cells {
-		for bi, bs := range cs.Blocks {
-			out = append(out, scanUnit{cellIdx: i, blockIdx: bi, records: bs.Records,
-				bounds: bs.Bounds, bloom: bs.Keywords, delta: delta})
+	for i, sel := range cells {
+		for bi, bs := range sel.Cell.Blocks {
+			out = append(out, scanUnit{cellIdx: i, blockIdx: bi, bounds: bs.Bounds, bloom: bs.Keywords, delta: delta})
 		}
 	}
 	return out
 }
 
-func scanRegroup(cells []data.CellStats, surv []scanUnit, delta bool, blocks map[string][]int) (kept []data.CellStats, records int64) {
-	sel := make(map[int][]int, len(cells))
+// scanRegroup appends the cells with a surviving unit to dst, each
+// narrowed to its surviving blocks.
+func scanRegroup(dst, cells []data.ColSel, surv []scanUnit, delta bool) []data.ColSel {
+	kept := make(map[int][]int, len(cells))
 	for _, u := range surv {
-		if u.delta != delta {
-			continue
+		if u.delta == delta {
+			kept[u.cellIdx] = append(kept[u.cellIdx], u.blockIdx)
 		}
-		sel[u.cellIdx] = append(sel[u.cellIdx], u.blockIdx)
-		records += int64(u.records)
 	}
-	for i, cs := range cells {
-		bi, ok := sel[i]
-		if !ok {
-			continue
+	for i, sel := range cells {
+		if bi, ok := kept[i]; ok {
+			sort.Ints(bi)
+			sel.Blocks = bi
+			dst = append(dst, sel)
 		}
-		kept = append(kept, cs)
-		sort.Ints(bi)
-		blocks[cs.File] = bi
 	}
-	return kept, records
+	return dst
 }
 
 func scanWithinAny(b geo.Rect, units []scanUnit, r2 float64) bool {

@@ -221,41 +221,36 @@ func TestTopKPrefixOfTopKPlusOne(t *testing.T) {
 // (range), the best distance-decayed one (influence), or the nearest
 // feature within r (nearest) — never falls as r grows, so neither does
 // the k-th score of the top-k (0 while fewer than k objects score). It
-// covers every algorithm and storage, planned and unplanned, in-process
+// covers every algorithm and storage, in-process
 // and on two loopback workers; a planner that loses a block within r at
 // some radius breaks it.
 func TestKthScoreMonotoneInRadius(t *testing.T) {
 	dataObjs, feats := tiedCorpus(41, 900)
 	radii := []float64{0, 0.01, 0.03, 0.06, 0.1, 0.2, 0.5, 1.5}
 	check := func(t *testing.T, name string, e *Engine) (fallbacks int64) {
-		for _, planned := range []bool{false, true} {
-			for _, c := range invarianceCases() {
-				opts := []QueryOption{WithAlgorithm(c.alg), WithCache(false)}
-				if planned {
-					opts = append(opts, WithAutoPlan())
+		for _, c := range invarianceCases() {
+			opts := []QueryOption{WithAlgorithm(c.alg), WithCache(false)}
+			prev := 0.0
+			for _, r := range radii {
+				q := c.q
+				q.Radius = r
+				rep, err := e.QueryReport(q, opts...)
+				if err != nil {
+					t.Fatal(err)
 				}
-				prev := 0.0
-				for _, r := range radii {
-					q := c.q
-					q.Radius = r
-					rep, err := e.QueryReport(q, opts...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					fallbacks += rep.Counters[CounterExecFallbackLocal]
-					kth := 0.0
-					if len(rep.Results) >= q.K {
-						kth = rep.Results[q.K-1].Score
-					}
-					if kth < prev {
-						t.Errorf("%s planned=%v %v %v k=%d: k-th score falls from %v to %v as r grows to %v",
-							name, planned, c.alg, q.Mode, q.K, prev, kth, r)
-					}
-					prev = kth
+				fallbacks += rep.Counters[CounterExecFallbackLocal]
+				kth := 0.0
+				if len(rep.Results) >= q.K {
+					kth = rep.Results[q.K-1].Score
 				}
-				if prev == 0 {
-					t.Errorf("%s planned=%v %v %v k=%d: no radius fills the top-k", name, planned, c.alg, c.q.Mode, c.q.K)
+				if kth < prev {
+					t.Errorf("%s %v %v k=%d: k-th score falls from %v to %v as r grows to %v",
+						name, c.alg, q.Mode, q.K, prev, kth, r)
 				}
+				prev = kth
+			}
+			if prev == 0 {
+				t.Errorf("%s %v %v k=%d: no radius fills the top-k", name, c.alg, c.q.Mode, c.q.K)
 			}
 		}
 		return fallbacks

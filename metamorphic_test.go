@@ -8,24 +8,19 @@ import (
 
 // Metamorphic relations: each compares an engine's results with those of
 // a transformed input on the same engine configuration, so neither side
-// needs a reference engine. They cover every algorithm and storage,
-// planned and unplanned.
+// needs a reference engine. They cover every algorithm and storage.
 
-// metamorphicRun answers c on e, planned or not. On a distributed engine
-// the job must ship: a fallback to local execution would leave the
-// distributed leg testing the local path.
-func metamorphicRun(t *testing.T, e *Engine, c invarianceCase, planned bool) []Result {
+// metamorphicRun answers c on e. On a distributed engine the job must
+// ship: a fallback to local execution would leave the distributed leg
+// testing the local path.
+func metamorphicRun(t *testing.T, e *Engine, c invarianceCase) []Result {
 	t.Helper()
-	opts := []QueryOption{WithAlgorithm(c.alg), WithCache(false)}
-	if planned {
-		opts = append(opts, WithAutoPlan())
-	}
-	rep, err := e.QueryReport(c.q, opts...)
+	rep, err := e.QueryReport(c.q, WithAlgorithm(c.alg), WithCache(false))
 	if err != nil {
-		t.Fatalf("%v %v k=%d planned=%v: %v", c.alg, c.q.Mode, c.q.K, planned, err)
+		t.Fatalf("%v %v k=%d: %v", c.alg, c.q.Mode, c.q.K, err)
 	}
 	if e.Distributed() && rep.Counters[CounterExecFallbackLocal] != 0 {
-		t.Errorf("%v %v k=%d planned=%v: the job fell back to local execution", c.alg, c.q.Mode, c.q.K, planned)
+		t.Errorf("%v %v k=%d: the job fell back to local execution", c.alg, c.q.Mode, c.q.K)
 	}
 	return rep.Results
 }
@@ -96,7 +91,7 @@ func checkDisjointFeatures(t *testing.T, newCfg func(*testing.T) Config, withDel
 	var extra []Feature
 	seen := make(map[uint64]bool)
 	for _, c := range cases {
-		for _, r := range metamorphicRun(t, base, c, false) {
+		for _, r := range metamorphicRun(t, base, c) {
 			if !seen[r.ID] {
 				seen[r.ID] = true
 				extra = append(extra, Feature{ID: uint64(1_000_000 + len(extra)), X: r.X, Y: r.Y, Keywords: disjoint[len(extra)%len(disjoint)]})
@@ -120,14 +115,12 @@ func checkDisjointFeatures(t *testing.T, newCfg func(*testing.T) Config, withDel
 			e    *Engine
 		}{"delta", delta})
 	}
-	for _, planned := range []bool{false, true} {
-		for _, c := range cases {
-			want := metamorphicRun(t, base, c, planned)
-			for _, v := range variants {
-				if got := metamorphicRun(t, v.e, c, planned); !resultsEqual(got, want) {
-					t.Errorf("%s planned=%v %v %v k=%d: adding %d keyword-disjoint features changed the results\nbefore: %+v\nafter:  %+v",
-						v.name, planned, c.alg, c.q.Mode, c.q.K, len(extra), want, got)
-				}
+	for _, c := range cases {
+		want := metamorphicRun(t, base, c)
+		for _, v := range variants {
+			if got := metamorphicRun(t, v.e, c); !resultsEqual(got, want) {
+				t.Errorf("%s %v %v k=%d: adding %d keyword-disjoint features changed the results\nbefore: %+v\nafter:  %+v",
+					v.name, c.alg, c.q.Mode, c.q.K, len(extra), want, got)
 			}
 		}
 	}
@@ -159,7 +152,7 @@ func checkRemovingNonResult(t *testing.T, newCfg func(*testing.T) Config) {
 	for ci, c := range invarianceCases() {
 		wider := c
 		wider.q.K += 3
-		ranked := metamorphicRun(t, base, wider, false)
+		ranked := metamorphicRun(t, base, wider)
 		if len(ranked) <= c.q.K {
 			t.Fatalf("case %d: only %d objects score", ci, len(ranked))
 		}
@@ -183,12 +176,10 @@ func checkRemovingNonResult(t *testing.T, newCfg func(*testing.T) Config) {
 			}
 		}
 		removed := metamorphicEngine(t, newCfg(t), kept, feats)
-		for _, planned := range []bool{false, true} {
-			want := metamorphicRun(t, base, c, planned)
-			if got := metamorphicRun(t, removed, c, planned); !resultsEqual(got, want) {
-				t.Errorf("planned=%v %v %v k=%d: removing %d non-result objects changed the results\nbefore: %+v\nafter:  %+v",
-					planned, c.alg, c.q.Mode, c.q.K, len(drop), want, got)
-			}
+		want := metamorphicRun(t, base, c)
+		if got := metamorphicRun(t, removed, c); !resultsEqual(got, want) {
+			t.Errorf("%v %v k=%d: removing %d non-result objects changed the results\nbefore: %+v\nafter:  %+v",
+				c.alg, c.q.Mode, c.q.K, len(drop), want, got)
 		}
 		removed.Close()
 	}
@@ -199,9 +190,9 @@ func checkRemovingNonResult(t *testing.T, newCfg func(*testing.T) Config) {
 // quantity derived from them — grid cells, bucket offsets, squared
 // distances against r², the influence decay d/r — or it does not change.
 // Results keep their ids and scores bit for bit, and their locations
-// scale by 2^s, for s ∈ {−3, 5}: every algorithm and mode, planned and
-// unplanned. The corpus spans the unit square, so its bounds
-// are not degenerate: padding degenerate bounds adds an unscaled 1.
+// scale by 2^s, for s ∈ {−3, 5}: every algorithm and mode. The corpus
+// spans the unit square, so its bounds are not degenerate: padding
+// degenerate bounds adds an unscaled 1.
 func TestPowerOfTwoScalingChangesNothing(t *testing.T) {
 	for _, st := range oracleStorages {
 		cfg := Config{Storage: st.storage, Nodes: 4, BlockSize: 4 << 10, Seed: 9}
@@ -231,22 +222,20 @@ func checkPowerOfTwoScaling(t *testing.T, newCfg func(*testing.T) Config) {
 			scaledFeats[i] = f
 		}
 		scaled := metamorphicEngine(t, newCfg(t), scaledData, scaledFeats)
-		for _, planned := range []bool{false, true} {
-			for _, c := range invarianceCases() {
-				want := metamorphicRun(t, base, c, planned)
-				sc := c
-				sc.q.Radius = math.Ldexp(c.q.Radius, s)
-				got := metamorphicRun(t, scaled, sc, planned)
-				same := len(got) == len(want) && len(want) > 0
-				for i := 0; same && i < len(want); i++ {
-					same = got[i].ID == want[i].ID &&
-						math.Float64bits(got[i].Score) == math.Float64bits(want[i].Score) &&
-						got[i].X == math.Ldexp(want[i].X, s) && got[i].Y == math.Ldexp(want[i].Y, s)
-				}
-				if !same {
-					t.Errorf("s=%d planned=%v %v %v k=%d: scaling by 2^s changed the results\nbefore: %+v\nafter:  %+v",
-						s, planned, c.alg, c.q.Mode, c.q.K, want, got)
-				}
+		for _, c := range invarianceCases() {
+			want := metamorphicRun(t, base, c)
+			sc := c
+			sc.q.Radius = math.Ldexp(c.q.Radius, s)
+			got := metamorphicRun(t, scaled, sc)
+			same := len(got) == len(want) && len(want) > 0
+			for i := 0; same && i < len(want); i++ {
+				same = got[i].ID == want[i].ID &&
+					math.Float64bits(got[i].Score) == math.Float64bits(want[i].Score) &&
+					got[i].X == math.Ldexp(want[i].X, s) && got[i].Y == math.Ldexp(want[i].Y, s)
+			}
+			if !same {
+				t.Errorf("s=%d %v %v k=%d: scaling by 2^s changed the results\nbefore: %+v\nafter:  %+v",
+					s, c.alg, c.q.Mode, c.q.K, want, got)
 			}
 		}
 	}

@@ -10,7 +10,7 @@ import (
 // on the data alone, so the engine builds one data view per generation,
 // and so does each worker of a distributed engine.
 
-// oneViewQueries are planned queries of very different selectivity over
+// oneViewQueries are queries of very different selectivity over
 // the clustered corpus: a rare keyword at a small radius, two common
 // keywords, and every common keyword at a radius that reaches nearly all
 // of it.
@@ -50,7 +50,7 @@ func viewMissStages(t *testing.T, e *Engine) [3][]*Report {
 		for qi, q := range oneViewQueries() {
 			want := oracleResults(dataObjs, feats, q)
 			for _, alg := range Algorithms() {
-				rep, err := e.QueryReport(q, WithAlgorithm(alg), WithAutoPlan(), WithCache(false))
+				rep, err := e.QueryReport(q, WithAlgorithm(alg), WithCache(false))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -58,7 +58,7 @@ func viewMissStages(t *testing.T, e *Engine) [3][]*Report {
 					t.Errorf("stage %d q%d %v: %s", stage, qi, alg, d)
 				}
 				if rep.Plan.GridN != defaultGridN {
-					t.Errorf("stage %d q%d %v: planned grid %d, want %d", stage, qi, alg, rep.Plan.GridN, defaultGridN)
+					t.Errorf("stage %d q%d %v: grid %d, want %d", stage, qi, alg, rep.Plan.GridN, defaultGridN)
 				}
 				if sel := rep.Plan.RecordsSelected; minSel < 0 || sel < minSel {
 					minSel = sel
@@ -91,8 +91,8 @@ func viewMissStages(t *testing.T, e *Engine) [3][]*Report {
 	return stages
 }
 
-// TestOneViewPerGeneration: planned queries of very different selectivity
-// build one data view per generation in-process: one spq.view.miss for the
+// TestOneViewPerGeneration: queries of very different selectivity build
+// one data view per generation in-process: one spq.view.miss for the
 // sealed generation, none after an append (the delta overlays that view),
 // and one for the compacted generation.
 func TestOneViewPerGeneration(t *testing.T) {
@@ -148,8 +148,8 @@ func TestDistributedOneViewPerGeneration(t *testing.T) {
 }
 
 // TestCollinearGridIgnoresRadius: over 200 collinear objects, whose
-// bounding box has no height, queries at 4 radii, planned or not, build
-// one data view between them, since the degenerate box is padded by 1
+// bounding box has no height, queries at 4 radii build one data view
+// between them, since the degenerate box is padded by 1
 // whatever the radius, and every result equals the R-tree oracle's.
 func TestCollinearGridIgnoresRadius(t *testing.T) {
 	var dataObjs []DataObject
@@ -178,16 +178,14 @@ func TestCollinearGridIgnoresRadius(t *testing.T) {
 			t.Fatalf("r=%g: the oracle returns nothing; the corpus is off", r)
 		}
 		for _, alg := range Algorithms() {
-			for _, opts := range [][]QueryOption{nil, {WithAutoPlan()}} {
-				rep, err := e.QueryReport(q, append(opts, WithAlgorithm(alg), WithCache(false))...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d := diffResults(rep.Results, want); d != "" {
-					t.Errorf("r=%g %v planned=%v: %s", r, alg, opts != nil, d)
-				}
-				misses += rep.Counters[CounterViewMiss]
+			rep, err := e.QueryReport(q, WithAlgorithm(alg), WithCache(false))
+			if err != nil {
+				t.Fatal(err)
 			}
+			if d := diffResults(rep.Results, want); d != "" {
+				t.Errorf("r=%g %v: %s", r, alg, d)
+			}
+			misses += rep.Counters[CounterViewMiss]
 		}
 	}
 	if misses != 1 {

@@ -3,6 +3,7 @@ package spq
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -10,13 +11,15 @@ import (
 	"spq/internal/core"
 	"spq/internal/data"
 	"spq/internal/mapreduce"
+	"spq/internal/plan"
 )
 
 // TestPlanQuery pins the planning step, with and without a visible delta,
 // in-process and distributed:
 //
-//   - pruning off (no WithAutoPlan) selects every block of every sealed and
-//     delta cell, and reports no planner statistics;
+//   - every query is planned: its selection is the planner's, cell for
+//     cell and block for block, each cell the manifest's or the delta's
+//     own entry, and it carries the planner's statistics;
 //   - no sealed data block is in the source: the engine's data view serves
 //     them to every job that runs in-process, delta or not, and only the
 //     delta's blocks travel resident with the selection;
@@ -26,12 +29,11 @@ import (
 //     runs in-process, metered as spq.exec.fallback.local;
 //   - a Config.Storage other than StorageDFSBinary is a configuration
 //     error every query reports, and the engine attaches no worker;
-//   - two planned queries with disjoint keywords at one grid share one
-//     view;
+//   - two queries with disjoint keywords at one grid share one view;
 //   - the delta is cut into blocks at most once per snapshot, by the first
-//     query that reads it, planned or not;
-//   - every query, planned or not, runs on the default grid unless WithGrid
-//     sets it: the planner prunes but never sizes the job;
+//     query that reads it;
+//   - every query runs on the default grid unless WithGrid sets it: the
+//     planner prunes but never sizes the job;
 //   - an in-process job runs the slot-derived reduce-task count, not one
 //     task per query-grid cell, unless WithReducers overrides it, and the
 //     planner's report names the grid and count that run.
@@ -71,12 +73,14 @@ func TestPlanQuery(t *testing.T) {
 					t.Fatal(err)
 				}
 				if withDelta {
-					if err := e.AddFeature(Feature{ID: 1 << 40, X: 0.5, Y: 0.5, Keywords: q.Keywords}); err != nil {
+					// On a data object, so the planner keeps its block.
+					at, _ := clusteredCorpus(600, 4)
+					if err := e.AddFeature(Feature{ID: 1 << 40, X: at[0].X, Y: at[0].Y, Keywords: q.Keywords}); err != nil {
 						t.Fatal(err)
 					}
 				}
 				snap := e.snap.Load()
-				if withDelta && snap.delta.cells != nil {
+				if withDelta && (snap.delta.data != nil || snap.delta.features != nil) {
 					t.Fatal("delta cut into blocks before any query read it")
 				}
 				planQ := func(opts ...QueryOption) *physicalPlan {
@@ -98,13 +102,12 @@ func TestPlanQuery(t *testing.T) {
 				if p.wire != nil && !data.IsBlockListFile(p.wire.DataBlocks) {
 					t.Errorf("shipped job names %q, not a block list", p.wire.DataBlocks)
 				}
-				// A shipped job runs one map and one reduce task per worker
-				// lane: here one worker of one slot. An in-process job gets
-				// a few map tasks per map slot and the slot-derived reducer
-				// count, fewer than its cells.
-				wantMaps, wantReducers := 4*e.cfg.MapSlots, chooseReducers(defaultGridN, e.cfg.ReduceSlots)
+				// A shipped job runs one map task per worker lane: here one
+				// worker of one slot. An in-process job gets a few map tasks
+				// per map slot.
+				wantMaps := 4 * e.cfg.MapSlots
 				if p.wire != nil {
-					wantMaps, wantReducers = 1, 1
+					wantMaps = 1
 				}
 				if p.src == nil {
 					t.Fatal("plan without a source")
@@ -114,103 +117,91 @@ func TestPlanQuery(t *testing.T) {
 					if len(splits) > wantMaps || len(splits) == 0 {
 						t.Errorf("%d map splits, want 1 to %d", len(splits), wantMaps)
 					}
-					var in, feats int
+					var in int64
 					for _, sp := range splits {
-						in += sp.(mapreduce.CountedSplit).Records()
+						in += int64(sp.(mapreduce.CountedSplit).Records())
 					}
-					for _, sel := range p.colsFeat {
-						feats += sel.Cell.Records
-					}
-					if nDeltaData := len(deltaCellsOf(snap, false)); in != feats || nDeltaData != 0 {
-						t.Errorf("the source yields %d records, want the %d selected feature records (delta data cells: %d)", in, feats, nDeltaData)
+					if feats := selRecords(p.colsFeat); in != feats {
+						t.Errorf("the source yields %d records, want the %d selected feature records", in, feats)
 					}
 				}
-				if p.empty || p.planStats != nil {
-					t.Errorf("unplanned query carries planner output: empty=%v stats=%+v", p.empty, p.planStats)
+				if p.empty || p.planStats == nil || p.counters[plan.CounterBlocksScanned] == 0 {
+					t.Errorf("query not planned: empty=%v stats=%+v counters=%v", p.empty, p.planStats, p.counters)
 				}
-				if p.gridN != defaultGridN || p.reducers != wantReducers || wantReducers >= defaultGridN*defaultGridN {
-					t.Errorf("unplanned grid %d with %d reducers, want grid %d with %d (fewer than its cells)",
-						p.gridN, p.reducers, defaultGridN, wantReducers)
+				if pr := planQ(WithReducers(3)); pr.reducers != 3 || pr.planStats.NumReducers != 3 {
+					t.Errorf("WithReducers(3): %d reducers, reported %d", pr.reducers, pr.planStats.NumReducers)
 				}
-				if pr := planQ(WithReducers(3)); pr.reducers != 3 {
-					t.Errorf("WithReducers(3): %d reducers", pr.reducers)
-				}
-				// A planned query runs on the grid an unplanned one runs on,
-				// or on WithGrid's, and the planner's report names the grid
-				// and the reducer count that run.
+				// A query runs on the default grid or on WithGrid's, and the
+				// planner's report names the grid and the reducer count that
+				// run: the slot-derived count, fewer than the grid's cells.
 				for _, gridN := range []int{0, 7} {
-					opts := []QueryOption{WithAutoPlan()}
+					var opts []QueryOption
 					wantGrid := defaultGridN
 					if gridN > 0 {
 						opts, wantGrid = append(opts, WithGrid(gridN)), gridN
-						if pu := planQ(WithGrid(gridN)); pu.gridN != gridN {
-							t.Errorf("unplanned WithGrid(%d): grid %d", gridN, pu.gridN)
-						}
 					}
 					pp := planQ(opts...)
 					wantPlanned := chooseReducers(wantGrid, e.cfg.ReduceSlots)
 					if pp.wire != nil {
 						wantPlanned = 1
 					}
-					if pp.gridN != wantGrid || pp.reducers != wantPlanned || pp.planStats == nil ||
+					if pp.gridN != wantGrid || pp.reducers != wantPlanned || wantPlanned >= wantGrid*wantGrid ||
 						pp.planStats.GridN != pp.gridN || pp.planStats.NumReducers != pp.reducers {
-						t.Errorf("planned, WithGrid(%d): grid %d with %d reducers, reported %+v, want grid %d with %d",
+						t.Errorf("WithGrid(%d): grid %d with %d reducers, reported %+v, want grid %d with %d (fewer than its cells)",
 							gridN, pp.gridN, pp.reducers, pp.planStats, wantGrid, wantPlanned)
 					}
 				}
 
-				// Every block of every cell: base data, delta data, base
-				// features, delta features.
-				var want, got []string
-				nDelta := len(deltaCellsOf(snap, false)) + len(deltaCellsOf(snap, true))
-				for _, cells := range [][]data.CellStats{snap.manifest.Data, deltaCellsOf(snap, false), snap.manifest.Features, deltaCellsOf(snap, true)} {
-					for _, cs := range cells {
-						want = append(want, cs.File)
-					}
+				// The selection is the planner's, and every cell is the
+				// manifest's or the delta's own entry: resident blocks ride
+				// with a delta cell only.
+				var dd, df []data.ColSel
+				if withDelta {
+					dd, df = snap.delta.data, snap.delta.features
+				}
+				dec := plan.PlanGenerations(snap.manifest, dd, df, plan.Input{Radius: q.Radius, Keywords: q.Keywords})
+				if !reflect.DeepEqual(p.colsData, dec.Data()) || !reflect.DeepEqual(p.colsFeat, dec.Features()) {
+					t.Errorf("selection %v / %v, want the planner's %v / %v", p.colsData, p.colsFeat, dec.Data(), dec.Features())
+				}
+				if dec.Stats.BlocksPruned == 0 || dec.Stats.BlocksPruned == dec.Stats.Blocks {
+					t.Errorf("the planner pruned %d of %d blocks; the query does not exercise pruning", dec.Stats.BlocksPruned, dec.Stats.Blocks)
 				}
 				for _, sel := range append(append([]data.ColSel(nil), p.colsData...), p.colsFeat...) {
-					if sel.Blocks != nil {
-						t.Errorf("cell %s narrowed to blocks %v without pruning", sel.Cell.File, sel.Blocks)
+					origin := selOrigin(snap, sel)
+					if origin == "" || (sel.Resident != nil) != (origin == "delta") || len(sel.Blocks) == 0 {
+						t.Errorf("cell %s: origin %q, resident blocks %v, blocks %v", sel.Cell.File, origin, sel.Resident != nil, sel.Blocks)
 					}
-					inDelta := snap.delta != nil && snap.delta.resident[sel.Cell.File] != nil
-					if resident := sel.Resident != nil; resident != inDelta {
-						t.Errorf("cell %s: resident blocks = %v (delta cell: %v)", sel.Cell.File, resident, inDelta)
-					}
-					got = append(got, sel.Cell.File)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("block selection covers %v, want every cell %v", got, want)
 				}
 
 				if withDelta {
-					cells := snap.delta.cells
-					if p.deltaStats.Records != 1 || p.deltaStats.RecordsSelected != 1 || p.deltaStats.Cells != nDelta || nDelta != 1 {
+					cut := snap.delta.features
+					if p.deltaStats.Records != 1 || p.deltaStats.RecordsSelected != 1 || p.deltaStats.Cells != 1 || len(cut) != 1 {
 						t.Errorf("delta stats = %+v, want the whole 1-record delta in its one cell", p.deltaStats)
 					}
 					// Opting out of the delta drops only the delta.
 					if pd := planQ(WithDelta(false)); (pd.wire != nil) != ships(false) || pd.deltaStats.Records != 0 {
 						t.Errorf("WithDelta(false): wire=%+v delta=%+v", pd.wire, pd.deltaStats)
 					}
-					// A planned query reads the same blocks: they are not
-					// cut again.
-					if pp := planQ(WithAutoPlan()); pp.planStats == nil || pp.deltaStats.Cells != 1 || snap.delta.cells != cells {
-						t.Errorf("planned query: stats=%+v delta=%+v, blocks rebuilt: %v", pp.planStats, pp.deltaStats, snap.delta.cells != cells)
+					// Another query reads the same blocks: they are not cut
+					// again.
+					if pp := planQ(WithGrid(7)); pp.deltaStats.Cells != 1 || &snap.delta.features[0] != &cut[0] {
+						t.Errorf("second query: delta=%+v, blocks rebuilt: %v", pp.deltaStats, &snap.delta.features[0] != &cut[0])
 					}
-				} else if p.deltaStats.Records != 0 || p.counters != nil {
-					t.Errorf("delta-free unplanned plan: delta=%+v counters=%v", p.deltaStats, p.counters)
+				} else if _, ok := p.counters[CounterDeltaRecords]; ok || p.deltaStats.Records != 0 {
+					t.Errorf("delta-free plan: delta=%+v counters=%v", p.deltaStats, p.counters)
 				}
 
 				if !distributed {
 					var views []int64
 					for _, kw := range []string{"common1", "c0-kw7"} {
-						rep, err := e.QueryReport(Query{K: 3, Radius: 0.05, Keywords: []string{kw}}, WithAutoPlan(), WithGrid(8), WithCache(false))
+						rep, err := e.QueryReport(Query{K: 3, Radius: 0.05, Keywords: []string{kw}}, WithGrid(8), WithCache(false))
 						if err != nil {
 							t.Fatal(err)
 						}
 						views = append(views, rep.Counters[CounterViewMiss], rep.Counters[CounterViewHit])
 					}
 					if want := []int64{1, 0, 0, 1}; !reflect.DeepEqual(views, want) {
-						t.Errorf("view miss/hit of two planned queries at one grid = %v, want %v", views, want)
+						t.Errorf("view miss/hit of two queries at one grid = %v, want %v", views, want)
 					}
 				}
 				if distributed {
@@ -227,22 +218,114 @@ func TestPlanQuery(t *testing.T) {
 	}
 }
 
-// deltaCellsOf returns the snapshot's delta cells of one kind, or none
-// when the delta is empty or not yet cut into blocks.
-func deltaCellsOf(s *snapshot, features bool) []data.CellStats {
-	if s.delta == nil || s.delta.cells == nil {
-		return nil
+// TestEveryQueryIsPlanned: no option turns the planner on or off.
+//
+//   - A query without options carries the planner's report and its
+//     spq.plan.* counters.
+//   - WithAutoPlan and the wire's auto_plan are no-ops: with and without
+//     them, the query is one cache entry, and every call after the first
+//     is a hit with the first call's report.
+//   - A keyword no feature carries proves the query empty: no job runs.
+//   - The plan's selections point at the manifest's own cells and the
+//     delta's, never at copies.
+func TestEveryQueryIsPlanned(t *testing.T) {
+	e := NewEngine(Config{Nodes: 4, CompactAfter: -1})
+	t.Cleanup(func() { e.Close() })
+	loadClusteredCorpus(t, e, 2000, 4)
+	if err := e.Seal(); err != nil {
+		t.Fatal(err)
 	}
-	if features {
-		return s.delta.cells.Features
+	q := Query{K: 3, Radius: 0.05, Keywords: []string{"common1"}}
+	at, _ := clusteredCorpus(2000, 4)
+	if err := e.AddFeature(Feature{ID: 1 << 40, X: at[0].X, Y: at[0].Y, Keywords: q.Keywords}); err != nil {
+		t.Fatal(err)
 	}
-	return s.delta.cells.Data
+
+	first, err := e.QueryReport(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := first.Plan; p == nil || p.BlocksPruned == 0 || first.Counters[plan.CounterBlocksScanned] != int64(p.Blocks-p.BlocksPruned) {
+		t.Fatalf("a query without options reports plan %+v, counters %v, want the planner's pruning", p, first.Counters)
+	}
+
+	calls := [][]QueryOption{{WithAutoPlan()}, nil}
+	for _, auto := range []bool{true, false} {
+		opts, err := (&QueryRequest{Query: q, AutoPlan: auto}).Options()
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls = append(calls, opts)
+	}
+	for i, opts := range calls {
+		rep, err := e.QueryReport(q, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Counters[CounterCacheHit] != 1 {
+			t.Errorf("call %d missed the cache entry of the first query: %v", i, rep.Counters)
+		}
+		if !reflect.DeepEqual(rep.Results, first.Results) || !reflect.DeepEqual(rep.Plan, first.Plan) ||
+			!reflect.DeepEqual(rep.Delta, first.Delta) || rep.Options() != first.Options() {
+			t.Errorf("call %d: report %+v, want the first query's %+v", i, rep, first)
+		}
+	}
+	if st := e.CacheStats(); st.Entries != 1 || st.Misses != 1 || st.Hits != int64(len(calls)) {
+		t.Errorf("cache stats %+v, want one entry, one miss and %d hits", st, len(calls))
+	}
+
+	empty, err := e.QueryReport(Query{K: 3, Radius: 0.05, Keywords: []string{"zzz-no-such-word"}}, WithCache(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(empty.Results) != 0 || empty.Counters[mapreduce.CounterMapRecordsIn] != 0 || empty.TotalMillis != 0 ||
+		empty.Plan.RecordsSelected != 0 {
+		t.Errorf("out-of-vocabulary query ran a job: results %v, counters %v, plan %+v", empty.Results, empty.Counters, empty.Plan)
+	}
+
+	snap := e.snap.Load()
+	p := e.planQuery(snap, q, &queryConfig{alg: core.ESPQSco})
+	origins := map[string]int{}
+	for _, sel := range append(append([]data.ColSel(nil), p.colsData...), p.colsFeat...) {
+		origins[selOrigin(snap, sel)]++
+	}
+	if origins[""] != 0 || origins["sealed"] == 0 || origins["delta"] != 1 {
+		t.Errorf("selections by origin %v, want sealed cells and the one delta cell, no copy", origins)
+	}
+}
+
+// selOrigin names where a selection's cell lives: "sealed" for an entry of
+// the snapshot's manifest, "delta" for one of its delta's cut, and "" for
+// anything else, such as a copy.
+func selOrigin(s *snapshot, sel data.ColSel) string {
+	for _, cells := range [][]data.CellStats{s.manifest.Data, s.manifest.Features} {
+		for i := range cells {
+			if sel.Cell == &cells[i] {
+				return "sealed"
+			}
+		}
+	}
+	if s.delta != nil && slices.ContainsFunc(slices.Concat(s.delta.data, s.delta.features),
+		func(d data.ColSel) bool { return d.Cell == sel.Cell }) {
+		return "delta"
+	}
+	return ""
+}
+
+// selRecords sums the records of the selected blocks.
+func selRecords(sels []data.ColSel) int64 {
+	var n int64
+	for _, sel := range sels {
+		for _, i := range sel.Blocks {
+			n += int64(sel.Cell.Blocks[i].Records)
+		}
+	}
+	return n
 }
 
 // TestDataViewSharedAcrossQueries pins the view cache key and its
-// counters: 60 planned queries with pairwise disjoint keywords and
-// different radii, on one base generation at one grid, build its data
-// view once — exactly one spq.view.miss, 59 spq.view.hit — while another
+// counters: 60 queries with pairwise disjoint keywords and different
+// radii, on one base generation at one grid, build its data view once — exactly one spq.view.miss, 59 spq.view.hit — while another
 // grid size builds its own. An append keeps the base generation, so the
 // view stays shared with the delta overlaid; a compaction retires it.
 func TestDataViewSharedAcrossQueries(t *testing.T) {
@@ -257,7 +340,7 @@ func TestDataViewSharedAcrossQueries(t *testing.T) {
 	}
 	view := func(kw string, r float64, gridN int) (miss, hit int64) {
 		t.Helper()
-		rep, err := e.QueryReport(Query{K: 3, Radius: r, Keywords: []string{kw}}, WithAutoPlan(), WithGrid(gridN))
+		rep, err := e.QueryReport(Query{K: 3, Radius: r, Keywords: []string{kw}}, WithGrid(gridN))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +356,7 @@ func TestDataViewSharedAcrossQueries(t *testing.T) {
 		misses, hits = misses+miss, hits+hit
 	}
 	if misses != 1 || hits != 59 {
-		t.Errorf("60 planned queries at one grid: %d view misses and %d hits, want 1 and 59", misses, hits)
+		t.Errorf("60 queries at one grid: %d view misses and %d hits, want 1 and 59", misses, hits)
 	}
 	if miss, _ := view("c0-kw0", 0.05, 9); miss != 1 {
 		t.Error("a query at another grid size shared a view")
@@ -296,8 +379,8 @@ func TestDataViewSharedAcrossQueries(t *testing.T) {
 	}
 }
 
-// TestConcurrentPlannedQueriesOverlayDelta runs planned queries
-// concurrently over one shared data view while a delta is visible whose
+// TestConcurrentPlannedQueriesOverlayDelta runs queries concurrently
+// over one shared data view while a delta is visible whose
 // data records land in view-seeded groups, for every algorithm × scoring
 // mode pair. Run it under -race: a group writing view memory that another
 // reads is a reported race (internal/core's TestDataViewMemoryNeverWritten
@@ -346,7 +429,7 @@ func TestConcurrentPlannedQueriesOverlayDelta(t *testing.T) {
 				continue
 			}
 			q := Query{K: 8, Radius: 0.03, Keywords: []string{"common1", "c0-kw3", "c2-kw9"}, Mode: mode}
-			want, err := compacted.Query(q, WithAlgorithm(alg), WithAutoPlan(), WithGrid(10))
+			want, err := compacted.Query(q, WithAlgorithm(alg), WithGrid(10))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -362,7 +445,7 @@ func TestConcurrentPlannedQueriesOverlayDelta(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				rep, err := e.QueryReport(r.q, WithAlgorithm(r.alg), WithAutoPlan(), WithGrid(10))
+				rep, err := e.QueryReport(r.q, WithAlgorithm(r.alg), WithGrid(10))
 				if err != nil {
 					t.Error(err)
 					return
@@ -385,8 +468,5 @@ func TestChooseReducers(t *testing.T) {
 	}
 	if got := chooseReducers(50, 8); got != 32 {
 		t.Errorf("large grid: reducers = %d, want 32 (4x slots)", got)
-	}
-	if got := chooseReducers(50, 0); got != 2500 {
-		t.Errorf("no slot info: reducers = %d, want 2500", got)
 	}
 }

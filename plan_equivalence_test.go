@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"spq/internal/data"
 )
 
 // resultsEqual compares two result lists element-wise. Scores must be
@@ -23,8 +25,12 @@ func resultsEqual(a, b []Result) bool {
 
 // TestPlannedQueriesMatchUnplannedProperty is the planner's correctness
 // property: for random datasets (uniform and clustered), random queries
-// (including out-of-vocabulary keywords) and every algorithm, the pruned
-// path returns results identical to the unpruned path.
+// (including out-of-vocabulary keywords), every algorithm and every
+// scoring mode it supports, the planned query returns exactly the results
+// of the unplanned centralized R-tree oracle, on a fixed query grid and on
+// the default one, k-ties at the threshold included: the top-k is
+// canonical (lowest id wins a tie), whatever the grid or the cells
+// sharing a task.
 func TestPlannedQueriesMatchUnplannedProperty(t *testing.T) {
 	for _, family := range []string{"uniform", "clustered"} {
 		t.Run(family+"/binary", func(t *testing.T) {
@@ -32,6 +38,7 @@ func TestPlannedQueriesMatchUnplannedProperty(t *testing.T) {
 			if err := e.LoadSynthetic(family, 600); err != nil {
 				t.Fatal(err)
 			}
+			dataObjs, feats := engineObjects(e)
 			kws := e.FrequentKeywords(6)
 			rng := rand.New(rand.NewSource(17))
 			queries := []Query{
@@ -44,55 +51,43 @@ func TestPlannedQueriesMatchUnplannedProperty(t *testing.T) {
 				{K: 6, Radius: float64(rng.Intn(20)+1) / 100, Keywords: kws[rng.Intn(3) : rng.Intn(3)+2]},
 			}
 			for qi, q := range queries {
-				for _, alg := range Algorithms() {
-					// At a fixed query grid, pruning must be invisible:
-					// byte-identical results.
-					plain, err := e.Query(q, WithAlgorithm(alg), WithGrid(9))
-					if err != nil {
-						t.Fatalf("q%d %v unplanned: %v", qi, alg, err)
-					}
-					planned, err := e.Query(q, WithAlgorithm(alg), WithGrid(9), WithAutoPlan())
-					if err != nil {
-						t.Fatalf("q%d %v planned: %v", qi, alg, err)
-					}
-					if !resultsEqual(plain, planned) {
-						t.Errorf("q%d %v: planned results differ\nunplanned: %+v\nplanned:   %+v",
-							qi, alg, plain, planned)
-					}
-					// On the default grid and reducer count, the results
-					// are still identical, k-ties at the threshold
-					// included: the top-k is canonical (lowest id wins a
-					// tie), whatever the grid or the cells sharing a task.
-					auto, err := e.Query(q, WithAlgorithm(alg), WithAutoPlan())
-					if err != nil {
-						t.Fatalf("q%d %v default grid: %v", qi, alg, err)
-					}
-					if !resultsEqual(plain, auto) {
-						t.Errorf("q%d %v: default-grid results differ\nunplanned: %+v\nplanned:   %+v",
-							qi, alg, plain, auto)
-					}
-				}
-				// The scoring-mode extensions prune identically: every
-				// mode restricts contributions to features within r.
-				for _, mode := range []ScoringMode{ScoreInfluence, ScoreNearest} {
-					mq := q
-					mq.Mode = mode
-					plain, err := e.Query(mq, WithAlgorithm(PSPQ), WithGrid(9))
-					if err != nil {
-						t.Fatalf("q%d %v unplanned: %v", qi, mode, err)
-					}
-					planned, err := e.Query(mq, WithAlgorithm(PSPQ), WithGrid(9), WithAutoPlan())
-					if err != nil {
-						t.Fatalf("q%d %v planned: %v", qi, mode, err)
-					}
-					if !resultsEqual(plain, planned) {
-						t.Errorf("q%d mode %v: planned results differ\nunplanned: %+v\nplanned:   %+v",
-							qi, mode, plain, planned)
+				for _, mode := range []ScoringMode{ScoreRange, ScoreInfluence, ScoreNearest} {
+					q.Mode = mode
+					want := oracleResults(dataObjs, feats, q)
+					for _, alg := range Algorithms() {
+						if !alg.SupportsMode(mode) {
+							continue
+						}
+						for _, opts := range [][]QueryOption{{WithGrid(9)}, nil} {
+							got, err := e.Query(q, append(opts, WithAlgorithm(alg))...)
+							if err != nil {
+								t.Fatalf("q%d %v %v grid9=%v: %v", qi, alg, mode, opts != nil, err)
+							}
+							if !resultsEqual(got, want) {
+								t.Errorf("q%d %v %v grid9=%v: planned results differ\noracle:  %+v\nplanned: %+v",
+									qi, alg, mode, opts != nil, want, got)
+							}
+						}
 					}
 				}
 			}
 		})
 	}
+}
+
+// engineObjects returns every object the engine holds, sealed and
+// appended, in the public form the oracle reads.
+func engineObjects(e *Engine) (dataObjs []DataObject, feats []Feature) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, o := range e.allObjectsLocked() {
+		if o.Kind == data.DataObject {
+			dataObjs = append(dataObjs, DataObject{ID: o.ID, X: o.Loc.X, Y: o.Loc.Y})
+		} else {
+			feats = append(feats, Feature{ID: o.ID, X: o.Loc.X, Y: o.Loc.Y, Keywords: e.dict.Words(o.Keywords)})
+		}
+	}
+	return dataObjs, feats
 }
 
 // loadClusteredCorpus fills an engine with clusteredCorpus(n, nClusters).
@@ -140,47 +135,37 @@ func clusteredCorpus(n, nClusters int) ([]DataObject, []Feature) {
 // TestPlannerReadsFractionOnSelectiveQuery is the serving-throughput
 // acceptance bar: on a clustered 100k-object corpus, a selective query (a
 // rare keyword occurring in one cluster, small radius) must read at least
-// 4x fewer input records under the planner than without it, returning
-// identical results. The data objects reach reduce through the data view,
-// so the job itself reads feature records only: all 50k unplanned, a
-// strict subset of the plan's selection planned.
+// 4x fewer input records than the corpus holds, returning the oracle's
+// results. The data objects reach reduce through the data view, so the
+// job itself reads feature records only: a strict subset of the plan's
+// selection, and at most a quarter of the 50k features.
 func TestPlannerReadsFractionOnSelectiveQuery(t *testing.T) {
 	e := NewEngine(Config{})
 	loadClusteredCorpus(t, e, 100000, 16)
+	dataObjs, feats := clusteredCorpus(100000, 16)
 
 	q := Query{K: 10, Radius: 0.02, Keywords: []string{"c3-kw7"}}
-	plain, err := e.QueryReport(q, WithAlgorithm(ESPQSco))
+	planned, err := e.QueryReport(q, WithAlgorithm(ESPQSco))
 	if err != nil {
 		t.Fatal(err)
 	}
-	planned, err := e.QueryReport(q, WithAlgorithm(ESPQSco), WithAutoPlan())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resultsEqual(plain.Results, planned.Results) {
-		t.Fatalf("planned results differ:\nunplanned: %+v\nplanned:   %+v", plain.Results, planned.Results)
+	if want := oracleResults(dataObjs, feats, q); !resultsEqual(want, planned.Results) {
+		t.Fatalf("planned results differ:\noracle:  %+v\nplanned: %+v", want, planned.Results)
 	}
 	if len(planned.Results) == 0 {
 		t.Fatal("selective query returned nothing; corpus construction is off")
 	}
 
-	read, readPlanned := plain.Counters["map.records.in"], planned.Counters["map.records.in"]
-	if read != 50000 {
-		t.Fatalf("unplanned feature records read = %d, want 50000", read)
-	}
-	if readPlanned*4 > read {
-		t.Errorf("planned path read %d of %d feature records; want >=4x reduction", readPlanned, read)
-	}
-
-	if planned.Plan == nil {
-		t.Fatal("planned report has no Plan stats")
+	read := planned.Counters["map.records.in"]
+	if read*4 > int64(len(feats)) {
+		t.Errorf("planned path read %d of %d feature records; want >=4x reduction", read, len(feats))
 	}
 	selected, total := planned.Plan.RecordsSelected, planned.Plan.RecordsTotal
 	if total != 100000 || selected*4 > total {
 		t.Errorf("plan selected %d of %d records; want >=4x reduction of 100000", selected, total)
 	}
-	if readPlanned == 0 || readPlanned >= selected {
-		t.Errorf("job read %d records, want a non-empty strict subset of the %d selected (features only)", readPlanned, selected)
+	if read == 0 || read >= selected {
+		t.Errorf("job read %d records, want a non-empty strict subset of the %d selected (features only)", read, selected)
 	}
 	if skipped := planned.Counters["spq.plan.records.skipped"]; skipped != total-selected {
 		t.Errorf("records-skipped counter = %d, want %d", skipped, total-selected)
@@ -188,16 +173,16 @@ func TestPlannerReadsFractionOnSelectiveQuery(t *testing.T) {
 	if planned.Plan.DataCellsPruned == 0 || planned.Plan.FeatureCellsPruned == 0 {
 		t.Errorf("no cell pruning recorded: %+v", planned.Plan)
 	}
-	t.Logf("selective query: %d -> %d records read (%.1fx), grid %d, %d reducers",
-		read, readPlanned, float64(read)/float64(readPlanned), planned.Plan.GridN, planned.Plan.NumReducers)
+	t.Logf("selective query: %d -> %d feature records read (%.1fx), grid %d, %d reducers",
+		len(feats), read, float64(len(feats))/float64(read), planned.Plan.GridN, planned.Plan.NumReducers)
 }
 
 // TestAutoPlanProvablyEmptyQuerySkipsJob checks the planner's
-// short-circuit: a query whose keyword occurs nowhere needs no MapReduce
-// job at all, and still reports its pruning.
+// short-circuit, which every query takes: a query whose keyword occurs
+// nowhere needs no MapReduce job at all, and still reports its pruning.
 func TestAutoPlanProvablyEmptyQuerySkipsJob(t *testing.T) {
 	e := loadPaperExample(t, Config{})
-	rep, err := e.QueryReport(Query{K: 3, Radius: 1.5, Keywords: []string{"nope-xyzzy"}}, WithAutoPlan())
+	rep, err := e.QueryReport(Query{K: 3, Radius: 1.5, Keywords: []string{"nope-xyzzy"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +197,7 @@ func TestAutoPlanProvablyEmptyQuerySkipsJob(t *testing.T) {
 	}
 	// The short-circuit must validate like the executed path.
 	if _, err := e.QueryReport(Query{K: 1, Radius: 1, Keywords: []string{"nope-xyzzy"}, Mode: ScoreNearest},
-		WithAutoPlan(), WithAlgorithm(ESPQSco)); err == nil {
+		WithAlgorithm(ESPQSco)); err == nil {
 		t.Error("unsupported algorithm/mode combination accepted on the empty-plan path")
 	}
 }

@@ -247,7 +247,7 @@ func TestConcurrentQueriesMatchSerial(t *testing.T) {
 
 			serial := make([][]Result, nq)
 			for i, q := range queries {
-				res, err := e.Query(q, WithAutoPlan(), WithCache(false))
+				res, err := e.Query(q, WithCache(false))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -262,7 +262,7 @@ func TestConcurrentQueriesMatchSerial(t *testing.T) {
 					defer wg.Done()
 					for r := 0; r < rounds; r++ {
 						i := (g + r*goroutines) % nq
-						res, err := e.Query(queries[i], WithAutoPlan())
+						res, err := e.Query(queries[i])
 						if err != nil {
 							errs[g] = err
 							return

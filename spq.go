@@ -114,17 +114,16 @@ type Report struct {
 	Algorithm Algorithm
 	Results   []Result
 	// Counters are the job counters (see package documentation for names):
-	// feature duplication, early terminations, records shuffled, etc. For
-	// planned queries (WithAutoPlan) they additionally carry the
-	// "spq.plan.*" counters: cells pruned and input records skipped.
+	// feature duplication, early terminations, records shuffled, etc.,
+	// and the planner's "spq.plan.*" counters: cells and blocks pruned and
+	// input records skipped.
 	Counters map[string]int64
-	// Plan describes what the query planner did; nil unless the query ran
-	// with WithAutoPlan.
+	// Plan describes what the query planner did.
 	Plan *PlanStats
 	// Delta describes the in-memory delta's participation: the storage
 	// generation served, how many appended-but-not-yet-compacted records
-	// were visible, and — for planned queries — how many delta cells were
-	// pruned. The spq.delta.* entries of Counters carry the same numbers.
+	// were visible, and how many delta cells the planner pruned. The
+	// spq.delta.* entries of Counters carry the same numbers.
 	Delta *DeltaStats
 	// MapMillis and ReduceMillis are the phase durations.
 	MapMillis    float64
@@ -144,8 +143,6 @@ type Report struct {
 type EffectiveOptions struct {
 	// Algorithm is the processing algorithm the query ran.
 	Algorithm Algorithm `json:"algorithm"`
-	// AutoPlan reports whether the query planner was enabled.
-	AutoPlan bool `json:"auto_plan"`
 	// Cache reports whether this execution participated in the query cache
 	// (an engine with the cache disabled reports false even without
 	// WithCache(false)).
@@ -153,7 +150,7 @@ type EffectiveOptions struct {
 	// Delta reports whether appended-but-uncompacted records were visible.
 	Delta bool `json:"delta"`
 	// GridN is the query-time grid edge requested by WithGrid; 0 when the
-	// default grid of 16 applied, planned or not.
+	// default grid of 16 applied.
 	GridN int `json:"grid_n,omitempty"`
 	// Reducers is the reduce-task override from WithReducers; 0 = default.
 	Reducers int `json:"reducers,omitempty"`
@@ -164,9 +161,9 @@ type EffectiveOptions struct {
 // execution, which — by cache-key construction — resolve identically.
 func (r *Report) Options() EffectiveOptions { return r.effective }
 
-// PlanStats describes one planned query execution: how much of the sealed,
-// partitioned storage the planner proved irrelevant, and the execution
-// parameters the job ran with.
+// PlanStats describes one query execution: how much of the sealed,
+// partitioned storage and the delta the planner proved irrelevant, and
+// the execution parameters the job ran with.
 type PlanStats struct {
 	// SealGridN is the seal grid edge the storage was partitioned over.
 	SealGridN int
@@ -191,8 +188,9 @@ type PlanStats struct {
 	RecordsTotal    int64
 	RecordsSelected int64
 	// GridN and NumReducers are the execution parameters the job ran
-	// with, as an unplanned query would; NumReducers is 0 when the plan
-	// proved the query empty and no job ran, unless WithReducers set it.
+	// with, which the planner does not choose; NumReducers is 0 when the
+	// plan proved the query empty and no job ran, unless WithReducers set
+	// it.
 	GridN       int
 	NumReducers int
 }
@@ -206,7 +204,6 @@ type queryConfig struct {
 	gridSet  bool
 	reducers int
 	bounds   *geo.Rect
-	autoPlan bool
 	noCache  bool
 	noDelta  bool
 }
@@ -216,24 +213,24 @@ func WithAlgorithm(a Algorithm) QueryOption {
 	return func(c *queryConfig) { c.alg = a }
 }
 
-// WithGrid sets the query-time grid to n x n cells (default 16x16, planned
-// or not). More cells mean more parallelism and cheaper reduce tasks at
-// the cost of more feature duplication (Section 6.3 of the paper). n must be in [1, 1024]; a query outside it fails with
-// ErrInvalidQuery.
+// WithGrid sets the query-time grid to n x n cells (default 16x16). More
+// cells mean more parallelism and cheaper reduce tasks at the cost of more
+// feature duplication (Section 6.3 of the paper). n must be in [1, 1024];
+// a query outside it fails with ErrInvalidQuery.
 func WithGrid(n int) QueryOption {
 	return func(c *queryConfig) { c.gridN = n; c.gridSet = true }
 }
 
-// WithAutoPlan enables the query planner: the sealed storage manifest is
-// pruned against the query before the MapReduce job starts — feature
-// cells whose keyword summary is disjoint from the query keywords are
-// skipped, data cells with no surviving feature cell within the radius are
-// skipped (their objects provably score 0). It only prunes: the grid and
-// the task counts stay the unplanned query's. Results are identical to the
-// unplanned path; selective queries read a fraction of the input.
+// WithAutoPlan does nothing: every query is planned. The planner prunes
+// the sealed storage manifest and the delta against the query before the
+// MapReduce job starts — feature blocks whose keyword summary is disjoint
+// from the query keywords, and data blocks with no surviving feature block
+// within the radius (their objects provably score 0) are skipped — and
 // Report.Plan records the outcome.
+//
+// Deprecated: leave it out; the query runs the same either way.
 func WithAutoPlan() QueryOption {
-	return func(c *queryConfig) { c.autoPlan = true }
+	return func(*queryConfig) {}
 }
 
 // WithCache controls this execution's participation in the engine's query
@@ -330,7 +327,6 @@ func validateQuery(q Query) error {
 func (c *queryConfig) effectiveOptions(cacheEnabled bool) EffectiveOptions {
 	return EffectiveOptions{
 		Algorithm: c.alg,
-		AutoPlan:  c.autoPlan,
 		Cache:     cacheEnabled && !c.noCache,
 		Delta:     !c.noDelta,
 		GridN:     c.gridN,

@@ -106,14 +106,15 @@ func TestQueryReportMetrics(t *testing.T) {
 	if rep.TotalMillis <= 0 {
 		t.Errorf("total duration = %v", rep.TotalMillis)
 	}
-	// The map phase reads the 8 features; the 5 data objects reach reduce
-	// through the data view, not the shuffle.
-	if rep.Counters["map.records.in"] != 8 {
-		t.Errorf("map.records.in = %d, want 8", rep.Counters["map.records.in"])
+	// 5 of the 8 features share no keyword with the query: the planner
+	// prunes their blocks, so the map phase reads the other 3 and has
+	// nothing left to prune. The data objects reach reduce through the
+	// data view, not the shuffle.
+	if rep.Counters["map.records.in"] != 3 || rep.Plan.FeatureCellsPruned != 5 {
+		t.Errorf("map.records.in = %d, feature cells pruned = %d, want 3 and 5", rep.Counters["map.records.in"], rep.Plan.FeatureCellsPruned)
 	}
-	// 5 features share no keyword with the query and must be pruned.
-	if rep.Counters["spq.map.features.pruned"] != 5 {
-		t.Errorf("pruned = %d, want 5", rep.Counters["spq.map.features.pruned"])
+	if rep.Counters["spq.map.features.pruned"] != 0 {
+		t.Errorf("map-side pruned = %d, want 0", rep.Counters["spq.map.features.pruned"])
 	}
 }
 
@@ -414,8 +415,7 @@ func TestEmptyKeywordsThroughAPI(t *testing.T) {
 // TestUnknownQueryWordsNotInterned: query words are looked up, never
 // interned, so a stream of queries with ever new unknown words leaves the
 // dictionary as it was — yet an unknown word still counts in |q.W|: a
-// feature carrying only "pizza" scores 1/2 against {pizza, unknown},
-// planned and unplanned.
+// feature carrying only "pizza" scores 1/2 against {pizza, unknown}.
 func TestUnknownQueryWordsNotInterned(t *testing.T) {
 	e := NewEngine(Config{})
 	if err := e.AddData(DataObject{ID: 1, X: 0.1, Y: 0}, DataObject{ID: 2, X: 0.9, Y: 1}); err != nil {
@@ -430,9 +430,6 @@ func TestUnknownQueryWordsNotInterned(t *testing.T) {
 	size := e.dict.Size()
 	for i := 0; i < 200; i++ {
 		opts := []QueryOption{WithCache(false)}
-		if i%2 == 1 {
-			opts = append(opts, WithAutoPlan())
-		}
 		unknown := fmt.Sprintf("unknown-%d", i)
 		res, err := e.Query(Query{K: 1, Radius: 0.2, Keywords: []string{"pizza", unknown}}, opts...)
 		if err != nil {

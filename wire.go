@@ -19,7 +19,9 @@ type QueryRequest struct {
 	// Algorithm selects the processing algorithm by name ("pSPQ",
 	// "eSPQlen", "eSPQsco", case-insensitive); empty selects the default.
 	Algorithm string `json:"algorithm,omitempty"`
-	// AutoPlan enables the query planner (WithAutoPlan).
+	// AutoPlan is ignored: every query is planned.
+	//
+	// Deprecated: leave it out; the query runs the same either way.
 	AutoPlan bool `json:"auto_plan,omitempty"`
 	// Cache and Delta, when present, control cache participation and delta
 	// visibility (WithCache / WithDelta); absent means the defaults.
@@ -50,9 +52,6 @@ func (r *QueryRequest) Options() ([]QueryOption, error) {
 			return nil, err
 		}
 		opts = append(opts, WithAlgorithm(alg))
-	}
-	if r.AutoPlan {
-		opts = append(opts, WithAutoPlan())
 	}
 	if r.Cache != nil {
 		opts = append(opts, WithCache(*r.Cache))
